@@ -34,6 +34,7 @@ from .errors import (
     LogLambertError,
     NoSolutionError,
     PrecisionError,
+    RangeError,
     SingularityError,
     UnsupportedCaseError,
 )
@@ -69,6 +70,6 @@ __all__ = [
     "stationarity_residuals", "continuous_weight", "continuous_pdf",
     "LogLambertError", "DomainError", "SingularityError", "ConvergenceError",
     "NoSolutionError", "UnsupportedCaseError", "BracketError",
-    "PrecisionError", "IntegrationError",
+    "PrecisionError", "IntegrationError", "RangeError",
     "__version__",
 ]

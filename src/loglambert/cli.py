@@ -23,7 +23,7 @@ import math
 import sys
 
 from . import core, maxent
-from .errors import ConvergenceError, LogLambertError
+from .errors import ConvergenceError, DomainError, LogLambertError
 from .qcalculus import EntropyParams
 
 __all__ = ["main"]
@@ -206,11 +206,33 @@ def _parse_grid(text: str) -> list[float]:
     try:
         lo_s, hi_s, n_s = text.split(":")
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
-    except ValueError as exc:
-        raise SystemExit(f"bad --quadratic grid {text!r}; expected LO:HI:N") from exc
+    except ValueError:
+        raise DomainError(f"bad --quadratic grid {text!r}; expected LO:HI:N") from None
     if n < 2 or not hi > lo:
-        raise SystemExit(f"bad --quadratic grid {text!r}; need HI > LO and N >= 2")
+        raise DomainError(f"bad --quadratic grid {text!r}; need HI > LO and N >= 2")
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+
+
+def _read_levels(path: str) -> list[float]:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise DomainError(f"--levels: cannot read {path!r}: {reason}") from None
+    levels = []
+    for number, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            levels.append(float(line))
+        except ValueError:
+            raise DomainError(
+                f"--levels {path!r}, line {number}: {line.strip()!r} is not a number"
+            ) from None
+    if not levels:
+        raise DomainError(f"--levels {path!r} holds no levels")
+    return levels
 
 
 def _cmd_maxent(args) -> int:
@@ -220,7 +242,7 @@ def _cmd_maxent(args) -> int:
 
     if args.quadratic:
         if args.branch is None:
-            raise SystemExit("continuous mode needs an explicit --branch")
+            raise DomainError("continuous mode needs an explicit --branch")
         grid = _parse_grid(args.quadratic)
         dens = maxent.continuous_pdf(ep, args.alpha, args.beta, args.branch, grid)
         params["alpha"] = args.alpha
@@ -229,8 +251,7 @@ def _cmd_maxent(args) -> int:
         _emit(args.format, params, ["x", "p"], rows)
         return 0
 
-    with open(args.levels, "r", encoding="utf-8") as fh:
-        levels = [float(line) for line in fh if line.strip()]
+    levels = _read_levels(args.levels)
     branch = args.branch
     if branch is None:
         branch = maxent.suggest_branch(ep, len(levels))

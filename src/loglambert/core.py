@@ -33,6 +33,7 @@ from .errors import (
     DomainError,
     NoSolutionError,
     PrecisionError,
+    RangeError,
     SingularityError,
     UnsupportedCaseError,
 )
@@ -536,7 +537,7 @@ def antiderivative(p: Params, y: float) -> float:
            - a * Ei(y),
     integration constant zero.  The Ei coefficient -a is forced by the
     term-by-term integration; it is validated against quadrature in the
-    test suite.
+    test suite.  Raises RangeError when F(y) is not a finite double.
     """
     by = p.b * y
     if not by > 0.0:
@@ -551,7 +552,13 @@ def antiderivative(p: Params, y: float) -> float:
         + p.a
         - p.c
     )
-    return math.exp(y) * bracket - p.a * ei(y)
+    try:
+        value = math.exp(y) * bracket - p.a * ei(y)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise RangeError(f"antiderivative overflows the double range at y={y!r}")
+    return value
 
 
 def _expansion_argument(p: Params) -> float:

@@ -35,3 +35,7 @@ class PrecisionError(LogLambertError):
 
 class IntegrationError(LogLambertError):
     """A quadrature tail or tolerance criterion could not be satisfied."""
+
+
+class RangeError(LogLambertError, OverflowError):
+    """A result exceeds the double range."""

@@ -1,24 +1,24 @@
-"""Exponential integral Ei(x) (Cauchy principal value).
+"""Exponential integral Ei(x) (Cauchy principal value), in plain float64.
 
-Classical two-regime evaluation:
+Five regimes, after Cody & Thacher, "Rational Chebyshev approximations for
+the exponential integral Ei(x)" (Math. Comp. 23, 1969) and the Numerical
+Recipes ``ei`` routine:
 
-* power series  Ei(x) = gamma + ln|x| + sum_{n>=1} x^n / (n * n!)
-  for moderate |x| (summed in extended precision so the heavy cancellation
-  on the negative axis does not erode the returned double),
-* continued fraction for x <= -6 (via E1), and the divergent asymptotic
-  series truncated at its smallest term for x > 40.
-
-Both non-series regimes are plain float64; the series regime delegates the
-summation to mpmath at a working precision sized to the cancellation.
+* x <= -2.5: modified-Lentz continued fraction for E1(-x), Ei(x) = -E1(-x);
+* -2.5 < x < 0: the power series Ei(x) = gamma + ln|x| + sum x^n/(n*n!),
+  whose alternating terms cancel by at most about two digits there;
+* |x - x0| < 0.1 about Ei's positive root x0: a Taylor series in
+  u = x - x0, since gamma + ln x cancels against the power series there;
+* 0 < x <= 40 elsewhere: the same power series, with all terms positive;
+* x > 40: the asymptotic series e^x/x * sum k!/x^k, cut at its smallest
+  term.
 """
 
 from __future__ import annotations
 
 import math
 
-from mpmath import mp
-
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, RangeError
 
 __all__ = ["ei", "EULER_GAMMA"]
 
@@ -26,31 +26,59 @@ __all__ = ["ei", "EULER_GAMMA"]
 EULER_GAMMA = 0.57721566490153286061
 
 _LOG_DBL_MAX = 709.782712893384
-_SERIES_NEG_CUTOFF = -6.0
+_CF_CUTOFF = -2.5
 _SERIES_POS_CUTOFF = 40.0
+
+# Ei's positive root as an unevaluated sum hi + lo; a single double puts
+# an absolute error of ~1e-17 into u = x - x0, which is a large relative
+# error in Ei(x) ~ Ei'(x0) * u next to the root.
+_ROOT_HI = 0.3725074107813666
+_ROOT_LO = 1.3140183414386028e-17
+_ROOT_WINDOW = 0.1
+
+
+def _root_taylor_coefficients() -> tuple[float, ...]:
+    """Coefficients c_1, c_2, ... of Ei(x0 + u) = sum c_k u^k.
+
+    Ei' = g with g(x) = e^x/x, and x*g' = (x - 1)*g turns into the
+    recurrence (k+1)*x0*g_{k+1} = (x0 - 1 - k)*g_k + g_{k-1} for the
+    Taylor coefficients g_k of g; then c_k = g_{k-1}/k.  The list stops
+    once c_k * window^(k-1) is negligible against c_1.
+    """
+    x0 = _ROOT_HI
+    prev, g = 0.0, math.exp(x0) / x0
+    coeffs = [g]
+    for k in range(1, 100):
+        prev, g = g, ((x0 - k) * g + prev) / (k * x0)
+        if abs(g / (k + 1)) * _ROOT_WINDOW**k < 1e-18 * coeffs[0]:
+            break
+        coeffs.append(g / (k + 1))
+    return tuple(coeffs)
+
+
+_ROOT_COEFFS_DESC = _root_taylor_coefficients()[::-1]
+
+
+def _root_taylor(x: float) -> float:
+    """Ei(x) for |x - x0| < 0.1, by Horner in u = (x - x0_hi) - x0_lo."""
+    u = (x - _ROOT_HI) - _ROOT_LO
+    total = 0.0
+    for c in _ROOT_COEFFS_DESC:
+        total = total * u + c
+    return total * u
 
 
 def _series(x: float) -> float:
-    """Power series about 0, valid for any |x| <= ~40.
-
-    The terms are summed with mpmath because for x < 0 they alternate and
-    cancel down from magnitude ~e^|x| to the final value; the working
-    precision is sized so the returned double is correctly rounded.
-    """
-    extra = int(1.2 * abs(x)) if x < 0.0 else 0
-    with mp.workdps(28 + extra):
-        xm = mp.mpf(x)
-        total = mp.euler + mp.log(abs(xm))
-        term = mp.mpf(1)
-        for n in range(1, 400):
-            term *= xm / n
-            contrib = term / n
-            total += contrib
-            if abs(contrib) < mp.mpf("1e-40") * (1 + abs(total)):
-                break
-        else:  # pragma: no cover - series always converges well before 400
-            raise ConvergenceError(f"Ei series did not converge at x={x!r}")
-        return float(total)
+    """Power series gamma + ln|x| + sum x^n/(n*n!) for -2.5 < x <= 40."""
+    total = EULER_GAMMA + math.log(abs(x))
+    term = 1.0
+    for n in range(1, 200):
+        term *= x / n
+        contrib = term / n
+        total += contrib
+        if abs(contrib) <= 1e-17 * abs(total):
+            return total
+    raise ConvergenceError(f"Ei series did not converge at x={x!r}")  # pragma: no cover
 
 
 def _continued_fraction(x: float) -> float:
@@ -81,8 +109,8 @@ def _continued_fraction(x: float) -> float:
 def _asymptotic(x: float) -> float:
     """Large-x expansion e^x/x * sum k!/x^k, cut at the smallest term."""
     exponent = x - math.log(x)
-    if exponent > _LOG_DBL_MAX:
-        raise OverflowError(f"Ei({x!r}) exceeds the double range")
+    if not exponent <= _LOG_DBL_MAX:
+        raise RangeError(f"Ei({x!r}) exceeds the double range")
     total = 1.0
     term = 1.0
     for k in range(1, 200):
@@ -95,22 +123,24 @@ def _asymptotic(x: float) -> float:
             break
     result = math.exp(exponent) * total
     if math.isinf(result):
-        raise OverflowError(f"Ei({x!r}) exceeds the double range")
+        raise RangeError(f"Ei({x!r}) exceeds the double range")
     return result
 
 
 def ei(x: float) -> float:
     """Principal-value exponential integral Ei(x).
 
-    Raises DomainError at the logarithmic singularity x = 0 and
-    OverflowError once the result exceeds the double range (x > ~716).
+    Raises DomainError at the logarithmic singularity x = 0 and RangeError
+    (an OverflowError) once the result exceeds the double range (x > ~716).
     """
     if math.isnan(x):
         raise DomainError("Ei is undefined at NaN")
     if x == 0.0:
         raise DomainError("Ei has a logarithmic singularity at 0")
-    if x < _SERIES_NEG_CUTOFF:
+    if x <= _CF_CUTOFF:
         return _continued_fraction(x)
+    if abs(x - _ROOT_HI) < _ROOT_WINDOW:
+        return _root_taylor(x)
     if x <= _SERIES_POS_CUTOFF:
         return _series(x)
     return _asymptotic(x)

@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .core import Params, evaluate, forward
-from .errors import BracketError, IntegrationError
+from loglambert import BracketError, IntegrationError, Params, evaluate, forward
 
 __all__ = ["bisect_invert", "quad_ei", "fd_derivative"]
 

@@ -11,7 +11,7 @@ import time
 import pytest
 
 import loglambert as ll
-from loglambert.oracle import _simpson, fd_derivative
+from _oracle import _simpson, fd_derivative
 from _sampling import interior_points
 
 PARAM_SETS = [(1, 1, 1), (2, 1, 1), (1, 1, 0), (-2, -1, 1), (-1, -1, 0.5)]

@@ -1,6 +1,7 @@
 """Derivative, antiderivative, series expansion and large-x approximation."""
 
 import math
+import re
 
 import pytest
 
@@ -8,6 +9,7 @@ from loglambert import (
     DomainError,
     Params,
     PrecisionError,
+    RangeError,
     SingularityError,
     antiderivative,
     asymptotic,
@@ -21,7 +23,7 @@ from loglambert import (
     taylor_coefficients,
     taylor_first_order,
 )
-from loglambert.oracle import _simpson, fd_derivative
+from _oracle import _simpson, fd_derivative
 from _sampling import interior_points
 
 P111 = Params(1.0, 1.0, 1.0)
@@ -126,6 +128,16 @@ def test_antiderivative_domain():
         antiderivative(P111, 0.0)  # Ei singularity via b*y > 0 gate
     with pytest.raises(DomainError):
         antiderivative(P111, -1.0)
+
+
+def test_antiderivative_overflow_is_typed():
+    # At y = 709 e^y is finite but e^y * bracket is not; past y ~ 709.78
+    # e^y and then Ei(y) overflow themselves.  Each is refused with a
+    # RangeError (an OverflowError) naming y, never returned as inf or NaN.
+    for y in (709.0, 720.0, math.inf):
+        with pytest.raises(RangeError, match=re.escape(f"y={y!r}")):
+            antiderivative(P111, y)
+    assert issubclass(RangeError, OverflowError)
 
 
 # ----------------------------------------------------------- Taylor / series

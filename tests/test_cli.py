@@ -4,14 +4,19 @@ import csv
 import io
 import json
 import math
+import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import loglambert
 from loglambert import Params, forward
 
 BASE = [sys.executable, "-m", "loglambert"]
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(*args, expect=0):
@@ -154,3 +159,91 @@ def test_maxent_requires_levels_or_grid():
         capture_output=True, text=True,
     )
     assert cp.returncode == 2  # argparse usage error
+
+
+MAXENT = ["maxent", "--q", "0.9", "--qprime", "0.8", "--r", "0.7",
+          "--alpha", "0", "--beta", "0.1"]
+
+
+def assert_one_line_error(cp, *fragments):
+    assert cp.stdout == ""
+    assert "Traceback" not in cp.stderr
+    lines = cp.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), cp.stderr
+    for fragment in fragments:
+        assert fragment in lines[0]
+
+
+def test_maxent_levels_missing_file(tmp_path):
+    cp = run_cli(*MAXENT, "--levels", str(tmp_path / "missing.txt"), expect=2)
+    assert_one_line_error(cp, "--levels", "missing.txt")
+
+
+def test_maxent_levels_unreadable_file(tmp_path):
+    cp = run_cli(*MAXENT, "--levels", str(tmp_path), expect=2)  # a directory
+    assert_one_line_error(cp, "--levels", "cannot read")
+
+
+def test_maxent_levels_non_numeric_line(tmp_path):
+    levels = tmp_path / "levels.txt"
+    levels.write_text("0.1\n\n0.2x\n0.3\n")
+    cp = run_cli(*MAXENT, "--levels", str(levels), expect=2)
+    assert_one_line_error(cp, "--levels", "line 3", "0.2x")
+
+
+def test_maxent_levels_empty_file(tmp_path):
+    levels = tmp_path / "levels.txt"
+    levels.write_text("\n  \n")
+    cp = run_cli(*MAXENT, "--levels", str(levels), expect=2)
+    assert_one_line_error(cp, "--levels", "no levels")
+
+
+@pytest.mark.parametrize("extra, fragment", [
+    (["--quadratic", "1:2", "--branch", "1"], "--quadratic"),
+    (["--quadratic", "2:1:5", "--branch", "1"], "--quadratic"),
+    (["--quadratic=-1:1:5"], "--branch"),
+])
+def test_maxent_grid_errors(extra, fragment):
+    cp = run_cli(*MAXENT, *extra, expect=2)
+    assert_one_line_error(cp, fragment)
+
+
+def _package_env():
+    # run from any directory against the same package the tests import
+    src = str(Path(loglambert.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
+def test_import_does_not_load_mpmath():
+    code = "import sys, loglambert, loglambert.cli; print('mpmath' in sys.modules)"
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                        text=True, env=_package_env())
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.strip() == "False"
+
+
+def _readme_commands():
+    block = README.read_text(encoding="utf-8").split("## CLI", 1)[1].split("```")[1]
+    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+            if line.strip()]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command(argv, tmp_path):
+    (tmp_path / "levels.txt").write_text("0.0\n0.3\n0.6\n0.9\n")
+    assert argv[0] == "loglambert"
+    if ">" in argv:  # drop the shell redirection; the output is read from stdout
+        argv = argv[:argv.index(">")]
+    cp = subprocess.run(BASE + argv[1:], capture_output=True, text=True,
+                        cwd=tmp_path, env=_package_env())
+    assert cp.returncode == 0, cp.stderr
+    assert "Traceback" not in cp.stderr
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "table"
+    if fmt == "csv":
+        rows = list(csv.reader(io.StringIO(cp.stdout)))
+        assert len(rows) >= 2 and all(len(r) == len(rows[0]) for r in rows)
+    elif fmt == "json":
+        assert json.loads(cp.stdout)["rows"]
+    else:
+        assert cp.stdout.strip()

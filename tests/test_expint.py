@@ -2,11 +2,21 @@
 
 import math
 
+import mpmath
 import pytest
 
-from loglambert import DomainError, EULER_GAMMA, ei
-from loglambert.expint import _continued_fraction, _series
-from loglambert.oracle import quad_ei
+from loglambert import DomainError, EULER_GAMMA, RangeError, ei
+from loglambert.expint import (
+    _CF_CUTOFF,
+    _ROOT_HI,
+    _ROOT_WINDOW,
+    _SERIES_POS_CUTOFF,
+    _asymptotic,
+    _continued_fraction,
+    _root_taylor,
+    _series,
+)
+from _oracle import quad_ei
 
 # Frozen from the quadrature oracle (quad_ei), cross-checked against the
 # power series gamma + ln|x| + sum x^n/(n*n!); both agree to 1e-13.
@@ -44,15 +54,45 @@ def test_quadrature_oracle_agreement():
         assert ei(x) == pytest.approx(quad_ei(x), rel=1e-9, abs=1e-12)
 
 
+def test_overflow_is_typed():
+    for x in (720.0, math.inf):
+        with pytest.raises(RangeError, match="double range"):
+            ei(x)
+
+
 def test_series_vs_continued_fraction_crossover():
-    # The two evaluation regimes overlap on the negative axis; in the
-    # |x| = 4..8 band around the production switchover they must agree.
-    # (On the positive axis the large-x expansion is divergent at these
-    # magnitudes, so the comparison is only meaningful for x < 0.)
-    for t in (4.0, 4.5, 5.0, 5.5, 6.0, 6.5, 7.0, 7.5, 8.0):
-        s = _series(-t)
-        cf = _continued_fraction(-t)
-        assert abs(s - cf) <= 1e-11 * abs(cf)
+    # Neighbouring regimes overlap at every production switchover and must
+    # agree there: the continued fraction and the power series at x = -2.5,
+    # the Taylor series about the root and the power series at both edges
+    # of its window, and the power and asymptotic series at x = 40.
+    switchovers = (
+        (_CF_CUTOFF, _continued_fraction, _series),
+        (_ROOT_HI - _ROOT_WINDOW, _root_taylor, _series),
+        (_ROOT_HI + _ROOT_WINDOW, _root_taylor, _series),
+        (_SERIES_POS_CUTOFF, _series, _asymptotic),
+    )
+    for edge, inner, outer in switchovers:
+        for d in (-1e-3, -1e-6, 0.0, 1e-6, 1e-3):
+            x = edge + d
+            a, b = inner(x), outer(x)
+            assert abs(a - b) <= 1e-13 * abs(b), (x, a, b)
+
+
+def _mp_ei(x):
+    # 40 digits, so the reference is exact to double precision even next
+    # to the root, where Ei itself is ~1e-17
+    with mpmath.workdps(40):
+        return float(mpmath.ei(mpmath.mpf(x)))
+
+
+def test_dense_sweep_at_root_and_switchovers():
+    x0 = _ROOT_HI
+    xs = [x0, math.nextafter(x0, 0.0), math.nextafter(x0, 1.0)]
+    xs += [x0 + 1e-3 * (i / 500 - 1) for i in range(1001)]
+    for edge in (_CF_CUTOFF, x0 - _ROOT_WINDOW, x0 + _ROOT_WINDOW, _SERIES_POS_CUTOFF):
+        xs += [edge + 1e-3 * (i / 100 - 1) for i in range(201)]
+    for x in xs:
+        assert ei(x) == pytest.approx(_mp_ei(x), rel=1e-12, abs=0.0), x
 
 
 def test_relative_accuracy_sweep():

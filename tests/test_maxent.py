@@ -22,7 +22,7 @@ from loglambert import (
     stationarity_residuals,
     suggest_branch,
 )
-from loglambert.oracle import _simpson
+from _oracle import _simpson
 from loglambert.qcalculus import exp_q
 
 EP = EntropyParams(q=0.9, q_prime=0.8, r=0.7)

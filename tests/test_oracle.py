@@ -6,7 +6,7 @@ import random
 import pytest
 
 from loglambert import BracketError, Params, branches, ei, evaluate
-from loglambert.oracle import bisect_invert, fd_derivative, quad_ei
+from _oracle import bisect_invert, fd_derivative, quad_ei
 from _sampling import interior_points
 
 
