@@ -11,6 +11,12 @@ sign cases.  Between consecutive seams f is strictly monotone, so the inverse
 splits into branches indexed 0, 1 (and 2 for b < 0), counted starting from
 the branch whose y-range touches 0.
 
+Seam contract: seams are isolated exactly, from the convexity of the seam
+equation, on e^-708 <= |y| <= ln(DBL_MAX) = 709.78, where y is a normal
+double and e^y does not overflow.  A seam outside that range raises
+RangeError; three seams for b > 0 (four branches) raise UnsupportedCaseError;
+fewer seams than the case needs raise NoSolutionError.
+
 This module provides the branch catalog, a bracketed Newton/bisection
 evaluator for the inverse on a chosen branch, the closed forms for the
 inverse's derivative and antiderivative, the expansion of the inverse about
@@ -26,6 +32,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import (
@@ -198,9 +205,16 @@ def _slope_ext(p: Params, y: float) -> float:
         return math.copysign(math.inf, d)
 
 
+def _range_error(p: Params, what: str) -> RangeError:
+    return RangeError(
+        f"{what} overflows the double range for a={p.a!r}, b={p.b!r}, c={p.c!r}"
+    )
+
+
 def _refine_root(p: Params, lo: float, hi: float) -> float:
     # Bisection to double-precision width, then Newton polish on the seam
-    # equation.  lo/hi must straddle a sign change.
+    # equation, kept inside [lo, hi], which must straddle a sign change.
+    bracket = (lo, hi)
     flo = singular_residual(p, lo)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -222,7 +236,7 @@ def _refine_root(p: Params, lo: float, hi: float) -> float:
             break
         step = r / dr
         nxt = root - step
-        if not (p.b * nxt > 0.0):
+        if not bracket[0] <= nxt <= bracket[1]:
             break
         root = nxt
         if abs(step) <= _EPS * abs(root):
@@ -230,74 +244,102 @@ def _refine_root(p: Params, lo: float, hi: float) -> float:
     return root
 
 
+# Seams are sought on e^-708 <= |y| <= ln(DBL_MAX): below, y is not a normal
+# double; above, e^y overflows.  In t = ln|y| that is [_T_MIN, _T_MAX].  The
+# extrema of the seam equation are sought further out, up to |y| = e^709
+# (the largest y whose e^t is finite), so a seam pair hidden beyond the
+# search range is still counted.
+_T_MIN = -708.0
+_Y_MAX = math.log(sys.float_info.max)
+_T_MAX = math.log(_Y_MAX)
+_T_FAR = 709.0
+_T_TOL = 2.0 ** -24
+
+
+def _sign_change(fn, lo: float, hi: float, positive: bool) -> tuple[float, float]:
+    # Bisection in t for the one sign change of fn on [lo, hi], a stretch on
+    # which fn is monotone; `positive` is fn's sign below the change.  Returns
+    # a bracket of width <= _T_TOL, or (lo, lo) / (hi, hi) when the change
+    # lies below lo / above hi.
+    if (fn(lo) > 0.0) != positive:
+        return lo, lo
+    if (fn(hi) > 0.0) == positive:
+        return hi, hi
+    while hi - lo > _T_TOL:
+        mid = 0.5 * (lo + hi)
+        if (fn(mid) > 0.0) == positive:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def singular_points(p: Params) -> list[float]:
     """All seam points delta (zeros of f' with b*delta > 0), ascending.
 
-    Exactly one is expected for b > 0 and exactly two for b < 0; a
-    NoSolutionError reports any other outcome.
+    The seam equation s(y) = a*(y+1)*ln(b*y) + y + a + c + 1 has
+    s''(y) = a*(y-1)/y**2, so s is monotone on at most three pieces for
+    b > 0 (split at the zeros of s' on either side of y = 1, which exist
+    only when s'(1) and a differ in sign) and on two for b < 0 (s' has
+    one zero).  Its limits are -sign(a)*inf as y -> 0 and
+    sign(a)*sign(b)*inf as |y| -> inf, so the sign of s at the piece ends
+    counts the seams, and bisection in t = ln|y| on each piece with a
+    sign change isolates one, polished by Newton's method.
+
+    Seams are sought on e^-708 <= |y| <= ln(DBL_MAX) = 709.78.  Exactly one
+    is expected for b > 0 and exactly two for b < 0.  Raises RangeError
+    when a seam lies outside the searched range, UnsupportedCaseError
+    when there are more seams than expected (three, for b > 0) and
+    NoSolutionError when there are fewer.
     """
-    sign = 1.0 if p.b > 0.0 else -1.0
-    brackets: list[tuple[float, float]] = []
+    sign_b = math.copysign(1.0, p.b)
+    log_b = math.log(abs(p.b))
 
-    n_grid = 3800
-    lo_exp, hi_exp = -13.0, 6.0
-    prev_t = 10.0 ** lo_exp
-    prev_v = singular_residual(p, sign * prev_t)
+    def s(t: float) -> float:  # s(y) at y = sign_b * e^t
+        y = sign_b * math.exp(t)
+        return p.a * (log_b + t) * (y + 1.0) + y + p.a + p.c + 1.0
 
-    # Below the grid the seam equation is monotone in ln|y|, so a single
-    # endpoint comparison catches any root with |y| < 1e-13.
-    deep_t = 1e-290
-    deep_v = singular_residual(p, sign * deep_t)
-    if deep_v == 0.0:
-        brackets.append((deep_t, deep_t))
-    elif (deep_v > 0.0) != (prev_v > 0.0):
-        lo_t, hi_t = deep_t, prev_t
-        for _ in range(300):
-            mid = math.sqrt(lo_t * hi_t)
-            v = singular_residual(p, sign * mid)
-            if v == 0.0:
-                lo_t = hi_t = mid
-                break
-            if (v > 0.0) == (deep_v > 0.0):
-                lo_t = mid
-            else:
-                hi_t = mid
-        brackets.append((lo_t, hi_t))
+    def s_slope(t: float) -> float:  # s'(y) = a*ln(b*y) + a + 1 + a/y
+        return p.a * (log_b + t + 1.0) + 1.0 + p.a * sign_b * math.exp(-t)
 
-    step = (hi_exp - lo_exp) / n_grid
-    for i in range(1, n_grid + 1):
-        t = 10.0 ** (lo_exp + i * step)
-        v = singular_residual(p, sign * t)
-        if v == 0.0:
-            brackets.append((t, t))
-        elif (v > 0.0) != (prev_v > 0.0):
-            brackets.append((prev_t, t))
-        prev_t, prev_v = t, v
+    # Zeros of s' (knots), each sought where s' has its limit sign below it.
+    a_pos = p.a > 0.0
+    if p.b < 0.0:
+        spans = [(_T_MIN, _T_FAR, not a_pos)]
+    elif (s_slope(0.0) > 0.0) != a_pos:
+        spans = [(_T_MIN, 0.0, a_pos), (0.0, _T_FAR, not a_pos)]
+    else:
+        spans = []
+    knots = [0.5 * sum(_sign_change(s_slope, *span)) for span in spans]
+
+    ends = [-math.inf, *knots, math.inf]
+    signs = [not a_pos, *(s(k) > 0.0 for k in knots), a_pos == (p.b > 0.0)]
+    pieces = [i for i in range(len(knots) + 1) if signs[i] != signs[i + 1]]
+    expected = 1 if p.b > 0.0 else 2
+    params = f"a={p.a!r}, b={p.b!r}, c={p.c!r}"
+    if len(pieces) > expected:
+        raise UnsupportedCaseError(
+            f"seam equation for {params} has {len(pieces)} roots on the "
+            f"admissible half-line; only {expected} is catalogued"
+        )
+    if len(pieces) < expected:
+        raise NoSolutionError(
+            f"seam equation for {params} has {len(pieces)} root(s) on the "
+            f"admissible half-line, expected {expected}"
+        )
 
     roots = []
-    for lo_t, hi_t in brackets:
-        if lo_t == hi_t:
-            roots.append(sign * lo_t)
-        else:
-            ylo, yhi = sign * lo_t, sign * hi_t
-            if ylo > yhi:
-                ylo, yhi = yhi, ylo
-            roots.append(_refine_root(p, ylo, yhi))
-    roots.sort()
-
-    deduped: list[float] = []
-    for r in roots:
-        if not deduped or abs(r - deduped[-1]) > 1e-10 * max(1.0, abs(r)):
-            deduped.append(r)
-
-    expected = 1 if p.b > 0.0 else 2
-    if len(deduped) != expected:
-        raise NoSolutionError(
-            f"seam equation for a={p.a!r}, b={p.b!r}, c={p.c!r} has "
-            f"{len(deduped)} root(s) on the admissible half-line, "
-            f"expected {expected}"
-        )
-    return deduped
+    for i in pieces:
+        lo, hi = max(ends[i], _T_MIN), min(ends[i + 1], _T_MAX)
+        t0, t1 = _sign_change(s, lo, hi, signs[i]) if lo < hi else (hi, hi)
+        if t0 == t1:
+            raise RangeError(
+                f"seam equation for {params} has a root outside the searched "
+                f"range e^-708 <= |y| <= {_Y_MAX:.6g}"
+            )
+        y0, y1 = sorted((sign_b * math.exp(t0), sign_b * math.exp(t1)))
+        roots.append(_refine_root(p, y0, y1))
+    return sorted(roots)
 
 
 @functools.lru_cache(maxsize=128)
@@ -312,63 +354,38 @@ def _catalog(p: Params) -> tuple[BranchInfo, ...]:
                 f"b < 0 with a < 0 requires c <= |a|; got a={p.a!r}, c={p.c!r}"
             )
 
-    deltas = singular_points(p)
-
-    # Segments in y, ordered by branch index (index 0 touches y = 0).
-    # Endpoint kinds: "seam" (attained), "zero" (limit f -> c), "inf".
+    # Branch ends (y, x, attained) outward from y = 0: the limit f -> c,
+    # each seam, then |y| -> inf, where f -> sign(a)*inf for b > 0 and
+    # f -> 0 for b < 0.
+    ends = [(0.0, p.c, False)]
+    for d in sorted(singular_points(p), key=abs):
+        fd = forward(p, d)
+        if not math.isfinite(fd):
+            raise _range_error(p, f"f at the seam y={d!r}")
+        ends.append((d, fd, True))
     if p.b > 0.0:
-        d = deltas[0]
-        segments = [(("zero", 0.0), ("seam", d)), (("seam", d), ("inf", math.inf))]
+        ends.append((math.inf, math.copysign(math.inf, p.a), False))
     else:
-        d2, d1 = deltas
-        segments = [
-            (("seam", d1), ("zero", 0.0)),
-            (("seam", d2), ("seam", d1)),
-            (("inf", -math.inf), ("seam", d2)),
-        ]
+        ends.append((-math.inf, 0.0, False))
 
+    # f' has the sign of the seam equation, which is -sign(a) next to y = 0
+    # and changes sign at every seam.
+    increasing = p.a < 0.0
     infos = []
-    for index, (left, right) in enumerate(segments):
-        (lkind, lval), (rkind, rval) = left, right
-        if lkind == "zero" or rkind == "zero":
-            seam_val = rval if lkind == "zero" else lval
-            probe = seam_val / 2.0
-        elif rkind == "inf":
-            probe = lval + 1.0
-        elif lkind == "inf":
-            probe = rval - 1.0
-        else:
-            probe = 0.5 * (lval + rval)
-        increasing = singular_residual(p, probe) > 0.0
-
-        def x_at(kind: str, yval: float, other_end: bool) -> tuple[float, bool]:
-            # Returns (x value, closed) for one y-endpoint; `other_end` marks
-            # the right/upper endpoint so infinite limits get their sign from
-            # the branch direction.
-            if kind == "seam":
-                return forward(p, yval), True
-            if kind == "zero":
-                return p.c, False
-            if yval > 0:  # y -> +inf: f diverges with the sign of a
-                return (math.inf if increasing == other_end else -math.inf), False
-            return 0.0, False  # y -> -inf: f -> 0 (e^y wins)
-
-        x_left = x_at(lkind, lval, other_end=False)
-        x_right = x_at(rkind, rval, other_end=True)
-        (xa, ca), (xb, cb) = sorted([x_left, x_right], key=lambda t: t[0])
-
-        seams = tuple(
-            (v, forward(p, v)) for k, v in (left, right) if k == "seam"
-        )
+    for index, pair in enumerate(zip(ends, ends[1:])):
+        by_y = sorted(pair)
+        (ylo, _, ylo_in), (yhi, _, yhi_in) = by_y
+        (_, xlo, xlo_in), (_, xhi, xhi_in) = sorted(by_y, key=lambda e: e[1])
         infos.append(
             BranchInfo(
                 index=index,
-                y_range=Interval(lval, rval, lkind == "seam", rkind == "seam"),
-                x_domain=Interval(xa, xb, ca, cb),
+                y_range=Interval(ylo, yhi, ylo_in, yhi_in),
+                x_domain=Interval(xlo, xhi, xlo_in, xhi_in),
                 monotone=Monotone.INCREASING if increasing else Monotone.DECREASING,
-                seams=seams,
+                seams=tuple((y, x) for y, x, seam in by_y if seam),
             )
         )
+        increasing = not increasing
     return tuple(infos)
 
 
@@ -376,7 +393,10 @@ def branches(p: Params) -> tuple[BranchInfo, ...]:
     """Full branch catalog for the given coefficients.
 
     Two branches for b > 0 and three for b < 0 (under the supported
-    magnitude conditions); raises UnsupportedCaseError otherwise.
+    magnitude conditions); raises UnsupportedCaseError otherwise,
+    including for three seams with b > 0.  Every seam lies on
+    e^-708 <= |y| <= 709.78 and has a finite f; RangeError reports one
+    outside that range or with f overflowing, and NoSolutionError too few.
     """
     return _catalog(p)
 
@@ -514,7 +534,8 @@ def derivative(p: Params, y: float) -> float:
     """dW/dx of the inverse at x = f(y): e^{-y} / seam_equation_lhs(y).
 
     Raises SingularityError where the seam equation vanishes (vertical
-    tangent of the inverse).
+    tangent of the inverse) and RangeError when the value is not a finite
+    double (e^{-y} overflows for y < -709.78).
     """
     d = singular_residual(p, y)
     scale = (
@@ -527,7 +548,13 @@ def derivative(p: Params, y: float) -> float:
         raise SingularityError(
             f"vertical tangent: seam equation is {d!r} at y={y!r}"
         )
-    return math.exp(-y) / d
+    try:
+        value = math.exp(-y) / d
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise RangeError(f"derivative overflows the double range at y={y!r}")
+    return value
 
 
 def antiderivative(p: Params, y: float) -> float:
@@ -571,10 +598,14 @@ def taylor_first_order(p: Params) -> tuple[float, float]:
 
     a0 = (1/b) * exp(W(t) - 1/a) with t = -b*c*e^{1/a}/a is the point with
     f(a0) = 0; a1 = e^{-a0} / (a * (W(t) + 1)) = 1/f'(a0).  Raises
-    DomainError when t < -1/e (no real expansion point) and
-    SingularityError when W(t) = -1.
+    DomainError when t < -1/e (no real expansion point), SingularityError
+    when W(t) = -1, and RangeError when e^{1/a}, e^{W(t) - 1/a}, e^{-a0}
+    or a coefficient overflows the double range.
     """
-    t = _expansion_argument(p)
+    try:
+        t = _expansion_argument(p)
+    except OverflowError:
+        raise _range_error(p, "the expansion point about x = 0") from None
     if t < BRANCH_POINT:
         raise DomainError(
             f"no real expansion point: W argument {t!r} below -1/e"
@@ -582,8 +613,14 @@ def taylor_first_order(p: Params) -> tuple[float, float]:
     w = lambert_w(t)
     if w == -1.0:
         raise SingularityError("expansion point has f' = 0 (W(t) = -1)")
-    a0 = math.exp(w - 1.0 / p.a) / p.b
-    a1 = math.exp(-a0) / (p.a * (w + 1.0))
+    try:
+        a0 = math.exp(w - 1.0 / p.a) / p.b
+        a1 = math.exp(-a0) / (p.a * (w + 1.0))
+    except OverflowError:
+        a0 = a1 = math.inf
+    # also catches t = inf (W(inf) is NaN) and quotients rounded to inf
+    if not (math.isfinite(a0) and math.isfinite(a1)):
+        raise _range_error(p, "the expansion point about x = 0")
     return a0, a1
 
 
@@ -656,18 +693,25 @@ def taylor_coefficients(p: Params, n: int) -> list[float]:
     (whose own coefficients are exact closed forms), which is far better
     conditioned than iterated differentiation of the inversion-formula
     quotient.  g_1 agrees with the closed-form linear coefficient.
+    Raises RangeError when a coefficient overflows the double range.
     """
     if not 1 <= n <= 8:
         raise DomainError(f"series order must be in 1..8, got {n!r}")
     a0, _ = taylor_first_order(p)
-    c = _forward_series(p, a0, n)
+    try:
+        c = _forward_series(p, a0, n)
+    except OverflowError:
+        raise _range_error(p, "a series coefficient about x = 0") from None
     c[0] = 0.0  # analytically exact: f(a0) = 0
     if abs(c[1]) < 1e-8:
         raise PrecisionError(
             f"series reversion ill-conditioned: f'(a0) = {c[1]!r}"
         )
     d = _revert_series(c, n)
-    return [d[k] * math.factorial(k) for k in range(1, n + 1)]
+    g = [d[k] * math.factorial(k) for k in range(1, n + 1)]
+    if not all(math.isfinite(v) for v in g):
+        raise _range_error(p, "a series coefficient about x = 0")
+    return g
 
 
 def asymptotic(p: Params, x: float) -> float:

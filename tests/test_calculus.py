@@ -140,6 +140,16 @@ def test_antiderivative_overflow_is_typed():
     assert issubclass(RangeError, OverflowError)
 
 
+def test_derivative_overflow_is_typed():
+    # e^{-y} overflows below y = -709.78; the value is refused with a
+    # RangeError naming y, not a bare OverflowError.
+    p = Params(-2.0, -1.0, 1.0)
+    assert math.isfinite(derivative(p, -700.0))
+    for y in (-710.0, -800.0):
+        with pytest.raises(RangeError, match=re.escape(f"y={y!r}")):
+            derivative(p, y)
+
+
 # ----------------------------------------------------------- Taylor / series
 
 def test_taylor_first_order_closed_forms():
@@ -186,6 +196,25 @@ def test_taylor_partial_sums_track_inverse():
     # side of 0: the remainders really are O(x^2) and O(x^4)
     assert max(ratios_quadratic) <= 2.0 * min(ratios_quadratic)
     assert max(ratios_quartic) <= 2.0 * min(ratios_quartic)
+
+
+@pytest.mark.parametrize("abc", [
+    (0.001, 1.0, 1.0),   # e^{1/a} overflows
+    (-0.001, 1.0, 1.0),  # e^{W(t) - 1/a} overflows
+    (1.0, -1e-4, 0.0),   # a0 = -3679, so e^{-a0} overflows
+])
+def test_taylor_overflow_is_typed(abc):
+    p = Params(*abc)
+    names = f"a={p.a!r}, b={p.b!r}, c={p.c!r}"
+    for fn in (taylor_first_order, lambda q: taylor_coefficients(q, 4)):
+        with pytest.raises(RangeError, match=re.escape(names)):
+            fn(p)
+
+
+def test_taylor_coefficients_overflow_is_typed():
+    # a0 = 3679 is finite, but e^{a0} in the forward series is not.
+    with pytest.raises(RangeError, match="series coefficient"):
+        taylor_coefficients(Params(1.0, 1e-4, 0.0), 4)
 
 
 def test_taylor_order_validation():

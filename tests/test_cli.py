@@ -84,6 +84,16 @@ def test_branches_unsupported_case_exit():
     assert "|c| <= a" in cp.stderr
 
 
+def test_branches_seam_out_of_range_exit():
+    # The seam lies near y = 3490, where e^y overflows.
+    cp = run_cli("branches", "-A", "-0.8", "-B", "0.001", "-C", "0.8", expect=2)
+    assert cp.stdout == ""
+    assert "Traceback" not in cp.stderr
+    assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1
+    assert "e^-708 <= |y| <= 709.78" in cp.stderr
+    assert "a=-0.8, b=0.001, c=0.8" in cp.stderr
+
+
 def test_branch_curves_csv_roundtrip():
     cp = run_cli("branches", "-A", "2", "-B", "1", "-C", "1",
                  "--samples", "25", "--format", "csv")

@@ -1,7 +1,9 @@
 """Forward map, seam points and the branch catalog."""
 
 import math
+import re
 
+import mpmath
 import pytest
 
 from loglambert import (
@@ -9,6 +11,7 @@ from loglambert import (
     Monotone,
     NoSolutionError,
     Params,
+    RangeError,
     UnsupportedCaseError,
     branches,
     forward,
@@ -204,3 +207,50 @@ def test_unsupported_cases():
         # (y+1)*ln(-y) <= 0 on the whole half-line, so with c this negative
         # the seam equation stays below zero everywhere: no crossings
         singular_points(Params(1.0, -1.0, -50.0))
+
+
+PAPER_SETS = [(1, 1, 1), (2, 1, 1), (1, 1, 0), (-1, 1, 0),
+              (-2, -1, 1), (2, -1, 1), (-1, -1, 0.5)]
+
+
+@pytest.mark.parametrize("abc", [(-0.0776, 6.2e-4, 0.734), (-0.003, 1.0, 0.5),
+                                 (-0.8, 0.001, 0.8)])
+def test_seam_outside_searched_range_is_range_error(abc):
+    # The seams lie near y = 6.5e8, e^333 and 3.5e3, past ln(DBL_MAX) where
+    # e^y overflows.
+    p = Params(*abc)
+    for fn in (singular_points, branches):
+        with pytest.raises(RangeError) as info:
+            fn(p)
+        msg = str(info.value)
+        assert "709.78" in msg and "e^-708" in msg
+        assert f"a={p.a!r}, b={p.b!r}, c={p.c!r}" in msg
+
+
+def test_three_seams_are_unsupported():
+    # b > 0, a < 0 with s'(1) > 0: s falls, rises, then falls, and here it
+    # crosses zero on all three pieces (4 branches).
+    with pytest.raises(UnsupportedCaseError, match="has 3 roots"):
+        branches(Params(-0.169, 2.278, -2.794))
+
+
+def test_seam_near_underflow_is_catalogued():
+    # |a| small puts the seam near e^{-(a+c+1)/a}: 2.62e-218 here.
+    p = Params(0.003, 1.0, 0.5)
+    b0, b1 = branches(p)
+    delta = b0.y_range.hi
+    assert delta == b1.y_range.lo == pytest.approx(2.62e-218, rel=1e-3)
+    assert abs(singular_residual(p, delta)) <= 1e-12
+    assert b0.monotone is Monotone.DECREASING
+    assert b1.monotone is Monotone.INCREASING
+
+
+@pytest.mark.parametrize("abc", PAPER_SETS)
+def test_seams_match_80_digit_roots(abc):
+    a, b, c = (mpmath.mpf(v) for v in abc)
+    with mpmath.workdps(80):
+        for delta in singular_points(Params(*map(float, abc))):
+            root = mpmath.findroot(
+                lambda y: a * (y + 1) * mpmath.log(b * y) + y + a + c + 1,
+                mpmath.mpf(delta))
+            assert abs(mpmath.mpf(delta) - root) <= 8 * math.ulp(delta), (abc, delta)
