@@ -27,7 +27,6 @@ from .core import (
     taylor_first_order,
 )
 from .errors import (
-    BracketError,
     ConvergenceError,
     DomainError,
     IntegrationError,
@@ -69,7 +68,7 @@ __all__ = [
     "distribution", "suggest_branch", "solve_alpha", "pseudo_beta",
     "stationarity_residuals", "continuous_weight", "continuous_pdf",
     "LogLambertError", "DomainError", "SingularityError", "ConvergenceError",
-    "NoSolutionError", "UnsupportedCaseError", "BracketError",
+    "NoSolutionError", "UnsupportedCaseError",
     "PrecisionError", "IntegrationError", "RangeError",
     "__version__",
 ]

@@ -17,11 +17,14 @@ double and e^y does not overflow.  A seam outside that range raises
 RangeError; three seams for b > 0 (four branches) raise UnsupportedCaseError;
 fewer seams than the case needs raise NoSolutionError.
 
-This module provides the branch catalog, a bracketed Newton/bisection
-evaluator for the inverse on a chosen branch, the closed forms for the
-inverse's derivative and antiderivative, the expansion of the inverse about
-x = 0 (leading coefficients in closed form through the classical Lambert W,
-higher ones by series reversion), and a large-x approximation.
+This module provides the branch catalog, the inverse on a chosen branch,
+the closed forms for the inverse's derivative and antiderivative, the
+expansion of the inverse about x = 0 (leading coefficients in closed form
+through the classical Lambert W, higher ones by series reversion), and a
+large-x approximation.  Seams and inversions share one solver: Newton steps
+safeguarded by bisection inside a bracket of a monotone function, applied
+to the seam equation on a bracket from the seam search and to f on a
+bracket from the branch ends.
 
 All functions are pure; `Params` and the catalog records are immutable, and
 the per-parameter catalog is memoised behind a thread-safe cache.
@@ -34,6 +37,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import (
     ConvergenceError,
@@ -154,18 +158,30 @@ class EvalResult:
 
 
 def forward(p: Params, y: float) -> float:
-    """f(y) = (a*y*ln(b*y) + y + c) * e^y; requires b*y > 0."""
+    """f(y) = (a*y*ln(b*y) + y + c) * e^y; requires b*y > 0.
+
+    Raises RangeError naming y when e^y overflows the double range.
+    """
     by = p.b * y
     if not by > 0.0:
         raise DomainError(
             f"forward map needs b*y > 0; got b={p.b!r}, y={y!r}"
         )
-    return (p.a * y * math.log(by) + y + p.c) * math.exp(y)
+    try:
+        return (p.a * y * math.log(by) + y + p.c) * math.exp(y)
+    except OverflowError:
+        raise RangeError(f"forward map overflows the double range at y={y!r}") from None
 
 
 def forward_slope(p: Params, y: float) -> float:
-    """f'(y) = [a*(y+1)*ln(b*y) + y + a + c + 1] * e^y."""
-    return singular_residual(p, y) * math.exp(y)
+    """f'(y) = [a*(y+1)*ln(b*y) + y + a + c + 1] * e^y.
+
+    Raises RangeError naming y when e^y overflows the double range.
+    """
+    try:
+        return singular_residual(p, y) * math.exp(y)
+    except OverflowError:
+        raise RangeError(f"forward slope overflows the double range at y={y!r}") from None
 
 
 def singular_residual(p: Params, y: float) -> float:
@@ -182,27 +198,17 @@ def singular_residual(p: Params, y: float) -> float:
     return p.a * (y + 1.0) * math.log(by) + y + p.a + p.c + 1.0
 
 
-def _seam_slope(p: Params, y: float) -> float:
-    # d/dy of the seam equation's left side.
-    return p.a * math.log(p.b * y) + p.a * (y + 1.0) / y + 1.0
-
-
-def _forward_ext(p: Params, y: float) -> float:
-    # forward() with overflow mapped to a signed infinity.
-    by = p.b * y
-    poly = p.a * y * math.log(by) + y + p.c
+def _forward_and_slope(p: Params, y: float) -> tuple[float, float]:
+    # (f(y), f'(y)) from one log and one exp, overflow mapped to signed
+    # infinities.
+    log_by = math.log(p.b * y)
+    poly = p.a * y * log_by + y + p.c
+    s = p.a * (y + 1.0) * log_by + y + p.a + p.c + 1.0
     try:
-        return poly * math.exp(y)
+        e_y = math.exp(y)
     except OverflowError:
-        return math.copysign(math.inf, poly)
-
-
-def _slope_ext(p: Params, y: float) -> float:
-    d = singular_residual(p, y)
-    try:
-        return d * math.exp(y)
-    except OverflowError:
-        return math.copysign(math.inf, d)
+        return math.copysign(math.inf, poly), math.copysign(math.inf, s)
+    return poly * e_y, s * e_y
 
 
 def _range_error(p: Params, what: str) -> RangeError:
@@ -211,37 +217,34 @@ def _range_error(p: Params, what: str) -> RangeError:
     )
 
 
-def _refine_root(p: Params, lo: float, hi: float) -> float:
-    # Bisection to double-precision width, then Newton polish on the seam
-    # equation, kept inside [lo, hi], which must straddle a sign change.
-    bracket = (lo, hi)
-    flo = singular_residual(p, lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fmid = singular_residual(p, mid)
-        if fmid == 0.0:
-            lo = hi = mid
-            break
-        if (fmid > 0.0) == (flo > 0.0):
-            lo, flo = mid, fmid
+def _newton_bisect(fn: Callable[[float], tuple[float, float]], target: float,
+                   lo: float, hi: float, increasing: bool,
+                   tol: float) -> tuple[float, float, int]:
+    # Safeguarded Newton iteration for fn(y)[0] = target on [lo, hi], where
+    # fn(y) = (value, slope) is monotone (`increasing` or not) and brackets
+    # the target.  Each point shrinks the bracket; the Newton step is taken
+    # when it lands strictly inside it, a bisection otherwise.  Stops when
+    # |value - target| <= tol, when the bracket is a few ulps wide, or after
+    # 200 points.  Returns the point with the smallest |value - target|
+    # seen, that residual and the number of points evaluated.
+    y = 0.5 * (lo + hi)
+    best_y, best_res = y, math.inf
+    for it in range(1, 201):
+        value, slope = fn(y)
+        r = value - target
+        if abs(r) <= tol:
+            return y, abs(r), it
+        if abs(r) < best_res:
+            best_y, best_res = y, abs(r)
+        if (value > target) == increasing:
+            hi = y
         else:
-            hi = mid
-    root = 0.5 * (lo + hi)
-    for _ in range(3):
-        r = singular_residual(p, root)
-        dr = _seam_slope(p, root)
-        if dr == 0.0 or not math.isfinite(dr):
+            lo = y
+        cand = y - r / slope if slope else math.nan
+        y = cand if lo < cand < hi else 0.5 * (lo + hi)
+        if hi - lo <= 4.0 * _EPS * max(abs(lo), abs(hi)):
             break
-        step = r / dr
-        nxt = root - step
-        if not bracket[0] <= nxt <= bracket[1]:
-            break
-        root = nxt
-        if abs(step) <= _EPS * abs(root):
-            break
-    return root
+    return best_y, best_res, it
 
 
 # Seams are sought on e^-708 <= |y| <= ln(DBL_MAX): below, y is not a normal
@@ -328,6 +331,11 @@ def singular_points(p: Params) -> list[float]:
             f"admissible half-line, expected {expected}"
         )
 
+    def s_and_slope(y: float) -> tuple[float, float]:  # (s(y), s'(y))
+        log_by = math.log(p.b * y)
+        return (p.a * (y + 1.0) * log_by + y + p.a + p.c + 1.0,
+                p.a * log_by + p.a * (y + 1.0) / y + 1.0)
+
     roots = []
     for i in pieces:
         lo, hi = max(ends[i], _T_MIN), min(ends[i + 1], _T_MAX)
@@ -338,7 +346,9 @@ def singular_points(p: Params) -> list[float]:
                 f"range e^-708 <= |y| <= {_Y_MAX:.6g}"
             )
         y0, y1 = sorted((sign_b * math.exp(t0), sign_b * math.exp(t1)))
-        roots.append(_refine_root(p, y0, y1))
+        # s rises with t on this piece unless signs[i]; y falls with t for b < 0
+        increasing = signs[i] != (p.b > 0.0)
+        roots.append(_newton_bisect(s_and_slope, 0.0, y0, y1, increasing, 0.0)[0])
     return sorted(roots)
 
 
@@ -412,20 +422,26 @@ def _branch_or_raise(p: Params, branch: int) -> BranchInfo:
     )
 
 
-def _bracket(p: Params, bi: BranchInfo, x: float) -> tuple[float, float, float, float]:
-    # Produce finite y-endpoints (ylo < yhi) whose f values straddle x.
+def _bracket(p: Params, bi: BranchInfo, x: float) -> tuple[float, float, bool]:
+    # Finite y-endpoints lo < hi whose f values straddle x, and whether f
+    # increases from lo to hi.
+    def f(v: float) -> float:
+        return _forward_and_slope(p, v)[0]
+
     yr = bi.y_range
     ends = []
     for yval, closed, is_left in ((yr.lo, yr.lo_closed, True), (yr.hi, yr.hi_closed, False)):
         if closed:
-            ends.append((yval, _forward_ext(p, yval)))
+            ends.append((yval, f(yval)))
             continue
         if yval == 0.0:
+            # Walk toward y = 0 in steps of 1/8; the 1e-290 floor ends it
+            # within 324 steps, as |seam| <= 709.78.
             seam = yr.hi if is_left else yr.lo
-            other_f = _forward_ext(p, seam)
+            other_f = f(seam)
             v = seam / 2.0
-            for _ in range(600):
-                fv = _forward_ext(p, v)
+            while True:
+                fv = f(v)
                 if (fv - x == 0.0) or ((fv > x) != (other_f > x)):
                     ends.append((v, fv))
                     break
@@ -434,18 +450,14 @@ def _bracket(p: Params, bi: BranchInfo, x: float) -> tuple[float, float, float, 
                     raise ConvergenceError(
                         f"could not bracket x={x!r} toward the y->0 limit"
                     )
-            else:
-                raise ConvergenceError(
-                    f"could not bracket x={x!r} toward the y->0 limit"
-                )
         else:
             seam = yr.lo if math.isinf(yval) and yval > 0 else yr.hi
-            other_f = _forward_ext(p, seam)
+            other_f = f(seam)
             direction = 1.0 if yval > 0 else -1.0
             stepsize = 1.0
             v = seam + direction
             for _ in range(80):
-                fv = _forward_ext(p, v)
+                fv = f(v)
                 if (fv - x == 0.0) or ((fv > x) != (other_f > x)):
                     ends.append((v, fv))
                     break
@@ -455,19 +467,19 @@ def _bracket(p: Params, bi: BranchInfo, x: float) -> tuple[float, float, float, 
                 raise ConvergenceError(
                     f"could not bracket x={x!r} toward y -> {yval!r}"
                 )
-    (y1, f1), (y2, f2) = ends
-    if y1 > y2:
-        y1, y2, f1, f2 = y2, y1, f2, f1
-    return y1, y2, f1, f2
+    (y1, f1), (y2, f2) = sorted(ends)
+    return y1, y2, f2 > f1
 
 
 def evaluate(p: Params, branch: int, x: float, tol: float = 1e-12) -> EvalResult:
     """Invert f on one branch: find y in the branch with f(y) ~= x.
 
     The root is always bracketed between the branch endpoints (grown
-    geometrically on unbounded sides); Newton steps are taken when they
-    stay inside the bracket, bisection otherwise, until
-    |f(y) - x| <= tol * max(1, |x|).  Deterministic for fixed inputs.
+    geometrically on unbounded sides).  From the bracket's midpoint, the
+    solver that also polishes the seams takes Newton steps when they stay
+    inside the bracket, bisection otherwise, until
+    |f(y) - x| <= tol * max(1, |x|); ConvergenceError when the bracket
+    shrinks to a few ulps first.  Deterministic for fixed inputs.
     """
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol!r}")
@@ -483,49 +495,14 @@ def evaluate(p: Params, branch: int, x: float, tol: float = 1e-12) -> EvalResult
             return EvalResult(y=d, residual=abs(forward(p, d) - x),
                               iterations=0, at_seam=True)
 
-    lo, hi, flo, fhi = _bracket(p, bi, x)
-    increasing = fhi > flo
-    scale = max(1.0, abs(x))
-
-    y = 0.5 * (lo + hi)
-    unbounded_above = math.isinf(bi.y_range.hi)
-    if unbounded_above and abs(x) >= 1e3:
-        try:
-            seed = asymptotic(p, x)
-            if lo < seed < hi:
-                y = seed
-        except (DomainError, OverflowError):
-            pass
-
-    best_y, best_res = y, math.inf
-    for it in range(1, 201):
-        fy = _forward_ext(p, y)
-        r = fy - x
-        if math.isfinite(fy) and abs(r) <= tol * scale:
-            return EvalResult(y=y, residual=abs(r), iterations=it)
-        if abs(r) < best_res:
-            best_y, best_res = y, abs(r)
-        if (fy > x) == increasing:
-            hi = y
-        else:
-            lo = y
-        step_done = False
-        if math.isfinite(fy):
-            fp = _slope_ext(p, y)
-            if math.isfinite(fp) and fp != 0.0:
-                cand = y - r / fp
-                if lo < cand < hi:
-                    y = cand
-                    step_done = True
-        if not step_done:
-            y = 0.5 * (lo + hi)
-        if hi - lo <= 4.0 * _EPS * max(1.0, abs(lo), abs(hi)):
-            res = abs(_forward_ext(p, best_y) - x)
-            if res <= tol * scale:
-                return EvalResult(y=best_y, residual=res, iterations=it)
-            break
+    lo, hi, increasing = _bracket(p, bi, x)
+    limit = tol * max(1.0, abs(x))
+    y, res, it = _newton_bisect(functools.partial(_forward_and_slope, p), x,
+                                lo, hi, increasing, limit)
+    if res <= limit:
+        return EvalResult(y=y, residual=res, iterations=it)
     raise ConvergenceError(
-        f"inversion stalled at residual {best_res!r} for x={x!r} "
+        f"inversion stalled at residual {res!r} for x={x!r} "
         f"(tol {tol!r}, branch {branch})"
     )
 
@@ -618,7 +595,6 @@ def taylor_first_order(p: Params) -> tuple[float, float]:
         a1 = math.exp(-a0) / (p.a * (w + 1.0))
     except OverflowError:
         a0 = a1 = math.inf
-    # also catches t = inf (W(inf) is NaN) and quotients rounded to inf
     if not (math.isfinite(a0) and math.isfinite(a1)):
         raise _range_error(p, "the expansion point about x = 0")
     return a0, a1
@@ -642,13 +618,7 @@ def _forward_series(p: Params, a0: float, n: int) -> list[float]:
     exp_ser = [math.exp(a0)]
     for k in range(1, n + 1):
         exp_ser.append(exp_ser[-1] / k)
-    coeffs = [0.0] * (n + 1)
-    for i in range(n + 1):
-        if inner[i] == 0.0:
-            continue
-        for j in range(n + 1 - i):
-            coeffs[i + j] += inner[i] * exp_ser[j]
-    return coeffs
+    return _poly_mul(inner, exp_ser, n)
 
 
 def _poly_mul(u: list[float], v: list[float], order: int) -> list[float]:

@@ -25,10 +25,6 @@ class UnsupportedCaseError(LogLambertError):
     """The parameter signs/magnitudes fall outside the catalogued cases."""
 
 
-class BracketError(LogLambertError, ValueError):
-    """The supplied interval does not straddle the requested value."""
-
-
 class PrecisionError(LogLambertError):
     """The computation is too ill-conditioned to meet its accuracy contract."""
 

@@ -106,7 +106,8 @@ def lambert_w(x: float, branch: WBranch = WBranch.PRINCIPAL) -> float:
     """Evaluate the requested real branch of W at x.
 
     Raises DomainError when x is outside the branch domain
-    ([-1/e, inf) for PRINCIPAL, [-1/e, 0) for NEGATIVE).
+    ([-1/e, inf] for PRINCIPAL, with W0(inf) = inf; [-1/e, 0) for
+    NEGATIVE).
     """
     if math.isnan(x):
         raise DomainError("lambert_w is undefined at NaN")
@@ -124,6 +125,8 @@ def lambert_w(x: float, branch: WBranch = WBranch.PRINCIPAL) -> float:
     if branch is WBranch.PRINCIPAL:
         if x == 0.0:
             return 0.0
+        if x == math.inf:
+            return math.inf  # the limit of W0
         if near_branch_point < 2.5e-3:
             return _branch_point_series(x, lower=False)
         if x < 1.0:

@@ -108,12 +108,17 @@ def _weight(ep: EntropyParams, params: Params, branch: int, x: float) -> float:
     return math.exp(math.log(brace) / (ep.q - 1.0))
 
 
+def _uniform_y(ep: EntropyParams, n_levels: int) -> float:
+    # y at which the stationary weight is the uniform 1/n_levels.
+    p_uni = 1.0 / n_levels
+    u = math.exp((1.0 - ep.q_prime) / (1.0 - ep.q) * (p_uni ** (ep.q - 1.0) - 1.0))
+    return (1.0 - ep.r) / (1.0 - ep.q_prime) * u
+
+
 def suggest_branch(ep: EntropyParams, n_levels: int) -> int:
     """Branch whose y-range contains a uniform distribution's warm start."""
     params = ep.induced_params()
-    p_uni = 1.0 / n_levels
-    u = math.exp((1.0 - ep.q_prime) / (1.0 - ep.q) * (p_uni ** (ep.q - 1.0) - 1.0))
-    y = (1.0 - ep.r) / (1.0 - ep.q_prime) * u
+    y = _uniform_y(ep, n_levels)
     for bi in branches(params):
         if bi.y_range.contains(y):
             return bi.index
@@ -184,14 +189,11 @@ def solve_alpha(
     params = ep.induced_params()
     if branch is None:
         branch = suggest_branch(ep, len(levels))
-    cr, cqp = 1.0 - ep.r, 1.0 - ep.q_prime
-    ratio = cr / cqp
+    cr = 1.0 - ep.r
+    ratio = cr / (1.0 - ep.q_prime)
 
     # Uniform warm start: alpha reproducing the uniform weight at the mean level.
-    p_uni = 1.0 / len(levels)
-    u = math.exp(cqp / (1.0 - ep.q) * (p_uni ** (ep.q - 1.0) - 1.0))
-    y_ws = ratio * u
-    x_ws = forward(params, y_ws)
+    x_ws = forward(params, _uniform_y(ep, len(levels)))
     mean_eps = math.fsum(levels) / len(levels)
     alpha = x_ws / (ratio * math.exp(ratio)) + 1.0 / cr - beta * mean_eps
 

@@ -13,9 +13,13 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from loglambert import BracketError, IntegrationError, Params, evaluate, forward
+from loglambert import IntegrationError, LogLambertError, Params, evaluate, forward
 
-__all__ = ["bisect_invert", "quad_ei", "fd_derivative"]
+__all__ = ["BracketError", "bisect_invert", "quad_ei", "fd_derivative"]
+
+
+class BracketError(LogLambertError, ValueError):
+    """The supplied interval does not straddle the requested value."""
 
 
 def bisect_invert(p: Params, y_lo: float, y_hi: float, x: float) -> float:

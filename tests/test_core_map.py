@@ -45,6 +45,13 @@ def test_forward_domain():
         forward(Params(1.0, -1.0, 0.0), 1.0)
 
 
+@pytest.mark.parametrize("fn", [forward, forward_slope])
+def test_forward_overflow_is_typed(fn):
+    assert math.isfinite(fn(P111, 700.0))
+    with pytest.raises(RangeError, match=r"y=800\.0"):
+        fn(P111, 800.0)  # e^800 overflows the double range
+
+
 def test_params_validation():
     with pytest.raises(DomainError):
         Params(0.0, 1.0, 1.0)  # degenerate: classical Lambert territory

@@ -90,3 +90,11 @@ def test_domain_errors():
         wm1(0.5)
     with pytest.raises(DomainError):
         w0(math.nan)
+
+
+def test_principal_branch_at_infinity():
+    # W0 grows without bound: its limit at inf is inf, not NaN
+    assert w0(math.inf) == math.inf
+    assert lambert_w(math.inf, WBranch.PRINCIPAL) == math.inf
+    with pytest.raises(DomainError):
+        wm1(math.inf)

@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from loglambert import BracketError, Params, branches, ei, evaluate
-from _oracle import bisect_invert, fd_derivative, quad_ei
+from loglambert import Params, branches, ei, evaluate
+from _oracle import BracketError, bisect_invert, fd_derivative, quad_ei
 from _sampling import interior_points
 
 
