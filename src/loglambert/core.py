@@ -24,7 +24,9 @@ through the classical Lambert W, higher ones by series reversion), and a
 large-x approximation.  Seams and inversions share one solver: Newton steps
 safeguarded by bisection inside a bracket of a monotone function, applied
 to the seam equation on a bracket from the seam search and to f on a
-bracket from the branch ends.
+bracket from the branch ends.  Many inversions on one branch (all levels
+of a maximum-entropy fit) share a bracket, and each starts from the last
+root.
 
 All functions are pure; `Params` and the catalog records are immutable, and
 the per-parameter catalog is memoised behind a thread-safe cache.
@@ -160,7 +162,7 @@ class EvalResult:
 def forward(p: Params, y: float) -> float:
     """f(y) = (a*y*ln(b*y) + y + c) * e^y; requires b*y > 0.
 
-    Raises RangeError naming y when e^y overflows the double range.
+    Raises RangeError naming y when f(y) overflows the double range.
     """
     by = p.b * y
     if not by > 0.0:
@@ -168,20 +170,27 @@ def forward(p: Params, y: float) -> float:
             f"forward map needs b*y > 0; got b={p.b!r}, y={y!r}"
         )
     try:
-        return (p.a * y * math.log(by) + y + p.c) * math.exp(y)
+        value = (p.a * y * math.log(by) + y + p.c) * math.exp(y)
     except OverflowError:
-        raise RangeError(f"forward map overflows the double range at y={y!r}") from None
+        value = math.inf
+    if not math.isfinite(value):
+        raise RangeError(f"forward map overflows the double range at y={y!r}")
+    return value
 
 
 def forward_slope(p: Params, y: float) -> float:
     """f'(y) = [a*(y+1)*ln(b*y) + y + a + c + 1] * e^y.
 
-    Raises RangeError naming y when e^y overflows the double range.
+    Raises RangeError naming y when f'(y) overflows the double range.
     """
+    s = singular_residual(p, y)
     try:
-        return singular_residual(p, y) * math.exp(y)
+        value = s * math.exp(y)
     except OverflowError:
-        raise RangeError(f"forward slope overflows the double range at y={y!r}") from None
+        value = math.inf
+    if not math.isfinite(value):
+        raise RangeError(f"forward slope overflows the double range at y={y!r}")
+    return value
 
 
 def singular_residual(p: Params, y: float) -> float:
@@ -218,16 +227,18 @@ def _range_error(p: Params, what: str) -> RangeError:
 
 
 def _newton_bisect(fn: Callable[[float], tuple[float, float]], target: float,
-                   lo: float, hi: float, increasing: bool,
-                   tol: float) -> tuple[float, float, int]:
+                   lo: float, hi: float, increasing: bool, tol: float,
+                   start: float | None = None) -> tuple[float, float, int]:
     # Safeguarded Newton iteration for fn(y)[0] = target on [lo, hi], where
     # fn(y) = (value, slope) is monotone (`increasing` or not) and brackets
-    # the target.  Each point shrinks the bracket; the Newton step is taken
-    # when it lands strictly inside it, a bisection otherwise.  Stops when
-    # |value - target| <= tol, when the bracket is a few ulps wide, or after
-    # 200 points.  Returns the point with the smallest |value - target|
-    # seen, that residual and the number of points evaluated.
-    y = 0.5 * (lo + hi)
+    # the target.  The first point is `start` (any point of [lo, hi]) or
+    # the midpoint.  Each point shrinks the bracket; the Newton step is
+    # taken when it lands strictly inside it, a bisection otherwise.  Stops
+    # when |value - target| <= tol, when the bracket is a few ulps wide, or
+    # after 200 points.  Returns the point with the smallest
+    # |value - target| seen, that residual and the number of points
+    # evaluated.
+    y = 0.5 * (lo + hi) if start is None else start
     best_y, best_res = y, math.inf
     for it in range(1, 201):
         value, slope = fn(y)
@@ -369,10 +380,10 @@ def _catalog(p: Params) -> tuple[BranchInfo, ...]:
     # f -> 0 for b < 0.
     ends = [(0.0, p.c, False)]
     for d in sorted(singular_points(p), key=abs):
-        fd = forward(p, d)
-        if not math.isfinite(fd):
-            raise _range_error(p, f"f at the seam y={d!r}")
-        ends.append((d, fd, True))
+        try:
+            ends.append((d, forward(p, d), True))
+        except RangeError:
+            raise _range_error(p, f"f at the seam y={d!r}") from None
     if p.b > 0.0:
         ends.append((math.inf, math.copysign(math.inf, p.a), False))
     else:
@@ -422,9 +433,9 @@ def _branch_or_raise(p: Params, branch: int) -> BranchInfo:
     )
 
 
-def _bracket(p: Params, bi: BranchInfo, x: float) -> tuple[float, float, bool]:
-    # Finite y-endpoints lo < hi whose f values straddle x, and whether f
-    # increases from lo to hi.
+def _bracket(p: Params, bi: BranchInfo, x: float) -> list[tuple[float, float]]:
+    # Finite y-endpoints lo < hi whose f values straddle x, as
+    # [(lo, f(lo)), (hi, f(hi))].
     def f(v: float) -> float:
         return _forward_and_slope(p, v)[0]
 
@@ -467,8 +478,67 @@ def _bracket(p: Params, bi: BranchInfo, x: float) -> tuple[float, float, bool]:
                 raise ConvergenceError(
                     f"could not bracket x={x!r} toward y -> {yval!r}"
                 )
-    (y1, f1), (y2, f2) = sorted(ends)
-    return y1, y2, f2 > f1
+    return sorted(ends)
+
+
+def _solve(p: Params, bi: BranchInfo, x: float, tol: float,
+           bracket: Callable[..., list[tuple[float, float]]] = _bracket,
+           start: float | None = None) -> tuple[float, float, int, bool]:
+    # evaluate's contract for x on branch bi, as the fields of EvalResult:
+    # the root on the bracket bracket(p, bi, x) -> [(lo, f(lo)), (hi, f(hi))],
+    # solved from `start` (a point of that bracket) or from its midpoint.
+    if not tol > 0.0:
+        raise DomainError(f"tol must be positive, got {tol!r}")
+    if math.isnan(x):
+        raise DomainError("x must not be NaN")
+    if not bi.x_domain.contains(x):
+        raise DomainError(
+            f"x={x!r} outside branch {bi.index} domain {bi.x_domain}"
+        )
+    for d, fx in bi.seams:
+        if x == fx:
+            return d, abs(forward(p, d) - x), 0, True
+
+    (lo, f_lo), (hi, f_hi) = bracket(p, bi, x)
+    limit = tol * max(1.0, abs(x))
+    y, res, it = _newton_bisect(functools.partial(_forward_and_slope, p), x,
+                                lo, hi, f_hi > f_lo, limit, start)
+    if res <= limit:
+        return y, res, it, False
+    raise ConvergenceError(
+        f"inversion stalled at residual {res!r} for x={x!r} "
+        f"(tol {tol!r}, branch {bi.index})"
+    )
+
+
+def _inverter(p: Params, branch: int, tol: float) -> Callable[[float], float]:
+    # x -> y on one branch for many x, each y under evaluate's contract,
+    # warm-started.  It keeps the widest bracket built so far, with f at its
+    # ends, and calls _bracket only for an x outside it.  The solver starts
+    # from the last root, which its first point turns into the bracket end
+    # on its side (a branch is monotone).  Results are memoised by x, so an
+    # equal x returns the same bits whatever the call order.
+    bi = _branch_or_raise(p, branch)
+    memo: dict[float, float] = {}
+    ends = [(math.inf, math.nan), (-math.inf, math.nan)]  # empty bracket
+    last = None
+
+    def widest(p: Params, bi: BranchInfo, x: float) -> list[tuple[float, float]]:
+        nonlocal ends
+        (_, f_lo), (_, f_hi) = ends
+        if not min(f_lo, f_hi) <= x <= max(f_lo, f_hi):
+            new = _bracket(p, bi, x)
+            ends = [min(ends[0], new[0]), max(ends[1], new[1])]
+        return ends
+
+    def invert(x: float) -> float:
+        nonlocal last
+        y = memo.get(x)
+        if y is None:
+            y = last = memo[x] = _solve(p, bi, x, tol, widest, last)[0]
+        return y
+
+    return invert
 
 
 def evaluate(p: Params, branch: int, x: float, tol: float = 1e-12) -> EvalResult:
@@ -481,30 +551,7 @@ def evaluate(p: Params, branch: int, x: float, tol: float = 1e-12) -> EvalResult
     |f(y) - x| <= tol * max(1, |x|); ConvergenceError when the bracket
     shrinks to a few ulps first.  Deterministic for fixed inputs.
     """
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
-    if math.isnan(x):
-        raise DomainError("x must not be NaN")
-    bi = _branch_or_raise(p, branch)
-    if not bi.x_domain.contains(x):
-        raise DomainError(
-            f"x={x!r} outside branch {branch} domain {bi.x_domain}"
-        )
-    for d, fx in bi.seams:
-        if x == fx:
-            return EvalResult(y=d, residual=abs(forward(p, d) - x),
-                              iterations=0, at_seam=True)
-
-    lo, hi, increasing = _bracket(p, bi, x)
-    limit = tol * max(1.0, abs(x))
-    y, res, it = _newton_bisect(functools.partial(_forward_and_slope, p), x,
-                                lo, hi, increasing, limit)
-    if res <= limit:
-        return EvalResult(y=y, residual=res, iterations=it)
-    raise ConvergenceError(
-        f"inversion stalled at residual {res!r} for x={x!r} "
-        f"(tol {tol!r}, branch {branch})"
-    )
+    return EvalResult(*_solve(p, _branch_or_raise(p, branch), x, tol))
 
 
 def derivative(p: Params, y: float) -> float:

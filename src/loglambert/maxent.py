@@ -22,6 +22,14 @@ is tuned so that Z = 1; `solve_alpha` performs that tuning (secant
 iteration).  Which inverse branch is physical is likewise not determined by
 the stationarity conditions alone, so the branch is an explicit argument;
 `suggest_branch` picks the branch a uniform distribution would land on.
+
+Each call to `distribution`, `probability`, `continuous_pdf` and each
+`solve_alpha` iterate inverts all its arguments with one warm-started
+inverter: every root seeds the next, inside the widest bracket built so
+far.  Levels go in ascending x, so the result does not depend on their
+order, and an equal argument returns the same bits.  The stationarity
+residuals difference one term of the separable entropy sum each, O(n) in
+the number of levels.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import Params, branches, evaluate, forward
+from .core import Params, _inverter, branches, evaluate, forward
 from .errors import ConvergenceError, DomainError, IntegrationError
 from .qcalculus import EntropyParams, ln_qqr
 
@@ -92,10 +100,9 @@ def level_argument(spec: EnsembleSpec, i: int) -> float:
     return _argument(spec.ep, spec.alpha, spec.beta, spec.levels[i])
 
 
-def _weight(ep: EntropyParams, params: Params, branch: int, x: float) -> float:
-    # Unnormalised stationary weight {a*ln(b*y) + 1}^(1/(q-1)) at y solving
-    # the forward map for x on the chosen branch.
-    y = evaluate(params, branch, x, tol=_EVAL_TOL).y
+def _weight(ep: EntropyParams, params: Params, branch: int, x: float, y: float) -> float:
+    # Unnormalised stationary weight {a*ln(b*y) + 1}^(1/(q-1)) at the y
+    # solving the forward map for x on the chosen branch.
     inner = params.b * y
     if not inner > 0.0:
         raise DomainError(f"weight undefined: log argument {inner!r}")
@@ -106,6 +113,13 @@ def _weight(ep: EntropyParams, params: Params, branch: int, x: float) -> float:
             f"(branch {branch} mismatch?)"
         )
     return math.exp(math.log(brace) / (ep.q - 1.0))
+
+
+def _weigher(ep: EntropyParams, branch: int) -> Callable[[float], float]:
+    # x -> _weight at x, every x inverted by one warm inverter.
+    params = ep.induced_params()
+    invert = _inverter(params, branch, _EVAL_TOL)
+    return lambda x: _weight(ep, params, branch, x, invert(x))
 
 
 def _uniform_y(ep: EntropyParams, n_levels: int) -> float:
@@ -128,16 +142,16 @@ def suggest_branch(ep: EntropyParams, n_levels: int) -> int:
 
 
 def _all_weights(spec: EnsembleSpec, branch: int) -> tuple[list[float], list[float]]:
-    params = spec.ep.induced_params()
-    xs, ws = [], []
-    for i, eps in enumerate(spec.levels):
-        x = _argument(spec.ep, spec.alpha, spec.beta, eps)
+    # Levels are inverted in ascending x, so each root warm-starts the next
+    # and the result does not depend on the order of the levels.
+    weight = _weigher(spec.ep, branch)
+    xs = [_argument(spec.ep, spec.alpha, spec.beta, eps) for eps in spec.levels]
+    ws = [0.0] * len(xs)
+    for i in sorted(range(len(xs)), key=xs.__getitem__):
         try:
-            w = _weight(spec.ep, params, branch, x)
+            ws[i] = weight(xs[i])
         except DomainError as exc:
-            raise DomainError(f"level {i} (eps={eps!r}): {exc}") from exc
-        xs.append(x)
-        ws.append(w)
+            raise DomainError(f"level {i} (eps={spec.levels[i]!r}): {exc}") from exc
     return xs, ws
 
 
@@ -227,31 +241,31 @@ def solve_alpha(
     )
 
 
-def _entropy_sum(ep: EntropyParams, probs: Sequence[float]) -> float:
-    # Entropy formula without the simplex validation, for finite differences.
-    return ep.k * math.fsum(v * ln_qqr(ep, 1.0 / v) for v in probs if v > 0.0)
-
-
 def stationarity_residuals(
     spec: EnsembleSpec, probs: Sequence[float], h: float = 1e-6
 ) -> list[float]:
     """Per-level residuals (1/k) dS/dp_i + alpha + beta*eps_i.
 
-    dS/dp_i by central finite difference of the entropy sum.  All residuals
-    vanish at a stationary point of the constrained functional; a common
-    offset across levels indicates an alpha not tuned to Z = 1.
+    dS/dp_i by central finite difference of the entropy sum.  The sum is
+    separable, so its difference in p_i is exactly that of the level's own
+    term p*ln_qqr(1/p) (a term whose p is not positive counts as 0), and
+    the residuals cost O(n).  All residuals vanish at a stationary point of
+    the constrained functional; a common offset across levels indicates an
+    alpha not tuned to Z = 1.  DomainError unless there is one probability
+    per level; RangeError when a term overflows the double range.
     """
-    probs = list(probs)
-    res = []
-    for i, eps in enumerate(spec.levels):
-        bumped = probs[:]
-        bumped[i] = probs[i] + h
-        s_plus = _entropy_sum(spec.ep, bumped)
-        bumped[i] = probs[i] - h
-        s_minus = _entropy_sum(spec.ep, bumped)
-        ds = (s_plus - s_minus) / (2.0 * h)
-        res.append(ds / spec.ep.k + spec.alpha + spec.beta * eps)
-    return res
+    if len(probs) != len(spec.levels):
+        raise DomainError(
+            f"probs has {len(probs)} entries for {len(spec.levels)} levels"
+        )
+
+    def term(v: float) -> float:
+        return v * ln_qqr(spec.ep, 1.0 / v) if v > 0.0 else 0.0
+
+    return [
+        (term(p + h) - term(p - h)) / (2.0 * h) + spec.alpha + spec.beta * eps
+        for p, eps in zip(probs, spec.levels)
+    ]
 
 
 def continuous_weight(
@@ -259,7 +273,9 @@ def continuous_weight(
 ) -> float:
     """Unnormalised density at x for the quadratic level eps(x) = x**2."""
     params = ep.induced_params()
-    return _weight(ep, params, branch, _argument(ep, alpha, beta, x * x))
+    arg = _argument(ep, alpha, beta, x * x)
+    y = evaluate(params, branch, arg, tol=_EVAL_TOL).y
+    return _weight(ep, params, branch, arg, y)
 
 
 def _adaptive_simpson(
@@ -306,8 +322,10 @@ def continuous_pdf(
     if len(x_grid) == 0:
         raise DomainError("x_grid must be non-empty")
 
+    weight = _weigher(ep, branch)
+
     def g(x: float) -> float:
-        return continuous_weight(ep, alpha, beta, branch, x)
+        return weight(_argument(ep, alpha, beta, x * x))
 
     values = [g(x) for x in x_grid]
 

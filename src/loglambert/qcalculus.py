@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import Params
-from .errors import DomainError
+from .errors import DomainError, RangeError
 
 __all__ = [
     "EntropyParams",
@@ -70,18 +70,24 @@ class EntropyParams:
         return Params(a=cq / cqp, b=cqp / cr, c=-1.0 / cqp)
 
 
-def _stretch(coeff: float, s: float) -> float:
-    # (exp(coeff*s) - 1)/coeff, continuously extended to coeff = 0.
+def _stretch(coeff: float, s: float, x: float) -> float:
+    # (exp(coeff*s) - 1)/coeff, continuously extended to coeff = 0, for a
+    # deformed logarithm at x.
     if abs(coeff) < _LIMIT_TOL:
         return s
-    return math.expm1(coeff * s) / coeff
+    try:
+        return math.expm1(coeff * s) / coeff
+    except OverflowError:
+        raise RangeError(
+            f"deformed logarithm overflows the double range at x={x!r}"
+        ) from None
 
 
 def ln_q(q: float, x: float) -> float:
     """One-parameter logarithm (x^(1-q) - 1)/(1-q); ln x at q = 1."""
     if not x > 0.0:
         raise DomainError(f"ln_q needs x > 0, got {x!r}")
-    return _stretch(1.0 - q, math.log(x))
+    return _stretch(1.0 - q, math.log(x), x)
 
 
 def exp_q(q: float, x: float) -> float:
@@ -97,7 +103,7 @@ def exp_q(q: float, x: float) -> float:
 
 def ln_qq(q: float, q_prime: float, x: float) -> float:
     """Two-parameter logarithm: ln_q stretched once more by 1 - q'."""
-    return _stretch(1.0 - q_prime, ln_q(q, x))
+    return _stretch(1.0 - q_prime, ln_q(q, x), x)
 
 
 def ln_qqr(ep: EntropyParams, x: float) -> float:
@@ -105,9 +111,9 @@ def ln_qqr(ep: EntropyParams, x: float) -> float:
 
     Strictly increasing in x; 0 at x = 1; recovers ln_{q,q'} as r -> 1 and
     plain ln as all three parameters tend to 1.  Overflow in the nested
-    exponentials propagates as OverflowError.
+    exponentials raises RangeError (an OverflowError) naming x.
     """
-    return _stretch(1.0 - ep.r, ln_qq(ep.q, ep.q_prime, x))
+    return _stretch(1.0 - ep.r, ln_qq(ep.q, ep.q_prime, x), x)
 
 
 def entropy_qqr(ep: EntropyParams, p: Sequence[float]) -> float:

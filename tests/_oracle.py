@@ -3,9 +3,10 @@
 Everything here is deliberately slow and simple, and shares no solution
 code with the production paths it validates: inversion by plain bisection
 (never Newton), Ei by principal-value quadrature (never the production
-series/continued fraction), derivatives by central differences.  The only
-shared ingredient is the forward map itself, which is the problem
-statement rather than a solution method.
+series/continued fraction), derivatives by central differences,
+stationarity residuals by differencing the whole entropy sum.  The only
+shared ingredients are the forward map and the three-parameter logarithm,
+which are the problem statement rather than solution methods.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from loglambert import IntegrationError, LogLambertError, Params, evaluate, forward
+from loglambert import IntegrationError, LogLambertError, Params, evaluate, forward, ln_qqr
 
-__all__ = ["BracketError", "bisect_invert", "quad_ei", "fd_derivative"]
+__all__ = ["BracketError", "bisect_invert", "quad_ei", "fd_derivative",
+           "stationarity_residuals_quadratic"]
 
 
 class BracketError(LogLambertError, ValueError):
@@ -107,3 +109,26 @@ def fd_derivative(p: Params, branch: int, x: float, h: float) -> float:
     y_plus = evaluate(p, branch, x + h, tol=1e-13).y
     y_minus = evaluate(p, branch, x - h, tol=1e-13).y
     return (y_plus - y_minus) / (2.0 * h)
+
+
+def stationarity_residuals_quadratic(spec, probs, h: float = 1e-6) -> list[float]:
+    """Per-level residuals (1/k) dS/dp_i + alpha + beta*eps_i, O(n^2).
+
+    dS/dp_i by central finite difference of the whole entropy sum, bumping
+    one probability at a time and summing all n terms each time: the
+    reference for the production residuals, which difference one term.
+    """
+    def entropy_sum(ps):
+        return spec.ep.k * math.fsum(v * ln_qqr(spec.ep, 1.0 / v) for v in ps if v > 0.0)
+
+    probs = list(probs)
+    res = []
+    for i, eps in enumerate(spec.levels):
+        bumped = probs[:]
+        bumped[i] = probs[i] + h
+        s_plus = entropy_sum(bumped)
+        bumped[i] = probs[i] - h
+        s_minus = entropy_sum(bumped)
+        ds = (s_plus - s_minus) / (2.0 * h)
+        res.append(ds / spec.ep.k + spec.alpha + spec.beta * eps)
+    return res

@@ -14,6 +14,7 @@ from loglambert import (
     forward,
     lambert_w,
 )
+from loglambert.core import _inverter
 from _sampling import interior_points
 
 PARAM_SETS = [(1, 1, 1), (2, 1, 1), (1, 1, 0), (-2, -1, 1), (-1, -1, 0.5)]
@@ -115,3 +116,13 @@ def test_tiny_argument_near_limit_endpoint():
     r = evaluate(p, 0, x)
     assert abs(forward(p, r.y) - x) <= 1e-10
     assert 0.0 < r.y < 1e-11  # preimage collapses toward 0
+
+
+def test_inverter_widens_its_bracket():
+    # Each x lies far beyond the bracket built for the one before it, so the
+    # warm inverter answers only if it widens its bracket.
+    p = Params(1.0, 1.0, 1.0)
+    invert = _inverter(p, 1, 1e-12)
+    for x in (10.0, 1e10, 1e100, 1e300):
+        y = invert(x)
+        assert abs(forward(p, y) - x) <= 1e-12 * x

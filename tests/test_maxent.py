@@ -1,6 +1,7 @@
 """Maximum-entropy distributions: stationarity, identities, continuous mode."""
 
 import math
+import random
 
 import pytest
 
@@ -10,6 +11,7 @@ from loglambert import (
     EntropyParams,
     IntegrationError,
     Params,
+    RangeError,
     continuous_pdf,
     continuous_weight,
     distribution,
@@ -22,7 +24,7 @@ from loglambert import (
     stationarity_residuals,
     suggest_branch,
 )
-from _oracle import _simpson
+from _oracle import _simpson, stationarity_residuals_quadratic
 from loglambert.qcalculus import exp_q
 
 EP = EntropyParams(q=0.9, q_prime=0.8, r=0.7)
@@ -81,6 +83,32 @@ def test_stationarity_residuals(solved_spec):
     dist = distribution(solved_spec, 0)
     residuals = stationarity_residuals(solved_spec, dist.probs)
     assert max(abs(r) for r in residuals) <= 1e-6
+
+
+def test_stationarity_residuals_match_quadratic_reference(solved_spec):
+    # The entropy sum is separable, so differencing one term gives the
+    # residuals of differencing the whole sum; the reference's own rounding
+    # (~eps * S / h) sets the tolerance.
+    rng = random.Random(5)
+    levels = tuple(sorted(rng.random() for _ in range(128)))
+    alpha = solve_alpha(levels, beta=0.1, ep=EP)
+    spec_128 = EnsembleSpec(levels=levels, alpha=alpha, beta=0.1, ep=EP)
+    for spec in (solved_spec, spec_128):
+        probs = distribution(spec).probs
+        fast = stationarity_residuals(spec, probs)
+        reference = stationarity_residuals_quadratic(spec, probs)
+        assert len(fast) == len(reference) == len(spec.levels)
+        assert max(abs(u - v) for u, v in zip(fast, reference)) <= 1e-7
+
+
+def test_stationarity_residuals_typed_errors():
+    ep = EntropyParams(0.5, 0.8, 0.7)
+    spec = EnsembleSpec(levels=(0.0, 1.0), alpha=0.0, beta=0.1, ep=ep)
+    # p + h = 1e-6: ln_qqr(1e6) overflows in its nested exponentials
+    with pytest.raises(RangeError, match=r"x=1000000\.0"):
+        stationarity_residuals(spec, [1e-300, 1.0 - 1e-300])
+    with pytest.raises(DomainError, match="1 entries for 2 levels"):
+        stationarity_residuals(spec, [1.0])
 
 
 def test_u_substitution_identity(solved_spec):

@@ -6,14 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loglambert import (
+    EnsembleSpec,
+    EntropyParams,
     LogLambertError,
     Monotone,
     Params,
     branches,
+    distribution,
     evaluate,
     forward,
     singular_residual,
+    solve_alpha,
+    stationarity_residuals,
 )
+from loglambert.core import _inverter
 
 Y_MIN = math.exp(-708.0)
 Y_MAX = math.log(1.7976931348623157e308)
@@ -121,3 +127,64 @@ def test_evaluate_meets_contract_or_refuses(p, us, toward_open):
             continue
         assert bi.y_range.contains(r.y), (p, bi.index, x, r)
         assert abs(forward(p, r.y) - x) <= 1e-12 * max(1.0, abs(x)), (p, bi.index, x, r)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(p=scan_params(), us=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+       toward_open=st.booleans(), data=st.data())
+def test_inverter_meets_contract_or_refuses(p, us, toward_open, data):
+    # One warm inverter per branch, fed x values in a shuffled order with
+    # duplicates: each answer meets evaluate's contract, and an equal x
+    # returns the same bits.  A fresh inverter has no root to start from,
+    # so its first answer, or refusal, is evaluate's.
+    try:
+        cat = branches(p)
+    except LogLambertError:
+        return
+    for bi in cat:
+        xs = [_x_in_domain(bi, u, toward_open) for u in us]
+        xs = data.draw(st.permutations(xs + xs[: len(xs) // 2 + 1]))
+        invert = _inverter(p, bi.index, 1e-12)
+        seen = {}
+        for k, x in enumerate(xs):
+            try:
+                y = invert(x)
+            except LogLambertError:
+                y = None
+            if k == 0:
+                try:
+                    cold = evaluate(p, bi.index, x, 1e-12).y.hex()
+                except LogLambertError:
+                    cold = None
+                assert (y if y is None else y.hex()) == cold, (p, bi.index, x)
+            if y is None:
+                continue
+            assert bi.y_range.contains(y), (p, bi.index, x, y)
+            assert abs(forward(p, y) - x) <= 1e-12 * max(1.0, abs(x)), (p, bi.index, x, y)
+            assert seen.setdefault(x, y).hex() == y.hex(), (p, bi.index, x)
+
+
+# The triples of the test suite, the README and the benchmark's maxent_fit.
+TRIPLES = ((0.9, 0.8, 0.7), (0.95, 0.85, 0.75), (0.7, 0.8, 0.9), (0.85, 0.9, 0.6),
+           (1.1, 1.2, 1.3))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(trip=st.sampled_from(TRIPLES),
+       shift=st.lists(st.floats(-0.05, 0.05), min_size=3, max_size=3),
+       levels=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=32))
+def test_maxent_meets_contract_or_refuses(trip, shift, levels):
+    # solve_alpha -> distribution -> stationarity_residuals near the
+    # triples: Z = 1 to 1e-12 and finite residuals, or a typed refusal.
+    try:
+        ep = EntropyParams(*(t + d for t, d in zip(trip, shift)))
+        alpha = solve_alpha(levels, 0.1, ep)
+        spec = EnsembleSpec(levels=tuple(levels), alpha=alpha, beta=0.1, ep=ep)
+        dist = distribution(spec)
+        residuals = stationarity_residuals(spec, dist.probs)
+    except LogLambertError:
+        return
+    assert abs(dist.partition - 1.0) <= 1e-12, (ep, levels, alpha)
+    assert abs(math.fsum(dist.probs) - 1.0) <= 1e-12, (ep, levels, alpha)
+    assert len(residuals) == len(levels)
+    assert all(math.isfinite(v) for v in residuals), (ep, levels, alpha)

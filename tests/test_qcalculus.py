@@ -5,7 +5,16 @@ import random
 
 import pytest
 
-from loglambert import DomainError, EntropyParams, entropy_qqr, exp_q, ln_q, ln_qq, ln_qqr
+from loglambert import (
+    DomainError,
+    EntropyParams,
+    RangeError,
+    entropy_qqr,
+    exp_q,
+    ln_q,
+    ln_qq,
+    ln_qqr,
+)
 
 
 def test_ln_q_values():
@@ -63,8 +72,14 @@ def test_ln_qqr_strictly_increasing():
 
 
 def test_ln_qqr_overflow():
-    with pytest.raises(OverflowError):
+    # Overflow in the nested exponentials is a RangeError (an OverflowError)
+    # naming x, also through ln_qq and entropy_qqr (1/p = 1e300).
+    with pytest.raises(RangeError, match=r"x=1000000\.0"):
         ln_qqr(EntropyParams(0.5, 0.6, 0.7), 1e6)
+    with pytest.raises(RangeError, match=r"x=1e\+300"):
+        ln_qq(0.5, 0.8, 1e300)
+    with pytest.raises(RangeError, match=r"x=9\.99"):
+        entropy_qqr(EntropyParams(0.5, 0.8, 0.7), [1e-300, 1.0 - 1e-300])
 
 
 def test_entropy_point_mass_is_zero():
