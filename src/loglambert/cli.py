@@ -16,9 +16,6 @@ object with ``params`` and ``rows``).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import math
 import sys
 
@@ -47,19 +44,23 @@ def _fmt4(v):
 
 def _emit(fmt: str, params: dict, columns: list[str], rows: list[dict],
           summary: dict | None = None) -> None:
+    # json and csv are imported only for the format that needs them: most
+    # commands print a table, and start-up time is most of a command's cost.
     if fmt == "json":
+        import json
+
         doc = {"params": params, "rows": rows}
         if summary:
             doc.update(summary)
         print(json.dumps(doc))
         return
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
+        import csv
+
+        writer = csv.writer(sys.stdout)
         writer.writerow(columns)
         for row in rows:
             writer.writerow([_fmt17(row.get(c, "")) for c in columns])
-        sys.stdout.write(buf.getvalue())
         if summary:
             for k, v in summary.items():
                 print(f"{k} = {_fmt17(v)}", file=sys.stderr)

@@ -28,8 +28,9 @@ bracket from the branch ends.  Many inversions on one branch (all levels
 of a maximum-entropy fit) share a bracket, and each starts from the last
 root.
 
-All functions are pure; `Params` and the catalog records are immutable, and
-the per-parameter catalog is memoised behind a thread-safe cache.
+All functions are pure; `Params` and the catalog records are immutable
+slotted value records (compared, hashed and pickled by value), and the
+per-parameter catalog is memoised behind a thread-safe cache.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 import sys
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
 from .errors import (
     ConvergenceError,
@@ -82,8 +83,47 @@ class Monotone(enum.Enum):
     DECREASING = "decreasing"
 
 
-@dataclass(frozen=True)
-class Params:
+_set = object.__setattr__
+
+
+class _Record:
+    """Immutable value record.
+
+    A subclass names its fields in `__slots__` and stores each one in
+    `__init__` with `_set`.  This base compares and hashes records by value,
+    shows them as `Name(field=value, ...)`, pickles and copies them through
+    the constructor, and refuses assignment and deletion.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._values = operator.attrgetter(*cls.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self.__slots__, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+
+class Params(_Record):
     """Coefficients of f(y) = (a*y*ln(b*y) + y + c) * e^y.
 
     a scales the logarithmic term, b scales the logarithm's argument and
@@ -92,32 +132,34 @@ class Params:
     inverse is the classical Lambert W composed with a shift.
     """
 
-    a: float
-    b: float
-    c: float
+    __slots__ = ("a", "b", "c")
 
-    def __post_init__(self):
-        for name in ("a", "b", "c"):
-            v = getattr(self, name)
+    def __init__(self, a: float, b: float, c: float):
+        for name, v in (("a", a), ("b", b), ("c", c)):
             if not math.isfinite(v):
                 raise DomainError(f"coefficient {name} must be finite, got {v!r}")
-        if self.b == 0.0:
+        if b == 0.0:
             raise DomainError("coefficient b must be nonzero")
-        if self.a == 0.0:
+        if a == 0.0:
             raise DomainError(
                 "coefficient a must be nonzero (a = 0 reduces to the "
                 "classical Lambert W case, which this package does not cover)"
             )
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(_Record):
     """Real interval with individually open/closed finite endpoints."""
 
-    lo: float
-    hi: float
-    lo_closed: bool
-    hi_closed: bool
+    __slots__ = ("lo", "hi", "lo_closed", "hi_closed")
+
+    def __init__(self, lo: float, hi: float, lo_closed: bool, hi_closed: bool):
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
+        _set(self, "lo_closed", lo_closed)
+        _set(self, "hi_closed", hi_closed)
 
     def contains(self, v: float) -> bool:
         if math.isnan(v):
@@ -134,29 +176,35 @@ class Interval:
         return f"{left}{self.lo:.17g}, {self.hi:.17g}{right}"
 
 
-@dataclass(frozen=True)
-class BranchInfo:
+class BranchInfo(_Record):
     """One monotone branch of the inverse map.
 
     x_domain is the image of y_range under f (endpoint limits open);
     seams lists the (delta, f(delta)) pairs bounding the branch.
     """
 
-    index: int
-    y_range: Interval
-    x_domain: Interval
-    monotone: Monotone
-    seams: tuple[tuple[float, float], ...]
+    __slots__ = ("index", "y_range", "x_domain", "monotone", "seams")
+
+    def __init__(self, index: int, y_range: Interval, x_domain: Interval,
+                 monotone: Monotone, seams: tuple[tuple[float, float], ...]):
+        _set(self, "index", index)
+        _set(self, "y_range", y_range)
+        _set(self, "x_domain", x_domain)
+        _set(self, "monotone", monotone)
+        _set(self, "seams", seams)
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(_Record):
     """Result of a branch inversion: y with |f(y) - x| = residual."""
 
-    y: float
-    residual: float
-    iterations: int
-    at_seam: bool = False
+    __slots__ = ("y", "residual", "iterations", "at_seam")
+
+    def __init__(self, y: float, residual: float, iterations: int,
+                 at_seam: bool = False):
+        _set(self, "y", y)
+        _set(self, "residual", residual)
+        _set(self, "iterations", iterations)
+        _set(self, "at_seam", at_seam)
 
 
 def forward(p: Params, y: float) -> float:

@@ -35,10 +35,9 @@ the number of levels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
-from .core import Params, _inverter, branches, evaluate, forward
+from .core import Params, _inverter, _Record, _set, branches, evaluate, forward
 from .errors import ConvergenceError, DomainError, IntegrationError
 from .qcalculus import EntropyParams, ln_qqr
 
@@ -59,33 +58,37 @@ __all__ = [
 _EVAL_TOL = 1e-13
 
 
-@dataclass(frozen=True)
-class EnsembleSpec:
+class EnsembleSpec(_Record):
     """Levels eps_i with Lagrange multipliers (alpha, beta) and the triple."""
 
-    levels: tuple[float, ...]
-    alpha: float
-    beta: float
-    ep: EntropyParams
+    __slots__ = ("levels", "alpha", "beta", "ep")
 
-    def __post_init__(self):
-        if len(self.levels) == 0:
+    def __init__(self, levels: tuple[float, ...], alpha: float, beta: float,
+                 ep: EntropyParams):
+        if len(levels) == 0:
             raise DomainError("at least one level is required")
-        for v in self.levels:
+        for v in levels:
             if not math.isfinite(v):
                 raise DomainError(f"levels must be finite, got {v!r}")
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+        if not (math.isfinite(alpha) and math.isfinite(beta)):
             raise DomainError("alpha and beta must be finite")
+        _set(self, "levels", levels)
+        _set(self, "alpha", alpha)
+        _set(self, "beta", beta)
+        _set(self, "ep", ep)
 
 
-@dataclass(frozen=True)
-class DiscreteDistribution:
+class DiscreteDistribution(_Record):
     """Normalised probabilities with the partition value and beta_r."""
 
-    probs: tuple[float, ...]
-    partition: float
-    x_values: tuple[float, ...]
-    beta_r: float
+    __slots__ = ("probs", "partition", "x_values", "beta_r")
+
+    def __init__(self, probs: tuple[float, ...], partition: float,
+                 x_values: tuple[float, ...], beta_r: float):
+        _set(self, "probs", probs)
+        _set(self, "partition", partition)
+        _set(self, "x_values", x_values)
+        _set(self, "beta_r", beta_r)
 
 
 def _argument(ep: EntropyParams, alpha: float, beta: float, eps: float) -> float:

@@ -19,10 +19,9 @@ to avoid 0/0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
-from .core import Params
+from .core import Params, _Record, _set
 from .errors import DomainError, RangeError
 
 __all__ = [
@@ -37,25 +36,25 @@ __all__ = [
 _LIMIT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class EntropyParams:
+class EntropyParams(_Record):
     """Deformation triple (q, q_prime, r) and entropy scale k > 0.
 
     Values equal to 1 are allowed (the deformed maps then use their limit
     forms); `induced_params` requires all three to differ from 1.
     """
 
-    q: float
-    q_prime: float
-    r: float
-    k: float = 1.0
+    __slots__ = ("q", "q_prime", "r", "k")
 
-    def __post_init__(self):
-        if not self.k > 0.0:
-            raise DomainError(f"entropy scale k must be positive, got {self.k!r}")
-        for name in ("q", "q_prime", "r", "k"):
-            if not math.isfinite(getattr(self, name)):
+    def __init__(self, q: float, q_prime: float, r: float, k: float = 1.0):
+        if not k > 0.0:
+            raise DomainError(f"entropy scale k must be positive, got {k!r}")
+        for name, v in (("q", q), ("q_prime", q_prime), ("r", r), ("k", k)):
+            if not math.isfinite(v):
                 raise DomainError(f"{name} must be finite")
+        _set(self, "q", q)
+        _set(self, "q_prime", q_prime)
+        _set(self, "r", r)
+        _set(self, "k", k)
 
     def induced_params(self) -> Params:
         """Coefficients (a, b, c) of the forward map tied to this triple:
@@ -91,14 +90,25 @@ def ln_q(q: float, x: float) -> float:
 
 
 def exp_q(q: float, x: float) -> float:
-    """Inverse of ln_q: [1 + (1-q) x]^(1/(1-q)); exp(x) at q = 1."""
+    """Inverse of ln_q: [1 + (1-q) x]^(1/(1-q)); exp(x) at q = 1.
+
+    Raises RangeError naming x when the result overflows the double range.
+    """
     cq = 1.0 - q
     if abs(cq) < _LIMIT_TOL:
-        return math.exp(x)
-    base = 1.0 + cq * x
-    if not base > 0.0:
-        raise DomainError(f"exp_q needs 1 + (1-q)*x > 0, got {base!r}")
-    return math.exp(math.log1p(cq * x) / cq)
+        t = x
+    else:
+        base = 1.0 + cq * x
+        if not base > 0.0:
+            raise DomainError(f"exp_q needs 1 + (1-q)*x > 0, got {base!r}")
+        t = math.log1p(cq * x) / cq
+    try:
+        value = math.exp(t)
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise RangeError(f"exp_q overflows the double range at x={x!r}")
+    return value
 
 
 def ln_qq(q: float, q_prime: float, x: float) -> float:

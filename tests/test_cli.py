@@ -11,9 +11,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import loglambert
-from loglambert import Params, forward
+from loglambert import LogLambertError, Params, branches, cli, forward
 
 BASE = [sys.executable, "-m", "loglambert"]
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -233,6 +235,14 @@ def test_import_does_not_load_mpmath():
     assert cp.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_out_heavy_modules():
+    # -S keeps site from loading any of them first.
+    script = Path(__file__).resolve().parent / "_import_diet.py"
+    cp = subprocess.run([sys.executable, "-S", str(script)], capture_output=True,
+                        text=True, env=_package_env())
+    assert cp.returncode == 0, cp.stderr or cp.stdout
+
+
 def _readme_commands():
     block = README.read_text(encoding="utf-8").split("## CLI", 1)[1].split("```")[1]
     return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
@@ -250,10 +260,62 @@ def test_readme_command(argv, tmp_path):
     assert cp.returncode == 0, cp.stderr
     assert "Traceback" not in cp.stderr
     fmt = argv[argv.index("--format") + 1] if "--format" in argv else "table"
+    assert_parses(fmt, cp.stdout)
+
+
+def assert_parses(fmt, out):
     if fmt == "csv":
-        rows = list(csv.reader(io.StringIO(cp.stdout)))
+        rows = list(csv.reader(io.StringIO(out)))
         assert len(rows) >= 2 and all(len(r) == len(rows[0]) for r in rows)
     elif fmt == "json":
-        assert json.loads(cp.stdout)["rows"]
+        assert json.loads(out)["rows"]
     else:
-        assert cp.stdout.strip()
+        assert out.strip()
+
+
+# Numbers as typed on a command line: mostly ordinary, sometimes huge, zero,
+# non-finite or not numbers at all.  "-A=-2" keeps argparse from reading a
+# negative value as an option.
+EDGE = st.sampled_from(["0", "-0.0", "1e308", "-1e308", "1e-320", "inf", "-inf",
+                        "nan", "abc", "", "1,5"])
+# 3 ordinary : 1 edge (one_of merges a strategy listed twice, so build three)
+NUMBER = st.one_of([st.floats(-5.0, 5.0).map(repr) for _ in range(3)] + [EDGE])
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(["eval", "branches"]))
+    coeffs = [draw(NUMBER) for _ in "ABC"]
+    argv = [command] + [f"-{flag}={v}" for flag, v in zip("ABC", coeffs)]
+    if command == "eval":
+        x, branch = draw(NUMBER), draw(st.integers(-1, 3))
+        if draw(st.booleans()):
+            try:  # x = f(y) at an admissible y, on the branch holding y
+                p = Params(*map(float, coeffs))
+                y = math.copysign(draw(st.floats(0.05, 4.0)), p.b)
+                x = repr(forward(p, y))
+                branch = next(bi.index for bi in branches(p) if bi.y_range.contains(y))
+            except (ValueError, OverflowError, LogLambertError, StopIteration):
+                pass
+        argv += [f"--branch={branch}", f"-x={x}"]
+    else:
+        argv += [f"--samples={draw(st.sampled_from([0, 1, 5]))}"]
+    return argv + ["--format", draw(st.sampled_from(["table", "csv", "json"]))]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=cli_argv())
+def test_cli_answers_or_exits_cleanly(argv, capsys):
+    capsys.readouterr()
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects the command line
+        rc = exc.code
+    out, err = capsys.readouterr()
+    assert rc in (0, 2, 3), (rc, err)
+    assert "Traceback" not in err
+    if rc != 0:
+        assert out == "" and err.strip(), err
+    else:
+        assert_parses(argv[-1], out)

@@ -35,6 +35,18 @@ def test_exp_q_values():
         exp_q(3.0, 1.0)  # 1 + (1-q)x = -1
 
 
+def test_exp_q_overflow():
+    # Overflow is a RangeError (an OverflowError) naming x: through the
+    # deformed power, at the q = 1 limit, and when (1-q)*x itself overflows.
+    with pytest.raises(RangeError, match=r"x=1000000\.0"):
+        exp_q(0.999, 1e6)
+    with pytest.raises(RangeError, match=r"x=710\.0"):
+        exp_q(1.0, 710.0)
+    with pytest.raises(RangeError, match=r"x=1e\+308"):
+        exp_q(-1.0, 1e308)
+    assert math.isfinite(exp_q(0.999, 700.0))
+
+
 def test_ln_qqr_zero_at_one():
     for trip in [(0.9, 0.8, 0.7), (1.3, 1.1, 1.7), (0.5, 2.0, 0.25)]:
         assert ln_qqr(EntropyParams(*trip), 1.0) == 0.0
