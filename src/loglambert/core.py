@@ -24,9 +24,11 @@ through the classical Lambert W, higher ones by series reversion), and a
 large-x approximation.  Seams and inversions share one solver: Newton steps
 safeguarded by bisection inside a bracket of a monotone function, applied
 to the seam equation on a bracket from the seam search and to f on a
-bracket from the branch ends.  Many inversions on one branch (all levels
-of a maximum-entropy fit) share a bracket, and each starts from the last
-root.
+bracket from the branch ends.  Near a seam the inverse is a square-root
+branch point, so an inversion starts from that expansion at its seam when
+the expansion stays close to the seam, and from the bracket's midpoint
+otherwise.  Many inversions on one branch (all levels of a maximum-entropy
+fit) share a bracket, and each after the first starts from the last root.
 
 All functions are pure; `Params` and the catalog records are immutable
 slotted value records (compared, hashed and pickled by value), and the
@@ -483,21 +485,23 @@ def _branch_or_raise(p: Params, branch: int) -> BranchInfo:
 
 def _bracket(p: Params, bi: BranchInfo, x: float) -> list[tuple[float, float]]:
     # Finite y-endpoints lo < hi whose f values straddle x, as
-    # [(lo, f(lo)), (hi, f(hi))].
+    # [(lo, f(lo)), (hi, f(hi))].  A closed end is a seam, and f there is
+    # the catalog's.
     def f(v: float) -> float:
         return _forward_and_slope(p, v)[0]
 
     yr = bi.y_range
+    f_seam = dict(bi.seams)
     ends = []
     for yval, closed, is_left in ((yr.lo, yr.lo_closed, True), (yr.hi, yr.hi_closed, False)):
         if closed:
-            ends.append((yval, f(yval)))
+            ends.append((yval, f_seam[yval]))
             continue
         if yval == 0.0:
             # Walk toward y = 0 in steps of 1/8; the 1e-290 floor ends it
             # within 324 steps, as |seam| <= 709.78.
             seam = yr.hi if is_left else yr.lo
-            other_f = f(seam)
+            other_f = f_seam[seam]
             v = seam / 2.0
             while True:
                 fv = f(v)
@@ -511,7 +515,7 @@ def _bracket(p: Params, bi: BranchInfo, x: float) -> list[tuple[float, float]]:
                     )
         else:
             seam = yr.lo if math.isinf(yval) and yval > 0 else yr.hi
-            other_f = f(seam)
+            other_f = f_seam[seam]
             direction = 1.0 if yval > 0 else -1.0
             stepsize = 1.0
             v = seam + direction
@@ -529,12 +533,32 @@ def _bracket(p: Params, bi: BranchInfo, x: float) -> list[tuple[float, float]]:
     return sorted(ends)
 
 
+def _seam_start(p: Params, bi: BranchInfo, x: float,
+                lo: float, hi: float) -> float | None:
+    # A first point for the solver from the branch-point expansion of the
+    # inverse at a seam d, where f'(d) = 0 and f''(d) = s'(d)*e^d:
+    # y = d +- sqrt(2*(x - f(d))/f''(d)), on the side of d the branch lies
+    # on; with two seams, the candidate closest to its seam.  None unless
+    # |y - d| <= min(1, |d|) and lo < y < hi: a far start on the convex
+    # side of e^y can leave Newton crawling.
+    step, seam = math.inf, 0.0
+    for d, f_d in bi.seams:
+        curvature = (p.a * math.log(p.b * d) + p.a * (d + 1.0) / d + 1.0) * math.exp(d)
+        q = 2.0 * (x - f_d) / curvature if curvature else math.nan
+        if q > 0.0 and math.sqrt(q) < step:
+            step, seam = math.sqrt(q), d
+    y = seam + step if seam == bi.y_range.lo else seam - step
+    return y if step <= min(1.0, abs(seam)) and lo < y < hi else None
+
+
 def _solve(p: Params, bi: BranchInfo, x: float, tol: float,
            bracket: Callable[..., list[tuple[float, float]]] = _bracket,
            start: float | None = None) -> tuple[float, float, int, bool]:
     # evaluate's contract for x on branch bi, as the fields of EvalResult:
     # the root on the bracket bracket(p, bi, x) -> [(lo, f(lo)), (hi, f(hi))],
-    # solved from `start` (a point of that bracket) or from its midpoint.
+    # solved from `start` (a point of that bracket), else from the
+    # branch-point expansion at a seam (_seam_start), else from the
+    # bracket's midpoint.
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol!r}")
     if math.isnan(x):
@@ -544,10 +568,12 @@ def _solve(p: Params, bi: BranchInfo, x: float, tol: float,
             f"x={x!r} outside branch {bi.index} domain {bi.x_domain}"
         )
     for d, fx in bi.seams:
-        if x == fx:
-            return d, abs(forward(p, d) - x), 0, True
+        if x == fx:  # the catalog holds f(d) = forward(p, d)
+            return d, 0.0, 0, True
 
     (lo, f_lo), (hi, f_hi) = bracket(p, bi, x)
+    if start is None:
+        start = _seam_start(p, bi, x, lo, hi)
     limit = tol * max(1.0, abs(x))
     y, res, it = _newton_bisect(functools.partial(_forward_and_slope, p), x,
                                 lo, hi, f_hi > f_lo, limit, start)
@@ -562,10 +588,11 @@ def _solve(p: Params, bi: BranchInfo, x: float, tol: float,
 def _inverter(p: Params, branch: int, tol: float) -> Callable[[float], float]:
     # x -> y on one branch for many x, each y under evaluate's contract,
     # warm-started.  It keeps the widest bracket built so far, with f at its
-    # ends, and calls _bracket only for an x outside it.  The solver starts
-    # from the last root, which its first point turns into the bracket end
-    # on its side (a branch is monotone).  Results are memoised by x, so an
-    # equal x returns the same bits whatever the call order.
+    # ends, and calls _bracket only for an x outside it.  The first solve
+    # starts as evaluate's does, so it returns evaluate's bits; each later
+    # one starts from the last root, which its first point turns into the
+    # bracket end on its side (a branch is monotone).  Results are memoised
+    # by x, so an equal x returns the same bits whatever the call order.
     bi = _branch_or_raise(p, branch)
     memo: dict[float, float] = {}
     ends = [(math.inf, math.nan), (-math.inf, math.nan)]  # empty bracket
@@ -593,9 +620,12 @@ def evaluate(p: Params, branch: int, x: float, tol: float = 1e-12) -> EvalResult
     """Invert f on one branch: find y in the branch with f(y) ~= x.
 
     The root is always bracketed between the branch endpoints (grown
-    geometrically on unbounded sides).  From the bracket's midpoint, the
-    solver that also polishes the seams takes Newton steps when they stay
-    inside the bracket, bisection otherwise, until
+    geometrically on unbounded sides).  The first point is the inverse's
+    branch-point expansion at a bounding seam d,
+    y = d +- sqrt(2*(x - f(d))/f''(d)), when it lies within min(1, |d|)
+    of d and inside the bracket, and the bracket's midpoint otherwise.
+    From there the solver that also polishes the seams takes Newton steps
+    when they stay inside the bracket, bisection otherwise, until
     |f(y) - x| <= tol * max(1, |x|); ConvergenceError when the bracket
     shrinks to a few ulps first.  Deterministic for fixed inputs.
     """

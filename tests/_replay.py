@@ -1,0 +1,196 @@
+"""Replay the benchmark's inversion pools through `evaluate` and compare runs.
+
+Record every `evaluate` call of the `eval_hot` and `scan_cold` pools (the
+inputs `perfbench/workloads.py` draws for a seed) with its outcome, then
+compare two such records:
+
+    python tests/_replay.py --src src [--seeds 1 2] > new.tsv
+    python tests/_replay.py --src OTHER/src > old.tsv
+    python tests/_replay.py --compare old.tsv new.tsv [--mpmath 33]
+
+A record has one tab-separated line per call: workload, seed, a, b, c,
+branch and x (floats in hex), then either `ok`, y (hex), the residual (hex)
+and the solver's point count, or the class name of the error raised.
+`--src` picks the library copy to replay, so one record can come from an
+older checkout.  The pools are those of a benchmark run of the length
+`BENCHMARK.json` sets.
+
+`--compare A B` prints, per workload: the outcome-class changes (each
+listed with its input), the answers equal to the bit, the mean point
+count, the ulp moves of the answers that differ, and every answer whose
+residual is above `tol*max(1, |x|)` (tol = 1e-12, evaluate's default).
+`--mpmath N` adds the relative error against a 50-digit root of every N-th
+`eval_hot` input answered in both records (median, p90, max).
+
+This file is a tool, not a test module: pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import random
+import statistics
+import struct
+import sys
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TOL = 1e-12
+WORKLOADS = ("eval_hot", "scan_cold")
+
+
+def record(src: str, seeds) -> None:
+    sys.path[:0] = [str(Path(src).resolve()), str(ROOT / "perfbench")]
+    import workloads
+
+    rows: list[list[str]] = []
+    tag = ("", "")  # the workload and seed being replayed
+
+    class Recorder(workloads.Gate):
+        # The workload's gate, also recording each `evaluate` call's outcome.
+        def call(self, fn, *args):
+            if fn.__name__ != "evaluate":
+                return super().call(fn, *args)
+            p, branch, x = args
+            key = [*tag, p.a.hex(), p.b.hex(), p.c.hex(), str(branch), x.hex()]
+
+            def evaluate(*args):
+                try:
+                    r = fn(*args)
+                except Exception as exc:
+                    rows.append(key + [type(exc).__name__])
+                    raise
+                rows.append(key + ["ok", r.y.hex(), r.residual.hex(), str(r.iterations)])
+                return r
+            return super().call(evaluate, *args)
+
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    for name in WORKLOADS:
+        wl = workloads.WORKLOADS[name]
+        for seed in seeds:
+            tag = (name, str(seed))
+            ctx = wl.setup()
+            gate = Recorder(ctx["ll"].LogLambertError)
+            for inp in wl.pool(random.Random(seed), ctx, seconds):
+                wl.op(ctx, gate, inp)
+    for row in rows:
+        print("\t".join(row))
+
+
+def _load(path: str) -> list[list[str]]:
+    with open(path) as fh:
+        return [line.rstrip("\n").split("\t") for line in fh]
+
+
+def _ordered(v: float) -> int:
+    # Doubles as integers whose difference counts the ulps between them.
+    n = struct.unpack("<q", struct.pack("<d", v))[0]
+    return n if n >= 0 else -(n & 0x7FFFFFFFFFFFFFFF)
+
+
+def _quantiles(values) -> str:
+    v = sorted(values)
+    if not v:
+        return "none"
+    return (f"median {v[len(v) // 2]:.3g}, p90 {v[int(0.9 * (len(v) - 1))]:.3g}, "
+            f"max {v[-1]:.3g}")
+
+
+def _mp_root(row) -> float:
+    # The root of f(y) = x to 50 digits, bracketed from the double answer
+    # toward the side where f approaches x (f is monotone on the branch),
+    # then bisected.
+    import mpmath as mp
+
+    mp.mp.dps = 50
+    a, b, c, x = (mp.mpf(float.fromhex(row[i])) for i in (2, 3, 4, 6))
+    y = mp.mpf(float.fromhex(row[8]))
+
+    def g(v):
+        return (a * v * mp.log(b * v) + v + c) * mp.exp(v) - x
+
+    g_y = g(y)
+    if g_y == 0:
+        return y
+    slope = (a * (y + 1) * mp.log(b * y) + y + a + c + 1) * mp.exp(y)
+    step = mp.mpf(1e-17) * max(1, abs(y))
+    step = step if (g_y < 0) == (slope > 0) else -step
+    while True:
+        far = y + step
+        if b * far <= 0:
+            raise ValueError(f"answer {row} is more than |y| from its root")
+        if (g(far) > 0) != (g_y > 0):
+            break
+        step *= 2
+    lo, hi, g_lo = y, far, g_y
+    while abs(hi - lo) > mp.mpf(10) ** -45 * abs(hi):
+        mid = (lo + hi) / 2
+        g_mid = g(mid)
+        if (g_mid > 0) == (g_lo > 0):
+            lo, g_lo = mid, g_mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def compare(path_a: str, path_b: str, mp_every: int) -> None:
+    rows_a, rows_b = _load(path_a), _load(path_b)
+    if [r[:7] for r in rows_a] != [r[:7] for r in rows_b]:
+        sys.exit("the two records replay different inputs")
+    for name in WORKLOADS:
+        pairs = [(ra, rb) for ra, rb in zip(rows_a, rows_b) if ra[0] == name]
+        print(f"== {name}: {len(pairs)} evaluate calls")
+        for label, rows in (("A", [ra for ra, _ in pairs]), ("B", [rb for _, rb in pairs])):
+            counts = Counter(r[7] for r in rows)
+            its = [int(r[10]) for r in rows if r[7] == "ok"]
+            mean = statistics.fmean(its) if its else math.nan
+            print(f"  {label}: outcomes {dict(sorted(counts.items()))}, "
+                  f"mean points {mean:.3f}, max {max(its, default=0)}")
+            bad = [r for r in rows if r[7] == "ok" and float.fromhex(r[9])
+                   > TOL * max(1.0, abs(float.fromhex(r[6])))]
+            print(f"  {label}: answers above tol*max(1,|x|): {len(bad)}")
+            for r in bad:
+                print("    " + " ".join(r))
+        flips = [(ra, rb) for ra, rb in pairs if ra[7] != rb[7]]
+        print(f"  outcome-class changes: {len(flips)}")
+        for ra, rb in flips:
+            a, b, c, x = (float.fromhex(ra[i]) for i in (2, 3, 4, 6))
+            print(f"    seed {ra[1]} ({a!r}, {b!r}, {c!r}) branch {ra[5]} x={x!r}: "
+                  f"{ra[7]} -> {rb[7]}")
+        both = [(ra, rb) for ra, rb in pairs if ra[7] == rb[7] == "ok"]
+        equal = sum(ra[8] == rb[8] for ra, rb in both)
+        moves = [abs(_ordered(float.fromhex(ra[8])) - _ordered(float.fromhex(rb[8])))
+                 for ra, rb in both if ra[8] != rb[8]]
+        print(f"  answered in both: {len(both)}, y equal to the bit: {equal}, "
+              f"(y, points) equal: {sum(ra[8:] == rb[8:] for ra, rb in both)}")
+        print(f"  ulp moves of the {len(moves)} that differ: {_quantiles(moves)}")
+        if name == "eval_hot" and mp_every:
+            errs_a, errs_b = [], []
+            for ra, rb in both[::mp_every]:
+                root = _mp_root(rb)
+                errs_a.append(float(abs(float.fromhex(ra[8]) - root) / abs(root)))
+                errs_b.append(float(abs(float.fromhex(rb[8]) - root) / abs(root)))
+            print(f"  relative error against 50-digit roots, {len(errs_a)} answers:")
+            print(f"    A: {_quantiles(errs_a)}")
+            print(f"    B: {_quantiles(errs_b)}")
+
+
+def main(argv=None) -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--src", default=str(ROOT / "src"), help="library source directory")
+    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
+    ap.add_argument("--compare", nargs=2, metavar=("A", "B"))
+    ap.add_argument("--mpmath", type=int, default=0, metavar="N",
+                    help="with --compare: check every N-th eval_hot answer against mpmath")
+    args = ap.parse_args(argv)
+    if args.compare:
+        compare(*args.compare, args.mpmath)
+    else:
+        record(args.src, args.seeds)
+
+
+if __name__ == "__main__":
+    main()

@@ -2,7 +2,7 @@
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loglambert import (
@@ -11,7 +11,10 @@ from loglambert import (
     LogLambertError,
     Monotone,
     Params,
+    RangeError,
+    antiderivative,
     branches,
+    derivative,
     distribution,
     evaluate,
     forward,
@@ -112,7 +115,15 @@ def _x_in_domain(bi, u, toward_open):
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(p=scan_params(), us=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
        toward_open=st.booleans())
+# A root 1e-6 from a seam near y = -704, where derivative overflows
+@example(p=Params(47.465181018900985, -0.0013947412728583688, 31.814355897237785),
+         us=[0.5, 0.5, 1.0], toward_open=False)
 def test_evaluate_meets_contract_or_refuses(p, us, toward_open):
+    # Each answer meets the contract, and at its root derivative is finite
+    # with the sign of the branch's direction or a typed refusal
+    # (SingularityError within rounding distance of a seam, RangeError on
+    # overflow), and antiderivative is finite or a RangeError.  No raw
+    # exception escapes.
     try:
         cat = branches(p)
     except LogLambertError:
@@ -127,6 +138,18 @@ def test_evaluate_meets_contract_or_refuses(p, us, toward_open):
             continue
         assert bi.y_range.contains(r.y), (p, bi.index, x, r)
         assert abs(forward(p, r.y) - x) <= 1e-12 * max(1.0, abs(x)), (p, bi.index, x, r)
+        try:
+            d = derivative(p, r.y)
+        except LogLambertError:
+            pass
+        else:
+            assert math.isfinite(d), (p, bi.index, x, r, d)
+            assert (d > 0.0) == (bi.monotone is Monotone.INCREASING), (p, bi.index, x, r, d)
+        try:
+            big_f = antiderivative(p, r.y)
+        except RangeError:
+            continue
+        assert math.isfinite(big_f), (p, bi.index, x, r, big_f)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
