@@ -18,18 +18,21 @@ p_i = w_i / Z, Z = sum w_j.
 
 alpha and beta are caller inputs.  Because x_i depends on alpha while Z
 normalises again, the stationarity conditions hold exactly only when alpha
-is tuned so that Z = 1; `solve_alpha` performs that tuning (secant
-iteration).  Which inverse branch is physical is likewise not determined by
-the stationarity conditions alone, so the branch is an explicit argument;
-`suggest_branch` picks the branch a uniform distribution would land on.
+is tuned so that Z = 1; `solve_alpha` performs that tuning by Newton's
+method on the exact slope of Z in alpha, safeguarded by bisection inside
+the sign bracket its iterates build.  Which inverse branch is physical is
+likewise not determined by the stationarity conditions alone, so the
+branch is an explicit argument; `suggest_branch` picks the branch a
+uniform distribution would land on.
 
 Each call to `distribution`, `probability`, `continuous_pdf` and each
 `solve_alpha` iterate inverts all its arguments with one warm-started
 inverter: every root seeds the next, inside the widest bracket built so
 far.  Levels go in ascending x, so the result does not depend on their
-order, and an equal argument returns the same bits.  The stationarity
-residuals difference one term of the separable entropy sum each, O(n) in
-the number of levels.
+order, and an equal argument returns the same bits.  `continuous_pdf`
+normalises by adaptive 7-point Gauss / 15-point Kronrod quadrature.  The
+stationarity residuals difference one term of the separable entropy sum
+each, O(n) in the number of levels.
 """
 
 from __future__ import annotations
@@ -37,8 +40,9 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 
-from .core import Params, _inverter, _Record, _set, branches, evaluate, forward
-from .errors import ConvergenceError, DomainError, IntegrationError
+from .core import (Params, _inverter, _Record, _set, branches, evaluate, forward,
+                   forward_slope)
+from .errors import ConvergenceError, DomainError, IntegrationError, RangeError
 from .qcalculus import EntropyParams, ln_qqr
 
 __all__ = [
@@ -118,13 +122,6 @@ def _weight(ep: EntropyParams, params: Params, branch: int, x: float, y: float) 
     return math.exp(math.log(brace) / (ep.q - 1.0))
 
 
-def _weigher(ep: EntropyParams, branch: int) -> Callable[[float], float]:
-    # x -> _weight at x, every x inverted by one warm inverter.
-    params = ep.induced_params()
-    invert = _inverter(params, branch, _EVAL_TOL)
-    return lambda x: _weight(ep, params, branch, x, invert(x))
-
-
 def _uniform_y(ep: EntropyParams, n_levels: int) -> float:
     # y at which the stationary weight is the uniform 1/n_levels.
     p_uni = 1.0 / n_levels
@@ -144,25 +141,31 @@ def suggest_branch(ep: EntropyParams, n_levels: int) -> int:
     )
 
 
-def _all_weights(spec: EnsembleSpec, branch: int) -> tuple[list[float], list[float]]:
-    # Levels are inverted in ascending x, so each root warm-starts the next
-    # and the result does not depend on the order of the levels.
-    weight = _weigher(spec.ep, branch)
-    xs = [_argument(spec.ep, spec.alpha, spec.beta, eps) for eps in spec.levels]
+def _all_weights(spec: EnsembleSpec, branch: int
+                 ) -> tuple[list[float], list[float], list[float]]:
+    # (x_i, y_i, w_i) per level.  Levels are inverted in ascending x by one
+    # warm inverter, so each root warm-starts the next and the result does
+    # not depend on the order of the levels.
+    ep = spec.ep
+    params = ep.induced_params()
+    invert = _inverter(params, branch, _EVAL_TOL)
+    xs = [_argument(ep, spec.alpha, spec.beta, eps) for eps in spec.levels]
+    ys = [0.0] * len(xs)
     ws = [0.0] * len(xs)
     for i in sorted(range(len(xs)), key=xs.__getitem__):
         try:
-            ws[i] = weight(xs[i])
+            ys[i] = invert(xs[i])
+            ws[i] = _weight(ep, params, branch, xs[i], ys[i])
         except DomainError as exc:
             raise DomainError(f"level {i} (eps={spec.levels[i]!r}): {exc}") from exc
-    return xs, ws
+    return xs, ys, ws
 
 
 def probability(spec: EnsembleSpec, i: int, branch: int | None = None) -> float:
     """Normalised stationary probability of level i on the given branch."""
     if branch is None:
         branch = suggest_branch(spec.ep, len(spec.levels))
-    _, ws = _all_weights(spec, branch)
+    ws = _all_weights(spec, branch)[2]
     return ws[i] / math.fsum(ws)
 
 
@@ -178,7 +181,7 @@ def distribution(spec: EnsembleSpec, branch: int | None = None) -> DiscreteDistr
     """Full normalised distribution with partition value and beta_r."""
     if branch is None:
         branch = suggest_branch(spec.ep, len(spec.levels))
-    xs, ws = _all_weights(spec, branch)
+    xs, _, ws = _all_weights(spec, branch)
     z = math.fsum(ws)
     return DiscreteDistribution(
         probs=tuple(w / z for w in ws),
@@ -199,8 +202,20 @@ def solve_alpha(
     """alpha making the unnormalised weights sum to exactly 1 (Z = 1).
 
     With this alpha the normalisation is a no-op and the per-level
-    stationarity conditions hold at the returned multipliers.  Secant
-    iteration warm-started from the uniform distribution.
+    stationarity conditions hold at the returned multipliers.  Newton's
+    method on excess(alpha) = Z - 1, started from the alpha of a uniform
+    distribution, with the exact slope
+
+        excess'(alpha) = K * sum_i w_i/(q-1) * (a/y_i)/(a*ln(b*y_i) + 1) / f'(y_i),
+
+    K = ratio*e^ratio, ratio = (1-r)/(1-q').  Each excess is a full pass of
+    `distribution` over the levels.  Once iterates of both signs are known,
+    a Newton point outside their bracket is replaced by the bracket's
+    midpoint; a point outside the admissible region (DomainError) is halved
+    back toward the last admissible one.  Returns the first alpha with
+    |excess| <= tol; ConvergenceError when the bracket shrinks to two
+    adjacent doubles, the slope is unusable before a bracket exists, or
+    max_iter further passes do not reach tol.
     """
     levels = tuple(levels)
     params = ep.induced_params()
@@ -212,35 +227,62 @@ def solve_alpha(
     # Uniform warm start: alpha reproducing the uniform weight at the mean level.
     x_ws = forward(params, _uniform_y(ep, len(levels)))
     mean_eps = math.fsum(levels) / len(levels)
-    alpha = x_ws / (ratio * math.exp(ratio)) + 1.0 / cr - beta * mean_eps
+    k = ratio * math.exp(ratio)  # dx_i/dalpha
+    alpha = x_ws / k + 1.0 / cr - beta * mean_eps
 
-    def excess(al: float) -> float:
+    def sweep(al: float) -> tuple[float, list[float], list[float]]:
+        # (excess, y_i, w_i) at al, by the pass `distribution` makes.
         spec = EnsembleSpec(levels=levels, alpha=al, beta=beta, ep=ep)
-        _, ws = _all_weights(spec, branch)
-        return math.fsum(ws) - 1.0
+        _, ys, ws = _all_weights(spec, branch)
+        return math.fsum(ws) - 1.0, ys, ws
 
-    f0 = excess(alpha)
-    if abs(f0) <= tol:
-        return alpha
-    step = 1e-4 * (1.0 + abs(alpha))
-    a0, a1 = alpha, alpha + step
-    f1 = None
-    for _ in range(max_iter):
-        if f1 is None:
-            try:
-                f1 = excess(a1)
-            except DomainError:
-                a1 = 0.5 * (a0 + a1)  # step left the admissible region
-                continue
-        if abs(f1) <= tol:
-            return a1
-        if f1 == f0:
-            break
-        a2 = a1 - f1 * (a1 - a0) / (f1 - f0)
-        a0, f0 = a1, f1
-        a1, f1 = a2, None
+    def slope(ys: list[float], ws: list[float]) -> float:
+        # dw/dy = w/(q-1) * (a/y)/brace and dy/dx = 1/f'(y), at each level.
+        total = 0.0
+        for y, w in zip(ys, ws):
+            brace = params.a * math.log(params.b * y) + 1.0
+            total += w * params.a / (y * brace * forward_slope(params, y))
+        return k / (ep.q - 1.0) * total
+
+    last = None  # the last admissible iterate
+    pos = neg = None  # the last iterates with excess > 0 and < 0
+    for _ in range(max_iter + 1):
+        try:
+            excess, ys, ws = sweep(alpha)
+        except DomainError:
+            if last is None:
+                raise
+            alpha = 0.5 * (last + alpha)  # step left the admissible region
+            continue
+        if abs(excess) <= tol:
+            return alpha
+        last = alpha
+        if excess > 0.0:
+            pos = alpha
+        else:
+            neg = alpha
+        try:
+            cand = alpha - excess / slope(ys, ws)
+        except (ZeroDivisionError, RangeError):
+            cand = math.nan  # a root on a seam, or f' beyond the double range
+        if pos is None or neg is None:
+            if not math.isfinite(cand):
+                raise ConvergenceError(
+                    f"normalisation solve for alpha: no usable slope at "
+                    f"alpha={alpha!r} (excess {excess!r})"
+                )
+        else:
+            lo, hi = min(pos, neg), max(pos, neg)
+            if math.nextafter(lo, hi) == hi:
+                raise ConvergenceError(
+                    f"normalisation solve for alpha stalled between adjacent "
+                    f"doubles {lo!r} and {hi!r} (last excess {excess!r})"
+                )
+            if not lo < cand < hi:
+                cand = 0.5 * (lo + hi)
+        alpha = cand
     raise ConvergenceError(
-        f"normalisation solve for alpha stalled (last excess {f0!r})"
+        f"normalisation solve for alpha stalled (last excess {excess!r})"
     )
 
 
@@ -281,29 +323,48 @@ def continuous_weight(
     return _weight(ep, params, branch, arg, y)
 
 
-def _adaptive_simpson(
-    f: Callable[[float], float], a: float, b: float, tol: float
+# 15-point Kronrod nodes on [-1, 1] (positive half and 0) and weights; every
+# other node, 0 included, is a 7-point Gauss node.  Piessens et al.,
+# QUADPACK (1983), qk15.
+_XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+        0.586087235467691130294144838258730, 0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245, 0.0)
+_WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+
+
+def _gauss_kronrod_panel(f: Callable[[float], float], a: float, b: float
+                         ) -> tuple[float, float]:
+    # (K15, G7) estimates of the integral of f over [a, b].
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    fc = f(c)
+    k15, g7 = _WGK[7] * fc, _WG[3] * fc
+    for j in range(7):
+        pair = f(c - h * _XGK[j]) + f(c + h * _XGK[j])
+        k15 += _WGK[j] * pair
+        if j % 2:
+            g7 += _WG[j // 2] * pair
+    return k15 * h, g7 * h
+
+
+def _adaptive_gauss_kronrod(
+    f: Callable[[float], float], a: float, b: float, tol: float, depth: int = 60
 ) -> float:
-    # Standard recursive Simpson with Richardson acceptance test.
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-
-    def recurse(a, fa, b, fb, m, fm, whole, depth):
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        if depth <= 0:
-            raise IntegrationError("adaptive Simpson recursion exhausted")
-        if abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return recurse(a, fa, m, fm, lm, flm, left, depth - 1) + recurse(
-            m, fm, b, fb, rm, frm, right, depth - 1
-        )
-
+    # K15 of a panel whose |K15 - G7| is within tol, else the sum over its
+    # halves, each held to tol/2.  IntegrationError below `depth` splits.
+    k15, g7 = _gauss_kronrod_panel(f, a, b)
+    if abs(k15 - g7) <= tol:
+        return k15
+    if depth <= 0:
+        raise IntegrationError("adaptive Gauss-Kronrod recursion exhausted")
     m = 0.5 * (a + b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return recurse(a, fa, b, fb, m, fm, whole, 60)
+    return (_adaptive_gauss_kronrod(f, a, m, 0.5 * tol, depth - 1)
+            + _adaptive_gauss_kronrod(f, m, b, 0.5 * tol, depth - 1))
 
 
 def continuous_pdf(
@@ -325,10 +386,13 @@ def continuous_pdf(
     if len(x_grid) == 0:
         raise DomainError("x_grid must be non-empty")
 
-    weight = _weigher(ep, branch)
+    # Every argument is inverted by one warm inverter.
+    params = ep.induced_params()
+    invert = _inverter(params, branch, _EVAL_TOL)
 
     def g(x: float) -> float:
-        return weight(_argument(ep, alpha, beta, x * x))
+        arg = _argument(ep, alpha, beta, x * x)
+        return _weight(ep, params, branch, arg, invert(arg))
 
     values = [g(x) for x in x_grid]
 
@@ -375,7 +439,7 @@ def continuous_pdf(
             f"{tail_ratio!r} of its peak"
         )
 
-    half = _adaptive_simpson(g, 0.0, L, tol=1e-13 * peak * max(L, 1.0))
+    half = _adaptive_gauss_kronrod(g, 0.0, L, tol=1e-13 * peak * max(L, 1.0))
     total = 2.0 * half
     if not total > 0.0:
         raise IntegrationError(f"normalisation integral {total!r} not positive")

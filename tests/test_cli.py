@@ -307,6 +307,11 @@ def cli_argv(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=cli_argv())
 def test_cli_answers_or_exits_cleanly(argv, capsys):
+    assert_exits_cleanly(argv, capsys)
+
+
+def assert_exits_cleanly(argv, capsys):
+    # Exit 0 with parsable output, or 2/3 with a message and no traceback.
     capsys.readouterr()
     try:
         rc = cli.main(argv)
@@ -319,3 +324,64 @@ def test_cli_answers_or_exits_cleanly(argv, capsys):
         assert out == "" and err.strip(), err
     else:
         assert_parses(argv[-1], out)
+
+
+# Levels files for `maxent --levels`: one per way reading them can go wrong,
+# plus files that parse.  "missing" is never written; "directory" is one.
+LEVELS_FILES = {
+    "four": "0.0\n0.3\n0.6\n0.9\n",
+    "many": "".join(f"{(7 * k % 32) / 32!r}\n" for k in range(32)),
+    "pair": "0.4\n0.35\n",
+    "blank_lines": "\n0.1\n\n0.2\n",
+    "empty": "",
+    "blank": "\n  \n",
+    "text": "0.1\nabc\n",
+    "non_finite": "nan\n0.3\ninf\n",
+    "huge": "1e308\n1e308\n-1e308\n",
+    "binary": b"\xff\xfe\x00".decode("latin-1"),
+}
+# (q, q', r, alpha, beta): the README's continuous command, its discrete
+# one, and a triple whose solve_alpha stalls at the rounding floor on "pair".
+CONTINUOUS_BASE = ("1.1", "1.2", "1.3", "-2.1433", "-0.0199")
+DISCRETE_BASES = (("0.9", "0.8", "0.7", "0", "0.1"), ("0.998", "0.834", "0.783", "0", "0.1"))
+# Grids that answer for the continuous base, then ones that do not.
+GRIDS = ("-3.7:3.7:101", "-3.7:3.7:11", "-3.72:3.72:2", "-3.7:3.7:40",
+         "-1:1:21", "-6:6:31", "0:1:1", "1:0:5", "a:b:c", "1:2", "-inf:inf:5",
+         "-1e200:1e200:3")
+
+
+@pytest.fixture(scope="module")
+def levels_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("levels")
+    for name, text in LEVELS_FILES.items():
+        (root / name).write_text(text, encoding="latin-1")
+    (root / "directory").mkdir()
+    return root
+
+
+@st.composite
+def maxent_argv(draw, root):
+    # A base command with each value kept, or one time in five replaced by
+    # a NUMBER; a grid or a levels file; every format.
+    quadratic = draw(st.booleans())
+    base = CONTINUOUS_BASE if quadratic else draw(st.sampled_from(DISCRETE_BASES))
+    values = [draw(NUMBER) if draw(st.integers(0, 4)) == 0 else v for v in base]
+    argv = ["maxent"] + [f"--{flag}={v}" for flag, v in
+                         zip(("q", "qprime", "r", "alpha", "beta"), values)]
+    if quadratic:
+        argv += [f"--quadratic={draw(st.sampled_from(GRIDS))}",
+                 f"--branch={draw(st.sampled_from([1, 1, 1, 0, 2, -1]))}"]
+    else:
+        name = draw(st.sampled_from(sorted(LEVELS_FILES) + ["missing", "directory"]))
+        argv.append(f"--levels={root / name}")
+        argv += draw(st.sampled_from([[], ["--solve-alpha"], ["--check"],
+                                      ["--solve-alpha", "--check"], ["--branch=0"],
+                                      ["--branch=3", "--solve-alpha"]]))
+    return argv + ["--format", draw(st.sampled_from(["table", "csv", "json"]))]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_maxent_answers_or_exits_cleanly(data, levels_dir, capsys):
+    assert_exits_cleanly(data.draw(maxent_argv(levels_dir)), capsys)

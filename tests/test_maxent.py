@@ -2,10 +2,12 @@
 
 import math
 import random
+import sys
 
 import pytest
 
 from loglambert import (
+    ConvergenceError,
     DomainError,
     EnsembleSpec,
     EntropyParams,
@@ -25,16 +27,34 @@ from loglambert import (
     suggest_branch,
 )
 from _oracle import _simpson, stationarity_residuals_quadratic
+from loglambert import core, maxent
+from loglambert.maxent import _adaptive_gauss_kronrod, _gauss_kronrod_panel
 from loglambert.qcalculus import exp_q
 
 EP = EntropyParams(q=0.9, q_prime=0.8, r=0.7)
 LEVELS = (0.0, 0.3, 0.6, 0.9)
+_rng = random.Random(5)
+LEVELS_128 = tuple(sorted(_rng.random() for _ in range(128)))
 
 # Compact-support continuous configuration (q, q', r all above 1): the
 # weight vanishes where a*ln(b*y) + 1 crosses 0, at finite |x|.
 EP_CONT = EntropyParams(q=1.1, q_prime=1.2, r=1.3)
 ALPHA_CONT = 8.0 / (1.5 * math.exp(1.5)) - 10.0 / 3.0
 BETA_CONT = -0.4 * math.exp(-3.0)
+README_GRID = [-3.7 + 7.4 * i / 100 for i in range(101)]
+
+
+def _count_calls(monkeypatch, module, name):
+    # Replace module.name by a wrapper that records each call's arguments.
+    calls = []
+    inner = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -89,10 +109,8 @@ def test_stationarity_residuals_match_quadratic_reference(solved_spec):
     # The entropy sum is separable, so differencing one term gives the
     # residuals of differencing the whole sum; the reference's own rounding
     # (~eps * S / h) sets the tolerance.
-    rng = random.Random(5)
-    levels = tuple(sorted(rng.random() for _ in range(128)))
-    alpha = solve_alpha(levels, beta=0.1, ep=EP)
-    spec_128 = EnsembleSpec(levels=levels, alpha=alpha, beta=0.1, ep=EP)
+    alpha = solve_alpha(LEVELS_128, beta=0.1, ep=EP)
+    spec_128 = EnsembleSpec(levels=LEVELS_128, alpha=alpha, beta=0.1, ep=EP)
     for spec in (solved_spec, spec_128):
         probs = distribution(spec).probs
         fast = stationarity_residuals(spec, probs)
@@ -193,6 +211,26 @@ def test_solve_alpha_converges_tightly():
     assert distribution(spec, 0).partition == pytest.approx(1.0, abs=5e-14)
 
 
+@pytest.mark.parametrize("levels, passes", [(LEVELS, 4), (LEVELS_128, 2)])
+def test_solve_alpha_weight_passes(monkeypatch, levels, passes):
+    # Newton on the exact slope converges quadratically from the uniform
+    # start; the secant took 5 and 4 passes over the levels.
+    calls = _count_calls(monkeypatch, maxent, "_all_weights")
+    solve_alpha(levels, beta=0.1, ep=EP)
+    assert len(calls) <= passes
+
+
+def test_solve_alpha_refuses_at_adjacent_doubles(monkeypatch):
+    # No double meets tol here: the excess steps from -3.04e-14 to
+    # +2.53e-14 between these two alphas.  Bisecting the sign bracket ends
+    # there after 14 passes; unguarded Newton hops about for all 101.
+    calls = _count_calls(monkeypatch, maxent, "_all_weights")
+    with pytest.raises(ConvergenceError,
+                       match="0.4833915472854921 and 0.48339154728549216"):
+        solve_alpha([0.4, 0.35], 0.1, EntropyParams(0.998, 0.834, 0.783))
+    assert len(calls) <= 20
+
+
 # ------------------------------------------------------------- continuous
 
 def test_continuous_symmetry():
@@ -205,7 +243,7 @@ def test_continuous_symmetry():
 
 
 def test_continuous_normalisation_against_oracle_quadrature():
-    grid = [-3.7 + 7.4 * i / 100 for i in range(101)]
+    grid = README_GRID
     dens = continuous_pdf(EP_CONT, ALPHA_CONT, BETA_CONT, 1, grid)
     # support is cut where the weight's brace crosses zero, just past 3.7415;
     # the remaining sliver carries ~(cut - L)^10 mass, far below tolerance
@@ -225,6 +263,45 @@ def test_continuous_pointwise_proportional_to_weight():
     for x, d in zip(grid, dens):
         w = continuous_weight(EP_CONT, ALPHA_CONT, BETA_CONT, 1, x)
         assert d / dens[2] == pytest.approx(w / w0, rel=1e-10)
+
+
+def test_continuous_pdf_inversion_count(monkeypatch):
+    # 51 distinct grid arguments, the search for L and 9 G7-K15 panels;
+    # adaptive Simpson took 835 inversions.
+    calls = _count_calls(monkeypatch, core, "_solve")
+    continuous_pdf(EP_CONT, ALPHA_CONT, BETA_CONT, 1, README_GRID)
+    assert len(calls) <= 250
+
+
+def test_gauss_kronrod_panel_is_exact_to_degree_22():
+    for k in range(23):
+        k15, _ = _gauss_kronrod_panel(lambda x: x ** k, 0.0, 1.0)
+        assert abs(k15 * (k + 1) - 1.0) <= 8.0 * sys.float_info.epsilon, k
+
+
+def test_adaptive_gauss_kronrod_matches_oracle_simpson():
+    # [0, 3.7415] ends just inside the support cut; Simpson at 1e-18, about
+    # 1e-14 of the integral, is within 1e-15 of a 20-digit mpmath.quad.
+    def g(t):
+        return continuous_weight(EP_CONT, ALPHA_CONT, BETA_CONT, 1, t)
+
+    L = 3.7415
+    gk = _adaptive_gauss_kronrod(g, 0.0, L, 1e-13 * g(0.0) * L)
+    assert gk == pytest.approx(_simpson(g, 0.0, L, 1e-18), rel=1e-13)
+
+
+def test_adaptive_gauss_kronrod_refuses_an_unresolvable_step():
+    # The jump at 0 lies a third of the way into every panel holding it, so
+    # no panel is accepted before the depth limit.
+    evaluations = []
+
+    def step(x):
+        evaluations.append(x)
+        return 0.0 if x < 0.0 else 1.0
+
+    with pytest.raises(IntegrationError, match="recursion exhausted"):
+        _adaptive_gauss_kronrod(step, -1.0, 2.0, 1e-13)
+    assert len(evaluations) <= 61 * 2 * 15
 
 
 def test_continuous_grid_too_narrow():

@@ -14,6 +14,7 @@ from loglambert import (
     RangeError,
     antiderivative,
     branches,
+    continuous_pdf,
     derivative,
     distribution,
     evaluate,
@@ -211,3 +212,43 @@ def test_maxent_meets_contract_or_refuses(trip, shift, levels):
     assert abs(math.fsum(dist.probs) - 1.0) <= 1e-12, (ep, levels, alpha)
     assert len(residuals) == len(levels)
     assert all(math.isfinite(v) for v in residuals), (ep, levels, alpha)
+
+
+# The README's continuous example: alpha = 8/(1.5*e^1.5) - 10/3, beta = -0.4*e^-3.
+ALPHA_CONT = 8.0 / (1.5 * math.exp(1.5)) - 10.0 / 3.0
+BETA_CONT = -0.4 * math.exp(-3.0)
+
+
+def _support_cut(ep, alpha, beta):
+    # |x| where the weight's brace a*ln(b*y) + 1 vanishes, at y* = e^(-1/a)/b:
+    # x* = f(y*) is the argument of the level eps* = x**2 there.  The
+    # README's edge 3.7 when no positive level reaches it.
+    p = ep.induced_params()
+    ratio = (1.0 - ep.r) / (1.0 - ep.q_prime)
+    x_star = forward(p, math.exp(-1.0 / p.a) / p.b)
+    eps_star = (x_star / (ratio * math.exp(ratio)) + 1.0 / (1.0 - ep.r) - alpha) / beta
+    return math.sqrt(eps_star) if eps_star > 0.0 else 3.7
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(shift=st.lists(st.floats(-0.05, 0.05), min_size=3, max_size=3),
+       d_alpha=st.floats(-0.1, 0.1), d_beta=st.floats(-0.005, 0.005),
+       gap=st.floats(-4.0, -0.3), side=st.sampled_from([1.0, -1.0]),
+       n=st.integers(1, 40))
+def test_continuous_pdf_meets_contract_or_refuses(shift, d_alpha, d_beta, gap, side, n):
+    # Near the README's continuous example, on a grid of exact negation
+    # pairs whose edge lies a share 10**gap of the support cut inside it
+    # (side 1) or outside it (side -1): finite non-negative densities with
+    # p(x) == p(-x) bit for bit, or a typed refusal.
+    ep = EntropyParams(*(t + d for t, d in zip((1.1, 1.2, 1.3), shift)))
+    alpha, beta = ALPHA_CONT + d_alpha, BETA_CONT + d_beta
+    edge = _support_cut(ep, alpha, beta) * (1.0 - side * 10.0 ** gap)
+    half = [edge * i / n for i in range(n + 1)]
+    grid = [-t for t in reversed(half[1:])] + half
+    try:
+        dens = continuous_pdf(ep, alpha, beta, 1, grid)
+    except LogLambertError:
+        return
+    assert len(dens) == len(grid)
+    assert all(math.isfinite(v) and v >= 0.0 for v in dens), (ep, alpha, beta, edge)
+    assert all(dens[i] == dens[-1 - i] for i in range(len(grid))), (ep, alpha, beta, edge)
