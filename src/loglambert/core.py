@@ -278,7 +278,7 @@ def _range_error(p: Params, what: str) -> RangeError:
 
 def _newton_bisect(fn: Callable[[float], tuple[float, float]], target: float,
                    lo: float, hi: float, increasing: bool, tol: float,
-                   start: float | None = None) -> tuple[float, float, int]:
+                   start: float | None = None) -> tuple[float, float, int, float, float]:
     # Safeguarded Newton iteration for fn(y)[0] = target on [lo, hi], where
     # fn(y) = (value, slope) is monotone (`increasing` or not) and brackets
     # the target.  The first point is `start` (any point of [lo, hi]) or
@@ -286,15 +286,15 @@ def _newton_bisect(fn: Callable[[float], tuple[float, float]], target: float,
     # taken when it lands strictly inside it, a bisection otherwise.  Stops
     # when |value - target| <= tol, when the bracket is a few ulps wide, or
     # after 200 points.  Returns the point with the smallest
-    # |value - target| seen, that residual and the number of points
-    # evaluated.
+    # |value - target| seen, that residual, the number of points evaluated
+    # and the final bracket (an end no point has moved is one given).
     y = 0.5 * (lo + hi) if start is None else start
     best_y, best_res = y, math.inf
     for it in range(1, 201):
         value, slope = fn(y)
         r = value - target
         if abs(r) <= tol:
-            return y, abs(r), it
+            return y, abs(r), it, lo, hi
         if abs(r) < best_res:
             best_y, best_res = y, abs(r)
         if (value > target) == increasing:
@@ -305,7 +305,7 @@ def _newton_bisect(fn: Callable[[float], tuple[float, float]], target: float,
         y = cand if lo < cand < hi else 0.5 * (lo + hi)
         if hi - lo <= 4.0 * _EPS * max(abs(lo), abs(hi)):
             break
-    return best_y, best_res, it
+    return best_y, best_res, it, lo, hi
 
 
 # Seams are sought on e^-708 <= |y| <= ln(DBL_MAX): below, y is not a normal
@@ -575,8 +575,8 @@ def _solve(p: Params, bi: BranchInfo, x: float, tol: float,
     if start is None:
         start = _seam_start(p, bi, x, lo, hi)
     limit = tol * max(1.0, abs(x))
-    y, res, it = _newton_bisect(functools.partial(_forward_and_slope, p), x,
-                                lo, hi, f_hi > f_lo, limit, start)
+    y, res, it, _, _ = _newton_bisect(functools.partial(_forward_and_slope, p), x,
+                                      lo, hi, f_hi > f_lo, limit, start)
     if res <= limit:
         return y, res, it, False
     raise ConvergenceError(
@@ -817,13 +817,16 @@ def asymptotic(p: Params, x: float) -> float:
         W(xi) - ln{ (e^s/(a+1)) * [a*ln(b*W(xi)) + 1] + (c/x)*e^{W(xi)} } - s
 
     Raises DomainError when a = -1, when xi is below -1/e, or when a
-    logarithm argument is non-positive.
+    logarithm argument is non-positive, and RangeError when e^s overflows
+    the double range.
     """
     if p.a == -1.0:
         raise DomainError("approximation needs a != -1")
     if x == 0.0:
         raise DomainError("approximation needs x != 0")
     shift = p.c / (p.a + 1.0)
+    if not shift <= _Y_MAX:
+        raise _range_error(p, "e^(c/(a+1)) of the large-x approximation")
     xi = x * math.exp(shift) / (p.a + 1.0)
     if xi < BRANCH_POINT:
         raise DomainError(

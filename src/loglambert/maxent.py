@@ -16,21 +16,32 @@ end-to-end validator and vanishes only with this sign)
 via the unnormalised weight w_i = {a * ln(b * y_i) + 1}^(1/(q-1)) and
 p_i = w_i / Z, Z = sum w_j.
 
+The weight exists only where the brace is positive: for |y| > |y*| when
+a > 0 and for |y| < |y*| when a < 0, y* = e^(-1/a)/b.  On one branch that
+is an open x-interval in closed form, the branch's x-domain cut at
+x* = f(y*) when y* lies on the branch.  Every x_i is affine in alpha with
+the same slope, so the interval fixes the alphas at which all weights
+exist, and for the quadratic level x**2 the support cut in |x|.
+
 alpha and beta are caller inputs.  Because x_i depends on alpha while Z
 normalises again, the stationarity conditions hold exactly only when alpha
-is tuned so that Z = 1; `solve_alpha` performs that tuning by Newton's
-method on the exact slope of Z in alpha, safeguarded by bisection inside
-the sign bracket its iterates build.  Which inverse branch is physical is
-likewise not determined by the stationarity conditions alone, so the
-branch is an explicit argument; `suggest_branch` picks the branch a
-uniform distribution would land on.
+is tuned so that Z = 1.  `solve_alpha` does that tuning on the admissible
+interval of alpha, where Z is monotone, with the safeguarded Newton solver
+that also inverts f and polishes its seams.  It has three outcomes: an
+alpha with |Z - 1| <= tol; DomainError when no alpha in the interval
+normalises the weights; ConvergenceError when the sign bracket shrinks to
+a few ulps first, at the rounding floor of the weight sum.  Which inverse
+branch is physical is likewise not determined by the stationarity
+conditions alone, so the branch is an explicit argument; `suggest_branch`
+picks the branch a uniform distribution would land on.
 
 Each call to `distribution`, `probability`, `continuous_pdf` and each
 `solve_alpha` iterate inverts all its arguments with one warm-started
 inverter: every root seeds the next, inside the widest bracket built so
 far.  Levels go in ascending x, so the result does not depend on their
 order, and an equal argument returns the same bits.  `continuous_pdf`
-normalises by adaptive 7-point Gauss / 15-point Kronrod quadrature.  The
+normalises by adaptive 7-point Gauss / 15-point Kronrod quadrature over a
+range that stops at the support cut.  The
 stationarity residuals difference one term of the separable entropy sum
 each, O(n) in the number of levels.
 """
@@ -40,8 +51,9 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 
-from .core import (Params, _inverter, _Record, _set, branches, evaluate, forward,
-                   forward_slope)
+from .core import (_Y_MAX, BranchInfo, Monotone, Params, _branch_or_raise,
+                   _forward_and_slope, _inverter, _newton_bisect, _Record, _set,
+                   branches, evaluate, forward, forward_slope)
 from .errors import ConvergenceError, DomainError, IntegrationError, RangeError
 from .qcalculus import EntropyParams, ln_qqr
 
@@ -60,6 +72,7 @@ __all__ = [
 ]
 
 _EVAL_TOL = 1e-13
+_MAX = 1.7976931348623157e308  # the largest double
 
 
 class EnsembleSpec(_Record):
@@ -102,8 +115,20 @@ def _argument(ep: EntropyParams, alpha: float, beta: float, eps: float) -> float
     return (-1.0 / cr + alpha + beta * eps) * ratio * math.exp(ratio)
 
 
+def _level_sum(ep: EntropyParams, x: float) -> float:
+    # alpha + beta*eps at which a level's argument is x (_argument inverted).
+    ratio = (1.0 - ep.r) / (1.0 - ep.q_prime)
+    return x / (ratio * math.exp(ratio)) + 1.0 / (1.0 - ep.r)
+
+
+def _check_level(spec: EnsembleSpec, i: int) -> None:
+    if not 0 <= i < len(spec.levels):
+        raise DomainError(f"level index i={i!r} outside 0..{len(spec.levels) - 1}")
+
+
 def level_argument(spec: EnsembleSpec, i: int) -> float:
     """Inversion argument x_i for level i (see module docstring)."""
+    _check_level(spec, i)
     return _argument(spec.ep, spec.alpha, spec.beta, spec.levels[i])
 
 
@@ -120,6 +145,29 @@ def _weight(ep: EntropyParams, params: Params, branch: int, x: float, y: float) 
             f"(branch {branch} mismatch?)"
         )
     return math.exp(math.log(brace) / (ep.q - 1.0))
+
+
+def _weight_domain(params: Params, bi: BranchInfo) -> tuple[float, float]:
+    # Open x-interval of branch bi on which the weight is defined: its
+    # x_domain, cut at x* = f(y*) with y* = e^(-1/a)/b when y* lies on the
+    # branch.  The brace a*ln(b*y) + 1 is positive for |y| > |y*| when
+    # a > 0 and for |y| < |y*| when a < 0; capping e^(-1/a) at the largest
+    # double keeps y* beyond every y at which f is finite.  Each end is
+    # clipped to a finite double and pulled inward by twice the inversion
+    # tolerance, so that a root found within that tolerance of an end keeps
+    # the brace positive.
+    lo, hi = bi.x_domain.lo, bi.x_domain.hi
+    y_star = math.exp(min(-1.0 / params.a, _Y_MAX)) / params.b
+    up = (params.a > 0.0) == (params.b > 0.0)  # brace > 0 for y above y*
+    if bi.y_range.contains(y_star):
+        x_star = _forward_and_slope(params, y_star)[0]
+        lo, hi = (x_star, hi) if up == (bi.monotone is Monotone.INCREASING) else (lo, x_star)
+    elif (y_star <= bi.y_range.lo) != up:
+        raise DomainError(f"weight undefined on all of branch {bi.index}: "
+                          f"a*ln(b*y) + 1 <= 0 there")
+    lo, hi = max(lo, -_MAX), min(hi, _MAX)
+    return (lo + 2.0 * _EVAL_TOL * max(1.0, abs(lo)),
+            hi - 2.0 * _EVAL_TOL * max(1.0, abs(hi)))
 
 
 def _uniform_y(ep: EntropyParams, n_levels: int) -> float:
@@ -163,6 +211,7 @@ def _all_weights(spec: EnsembleSpec, branch: int
 
 def probability(spec: EnsembleSpec, i: int, branch: int | None = None) -> float:
     """Normalised stationary probability of level i on the given branch."""
+    _check_level(spec, i)
     if branch is None:
         branch = suggest_branch(spec.ep, len(spec.levels))
     ws = _all_weights(spec, branch)[2]
@@ -197,93 +246,88 @@ def solve_alpha(
     ep: EntropyParams,
     branch: int | None = None,
     tol: float = 1e-14,
-    max_iter: int = 100,
 ) -> float:
     """alpha making the unnormalised weights sum to exactly 1 (Z = 1).
 
     With this alpha the normalisation is a no-op and the per-level
-    stationarity conditions hold at the returned multipliers.  Newton's
-    method on excess(alpha) = Z - 1, started from the alpha of a uniform
-    distribution, with the exact slope
+    stationarity conditions hold at the returned multipliers.  Every x_i
+    is affine in alpha with the slope K = ratio*e^ratio, ratio =
+    (1-r)/(1-q'), so the alphas at which every weight exists form an open
+    interval: the one putting all x_i inside the branch's x-domain, on the
+    side of x* = f(e^(-1/a)/b) where the brace a*ln(b*y) + 1 is positive.
+    On it excess(alpha) = Z - 1 is monotone, with the exact slope
 
-        excess'(alpha) = K * sum_i w_i/(q-1) * (a/y_i)/(a*ln(b*y_i) + 1) / f'(y_i),
+        excess'(alpha) = K * sum_i w_i/(q-1) * (a/y_i)/(a*ln(b*y_i) + 1) / f'(y_i).
 
-    K = ratio*e^ratio, ratio = (1-r)/(1-q').  Each excess is a full pass of
-    `distribution` over the levels.  Once iterates of both signs are known,
-    a Newton point outside their bracket is replaced by the bracket's
-    midpoint; a point outside the admissible region (DomainError) is halved
-    back toward the last admissible one.  Returns the first alpha with
-    |excess| <= tol; ConvergenceError when the bracket shrinks to two
-    adjacent doubles, the slope is unusable before a bracket exists, or
-    max_iter further passes do not reach tol.
+    The solver that inverts f solves excess(alpha) = 0 on that interval,
+    from the alpha of a uniform distribution, by Newton steps inside the
+    sign bracket and bisection otherwise; each excess is a full pass of
+    `distribution` over the levels, and a pass whose weights overflow counts
+    as Z = +inf.  Returns the first alpha with |excess| <= tol.
+    DomainError when the interval is empty (the levels span more than the
+    branch admits) or when the solve ends against one of its ends, so that
+    no alpha in it normalises the weights; ConvergenceError, naming the
+    final sign bracket, when that bracket shrinks to a few ulps without
+    reaching tol (the rounding floor of the weight sum) or 200 passes do
+    not reach it.
     """
     levels = tuple(levels)
     params = ep.induced_params()
     if branch is None:
         branch = suggest_branch(ep, len(levels))
-    cr = 1.0 - ep.r
-    ratio = cr / (1.0 - ep.q_prime)
+    bi = _branch_or_raise(params, branch)
+    ratio = (1.0 - ep.r) / (1.0 - ep.q_prime)
+    k = ratio * math.exp(ratio)  # dx_i/dalpha
+
+    # Every level's argument lies where the weight is defined for alpha in
+    # (a_lo, a_hi).  The ends stay where alpha, the argument's product and
+    # the solver's midpoints are finite.
+    e_lo, e_hi = sorted(_level_sum(ep, x) for x in _weight_domain(params, bi))
+    shifts = [beta * eps for eps in levels]
+    cap = 0.5 * _MAX / max(1.0, abs(ratio))
+    a_lo = max(e_lo - min(shifts), -cap)
+    a_hi = min(e_hi - max(shifts), cap)
+    if not a_lo < a_hi:
+        raise DomainError(f"no alpha puts all levels on branch {branch} with a defined "
+                          f"weight: the levels span more than the branch admits")
+
+    def z_and_slope(alpha: float) -> tuple[float, float]:
+        # (Z, Z') at alpha, by the pass `distribution` makes.
+        spec = EnsembleSpec(levels=levels, alpha=alpha, beta=beta, ep=ep)
+        try:
+            _, ys, ws = _all_weights(spec, branch)
+            z = math.fsum(ws)
+        except OverflowError:  # a weight or Z beyond the double range
+            return math.inf, math.nan
+        if abs(z - 1.0) <= tol:  # the solve ends here, without a step
+            return z, math.nan
+        total = 0.0  # dw/dy = w/(q-1) * (a/y)/brace, dy/dx = 1/f'(y)
+        try:
+            for y, w in zip(ys, ws):
+                brace = params.a * math.log(params.b * y) + 1.0
+                total += w * params.a / (y * brace * forward_slope(params, y))
+        except (ZeroDivisionError, RangeError):
+            total = math.nan  # a root on a seam, or f' beyond the double range
+        return z, k / (ep.q - 1.0) * total
 
     # Uniform warm start: alpha reproducing the uniform weight at the mean level.
     x_ws = forward(params, _uniform_y(ep, len(levels)))
-    mean_eps = math.fsum(levels) / len(levels)
-    k = ratio * math.exp(ratio)  # dx_i/dalpha
-    alpha = x_ws / k + 1.0 / cr - beta * mean_eps
-
-    def sweep(al: float) -> tuple[float, list[float], list[float]]:
-        # (excess, y_i, w_i) at al, by the pass `distribution` makes.
-        spec = EnsembleSpec(levels=levels, alpha=al, beta=beta, ep=ep)
-        _, ys, ws = _all_weights(spec, branch)
-        return math.fsum(ws) - 1.0, ys, ws
-
-    def slope(ys: list[float], ws: list[float]) -> float:
-        # dw/dy = w/(q-1) * (a/y)/brace and dy/dx = 1/f'(y), at each level.
-        total = 0.0
-        for y, w in zip(ys, ws):
-            brace = params.a * math.log(params.b * y) + 1.0
-            total += w * params.a / (y * brace * forward_slope(params, y))
-        return k / (ep.q - 1.0) * total
-
-    last = None  # the last admissible iterate
-    pos = neg = None  # the last iterates with excess > 0 and < 0
-    for _ in range(max_iter + 1):
-        try:
-            excess, ys, ws = sweep(alpha)
-        except DomainError:
-            if last is None:
-                raise
-            alpha = 0.5 * (last + alpha)  # step left the admissible region
-            continue
-        if abs(excess) <= tol:
-            return alpha
-        last = alpha
-        if excess > 0.0:
-            pos = alpha
-        else:
-            neg = alpha
-        try:
-            cand = alpha - excess / slope(ys, ws)
-        except (ZeroDivisionError, RangeError):
-            cand = math.nan  # a root on a seam, or f' beyond the double range
-        if pos is None or neg is None:
-            if not math.isfinite(cand):
-                raise ConvergenceError(
-                    f"normalisation solve for alpha: no usable slope at "
-                    f"alpha={alpha!r} (excess {excess!r})"
-                )
-        else:
-            lo, hi = min(pos, neg), max(pos, neg)
-            if math.nextafter(lo, hi) == hi:
-                raise ConvergenceError(
-                    f"normalisation solve for alpha stalled between adjacent "
-                    f"doubles {lo!r} and {hi!r} (last excess {excess!r})"
-                )
-            if not lo < cand < hi:
-                cand = 0.5 * (lo + hi)
-        alpha = cand
-    raise ConvergenceError(
-        f"normalisation solve for alpha stalled (last excess {excess!r})"
-    )
+    start = _level_sum(ep, x_ws) - beta * (math.fsum(levels) / len(levels))
+    increasing = ((ep.q > 1.0) == (params.a > 0.0)) == (bi.monotone is Monotone.INCREASING)
+    alpha, res, _, lo, hi = _newton_bisect(z_and_slope, 1.0, a_lo, a_hi, increasing,
+                                           tol, min(max(start, a_lo), a_hi))
+    if res <= tol:
+        return alpha
+    if lo == a_lo or hi == a_hi:
+        # No pass moved this end: Z is monotone, and every excess had the
+        # sign it has next to the end.
+        end = a_hi if hi == a_hi else a_lo
+        excess = -res if (end == a_hi) == increasing else res
+        raise DomainError(f"no alpha in ({a_lo!r}, {a_hi!r}) normalises the weights: "
+                          f"excess {excess!r} at alpha={alpha!r}, next to the end {end!r}")
+    raise ConvergenceError(f"normalisation solve for alpha stopped in the sign bracket "
+                           f"[{lo!r}, {hi!r}] with no alpha meeting tol {tol!r} "
+                           f"(closest |Z - 1| {res!r}, at alpha={alpha!r})")
 
 
 def stationarity_residuals(
@@ -379,9 +423,13 @@ def continuous_pdf(
 
     The normalising integral runs over [-L, L] with L grown from the grid
     edge until the unnormalised density there falls below `tail_ratio`
-    times its peak; IntegrationError if that criterion cannot be met (it
-    cannot when the weight decays only poly-logarithmically), DomainError
-    if a grid point leaves the branch.
+    times its peak, but not past the support cut: the largest |x| whose
+    argument stays in the open interval where the weight is defined (the
+    branch's x-domain, cut where a*ln(b*y) + 1 vanishes), pulled inward by
+    twice the inversion tolerance.  IntegrationError if the criterion
+    cannot be met within that range (it cannot when the weight decays only
+    poly-logarithmically, or does not vanish at the cut), DomainError if a
+    grid point leaves the branch.
     """
     if len(x_grid) == 0:
         raise DomainError("x_grid must be non-empty")
@@ -406,30 +454,20 @@ def continuous_pdf(
             f"{tail_ratio!r} of its peak"
         )
 
-    # Grow L beyond the grid until the tail is negligible for quadrature.
-    L = edge if edge > 0.0 else 1.0
-    good = L
+    # The support cut: the largest |x| whose level x**2 keeps the argument
+    # where the weight is defined.
+    ends = _weight_domain(params, _branch_or_raise(params, branch))
+    cut = math.sqrt(max(0.0, *((_level_sum(ep, x) - alpha) / beta for x in ends))
+                    ) if beta else math.inf
+
+    # Grow L beyond the grid until the tail is negligible for quadrature,
+    # or up to the support cut (the grid's edge, if it lies past the cut).
+    stop = max(cut, edge)
+    L = min(edge if edge > 0.0 else 1.0, stop)
     for _ in range(200):
-        try:
-            if g(L) <= 1e-2 * tail_ratio * peak:
-                break
-            good = L
-            L *= 1.25
-        except DomainError:
-            # Walked past the support cut: shrink back toward the last
-            # evaluable point.
-            hi = L
-            for _ in range(200):
-                mid = 0.5 * (good + hi)
-                if mid == good or mid == hi:
-                    break
-                try:
-                    g(mid)
-                    good = mid
-                except DomainError:
-                    hi = mid
-            L = good
+        if L == stop or g(L) <= 1e-2 * tail_ratio * peak:
             break
+        L = min(1.25 * L, stop)
     else:
         raise IntegrationError("tail criterion not met while growing the range")
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import sys
 
 import pytest
@@ -74,6 +75,14 @@ def test_level_argument_hand_evaluation():
     near = EnsembleSpec(levels=(0.5,), alpha=2.0, beta=1.0,
                         ep=EntropyParams(q=0.9, q_prime=0.8, r=1.0 - 1e-6))
     assert math.isfinite(level_argument(near, 0))
+
+
+@pytest.mark.parametrize("fn", [level_argument, probability])
+@pytest.mark.parametrize("i", [len(LEVELS), -1])
+def test_level_index_out_of_range_raises(fn, i):
+    spec = EnsembleSpec(levels=LEVELS, alpha=0.28, beta=0.1, ep=EP)
+    with pytest.raises(DomainError, match=rf"i={i} outside 0\.\.3"):
+        fn(spec, i)
 
 
 def test_level_argument_factored_identity(solved_spec):
@@ -222,13 +231,38 @@ def test_solve_alpha_weight_passes(monkeypatch, levels, passes):
 
 def test_solve_alpha_refuses_at_adjacent_doubles(monkeypatch):
     # No double meets tol here: the excess steps from -3.04e-14 to
-    # +2.53e-14 between these two alphas.  Bisecting the sign bracket ends
-    # there after 14 passes; unguarded Newton hops about for all 101.
+    # +2.53e-14 between 0.4833915472854921 and 0.48339154728549216.  The
+    # refusal names a final sign bracket a few ulps wide around that step;
+    # unguarded Newton hops about for all 101 passes.
     calls = _count_calls(monkeypatch, maxent, "_all_weights")
-    with pytest.raises(ConvergenceError,
-                       match="0.4833915472854921 and 0.48339154728549216"):
+    bracket = r"sign bracket \[(\S+), (\S+)\]"
+    with pytest.raises(ConvergenceError, match=bracket) as exc:
         solve_alpha([0.4, 0.35], 0.1, EntropyParams(0.998, 0.834, 0.783))
+    lo, hi = map(float, re.search(bracket, str(exc.value)).groups())
+    assert lo <= 0.4833915472854921 < 0.48339154728549216 <= hi
+    assert hi - lo <= 8 * math.ulp(lo)
     assert len(calls) <= 20
+
+
+@pytest.mark.parametrize("levels, beta, ep, branch", [
+    # On branch 1 Z stays below 0.17 on the whole admissible interval of
+    # alpha; the solve ends against its lower end.
+    ([0.0, 1.0], 0.1, EP, 1),
+    # The uniform start lies past the brace's zero, where the weights
+    # overflow, and Z stays above 1 on the whole interval.
+    ([0.0, 0.5, 1.0, 2.0], 3.0, EntropyParams(0.99, 0.8, 0.7), 0),
+])
+def test_solve_alpha_refuses_when_no_alpha_normalises(levels, beta, ep, branch):
+    with pytest.raises(DomainError, match="no alpha in .* normalises the weights"):
+        solve_alpha(levels, beta, ep, branch)
+
+
+def test_solve_alpha_refuses_an_empty_interval_without_a_pass(monkeypatch):
+    # Branch 0's x-domain is bounded, narrower than these levels' spread.
+    calls = _count_calls(monkeypatch, maxent, "_all_weights")
+    with pytest.raises(DomainError, match="levels span more than the branch admits"):
+        solve_alpha((0.0, 50.0), 0.5, EP, 0)
+    assert calls == []
 
 
 # ------------------------------------------------------------- continuous

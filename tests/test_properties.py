@@ -13,6 +13,7 @@ from loglambert import (
     Params,
     RangeError,
     antiderivative,
+    asymptotic,
     branches,
     continuous_pdf,
     derivative,
@@ -22,6 +23,8 @@ from loglambert import (
     singular_residual,
     solve_alpha,
     stationarity_residuals,
+    taylor_coefficients,
+    taylor_first_order,
 )
 from loglambert.core import _inverter
 
@@ -186,6 +189,24 @@ def test_inverter_meets_contract_or_refuses(p, us, toward_open, data):
             assert bi.y_range.contains(y), (p, bi.index, x, y)
             assert abs(forward(p, y) - x) <= 1e-12 * max(1.0, abs(x)), (p, bi.index, x, y)
             assert seen.setdefault(x, y).hex() == y.hex(), (p, bi.index, x)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(p=scan_params(), sign=st.sampled_from([1.0, -1.0]), log_x=st.floats(-12.0, 40.0),
+       n=st.integers(1, 8))
+# a within 1e-10 of -1, so that e^(c/(a+1)) overflows
+@example(p=Params(-0.9999999999, 1.0, 1.0), sign=1.0, log_x=0.7, n=4)
+def test_expansions_meet_contract_or_refuse(p, sign, log_x, n):
+    # The large-x approximation at x = sign*10**log_x and the series about
+    # x = 0 to order n: finite values or a typed refusal.
+    x = sign * 10.0 ** log_x
+    for expansion in (lambda: [asymptotic(p, x)], lambda: taylor_first_order(p),
+                      lambda: taylor_coefficients(p, n)):
+        try:
+            values = expansion()
+        except LogLambertError:
+            continue
+        assert all(math.isfinite(v) for v in values), (p, x, n, values)
 
 
 # The triples of the test suite, the README and the benchmark's maxent_fit.
