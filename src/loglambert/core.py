@@ -22,13 +22,16 @@ the closed forms for the inverse's derivative and antiderivative, the
 expansion of the inverse about x = 0 (leading coefficients in closed form
 through the classical Lambert W, higher ones by series reversion), and a
 large-x approximation.  Seams and inversions share one solver: Newton steps
-safeguarded by bisection inside a bracket of a monotone function, applied
-to the seam equation on a bracket from the seam search and to f on a
-bracket from the branch ends.  Near a seam the inverse is a square-root
-branch point, so an inversion starts from that expansion at its seam when
-the expansion stays close to the seam, and from the bracket's midpoint
-otherwise.  Many inversions on one branch (all levels of a maximum-entropy
-fit) share a bracket, and each after the first starts from the last root.
+safeguarded by bisection inside a bracket of a monotone function (Press et
+al.'s rtsafe rule, bisecting in ln|y| across orders of magnitude), applied
+to the seam equation on a bracket from the seam search and to f on the
+branch's own y-range, its open ends clipped to finite doubles.  The first
+point comes from the nearest kind of branch end: the square-root expansion
+of the inverse at a seam when it stays close to the seam, else a few
+fixed-point steps of f(y) = x rearranged for y -> 0 (f -> c) or for large
+|y| (ln|f| ~ y).  f is evaluated only by the solver.  Many inversions on
+one branch (all levels of a maximum-entropy fit) each start from the last
+root, unless x is closer to the branch's open-end limit than to the last x.
 
 All functions are pure; `Params` and the catalog records are immutable
 slotted value records (compared, hashed and pickled by value), and the
@@ -276,34 +279,53 @@ def _range_error(p: Params, what: str) -> RangeError:
     )
 
 
+def _split(lo: float, hi: float) -> float:
+    # The bisection point of [lo, hi]: the geometric mean when the bracket
+    # lies on one side of 0 and spans more than a factor of 4, else the
+    # midpoint.
+    if lo > 0.0 and hi > 4.0 * lo:
+        return math.sqrt(lo) * math.sqrt(hi)
+    if hi < 0.0 and lo < 4.0 * hi:
+        return -math.sqrt(-lo) * math.sqrt(-hi)
+    return 0.5 * (lo + hi)
+
+
 def _newton_bisect(fn: Callable[[float], tuple[float, float]], target: float,
                    lo: float, hi: float, increasing: bool, tol: float,
                    start: float | None = None) -> tuple[float, float, int, float, float]:
-    # Safeguarded Newton iteration for fn(y)[0] = target on [lo, hi], where
-    # fn(y) = (value, slope) is monotone (`increasing` or not) and brackets
-    # the target.  The first point is `start` (any point of [lo, hi]) or
-    # the midpoint.  Each point shrinks the bracket; the Newton step is
-    # taken when it lands strictly inside it, a bisection otherwise.  Stops
-    # when |value - target| <= tol, when the bracket is a few ulps wide, or
-    # after 200 points.  Returns the point with the smallest
-    # |value - target| seen, that residual, the number of points evaluated
-    # and the final bracket (an end no point has moved is one given).
-    y = 0.5 * (lo + hi) if start is None else start
+    # Safeguarded Newton iteration (Press et al.'s rtsafe) for
+    # fn(y)[0] = target on [lo, hi], where fn(y) = (value, slope) is
+    # monotone (`increasing` or not) and brackets the target.  The first
+    # point is `start` (any point of [lo, hi]) or the bisection point
+    # (_split).  Each point shrinks the bracket; the Newton step is taken
+    # when it lands strictly inside it and is at most half the step before
+    # last, a bisection otherwise.  Stops when |value - target| <= tol, when
+    # the bracket is a few ulps wide, or after 200 points.  Returns the
+    # point with the smallest |value - target| seen, that residual, the
+    # number of points evaluated and the final bracket (an end no point has
+    # moved is one given).
+    y = _split(lo, hi) if start is None else start
     best_y, best_res = y, math.inf
+    step = prev = hi - lo
     for it in range(1, 201):
         value, slope = fn(y)
         r = value - target
-        if abs(r) <= tol:
-            return y, abs(r), it, lo, hi
-        if abs(r) < best_res:
-            best_y, best_res = y, abs(r)
+        res = abs(r)
+        if res <= tol:
+            return y, res, it, lo, hi
+        if res < best_res:
+            best_y, best_res = y, res
         if (value > target) == increasing:
             hi = y
         else:
             lo = y
-        cand = y - r / slope if slope else math.nan
-        y = cand if lo < cand < hi else 0.5 * (lo + hi)
-        if hi - lo <= 4.0 * _EPS * max(abs(lo), abs(hi)):
+        dy = r / slope if slope else math.nan
+        if lo < y - dy < hi and 2.0 * abs(dy) <= prev:
+            prev, step, y = step, abs(dy), y - dy
+        else:
+            cand = _split(lo, hi)
+            prev, step, y = step, abs(cand - y), cand
+        if hi - lo <= 4.0 * _EPS * max(-lo, hi):  # max(-lo, hi) = max(|lo|, |hi|)
             break
     return best_y, best_res, it, lo, hi
 
@@ -483,54 +505,20 @@ def _branch_or_raise(p: Params, branch: int) -> BranchInfo:
     )
 
 
-def _bracket(p: Params, bi: BranchInfo, x: float) -> list[tuple[float, float]]:
-    # Finite y-endpoints lo < hi whose f values straddle x, as
-    # [(lo, f(lo)), (hi, f(hi))].  A closed end is a seam, and f there is
-    # the catalog's.
-    def f(v: float) -> float:
-        return _forward_and_slope(p, v)[0]
+# The open ends of a branch, clipped to finite doubles: y -> 0 at 1e-307
+# (normal, and b*y stays positive for |b| >= 1e-16), |y| -> inf at 1e300.
+_Y_NEAR = 1e-307
+_Y_FAR = 1e300
 
+
+def _bracket(bi: BranchInfo) -> tuple[float, float]:
+    # The branch's y-range as a solver bracket lo < hi: each seam end as it
+    # is, each open end clipped.  f is monotone on it, so it brackets every
+    # x of the branch's x-domain.
     yr = bi.y_range
-    f_seam = dict(bi.seams)
-    ends = []
-    for yval, closed, is_left in ((yr.lo, yr.lo_closed, True), (yr.hi, yr.hi_closed, False)):
-        if closed:
-            ends.append((yval, f_seam[yval]))
-            continue
-        if yval == 0.0:
-            # Walk toward y = 0 in steps of 1/8; the 1e-290 floor ends it
-            # within 324 steps, as |seam| <= 709.78.
-            seam = yr.hi if is_left else yr.lo
-            other_f = f_seam[seam]
-            v = seam / 2.0
-            while True:
-                fv = f(v)
-                if (fv - x == 0.0) or ((fv > x) != (other_f > x)):
-                    ends.append((v, fv))
-                    break
-                v *= 0.125
-                if abs(v) < 1e-290:
-                    raise ConvergenceError(
-                        f"could not bracket x={x!r} toward the y->0 limit"
-                    )
-        else:
-            seam = yr.lo if math.isinf(yval) and yval > 0 else yr.hi
-            other_f = f_seam[seam]
-            direction = 1.0 if yval > 0 else -1.0
-            stepsize = 1.0
-            v = seam + direction
-            for _ in range(80):
-                fv = f(v)
-                if (fv - x == 0.0) or ((fv > x) != (other_f > x)):
-                    ends.append((v, fv))
-                    break
-                stepsize *= 2.0
-                v = seam + direction * stepsize
-            else:
-                raise ConvergenceError(
-                    f"could not bracket x={x!r} toward y -> {yval!r}"
-                )
-    return sorted(ends)
+    lo = yr.lo if yr.lo_closed else math.copysign(_Y_FAR if math.isinf(yr.lo) else _Y_NEAR, yr.hi)
+    hi = yr.hi if yr.hi_closed else math.copysign(_Y_FAR if math.isinf(yr.hi) else _Y_NEAR, yr.lo)
+    return lo, hi
 
 
 def _seam_start(p: Params, bi: BranchInfo, x: float,
@@ -538,27 +526,56 @@ def _seam_start(p: Params, bi: BranchInfo, x: float,
     # A first point for the solver from the branch-point expansion of the
     # inverse at a seam d, where f'(d) = 0 and f''(d) = s'(d)*e^d:
     # y = d +- sqrt(2*(x - f(d))/f''(d)), on the side of d the branch lies
-    # on; with two seams, the candidate closest to its seam.  None unless
-    # |y - d| <= min(1, |d|) and lo < y < hi: a far start on the convex
-    # side of e^y can leave Newton crawling.
+    # on.  Only a candidate with |y - d| <= min(1, |d|) counts (a far start
+    # on the convex side of e^y can leave Newton crawling); with two seams,
+    # the one closest to its seam.  None unless one counts and lo < y < hi.
     step, seam = math.inf, 0.0
     for d, f_d in bi.seams:
         curvature = (p.a * math.log(p.b * d) + p.a * (d + 1.0) / d + 1.0) * math.exp(d)
         q = 2.0 * (x - f_d) / curvature if curvature else math.nan
-        if q > 0.0 and math.sqrt(q) < step:
+        if q > 0.0 and math.sqrt(q) <= min(step, 1.0, abs(d)):
             step, seam = math.sqrt(q), d
     y = seam + step if seam == bi.y_range.lo else seam - step
-    return y if step <= min(1.0, abs(seam)) and lo < y < hi else None
+    return y if lo < y < hi else None
+
+
+def _end_start(p: Params, bi: BranchInfo, x: float,
+               lo: float, hi: float) -> float | None:
+    # A first point for the solver from three fixed-point steps of f(y) = x,
+    # rearranged to contract toward one kind of branch end:
+    #   y -> 0, where f -> c:        y = (x*e^-y - c)/(a*ln(b*y) + 1);
+    #   |y| -> inf, where ln|f| ~ y:  y = ln(x/P(y)), P = a*y*ln(b*y) + y + c.
+    # A branch reaching y = 0 tries the first from its clipped end, then
+    # the second from its seam; an unbounded branch the second from
+    # y0 = d +- max(1, +-ln|x|) beyond its seam d (the sign of b: |y| grows
+    # with |x| for b > 0 and as |x| falls for b < 0); a branch between two
+    # seams the second from the seam nearer 0.  The first result strictly
+    # inside (lo, hi) is taken, else y0 on an unbounded branch, else None.
+    yr, d, y0 = bi.y_range, bi.seams[-1][0], None
+    if math.isinf(yr.lo) or math.isinf(yr.hi):
+        t = math.log(abs(x) or 5e-324)  # x = 0 as the least double
+        d = y0 = d + (max(1.0, t) if p.b > 0.0 else -max(1.0, -t))
+    near = yr.lo == 0.0 or yr.hi == 0.0
+    for y, log_form in ((lo if yr.lo == 0.0 else hi, False), (d, True))[not near:]:
+        try:
+            for _ in range(3):
+                y = (math.log(x / ((p.a * math.log(p.b * y) + 1.0) * y + p.c)) if log_form
+                     else (x * math.exp(-y) - p.c) / (p.a * math.log(p.b * y) + 1.0))
+        except (ValueError, ZeroDivisionError, OverflowError):
+            continue
+        if lo < y < hi:
+            return y
+    return y0
 
 
 def _solve(p: Params, bi: BranchInfo, x: float, tol: float,
-           bracket: Callable[..., list[tuple[float, float]]] = _bracket,
            start: float | None = None) -> tuple[float, float, int, bool]:
     # evaluate's contract for x on branch bi, as the fields of EvalResult:
-    # the root on the bracket bracket(p, bi, x) -> [(lo, f(lo)), (hi, f(hi))],
-    # solved from `start` (a point of that bracket), else from the
-    # branch-point expansion at a seam (_seam_start), else from the
-    # bracket's midpoint.
+    # the root on the branch's bracket (_bracket), solved from `start` (a
+    # point of that bracket), else from the branch-point expansion at a
+    # seam (_seam_start), else from the branch's open end (_end_start),
+    # else from the bracket's bisection point.  f is evaluated only by the
+    # solver.
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol!r}")
     if math.isnan(x):
@@ -571,12 +588,15 @@ def _solve(p: Params, bi: BranchInfo, x: float, tol: float,
         if x == fx:  # the catalog holds f(d) = forward(p, d)
             return d, 0.0, 0, True
 
-    (lo, f_lo), (hi, f_hi) = bracket(p, bi, x)
+    lo, hi = _bracket(bi)
     if start is None:
         start = _seam_start(p, bi, x, lo, hi)
+    if start is None:
+        start = _end_start(p, bi, x, lo, hi)
     limit = tol * max(1.0, abs(x))
     y, res, it, _, _ = _newton_bisect(functools.partial(_forward_and_slope, p), x,
-                                      lo, hi, f_hi > f_lo, limit, start)
+                                      lo, hi, bi.monotone is Monotone.INCREASING,
+                                      limit, start)
     if res <= limit:
         return y, res, it, False
     raise ConvergenceError(
@@ -587,30 +607,26 @@ def _solve(p: Params, bi: BranchInfo, x: float, tol: float,
 
 def _inverter(p: Params, branch: int, tol: float) -> Callable[[float], float]:
     # x -> y on one branch for many x, each y under evaluate's contract,
-    # warm-started.  It keeps the widest bracket built so far, with f at its
-    # ends, and calls _bracket only for an x outside it.  The first solve
-    # starts as evaluate's does, so it returns evaluate's bits; each later
-    # one starts from the last root, which its first point turns into the
-    # bracket end on its side (a branch is monotone).  Results are memoised
-    # by x, so an equal x returns the same bits whatever the call order.
+    # warm-started.  The first solve starts as evaluate's does, so it
+    # returns evaluate's bits.  A later one starts from the last root, or,
+    # when x lies closer to f's limit at the branch's open end (x_end) than
+    # to the last x, as evaluate's does: after a far jump the open end's
+    # start is the nearer one, and Newton from the last root can crawl
+    # down the convex side of e^y.  Results are memoised by x, so an equal
+    # x returns the same bits whatever the call order.
     bi = _branch_or_raise(p, branch)
+    dom = bi.x_domain
+    x_end = math.inf if dom.lo_closed and dom.hi_closed else dom.hi if dom.lo_closed else dom.lo
     memo: dict[float, float] = {}
-    ends = [(math.inf, math.nan), (-math.inf, math.nan)]  # empty bracket
-    last = None
-
-    def widest(p: Params, bi: BranchInfo, x: float) -> list[tuple[float, float]]:
-        nonlocal ends
-        (_, f_lo), (_, f_hi) = ends
-        if not min(f_lo, f_hi) <= x <= max(f_lo, f_hi):
-            new = _bracket(p, bi, x)
-            ends = [min(ends[0], new[0]), max(ends[1], new[1])]
-        return ends
+    last_x, last_y = math.inf, None
 
     def invert(x: float) -> float:
-        nonlocal last
+        nonlocal last_x, last_y
         y = memo.get(x)
         if y is None:
-            y = last = memo[x] = _solve(p, bi, x, tol, widest, last)[0]
+            start = last_y if abs(x - last_x) <= abs(x - x_end) else None
+            y = last_y = memo[x] = _solve(p, bi, x, tol, start)[0]
+            last_x = x
         return y
 
     return invert
@@ -619,15 +635,22 @@ def _inverter(p: Params, branch: int, tol: float) -> Callable[[float], float]:
 def evaluate(p: Params, branch: int, x: float, tol: float = 1e-12) -> EvalResult:
     """Invert f on one branch: find y in the branch with f(y) ~= x.
 
-    The root is always bracketed between the branch endpoints (grown
-    geometrically on unbounded sides).  The first point is the inverse's
-    branch-point expansion at a bounding seam d,
+    The bracket is the branch's y-range, with an open end at y -> 0
+    clipped to +-1e-307 and one at |y| -> inf to +-1e300.  The first point
+    is the inverse's branch-point expansion at a bounding seam d,
     y = d +- sqrt(2*(x - f(d))/f''(d)), when it lies within min(1, |d|)
-    of d and inside the bracket, and the bracket's midpoint otherwise.
-    From there the solver that also polishes the seams takes Newton steps
-    when they stay inside the bracket, bisection otherwise, until
-    |f(y) - x| <= tol * max(1, |x|); ConvergenceError when the bracket
-    shrinks to a few ulps first.  Deterministic for fixed inputs.
+    of d.  Otherwise it is three fixed-point steps of f(y) = x from a
+    branch end: y = (x*e^-y - c)/(a*ln(b*y) + 1) from y -> 0, or
+    y = ln(x/P(y)), P = a*y*ln(b*y) + y + c, from beyond the seam of an
+    unbounded branch (from d +- max(1, +-ln|x|)); failing those, that
+    point beyond the seam, or the bracket's bisection point.  From there
+    the solver that also polishes the seams takes Newton steps while they
+    stay inside the bracket and shrink (Press et al.'s rtsafe rule), and
+    bisects otherwise, at the geometric mean when the bracket spans more
+    than a factor of 4, until |f(y) - x| <= tol * max(1, |x|);
+    ConvergenceError when the bracket shrinks to a few ulps first.  f is
+    evaluated only at the solver's points.  Deterministic for fixed
+    inputs.
     """
     return EvalResult(*_solve(p, _branch_or_raise(p, branch), x, tol))
 

@@ -37,9 +37,12 @@ picks the branch a uniform distribution would land on.
 
 Each call to `distribution`, `probability`, `continuous_pdf` and each
 `solve_alpha` iterate inverts all its arguments with one warm-started
-inverter: every root seeds the next, inside the widest bracket built so
-far.  Levels go in ascending x, so the result does not depend on their
-order, and an equal argument returns the same bits.  `continuous_pdf`
+inverter: every root seeds the next, unless the argument lies closer to
+the limit of f at the branch's open end than to the last argument.  Levels
+go in ascending x, so the result does not depend on their order, and an
+equal argument returns the same bits.  A weight beyond the double range
+raises RangeError naming its level (its argument, for
+`continuous_weight`).  `continuous_pdf`
 normalises by adaptive 7-point Gauss / 15-point Kronrod quadrature over a
 range that stops at the support cut.  The
 stationarity residuals difference one term of the separable entropy sum
@@ -144,7 +147,11 @@ def _weight(ep: EntropyParams, params: Params, branch: int, x: float, y: float) 
             f"weight undefined: brace {brace!r} non-positive at x={x!r} "
             f"(branch {branch} mismatch?)"
         )
-    return math.exp(math.log(brace) / (ep.q - 1.0))
+    try:
+        return math.exp(math.log(brace) / (ep.q - 1.0))
+    except OverflowError:
+        raise RangeError(f"weight brace^(1/(q-1)) = {brace!r}^{1.0 / (ep.q - 1.0)!r} "
+                         f"overflows the double range at x={x!r}") from None
 
 
 def _weight_domain(params: Params, bi: BranchInfo) -> tuple[float, float]:
@@ -204,8 +211,8 @@ def _all_weights(spec: EnsembleSpec, branch: int
         try:
             ys[i] = invert(xs[i])
             ws[i] = _weight(ep, params, branch, xs[i], ys[i])
-        except DomainError as exc:
-            raise DomainError(f"level {i} (eps={spec.levels[i]!r}): {exc}") from exc
+        except (DomainError, RangeError) as exc:
+            raise type(exc)(f"level {i} (eps={spec.levels[i]!r}): {exc}") from exc
     return xs, ys, ws
 
 
@@ -360,7 +367,11 @@ def stationarity_residuals(
 def continuous_weight(
     ep: EntropyParams, alpha: float, beta: float, branch: int, x: float
 ) -> float:
-    """Unnormalised density at x for the quadratic level eps(x) = x**2."""
+    """Unnormalised density at x for the quadratic level eps(x) = x**2.
+
+    RangeError, naming the inversion argument, when the weight exceeds the
+    double range.
+    """
     params = ep.induced_params()
     arg = _argument(ep, alpha, beta, x * x)
     y = evaluate(params, branch, arg, tol=_EVAL_TOL).y

@@ -15,12 +15,17 @@ and the solver's point count, or the class name of the error raised.
 older checkout.  The pools are those of a benchmark run of the length
 `BENCHMARK.json` sets.
 
-`--compare A B` prints, per workload: the outcome-class changes (each
-listed with its input), the answers equal to the bit, the mean point
-count, the ulp moves of the answers that differ, and every answer whose
-residual is above `tol*max(1, |x|)` (tol = 1e-12, evaluate's default).
-`--mpmath N` adds the relative error against a 50-digit root of every N-th
-`eval_hot` input answered in both records (median, p90, max).
+`--compare A B` pairs the calls of the two records by input (workload,
+seed, a, b, c, branch and x; repeats of one input pair in order), so the
+records may replay different inputs: a seam that moved by an ulp moves the
+`scan_cold` inputs drawn from it.  It prints, per workload: each record's
+outcome counts and the mean, p99 and max of its point counts, the number
+of inputs only one record has, the outcome-class changes (each listed with
+its input), the answers equal to the bit, the ulp moves of the answers
+that differ, and every answer whose residual is above `tol*max(1, |x|)`
+(tol = 1e-12, evaluate's default).  `--mpmath N` adds the relative error
+against a 50-digit root of every N-th `eval_hot` input answered in both
+records (median, p90, max).
 
 This file is a tool, not a test module: pytest does not collect it.
 """
@@ -136,24 +141,43 @@ def _mp_root(row) -> float:
     return (lo + hi) / 2
 
 
+def _pair(rows_a, rows_b):
+    # (ra, rb) for the calls of A and B with one input, the k-th repeat of
+    # an input in A with its k-th in B; then the unpaired rows of each.
+    queues: dict[tuple, list] = {}
+    for rb in rows_b:
+        queues.setdefault(tuple(rb[:7]), []).append(rb)
+    pairs, only_a = [], []
+    for ra in rows_a:
+        queue = queues.get(tuple(ra[:7]))
+        if queue:
+            pairs.append((ra, queue.pop(0)))
+        else:
+            only_a.append(ra)
+    return pairs, only_a, [rb for queue in queues.values() for rb in queue]
+
+
 def compare(path_a: str, path_b: str, mp_every: int) -> None:
     rows_a, rows_b = _load(path_a), _load(path_b)
-    if [r[:7] for r in rows_a] != [r[:7] for r in rows_b]:
-        sys.exit("the two records replay different inputs")
     for name in WORKLOADS:
-        pairs = [(ra, rb) for ra, rb in zip(rows_a, rows_b) if ra[0] == name]
-        print(f"== {name}: {len(pairs)} evaluate calls")
-        for label, rows in (("A", [ra for ra, _ in pairs]), ("B", [rb for _, rb in pairs])):
+        own_a = [r for r in rows_a if r[0] == name]
+        own_b = [r for r in rows_b if r[0] == name]
+        pairs, only_a, only_b = _pair(own_a, own_b)
+        print(f"== {name}: {len(own_a)} and {len(own_b)} evaluate calls, "
+              f"{len(pairs)} with the same input")
+        for label, rows in (("A", own_a), ("B", own_b)):
             counts = Counter(r[7] for r in rows)
-            its = [int(r[10]) for r in rows if r[7] == "ok"]
+            its = sorted(int(r[10]) for r in rows if r[7] == "ok")
             mean = statistics.fmean(its) if its else math.nan
+            p99 = its[int(0.99 * (len(its) - 1))] if its else 0
             print(f"  {label}: outcomes {dict(sorted(counts.items()))}, "
-                  f"mean points {mean:.3f}, max {max(its, default=0)}")
+                  f"points mean {mean:.3f}, p99 {p99}, max {max(its, default=0)}")
             bad = [r for r in rows if r[7] == "ok" and float.fromhex(r[9])
                    > TOL * max(1.0, abs(float.fromhex(r[6])))]
             print(f"  {label}: answers above tol*max(1,|x|): {len(bad)}")
             for r in bad:
                 print("    " + " ".join(r))
+        print(f"  inputs only in A: {len(only_a)}, only in B: {len(only_b)}")
         flips = [(ra, rb) for ra, rb in pairs if ra[7] != rb[7]]
         print(f"  outcome-class changes: {len(flips)}")
         for ra, rb in flips:

@@ -14,7 +14,8 @@ from loglambert import (
     forward,
     lambert_w,
 )
-from loglambert.core import _bracket, _forward_and_slope, _inverter
+from loglambert import core
+from loglambert.core import _bracket, _inverter
 from _sampling import interior_points
 
 PARAM_SETS = [(1, 1, 1), (2, 1, 1), (1, 1, 0), (-2, -1, 1), (-1, -1, 0.5)]
@@ -95,23 +96,115 @@ def test_cold_start_near_seams_is_cheap():
 def test_far_seam_start_is_not_taken():
     # The seam of branch 0 is at y = 267.8, the root near 0.47: an expansion
     # start that far from its seam would leave Newton crawling down the
-    # convex side of e^y, so the solver starts from the midpoint instead.
+    # convex side of e^y, so the solver starts from the open end instead.
     p = Params(-1.0, 0.01, -3.0)
     r = evaluate(p, 0, 0.0)
     assert branches(p)[0].y_range.contains(r.y)
     assert abs(forward(p, r.y)) <= 1e-12
 
 
-def test_bracket_reads_f_at_seams_from_the_catalog():
+def test_bracket_is_the_branch_range():
+    # A seam end as the catalog has it; an open end clipped to a finite
+    # double: y -> 0 to +-1e-307, |y| -> inf to +-1e300.
     for abc in PARAM_SETS:
         p = Params(*map(float, abc))
         for bi in branches(p):
-            catalog = dict(bi.seams)
-            for x in interior_points(bi, 5):
-                for y, f_y in _bracket(p, bi, x):
-                    if y in catalog:
-                        assert f_y.hex() == catalog[y].hex(), (abc, bi.index, y)
-                        assert f_y.hex() == _forward_and_slope(p, y)[0].hex()
+            yr = bi.y_range
+            ends = [end if closed else math.copysign(1e300 if math.isinf(end) else 1e-307, p.b)
+                    for end, closed in ((yr.lo, yr.lo_closed), (yr.hi, yr.hi_closed))]
+            assert list(_bracket(bi)) == ends, (abc, bi.index)
+            assert {d for d, _ in bi.seams} <= set(ends)
+
+
+def _open_end_points(bi):
+    # x a share 10**-k in from the open end of a bounded x-domain, k = 1..12
+    # (its y-end is y -> 0, or y -> -inf for b < 0); on a half-infinite one,
+    # x = f(d) + max(1, |f(d)|) * 10**k past the seam's x, k = 1..30.
+    dom = bi.x_domain
+    if not (math.isfinite(dom.lo) and math.isfinite(dom.hi)):
+        (_, f_d), = bi.seams
+        sign = 1.0 if f_d == dom.lo else -1.0
+        for k in range(1, 31):
+            yield f_d + sign * max(1.0, abs(f_d)) * 10.0 ** k
+    elif not (dom.lo_closed and dom.hi_closed):
+        end, seam_x = (dom.hi, dom.lo) if dom.lo_closed else (dom.lo, dom.hi)
+        for k in range(1, 13):
+            yield end + (seam_x - end) * 10.0 ** -k
+
+
+def test_cold_start_near_open_ends_is_cheap():
+    # Fixed-point steps from the branch's open end start the solver close
+    # to the root: on the 10 branches of PARAM_SETS with an open end (174
+    # points) the mean point count is 2.9 and the max 11, against 15.3 and
+    # 42 (22.5 and 58 evaluations of f) from walked brackets and midpoints.
+    counts = []
+    for abc in PARAM_SETS:
+        p = Params(*map(float, abc))
+        for bi in branches(p):
+            for x in _open_end_points(bi):
+                assert bi.x_domain.contains(x), (abc, bi.index, x)
+                r = evaluate(p, bi.index, x)
+                assert abs(forward(p, r.y) - x) <= 1e-12 * max(1.0, abs(x)), (abc, bi.index, x)
+                counts.append(r.iterations)
+    assert len(counts) == 174
+    assert sum(counts) / len(counts) <= 3.5
+    assert max(counts) <= 12
+
+
+def _counting_f(monkeypatch):
+    # Count the evaluations of f (with its slope) made through the core.
+    calls = [0]
+    inner = core._forward_and_slope
+
+    def counted(p, y):
+        calls[0] += 1
+        return inner(p, y)
+
+    monkeypatch.setattr(core, "_forward_and_slope", counted)
+    return calls
+
+
+def test_f_is_evaluated_only_by_the_solver(monkeypatch):
+    # No bracket work is left outside the solver: every evaluation of f an
+    # inversion makes is one of its points.
+    calls = _counting_f(monkeypatch)
+    for abc in PARAM_SETS:
+        p = Params(*map(float, abc))
+        for bi in branches(p):
+            xs = [*interior_points(bi, 10), *_near_seam_points(p, bi), *_open_end_points(bi)]
+            for x in xs:
+                calls[0] = 0
+                r = evaluate(p, bi.index, x)
+                assert calls[0] == r.iterations, (p, bi.index, x)
+
+
+@pytest.mark.parametrize("b", [10 ** -2.2, 0.01])
+def test_no_newton_crawl_below_a_far_seam(b):
+    # The seam of branch 0 is at y = 426.8 (b = 10**-2.2) or 267.8 (0.01),
+    # the root near 0.45.  Newton steps on the convex side of e^y move y by
+    # about 1 each: without the rtsafe rule these took 200 points (then
+    # ConvergenceError) and 142.
+    p = Params(-1.0, b, -3.0)
+    r = evaluate(p, 0, 0.0)
+    assert branches(p)[0].y_range.contains(r.y)
+    assert abs(forward(p, r.y)) <= 1e-12
+    assert r.iterations <= 8
+
+
+def test_inverter_after_a_far_jump_is_cheap(monkeypatch):
+    # From a root next to the seam at y = 267.8 to x = 0, whose root is
+    # near 0.47: x is closer to the open end's limit c = -3 than to the last
+    # x, so the solve starts from that end.  From the last root, Newton
+    # would crawl down the convex side of e^y.
+    p = Params(-1.0, 0.01, -3.0)
+    invert = _inverter(p, 0, 1e-12)
+    calls = _counting_f(monkeypatch)
+    for x in (2.0e116, 0.0):
+        calls[0] = 0
+        y = invert(x)
+        assert branches(p)[0].y_range.contains(y)
+        assert abs(forward(p, y) - x) <= 1e-12 * max(1.0, abs(x))
+        assert calls[0] <= 8, x
 
 
 def test_seam_evaluation():
@@ -169,9 +262,9 @@ def test_tiny_argument_near_limit_endpoint():
     assert 0.0 < r.y < 1e-11  # preimage collapses toward 0
 
 
-def test_inverter_widens_its_bracket():
-    # Each x lies far beyond the bracket built for the one before it, so the
-    # warm inverter answers only if it widens its bracket.
+def test_inverter_answers_far_jumps():
+    # Each x lies orders of magnitude beyond the one before it, so the
+    # last root is a far first point.
     p = Params(1.0, 1.0, 1.0)
     invert = _inverter(p, 1, 1e-12)
     for x in (10.0, 1e10, 1e100, 1e300):

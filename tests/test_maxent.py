@@ -214,6 +214,18 @@ def test_branch_mismatch_raises():
     assert "level 1" in str(exc.value)
 
 
+def test_weight_overflow_is_a_range_error_naming_the_level():
+    # The level's argument lies just inside the brace's zero, where
+    # brace^(1/(q-1)) = brace^-100 is beyond the double range.
+    spec = EnsembleSpec(levels=(0.0,), alpha=2.589566130524016, beta=0.1,
+                        ep=EntropyParams(0.99, 0.8, 0.7))
+    for call in (lambda: distribution(spec, 0), lambda: probability(spec, 0, 0)):
+        with pytest.raises(RangeError, match=r"level 0 \(eps=0\.0\): weight .* overflows"):
+            call()
+    with pytest.raises(RangeError, match="overflows the double range at x="):
+        continuous_weight(spec.ep, spec.alpha, spec.beta, 0, 0.0)  # eps = 0.0**2
+
+
 def test_solve_alpha_converges_tightly():
     alpha = solve_alpha(LEVELS, beta=0.1, ep=EP)
     spec = EnsembleSpec(levels=LEVELS, alpha=alpha, beta=0.1, ep=EP)

@@ -163,7 +163,8 @@ def test_inverter_meets_contract_or_refuses(p, us, toward_open, data):
     # One warm inverter per branch, fed x values in a shuffled order with
     # duplicates: each answer meets evaluate's contract, and an equal x
     # returns the same bits.  A fresh inverter has no root to start from,
-    # so its first answer, or refusal, is evaluate's.
+    # so its first answer, or refusal, is evaluate's; a later x is refused
+    # only where evaluate refuses it.
     try:
         cat = branches(p)
     except LogLambertError:
@@ -178,13 +179,14 @@ def test_inverter_meets_contract_or_refuses(p, us, toward_open, data):
                 y = invert(x)
             except LogLambertError:
                 y = None
+            try:
+                cold = evaluate(p, bi.index, x, 1e-12).y.hex()
+            except LogLambertError:
+                cold = None
             if k == 0:
-                try:
-                    cold = evaluate(p, bi.index, x, 1e-12).y.hex()
-                except LogLambertError:
-                    cold = None
                 assert (y if y is None else y.hex()) == cold, (p, bi.index, x)
             if y is None:
+                assert cold is None, (p, bi.index, x)
                 continue
             assert bi.y_range.contains(y), (p, bi.index, x, y)
             assert abs(forward(p, y) - x) <= 1e-12 * max(1.0, abs(x)), (p, bi.index, x, y)
