@@ -11,27 +11,29 @@ sign cases.  Between consecutive seams f is strictly monotone, so the inverse
 splits into branches indexed 0, 1 (and 2 for b < 0), counted starting from
 the branch whose y-range touches 0.
 
-Seam contract: seams are isolated exactly, from the convexity of the seam
-equation, on e^-708 <= |y| <= ln(DBL_MAX) = 709.78, where y is a normal
-double and e^y does not overflow.  A seam outside that range raises
-RangeError; three seams for b > 0 (four branches) raise UnsupportedCaseError;
-fewer seams than the case needs raise NoSolutionError.
+Seam contract: seams are isolated exactly, on the monotone pieces of the
+seam equation between its knots (the zeros of its slope, -1/W of one
+argument through the classical Lambert W), on e^-708 <= |y| <= ln(DBL_MAX) =
+709.78, where y is a normal double and e^y does not overflow.  A seam outside
+that range raises RangeError; three seams for b > 0 (four branches) raise
+UnsupportedCaseError; fewer seams than the case needs raise NoSolutionError.
 
-This module provides the branch catalog, the inverse on a chosen branch,
-the closed forms for the inverse's derivative and antiderivative, the
-expansion of the inverse about x = 0 (leading coefficients in closed form
-through the classical Lambert W, higher ones by series reversion), and a
-large-x approximation.  Seams and inversions share one solver: Newton steps
+This module provides the branch catalog, the inverse on a chosen branch, the
+closed forms for the inverse's derivative and antiderivative, the expansion
+of the inverse about x = 0 (leading coefficients in closed form through the
+classical Lambert W, higher ones by series reversion), and a large-x
+approximation.  Knots, seams and inversions share one solver: Newton steps
 safeguarded by bisection inside a bracket of a monotone function (Press et
 al.'s rtsafe rule, bisecting in ln|y| across orders of magnitude), applied
-to the seam equation on a bracket from the seam search and to f on the
-branch's own y-range, its open ends clipped to finite doubles.  The first
-point comes from the nearest kind of branch end: the square-root expansion
-of the inverse at a seam when it stays close to the seam, else a few
-fixed-point steps of f(y) = x rearranged for y -> 0 (f -> c) or for large
-|y| (ln|f| ~ y).  f is evaluated only by the solver.  Many inversions on
-one branch (all levels of a maximum-entropy fit) each start from the last
-root, unless x is closer to the branch's open-end limit than to the last x.
+to the knot equation, to the seam equation on each monotone piece and to f
+on the branch's own y-range, its open ends clipped to finite doubles.  An
+inversion's first point comes from the nearest kind of branch end: the
+square-root expansion of the inverse at a seam when it stays close to the
+seam, else a few fixed-point steps of f(y) = x rearranged for y -> 0
+(f -> c) or for large |y| (ln|f| ~ y).  f is evaluated only by the solver.
+Many inversions on one branch (all levels of a maximum-entropy fit) each
+start from the last root, unless x is closer to the branch's open-end limit
+than to the last x.
 
 All functions are pure; `Params` and the catalog records are immutable
 slotted value records (compared, hashed and pickled by value), and the
@@ -299,8 +301,11 @@ def _newton_bisect(fn: Callable[[float], tuple[float, float]], target: float,
     # point is `start` (any point of [lo, hi]) or the bisection point
     # (_split).  Each point shrinks the bracket; the Newton step is taken
     # when it lands strictly inside it and is at most half the step before
-    # last, a bisection otherwise.  Stops when |value - target| <= tol, when
-    # the bracket is a few ulps wide, or after 200 points.  Returns the
+    # last.  A rejected Newton step of at most a few ulps means the iterates
+    # have converged to rounding from one side: the next point is one ulp
+    # past the Newton point, inward, to close the bracket.  Any other
+    # rejected step is a bisection.  Stops when |value - target| <= tol,
+    # when the bracket is a few ulps wide, or after 200 points.  Returns the
     # point with the smallest |value - target| seen, that residual, the
     # number of points evaluated and the final bracket (an end no point has
     # moved is one given).
@@ -323,7 +328,9 @@ def _newton_bisect(fn: Callable[[float], tuple[float, float]], target: float,
         if lo < y - dy < hi and 2.0 * abs(dy) <= prev:
             prev, step, y = step, abs(dy), y - dy
         else:
-            cand = _split(lo, hi)
+            cand = math.nextafter(y - dy, hi if y == lo else lo)
+            if not (abs(dy) <= 4.0 * _EPS * abs(y) and lo < cand < hi):
+                cand = _split(lo, hi)
             prev, step, y = step, abs(cand - y), cand
         if hi - lo <= 4.0 * _EPS * max(-lo, hi):  # max(-lo, hi) = max(|lo|, |hi|)
             break
@@ -331,46 +338,53 @@ def _newton_bisect(fn: Callable[[float], tuple[float, float]], target: float,
 
 
 # Seams are sought on e^-708 <= |y| <= ln(DBL_MAX): below, y is not a normal
-# double; above, e^y overflows.  In t = ln|y| that is [_T_MIN, _T_MAX].  The
-# extrema of the seam equation are sought further out, up to |y| = e^709
-# (the largest y whose e^t is finite), so a seam pair hidden beyond the
-# search range is still counted.
-_T_MIN = -708.0
-_Y_MAX = math.log(sys.float_info.max)
-_T_MAX = math.log(_Y_MAX)
-_T_FAR = 709.0
-_T_TOL = 2.0 ** -24
+# double; above, e^y overflows.
+_DBL_MIN, _DBL_MAX = sys.float_info.min, sys.float_info.max
+_Y_MIN = math.exp(-708.0)
+_Y_MAX = math.log(_DBL_MAX)
 
 
-def _sign_change(fn, lo: float, hi: float, positive: bool) -> tuple[float, float]:
-    # Bisection in t for the one sign change of fn on [lo, hi], a stretch on
-    # which fn is monotone; `positive` is fn's sign below the change.  Returns
-    # a bracket of width <= _T_TOL, or (lo, lo) / (hi, hi) when the change
-    # lies below lo / above hi.
-    if (fn(lo) > 0.0) != positive:
-        return lo, lo
-    if (fn(hi) > 0.0) == positive:
-        return hi, hi
-    while hi - lo > _T_TOL:
-        mid = 0.5 * (lo + hi)
-        if (fn(mid) > 0.0) == positive:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+def _knots(p: Params) -> list[float]:
+    # The zeros k of s'(y) = a*(ln(b*y) + 1 + 1/y) + 1, ascending in |k|.
+    # w = -1/k solves w*e^w = -b*e^(1+1/a), so the knots are -1/W0 and
+    # -1/W-1 of one argument.  In t = -ln|y| that is t - sign(b)*e^t = L,
+    # L = ln|b| + 1 + 1/a, which stays finite however small |a| is.  For
+    # b < 0 the left side rises and is convex: one knot, from the right of
+    # it.  For b > 0 it is concave with maximum -1 at t = 0: two knots
+    # (t >= 0 from the right, t <= 0 from the left) when L <= -1, none
+    # otherwise.  Newton's method converges monotonically from each start.
+    # A knot past the double range comes back as +-inf.
+    sign_b = math.copysign(1.0, p.b)
+    L = min(max(math.log(abs(p.b)) + 1.0 + 1.0 / p.a, -_DBL_MAX), _DBL_MAX)  # 1/a may overflow
+    if p.b < 0.0:
+        t0 = L if L <= 1.0 else math.log(L)
+        spans = [(min(L, 1.0) - 1.0, t0, True, t0)]
+    elif L <= -1.0:
+        t0 = min(math.log(-L) + 1.0, _Y_MAX)
+        spans = [(0.0, t0, False, t0), (L, 0.0, True, L)]
+    else:
+        spans = []
+
+    def knot_equation(t: float) -> tuple[float, float]:
+        e_t = sign_b * math.exp(t)
+        return t - e_t, 1.0 - e_t
+
+    tol = 4.0 * _EPS * max(1.0, abs(L))
+    ts = [_newton_bisect(knot_equation, L, *span, tol, t0)[0] for *span, t0 in spans]
+    return [sign_b * (math.exp(-t) if -t < _Y_MAX else math.inf) for t in ts]
 
 
 def singular_points(p: Params) -> list[float]:
     """All seam points delta (zeros of f' with b*delta > 0), ascending.
 
     The seam equation s(y) = a*(y+1)*ln(b*y) + y + a + c + 1 has
-    s''(y) = a*(y-1)/y**2, so s is monotone on at most three pieces for
-    b > 0 (split at the zeros of s' on either side of y = 1, which exist
-    only when s'(1) and a differ in sign) and on two for b < 0 (s' has
-    one zero).  Its limits are -sign(a)*inf as y -> 0 and
-    sign(a)*sign(b)*inf as |y| -> inf, so the sign of s at the piece ends
-    counts the seams, and bisection in t = ln|y| on each piece with a
-    sign change isolates one, polished by Newton's method.
+    s''(y) = a*(y-1)/y**2, so s is monotone between the zeros k of s' (the
+    knots): one for b < 0, none or two for b > 0.  The knots are -1/W of
+    -b*e^(1+1/a) (classical Lambert W), solved in t = -ln|y|, and
+    s(k) = c - a*(k + 1 + 1/k) there.  The limits of s are -sign(a)*inf as
+    y -> 0 and sign(a)*sign(b)*inf as |y| -> inf, so these signs count the
+    seams, and one bracketed Newton solve on each monotone piece with a
+    sign change finds one.
 
     Seams are sought on e^-708 <= |y| <= ln(DBL_MAX) = 709.78.  Exactly one
     is expected for b > 0 and exactly two for b < 0.  Raises RangeError
@@ -378,28 +392,10 @@ def singular_points(p: Params) -> list[float]:
     when there are more seams than expected (three, for b > 0) and
     NoSolutionError when there are fewer.
     """
-    sign_b = math.copysign(1.0, p.b)
-    log_b = math.log(abs(p.b))
-
-    def s(t: float) -> float:  # s(y) at y = sign_b * e^t
-        y = sign_b * math.exp(t)
-        return p.a * (log_b + t) * (y + 1.0) + y + p.a + p.c + 1.0
-
-    def s_slope(t: float) -> float:  # s'(y) = a*ln(b*y) + a + 1 + a/y
-        return p.a * (log_b + t + 1.0) + 1.0 + p.a * sign_b * math.exp(-t)
-
-    # Zeros of s' (knots), each sought where s' has its limit sign below it.
-    a_pos = p.a > 0.0
-    if p.b < 0.0:
-        spans = [(_T_MIN, _T_FAR, not a_pos)]
-    elif (s_slope(0.0) > 0.0) != a_pos:
-        spans = [(_T_MIN, 0.0, a_pos), (0.0, _T_FAR, not a_pos)]
-    else:
-        spans = []
-    knots = [0.5 * sum(_sign_change(s_slope, *span)) for span in spans]
-
-    ends = [-math.inf, *knots, math.inf]
-    signs = [not a_pos, *(s(k) > 0.0 for k in knots), a_pos == (p.b > 0.0)]
+    knots = _knots(p)
+    ends = [math.copysign(0.0, p.b), *knots, math.copysign(math.inf, p.b)]
+    signs = [p.a < 0.0, *(p.c - p.a * (k + 1.0 + 1.0 / k) > 0.0 for k in knots),
+             (p.a > 0.0) == (p.b > 0.0)]
     pieces = [i for i in range(len(knots) + 1) if signs[i] != signs[i + 1]]
     expected = 1 if p.b > 0.0 else 2
     params = f"a={p.a!r}, b={p.b!r}, c={p.c!r}"
@@ -414,24 +410,32 @@ def singular_points(p: Params) -> list[float]:
             f"admissible half-line, expected {expected}"
         )
 
-    def s_and_slope(y: float) -> tuple[float, float]:  # (s(y), s'(y))
-        log_by = math.log(p.b * y)
+    log_b = math.log(abs(p.b))
+
+    def s_and_slope(y: float) -> tuple[float, float]:
+        # (s(y), s'(y)), with ln(b*y) as ln|b| + ln|y| where b*y underflows
+        by = p.b * y
+        log_by = math.log(by) if by >= _DBL_MIN else log_b + math.log(abs(y))
         return (p.a * (y + 1.0) * log_by + y + p.a + p.c + 1.0,
-                p.a * log_by + p.a * (y + 1.0) / y + 1.0)
+                p.a * (log_by + 1.0 + 1.0 / y) + 1.0)
 
     roots = []
     for i in pieces:
-        lo, hi = max(ends[i], _T_MIN), min(ends[i + 1], _T_MAX)
-        t0, t1 = _sign_change(s, lo, hi, signs[i]) if lo < hi else (hi, hi)
-        if t0 == t1:
+        lo, hi = sorted(math.copysign(min(max(abs(e), _Y_MIN), _Y_MAX), p.b)
+                        for e in ends[i:i + 2])
+        s_lo, s_hi = s_and_slope(lo)[0], s_and_slope(hi)[0]
+        if (s_lo > 0.0) == (s_hi > 0.0):
             raise RangeError(
                 f"seam equation for {params} has a root outside the searched "
                 f"range e^-708 <= |y| <= {_Y_MAX:.6g}"
             )
-        y0, y1 = sorted((sign_b * math.exp(t0), sign_b * math.exp(t1)))
-        # s rises with t on this piece unless signs[i]; y falls with t for b < 0
-        increasing = signs[i] != (p.b > 0.0)
-        roots.append(_newton_bisect(s_and_slope, 0.0, y0, y1, increasing, 0.0)[0])
+        # The first point zeroes the terms of s that dominate as y -> 0
+        # (a*ln(b*y) + a + c + 1), else as |y| -> inf (y*(a*ln(b*y) + 1)),
+        # whichever lies inside (lo, hi) first.
+        start = next((y for y in (math.exp(min(v, _Y_MAX)) / p.b
+                                  for v in (-(p.a + p.c + 1.0) / p.a, -1.0 / p.a))
+                      if lo < y < hi), None)
+        roots.append(_newton_bisect(s_and_slope, 0.0, lo, hi, s_lo < s_hi, 0.0, start)[0])
     return sorted(roots)
 
 

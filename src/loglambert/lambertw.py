@@ -83,23 +83,21 @@ def _branch_point_series(x: float, lower: bool) -> float:
     return acc
 
 
-def _halley(w: float, x: float) -> tuple[float, int]:
-    for it in range(_MAX_ITER):
+def _halley(w: float, x: float) -> float:
+    for _ in range(_MAX_ITER):
         ew = math.exp(w)
         residual = w * ew - x
-        if residual == 0.0:
-            return w, it
         wp1 = w + 1.0
-        if wp1 == 0.0:
-            return w, it
+        if residual == 0.0 or wp1 == 0.0:
+            return w
         denom = ew * wp1 - (w + 2.0) * residual / (2.0 * wp1)
         if denom == 0.0 or math.isinf(denom):
-            return w, it
+            return w
         dw = residual / denom
         w -= dw
         if abs(dw) <= 1e-16 * (1.0 + abs(w)):
-            return w, it + 1
-    return w, _MAX_ITER
+            return w
+    return w
 
 
 def lambert_w(x: float, branch: WBranch = WBranch.PRINCIPAL) -> float:
@@ -138,7 +136,7 @@ def lambert_w(x: float, branch: WBranch = WBranch.PRINCIPAL) -> float:
             else:
                 log_log_x = math.log(log_x)
                 seed = log_x - log_log_x + log_log_x / log_x
-        w, _ = _halley(seed, x)
+        w = _halley(seed, x)
         if w < -1.0 - 1e-9:
             raise ConvergenceError(
                 f"principal-branch iteration left its range at x={x!r}"
@@ -158,7 +156,7 @@ def lambert_w(x: float, branch: WBranch = WBranch.PRINCIPAL) -> float:
             log_neg_x = math.log(-x)
             log_log = math.log(-log_neg_x)
             seed = log_neg_x - log_log + log_log / log_neg_x
-        w, _ = _halley(seed, x)
+        w = _halley(seed, x)
         if w > -1.0 + 1e-9:
             raise ConvergenceError(
                 f"lower-branch iteration left its range at x={x!r}"

@@ -348,8 +348,11 @@ def stationarity_residuals(
     the residuals cost O(n).  All residuals vanish at a stationary point of
     the constrained functional; a common offset across levels indicates an
     alpha not tuned to Z = 1.  DomainError unless there is one probability
-    per level; RangeError when a term overflows the double range.
+    per level and the step h is positive and finite; RangeError when a term
+    overflows the double range.
     """
+    if not 0.0 < h < math.inf:
+        raise DomainError(f"step h must be positive and finite, got {h!r}")
     if len(probs) != len(spec.levels):
         raise DomainError(
             f"probs has {len(probs)} entries for {len(spec.levels)} levels"
@@ -440,8 +443,10 @@ def continuous_pdf(
     twice the inversion tolerance.  IntegrationError if the criterion
     cannot be met within that range (it cannot when the weight decays only
     poly-logarithmically, or does not vanish at the cut), DomainError if a
-    grid point leaves the branch.
+    grid point leaves the branch or unless 0 < tail_ratio < 1.
     """
+    if not 0.0 < tail_ratio < 1.0:
+        raise DomainError(f"tail_ratio must lie in (0, 1), got {tail_ratio!r}")
     if len(x_grid) == 0:
         raise DomainError("x_grid must be non-empty")
 

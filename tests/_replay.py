@@ -1,8 +1,9 @@
 """Replay the benchmark's inversion pools through `evaluate` and compare runs.
 
 Record every `evaluate` call of the `eval_hot` and `scan_cold` pools (the
-inputs `perfbench/workloads.py` draws for a seed) with its outcome, then
-compare two such records:
+inputs `perfbench/workloads.py` draws for a seed) with its outcome, and the
+`singular_points` of every `scan_cold` pool catalog, then compare two such
+records:
 
     python tests/_replay.py --src src [--seeds 1 2] > new.tsv
     python tests/_replay.py --src OTHER/src > old.tsv
@@ -13,7 +14,9 @@ branch and x (floats in hex), then either `ok`, y (hex), the residual (hex)
 and the solver's point count, or the class name of the error raised.
 `--src` picks the library copy to replay, so one record can come from an
 older checkout.  The pools are those of a benchmark run of the length
-`BENCHMARK.json` sets.
+`BENCHMARK.json` sets.  A seam line has workload `singular_points`, seed,
+a, b and c, then either `ok` and the seams (hex, comma-separated) or the
+class name of the error raised.
 
 `--compare A B` pairs the calls of the two records by input (workload,
 seed, a, b, c, branch and x; repeats of one input pair in order), so the
@@ -23,9 +26,12 @@ outcome counts and the mean, p99 and max of its point counts, the number
 of inputs only one record has, the outcome-class changes (each listed with
 its input), the answers equal to the bit, the ulp moves of the answers
 that differ, and every answer whose residual is above `tol*max(1, |x|)`
-(tol = 1e-12, evaluate's default).  `--mpmath N` adds the relative error
-against a 50-digit root of every N-th `eval_hot` input answered in both
-records (median, p90, max).
+(tol = 1e-12, evaluate's default).  For the seams it prints each record's
+outcome counts, the outcome-class changes, the catalogs whose seams are
+equal to the bit and the ulp moves of those that differ.  `--mpmath N` adds
+the relative error against a 50-digit root of every N-th `eval_hot` input
+answered in both records (median, p90, max), and the ulp distance of every
+moved seam of either record from its 60-digit root.
 
 This file is a tool, not a test module: pytest does not collect it.
 """
@@ -45,6 +51,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TOL = 1e-12
 WORKLOADS = ("eval_hot", "scan_cold")
+SEAMS = "singular_points"
 
 
 def record(src: str, seeds) -> None:
@@ -80,9 +87,21 @@ def record(src: str, seeds) -> None:
             ctx = wl.setup()
             gate = Recorder(ctx["ll"].LogLambertError)
             for inp in wl.pool(random.Random(seed), ctx, seconds):
+                if name == "scan_cold":
+                    rows.append([SEAMS, str(seed), *(v.hex() for v in inp[:3]),
+                                 *_seams(ctx["ll"], *inp[:3])])
                 wl.op(ctx, gate, inp)
     for row in rows:
         print("\t".join(row))
+
+
+def _seams(ll, a, b, c) -> list[str]:
+    # `ok` and the seams in hex, or the class name of the error raised.
+    try:
+        seams = ll.singular_points(ll.Params(a, b, c))
+    except ll.LogLambertError as exc:
+        return [type(exc).__name__]
+    return ["ok", ",".join(d.hex() for d in seams)]
 
 
 def _load(path: str) -> list[list[str]]:
@@ -141,15 +160,44 @@ def _mp_root(row) -> float:
     return (lo + hi) / 2
 
 
-def _pair(rows_a, rows_b):
-    # (ra, rb) for the calls of A and B with one input, the k-th repeat of
-    # an input in A with its k-th in B; then the unpaired rows of each.
+def _mp_seam(a, b, c, delta: float):
+    # The root of the seam equation next to delta, to 60 digits: bracketed
+    # by stepping out from delta, then bisected.
+    import mpmath as mp
+
+    with mp.workdps(60):
+        a, b, c = mp.mpf(a), mp.mpf(b), mp.mpf(c)
+
+        def s(y):
+            return a * (y + 1) * mp.log(b * y) + y + a + c + 1
+
+        lo = hi = mp.mpf(delta)
+        step = mp.mpf(math.ulp(delta))
+        while (s(lo) > 0) == (s(hi) > 0):
+            lo, hi, step = lo - step, hi + step, 2 * step
+            if b * lo <= 0:
+                lo = delta / 2 if delta > 0 else 2 * delta
+            if b * hi <= 0:
+                hi = delta / 2 if delta < 0 else 2 * delta
+        while abs(hi - lo) > mp.mpf(10) ** -55 * abs(hi):
+            mid = (lo + hi) / 2
+            if (s(mid) > 0) == (s(lo) > 0):
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+
+def _pair(rows_a, rows_b, width=7):
+    # (ra, rb) for the calls of A and B with one input (the first `width`
+    # fields), the k-th repeat of an input in A with its k-th in B; then the
+    # unpaired rows of each.
     queues: dict[tuple, list] = {}
     for rb in rows_b:
-        queues.setdefault(tuple(rb[:7]), []).append(rb)
+        queues.setdefault(tuple(rb[:width]), []).append(rb)
     pairs, only_a = [], []
     for ra in rows_a:
-        queue = queues.get(tuple(ra[:7]))
+        queue = queues.get(tuple(ra[:width]))
         if queue:
             pairs.append((ra, queue.pop(0)))
         else:
@@ -200,6 +248,39 @@ def compare(path_a: str, path_b: str, mp_every: int) -> None:
             print(f"  relative error against 50-digit roots, {len(errs_a)} answers:")
             print(f"    A: {_quantiles(errs_a)}")
             print(f"    B: {_quantiles(errs_b)}")
+    compare_seams([r for r in rows_a if r[0] == SEAMS],
+                  [r for r in rows_b if r[0] == SEAMS], mp_every)
+
+
+def compare_seams(rows_a, rows_b, mp_every: int) -> None:
+    pairs, only_a, only_b = _pair(rows_a, rows_b, 5)
+    print(f"== {SEAMS}: {len(rows_a)} and {len(rows_b)} scan_cold catalogs, "
+          f"{len(pairs)} with the same input")
+    for label, rows in (("A", rows_a), ("B", rows_b)):
+        print(f"  {label}: outcomes {dict(sorted(Counter(r[5] for r in rows).items()))}")
+    print(f"  inputs only in A: {len(only_a)}, only in B: {len(only_b)}")
+    flips = [(ra, rb) for ra, rb in pairs if ra[5] != rb[5]]
+    print(f"  outcome-class changes: {len(flips)}")
+    for ra, rb in flips:
+        a, b, c = (float.fromhex(ra[i]) for i in (2, 3, 4))
+        print(f"    seed {ra[1]} ({a!r}, {b!r}, {c!r}): {' '.join(ra[5:])} -> "
+              f"{' '.join(rb[5:])}")
+    both = [(ra, rb) for ra, rb in pairs if ra[5] == rb[5] == "ok"]
+    moved = [(ra, float.fromhex(da), float.fromhex(db)) for ra, rb in both
+             for da, db in zip(ra[6].split(","), rb[6].split(",")) if da != db]
+    print(f"  found in both: {len(both)}, seams equal to the bit: "
+          f"{sum(ra[6] == rb[6] for ra, rb in both)} catalogs")
+    print(f"  ulp moves of the {len(moved)} seams that differ: "
+          f"{_quantiles(abs(_ordered(da) - _ordered(db)) for _, da, db in moved)}")
+    if mp_every and moved:
+        dist_a, dist_b = [], []
+        for ra, da, db in moved:
+            root = _mp_seam(*(float.fromhex(ra[i]) for i in (2, 3, 4)), da)
+            dist_a.append(float(abs(da - root)) / math.ulp(da))
+            dist_b.append(float(abs(db - root)) / math.ulp(db))
+        print("  ulps from the 60-digit root, moved seams:")
+        print(f"    A: {_quantiles(dist_a)}")
+        print(f"    B: {_quantiles(dist_b)}")
 
 
 def main(argv=None) -> None:
@@ -208,7 +289,8 @@ def main(argv=None) -> None:
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
     ap.add_argument("--compare", nargs=2, metavar=("A", "B"))
     ap.add_argument("--mpmath", type=int, default=0, metavar="N",
-                    help="with --compare: check every N-th eval_hot answer against mpmath")
+                    help="with --compare: check every N-th eval_hot answer and "
+                         "every moved seam against mpmath")
     args = ap.parse_args(argv)
     if args.compare:
         compare(*args.compare, args.mpmath)

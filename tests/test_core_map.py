@@ -1,5 +1,6 @@
 """Forward map, seam points and the branch catalog."""
 
+import itertools
 import math
 import re
 
@@ -20,6 +21,7 @@ from loglambert import (
     singular_residual,
     taylor_first_order,
 )
+from loglambert import core
 
 P111 = Params(1.0, 1.0, 1.0)
 
@@ -252,6 +254,36 @@ def test_seam_near_underflow_is_catalogued():
     assert abs(singular_residual(p, delta)) <= 1e-12
     assert b0.monotone is Monotone.DECREASING
     assert b1.monotone is Monotone.INCREASING
+
+
+def test_seam_solves_are_cheap(monkeypatch):
+    # Over a grid of the benchmark's scan_cold plane, each seam is one
+    # bracketed solve of (s, s') started at the root of the terms that
+    # dominate at the piece's open end.  The bisection point as the start
+    # takes 13.4 points per seam; bisecting after a Newton step that has
+    # converged to rounding from one side takes 12.1 (max 68).
+    points = []
+    solve = core._newton_bisect
+
+    def counted(fn, *args):
+        result = solve(fn, *args)
+        if fn.__name__ == "s_and_slope":
+            points.append(result[2])
+        return result
+
+    monkeypatch.setattr(core, "_newton_bisect", counted)
+    for sa, sb, la, lb, u in itertools.product(
+            (1.0, -1.0), (1.0, -1.0), (-2.5, -1.5, -0.5, 0.5, 1.5),
+            (-2.5, -1.5, -0.5, 0.5, 1.5, 2.5), (0.1, 0.5, 0.9)):
+        a, b = sa * 10.0 ** la, sb * 10.0 ** lb
+        c = (3.0 * (2.0 * u - 1.0) if b > 0.0 else a * (2.0 * u - 1.0) if a > 0.0
+             else -3.0 + (abs(a) + 3.0) * u)
+        try:
+            singular_points(Params(a, b, c))
+        except (RangeError, UnsupportedCaseError):
+            pass
+    assert len(points) == 449
+    assert sum(points) / len(points) <= 8.0 and max(points) <= 24
 
 
 @pytest.mark.parametrize("abc", PAPER_SETS)

@@ -136,6 +136,10 @@ def test_stationarity_residuals_typed_errors():
         stationarity_residuals(spec, [1e-300, 1.0 - 1e-300])
     with pytest.raises(DomainError, match="1 entries for 2 levels"):
         stationarity_residuals(spec, [1.0])
+    # h = 0 divided by zero, and h = nan gave NaN residuals
+    for h in (0.0, -1e-6, math.nan, math.inf):
+        with pytest.raises(DomainError, match="step h"):
+            stationarity_residuals(spec, [0.5, 0.5], h)
 
 
 def test_u_substitution_identity(solved_spec):
@@ -354,6 +358,14 @@ def test_continuous_grid_too_narrow():
     grid = [-1.0 + 2.0 * i / 20 for i in range(21)]
     with pytest.raises(IntegrationError):
         continuous_pdf(EP_CONT, ALPHA_CONT, BETA_CONT, 1, grid)
+
+
+def test_continuous_tail_ratio_validation():
+    # nan skipped both tail checks, and 0 or a negative ratio was reported
+    # as a grid too narrow
+    for ratio in (math.nan, 0.0, -1e-10, 1.0, math.inf):
+        with pytest.raises(DomainError, match="tail_ratio"):
+            continuous_pdf(EP_CONT, ALPHA_CONT, BETA_CONT, 1, README_GRID, ratio)
 
 
 def test_continuous_tail_unreachable_for_slow_decay():

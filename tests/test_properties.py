@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -10,8 +11,10 @@ from loglambert import (
     EntropyParams,
     LogLambertError,
     Monotone,
+    NoSolutionError,
     Params,
     RangeError,
+    UnsupportedCaseError,
     antiderivative,
     asymptotic,
     branches,
@@ -20,13 +23,14 @@ from loglambert import (
     distribution,
     evaluate,
     forward,
+    singular_points,
     singular_residual,
     solve_alpha,
     stationarity_residuals,
     taylor_coefficients,
     taylor_first_order,
 )
-from loglambert.core import _inverter
+from loglambert.core import _inverter, _knots
 
 Y_MIN = math.exp(-708.0)
 Y_MAX = math.log(1.7976931348623157e308)
@@ -86,6 +90,78 @@ def test_branches_meet_contract_or_refuse(sign_a, sign_b, log_a, log_b, u):
             if abs(s) <= 1e-12 * _seam_scale(p, y):
                 continue
             assert (s > 0.0) == (bi.monotone is Monotone.INCREASING), (p, bi.index, y)
+
+
+def _mp_seam_equation(p, y):
+    a, b, c, y = (mpmath.mpf(v) for v in (p.a, p.b, p.c, y))
+    return a * (y + 1) * mpmath.log(b * y) + y + a + c + 1
+
+
+# The scan_cold plane with |a| down to 1e-6: below |a| = 1/708 the knots'
+# Lambert W argument -b*e^(1+1/a) leaves the double range.
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(sign_a=st.sampled_from([1.0, -1.0]), sign_b=st.sampled_from([1.0, -1.0]),
+       log_a=st.floats(-6.0, 2.0), log_b=st.floats(-3.0, 3.0),
+       u=st.floats(0.0, 1.0))
+@example(sign_a=-1.0, sign_b=1.0, log_a=0.0, log_b=-1.1 / math.log(10.0), u=0.5)  # L = -1.1
+def test_seam_count_follows_from_the_knots(sign_a, sign_b, log_a, log_b, u):
+    a, b = sign_a * 10.0 ** log_a, sign_b * 10.0 ** log_b
+    if b > 0.0:
+        c = 3.0 * (2.0 * u - 1.0)
+    elif a > 0.0:
+        c = a * (2.0 * u - 1.0)
+    else:
+        c = -3.0 + (abs(a) + 3.0) * u
+    p = Params(a, b, c)
+    eps = 2.0 ** -52
+    with mpmath.workdps(30):
+        # The knots (zeros of s') are -1/W0 and -1/W-1 of z, ascending in |k|.
+        z = -mpmath.mpf(b) * mpmath.exp(1 + 1 / mpmath.mpf(a))
+        real = [0] if b < 0.0 else [-1, 0] if z >= -1 / mpmath.e else []
+        exact = [-1 / mpmath.lambertw(z, k).real for k in real]
+        knots = _knots(p)
+        assert len(knots) == len(exact), (p, knots)
+        # Each knot solves t - sign(b)*e^t = L in t = -ln|y|, to a residual
+        # of a few ulps of max(1, |L|), divided by the slope 1 - 1/k there.
+        scale = 32.0 * eps * max(1.0, abs(math.log(abs(b)) + 1.0 + 1.0 / a))
+        for k, k_star in zip(knots, exact):
+            t_star = -mpmath.log(abs(k_star))
+            assert (k > 0.0) == (k_star > 0), (p, k, k_star)
+            if math.isinf(k):
+                assert t_star < -Y_MAX, (p, k_star)
+            else:
+                assert abs(-math.log(abs(k)) - t_star) <= scale / abs(1 - 1 / k_star), \
+                    (p, k, k_star)
+        # s(k) = c - a*(k + 1 + 1/k) at the knots, between the limits
+        # -sign(a)*inf (y -> 0) and sign(a)*sign(b)*inf (|y| -> inf).
+        at_knots = [c - a * (k + 1 + 1 / k) for k in exact]
+        if any(abs(v) <= 1e-12 * (abs(c) + abs(a) * (abs(k) + 1 + 1 / abs(k)))
+               for v, k in zip(at_knots, exact)):
+            return  # a seam pair too close to a knot for doubles to count
+        signs = [a < 0.0, *(v > 0 for v in at_knots), (a > 0.0) == (b > 0.0)]
+        count = sum(u != v for u, v in zip(signs, signs[1:]))
+        expected = 1 if b > 0.0 else 2
+        try:
+            seams = singular_points(p)
+        except UnsupportedCaseError:
+            assert count > expected, p
+            return
+        except NoSolutionError:
+            assert count < expected, p
+            return
+        except RangeError:
+            assert count == expected, p
+            return
+        assert len(seams) == count == expected, (p, seams)
+        for d in seams:
+            assert Y_MIN <= abs(d) <= Y_MAX, (p, d)
+            # A sign change of s within 4 ulps, or |s(d)| at the rounding
+            # floor of its terms.
+            lo, hi = d - 4.0 * math.ulp(d), d + 4.0 * math.ulp(d)
+            log_bd = math.log(abs(b)) + math.log(abs(d))
+            floor = 4.0 * eps * (abs(a * (d + 1.0) * log_bd) + abs(d) + abs(a) + abs(c) + 1.0)
+            assert ((_mp_seam_equation(p, lo) > 0) != (_mp_seam_equation(p, hi) > 0)
+                    or abs(_mp_seam_equation(p, d)) <= floor), (p, d)
 
 
 @st.composite
