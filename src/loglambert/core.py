@@ -32,8 +32,8 @@ square-root expansion of the inverse at a seam when it stays close to the
 seam, else a few fixed-point steps of f(y) = x rearranged for y -> 0
 (f -> c) or for large |y| (ln|f| ~ y).  f is evaluated only by the solver.
 Many inversions on one branch (all levels of a maximum-entropy fit) each
-start from the last root, unless x is closer to the branch's open-end limit
-than to the last x.
+start from the last root, reusing the f and f' the solver computed there,
+unless x is closer to the branch's open-end limit than to the last x.
 
 All functions are pure; `Params` and the catalog records are immutable
 slotted value records (compared, hashed and pickled by value), and the
@@ -220,12 +220,9 @@ def forward(p: Params, y: float) -> float:
     Raises RangeError naming y when f(y) overflows the double range.
     """
     by = p.b * y
-    if not by > 0.0:
-        raise DomainError(
-            f"forward map needs b*y > 0; got b={p.b!r}, y={y!r}"
-        )
+    log_by = math.log(by) if by > 0.0 else _log_by(p, y, "forward map")
     try:
-        value = (p.a * y * math.log(by) + y + p.c) * math.exp(y)
+        value = (p.a * y * log_by + y + p.c) * math.exp(y)
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
@@ -254,18 +251,25 @@ def singular_residual(p: Params, y: float) -> float:
     This is also e^{-y} * f'(y), so its zeros are the vertical-tangent
     points of the inverse.
     """
+    return p.a * (y + 1.0) * _log_by(p, y, "seam equation") + y + p.a + p.c + 1.0
+
+
+def _log_by(p: Params, y: float, what: str) -> float:
+    # ln(b*y), as ln|b| + ln|y| where b*y underflows to 0.  DomainError,
+    # naming `what`, unless b*y > 0.  Hot callers take math.log(b*y) first.
+    if not (y > 0.0 if p.b > 0.0 else y < 0.0):
+        raise DomainError(f"{what} needs b*y > 0; got b={p.b!r}, y={y!r}")
     by = p.b * y
-    if not by > 0.0:
-        raise DomainError(
-            f"seam equation needs b*y > 0; got b={p.b!r}, y={y!r}"
-        )
-    return p.a * (y + 1.0) * math.log(by) + y + p.a + p.c + 1.0
+    return math.log(by) if by > 0.0 else math.log(abs(p.b)) + math.log(abs(y))
 
 
 def _forward_and_slope(p: Params, y: float) -> tuple[float, float]:
     # (f(y), f'(y)) from one log and one exp, overflow mapped to signed
     # infinities.
-    log_by = math.log(p.b * y)
+    try:
+        log_by = math.log(p.b * y)
+    except ValueError:  # b*y underflows to 0
+        log_by = _log_by(p, y, "forward map")
     poly = p.a * y * log_by + y + p.c
     s = p.a * (y + 1.0) * log_by + y + p.a + p.c + 1.0
     try:
@@ -294,30 +298,33 @@ def _split(lo: float, hi: float) -> float:
 
 def _newton_bisect(fn: Callable[[float], tuple[float, float]], target: float,
                    lo: float, hi: float, increasing: bool, tol: float,
-                   start: float | None = None) -> tuple[float, float, int, float, float]:
-    # Safeguarded Newton iteration (Press et al.'s rtsafe) for
-    # fn(y)[0] = target on [lo, hi], where fn(y) = (value, slope) is
-    # monotone (`increasing` or not) and brackets the target.  The first
-    # point is `start` (any point of [lo, hi]) or the bisection point
-    # (_split).  Each point shrinks the bracket; the Newton step is taken
-    # when it lands strictly inside it and is at most half the step before
-    # last.  A rejected Newton step of at most a few ulps means the iterates
-    # have converged to rounding from one side: the next point is one ulp
-    # past the Newton point, inward, to close the bracket.  Any other
-    # rejected step is a bisection.  Stops when |value - target| <= tol,
-    # when the bracket is a few ulps wide, or after 200 points.  Returns the
-    # point with the smallest |value - target| seen, that residual, the
-    # number of points evaluated and the final bracket (an end no point has
-    # moved is one given).
+                   start: float | None = None, known: tuple[float, float] | None = None
+                   ) -> tuple[float, float, int, float, float, tuple[float, float] | None]:
+    # Safeguarded Newton iteration (Press et al.'s rtsafe) for fn(y)[0] =
+    # target on [lo, hi], where fn(y) = (value, slope) is monotone
+    # (`increasing` or not) and brackets the target.  The first point is
+    # `start` (any point of [lo, hi]) or the bisection point (_split);
+    # `known`, when given, is fn(start), so that point costs no call to fn.
+    # Each point shrinks the bracket; the Newton step is taken when it lands
+    # strictly inside it and is at most half the step before last.  A rejected
+    # Newton step of at most a few ulps means the iterates have converged to
+    # rounding from one side: the next point is one ulp past the Newton point,
+    # inward, to close the bracket.  Any other rejected step is a bisection.
+    # Stops when |value - target| <= tol, when the bracket is a few ulps wide,
+    # or after 200 points (fn is then called once more, at a point not used).
+    # Returns the point with the smallest |value - target| seen, that
+    # residual, the number of points (a known one included), the final bracket
+    # (an end no point has moved is one given), and fn at the point returned
+    # if it met tol (else None), for a warm start from that point to reuse.
     y = _split(lo, hi) if start is None else start
     best_y, best_res = y, math.inf
     step = prev = hi - lo
+    value, slope = known or fn(y)
     for it in range(1, 201):
-        value, slope = fn(y)
         r = value - target
         res = abs(r)
         if res <= tol:
-            return y, res, it, lo, hi
+            return y, res, it, lo, hi, (value, slope)
         if res < best_res:
             best_y, best_res = y, res
         if (value > target) == increasing:
@@ -334,7 +341,8 @@ def _newton_bisect(fn: Callable[[float], tuple[float, float]], target: float,
             prev, step, y = step, abs(cand - y), cand
         if hi - lo <= 4.0 * _EPS * max(-lo, hi):  # max(-lo, hi) = max(|lo|, |hi|)
             break
-    return best_y, best_res, it, lo, hi
+        value, slope = fn(y)
+    return best_y, best_res, it, lo, hi, None
 
 
 # Seams are sought on e^-708 <= |y| <= ln(DBL_MAX): below, y is not a normal
@@ -535,7 +543,11 @@ def _seam_start(p: Params, bi: BranchInfo, x: float,
     # the one closest to its seam.  None unless one counts and lo < y < hi.
     step, seam = math.inf, 0.0
     for d, f_d in bi.seams:
-        curvature = (p.a * math.log(p.b * d) + p.a * (d + 1.0) / d + 1.0) * math.exp(d)
+        try:
+            log_bd = math.log(p.b * d)
+        except ValueError:  # b*d underflows to 0
+            log_bd = _log_by(p, d, "seam")
+        curvature = (p.a * log_bd + p.a * (d + 1.0) / d + 1.0) * math.exp(d)
         q = 2.0 * (x - f_d) / curvature if curvature else math.nan
         if q > 0.0 and math.sqrt(q) <= min(step, 1.0, abs(d)):
             step, seam = math.sqrt(q), d
@@ -573,13 +585,15 @@ def _end_start(p: Params, bi: BranchInfo, x: float,
 
 
 def _solve(p: Params, bi: BranchInfo, x: float, tol: float,
-           start: float | None = None) -> tuple[float, float, int, bool]:
-    # evaluate's contract for x on branch bi, as the fields of EvalResult:
-    # the root on the branch's bracket (_bracket), solved from `start` (a
-    # point of that bracket), else from the branch-point expansion at a
-    # seam (_seam_start), else from the branch's open end (_end_start),
-    # else from the bracket's bisection point.  f is evaluated only by the
-    # solver.
+           start: float | None = None, known: tuple[float, float] | None = None
+           ) -> tuple[float, float, int, bool, tuple[float, float] | None]:
+    # evaluate's contract for x on branch bi, as the fields of EvalResult,
+    # then (f, f') at the root (None at a seam): the root on the branch's
+    # bracket (_bracket), solved from `start` (a point of that bracket,
+    # with (f, f') there as `known` when already evaluated), else from the
+    # branch-point expansion at a seam (_seam_start), else from the
+    # branch's open end (_end_start), else from the bracket's bisection
+    # point.  f is evaluated only by the solver.
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol!r}")
     if math.isnan(x):
@@ -590,7 +604,7 @@ def _solve(p: Params, bi: BranchInfo, x: float, tol: float,
         )
     for d, fx in bi.seams:
         if x == fx:  # the catalog holds f(d) = forward(p, d)
-            return d, 0.0, 0, True
+            return d, 0.0, 0, True, None
 
     lo, hi = _bracket(bi)
     if start is None:
@@ -598,11 +612,11 @@ def _solve(p: Params, bi: BranchInfo, x: float, tol: float,
     if start is None:
         start = _end_start(p, bi, x, lo, hi)
     limit = tol * max(1.0, abs(x))
-    y, res, it, _, _ = _newton_bisect(functools.partial(_forward_and_slope, p), x,
-                                      lo, hi, bi.monotone is Monotone.INCREASING,
-                                      limit, start)
+    y, res, it, _, _, point = _newton_bisect(functools.partial(_forward_and_slope, p), x,
+                                             lo, hi, bi.monotone is Monotone.INCREASING,
+                                             limit, start, known)
     if res <= limit:
-        return y, res, it, False
+        return y, res, it, False, point
     raise ConvergenceError(
         f"inversion stalled at residual {res!r} for x={x!r} "
         f"(tol {tol!r}, branch {bi.index})"
@@ -611,26 +625,27 @@ def _solve(p: Params, bi: BranchInfo, x: float, tol: float,
 
 def _inverter(p: Params, branch: int, tol: float) -> Callable[[float], float]:
     # x -> y on one branch for many x, each y under evaluate's contract,
-    # warm-started.  The first solve starts as evaluate's does, so it
-    # returns evaluate's bits.  A later one starts from the last root, or,
-    # when x lies closer to f's limit at the branch's open end (x_end) than
-    # to the last x, as evaluate's does: after a far jump the open end's
-    # start is the nearer one, and Newton from the last root can crawl
-    # down the convex side of e^y.  Results are memoised by x, so an equal
-    # x returns the same bits whatever the call order.
+    # warm-started.  The first solve starts as evaluate's does, so it returns
+    # evaluate's bits.  A later one starts from the last root, with f and f'
+    # as the solver computed them there (none after a seam hit), so its first
+    # point is free; or, when x lies closer to f's limit at the branch's open
+    # end (x_end) than to the last x, it starts as evaluate's does: after a
+    # far jump the open end's start is the nearer one, and Newton from the
+    # last root can crawl down the convex side of e^y.  Results are memoised
+    # by x, so an equal x returns the same bits whatever the call order.
     bi = _branch_or_raise(p, branch)
     dom = bi.x_domain
     x_end = math.inf if dom.lo_closed and dom.hi_closed else dom.hi if dom.lo_closed else dom.lo
     memo: dict[float, float] = {}
-    last_x, last_y = math.inf, None
+    last_x, warm = math.inf, (None, None)
 
     def invert(x: float) -> float:
-        nonlocal last_x, last_y
+        nonlocal last_x, warm
         y = memo.get(x)
         if y is None:
-            start = last_y if abs(x - last_x) <= abs(x - x_end) else None
-            y = last_y = memo[x] = _solve(p, bi, x, tol, start)[0]
-            last_x = x
+            start, known = warm if abs(x - last_x) <= abs(x - x_end) else (None, None)
+            y, _, _, _, point = _solve(p, bi, x, tol, start, known)
+            memo[x], last_x, warm = y, x, (y, point)
         return y
 
     return invert
@@ -656,7 +671,8 @@ def evaluate(p: Params, branch: int, x: float, tol: float = 1e-12) -> EvalResult
     evaluated only at the solver's points.  Deterministic for fixed
     inputs.
     """
-    return EvalResult(*_solve(p, _branch_or_raise(p, branch), x, tol))
+    y, res, it, at_seam, _ = _solve(p, _branch_or_raise(p, branch), x, tol)
+    return EvalResult(y, res, it, at_seam)
 
 
 def derivative(p: Params, y: float) -> float:
@@ -669,7 +685,7 @@ def derivative(p: Params, y: float) -> float:
     d = singular_residual(p, y)
     scale = (
         1.0
-        + abs(p.a * (y + 1.0) * math.log(p.b * y))
+        + abs(p.a * (y + 1.0) * _log_by(p, y, "derivative"))
         + abs(y)
         + abs(p.a + p.c + 1.0)
     )
@@ -695,13 +711,8 @@ def antiderivative(p: Params, y: float) -> float:
     term-by-term integration; it is validated against quadrature in the
     test suite.  Raises RangeError when F(y) is not a finite double.
     """
-    by = p.b * y
-    if not by > 0.0:
-        raise DomainError(
-            f"antiderivative needs b*y > 0; got b={p.b!r}, y={y!r}"
-        )
     bracket = (
-        p.a * (y * y - y + 1.0) * math.log(by)
+        p.a * (y * y - y + 1.0) * _log_by(p, y, "antiderivative")
         + y * y
         + (p.c - 1.0) * y
         + 1.0

@@ -40,17 +40,19 @@ Each call to `distribution`, `probability`, `continuous_pdf` and each
 inverter: every root seeds the next, unless the argument lies closer to
 the limit of f at the branch's open end than to the last argument.  Levels
 go in ascending x, so the result does not depend on their order, and an
-equal argument returns the same bits.  A weight beyond the double range
-raises RangeError naming its level (its argument, for
-`continuous_weight`).  `continuous_pdf`
-normalises by adaptive 7-point Gauss / 15-point Kronrod quadrature over a
-range that stops at the support cut.  The
-stationarity residuals difference one term of the separable entropy sum
-each, O(n) in the number of levels.
+equal argument returns the same bits.  A pass over the levels is memoised
+by value, so one repeated at an equal spec (the `distribution` at the
+alpha `solve_alpha` returned) is served without an inversion.  A weight
+beyond the double range raises RangeError naming its level (its argument,
+for `continuous_weight`).  `continuous_pdf` normalises by adaptive 7-point
+Gauss / 15-point Kronrod quadrature over a range that stops at the support
+cut.  The stationarity residuals difference one term of the separable
+entropy sum each, O(n) in the number of levels.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable, Sequence
 
@@ -196,11 +198,14 @@ def suggest_branch(ep: EntropyParams, n_levels: int) -> int:
     )
 
 
+@functools.lru_cache(maxsize=4)
 def _all_weights(spec: EnsembleSpec, branch: int
-                 ) -> tuple[list[float], list[float], list[float]]:
+                 ) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
     # (x_i, y_i, w_i) per level.  Levels are inverted in ascending x by one
     # warm inverter, so each root warm-starts the next and the result does
-    # not depend on the order of the levels.
+    # not depend on the order of the levels.  Memoised by value: a pass
+    # repeated at an equal spec (`distribution` at the alpha `solve_alpha`
+    # returned) costs no inversion.
     ep = spec.ep
     params = ep.induced_params()
     invert = _inverter(params, branch, _EVAL_TOL)
@@ -213,7 +218,7 @@ def _all_weights(spec: EnsembleSpec, branch: int
             ws[i] = _weight(ep, params, branch, xs[i], ys[i])
         except (DomainError, RangeError) as exc:
             raise type(exc)(f"level {i} (eps={spec.levels[i]!r}): {exc}") from exc
-    return xs, ys, ws
+    return tuple(xs), tuple(ys), tuple(ws)
 
 
 def probability(spec: EnsembleSpec, i: int, branch: int | None = None) -> float:
@@ -242,7 +247,7 @@ def distribution(spec: EnsembleSpec, branch: int | None = None) -> DiscreteDistr
     return DiscreteDistribution(
         probs=tuple(w / z for w in ws),
         partition=z,
-        x_values=tuple(xs),
+        x_values=xs,
         beta_r=pseudo_beta(spec),
     )
 
@@ -270,7 +275,8 @@ def solve_alpha(
     from the alpha of a uniform distribution, by Newton steps inside the
     sign bracket and bisection otherwise; each excess is a full pass of
     `distribution` over the levels, and a pass whose weights overflow counts
-    as Z = +inf.  Returns the first alpha with |excess| <= tol.
+    as Z = +inf.  Returns the first alpha with |excess| <= tol; its pass is
+    memoised, so `distribution` at that alpha repeats no inversion.
     DomainError when the interval is empty (the levels span more than the
     branch admits) or when the solve ends against one of its ends, so that
     no alpha in it normalises the weights; ConvergenceError, naming the
@@ -321,8 +327,8 @@ def solve_alpha(
     x_ws = forward(params, _uniform_y(ep, len(levels)))
     start = _level_sum(ep, x_ws) - beta * (math.fsum(levels) / len(levels))
     increasing = ((ep.q > 1.0) == (params.a > 0.0)) == (bi.monotone is Monotone.INCREASING)
-    alpha, res, _, lo, hi = _newton_bisect(z_and_slope, 1.0, a_lo, a_hi, increasing,
-                                           tol, min(max(start, a_lo), a_hi))
+    alpha, res, _, lo, hi, _ = _newton_bisect(z_and_slope, 1.0, a_lo, a_hi, increasing,
+                                              tol, min(max(start, a_lo), a_hi))
     if res <= tol:
         return alpha
     if lo == a_lo or hi == a_hi:

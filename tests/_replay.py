@@ -1,9 +1,10 @@
-"""Replay the benchmark's inversion pools through `evaluate` and compare runs.
+"""Replay the benchmark's inversion and fit pools and compare runs.
 
 Record every `evaluate` call of the `eval_hot` and `scan_cold` pools (the
-inputs `perfbench/workloads.py` draws for a seed) with its outcome, and the
-`singular_points` of every `scan_cold` pool catalog, then compare two such
-records:
+inputs `perfbench/workloads.py` draws for a seed) with its outcome, the
+`singular_points` of every `scan_cold` pool catalog, and every
+`solve_alpha`, `distribution` and `continuous_pdf` call of the
+`maxent_fit` pool, then compare two such records:
 
     python tests/_replay.py --src src [--seeds 1 2] > new.tsv
     python tests/_replay.py --src OTHER/src > old.tsv
@@ -16,7 +17,11 @@ and the solver's point count, or the class name of the error raised.
 older checkout.  The pools are those of a benchmark run of the length
 `BENCHMARK.json` sets.  A seam line has workload `singular_points`, seed,
 a, b and c, then either `ok` and the seams (hex, comma-separated) or the
-class name of the error raised.
+class name of the error raised.  A fit line has workload `maxent_fit`,
+seed, the op's index in the pool and the call's name, then either `ok` and
+the answer in hex (`solve_alpha`: alpha; `distribution`: the partition and
+the probabilities, comma-separated; `continuous_pdf`: the densities,
+comma-separated) or the class name and message of the error raised.
 
 `--compare A B` pairs the calls of the two records by input (workload,
 seed, a, b, c, branch and x; repeats of one input pair in order), so the
@@ -31,7 +36,10 @@ outcome counts, the outcome-class changes, the catalogs whose seams are
 equal to the bit and the ulp moves of those that differ.  `--mpmath N` adds
 the relative error against a 50-digit root of every N-th `eval_hot` input
 answered in both records (median, p90, max), and the ulp distance of every
-moved seam of either record from its 60-digit root.
+moved seam of either record from its 60-digit root.  For the fits it
+prints, per call, each record's outcome counts, the outcome-class changes,
+and how many answers and refusals (class and message) are equal to the
+bit, listing each op whose record differs.
 
 This file is a tool, not a test module: pytest does not collect it.
 """
@@ -52,6 +60,8 @@ ROOT = Path(__file__).resolve().parent.parent
 TOL = 1e-12
 WORKLOADS = ("eval_hot", "scan_cold")
 SEAMS = "singular_points"
+FITS = "maxent_fit"
+FIT_CALLS = ("solve_alpha", "distribution", "continuous_pdf")
 
 
 def record(src: str, seeds) -> None:
@@ -60,10 +70,14 @@ def record(src: str, seeds) -> None:
 
     rows: list[list[str]] = []
     tag = ("", "")  # the workload and seed being replayed
+    index = 0  # the op's index in the pool
 
     class Recorder(workloads.Gate):
-        # The workload's gate, also recording each `evaluate` call's outcome.
+        # The workload's gate, also recording the outcome of each `evaluate`
+        # call and of each fit call.
         def call(self, fn, *args):
+            if fn.__name__ in FIT_CALLS:
+                return super().call(_fit_recorder(rows, [*tag, str(index)], fn), *args)
             if fn.__name__ != "evaluate":
                 return super().call(fn, *args)
             p, branch, x = args
@@ -80,19 +94,40 @@ def record(src: str, seeds) -> None:
             return super().call(evaluate, *args)
 
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
-    for name in WORKLOADS:
+    for name in (*WORKLOADS, FITS):
         wl = workloads.WORKLOADS[name]
         for seed in seeds:
             tag = (name, str(seed))
             ctx = wl.setup()
             gate = Recorder(ctx["ll"].LogLambertError)
-            for inp in wl.pool(random.Random(seed), ctx, seconds):
+            for index, inp in enumerate(wl.pool(random.Random(seed), ctx, seconds)):
                 if name == "scan_cold":
                     rows.append([SEAMS, str(seed), *(v.hex() for v in inp[:3]),
                                  *_seams(ctx["ll"], *inp[:3])])
                 wl.op(ctx, gate, inp)
     for row in rows:
         print("\t".join(row))
+
+
+def _fit_recorder(rows, key, fn):
+    # fn, also appending its outcome to rows: `ok` and the answer in hex, or
+    # the class name and message of the error raised.
+    def recorded(*args):
+        try:
+            r = fn(*args)
+        except Exception as exc:
+            rows.append(key + [fn.__name__, type(exc).__name__, " ".join(str(exc).split())])
+            raise
+        if isinstance(r, float):
+            answer = [r.hex()]
+        elif isinstance(r, list):
+            answer = [",".join(v.hex() for v in r)]
+        else:
+            answer = [r.partition.hex(), ",".join(v.hex() for v in r.probs)]
+        rows.append(key + [fn.__name__, "ok", *answer])
+        return r
+    recorded.__name__ = fn.__name__
+    return recorded
 
 
 def _seams(ll, a, b, c) -> list[str]:
@@ -250,6 +285,30 @@ def compare(path_a: str, path_b: str, mp_every: int) -> None:
             print(f"    B: {_quantiles(errs_b)}")
     compare_seams([r for r in rows_a if r[0] == SEAMS],
                   [r for r in rows_b if r[0] == SEAMS], mp_every)
+    compare_fits([r for r in rows_a if r[0] == FITS], [r for r in rows_b if r[0] == FITS])
+
+
+def compare_fits(rows_a, rows_b) -> None:
+    pairs, only_a, only_b = _pair(rows_a, rows_b, 4)
+    print(f"== {FITS}: {len(rows_a)} and {len(rows_b)} calls, {len(pairs)} with the same op")
+    print(f"  ops only in A: {len(only_a)}, only in B: {len(only_b)}")
+    for call in FIT_CALLS:
+        own = [(ra, rb) for ra, rb in pairs if ra[3] == call]
+        print(f"  {call}: {len(own)} calls")
+        for label, side in (("A", 0), ("B", 1)):
+            counts = Counter(pair[side][4] for pair in own)
+            print(f"    {label}: outcomes {dict(sorted(counts.items()))}")
+        flips = [(ra, rb) for ra, rb in own if ra[4] != rb[4]]
+        print(f"    outcome-class changes: {len(flips)}")
+        for kind, same in (("answers", lambda r: r[4] == "ok"),
+                           ("refusals", lambda r: r[4] != "ok")):
+            both = [(ra, rb) for ra, rb in own if ra[4] == rb[4] and same(ra)]
+            print(f"    {kind} in both: {len(both)}, equal to the bit: "
+                  f"{sum(ra == rb for ra, rb in both)}")
+        for ra, rb in own:
+            if ra != rb:
+                print(f"    seed {ra[1]} op {ra[2]}: {' '.join(ra[4:])[:120]} -> "
+                      f"{' '.join(rb[4:])[:120]}")
 
 
 def compare_seams(rows_a, rows_b, mp_every: int) -> None:

@@ -14,7 +14,9 @@ from loglambert import (
     Params,
     RangeError,
     UnsupportedCaseError,
+    antiderivative,
     branches,
+    evaluate,
     forward,
     forward_slope,
     singular_points,
@@ -254,6 +256,24 @@ def test_seam_near_underflow_is_catalogued():
     assert abs(singular_residual(p, delta)) <= 1e-12
     assert b0.monotone is Monotone.DECREASING
     assert b1.monotone is Monotone.INCREASING
+
+
+def test_seam_where_b_times_y_underflows_is_catalogued():
+    # b*delta underflows to 0, so ln(b*y) is taken as ln|b| + ln|y| there.
+    # A y on the wrong side of 0 is still refused.
+    p = Params(0.001, 1e-130, 0.0)
+    b0, b1 = branches(p)
+    (delta, x_seam), = b1.seams
+    assert b0.seams == b1.seams
+    assert delta == pytest.approx(1.867e-305, rel=1e-3) and p.b * delta == 0.0
+    assert forward(p, delta) == x_seam
+    assert abs(singular_residual(p, delta)) <= 1e-12
+    assert math.isfinite(antiderivative(p, 2.0 * delta))
+    for fn in (forward, forward_slope, singular_residual, antiderivative):
+        with pytest.raises(DomainError, match="b\\*y > 0"):
+            fn(p, -delta)
+    for bi in (b0, b1):  # 0.5*x_seam lies in both x-domains
+        assert bi.y_range.contains(evaluate(p, bi.index, 0.5 * x_seam).y)
 
 
 def test_seam_solves_are_cheap(monkeypatch):

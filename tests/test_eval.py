@@ -178,6 +178,33 @@ def test_f_is_evaluated_only_by_the_solver(monkeypatch):
                 assert calls[0] == r.iterations, (p, bi.index, x)
 
 
+def test_warm_inversion_reuses_the_last_point(monkeypatch):
+    # On a sorted sweep of a branch, a solve that starts from the last root
+    # is handed the (f, f') its predecessor ended on, so one of its points
+    # costs no evaluation of f.
+    calls = _counting_f(monkeypatch)
+    solves = []
+    solve = core._solve
+
+    def recorded(p, bi, x, tol, start=None, known=None):
+        calls[0] = 0
+        result = solve(p, bi, x, tol, start, known)
+        solves.append((known is not None, result[2], calls[0]))
+        return result
+
+    monkeypatch.setattr(core, "_solve", recorded)
+    for abc in PARAM_SETS:
+        p = Params(*map(float, abc))
+        for bi in branches(p):
+            invert = _inverter(p, bi.index, 1e-12)
+            for x in sorted(interior_points(bi, 25)):
+                invert(x)
+    warm = [(points, evals) for known, points, evals in solves if known]
+    assert len(warm) >= len(solves) // 2
+    assert all(evals == points - 1 for points, evals in warm)
+    assert all(evals == points for known, points, evals in solves if not known)
+
+
 @pytest.mark.parametrize("b", [10 ** -2.2, 0.01])
 def test_no_newton_crawl_below_a_far_seam(b):
     # The seam of branch 0 is at y = 426.8 (b = 10**-2.2) or 267.8 (0.01),

@@ -47,6 +47,8 @@ README_GRID = [-3.7 + 7.4 * i / 100 for i in range(101)]
 
 def _count_calls(monkeypatch, module, name):
     # Replace module.name by a wrapper that records each call's arguments.
+    # The pass memo starts empty, so that no earlier test's pass saves work.
+    maxent._all_weights.cache_clear()
     calls = []
     inner = getattr(module, name)
 
@@ -279,6 +281,37 @@ def test_solve_alpha_refuses_an_empty_interval_without_a_pass(monkeypatch):
     with pytest.raises(DomainError, match="levels span more than the branch admits"):
         solve_alpha((0.0, 50.0), 0.5, EP, 0)
     assert calls == []
+
+
+def test_distribution_after_solve_alpha_reuses_its_last_pass(monkeypatch):
+    # solve_alpha's last pass is at the alpha it returns, so the
+    # distribution there comes from the pass memo without evaluating f, and
+    # equals a fresh pass to the bit.
+    calls = _count_calls(monkeypatch, core, "_forward_and_slope")
+    alpha = solve_alpha(LEVELS_128, beta=0.1, ep=EP)
+    assert calls
+    calls.clear()
+    spec = EnsembleSpec(levels=LEVELS_128, alpha=alpha, beta=0.1, ep=EP)
+    dist = distribution(spec)
+    assert calls == []
+    maxent._all_weights.cache_clear()
+    assert repr(distribution(spec)) == repr(dist)
+    assert len(calls) >= len(LEVELS_128)
+
+
+def test_pass_memo_is_keyed_by_value():
+    maxent._all_weights.cache_clear()
+    spec = EnsembleSpec(levels=LEVELS, alpha=0.0, beta=0.1, ep=EP)
+    first = distribution(spec, 1)
+    info = maxent._all_weights.cache_info()
+    equal = EnsembleSpec(levels=tuple(list(LEVELS)), alpha=0.0, beta=0.1,
+                         ep=EntropyParams(0.9, 0.8, 0.7))
+    assert repr(distribution(equal, 1)) == repr(first)
+    assert probability(equal, 2, 1) == first.probs[2]
+    assert maxent._all_weights.cache_info().hits == info.hits + 2
+    one_level_off = EnsembleSpec(levels=(0.0, 0.3, 0.6, 0.95), alpha=0.0, beta=0.1, ep=EP)
+    assert distribution(one_level_off, 1).probs != first.probs
+    assert maxent._all_weights.cache_info().misses == info.misses + 1
 
 
 # ------------------------------------------------------------- continuous
