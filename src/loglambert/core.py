@@ -11,12 +11,17 @@ sign cases.  Between consecutive seams f is strictly monotone, so the inverse
 splits into branches indexed 0, 1 (and 2 for b < 0), counted starting from
 the branch whose y-range touches 0.
 
-Seam contract: seams are isolated exactly, on the monotone pieces of the
-seam equation between its knots (the zeros of its slope, -1/W of one
-argument through the classical Lambert W), on e^-708 <= |y| <= ln(DBL_MAX) =
-709.78, where y is a normal double and e^y does not overflow.  A seam outside
-that range raises RangeError; three seams for b > 0 (four branches) raise
-UnsupportedCaseError; fewer seams than the case needs raise NoSolutionError.
+Seam contract: each seam is the root of the seam equation in doubles, found
+on the monotone pieces of the seam equation between its knots (the zeros of
+its slope, -1/W of one argument through the classical Lambert W), on
+e^-708 <= |y| <= ln(DBL_MAX) = 709.78, where y is a normal double and e^y
+does not overflow.  Its accuracy is the rounding floor of that equation:
+near y -> 0 with |a| small the equation is about a*ln(b*y) + a + c + 1,
+whose rounding is relative to |ln(b*y)|, so a seam there is located only to
+about |ln(b*y)| ulps (hundreds of ulps for a seam near 1e-260).
+A seam outside that range raises RangeError; three seams for b > 0 (four
+branches) raise UnsupportedCaseError; fewer seams than the case needs raise
+NoSolutionError.
 
 This module provides the branch catalog, the inverse on a chosen branch, the
 closed forms for the inverse's derivative and antiderivative, the expansion
@@ -37,7 +42,10 @@ unless x is closer to the branch's open-end limit than to the last x.
 
 All functions are pure; `Params` and the catalog records are immutable
 slotted value records (compared, hashed and pickled by value), and the
-per-parameter catalog is memoised behind a thread-safe cache.
+per-parameter catalog is memoised behind a thread-safe cache.  With each
+branch the catalog holds its solve constants (the bracket, the direction of
+f, f and f'' at its seams, the limit of f at its open end), so an inversion
+on a catalogued branch starts with no per-branch arithmetic.
 """
 
 from __future__ import annotations
@@ -447,8 +455,36 @@ def singular_points(p: Params) -> list[float]:
     return sorted(roots)
 
 
+class _Plan:
+    # One branch's solve constants, computed once with the catalog: the
+    # BranchInfo, the solver's bracket lo < hi (_bracket), the direction of
+    # f, the bounding seams as (d, f(d), f''(d)) and x_end, the limit of f
+    # at the branch's open end (inf between two seams).
+    __slots__ = ("info", "lo", "hi", "increasing", "seams", "x_end")
+
+    def __init__(self, info: BranchInfo, curvatures: dict[float, float]):
+        dom = info.x_domain
+        self.info = info
+        self.lo, self.hi = _bracket(info)
+        self.increasing = info.monotone is Monotone.INCREASING
+        self.seams = tuple((d, f_d, curvatures[d]) for d, f_d in info.seams)
+        self.x_end = (math.inf if dom.lo_closed and dom.hi_closed
+                      else dom.hi if dom.lo_closed else dom.lo)
+
+
+def _seam_curvature(p: Params, d: float) -> float:
+    # f''(d) = s'(d)*e^d at a seam d, where f'(d) = 0; s'(y) = a*ln(b*y) +
+    # a*(y+1)/y + 1.
+    try:
+        log_bd = math.log(p.b * d)
+    except ValueError:  # b*d underflows to 0
+        log_bd = _log_by(p, d, "seam")
+    return (p.a * log_bd + p.a * (d + 1.0) / d + 1.0) * math.exp(d)
+
+
 @functools.lru_cache(maxsize=128)
-def _catalog(p: Params) -> tuple[BranchInfo, ...]:
+def _catalog(p: Params) -> tuple[tuple[BranchInfo, ...], tuple[_Plan, ...]]:
+    # The branches, and the solve plan of each.
     if p.b < 0.0:
         if p.a > 0.0 and abs(p.c) > p.a:
             raise UnsupportedCaseError(
@@ -463,11 +499,13 @@ def _catalog(p: Params) -> tuple[BranchInfo, ...]:
     # each seam, then |y| -> inf, where f -> sign(a)*inf for b > 0 and
     # f -> 0 for b < 0.
     ends = [(0.0, p.c, False)]
+    curvatures = {}
     for d in sorted(singular_points(p), key=abs):
         try:
             ends.append((d, forward(p, d), True))
         except RangeError:
             raise _range_error(p, f"f at the seam y={d!r}") from None
+        curvatures[d] = _seam_curvature(p, d)
     if p.b > 0.0:
         ends.append((math.inf, math.copysign(math.inf, p.a), False))
     else:
@@ -491,7 +529,7 @@ def _catalog(p: Params) -> tuple[BranchInfo, ...]:
             )
         )
         increasing = not increasing
-    return tuple(infos)
+    return tuple(infos), tuple(_Plan(bi, curvatures) for bi in infos)
 
 
 def branches(p: Params) -> tuple[BranchInfo, ...]:
@@ -503,18 +541,22 @@ def branches(p: Params) -> tuple[BranchInfo, ...]:
     e^-708 <= |y| <= 709.78 and has a finite f; RangeError reports one
     outside that range or with f overflowing, and NoSolutionError too few.
     """
-    return _catalog(p)
+    return _catalog(p)[0]
+
+
+def _plan_or_raise(p: Params, branch: int) -> _Plan:
+    plans = _catalog(p)[1]
+    for plan in plans:
+        if plan.info.index == branch:
+            return plan
+    raise DomainError(
+        f"no branch {branch!r} for these coefficients; valid indices: "
+        f"{[plan.info.index for plan in plans]}"
+    )
 
 
 def _branch_or_raise(p: Params, branch: int) -> BranchInfo:
-    cat = _catalog(p)
-    for bi in cat:
-        if bi.index == branch:
-            return bi
-    raise DomainError(
-        f"no branch {branch!r} for these coefficients; valid indices: "
-        f"{[bi.index for bi in cat]}"
-    )
+    return _plan_or_raise(p, branch).info
 
 
 # The open ends of a branch, clipped to finite doubles: y -> 0 at 1e-307
@@ -533,8 +575,7 @@ def _bracket(bi: BranchInfo) -> tuple[float, float]:
     return lo, hi
 
 
-def _seam_start(p: Params, bi: BranchInfo, x: float,
-                lo: float, hi: float) -> float | None:
+def _seam_start(plan: _Plan, x: float) -> float | None:
     # A first point for the solver from the branch-point expansion of the
     # inverse at a seam d, where f'(d) = 0 and f''(d) = s'(d)*e^d:
     # y = d +- sqrt(2*(x - f(d))/f''(d)), on the side of d the branch lies
@@ -542,21 +583,15 @@ def _seam_start(p: Params, bi: BranchInfo, x: float,
     # on the convex side of e^y can leave Newton crawling); with two seams,
     # the one closest to its seam.  None unless one counts and lo < y < hi.
     step, seam = math.inf, 0.0
-    for d, f_d in bi.seams:
-        try:
-            log_bd = math.log(p.b * d)
-        except ValueError:  # b*d underflows to 0
-            log_bd = _log_by(p, d, "seam")
-        curvature = (p.a * log_bd + p.a * (d + 1.0) / d + 1.0) * math.exp(d)
+    for d, f_d, curvature in plan.seams:
         q = 2.0 * (x - f_d) / curvature if curvature else math.nan
         if q > 0.0 and math.sqrt(q) <= min(step, 1.0, abs(d)):
             step, seam = math.sqrt(q), d
-    y = seam + step if seam == bi.y_range.lo else seam - step
-    return y if lo < y < hi else None
+    y = seam + step if seam == plan.info.y_range.lo else seam - step
+    return y if plan.lo < y < plan.hi else None
 
 
-def _end_start(p: Params, bi: BranchInfo, x: float,
-               lo: float, hi: float) -> float | None:
+def _end_start(p: Params, plan: _Plan, x: float) -> float | None:
     # A first point for the solver from three fixed-point steps of f(y) = x,
     # rearranged to contract toward one kind of branch end:
     #   y -> 0, where f -> c:        y = (x*e^-y - c)/(a*ln(b*y) + 1);
@@ -567,7 +602,7 @@ def _end_start(p: Params, bi: BranchInfo, x: float,
     # with |x| for b > 0 and as |x| falls for b < 0); a branch between two
     # seams the second from the seam nearer 0.  The first result strictly
     # inside (lo, hi) is taken, else y0 on an unbounded branch, else None.
-    yr, d, y0 = bi.y_range, bi.seams[-1][0], None
+    yr, d, lo, hi, y0 = plan.info.y_range, plan.seams[-1][0], plan.lo, plan.hi, None
     if math.isinf(yr.lo) or math.isinf(yr.hi):
         t = math.log(abs(x) or 5e-324)  # x = 0 as the least double
         d = y0 = d + (max(1.0, t) if p.b > 0.0 else -max(1.0, -t))
@@ -584,16 +619,17 @@ def _end_start(p: Params, bi: BranchInfo, x: float,
     return y0
 
 
-def _solve(p: Params, bi: BranchInfo, x: float, tol: float,
+def _solve(p: Params, plan: _Plan, x: float, tol: float,
            start: float | None = None, known: tuple[float, float] | None = None
            ) -> tuple[float, float, int, bool, tuple[float, float] | None]:
-    # evaluate's contract for x on branch bi, as the fields of EvalResult,
-    # then (f, f') at the root (None at a seam): the root on the branch's
-    # bracket (_bracket), solved from `start` (a point of that bracket,
-    # with (f, f') there as `known` when already evaluated), else from the
-    # branch-point expansion at a seam (_seam_start), else from the
+    # evaluate's contract for x on the branch of `plan`, as the fields of
+    # EvalResult, then (f, f') at the root (None at a seam): the root on the
+    # branch's bracket (_bracket), solved from `start` (a point of that
+    # bracket, with (f, f') there as `known` when already evaluated), else
+    # from the branch-point expansion at a seam (_seam_start), else from the
     # branch's open end (_end_start), else from the bracket's bisection
     # point.  f is evaluated only by the solver.
+    bi = plan.info
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol!r}")
     if math.isnan(x):
@@ -602,18 +638,17 @@ def _solve(p: Params, bi: BranchInfo, x: float, tol: float,
         raise DomainError(
             f"x={x!r} outside branch {bi.index} domain {bi.x_domain}"
         )
-    for d, fx in bi.seams:
+    for d, fx, _ in plan.seams:
         if x == fx:  # the catalog holds f(d) = forward(p, d)
             return d, 0.0, 0, True, None
 
-    lo, hi = _bracket(bi)
     if start is None:
-        start = _seam_start(p, bi, x, lo, hi)
+        start = _seam_start(plan, x)
     if start is None:
-        start = _end_start(p, bi, x, lo, hi)
+        start = _end_start(p, plan, x)
     limit = tol * max(1.0, abs(x))
     y, res, it, _, _, point = _newton_bisect(functools.partial(_forward_and_slope, p), x,
-                                             lo, hi, bi.monotone is Monotone.INCREASING,
+                                             plan.lo, plan.hi, plan.increasing,
                                              limit, start, known)
     if res <= limit:
         return y, res, it, False, point
@@ -623,30 +658,32 @@ def _solve(p: Params, bi: BranchInfo, x: float, tol: float,
     )
 
 
-def _inverter(p: Params, branch: int, tol: float) -> Callable[[float], float]:
-    # x -> y on one branch for many x, each y under evaluate's contract,
-    # warm-started.  The first solve starts as evaluate's does, so it returns
-    # evaluate's bits.  A later one starts from the last root, with f and f'
-    # as the solver computed them there (none after a seam hit), so its first
-    # point is free; or, when x lies closer to f's limit at the branch's open
-    # end (x_end) than to the last x, it starts as evaluate's does: after a
-    # far jump the open end's start is the nearer one, and Newton from the
-    # last root can crawl down the convex side of e^y.  Results are memoised
-    # by x, so an equal x returns the same bits whatever the call order.
-    bi = _branch_or_raise(p, branch)
-    dom = bi.x_domain
-    x_end = math.inf if dom.lo_closed and dom.hi_closed else dom.hi if dom.lo_closed else dom.lo
-    memo: dict[float, float] = {}
+def _inverter(p: Params, branch: int, tol: float
+              ) -> Callable[[float], tuple[float, float | None]]:
+    # x -> (y, f'(y)) on one branch for many x, each y under evaluate's
+    # contract, warm-started; f'(y) is the slope the solver computed at y
+    # (None at a seam, where it computed none).  The first solve starts as
+    # evaluate's does, so it returns evaluate's bits.  A later one starts
+    # from the last root, with f and f' as the solver computed them there
+    # (none after a seam hit), so its first point is free; or, when x lies
+    # closer to f's limit at the branch's open end (x_end) than to the last
+    # x, it starts as evaluate's does: after a far jump the open end's start
+    # is the nearer one, and Newton from the last root can crawl down the
+    # convex side of e^y.  Results are memoised by x, so an equal x returns
+    # the same bits whatever the call order.
+    plan = _plan_or_raise(p, branch)
+    memo: dict[float, tuple[float, float | None]] = {}
     last_x, warm = math.inf, (None, None)
 
-    def invert(x: float) -> float:
+    def invert(x: float) -> tuple[float, float | None]:
         nonlocal last_x, warm
-        y = memo.get(x)
-        if y is None:
-            start, known = warm if abs(x - last_x) <= abs(x - x_end) else (None, None)
-            y, _, _, _, point = _solve(p, bi, x, tol, start, known)
-            memo[x], last_x, warm = y, x, (y, point)
-        return y
+        answer = memo.get(x)
+        if answer is None:
+            start, known = warm if abs(x - last_x) <= abs(x - plan.x_end) else (None, None)
+            y, _, _, _, point = _solve(p, plan, x, tol, start, known)
+            answer = memo[x] = y, None if point is None else point[1]
+            last_x, warm = x, (y, point)
+        return answer
 
     return invert
 
@@ -668,10 +705,11 @@ def evaluate(p: Params, branch: int, x: float, tol: float = 1e-12) -> EvalResult
     bisects otherwise, at the geometric mean when the bracket spans more
     than a factor of 4, until |f(y) - x| <= tol * max(1, |x|);
     ConvergenceError when the bracket shrinks to a few ulps first.  f is
-    evaluated only at the solver's points.  Deterministic for fixed
-    inputs.
+    evaluated only at the solver's points.  The bracket, f''(d) and the
+    other per-branch constants come with the catalog.  Deterministic for
+    fixed inputs.
     """
-    y, res, it, at_seam, _ = _solve(p, _branch_or_raise(p, branch), x, tol)
+    y, res, it, at_seam, _ = _solve(p, _plan_or_raise(p, branch), x, tol)
     return EvalResult(y, res, it, at_seam)
 
 

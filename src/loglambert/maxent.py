@@ -42,12 +42,13 @@ the limit of f at the branch's open end than to the last argument.  Levels
 go in ascending x, so the result does not depend on their order, and an
 equal argument returns the same bits.  A pass over the levels is memoised
 by value, so one repeated at an equal spec (the `distribution` at the
-alpha `solve_alpha` returned) is served without an inversion.  A weight
-beyond the double range raises RangeError naming its level (its argument,
-for `continuous_weight`).  `continuous_pdf` normalises by adaptive 7-point
-Gauss / 15-point Kronrod quadrature over a range that stops at the support
-cut.  The stationarity residuals difference one term of the separable
-entropy sum each, O(n) in the number of levels.
+alpha `solve_alpha` returned) is served without an inversion; it keeps
+each level's f'(y_i) as the inversion's solver computed it, for the slope
+of Z.  A weight beyond the double range raises RangeError naming its level
+(its argument, for `continuous_weight`).  `continuous_pdf` normalises by
+adaptive 7-point Gauss / 15-point Kronrod quadrature over a range that stops
+at the support cut.  The stationarity residuals difference one term of the
+separable entropy sum each, O(n) in the number of levels.
 """
 
 from __future__ import annotations
@@ -200,10 +201,12 @@ def suggest_branch(ep: EntropyParams, n_levels: int) -> int:
 
 @functools.lru_cache(maxsize=4)
 def _all_weights(spec: EnsembleSpec, branch: int
-                 ) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
-    # (x_i, y_i, w_i) per level.  Levels are inverted in ascending x by one
-    # warm inverter, so each root warm-starts the next and the result does
-    # not depend on the order of the levels.  Memoised by value: a pass
+                 ) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...],
+                            tuple[float | None, ...]]:
+    # (x_i, y_i, w_i, f'(y_i)) per level, f'(y_i) as the inversion's solver
+    # computed it (None at a seam).  Levels are inverted in ascending x by
+    # one warm inverter, so each root warm-starts the next and the result
+    # does not depend on the order of the levels.  Memoised by value: a pass
     # repeated at an equal spec (`distribution` at the alpha `solve_alpha`
     # returned) costs no inversion.
     ep = spec.ep
@@ -212,13 +215,14 @@ def _all_weights(spec: EnsembleSpec, branch: int
     xs = [_argument(ep, spec.alpha, spec.beta, eps) for eps in spec.levels]
     ys = [0.0] * len(xs)
     ws = [0.0] * len(xs)
+    slopes: list[float | None] = [None] * len(xs)
     for i in sorted(range(len(xs)), key=xs.__getitem__):
         try:
-            ys[i] = invert(xs[i])
+            ys[i], slopes[i] = invert(xs[i])
             ws[i] = _weight(ep, params, branch, xs[i], ys[i])
         except (DomainError, RangeError) as exc:
             raise type(exc)(f"level {i} (eps={spec.levels[i]!r}): {exc}") from exc
-    return tuple(xs), tuple(ys), tuple(ws)
+    return tuple(xs), tuple(ys), tuple(ws), tuple(slopes)
 
 
 def probability(spec: EnsembleSpec, i: int, branch: int | None = None) -> float:
@@ -242,7 +246,7 @@ def distribution(spec: EnsembleSpec, branch: int | None = None) -> DiscreteDistr
     """Full normalised distribution with partition value and beta_r."""
     if branch is None:
         branch = suggest_branch(spec.ep, len(spec.levels))
-    xs, _, ws = _all_weights(spec, branch)
+    xs, _, ws, _ = _all_weights(spec, branch)
     z = math.fsum(ws)
     return DiscreteDistribution(
         probs=tuple(w / z for w in ws),
@@ -308,7 +312,7 @@ def solve_alpha(
         # (Z, Z') at alpha, by the pass `distribution` makes.
         spec = EnsembleSpec(levels=levels, alpha=alpha, beta=beta, ep=ep)
         try:
-            _, ys, ws = _all_weights(spec, branch)
+            _, ys, ws, slopes = _all_weights(spec, branch)
             z = math.fsum(ws)
         except OverflowError:  # a weight or Z beyond the double range
             return math.inf, math.nan
@@ -316,9 +320,13 @@ def solve_alpha(
             return z, math.nan
         total = 0.0  # dw/dy = w/(q-1) * (a/y)/brace, dy/dx = 1/f'(y)
         try:
-            for y, w in zip(ys, ws):
+            for y, w, slope in zip(ys, ws, slopes):
+                if slope is None or not math.isfinite(slope):
+                    # None at a seam hit; forward_slope computes the same
+                    # bits, and raises RangeError where they overflow.
+                    slope = forward_slope(params, y)
                 brace = params.a * math.log(params.b * y) + 1.0
-                total += w * params.a / (y * brace * forward_slope(params, y))
+                total += w * params.a / (y * brace * slope)
         except (ZeroDivisionError, RangeError):
             total = math.nan  # a root on a seam, or f' beyond the double range
         return z, k / (ep.q - 1.0) * total
@@ -462,7 +470,7 @@ def continuous_pdf(
 
     def g(x: float) -> float:
         arg = _argument(ep, alpha, beta, x * x)
-        return _weight(ep, params, branch, arg, invert(arg))
+        return _weight(ep, params, branch, arg, invert(arg)[0])
 
     values = [g(x) for x in x_grid]
 

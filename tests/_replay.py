@@ -41,6 +41,11 @@ prints, per call, each record's outcome counts, the outcome-class changes,
 and how many answers and refusals (class and message) are equal to the
 bit, listing each op whose record differs.
 
+Like `diff`, `--compare A B` exits 1 when the records differ: an input
+only one record has, an outcome class that changes, or an `evaluate`
+answer (y, residual or point count), a seam or a fit answer or refusal
+that differs in bits.  It exits 0 when the two records agree to the bit.
+
 This file is a tool, not a test module: pytest does not collect it.
 """
 
@@ -240,8 +245,11 @@ def _pair(rows_a, rows_b, width=7):
     return pairs, only_a, [rb for queue in queues.values() for rb in queue]
 
 
-def compare(path_a: str, path_b: str, mp_every: int) -> None:
+def compare(path_a: str, path_b: str, mp_every: int) -> bool:
+    # Prints the comparison; True when the records differ (see the module
+    # docstring).
     rows_a, rows_b = _load(path_a), _load(path_b)
+    differs = False
     for name in WORKLOADS:
         own_a = [r for r in rows_a if r[0] == name]
         own_b = [r for r in rows_b if r[0] == name]
@@ -274,6 +282,8 @@ def compare(path_a: str, path_b: str, mp_every: int) -> None:
         print(f"  answered in both: {len(both)}, y equal to the bit: {equal}, "
               f"(y, points) equal: {sum(ra[8:] == rb[8:] for ra, rb in both)}")
         print(f"  ulp moves of the {len(moves)} that differ: {_quantiles(moves)}")
+        differs |= bool(only_a or only_b or flips
+                        or any(ra[8:] != rb[8:] for ra, rb in both))
         if name == "eval_hot" and mp_every:
             errs_a, errs_b = [], []
             for ra, rb in both[::mp_every]:
@@ -283,12 +293,14 @@ def compare(path_a: str, path_b: str, mp_every: int) -> None:
             print(f"  relative error against 50-digit roots, {len(errs_a)} answers:")
             print(f"    A: {_quantiles(errs_a)}")
             print(f"    B: {_quantiles(errs_b)}")
-    compare_seams([r for r in rows_a if r[0] == SEAMS],
-                  [r for r in rows_b if r[0] == SEAMS], mp_every)
-    compare_fits([r for r in rows_a if r[0] == FITS], [r for r in rows_b if r[0] == FITS])
+    differs |= compare_seams([r for r in rows_a if r[0] == SEAMS],
+                             [r for r in rows_b if r[0] == SEAMS], mp_every)
+    differs |= compare_fits([r for r in rows_a if r[0] == FITS],
+                            [r for r in rows_b if r[0] == FITS])
+    return differs
 
 
-def compare_fits(rows_a, rows_b) -> None:
+def compare_fits(rows_a, rows_b) -> bool:
     pairs, only_a, only_b = _pair(rows_a, rows_b, 4)
     print(f"== {FITS}: {len(rows_a)} and {len(rows_b)} calls, {len(pairs)} with the same op")
     print(f"  ops only in A: {len(only_a)}, only in B: {len(only_b)}")
@@ -309,9 +321,10 @@ def compare_fits(rows_a, rows_b) -> None:
             if ra != rb:
                 print(f"    seed {ra[1]} op {ra[2]}: {' '.join(ra[4:])[:120]} -> "
                       f"{' '.join(rb[4:])[:120]}")
+    return bool(only_a or only_b or any(ra != rb for ra, rb in pairs))
 
 
-def compare_seams(rows_a, rows_b, mp_every: int) -> None:
+def compare_seams(rows_a, rows_b, mp_every: int) -> bool:
     pairs, only_a, only_b = _pair(rows_a, rows_b, 5)
     print(f"== {SEAMS}: {len(rows_a)} and {len(rows_b)} scan_cold catalogs, "
           f"{len(pairs)} with the same input")
@@ -340,9 +353,10 @@ def compare_seams(rows_a, rows_b, mp_every: int) -> None:
         print("  ulps from the 60-digit root, moved seams:")
         print(f"    A: {_quantiles(dist_a)}")
         print(f"    B: {_quantiles(dist_b)}")
+    return bool(only_a or only_b or flips or moved)
 
 
-def main(argv=None) -> None:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", default=str(ROOT / "src"), help="library source directory")
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
@@ -352,10 +366,10 @@ def main(argv=None) -> None:
                          "every moved seam against mpmath")
     args = ap.parse_args(argv)
     if args.compare:
-        compare(*args.compare, args.mpmath)
-    else:
-        record(args.src, args.seeds)
+        return int(compare(*args.compare, args.mpmath))
+    record(args.src, args.seeds)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

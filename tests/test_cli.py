@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -67,6 +68,28 @@ def test_table_rows():
     assert float(by_exact[4.0]["x"]) == pytest.approx(575.7476, abs=5e-4)
     assert "3575.7472" in by_exact[4.0]["note"]
     assert by_exact[5.0]["note"] == ""
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_table_command_in_every_format(fmt):
+    # Seven rows, y = 4..10 in the `exact` column, in each output format.
+    cp = run_cli("table", "--format", fmt)
+    assert "Traceback" not in cp.stderr
+    if fmt == "json":
+        rows = json.loads(cp.stdout)["rows"]
+    elif fmt == "csv":
+        rows = list(csv.DictReader(io.StringIO(cp.stdout)))
+    else:
+        # Columns are left-justified to the width of their rule of dashes.
+        header, rule, *lines = cp.stdout.splitlines()
+        spans = [m.span() for m in re.finditer("-+", rule)]
+        names = [header[i:j].strip() for i, j in spans]
+        rows = [{name: line[i:j].strip() for name, (i, j) in zip(names, spans)}
+                for line in lines]
+        assert all(len(line) <= len(rule) for line in lines)
+    assert len(rows) == 7
+    assert [float(r["exact"]) for r in rows] == [float(y) for y in range(4, 11)]
+    assert all(float(r["x"]) > 0.0 and 0.0 < float(r["rel_err"]) < 1.0 for r in rows)
 
 
 def test_branches_catalog_counts():

@@ -13,6 +13,7 @@ from loglambert import (
     evaluate,
     forward,
     lambert_w,
+    singular_residual,
 )
 from loglambert import core
 from loglambert.core import _bracket, _inverter
@@ -114,6 +115,53 @@ def test_bracket_is_the_branch_range():
                     for end, closed in ((yr.lo, yr.lo_closed), (yr.hi, yr.hi_closed))]
             assert list(_bracket(bi)) == ends, (abc, bi.index)
             assert {d for d, _ in bi.seams} <= set(ends)
+
+
+def test_plans_hold_the_branch_constants():
+    # Each branch's solve plan, built with the catalog: the bracket, the
+    # direction, the seams with f''(d) = s'(d)*e^d, where s'(y) =
+    # a*ln(b*y) + a*(y+1)/y + 1 is the slope of the seam equation
+    # singular_residual, and the limit of f at the open end.
+    for abc in PARAM_SETS:
+        p = Params(*map(float, abc))
+        infos, plans = core._catalog(p)
+        assert infos is branches(p)
+        for bi, plan in zip(infos, plans, strict=True):
+            assert plan.info is bi
+            assert (plan.lo, plan.hi) == _bracket(bi)
+            assert plan.increasing == (bi.monotone is Monotone.INCREASING)
+            assert [(d, f_d) for d, f_d, _ in plan.seams] == list(bi.seams)
+            dom = bi.x_domain
+            assert plan.x_end == (math.inf if dom.lo_closed and dom.hi_closed
+                                  else dom.hi if dom.lo_closed else dom.lo)
+            for d, _, curvature in plan.seams:
+                s_prime = p.a * math.log(p.b * d) + p.a * (d + 1.0) / d + 1.0
+                assert curvature == s_prime * math.exp(d), (abc, bi.index, d)
+                h = 1e-6 * abs(d)
+                slope = (singular_residual(p, d + h) - singular_residual(p, d - h)) / (2.0 * h)
+                assert curvature == pytest.approx(slope * math.exp(d), rel=1e-6)
+
+
+def test_inversions_do_no_branch_setup(monkeypatch):
+    # The bracket and the other per-branch constants come with the catalog:
+    # once it is built, neither evaluate nor a warm inverter computes one.
+    infos = [(p, bi) for p in (Params(*map(float, abc)) for abc in PARAM_SETS)
+             for bi in branches(p)]
+    assert len(infos) == 12
+    calls = []
+    bracket = core._bracket
+    monkeypatch.setattr(core, "_bracket", lambda bi: calls.append(bi) or bracket(bi))
+    for p, bi in infos:
+        for x in interior_points(bi, 5):
+            y = evaluate(p, bi.index, x).y
+            assert abs(forward(p, y) - x) <= 1e-12 * max(1.0, abs(x)), (p, bi.index, x)
+    assert calls == []
+    for p, bi in infos:
+        invert = _inverter(p, bi.index, 1e-12)
+        for x in sorted(interior_points(bi, 5)):
+            y, _ = invert(x)
+            assert abs(forward(p, y) - x) <= 1e-12 * max(1.0, abs(x)), (p, bi.index, x)
+    assert calls == []
 
 
 def _open_end_points(bi):
@@ -228,7 +276,7 @@ def test_inverter_after_a_far_jump_is_cheap(monkeypatch):
     calls = _counting_f(monkeypatch)
     for x in (2.0e116, 0.0):
         calls[0] = 0
-        y = invert(x)
+        y, _ = invert(x)
         assert branches(p)[0].y_range.contains(y)
         assert abs(forward(p, y) - x) <= 1e-12 * max(1.0, abs(x))
         assert calls[0] <= 8, x
@@ -295,5 +343,5 @@ def test_inverter_answers_far_jumps():
     p = Params(1.0, 1.0, 1.0)
     invert = _inverter(p, 1, 1e-12)
     for x in (10.0, 1e10, 1e100, 1e300):
-        y = invert(x)
+        y, _ = invert(x)
         assert abs(forward(p, y) - x) <= 1e-12 * x

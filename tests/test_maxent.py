@@ -299,6 +299,16 @@ def test_distribution_after_solve_alpha_reuses_its_last_pass(monkeypatch):
     assert len(calls) >= len(LEVELS_128)
 
 
+def test_solve_alpha_takes_each_slope_from_its_inversion(monkeypatch):
+    # The slope of Z needs f'(y_i) at every level's root; the inversion's
+    # solver computed it there, so no pass evaluates f' again.
+    calls = _count_calls(monkeypatch, maxent, "forward_slope")
+    alpha = solve_alpha(LEVELS_128, 0.1, EP)
+    assert calls == []
+    spec = EnsembleSpec(levels=LEVELS_128, alpha=alpha, beta=0.1, ep=EP)
+    assert abs(distribution(spec).partition - 1.0) <= 1e-14
+
+
 def test_pass_memo_is_keyed_by_value():
     maxent._all_weights.cache_clear()
     spec = EnsembleSpec(levels=LEVELS, alpha=0.0, beta=0.1, ep=EP)

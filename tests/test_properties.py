@@ -252,7 +252,7 @@ def test_inverter_meets_contract_or_refuses(p, us, toward_open, data):
         seen = {}
         for k, x in enumerate(xs):
             try:
-                y = invert(x)
+                y = invert(x)[0]
             except LogLambertError:
                 y = None
             try:
