@@ -173,7 +173,7 @@ def _cmd_branches(args) -> int:
             })
             rows.append({
                 "series": "h", "y": y,
-                "x": args.A * math.log(args.B * y),
+                "x": args.A * core._log_by(p, y, "the h curve"),
             })
         _emit(args.format, params, ["series", "y", "x"], rows)
         return 0
@@ -293,7 +293,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--branch", type=int, required=True, help="branch index")
     pe.add_argument("-x", type=float, required=True, help="value to invert")
     pe.add_argument("--tol", type=float, default=1e-12,
-                    help="relative residual tolerance (default 1e-12)")
+                    help="residual tolerance: |f(y) - x| <= tol*max(1, |x|), "
+                         "absolute below |x| = 1 (default 1e-12)")
     pe.set_defaults(func=_cmd_eval)
 
     pt = sub.add_parser(

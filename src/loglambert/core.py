@@ -11,6 +11,11 @@ sign cases.  Between consecutive seams f is strictly monotone, so the inverse
 splits into branches indexed 0, 1 (and 2 for b < 0), counted starting from
 the branch whose y-range touches 0.
 
+Every ln(b*y) follows one rule: math.log(b*y) while b*y is a normal double,
+else ln|b| + ln|y| when y lies on the side of 0 where b*y > 0 (a subnormal
+b*y has lost bits and one rounded to 0 has no logarithm, while |b| and |y|
+keep theirs), else DomainError naming the quantity that needs b*y > 0.
+
 Seam contract: each seam is the root of the seam equation in doubles, found
 on the monotone pieces of the seam equation between its knots (the zeros of
 its slope, -1/W of one argument through the classical Lambert W), on
@@ -228,7 +233,7 @@ def forward(p: Params, y: float) -> float:
     Raises RangeError naming y when f(y) overflows the double range.
     """
     by = p.b * y
-    log_by = math.log(by) if by > 0.0 else _log_by(p, y, "forward map")
+    log_by = math.log(by) if by >= _DBL_MIN else _log_by(p, y, "forward map")
     try:
         value = (p.a * y * log_by + y + p.c) * math.exp(y)
     except OverflowError:
@@ -243,11 +248,7 @@ def forward_slope(p: Params, y: float) -> float:
 
     Raises RangeError naming y when f'(y) overflows the double range.
     """
-    s = singular_residual(p, y)
-    try:
-        value = s * math.exp(y)
-    except OverflowError:
-        value = math.inf
+    value = _forward_and_slope(p, y)[1]
     if not math.isfinite(value):
         raise RangeError(f"forward slope overflows the double range at y={y!r}")
     return value
@@ -259,25 +260,36 @@ def singular_residual(p: Params, y: float) -> float:
     This is also e^{-y} * f'(y), so its zeros are the vertical-tangent
     points of the inverse.
     """
-    return p.a * (y + 1.0) * _log_by(p, y, "seam equation") + y + p.a + p.c + 1.0
+    return _seam_and_slope(p, y)[0]
+
+
+_DBL_MIN, _DBL_MAX = sys.float_info.min, sys.float_info.max
 
 
 def _log_by(p: Params, y: float, what: str) -> float:
-    # ln(b*y), as ln|b| + ln|y| where b*y underflows to 0.  DomainError,
-    # naming `what`, unless b*y > 0.  Hot callers take math.log(b*y) first.
+    # ln(b*y) by the module's rule; the DomainError names `what`.  Hot
+    # callers inline the first case.
+    by = p.b * y
+    if by >= _DBL_MIN:
+        return math.log(by)
     if not (y > 0.0 if p.b > 0.0 else y < 0.0):
         raise DomainError(f"{what} needs b*y > 0; got b={p.b!r}, y={y!r}")
-    by = p.b * y
-    return math.log(by) if by > 0.0 else math.log(abs(p.b)) + math.log(abs(y))
+    return math.log(abs(p.b)) + math.log(abs(y))
+
+
+def _seam_and_slope(p: Params, y: float) -> tuple[float, float]:
+    # (s(y), s'(y)) of the seam equation s = a*(y+1)*ln(b*y) + y + a + c + 1,
+    # s'(y) = a*(ln(b*y) + 1 + 1/y) + 1.
+    log_by = _log_by(p, y, "seam equation")
+    return (p.a * (y + 1.0) * log_by + y + p.a + p.c + 1.0,
+            p.a * (log_by + 1.0 + 1.0 / y) + 1.0)
 
 
 def _forward_and_slope(p: Params, y: float) -> tuple[float, float]:
     # (f(y), f'(y)) from one log and one exp, overflow mapped to signed
     # infinities.
-    try:
-        log_by = math.log(p.b * y)
-    except ValueError:  # b*y underflows to 0
-        log_by = _log_by(p, y, "forward map")
+    by = p.b * y
+    log_by = math.log(by) if by >= _DBL_MIN else _log_by(p, y, "forward map")
     poly = p.a * y * log_by + y + p.c
     s = p.a * (y + 1.0) * log_by + y + p.a + p.c + 1.0
     try:
@@ -355,7 +367,6 @@ def _newton_bisect(fn: Callable[[float], tuple[float, float]], target: float,
 
 # Seams are sought on e^-708 <= |y| <= ln(DBL_MAX): below, y is not a normal
 # double; above, e^y overflows.
-_DBL_MIN, _DBL_MAX = sys.float_info.min, sys.float_info.max
 _Y_MIN = math.exp(-708.0)
 _Y_MAX = math.log(_DBL_MAX)
 
@@ -426,20 +437,12 @@ def singular_points(p: Params) -> list[float]:
             f"admissible half-line, expected {expected}"
         )
 
-    log_b = math.log(abs(p.b))
-
-    def s_and_slope(y: float) -> tuple[float, float]:
-        # (s(y), s'(y)), with ln(b*y) as ln|b| + ln|y| where b*y underflows
-        by = p.b * y
-        log_by = math.log(by) if by >= _DBL_MIN else log_b + math.log(abs(y))
-        return (p.a * (y + 1.0) * log_by + y + p.a + p.c + 1.0,
-                p.a * (log_by + 1.0 + 1.0 / y) + 1.0)
-
+    seam_equation = functools.partial(_seam_and_slope, p)
     roots = []
     for i in pieces:
         lo, hi = sorted(math.copysign(min(max(abs(e), _Y_MIN), _Y_MAX), p.b)
                         for e in ends[i:i + 2])
-        s_lo, s_hi = s_and_slope(lo)[0], s_and_slope(hi)[0]
+        s_lo, s_hi = seam_equation(lo)[0], seam_equation(hi)[0]
         if (s_lo > 0.0) == (s_hi > 0.0):
             raise RangeError(
                 f"seam equation for {params} has a root outside the searched "
@@ -451,7 +454,7 @@ def singular_points(p: Params) -> list[float]:
         start = next((y for y in (math.exp(min(v, _Y_MAX)) / p.b
                                   for v in (-(p.a + p.c + 1.0) / p.a, -1.0 / p.a))
                       if lo < y < hi), None)
-        roots.append(_newton_bisect(s_and_slope, 0.0, lo, hi, s_lo < s_hi, 0.0, start)[0])
+        roots.append(_newton_bisect(seam_equation, 0.0, lo, hi, s_lo < s_hi, 0.0, start)[0])
     return sorted(roots)
 
 
@@ -470,16 +473,6 @@ class _Plan:
         self.seams = tuple((d, f_d, curvatures[d]) for d, f_d in info.seams)
         self.x_end = (math.inf if dom.lo_closed and dom.hi_closed
                       else dom.hi if dom.lo_closed else dom.lo)
-
-
-def _seam_curvature(p: Params, d: float) -> float:
-    # f''(d) = s'(d)*e^d at a seam d, where f'(d) = 0; s'(y) = a*ln(b*y) +
-    # a*(y+1)/y + 1.
-    try:
-        log_bd = math.log(p.b * d)
-    except ValueError:  # b*d underflows to 0
-        log_bd = _log_by(p, d, "seam")
-    return (p.a * log_bd + p.a * (d + 1.0) / d + 1.0) * math.exp(d)
 
 
 @functools.lru_cache(maxsize=128)
@@ -505,7 +498,7 @@ def _catalog(p: Params) -> tuple[tuple[BranchInfo, ...], tuple[_Plan, ...]]:
             ends.append((d, forward(p, d), True))
         except RangeError:
             raise _range_error(p, f"f at the seam y={d!r}") from None
-        curvatures[d] = _seam_curvature(p, d)
+        curvatures[d] = _seam_and_slope(p, d)[1] * math.exp(d)  # f''(d), as f'(d) = 0
     if p.b > 0.0:
         ends.append((math.inf, math.copysign(math.inf, p.a), False))
     else:
@@ -621,9 +614,9 @@ def _end_start(p: Params, plan: _Plan, x: float) -> float | None:
 
 def _solve(p: Params, plan: _Plan, x: float, tol: float,
            start: float | None = None, known: tuple[float, float] | None = None
-           ) -> tuple[float, float, int, bool, tuple[float, float] | None]:
+           ) -> tuple[float, float, int, bool, tuple[float, float]]:
     # evaluate's contract for x on the branch of `plan`, as the fields of
-    # EvalResult, then (f, f') at the root (None at a seam): the root on the
+    # EvalResult, then (f, f') at the root (f' = 0 at a seam): the root on the
     # branch's bracket (_bracket), solved from `start` (a point of that
     # bracket, with (f, f') there as `known` when already evaluated), else
     # from the branch-point expansion at a seam (_seam_start), else from the
@@ -640,7 +633,7 @@ def _solve(p: Params, plan: _Plan, x: float, tol: float,
         )
     for d, fx, _ in plan.seams:
         if x == fx:  # the catalog holds f(d) = forward(p, d)
-            return d, 0.0, 0, True, None
+            return d, 0.0, 0, True, (fx, 0.0)
 
     if start is None:
         start = _seam_start(plan, x)
@@ -659,29 +652,28 @@ def _solve(p: Params, plan: _Plan, x: float, tol: float,
 
 
 def _inverter(p: Params, branch: int, tol: float
-              ) -> Callable[[float], tuple[float, float | None]]:
+              ) -> Callable[[float], tuple[float, float]]:
     # x -> (y, f'(y)) on one branch for many x, each y under evaluate's
     # contract, warm-started; f'(y) is the slope the solver computed at y
-    # (None at a seam, where it computed none).  The first solve starts as
-    # evaluate's does, so it returns evaluate's bits.  A later one starts
-    # from the last root, with f and f' as the solver computed them there
-    # (none after a seam hit), so its first point is free; or, when x lies
-    # closer to f's limit at the branch's open end (x_end) than to the last
-    # x, it starts as evaluate's does: after a far jump the open end's start
-    # is the nearer one, and Newton from the last root can crawl down the
-    # convex side of e^y.  Results are memoised by x, so an equal x returns
-    # the same bits whatever the call order.
+    # (0 at a seam).  The first solve starts as evaluate's does, so it
+    # returns evaluate's bits.  A later one starts from the last root, with
+    # f and f' as the solver computed them there, so its first point is
+    # free; or, when x lies closer to f's limit at the branch's open end
+    # (x_end) than to the last x, it starts as evaluate's does: after a far
+    # jump the open end's start is the nearer one, and Newton from the last
+    # root can crawl down the convex side of e^y.  Results are memoised by
+    # x, so an equal x returns the same bits whatever the call order.
     plan = _plan_or_raise(p, branch)
-    memo: dict[float, tuple[float, float | None]] = {}
+    memo: dict[float, tuple[float, float]] = {}
     last_x, warm = math.inf, (None, None)
 
-    def invert(x: float) -> tuple[float, float | None]:
+    def invert(x: float) -> tuple[float, float]:
         nonlocal last_x, warm
         answer = memo.get(x)
         if answer is None:
             start, known = warm if abs(x - last_x) <= abs(x - plan.x_end) else (None, None)
             y, _, _, _, point = _solve(p, plan, x, tol, start, known)
-            answer = memo[x] = y, None if point is None else point[1]
+            answer = memo[x] = y, point[1]
             last_x, warm = x, (y, point)
         return answer
 
@@ -804,7 +796,7 @@ def taylor_first_order(p: Params) -> tuple[float, float]:
 def _forward_series(p: Params, a0: float, n: int) -> list[float]:
     # Taylor coefficients of f about a0 through order n, from the exact
     # expansions of ln(b*(a0+s)) and e^{a0+s}.
-    log_ba0 = math.log(p.b * a0)
+    log_ba0 = _log_by(p, a0, "the expansion point")
     log_ser = [log_ba0] + [
         ((-1.0) ** (k + 1)) / (k * a0**k) for k in range(1, n + 1)
     ]

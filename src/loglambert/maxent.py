@@ -58,8 +58,8 @@ import math
 from collections.abc import Callable, Sequence
 
 from .core import (_Y_MAX, BranchInfo, Monotone, Params, _branch_or_raise,
-                   _forward_and_slope, _inverter, _newton_bisect, _Record, _set,
-                   branches, evaluate, forward, forward_slope)
+                   _forward_and_slope, _inverter, _log_by, _newton_bisect, _Record,
+                   _set, branches, evaluate, forward)
 from .errors import ConvergenceError, DomainError, IntegrationError, RangeError
 from .qcalculus import EntropyParams, ln_qqr
 
@@ -141,10 +141,7 @@ def level_argument(spec: EnsembleSpec, i: int) -> float:
 def _weight(ep: EntropyParams, params: Params, branch: int, x: float, y: float) -> float:
     # Unnormalised stationary weight {a*ln(b*y) + 1}^(1/(q-1)) at the y
     # solving the forward map for x on the chosen branch.
-    inner = params.b * y
-    if not inner > 0.0:
-        raise DomainError(f"weight undefined: log argument {inner!r}")
-    brace = params.a * math.log(inner) + 1.0
+    brace = params.a * _log_by(params, y, "weight") + 1.0
     if not brace > 0.0:
         raise DomainError(
             f"weight undefined: brace {brace!r} non-positive at x={x!r} "
@@ -202,9 +199,9 @@ def suggest_branch(ep: EntropyParams, n_levels: int) -> int:
 @functools.lru_cache(maxsize=4)
 def _all_weights(spec: EnsembleSpec, branch: int
                  ) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...],
-                            tuple[float | None, ...]]:
+                            tuple[float, ...]]:
     # (x_i, y_i, w_i, f'(y_i)) per level, f'(y_i) as the inversion's solver
-    # computed it (None at a seam).  Levels are inverted in ascending x by
+    # computed it (0 at a seam).  Levels are inverted in ascending x by
     # one warm inverter, so each root warm-starts the next and the result
     # does not depend on the order of the levels.  Memoised by value: a pass
     # repeated at an equal spec (`distribution` at the alpha `solve_alpha`
@@ -215,7 +212,7 @@ def _all_weights(spec: EnsembleSpec, branch: int
     xs = [_argument(ep, spec.alpha, spec.beta, eps) for eps in spec.levels]
     ys = [0.0] * len(xs)
     ws = [0.0] * len(xs)
-    slopes: list[float | None] = [None] * len(xs)
+    slopes = [0.0] * len(xs)
     for i in sorted(range(len(xs)), key=xs.__getitem__):
         try:
             ys[i], slopes[i] = invert(xs[i])
@@ -321,14 +318,11 @@ def solve_alpha(
         total = 0.0  # dw/dy = w/(q-1) * (a/y)/brace, dy/dx = 1/f'(y)
         try:
             for y, w, slope in zip(ys, ws, slopes):
-                if slope is None or not math.isfinite(slope):
-                    # None at a seam hit; forward_slope computes the same
-                    # bits, and raises RangeError where they overflow.
-                    slope = forward_slope(params, y)
-                brace = params.a * math.log(params.b * y) + 1.0
-                total += w * params.a / (y * brace * slope)
-        except (ZeroDivisionError, RangeError):
-            total = math.nan  # a root on a seam, or f' beyond the double range
+                brace = params.a * _log_by(params, y, "weight") + 1.0
+                # f' = 0 (a root on a seam) raises; f' beyond the double range is NaN
+                total += w * params.a / (y * brace * slope) if math.isfinite(slope) else math.nan
+        except ZeroDivisionError:
+            total = math.nan
         return z, k / (ep.q - 1.0) * total
 
     # Uniform warm start: alpha reproducing the uniform weight at the mean level.

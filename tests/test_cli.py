@@ -137,6 +137,23 @@ def test_branch_curves_csv_roundtrip():
     assert checked == 50
 
 
+def test_branch_curves_where_b_times_y_underflows():
+    # The seam is 7.67e-308, so b*y is subnormal or rounds to 0 on branch 0
+    # and at the first sample of the h curve, a*ln(b*y): every format still
+    # gives a finite h, and no traceback.
+    argv = ["branches", "-A", "0.01", "-B", "1e-16", "-C", "6.43", "--samples", "3"]
+    out = {fmt: run_cli(*argv, "--format", fmt) for fmt in ("table", "csv", "json")}
+    assert all("Traceback" not in cp.stderr for cp in out.values())
+    h = [float(r["x"]) for r in csv.DictReader(io.StringIO(out["csv"].stdout))
+         if r["series"] == "h"]
+    assert len(h) == 3 and all(map(math.isfinite, h))
+    doc = json.loads(out["json"].stdout)
+    assert [r["x"] for r in doc["rows"] if r["series"] == "h"] == h
+    cells = [line.split()[2] for line in out["table"].stdout.splitlines()
+             if line.startswith("h ")]
+    assert len(cells) == 3 and all(math.isfinite(float(v)) for v in cells)
+
+
 def test_maxent_equal_levels(tmp_path):
     levels = tmp_path / "levels.txt"
     levels.write_text("0.7\n0.7\n")

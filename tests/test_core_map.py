@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import sys
 
 import mpmath
 import pytest
@@ -13,9 +14,11 @@ from loglambert import (
     NoSolutionError,
     Params,
     RangeError,
+    SingularityError,
     UnsupportedCaseError,
     antiderivative,
     branches,
+    derivative,
     evaluate,
     forward,
     forward_slope,
@@ -258,22 +261,53 @@ def test_seam_near_underflow_is_catalogued():
     assert b1.monotone is Monotone.INCREASING
 
 
-def test_seam_where_b_times_y_underflows_is_catalogued():
-    # b*delta underflows to 0, so ln(b*y) is taken as ln|b| + ln|y| there.
-    # A y on the wrong side of 0 is still refused.
-    p = Params(0.001, 1e-130, 0.0)
+def _seam_root_in_log_y(p):
+    # The seam of a b > 0 case with 1e-320 < delta < 1e-260, to 60 digits,
+    # by bisection in t = ln y (findroot from a point wanders off into the
+    # complex plane here).
+    a, b, c = (mpmath.mpf(v) for v in (p.a, p.b, p.c))
+    with mpmath.workdps(60):
+        def s(t):
+            return a * (mpmath.exp(t) + 1) * (mpmath.log(b) + t) + mpmath.exp(t) + a + c + 1
+        lo, hi = mpmath.mpf(-737), mpmath.mpf(-599)
+        s_lo = s(lo)
+        assert s_lo * s(hi) < 0
+        for _ in range(250):
+            mid = (lo + hi) / 2
+            if (s(mid) > 0) == (s_lo > 0):
+                lo = mid
+            else:
+                hi = mid
+        return float(mpmath.exp(lo))
+
+
+@pytest.mark.parametrize("p, b_delta, x_in_both", [
+    (Params(0.001, 1e-130, 0.0), 0.0, True),
+    # math.log of the subnormal b*delta is off by 0.25; branch 0's x-domain
+    # (6.43, 6.43] holds no double.
+    (Params(0.01, 1e-16, 6.43), 1e-323, False),
+], ids=["b_delta_zero", "b_delta_subnormal"])
+def test_seam_where_b_times_y_underflows_is_catalogued(p, b_delta, x_in_both):
+    # b*delta lies below the least normal double, so ln(b*y) is taken as
+    # ln|b| + ln|y| there: the seam is the root of the seam equation to
+    # rounding and f' vanishes on it.  A y on the wrong side of 0 is still
+    # refused.
     b0, b1 = branches(p)
     (delta, x_seam), = b1.seams
     assert b0.seams == b1.seams
-    assert delta == pytest.approx(1.867e-305, rel=1e-3) and p.b * delta == 0.0
+    assert p.b * delta == b_delta < sys.float_info.min
+    assert delta == pytest.approx(_seam_root_in_log_y(p), rel=1e-12, abs=0.0)
     assert forward(p, delta) == x_seam
     assert abs(singular_residual(p, delta)) <= 1e-12
+    with pytest.raises(SingularityError):
+        derivative(p, delta)
     assert math.isfinite(antiderivative(p, 2.0 * delta))
     for fn in (forward, forward_slope, singular_residual, antiderivative):
         with pytest.raises(DomainError, match="b\\*y > 0"):
             fn(p, -delta)
-    for bi in (b0, b1):  # 0.5*x_seam lies in both x-domains
-        assert bi.y_range.contains(evaluate(p, bi.index, 0.5 * x_seam).y)
+    if x_in_both:  # 0.5*x_seam lies in both x-domains
+        for bi in (b0, b1):
+            assert bi.y_range.contains(evaluate(p, bi.index, 0.5 * x_seam).y)
 
 
 def test_seam_solves_are_cheap(monkeypatch):
@@ -287,7 +321,7 @@ def test_seam_solves_are_cheap(monkeypatch):
 
     def counted(fn, *args):
         result = solve(fn, *args)
-        if fn.__name__ == "s_and_slope":
+        if getattr(fn, "func", None) is core._seam_and_slope:
             points.append(result[2])
         return result
 

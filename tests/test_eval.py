@@ -120,7 +120,7 @@ def test_bracket_is_the_branch_range():
 def test_plans_hold_the_branch_constants():
     # Each branch's solve plan, built with the catalog: the bracket, the
     # direction, the seams with f''(d) = s'(d)*e^d, where s'(y) =
-    # a*ln(b*y) + a*(y+1)/y + 1 is the slope of the seam equation
+    # a*(ln(b*y) + 1 + 1/y) + 1 is the slope of the seam equation
     # singular_residual, and the limit of f at the open end.
     for abc in PARAM_SETS:
         p = Params(*map(float, abc))
@@ -135,7 +135,7 @@ def test_plans_hold_the_branch_constants():
             assert plan.x_end == (math.inf if dom.lo_closed and dom.hi_closed
                                   else dom.hi if dom.lo_closed else dom.lo)
             for d, _, curvature in plan.seams:
-                s_prime = p.a * math.log(p.b * d) + p.a * (d + 1.0) / d + 1.0
+                s_prime = core._seam_and_slope(p, d)[1]
                 assert curvature == s_prime * math.exp(d), (abc, bi.index, d)
                 h = 1e-6 * abs(d)
                 slope = (singular_residual(p, d + h) - singular_residual(p, d - h)) / (2.0 * h)

@@ -302,7 +302,7 @@ def test_distribution_after_solve_alpha_reuses_its_last_pass(monkeypatch):
 def test_solve_alpha_takes_each_slope_from_its_inversion(monkeypatch):
     # The slope of Z needs f'(y_i) at every level's root; the inversion's
     # solver computed it there, so no pass evaluates f' again.
-    calls = _count_calls(monkeypatch, maxent, "forward_slope")
+    calls = _count_calls(monkeypatch, core, "forward_slope")
     alpha = solve_alpha(LEVELS_128, 0.1, EP)
     assert calls == []
     spec = EnsembleSpec(levels=LEVELS_128, alpha=alpha, beta=0.1, ep=EP)
