@@ -150,6 +150,8 @@ def _cmd_branches(args) -> int:
     catalog = core.branches(p)
     params = {"a": args.A, "b": args.B, "c": args.C}
 
+    if args.samples < 0:
+        raise DomainError(f"--samples must be >= 0, got {args.samples}")
     if args.samples > 0:
         n = args.samples
         rows = []
@@ -211,7 +213,10 @@ def _parse_grid(text: str) -> list[float]:
         raise DomainError(f"bad --quadratic grid {text!r}; expected LO:HI:N") from None
     if n < 2 or not hi > lo:
         raise DomainError(f"bad --quadratic grid {text!r}; need HI > LO and N >= 2")
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    grid = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    if not all(map(math.isfinite, grid)):
+        raise DomainError(f"bad --quadratic grid {text!r}; every point must be finite")
+    return grid
 
 
 def _read_levels(path: str) -> list[float]:

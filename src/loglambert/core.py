@@ -47,10 +47,12 @@ unless x is closer to the branch's open-end limit than to the last x.
 
 All functions are pure; `Params` and the catalog records are immutable
 slotted value records (compared, hashed and pickled by value), and the
-per-parameter catalog is memoised behind a thread-safe cache.  With each
-branch the catalog holds its solve constants (the bracket, the direction of
-f, f and f'' at its seams, the limit of f at its open end), so an inversion
-on a catalogued branch starts with no per-branch arithmetic.
+per-parameter catalog is memoised behind a thread-safe cache.  The catalog
+builds each branch in one pass from its two ends (y -> 0 where f -> c, a
+seam d with f(d) and f''(d), or |y| -> inf, an open end clipped to a finite
+double): its BranchInfo and its solve constants (bracket, direction of f,
+seams, limit of f at the open end), so an inversion starts with no
+per-branch arithmetic.
 """
 
 from __future__ import annotations
@@ -458,21 +460,37 @@ def singular_points(p: Params) -> list[float]:
     return sorted(roots)
 
 
+# The open ends of a branch, clipped to finite doubles: y -> 0 at 1e-307
+# (normal, and b*y stays positive for |b| >= 1e-16), |y| -> inf at 1e300.
+_Y_NEAR = 1e-307
+_Y_FAR = 1e300
+
+
 class _Plan:
-    # One branch's solve constants, computed once with the catalog: the
-    # BranchInfo, the solver's bracket lo < hi (_bracket), the direction of
-    # f, the bounding seams as (d, f(d), f''(d)) and x_end, the limit of f
-    # at the branch's open end (inf between two seams).
+    # One branch, built with the catalog from its two ends in ascending y:
+    # (d, f(d), f''(d)) at a seam, (clipped y, limit of f, None) at an open
+    # end.  Holds the BranchInfo and the solve constants: the bracket lo < hi,
+    # the direction of f, the seams and x_end, the limit of f at the open end
+    # (inf between two seams).
     __slots__ = ("info", "lo", "hi", "increasing", "seams", "x_end")
 
-    def __init__(self, info: BranchInfo, curvatures: dict[float, float]):
-        dom = info.x_domain
-        self.info = info
-        self.lo, self.hi = _bracket(info)
-        self.increasing = info.monotone is Monotone.INCREASING
-        self.seams = tuple((d, f_d, curvatures[d]) for d, f_d in info.seams)
-        self.x_end = (math.inf if dom.lo_closed and dom.hi_closed
-                      else dom.hi if dom.lo_closed else dom.lo)
+    def __init__(self, index: int, ends, increasing: bool):
+        (self.lo, _, _), (self.hi, _, _) = ends
+        self.increasing = increasing
+        self.seams = tuple(end for end in ends if end[2] is not None)
+        self.x_end = next((x for _, x, f2 in ends if f2 is None), math.inf)
+        # The record holds an open end unclipped: y -> 0 or |y| -> inf.
+        (ylo, xlo, lo_in), (yhi, xhi, hi_in) = (
+            (y, x, True) if f2 is not None else (0.0 if abs(y) < 1.0 else y * math.inf, x, False)
+            for y, x, f2 in ends)
+        self.info = BranchInfo(
+            index=index,
+            y_range=Interval(ylo, yhi, lo_in, hi_in),
+            x_domain=(Interval(xlo, xhi, lo_in, hi_in) if xlo <= xhi
+                      else Interval(xhi, xlo, hi_in, lo_in)),
+            monotone=Monotone.INCREASING if increasing else Monotone.DECREASING,
+            seams=tuple((d, f_d) for d, f_d, _ in self.seams),
+        )
 
 
 @functools.lru_cache(maxsize=128)
@@ -488,41 +506,24 @@ def _catalog(p: Params) -> tuple[tuple[BranchInfo, ...], tuple[_Plan, ...]]:
                 f"b < 0 with a < 0 requires c <= |a|; got a={p.a!r}, c={p.c!r}"
             )
 
-    # Branch ends (y, x, attained) outward from y = 0: the limit f -> c,
-    # each seam, then |y| -> inf, where f -> sign(a)*inf for b > 0 and
-    # f -> 0 for b < 0.
-    ends = [(0.0, p.c, False)]
-    curvatures = {}
+    # Branch ends outward from y = 0: the limit f -> c, each seam with
+    # f''(d) = s'(d)*e^d (as f'(d) = 0), then |y| -> inf, where
+    # f -> sign(a)*inf for b > 0 and f -> 0 for b < 0.
+    ends = [(math.copysign(_Y_NEAR, p.b), p.c, None)]
     for d in sorted(singular_points(p), key=abs):
         try:
-            ends.append((d, forward(p, d), True))
+            f_d = forward(p, d)
         except RangeError:
             raise _range_error(p, f"f at the seam y={d!r}") from None
-        curvatures[d] = _seam_and_slope(p, d)[1] * math.exp(d)  # f''(d), as f'(d) = 0
-    if p.b > 0.0:
-        ends.append((math.inf, math.copysign(math.inf, p.a), False))
-    else:
-        ends.append((-math.inf, 0.0, False))
+        ends.append((d, f_d, _seam_and_slope(p, d)[1] * math.exp(d)))
+    ends.append((math.copysign(_Y_FAR, p.b),
+                 math.copysign(math.inf, p.a) if p.b > 0.0 else 0.0, None))
 
     # f' has the sign of the seam equation, which is -sign(a) next to y = 0
-    # and changes sign at every seam.
-    increasing = p.a < 0.0
-    infos = []
-    for index, pair in enumerate(zip(ends, ends[1:])):
-        by_y = sorted(pair)
-        (ylo, _, ylo_in), (yhi, _, yhi_in) = by_y
-        (_, xlo, xlo_in), (_, xhi, xhi_in) = sorted(by_y, key=lambda e: e[1])
-        infos.append(
-            BranchInfo(
-                index=index,
-                y_range=Interval(ylo, yhi, ylo_in, yhi_in),
-                x_domain=Interval(xlo, xhi, xlo_in, xhi_in),
-                monotone=Monotone.INCREASING if increasing else Monotone.DECREASING,
-                seams=tuple((y, x) for y, x, seam in by_y if seam),
-            )
-        )
-        increasing = not increasing
-    return tuple(infos), tuple(_Plan(bi, curvatures) for bi in infos)
+    # and changes sign at every seam.  A plan takes its ends in ascending y.
+    plans = tuple(_Plan(i, pair if p.b > 0.0 else pair[::-1], (p.a < 0.0) == (i % 2 == 0))
+                  for i, pair in enumerate(zip(ends, ends[1:])))
+    return tuple(plan.info for plan in plans), plans
 
 
 def branches(p: Params) -> tuple[BranchInfo, ...]:
@@ -548,26 +549,6 @@ def _plan_or_raise(p: Params, branch: int) -> _Plan:
     )
 
 
-def _branch_or_raise(p: Params, branch: int) -> BranchInfo:
-    return _plan_or_raise(p, branch).info
-
-
-# The open ends of a branch, clipped to finite doubles: y -> 0 at 1e-307
-# (normal, and b*y stays positive for |b| >= 1e-16), |y| -> inf at 1e300.
-_Y_NEAR = 1e-307
-_Y_FAR = 1e300
-
-
-def _bracket(bi: BranchInfo) -> tuple[float, float]:
-    # The branch's y-range as a solver bracket lo < hi: each seam end as it
-    # is, each open end clipped.  f is monotone on it, so it brackets every
-    # x of the branch's x-domain.
-    yr = bi.y_range
-    lo = yr.lo if yr.lo_closed else math.copysign(_Y_FAR if math.isinf(yr.lo) else _Y_NEAR, yr.hi)
-    hi = yr.hi if yr.hi_closed else math.copysign(_Y_FAR if math.isinf(yr.hi) else _Y_NEAR, yr.lo)
-    return lo, hi
-
-
 def _seam_start(plan: _Plan, x: float) -> float | None:
     # A first point for the solver from the branch-point expansion of the
     # inverse at a seam d, where f'(d) = 0 and f''(d) = s'(d)*e^d:
@@ -580,7 +561,7 @@ def _seam_start(plan: _Plan, x: float) -> float | None:
         q = 2.0 * (x - f_d) / curvature if curvature else math.nan
         if q > 0.0 and math.sqrt(q) <= min(step, 1.0, abs(d)):
             step, seam = math.sqrt(q), d
-    y = seam + step if seam == plan.info.y_range.lo else seam - step
+    y = seam + step if seam == plan.lo else seam - step
     return y if plan.lo < y < plan.hi else None
 
 
@@ -603,9 +584,12 @@ def _end_start(p: Params, plan: _Plan, x: float) -> float | None:
     for y, log_form in ((lo if yr.lo == 0.0 else hi, False), (d, True))[not near:]:
         try:
             for _ in range(3):
-                y = (math.log(x / ((p.a * math.log(p.b * y) + 1.0) * y + p.c)) if log_form
-                     else (x * math.exp(-y) - p.c) / (p.a * math.log(p.b * y) + 1.0))
-        except (ValueError, ZeroDivisionError, OverflowError):
+                if p.b * y < 0.0:  # past y = 0: outside (lo, hi), and no ln(b*y)
+                    break
+                brace = p.a * _log_by(p, y, "the open-end start") + 1.0
+                y = (math.log(x / (brace * y + p.c)) if log_form
+                     else (x * math.exp(-y) - p.c) / brace)
+        except (ValueError, ZeroDivisionError, OverflowError):  # DomainError is a ValueError
             continue
         if lo < y < hi:
             return y
@@ -617,7 +601,7 @@ def _solve(p: Params, plan: _Plan, x: float, tol: float,
            ) -> tuple[float, float, int, bool, tuple[float, float]]:
     # evaluate's contract for x on the branch of `plan`, as the fields of
     # EvalResult, then (f, f') at the root (f' = 0 at a seam): the root on the
-    # branch's bracket (_bracket), solved from `start` (a point of that
+    # branch's bracket (plan.lo, plan.hi), solved from `start` (a point of that
     # bracket, with (f, f') there as `known` when already evaluated), else
     # from the branch-point expansion at a seam (_seam_start), else from the
     # branch's open end (_end_start), else from the bracket's bisection
@@ -901,9 +885,7 @@ def asymptotic(p: Params, x: float) -> float:
             f"approximation undefined: W argument {xi!r} below -1/e"
         )
     w = lambert_w(xi)
-    bw = p.b * w
-    if not bw > 0.0:
-        raise DomainError(f"approximation needs b*W(xi) > 0; got {bw!r}")
+    log_bw = _log_by(p, w, "the large-x approximation's ln(b*W(xi))")
     if p.c == 0.0:
         tail = 0.0
     else:
@@ -911,7 +893,7 @@ def asymptotic(p: Params, x: float) -> float:
         t = w + math.log(abs(p.c)) - math.log(abs(x))
         tail = math.copysign(math.exp(t), p.c / x) if t <= 709.0 else \
             math.copysign(math.inf, p.c / x)
-    brace = (math.exp(shift) / (p.a + 1.0)) * (p.a * math.log(bw) + 1.0) + tail
+    brace = (math.exp(shift) / (p.a + 1.0)) * (p.a * log_bw + 1.0) + tail
     if not brace > 0.0 or math.isinf(brace):
         raise DomainError(
             f"approximation undefined: log argument {brace!r} at x={x!r}"

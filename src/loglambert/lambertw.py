@@ -2,10 +2,12 @@
 
 Solves w * exp(w) = x for real w.  Two real branches exist: the principal
 branch W0 (values >= -1, defined on [-1/e, inf)) and the lower branch W-1
-(values <= -1, defined on [-1/e, 0)).  Evaluation uses Halley's method
-seeded from standard series/asymptotic initial guesses, with a dedicated
-square-root series near the branch point -1/e where the derivative of W
-diverges and Halley stalls.
+(values <= -1, defined on [-1/e, 0)).  Both share one path.  Within
+p = sqrt(2*(e*x + 1)) <= 0.05 of the branch point -1/e, where W' diverges
+and Halley stalls, the square-root series in p (-p on W-1) is correctly
+rounded (truncation ~p^10) and is the answer.  Elsewhere Halley's method
+starts from a seed: that series for x < 1 on W0 and x <= -0.27 on W-1,
+log1p(x) for 1 <= x < e^1.2 on W0, else L1 - L2 + L2/L1, L1 = ln|x|, L2 = ln|L1|.
 """
 
 from __future__ import annotations
@@ -114,56 +116,34 @@ def lambert_w(x: float, branch: WBranch = WBranch.PRINCIPAL) -> float:
             f"lambert_w argument {x!r} below the branch point -1/e "
             f"({BRANCH_POINT!r}); no real value exists"
         )
+    lower = branch is WBranch.NEGATIVE
+    if not lower and branch is not WBranch.PRINCIPAL:
+        raise DomainError(f"unknown branch {branch!r}")
+    if lower and x >= 0.0:
+        raise DomainError(
+            f"lower branch of lambert_w requires x < 0, got {x!r}"
+        )
+    if x == 0.0 or x == math.inf:
+        return abs(x)  # W0(+-0) = 0 and W0(inf) = inf, the limit
 
-    # Distance measure to the branch point: p^2 = 2*(e*x + 1).  The series
-    # alone is correctly rounded for p <= ~0.05 (truncation ~p^10), and
-    # Halley's correction is noise-dominated there, so skip it.
-    near_branch_point = 2.0 * _ex_plus_one(x)
-
-    if branch is WBranch.PRINCIPAL:
-        if x == 0.0:
-            return 0.0
-        if x == math.inf:
-            return math.inf  # the limit of W0
-        if near_branch_point < 2.5e-3:
-            return _branch_point_series(x, lower=False)
-        if x < 1.0:
-            seed = _branch_point_series(x, lower=False)
+    if 2.0 * _ex_plus_one(x) < 2.5e-3:  # p^2 = 2*(e*x + 1) < 0.05^2
+        return _branch_point_series(x, lower)
+    if (x <= -0.27) if lower else (x < 1.0):
+        seed = _branch_point_series(x, lower)
+    else:
+        l1 = math.log(abs(x))
+        if not lower and l1 < 1.2:
+            seed = math.log1p(x)
         else:
-            log_x = math.log(x)
-            if log_x < 1.2:
-                seed = math.log1p(x)
-            else:
-                log_log_x = math.log(log_x)
-                seed = log_x - log_log_x + log_log_x / log_x
-        w = _halley(seed, x)
-        if w < -1.0 - 1e-9:
-            raise ConvergenceError(
-                f"principal-branch iteration left its range at x={x!r}"
-            )
-        return w
-
-    if branch is WBranch.NEGATIVE:
-        if x >= 0.0:
-            raise DomainError(
-                f"lower branch of lambert_w requires x < 0, got {x!r}"
-            )
-        if near_branch_point < 2.5e-3:
-            return _branch_point_series(x, lower=True)
-        if x <= -0.27:
-            seed = _branch_point_series(x, lower=True)
-        else:
-            log_neg_x = math.log(-x)
-            log_log = math.log(-log_neg_x)
-            seed = log_neg_x - log_log + log_log / log_neg_x
-        w = _halley(seed, x)
-        if w > -1.0 + 1e-9:
-            raise ConvergenceError(
-                f"lower-branch iteration left its range at x={x!r}"
-            )
-        return w
-
-    raise DomainError(f"unknown branch {branch!r}")
+            l2 = math.log(abs(l1))
+            seed = l1 - l2 + l2 / l1
+    w = _halley(seed, x)
+    if (w > -1.0 + 1e-9) if lower else (w < -1.0 - 1e-9):
+        raise ConvergenceError(
+            f"{'lower' if lower else 'principal'}-branch iteration left its "
+            f"range at x={x!r}"
+        )
+    return w
 
 
 def w0(x: float) -> float:

@@ -57,8 +57,8 @@ import functools
 import math
 from collections.abc import Callable, Sequence
 
-from .core import (_Y_MAX, BranchInfo, Monotone, Params, _branch_or_raise,
-                   _forward_and_slope, _inverter, _log_by, _newton_bisect, _Record,
+from .core import (_Y_MAX, BranchInfo, Monotone, Params, _forward_and_slope,
+                   _inverter, _log_by, _newton_bisect, _plan_or_raise, _Record,
                    _set, branches, evaluate, forward)
 from .errors import ConvergenceError, DomainError, IntegrationError, RangeError
 from .qcalculus import EntropyParams, ln_qqr
@@ -289,7 +289,7 @@ def solve_alpha(
     params = ep.induced_params()
     if branch is None:
         branch = suggest_branch(ep, len(levels))
-    bi = _branch_or_raise(params, branch)
+    bi = _plan_or_raise(params, branch).info
     ratio = (1.0 - ep.r) / (1.0 - ep.q_prime)
     k = ratio * math.exp(ratio)  # dx_i/dalpha
 
@@ -451,12 +451,15 @@ def continuous_pdf(
     twice the inversion tolerance.  IntegrationError if the criterion
     cannot be met within that range (it cannot when the weight decays only
     poly-logarithmically, or does not vanish at the cut), DomainError if a
-    grid point leaves the branch or unless 0 < tail_ratio < 1.
+    grid point is not finite or leaves the branch, or unless
+    0 < tail_ratio < 1.
     """
     if not 0.0 < tail_ratio < 1.0:
         raise DomainError(f"tail_ratio must lie in (0, 1), got {tail_ratio!r}")
     if len(x_grid) == 0:
         raise DomainError("x_grid must be non-empty")
+    if not all(map(math.isfinite, x_grid)):
+        raise DomainError("x_grid points must be finite")
 
     # Every argument is inverted by one warm inverter.
     params = ep.induced_params()
@@ -480,7 +483,7 @@ def continuous_pdf(
 
     # The support cut: the largest |x| whose level x**2 keeps the argument
     # where the weight is defined.
-    ends = _weight_domain(params, _branch_or_raise(params, branch))
+    ends = _weight_domain(params, _plan_or_raise(params, branch).info)
     cut = math.sqrt(max(0.0, *((_level_sum(ep, x) - alpha) / beta for x in ends))
                     ) if beta else math.inf
 

@@ -3,6 +3,7 @@
 import math
 import re
 
+import mpmath
 import pytest
 
 from loglambert import (
@@ -254,3 +255,15 @@ def test_asymptotic_domain():
         asymptotic(P111, 0.0)
     with pytest.raises(DomainError):
         asymptotic(P111, -1e6)  # W argument below -1/e
+
+
+def test_asymptotic_where_b_times_w_is_subnormal():
+    # b*W(xi) = 3e-322*W(10/0.99) is subnormal: ln(b*W) follows core's rule
+    # (ln|b| + ln|W|), so the approximation matches its own formula in
+    # 50-digit arithmetic.
+    p = Params(-0.01, 3e-322, 0.0)
+    with mpmath.workdps(50):
+        a, b, x = mpmath.mpf(p.a), mpmath.mpf(p.b), mpmath.mpf(10.0)
+        w = mpmath.lambertw(x / (a + 1)).real
+        ref = float(w - mpmath.log((a * mpmath.log(b * w) + 1) / (a + 1)))
+    assert asymptotic(p, 10.0) == pytest.approx(ref, rel=1e-14)

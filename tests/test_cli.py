@@ -254,10 +254,19 @@ def test_maxent_levels_empty_file(tmp_path):
     (["--quadratic", "1:2", "--branch", "1"], "--quadratic"),
     (["--quadratic", "2:1:5", "--branch", "1"], "--quadratic"),
     (["--quadratic=-1:1:5"], "--branch"),
+    # grid points that are not finite: an infinite end, or HI - LO overflows
+    (["--quadratic=-inf:3:5", "--branch", "1"], "--quadratic"),
+    (["--quadratic=0:inf:5", "--branch", "1"], "--quadratic"),
+    (["--quadratic=-1e308:1e308:5", "--branch", "1"], "--quadratic"),
 ])
 def test_maxent_grid_errors(extra, fragment):
     cp = run_cli(*MAXENT, *extra, expect=2)
     assert_one_line_error(cp, fragment)
+
+
+def test_branches_negative_samples_refused():
+    cp = run_cli("branches", "-A", "2", "-B", "1", "-C", "1", "--samples", "-3", expect=2)
+    assert_one_line_error(cp, "--samples")
 
 
 def _package_env():

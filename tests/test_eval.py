@@ -16,7 +16,7 @@ from loglambert import (
     singular_residual,
 )
 from loglambert import core
-from loglambert.core import _bracket, _inverter
+from loglambert.core import _inverter
 from _sampling import interior_points
 
 PARAM_SETS = [(1, 1, 1), (2, 1, 1), (1, 1, 0), (-2, -1, 1), (-1, -1, 0.5)]
@@ -104,16 +104,22 @@ def test_far_seam_start_is_not_taken():
     assert abs(forward(p, r.y)) <= 1e-12
 
 
+def _clipped_range(p, bi):
+    # The branch's y-range with an open end clipped to a finite double:
+    # y -> 0 to +-1e-307, |y| -> inf to +-1e300.
+    yr = bi.y_range
+    return [end if closed else math.copysign(1e300 if math.isinf(end) else 1e-307, p.b)
+            for end, closed in ((yr.lo, yr.lo_closed), (yr.hi, yr.hi_closed))]
+
+
 def test_bracket_is_the_branch_range():
     # A seam end as the catalog has it; an open end clipped to a finite
-    # double: y -> 0 to +-1e-307, |y| -> inf to +-1e300.
+    # double.
     for abc in PARAM_SETS:
         p = Params(*map(float, abc))
-        for bi in branches(p):
-            yr = bi.y_range
-            ends = [end if closed else math.copysign(1e300 if math.isinf(end) else 1e-307, p.b)
-                    for end, closed in ((yr.lo, yr.lo_closed), (yr.hi, yr.hi_closed))]
-            assert list(_bracket(bi)) == ends, (abc, bi.index)
+        for bi, plan in zip(*core._catalog(p), strict=True):
+            ends = _clipped_range(p, bi)
+            assert [plan.lo, plan.hi] == ends, (abc, bi.index)
             assert {d for d, _ in bi.seams} <= set(ends)
 
 
@@ -128,7 +134,7 @@ def test_plans_hold_the_branch_constants():
         assert infos is branches(p)
         for bi, plan in zip(infos, plans, strict=True):
             assert plan.info is bi
-            assert (plan.lo, plan.hi) == _bracket(bi)
+            assert [plan.lo, plan.hi] == _clipped_range(p, bi)
             assert plan.increasing == (bi.monotone is Monotone.INCREASING)
             assert [(d, f_d) for d, f_d, _ in plan.seams] == list(bi.seams)
             dom = bi.x_domain
@@ -144,13 +150,18 @@ def test_plans_hold_the_branch_constants():
 
 def test_inversions_do_no_branch_setup(monkeypatch):
     # The bracket and the other per-branch constants come with the catalog:
-    # once it is built, neither evaluate nor a warm inverter computes one.
+    # once it is built, neither evaluate nor a warm inverter builds a plan.
     infos = [(p, bi) for p in (Params(*map(float, abc)) for abc in PARAM_SETS)
              for bi in branches(p)]
     assert len(infos) == 12
     calls = []
-    bracket = core._bracket
-    monkeypatch.setattr(core, "_bracket", lambda bi: calls.append(bi) or bracket(bi))
+    plan_init = core._Plan.__init__
+
+    def counted_init(plan, *args):
+        calls.append(args)
+        plan_init(plan, *args)
+
+    monkeypatch.setattr(core._Plan, "__init__", counted_init)
     for p, bi in infos:
         for x in interior_points(bi, 5):
             y = evaluate(p, bi.index, x).y
@@ -162,6 +173,9 @@ def test_inversions_do_no_branch_setup(monkeypatch):
             y, _ = invert(x)
             assert abs(forward(p, y) - x) <= 1e-12 * max(1.0, abs(x)), (p, bi.index, x)
     assert calls == []
+    # A catalog built afresh builds one plan per branch.
+    core._catalog.cache_clear()
+    assert len(branches(infos[0][0])) == len(calls)
 
 
 def _open_end_points(bi):

@@ -51,12 +51,13 @@ def test_roundtrip_residual(branch):
 
 
 def test_matches_mpmath_reference():
-    pts0 = [-0.367, -0.3, -0.05, 0.1, 1.0, 10.0, 1e6, 1e12,
-            BRANCH_POINT + 1e-6, BRANCH_POINT + 1e-3]
+    # -0.27 and 1, e^1.2 - 1 and e^1.2 sit where the seed switches.
+    pts0 = [-0.367, -0.3, -0.27, -0.05, 0.1, 1.0, math.exp(1.2) - 1.0, math.exp(1.2),
+            10.0, 1e6, 1e12, BRANCH_POINT + 1e-6, BRANCH_POINT + 1e-3]
     for x in pts0:
         ref = float(mpmath.lambertw(mpmath.mpf(x)))
         assert w0(x) == pytest.approx(ref, rel=4e-15, abs=4e-15)
-    pts1 = [-0.367, -0.3, -0.1, -1e-3, -1e-9, BRANCH_POINT + 1e-6]
+    pts1 = [-0.367, -0.3, -0.27, -0.1, -1e-3, -1e-9, BRANCH_POINT + 1e-6]
     for x in pts1:
         ref = float(mpmath.lambertw(mpmath.mpf(x), -1))
         assert wm1(x) == pytest.approx(ref, rel=4e-15)

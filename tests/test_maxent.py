@@ -411,6 +411,12 @@ def test_continuous_tail_ratio_validation():
             continuous_pdf(EP_CONT, ALPHA_CONT, BETA_CONT, 1, README_GRID, ratio)
 
 
+def test_continuous_grid_points_must_be_finite():
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match="x_grid"):
+            continuous_pdf(EP_CONT, ALPHA_CONT, BETA_CONT, 1, [*README_GRID, bad])
+
+
 def test_continuous_tail_unreachable_for_slow_decay():
     # q < 1: the weight decays only poly-logarithmically in the level, so
     # no finite window can push the tail below the criterion
