@@ -46,13 +46,14 @@ start from the last root, reusing the f and f' the solver computed there,
 unless x is closer to the branch's open-end limit than to the last x.
 
 All functions are pure; `Params` and the catalog records are immutable
-slotted value records (compared, hashed and pickled by value), and the
-per-parameter catalog is memoised behind a thread-safe cache.  The catalog
-builds each branch in one pass from its two ends (y -> 0 where f -> c, a
-seam d with f(d) and f''(d), or |y| -> inf, an open end clipped to a finite
-double): its BranchInfo and its solve constants (bracket, direction of f,
-seams, limit of f at the open end), so an inversion starts with no
-per-branch arithmetic.
+slotted value records (compared, hashed and pickled by value).  The catalog
+is memoised by the values (a, b, c) behind a thread-safe cache, so a lookup
+hashes three floats and no record.  It builds each branch in one pass from
+its two ends (y -> 0 where f -> c, a seam d with f(d) and f''(d), or
+|y| -> inf, an open end clipped to a finite double): its BranchInfo and its
+solve constants (bracket, direction of f, seams, limit of f at the open
+end), held by branch index, so an inversion starts with no per-branch
+arithmetic and no record hashing.
 """
 
 from __future__ import annotations
@@ -96,6 +97,7 @@ __all__ = [
 ]
 
 _EPS = 2.220446049250313e-16
+_EPS4 = 4.0 * _EPS  # a few ulps, relative
 
 
 class Monotone(enum.Enum):
@@ -105,22 +107,23 @@ class Monotone(enum.Enum):
     DECREASING = "decreasing"
 
 
-_set = object.__setattr__
-
-
 class _Record:
     """Immutable value record.
 
     A subclass names its fields in `__slots__` and stores each one in
-    `__init__` with `_set`.  This base compares and hashes records by value,
-    shows them as `Name(field=value, ...)`, pickles and copies them through
-    the constructor, and refuses assignment and deletion.
+    `__init__` through its slot descriptor, whose `__set__` methods
+    `self._setters` holds in slot order: that bypasses the refusing
+    `__setattr__` at less cost than `object.__setattr__`.  This base
+    compares and hashes records by value, shows them as
+    `Name(field=value, ...)`, pickles and copies them through the
+    constructor, and refuses assignment and deletion.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         cls._values = operator.attrgetter(*cls.__slots__)
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -167,9 +170,10 @@ class Params(_Record):
                 "coefficient a must be nonzero (a = 0 reduces to the "
                 "classical Lambert W case, which this package does not cover)"
             )
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "c", c)
+        set_a, set_b, set_c = self._setters
+        set_a(self, a)
+        set_b(self, b)
+        set_c(self, c)
 
 
 class Interval(_Record):
@@ -178,10 +182,11 @@ class Interval(_Record):
     __slots__ = ("lo", "hi", "lo_closed", "hi_closed")
 
     def __init__(self, lo: float, hi: float, lo_closed: bool, hi_closed: bool):
-        _set(self, "lo", lo)
-        _set(self, "hi", hi)
-        _set(self, "lo_closed", lo_closed)
-        _set(self, "hi_closed", hi_closed)
+        set_lo, set_hi, set_lo_closed, set_hi_closed = self._setters
+        set_lo(self, lo)
+        set_hi(self, hi)
+        set_lo_closed(self, lo_closed)
+        set_hi_closed(self, hi_closed)
 
     def contains(self, v: float) -> bool:
         if math.isnan(v):
@@ -209,11 +214,12 @@ class BranchInfo(_Record):
 
     def __init__(self, index: int, y_range: Interval, x_domain: Interval,
                  monotone: Monotone, seams: tuple[tuple[float, float], ...]):
-        _set(self, "index", index)
-        _set(self, "y_range", y_range)
-        _set(self, "x_domain", x_domain)
-        _set(self, "monotone", monotone)
-        _set(self, "seams", seams)
+        set_index, set_y_range, set_x_domain, set_monotone, set_seams = self._setters
+        set_index(self, index)
+        set_y_range(self, y_range)
+        set_x_domain(self, x_domain)
+        set_monotone(self, monotone)
+        set_seams(self, seams)
 
 
 class EvalResult(_Record):
@@ -223,10 +229,11 @@ class EvalResult(_Record):
 
     def __init__(self, y: float, residual: float, iterations: int,
                  at_seam: bool = False):
-        _set(self, "y", y)
-        _set(self, "residual", residual)
-        _set(self, "iterations", iterations)
-        _set(self, "at_seam", at_seam)
+        set_y, set_residual, set_iterations, set_at_seam = self._setters
+        set_y(self, y)
+        set_residual(self, residual)
+        set_iterations(self, iterations)
+        set_at_seam(self, at_seam)
 
 
 def forward(p: Params, y: float) -> float:
@@ -354,14 +361,15 @@ def _newton_bisect(fn: Callable[[float], tuple[float, float]], target: float,
         else:
             lo = y
         dy = r / slope if slope else math.nan
-        if lo < y - dy < hi and 2.0 * abs(dy) <= prev:
-            prev, step, y = step, abs(dy), y - dy
+        newton = y - dy
+        if lo < newton < hi and 2.0 * abs(dy) <= prev:
+            prev, step, y = step, abs(dy), newton
         else:
-            cand = math.nextafter(y - dy, hi if y == lo else lo)
-            if not (abs(dy) <= 4.0 * _EPS * abs(y) and lo < cand < hi):
+            cand = math.nextafter(newton, hi if y == lo else lo)
+            if not (abs(dy) <= _EPS4 * abs(y) and lo < cand < hi):
                 cand = _split(lo, hi)
             prev, step, y = step, abs(cand - y), cand
-        if hi - lo <= 4.0 * _EPS * max(-lo, hi):  # max(-lo, hi) = max(|lo|, |hi|)
+        if hi - lo <= _EPS4 * (hi if hi > -lo else -lo):  # max(|lo|, |hi|)
             break
         value, slope = fn(y)
     return best_y, best_res, it, lo, hi, None
@@ -398,7 +406,7 @@ def _knots(p: Params) -> list[float]:
         e_t = sign_b * math.exp(t)
         return t - e_t, 1.0 - e_t
 
-    tol = 4.0 * _EPS * max(1.0, abs(L))
+    tol = _EPS4 * max(1.0, abs(L))
     ts = [_newton_bisect(knot_equation, L, *span, tol, t0)[0] for *span, t0 in spans]
     return [sign_b * (math.exp(-t) if -t < _Y_MAX else math.inf) for t in ts]
 
@@ -460,8 +468,10 @@ def singular_points(p: Params) -> list[float]:
     return sorted(roots)
 
 
-# The open ends of a branch, clipped to finite doubles: y -> 0 at 1e-307
-# (normal, and b*y stays positive for |b| >= 1e-16), |y| -> inf at 1e300.
+# The open ends of a branch, clipped to finite doubles: y -> 0 at 1e-307,
+# or at half the nearest seam when that lies below 2e-307 (seams are sought
+# down to e^-708 = 3.3e-308), so the end stays strictly inside (0, |d|);
+# |y| -> inf at 1e300.
 _Y_NEAR = 1e-307
 _Y_FAR = 1e300
 
@@ -494,8 +504,10 @@ class _Plan:
 
 
 @functools.lru_cache(maxsize=128)
-def _catalog(p: Params) -> tuple[tuple[BranchInfo, ...], tuple[_Plan, ...]]:
-    # The branches, and the solve plan of each.
+def _catalog(a: float, b: float, c: float) -> tuple[tuple[BranchInfo, ...], dict[int, _Plan]]:
+    # The branches, and the solve plan of each by index, memoised by the
+    # values of (a, b, c): a hit hashes three floats, not a Params record.
+    p = Params(a, b, c)
     if p.b < 0.0:
         if p.a > 0.0 and abs(p.c) > p.a:
             raise UnsupportedCaseError(
@@ -509,8 +521,9 @@ def _catalog(p: Params) -> tuple[tuple[BranchInfo, ...], tuple[_Plan, ...]]:
     # Branch ends outward from y = 0: the limit f -> c, each seam with
     # f''(d) = s'(d)*e^d (as f'(d) = 0), then |y| -> inf, where
     # f -> sign(a)*inf for b > 0 and f -> 0 for b < 0.
-    ends = [(math.copysign(_Y_NEAR, p.b), p.c, None)]
-    for d in sorted(singular_points(p), key=abs):
+    seams = sorted(singular_points(p), key=abs)
+    ends = [(math.copysign(min(_Y_NEAR, 0.5 * abs(seams[0])), p.b), p.c, None)]
+    for d in seams:
         try:
             f_d = forward(p, d)
         except RangeError:
@@ -521,9 +534,9 @@ def _catalog(p: Params) -> tuple[tuple[BranchInfo, ...], tuple[_Plan, ...]]:
 
     # f' has the sign of the seam equation, which is -sign(a) next to y = 0
     # and changes sign at every seam.  A plan takes its ends in ascending y.
-    plans = tuple(_Plan(i, pair if p.b > 0.0 else pair[::-1], (p.a < 0.0) == (i % 2 == 0))
-                  for i, pair in enumerate(zip(ends, ends[1:])))
-    return tuple(plan.info for plan in plans), plans
+    plans = {i: _Plan(i, pair if p.b > 0.0 else pair[::-1], (p.a < 0.0) == (i % 2 == 0))
+             for i, pair in enumerate(zip(ends, ends[1:]))}
+    return tuple(plan.info for plan in plans.values()), plans
 
 
 def branches(p: Params) -> tuple[BranchInfo, ...]:
@@ -535,18 +548,18 @@ def branches(p: Params) -> tuple[BranchInfo, ...]:
     e^-708 <= |y| <= 709.78 and has a finite f; RangeError reports one
     outside that range or with f overflowing, and NoSolutionError too few.
     """
-    return _catalog(p)[0]
+    return _catalog(p.a, p.b, p.c)[0]
 
 
 def _plan_or_raise(p: Params, branch: int) -> _Plan:
-    plans = _catalog(p)[1]
-    for plan in plans:
-        if plan.info.index == branch:
-            return plan
-    raise DomainError(
-        f"no branch {branch!r} for these coefficients; valid indices: "
-        f"{[plan.info.index for plan in plans]}"
-    )
+    plans = _catalog(p.a, p.b, p.c)[1]
+    try:
+        return plans[branch]
+    except (KeyError, TypeError):  # TypeError: an unhashable branch
+        raise DomainError(
+            f"no branch {branch!r} for these coefficients; valid indices: "
+            f"{list(plans)}"
+        ) from None
 
 
 def _seam_start(plan: _Plan, x: float) -> float | None:
@@ -559,8 +572,10 @@ def _seam_start(plan: _Plan, x: float) -> float | None:
     step, seam = math.inf, 0.0
     for d, f_d, curvature in plan.seams:
         q = 2.0 * (x - f_d) / curvature if curvature else math.nan
-        if q > 0.0 and math.sqrt(q) <= min(step, 1.0, abs(d)):
-            step, seam = math.sqrt(q), d
+        if q > 0.0:
+            r = math.sqrt(q)
+            if r <= step and r <= 1.0 and r <= abs(d):
+                step, seam = r, d
     y = seam + step if seam == plan.lo else seam - step
     return y if plan.lo < y < plan.hi else None
 
@@ -668,7 +683,8 @@ def evaluate(p: Params, branch: int, x: float, tol: float = 1e-12) -> EvalResult
     """Invert f on one branch: find y in the branch with f(y) ~= x.
 
     The bracket is the branch's y-range, with an open end at y -> 0
-    clipped to +-1e-307 and one at |y| -> inf to +-1e300.  The first point
+    clipped to +-1e-307 (to half the seam when that lies below 2e-307)
+    and one at |y| -> inf to +-1e300.  The first point
     is the inverse's branch-point expansion at a bounding seam d,
     y = d +- sqrt(2*(x - f(d))/f''(d)), when it lies within min(1, |d|)
     of d.  Otherwise it is three fixed-point steps of f(y) = x from a

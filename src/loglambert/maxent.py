@@ -59,7 +59,7 @@ from collections.abc import Callable, Sequence
 
 from .core import (_Y_MAX, BranchInfo, Monotone, Params, _forward_and_slope,
                    _inverter, _log_by, _newton_bisect, _plan_or_raise, _Record,
-                   _set, branches, evaluate, forward)
+                   branches, evaluate, forward)
 from .errors import ConvergenceError, DomainError, IntegrationError, RangeError
 from .qcalculus import EntropyParams, ln_qqr
 
@@ -95,10 +95,11 @@ class EnsembleSpec(_Record):
                 raise DomainError(f"levels must be finite, got {v!r}")
         if not (math.isfinite(alpha) and math.isfinite(beta)):
             raise DomainError("alpha and beta must be finite")
-        _set(self, "levels", levels)
-        _set(self, "alpha", alpha)
-        _set(self, "beta", beta)
-        _set(self, "ep", ep)
+        set_levels, set_alpha, set_beta, set_ep = self._setters
+        set_levels(self, levels)
+        set_alpha(self, alpha)
+        set_beta(self, beta)
+        set_ep(self, ep)
 
 
 class DiscreteDistribution(_Record):
@@ -108,10 +109,11 @@ class DiscreteDistribution(_Record):
 
     def __init__(self, probs: tuple[float, ...], partition: float,
                  x_values: tuple[float, ...], beta_r: float):
-        _set(self, "probs", probs)
-        _set(self, "partition", partition)
-        _set(self, "x_values", x_values)
-        _set(self, "beta_r", beta_r)
+        set_probs, set_partition, set_x_values, set_beta_r = self._setters
+        set_probs(self, probs)
+        set_partition(self, partition)
+        set_x_values(self, x_values)
+        set_beta_r(self, beta_r)
 
 
 def _argument(ep: EntropyParams, alpha: float, beta: float, eps: float) -> float:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from .core import Params, _Record, _set
+from .core import Params, _Record
 from .errors import DomainError, RangeError
 
 __all__ = [
@@ -51,10 +51,11 @@ class EntropyParams(_Record):
         for name, v in (("q", q), ("q_prime", q_prime), ("r", r), ("k", k)):
             if not math.isfinite(v):
                 raise DomainError(f"{name} must be finite")
-        _set(self, "q", q)
-        _set(self, "q_prime", q_prime)
-        _set(self, "r", r)
-        _set(self, "k", k)
+        set_q, set_q_prime, set_r, set_k = self._setters
+        set_q(self, q)
+        set_q_prime(self, q_prime)
+        set_r(self, r)
+        set_k(self, k)
 
     def induced_params(self) -> Params:
         """Coefficients (a, b, c) of the forward map tied to this triple:

@@ -1,5 +1,6 @@
 """Branch inversion: roundtrips, branch consistency, seams, determinism."""
 
+import itertools
 import math
 
 import pytest
@@ -9,6 +10,7 @@ from loglambert import (
     DomainError,
     Monotone,
     Params,
+    RangeError,
     branches,
     evaluate,
     forward,
@@ -106,10 +108,16 @@ def test_far_seam_start_is_not_taken():
 
 def _clipped_range(p, bi):
     # The branch's y-range with an open end clipped to a finite double:
-    # y -> 0 to +-1e-307, |y| -> inf to +-1e300.
+    # y -> 0 to +-1e-307 (the seams of PARAM_SETS lie far above it),
+    # |y| -> inf to +-1e300.
     yr = bi.y_range
     return [end if closed else math.copysign(1e300 if math.isinf(end) else 1e-307, p.b)
             for end, closed in ((yr.lo, yr.lo_closed), (yr.hi, yr.hi_closed))]
+
+
+def _catalog(p):
+    # The catalog of p, memoised by the values (a, b, c).
+    return core._catalog(p.a, p.b, p.c)
 
 
 def test_bracket_is_the_branch_range():
@@ -117,7 +125,8 @@ def test_bracket_is_the_branch_range():
     # double.
     for abc in PARAM_SETS:
         p = Params(*map(float, abc))
-        for bi, plan in zip(*core._catalog(p), strict=True):
+        infos, plans = _catalog(p)
+        for bi, plan in zip(infos, plans.values(), strict=True):
             ends = _clipped_range(p, bi)
             assert [plan.lo, plan.hi] == ends, (abc, bi.index)
             assert {d for d, _ in bi.seams} <= set(ends)
@@ -130,9 +139,10 @@ def test_plans_hold_the_branch_constants():
     # singular_residual, and the limit of f at the open end.
     for abc in PARAM_SETS:
         p = Params(*map(float, abc))
-        infos, plans = core._catalog(p)
+        infos, plans = _catalog(p)
         assert infos is branches(p)
-        for bi, plan in zip(infos, plans, strict=True):
+        assert list(plans) == [bi.index for bi in infos]
+        for bi, plan in zip(infos, plans.values(), strict=True):
             assert plan.info is bi
             assert [plan.lo, plan.hi] == _clipped_range(p, bi)
             assert plan.increasing == (bi.monotone is Monotone.INCREASING)
@@ -148,9 +158,30 @@ def test_plans_hold_the_branch_constants():
                 assert curvature == pytest.approx(slope * math.exp(d), rel=1e-6)
 
 
+def test_open_end_below_a_low_seam_stays_inside_the_branch():
+    # With a = 1/(700 + 0.1k) and c = 0 the seam nearest 0 falls from 1e-304
+    # to below the searched e^-708 (RangeError); 34 of these catalogs have it
+    # below 2e-307.  The y -> 0 end is clipped to half that seam, so every
+    # bracket keeps lo < hi and every answer lies on its own branch.
+    low = 0
+    for k, b in itertools.product(range(81), (1.0, -1.0)):
+        p = Params(1.0 / (700.0 + 0.1 * k), b, 0.0)
+        try:
+            infos, plans = _catalog(p)
+        except RangeError:
+            continue
+        low += min(abs(d) for bi in infos for d, _ in bi.seams) < 2e-307
+        for bi, plan in zip(infos, plans.values(), strict=True):
+            assert plan.lo < plan.hi, (p, bi.index)
+            for x in interior_points(bi, 3):
+                assert bi.y_range.contains(evaluate(p, bi.index, x).y), (p, bi.index, x)
+    assert low == 34
+
+
 def test_inversions_do_no_branch_setup(monkeypatch):
     # The bracket and the other per-branch constants come with the catalog:
-    # once it is built, neither evaluate nor a warm inverter builds a plan.
+    # once it is built, neither evaluate nor a warm inverter builds a plan,
+    # and a catalog hit hashes no record.
     infos = [(p, bi) for p in (Params(*map(float, abc)) for abc in PARAM_SETS)
              for bi in branches(p)]
     assert len(infos) == 12
@@ -161,7 +192,11 @@ def test_inversions_do_no_branch_setup(monkeypatch):
         calls.append(args)
         plan_init(plan, *args)
 
+    def unhashable(record):
+        raise AssertionError(f"{record!r} hashed")
+
     monkeypatch.setattr(core._Plan, "__init__", counted_init)
+    monkeypatch.setattr(Params, "__hash__", unhashable)
     for p, bi in infos:
         for x in interior_points(bi, 5):
             y = evaluate(p, bi.index, x).y
@@ -319,6 +354,24 @@ def test_domain_error_reports_interval():
         evaluate(p, 0, 1.0)  # open endpoint: the limit value is excluded
     with pytest.raises(DomainError):
         evaluate(p, 7, 2.0)  # no such branch
+
+
+@pytest.mark.parametrize("branch", [1.0, True])
+def test_branch_equal_to_an_index_selects_it(branch):
+    # Same bits: repr shows each float exactly.
+    p = Params(1.0, 1.0, 1.0)
+    assert repr(evaluate(p, branch, 2084.7878)) == repr(evaluate(p, 1, 2084.7878))
+    assert repr(_inverter(p, branch, 1e-12)(2084.7878)) == repr(_inverter(p, 1, 1e-12)(2084.7878))
+
+
+@pytest.mark.parametrize("branch", [-1, 2, "1", None, [1], math.nan, 1.5])
+def test_branch_that_is_no_index_is_refused(branch):
+    # Each refusal names the valid indices, an unhashable branch included.
+    p = Params(1.0, 1.0, 1.0)
+    for call in (lambda: evaluate(p, branch, 2084.7878),
+                 lambda: _inverter(p, branch, 1e-12)):
+        with pytest.raises(DomainError, match=r"valid indices: \[0, 1\]"):
+            call()
 
 
 def test_tol_validation_and_unreachable_tol():
