@@ -52,8 +52,9 @@ hashes three floats and no record.  It builds each branch in one pass from
 its two ends (y -> 0 where f -> c, a seam d with f(d) and f''(d), or
 |y| -> inf, an open end clipped to a finite double): its BranchInfo and its
 solve constants (bracket, direction of f, seams, limit of f at the open
-end), held by branch index, so an inversion starts with no per-branch
-arithmetic and no record hashing.
+end, the x-domain as two floats with open ends one ulp inward, and f bound
+to its Params), held by branch index, so an inversion starts with no
+per-branch arithmetic and no record hashing.
 """
 
 from __future__ import annotations
@@ -241,12 +242,7 @@ def forward(p: Params, y: float) -> float:
 
     Raises RangeError naming y when f(y) overflows the double range.
     """
-    by = p.b * y
-    log_by = math.log(by) if by >= _DBL_MIN else _log_by(p, y, "forward map")
-    try:
-        value = (p.a * y * log_by + y + p.c) * math.exp(y)
-    except OverflowError:
-        value = math.inf
+    value = _forward_and_slope(p, y)[0]
     if not math.isfinite(value):
         raise RangeError(f"forward map overflows the double range at y={y!r}")
     return value
@@ -361,12 +357,12 @@ def _newton_bisect(fn: Callable[[float], tuple[float, float]], target: float,
         else:
             lo = y
         dy = r / slope if slope else math.nan
-        newton = y - dy
-        if lo < newton < hi and 2.0 * abs(dy) <= prev:
-            prev, step, y = step, abs(dy), newton
+        newton, size = y - dy, abs(dy)
+        if lo < newton < hi and 2.0 * size <= prev:
+            prev, step, y = step, size, newton
         else:
             cand = math.nextafter(newton, hi if y == lo else lo)
-            if not (abs(dy) <= _EPS4 * abs(y) and lo < cand < hi):
+            if not (size <= _EPS4 * abs(y) and lo < cand < hi):
                 cand = _split(lo, hi)
             prev, step, y = step, abs(cand - y), cand
         if hi - lo <= _EPS4 * (hi if hi > -lo else -lo):  # max(|lo|, |hi|)
@@ -480,15 +476,17 @@ class _Plan:
     # One branch, built with the catalog from its two ends in ascending y:
     # (d, f(d), f''(d)) at a seam, (clipped y, limit of f, None) at an open
     # end.  Holds the BranchInfo and the solve constants: the bracket lo < hi,
-    # the direction of f, the seams and x_end, the limit of f at the open end
-    # (inf between two seams).
-    __slots__ = ("info", "lo", "hi", "increasing", "seams", "x_end")
+    # the direction of f, the seams, x_end, the limit of f at the open end
+    # (inf between two seams), the x-domain as floats x_min <= x <= x_max
+    # (open ends one ulp inward; NaN fails) and f, (f, f') bound to Params.
+    __slots__ = ("info", "lo", "hi", "increasing", "seams", "x_end", "x_min", "x_max", "f")
 
-    def __init__(self, index: int, ends, increasing: bool):
+    def __init__(self, index: int, ends, increasing: bool, f):
         (self.lo, _, _), (self.hi, _, _) = ends
         self.increasing = increasing
         self.seams = tuple(end for end in ends if end[2] is not None)
         self.x_end = next((x for _, x, f2 in ends if f2 is None), math.inf)
+        self.f = f
         # The record holds an open end unclipped: y -> 0 or |y| -> inf.
         (ylo, xlo, lo_in), (yhi, xhi, hi_in) = (
             (y, x, True) if f2 is not None else (0.0 if abs(y) < 1.0 else y * math.inf, x, False)
@@ -501,6 +499,9 @@ class _Plan:
             monotone=Monotone.INCREASING if increasing else Monotone.DECREASING,
             seams=tuple((d, f_d) for d, f_d, _ in self.seams),
         )
+        dom = self.info.x_domain
+        self.x_min = dom.lo if dom.lo_closed else math.nextafter(dom.lo, math.inf)
+        self.x_max = dom.hi if dom.hi_closed else math.nextafter(dom.hi, -math.inf)
 
 
 @functools.lru_cache(maxsize=128)
@@ -534,7 +535,8 @@ def _catalog(a: float, b: float, c: float) -> tuple[tuple[BranchInfo, ...], dict
 
     # f' has the sign of the seam equation, which is -sign(a) next to y = 0
     # and changes sign at every seam.  A plan takes its ends in ascending y.
-    plans = {i: _Plan(i, pair if p.b > 0.0 else pair[::-1], (p.a < 0.0) == (i % 2 == 0))
+    f = functools.partial(_forward_and_slope, p)
+    plans = {i: _Plan(i, pair if p.b > 0.0 else pair[::-1], (p.a < 0.0) == (i % 2 == 0), f)
              for i, pair in enumerate(zip(ends, ends[1:]))}
     return tuple(plan.info for plan in plans.values()), plans
 
@@ -621,32 +623,28 @@ def _solve(p: Params, plan: _Plan, x: float, tol: float,
     # from the branch-point expansion at a seam (_seam_start), else from the
     # branch's open end (_end_start), else from the bracket's bisection
     # point.  f is evaluated only by the solver.
-    bi = plan.info
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
-    if math.isnan(x):
-        raise DomainError("x must not be NaN")
-    if not bi.x_domain.contains(x):
-        raise DomainError(
-            f"x={x!r} outside branch {bi.index} domain {bi.x_domain}"
-        )
+    if not (tol > 0.0 and plan.x_min <= x <= plan.x_max):
+        if not tol > 0.0:
+            raise DomainError(f"tol must be positive, got {tol!r}")
+        if math.isnan(x):
+            raise DomainError("x must not be NaN")
+        raise DomainError(f"x={x!r} outside branch {plan.info.index} domain {plan.info.x_domain}")
     for d, fx, _ in plan.seams:
         if x == fx:  # the catalog holds f(d) = forward(p, d)
             return d, 0.0, 0, True, (fx, 0.0)
 
     if start is None:
         start = _seam_start(plan, x)
-    if start is None:
-        start = _end_start(p, plan, x)
-    limit = tol * max(1.0, abs(x))
-    y, res, it, _, _, point = _newton_bisect(functools.partial(_forward_and_slope, p), x,
-                                             plan.lo, plan.hi, plan.increasing,
+        if start is None:
+            start = _end_start(p, plan, x)
+    limit = tol * (x if x > 1.0 else -x if x < -1.0 else 1.0)  # tol * max(1, |x|)
+    y, res, it, _, _, point = _newton_bisect(plan.f, x, plan.lo, plan.hi, plan.increasing,
                                              limit, start, known)
     if res <= limit:
         return y, res, it, False, point
     raise ConvergenceError(
         f"inversion stalled at residual {res!r} for x={x!r} "
-        f"(tol {tol!r}, branch {bi.index})"
+        f"(tol {tol!r}, branch {plan.info.index})"
     )
 
 
@@ -664,16 +662,17 @@ def _inverter(p: Params, branch: int, tol: float
     # x, so an equal x returns the same bits whatever the call order.
     plan = _plan_or_raise(p, branch)
     memo: dict[float, tuple[float, float]] = {}
-    last_x, warm = math.inf, (None, None)
+    x_end, last_x, last_y, last_point = plan.x_end, math.inf, None, None
 
     def invert(x: float) -> tuple[float, float]:
-        nonlocal last_x, warm
+        nonlocal last_x, last_y, last_point
         answer = memo.get(x)
         if answer is None:
-            start, known = warm if abs(x - last_x) <= abs(x - plan.x_end) else (None, None)
-            y, _, _, _, point = _solve(p, plan, x, tol, start, known)
-            answer = memo[x] = y, point[1]
-            last_x, warm = x, (y, point)
+            if abs(x - last_x) > abs(x - x_end):  # start as evaluate does
+                last_y = last_point = None
+            last_y, _, _, _, last_point = _solve(p, plan, x, tol, last_y, last_point)
+            last_x, answer = x, (last_y, last_point[1])
+            memo[x] = answer
         return answer
 
     return invert

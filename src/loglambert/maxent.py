@@ -40,10 +40,12 @@ Each call to `distribution`, `probability`, `continuous_pdf` and each
 inverter: every root seeds the next, unless the argument lies closer to
 the limit of f at the branch's open end than to the last argument.  Levels
 go in ascending x, so the result does not depend on their order, and an
-equal argument returns the same bits.  A pass over the levels is memoised
-by value, so one repeated at an equal spec (the `distribution` at the
-alpha `solve_alpha` returned) is served without an inversion; it keeps
-each level's f'(y_i) as the inversion's solver computed it, for the slope
+equal argument returns the same bits.  A pass takes -1/(1-r) + alpha,
+ratio and e^ratio once for all its arguments, and q - 1 once for all its
+weights.  It is memoised by value, so one repeated at an equal spec (the
+`distribution` at the alpha `solve_alpha` returned) is served without an
+inversion; it keeps each level's f'(y_i) as the inversion's solver
+computed it and the brace a*ln(b*y_i) + 1 its weight formed, for the slope
 of Z.  A weight beyond the double range raises RangeError naming its level
 (its argument, for `continuous_weight`).  `continuous_pdf` normalises by
 adaptive 7-point Gauss / 15-point Kronrod quadrature over a range that stops
@@ -57,7 +59,7 @@ import functools
 import math
 from collections.abc import Callable, Sequence
 
-from .core import (_Y_MAX, BranchInfo, Monotone, Params, _forward_and_slope,
+from .core import (_DBL_MIN, _Y_MAX, BranchInfo, Monotone, Params, _forward_and_slope,
                    _inverter, _log_by, _newton_bisect, _plan_or_raise, _Record,
                    branches, evaluate, forward)
 from .errors import ConvergenceError, DomainError, IntegrationError, RangeError
@@ -90,9 +92,9 @@ class EnsembleSpec(_Record):
                  ep: EntropyParams):
         if len(levels) == 0:
             raise DomainError("at least one level is required")
-        for v in levels:
-            if not math.isfinite(v):
-                raise DomainError(f"levels must be finite, got {v!r}")
+        if not all(map(math.isfinite, levels)):
+            bad = next(v for v in levels if not math.isfinite(v))
+            raise DomainError(f"levels must be finite, got {bad!r}")
         if not (math.isfinite(alpha) and math.isfinite(beta)):
             raise DomainError("alpha and beta must be finite")
         set_levels, set_alpha, set_beta, set_ep = self._setters
@@ -116,11 +118,12 @@ class DiscreteDistribution(_Record):
         set_beta_r(self, beta_r)
 
 
-def _argument(ep: EntropyParams, alpha: float, beta: float, eps: float) -> float:
+def _arguments(ep: EntropyParams, alpha: float, beta: float) -> Callable[[float], float]:
+    # eps -> x_i (module docstring), with -1/(1-r) + alpha, ratio, e^ratio taken once.
     cr = 1.0 - ep.r
-    cqp = 1.0 - ep.q_prime
-    ratio = cr / cqp
-    return (-1.0 / cr + alpha + beta * eps) * ratio * math.exp(ratio)
+    ratio = cr / (1.0 - ep.q_prime)
+    shift, e_ratio = -1.0 / cr + alpha, math.exp(ratio)
+    return lambda eps: (shift + beta * eps) * ratio * e_ratio
 
 
 def _level_sum(ep: EntropyParams, x: float) -> float:
@@ -130,29 +133,30 @@ def _level_sum(ep: EntropyParams, x: float) -> float:
 
 
 def _check_level(spec: EnsembleSpec, i: int) -> None:
-    if not 0 <= i < len(spec.levels):
+    if not (hasattr(i, "__index__") and 0 <= i < len(spec.levels)):  # an integer in range
         raise DomainError(f"level index i={i!r} outside 0..{len(spec.levels) - 1}")
 
 
 def level_argument(spec: EnsembleSpec, i: int) -> float:
     """Inversion argument x_i for level i (see module docstring)."""
     _check_level(spec, i)
-    return _argument(spec.ep, spec.alpha, spec.beta, spec.levels[i])
+    return _arguments(spec.ep, spec.alpha, spec.beta)(spec.levels[i])
 
 
-def _weight(ep: EntropyParams, params: Params, branch: int, x: float, y: float) -> float:
-    # Unnormalised stationary weight {a*ln(b*y) + 1}^(1/(q-1)) at the y
-    # solving the forward map for x on the chosen branch.
-    brace = params.a * _log_by(params, y, "weight") + 1.0
+def _weight(params: Params, q1: float, branch: int, x: float, y: float) -> tuple[float, float]:
+    # (w, brace): the unnormalised weight brace^(1/q1), q1 = q - 1, and its brace
+    # a*ln(b*y) + 1 at the root y for x (ln(b*y) by core's rule, first case inline).
+    by = params.b * y
+    brace = params.a * (math.log(by) if by >= _DBL_MIN else _log_by(params, y, "weight")) + 1.0
     if not brace > 0.0:
         raise DomainError(
             f"weight undefined: brace {brace!r} non-positive at x={x!r} "
             f"(branch {branch} mismatch?)"
         )
     try:
-        return math.exp(math.log(brace) / (ep.q - 1.0))
+        return math.exp(math.log(brace) / q1), brace
     except OverflowError:
-        raise RangeError(f"weight brace^(1/(q-1)) = {brace!r}^{1.0 / (ep.q - 1.0)!r} "
+        raise RangeError(f"weight brace^(1/(q-1)) = {brace!r}^{1.0 / q1!r} "
                          f"overflows the double range at x={x!r}") from None
 
 
@@ -187,7 +191,9 @@ def _uniform_y(ep: EntropyParams, n_levels: int) -> float:
 
 
 def suggest_branch(ep: EntropyParams, n_levels: int) -> int:
-    """Branch whose y-range contains a uniform distribution's warm start."""
+    """Branch whose y-range holds a uniform distribution's warm start (n_levels >= 1)."""
+    if not n_levels >= 1:
+        raise DomainError(f"n_levels must be at least 1, got {n_levels!r}")
     params = ep.induced_params()
     y = _uniform_y(ep, n_levels)
     for bi in branches(params):
@@ -199,29 +205,25 @@ def suggest_branch(ep: EntropyParams, n_levels: int) -> int:
 
 
 @functools.lru_cache(maxsize=4)
-def _all_weights(spec: EnsembleSpec, branch: int
-                 ) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...],
-                            tuple[float, ...]]:
-    # (x_i, y_i, w_i, f'(y_i)) per level, f'(y_i) as the inversion's solver
-    # computed it (0 at a seam).  Levels are inverted in ascending x by
-    # one warm inverter, so each root warm-starts the next and the result
+def _all_weights(spec: EnsembleSpec, branch: int) -> tuple[tuple[float, ...], ...]:
+    # (x_i, y_i, w_i, f'(y_i), brace_i) per level, f'(y_i) as the inversion's
+    # solver computed it (0 at a seam).  Levels are inverted in ascending x
+    # by one warm inverter, so each root warm-starts the next and the result
     # does not depend on the order of the levels.  Memoised by value: a pass
     # repeated at an equal spec (`distribution` at the alpha `solve_alpha`
     # returned) costs no inversion.
     ep = spec.ep
-    params = ep.induced_params()
+    params, q1 = ep.induced_params(), ep.q - 1.0
     invert = _inverter(params, branch, _EVAL_TOL)
-    xs = [_argument(ep, spec.alpha, spec.beta, eps) for eps in spec.levels]
-    ys = [0.0] * len(xs)
-    ws = [0.0] * len(xs)
-    slopes = [0.0] * len(xs)
+    xs = list(map(_arguments(ep, spec.alpha, spec.beta), spec.levels))
+    ys, ws, slopes, braces = ([0.0] * len(xs) for _ in range(4))
     for i in sorted(range(len(xs)), key=xs.__getitem__):
         try:
             ys[i], slopes[i] = invert(xs[i])
-            ws[i] = _weight(ep, params, branch, xs[i], ys[i])
+            ws[i], braces[i] = _weight(params, q1, branch, xs[i], ys[i])
         except (DomainError, RangeError) as exc:
             raise type(exc)(f"level {i} (eps={spec.levels[i]!r}): {exc}") from exc
-    return tuple(xs), tuple(ys), tuple(ws), tuple(slopes)
+    return tuple(xs), tuple(ys), tuple(ws), tuple(slopes), tuple(braces)
 
 
 def probability(spec: EnsembleSpec, i: int, branch: int | None = None) -> float:
@@ -245,7 +247,7 @@ def distribution(spec: EnsembleSpec, branch: int | None = None) -> DiscreteDistr
     """Full normalised distribution with partition value and beta_r."""
     if branch is None:
         branch = suggest_branch(spec.ep, len(spec.levels))
-    xs, _, ws, _ = _all_weights(spec, branch)
+    xs, _, ws, _, _ = _all_weights(spec, branch)
     z = math.fsum(ws)
     return DiscreteDistribution(
         probs=tuple(w / z for w in ws),
@@ -280,7 +282,8 @@ def solve_alpha(
     `distribution` over the levels, and a pass whose weights overflow counts
     as Z = +inf.  Returns the first alpha with |excess| <= tol; its pass is
     memoised, so `distribution` at that alpha repeats no inversion.
-    DomainError when the interval is empty (the levels span more than the
+    DomainError, before any pass, when levels is empty or tol is not
+    positive, and when the interval is empty (the levels span more than the
     branch admits) or when the solve ends against one of its ends, so that
     no alpha in it normalises the weights; ConvergenceError, naming the
     final sign bracket, when that bracket shrinks to a few ulps without
@@ -288,6 +291,10 @@ def solve_alpha(
     not reach it.
     """
     levels = tuple(levels)
+    if not levels:
+        raise DomainError("levels must hold at least one level")
+    if not tol > 0.0:
+        raise DomainError(f"tol must be positive, got {tol!r}")
     params = ep.induced_params()
     if branch is None:
         branch = suggest_branch(ep, len(levels))
@@ -311,7 +318,7 @@ def solve_alpha(
         # (Z, Z') at alpha, by the pass `distribution` makes.
         spec = EnsembleSpec(levels=levels, alpha=alpha, beta=beta, ep=ep)
         try:
-            _, ys, ws, slopes = _all_weights(spec, branch)
+            _, ys, ws, slopes, braces = _all_weights(spec, branch)
             z = math.fsum(ws)
         except OverflowError:  # a weight or Z beyond the double range
             return math.inf, math.nan
@@ -319,8 +326,7 @@ def solve_alpha(
             return z, math.nan
         total = 0.0  # dw/dy = w/(q-1) * (a/y)/brace, dy/dx = 1/f'(y)
         try:
-            for y, w, slope in zip(ys, ws, slopes):
-                brace = params.a * _log_by(params, y, "weight") + 1.0
+            for y, w, slope, brace in zip(ys, ws, slopes, braces):
                 # f' = 0 (a root on a seam) raises; f' beyond the double range is NaN
                 total += w * params.a / (y * brace * slope) if math.isfinite(slope) else math.nan
         except ZeroDivisionError:
@@ -386,9 +392,9 @@ def continuous_weight(
     double range.
     """
     params = ep.induced_params()
-    arg = _argument(ep, alpha, beta, x * x)
+    arg = _arguments(ep, alpha, beta)(x * x)
     y = evaluate(params, branch, arg, tol=_EVAL_TOL).y
-    return _weight(ep, params, branch, arg, y)
+    return _weight(params, ep.q - 1.0, branch, arg, y)[0]
 
 
 # 15-point Kronrod nodes on [-1, 1] (positive half and 0) and weights; every
@@ -466,10 +472,11 @@ def continuous_pdf(
     # Every argument is inverted by one warm inverter.
     params = ep.induced_params()
     invert = _inverter(params, branch, _EVAL_TOL)
+    argument, q1 = _arguments(ep, alpha, beta), ep.q - 1.0
 
     def g(x: float) -> float:
-        arg = _argument(ep, alpha, beta, x * x)
-        return _weight(ep, params, branch, arg, invert(arg)[0])
+        arg = argument(x * x)
+        return _weight(params, q1, branch, arg, invert(arg)[0])[0]
 
     values = [g(x) for x in x_grid]
 

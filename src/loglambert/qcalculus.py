@@ -70,24 +70,25 @@ class EntropyParams(_Record):
         return Params(a=cq / cqp, b=cqp / cr, c=-1.0 / cqp)
 
 
-def _stretch(coeff: float, s: float, x: float) -> float:
-    # (exp(coeff*s) - 1)/coeff, continuously extended to coeff = 0, for a
-    # deformed logarithm at x.
-    if abs(coeff) < _LIMIT_TOL:
-        return s
-    try:
-        return math.expm1(coeff * s) / coeff
-    except OverflowError:
-        raise RangeError(
-            f"deformed logarithm overflows the double range at x={x!r}"
-        ) from None
+def _deformed_log(x: float, coeffs: tuple[float, ...]) -> float:
+    # ln x stretched to (exp(coeff*s) - 1)/coeff by each coefficient in turn
+    # (1-q, 1-q', 1-r), each stretch the identity within 1e-12 of coeff = 0.
+    if not x > 0.0:
+        raise DomainError(f"ln_q needs x > 0, got {x!r}")
+    s = math.log(x)
+    for coeff in coeffs:
+        if not -_LIMIT_TOL < coeff < _LIMIT_TOL:
+            try:
+                s = math.expm1(coeff * s) / coeff
+            except OverflowError:
+                raise RangeError(f"deformed logarithm overflows the double range at x={x!r}"
+                                 ) from None
+    return s
 
 
 def ln_q(q: float, x: float) -> float:
     """One-parameter logarithm (x^(1-q) - 1)/(1-q); ln x at q = 1."""
-    if not x > 0.0:
-        raise DomainError(f"ln_q needs x > 0, got {x!r}")
-    return _stretch(1.0 - q, math.log(x), x)
+    return _deformed_log(x, (1.0 - q,))
 
 
 def exp_q(q: float, x: float) -> float:
@@ -114,7 +115,7 @@ def exp_q(q: float, x: float) -> float:
 
 def ln_qq(q: float, q_prime: float, x: float) -> float:
     """Two-parameter logarithm: ln_q stretched once more by 1 - q'."""
-    return _stretch(1.0 - q_prime, ln_q(q, x), x)
+    return _deformed_log(x, (1.0 - q, 1.0 - q_prime))
 
 
 def ln_qqr(ep: EntropyParams, x: float) -> float:
@@ -124,7 +125,7 @@ def ln_qqr(ep: EntropyParams, x: float) -> float:
     plain ln as all three parameters tend to 1.  Overflow in the nested
     exponentials raises RangeError (an OverflowError) naming x.
     """
-    return _stretch(1.0 - ep.r, ln_qq(ep.q, ep.q_prime, x), x)
+    return _deformed_log(x, (1.0 - ep.q, 1.0 - ep.q_prime, 1.0 - ep.r))
 
 
 def entropy_qqr(ep: EntropyParams, p: Sequence[float]) -> float:

@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import random
 
 import pytest
 
 from loglambert import (
     ConvergenceError,
     DomainError,
+    LogLambertError,
     Monotone,
     Params,
     RangeError,
@@ -248,8 +250,12 @@ def test_cold_start_near_open_ends_is_cheap():
     assert max(counts) <= 12
 
 
-def _counting_f(monkeypatch):
-    # Count the evaluations of f (with its slope) made through the core.
+@pytest.fixture
+def f_calls(monkeypatch):
+    # Count the evaluations of f (with its slope) made through the core.  A
+    # plan holds the f its catalog was built with, so the catalog is cleared
+    # when the counter goes in, and again at teardown: no cached plan
+    # outlives the test holding the counting wrapper.
     calls = [0]
     inner = core._forward_and_slope
 
@@ -258,35 +264,35 @@ def _counting_f(monkeypatch):
         return inner(p, y)
 
     monkeypatch.setattr(core, "_forward_and_slope", counted)
-    return calls
+    core._catalog.cache_clear()
+    yield calls
+    core._catalog.cache_clear()
 
 
-def test_f_is_evaluated_only_by_the_solver(monkeypatch):
+def test_f_is_evaluated_only_by_the_solver(f_calls):
     # No bracket work is left outside the solver: every evaluation of f an
     # inversion makes is one of its points.
-    calls = _counting_f(monkeypatch)
     for abc in PARAM_SETS:
         p = Params(*map(float, abc))
         for bi in branches(p):
             xs = [*interior_points(bi, 10), *_near_seam_points(p, bi), *_open_end_points(bi)]
             for x in xs:
-                calls[0] = 0
+                f_calls[0] = 0
                 r = evaluate(p, bi.index, x)
-                assert calls[0] == r.iterations, (p, bi.index, x)
+                assert f_calls[0] == r.iterations, (p, bi.index, x)
 
 
-def test_warm_inversion_reuses_the_last_point(monkeypatch):
+def test_warm_inversion_reuses_the_last_point(monkeypatch, f_calls):
     # On a sorted sweep of a branch, a solve that starts from the last root
     # is handed the (f, f') its predecessor ended on, so one of its points
     # costs no evaluation of f.
-    calls = _counting_f(monkeypatch)
     solves = []
     solve = core._solve
 
     def recorded(p, bi, x, tol, start=None, known=None):
-        calls[0] = 0
+        f_calls[0] = 0
         result = solve(p, bi, x, tol, start, known)
-        solves.append((known is not None, result[2], calls[0]))
+        solves.append((known is not None, result[2], f_calls[0]))
         return result
 
     monkeypatch.setattr(core, "_solve", recorded)
@@ -315,20 +321,19 @@ def test_no_newton_crawl_below_a_far_seam(b):
     assert r.iterations <= 8
 
 
-def test_inverter_after_a_far_jump_is_cheap(monkeypatch):
+def test_inverter_after_a_far_jump_is_cheap(f_calls):
     # From a root next to the seam at y = 267.8 to x = 0, whose root is
     # near 0.47: x is closer to the open end's limit c = -3 than to the last
     # x, so the solve starts from that end.  From the last root, Newton
     # would crawl down the convex side of e^y.
     p = Params(-1.0, 0.01, -3.0)
     invert = _inverter(p, 0, 1e-12)
-    calls = _counting_f(monkeypatch)
     for x in (2.0e116, 0.0):
-        calls[0] = 0
+        f_calls[0] = 0
         y, _ = invert(x)
         assert branches(p)[0].y_range.contains(y)
         assert abs(forward(p, y) - x) <= 1e-12 * max(1.0, abs(x))
-        assert calls[0] <= 8, x
+        assert f_calls[0] <= 8, x
 
 
 def test_seam_evaluation():
@@ -354,6 +359,73 @@ def test_domain_error_reports_interval():
         evaluate(p, 0, 1.0)  # open endpoint: the limit value is excluded
     with pytest.raises(DomainError):
         evaluate(p, 7, 2.0)  # no such branch
+
+
+def _scan_cold_sample(n, seed):
+    # (a, b, c) drawn as the scan_cold ranges: |a| in 1e-3..1e2, |b| in
+    # 1e-3..1e3, c in the band each sign case of b and a supports.
+    rng = random.Random(seed)
+    for _ in range(n):
+        a = rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-3.0, 2.0)
+        b = rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        u = rng.random()
+        yield a, b, (3.0 * (2.0 * u - 1.0) if b > 0.0 else a * (2.0 * u - 1.0) if a > 0.0
+                     else -3.0 + (abs(a) + 3.0) * u)
+
+
+def _domain_probes(dom):
+    # Each end of an x-domain and one ulp either side of it, +-0 and +-inf.
+    for end in (dom.lo, dom.hi):
+        yield math.nextafter(end, -math.inf)
+        yield end
+        yield math.nextafter(end, math.inf)
+    yield from (0.0, -0.0, math.inf, -math.inf)
+
+
+def test_plan_bounds_admit_what_the_domain_contains():
+    # A plan admits x by x_min <= x <= x_max, its x-domain's open ends moved
+    # one ulp inward: exactly the points Interval.contains admits, on every
+    # plan of PARAM_SETS and of a seeded scan_cold-style sample.  evaluate
+    # refuses the others by naming the domain, and NaN as NaN.
+    sets = [tuple(map(float, abc)) for abc in PARAM_SETS] + list(_scan_cold_sample(300, 29))
+    plans = []
+    for abc in sets:
+        try:
+            plans += [(abc, plan) for plan in core._catalog(*abc)[1].values()]
+        except LogLambertError:
+            continue
+    assert len(plans) >= 400
+    for abc, plan in plans:
+        p, dom, index = Params(*abc), plan.info.x_domain, plan.info.index
+        for x in _domain_probes(dom):
+            admitted = plan.x_min <= x <= plan.x_max
+            assert admitted == dom.contains(x), (abc, index, x)
+            if not admitted:
+                with pytest.raises(DomainError, match=f"outside branch {index} domain"):
+                    evaluate(p, index, x)
+        with pytest.raises(DomainError, match="^x must not be NaN$"):
+            evaluate(p, index, math.nan)
+
+
+def test_empty_domain_admits_nothing():
+    # f(d) rounds to c, so branch 0's x-domain (c, c] is empty in doubles.
+    p = Params(0.0432, 480.68, 2.9098)
+    plan = core._catalog(p.a, p.b, p.c)[1][0]
+    dom = plan.info.x_domain
+    assert dom.lo == dom.hi and not dom.lo_closed and dom.hi_closed
+    assert plan.x_min > plan.x_max
+    for x in _domain_probes(dom):
+        assert not dom.contains(x)
+        with pytest.raises(DomainError, match="outside branch 0 domain"):
+            evaluate(p, 0, x)
+
+
+def test_refusals_keep_their_order():
+    # A bad tol is named before a NaN or out-of-domain x.
+    p = Params(1.0, 1.0, 1.0)
+    for x in (math.nan, 1e9, 2084.7878):
+        with pytest.raises(DomainError, match="tol must be positive"):
+            evaluate(p, 1, x, tol=-1.0)
 
 
 @pytest.mark.parametrize("branch", [1.0, True])

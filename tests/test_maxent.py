@@ -45,19 +45,28 @@ BETA_CONT = -0.4 * math.exp(-3.0)
 README_GRID = [-3.7 + 7.4 * i / 100 for i in range(101)]
 
 
-def _count_calls(monkeypatch, module, name):
-    # Replace module.name by a wrapper that records each call's arguments.
-    # The pass memo starts empty, so that no earlier test's pass saves work.
-    maxent._all_weights.cache_clear()
-    calls = []
-    inner = getattr(module, name)
+@pytest.fixture
+def count_calls(monkeypatch):
+    # count_calls(module, name) replaces module.name by a wrapper that
+    # records each call's arguments.  The pass memo starts empty, so that no
+    # earlier test's pass saves work, and so does the catalog, whose plans
+    # hold the f they were built with; the catalog is cleared again at
+    # teardown, so no cached plan outlives the test holding a wrapper.
+    def count(module, name):
+        maxent._all_weights.cache_clear()
+        core._catalog.cache_clear()
+        calls = []
+        inner = getattr(module, name)
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return inner(*args, **kwargs)
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
 
-    monkeypatch.setattr(module, name, counted)
-    return calls
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    yield count
+    core._catalog.cache_clear()
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +94,21 @@ def test_level_index_out_of_range_raises(fn, i):
     spec = EnsembleSpec(levels=LEVELS, alpha=0.28, beta=0.1, ep=EP)
     with pytest.raises(DomainError, match=rf"i={i} outside 0\.\.3"):
         fn(spec, i)
+
+
+@pytest.mark.parametrize("fn", [level_argument, probability])
+@pytest.mark.parametrize("i", [1.5, 1.0, "1", None])
+def test_level_index_that_is_no_integer_raises(fn, i):
+    # Only an integer selects a level, as only an integer selects a branch.
+    spec = EnsembleSpec(levels=LEVELS, alpha=0.28, beta=0.1, ep=EP)
+    with pytest.raises(DomainError, match=rf"i={re.escape(repr(i))} outside 0\.\.3"):
+        fn(spec, i, 0) if fn is probability else fn(spec, i)
+
+
+def test_level_index_true_selects_level_one():
+    spec = EnsembleSpec(levels=LEVELS, alpha=0.28, beta=0.1, ep=EP)
+    assert level_argument(spec, True) == level_argument(spec, 1)
+    assert probability(spec, True, 0) == probability(spec, 1, 0)
 
 
 def test_level_argument_factored_identity(solved_spec):
@@ -198,6 +222,29 @@ def test_suggest_branch():
     assert suggest_branch(EP_CONT, 4) == 1
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: solve_alpha([], 0.1, EP), "levels"),
+    (lambda: solve_alpha([], 0.1, EP, branch=0), "levels"),
+    (lambda: suggest_branch(EP, 0), "n_levels"),
+    (lambda: suggest_branch(EP, -1), "n_levels"),
+])
+def test_no_levels_is_refused(call, name):
+    # These raised ZeroDivisionError, ValueError (min of an empty sequence),
+    # ZeroDivisionError and TypeError (a complex power).
+    with pytest.raises(DomainError, match=rf"^{name} "):
+        call()
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-14, math.nan])
+def test_solve_alpha_refuses_a_tol_that_is_not_positive(count_calls, tol):
+    # Refused before any pass, as evaluate refuses it; such a tol ran passes
+    # until ConvergenceError.
+    calls = count_calls(maxent, "_all_weights")
+    with pytest.raises(DomainError, match=rf"^tol must be positive, got {tol!r}$"):
+        solve_alpha(LEVELS, 0.1, EP, tol=tol)
+    assert calls == []
+
+
 def test_pseudo_beta(solved_spec):
     expected = solved_spec.beta / (1.0 - solved_spec.alpha * (1.0 - EP.r))
     assert pseudo_beta(solved_spec) == pytest.approx(expected, rel=1e-15)
@@ -239,20 +286,20 @@ def test_solve_alpha_converges_tightly():
 
 
 @pytest.mark.parametrize("levels, passes", [(LEVELS, 4), (LEVELS_128, 2)])
-def test_solve_alpha_weight_passes(monkeypatch, levels, passes):
+def test_solve_alpha_weight_passes(count_calls, levels, passes):
     # Newton on the exact slope converges quadratically from the uniform
     # start; the secant took 5 and 4 passes over the levels.
-    calls = _count_calls(monkeypatch, maxent, "_all_weights")
+    calls = count_calls(maxent, "_all_weights")
     solve_alpha(levels, beta=0.1, ep=EP)
     assert len(calls) <= passes
 
 
-def test_solve_alpha_refuses_at_adjacent_doubles(monkeypatch):
+def test_solve_alpha_refuses_at_adjacent_doubles(count_calls):
     # No double meets tol here: the excess steps from -3.04e-14 to
     # +2.53e-14 between 0.4833915472854921 and 0.48339154728549216.  The
     # refusal names a final sign bracket a few ulps wide around that step;
     # unguarded Newton hops about for all 101 passes.
-    calls = _count_calls(monkeypatch, maxent, "_all_weights")
+    calls = count_calls(maxent, "_all_weights")
     bracket = r"sign bracket \[(\S+), (\S+)\]"
     with pytest.raises(ConvergenceError, match=bracket) as exc:
         solve_alpha([0.4, 0.35], 0.1, EntropyParams(0.998, 0.834, 0.783))
@@ -275,19 +322,19 @@ def test_solve_alpha_refuses_when_no_alpha_normalises(levels, beta, ep, branch):
         solve_alpha(levels, beta, ep, branch)
 
 
-def test_solve_alpha_refuses_an_empty_interval_without_a_pass(monkeypatch):
+def test_solve_alpha_refuses_an_empty_interval_without_a_pass(count_calls):
     # Branch 0's x-domain is bounded, narrower than these levels' spread.
-    calls = _count_calls(monkeypatch, maxent, "_all_weights")
+    calls = count_calls(maxent, "_all_weights")
     with pytest.raises(DomainError, match="levels span more than the branch admits"):
         solve_alpha((0.0, 50.0), 0.5, EP, 0)
     assert calls == []
 
 
-def test_distribution_after_solve_alpha_reuses_its_last_pass(monkeypatch):
+def test_distribution_after_solve_alpha_reuses_its_last_pass(count_calls):
     # solve_alpha's last pass is at the alpha it returns, so the
     # distribution there comes from the pass memo without evaluating f, and
     # equals a fresh pass to the bit.
-    calls = _count_calls(monkeypatch, core, "_forward_and_slope")
+    calls = count_calls(core, "_forward_and_slope")
     alpha = solve_alpha(LEVELS_128, beta=0.1, ep=EP)
     assert calls
     calls.clear()
@@ -299,14 +346,43 @@ def test_distribution_after_solve_alpha_reuses_its_last_pass(monkeypatch):
     assert len(calls) >= len(LEVELS_128)
 
 
-def test_solve_alpha_takes_each_slope_from_its_inversion(monkeypatch):
+def test_solve_alpha_takes_each_slope_from_its_inversion(count_calls):
     # The slope of Z needs f'(y_i) at every level's root; the inversion's
     # solver computed it there, so no pass evaluates f' again.
-    calls = _count_calls(monkeypatch, core, "forward_slope")
+    calls = count_calls(core, "forward_slope")
     alpha = solve_alpha(LEVELS_128, 0.1, EP)
     assert calls == []
     spec = EnsembleSpec(levels=LEVELS_128, alpha=alpha, beta=0.1, ep=EP)
     assert abs(distribution(spec).partition - 1.0) <= 1e-14
+
+
+def test_solve_alpha_takes_each_log_once_per_level_and_pass(count_calls, monkeypatch):
+    # The slope of Z reuses the brace a*ln(b*y_i) + 1 each level's weight
+    # formed, so a pass takes ln(b*y_i) once per level: 256 times in a
+    # 2-pass solve over 128 levels, where it took 384.  A ln(b*y) in maxent
+    # is either math.log(b*y) inline or core's rule _log_by.
+    log_by = count_calls(maxent, "_log_by")
+    memo = maxent._all_weights
+    passes = count_calls(maxent, "_all_weights")
+    logged = []
+
+    class CountingMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        @staticmethod
+        def log(v):
+            logged.append(v)
+            return math.log(v)
+
+    monkeypatch.setattr(maxent, "math", CountingMath())
+    solve_alpha(LEVELS_128, 0.1, EP)
+    assert len(passes) == 2
+    b = EP.induced_params().b
+    products = sorted(b * y for spec, branch in passes for y in memo(spec, branch)[1])
+    assert len(products) == 256
+    taken = [v for v in logged if v in set(products)] + [p.b * y for p, y, _ in log_by]
+    assert sorted(taken) == products
 
 
 def test_pass_memo_is_keyed_by_value():
@@ -358,10 +434,10 @@ def test_continuous_pointwise_proportional_to_weight():
         assert d / dens[2] == pytest.approx(w / w0, rel=1e-10)
 
 
-def test_continuous_pdf_inversion_count(monkeypatch):
+def test_continuous_pdf_inversion_count(count_calls):
     # 51 distinct grid arguments, the search for L and 9 G7-K15 panels;
     # adaptive Simpson took 835 inversions.
-    calls = _count_calls(monkeypatch, core, "_solve")
+    calls = count_calls(core, "_solve")
     continuous_pdf(EP_CONT, ALPHA_CONT, BETA_CONT, 1, README_GRID)
     assert len(calls) <= 250
 

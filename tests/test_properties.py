@@ -295,10 +295,12 @@ TRIPLES = ((0.9, 0.8, 0.7), (0.95, 0.85, 0.75), (0.7, 0.8, 0.9), (0.85, 0.9, 0.6
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(trip=st.sampled_from(TRIPLES),
        shift=st.lists(st.floats(-0.05, 0.05), min_size=3, max_size=3),
-       levels=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=32))
+       levels=st.lists(st.floats(0.0, 1.0), min_size=0, max_size=32))
+@example(trip=TRIPLES[0], shift=[0.0, 0.0, 0.0], levels=[])
 def test_maxent_meets_contract_or_refuses(trip, shift, levels):
     # solve_alpha -> distribution -> stationarity_residuals near the
-    # triples: Z = 1 to 1e-12 and finite residuals, or a typed refusal.
+    # triples: Z = 1 to 1e-12 and finite residuals, or a typed refusal (no
+    # levels included).
     try:
         ep = EntropyParams(*(t + d for t, d in zip(trip, shift)))
         alpha = solve_alpha(levels, 0.1, ep)

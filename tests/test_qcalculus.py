@@ -1,5 +1,6 @@
 """Deformed logarithms/exponentials and the three-parameter entropy."""
 
+import itertools
 import math
 import random
 
@@ -92,6 +93,59 @@ def test_ln_qqr_overflow():
         ln_qq(0.5, 0.8, 1e300)
     with pytest.raises(RangeError, match=r"x=9\.99"):
         entropy_qqr(EntropyParams(0.5, 0.8, 0.7), [1e-300, 1.0 - 1e-300])
+
+
+def _stretched(coeff, s, x):
+    # One deformation level as the nested form took it: (e^(coeff*s) - 1)/coeff,
+    # s itself within 1e-12 of coeff = 0.
+    if abs(coeff) < 1e-12:
+        return s
+    try:
+        return math.expm1(coeff * s) / coeff
+    except OverflowError:
+        raise RangeError(f"deformed logarithm overflows the double range at x={x!r}") from None
+
+
+def _nested_ln_q(q, x):
+    if not x > 0.0:
+        raise DomainError(f"ln_q needs x > 0, got {x!r}")
+    return _stretched(1.0 - q, math.log(x), x)
+
+
+def _nested_ln_qq(q, q_prime, x):
+    return _stretched(1.0 - q_prime, _nested_ln_q(q, x), x)
+
+
+def _nested_ln_qqr(ep, x):
+    return _stretched(1.0 - ep.r, _nested_ln_qq(ep.q, ep.q_prime, x), x)
+
+
+def _outcome(fn, *args):
+    # The value's repr (its bits, -0.0 and nan included), or the error's
+    # class and message.
+    try:
+        return repr(fn(*args))
+    except (DomainError, RangeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_deformed_logs_equal_the_nested_form():
+    # ln_q, ln_qq and ln_qqr take their levels in one loop; each equals the
+    # nested form to the bit, refusals and their messages included, on
+    # parameters on both sides of the 1e-12 limit switch and far from it.
+    params = [1.0 + k * 2.5e-13 for k in range(-6, 7)] + [0.5, 0.9, 1.3, 2.0, -1.0]
+    xs = [0.0, -1.0, math.nan, 5e-324, 1e-300, 1e-10, 0.3, 1.0, 2.0, 1e5, 1e300, math.inf]
+    outcomes = set()
+    for q, x in itertools.product(params, xs):
+        assert _outcome(ln_q, q, x) == _outcome(_nested_ln_q, q, x), (q, x)
+    for q, q_prime, r in itertools.product(params, repeat=3):
+        ep = EntropyParams(q, q_prime, r)
+        for x in xs:
+            assert _outcome(ln_qq, q, q_prime, x) == _outcome(_nested_ln_qq, q, q_prime, x)
+            expected = _outcome(_nested_ln_qqr, ep, x)
+            assert _outcome(ln_qqr, ep, x) == expected, (q, q_prime, r, x)
+            outcomes.add(expected[0] if isinstance(expected, tuple) else "value")
+    assert outcomes == {"DomainError", "RangeError", "value"}
 
 
 def test_entropy_point_mass_is_zero():
