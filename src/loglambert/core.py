@@ -668,11 +668,12 @@ def _inverter(p: Params, branch: int, tol: float
         nonlocal last_x, last_y, last_point
         answer = memo.get(x)
         if answer is None:
-            if abs(x - last_x) > abs(x - x_end):  # start as evaluate does
-                last_y = last_point = None
-            last_y, _, _, _, last_point = _solve(p, plan, x, tol, last_y, last_point)
-            last_x, answer = x, (last_y, last_point[1])
-            memo[x] = answer
+            if abs(x - last_x) <= abs(x - x_end):
+                y, _, _, _, point = _solve(p, plan, x, tol, last_y, last_point)
+            else:  # start as evaluate does
+                y, _, _, _, point = _solve(p, plan, x, tol)
+            last_x, last_y, last_point = x, y, point
+            answer = memo[x] = y, point[1]
         return answer
 
     return invert

@@ -76,13 +76,12 @@ def _deformed_log(x: float, coeffs: tuple[float, ...]) -> float:
     if not x > 0.0:
         raise DomainError(f"ln_q needs x > 0, got {x!r}")
     s = math.log(x)
-    for coeff in coeffs:
-        if not -_LIMIT_TOL < coeff < _LIMIT_TOL:
-            try:
+    try:
+        for coeff in coeffs:
+            if not -_LIMIT_TOL < coeff < _LIMIT_TOL:
                 s = math.expm1(coeff * s) / coeff
-            except OverflowError:
-                raise RangeError(f"deformed logarithm overflows the double range at x={x!r}"
-                                 ) from None
+    except OverflowError:
+        raise RangeError(f"deformed logarithm overflows the double range at x={x!r}") from None
     return s
 
 
