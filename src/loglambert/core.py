@@ -11,10 +11,10 @@ sign cases.  Between consecutive seams f is strictly monotone, so the inverse
 splits into branches indexed 0, 1 (and 2 for b < 0), counted starting from
 the branch whose y-range touches 0.
 
-Every ln(b*y) follows one rule: math.log(b*y) while b*y is a normal double,
-else ln|b| + ln|y| when y lies on the side of 0 where b*y > 0 (a subnormal
-b*y has lost bits and one rounded to 0 has no logarithm, while |b| and |y|
-keep theirs), else DomainError naming the quantity that needs b*y > 0.
+Every ln(b*y), taken once per point, follows one rule: math.log(b*y) while
+b*y is a normal double, else ln|b| + ln|y| when y lies on the side of 0 where
+b*y > 0 (a subnormal b*y has lost bits and one rounded to 0 has no logarithm,
+while |b| and |y| keep theirs), else DomainError naming what needs b*y > 0.
 
 Seam contract: each seam is the root of the seam equation in doubles, found
 on the monotone pieces of the seam equation between its knots (the zeros of
@@ -31,7 +31,7 @@ NoSolutionError.
 This module provides the branch catalog, the inverse on a chosen branch, the
 closed forms for the inverse's derivative and antiderivative, the expansion
 of the inverse about x = 0 (leading coefficients in closed form through the
-classical Lambert W, higher ones by series reversion), and a large-x
+classical Lambert W, higher ones by O(n^3) series reversion), and a large-x
 approximation.  Knots, seams and inversions share one solver: Newton steps
 safeguarded by bisection inside a bracket of a monotone function (Press et
 al.'s rtsafe rule, bisecting in ln|y| across orders of magnitude), applied
@@ -285,7 +285,8 @@ def _log_by(p: Params, y: float, what: str) -> float:
 def _seam_and_slope(p: Params, y: float) -> tuple[float, float]:
     # (s(y), s'(y)) of the seam equation s = a*(y+1)*ln(b*y) + y + a + c + 1,
     # s'(y) = a*(ln(b*y) + 1 + 1/y) + 1.
-    log_by = _log_by(p, y, "seam equation")
+    by = p.b * y
+    log_by = math.log(by) if by >= _DBL_MIN else _log_by(p, y, "seam equation")
     return (p.a * (y + 1.0) * log_by + y + p.a + p.c + 1.0,
             p.a * (log_by + 1.0 + 1.0 / y) + 1.0)
 
@@ -426,40 +427,40 @@ def singular_points(p: Params) -> list[float]:
     NoSolutionError when there are fewer.
     """
     knots = _knots(p)
-    ends = [math.copysign(0.0, p.b), *knots, math.copysign(math.inf, p.b)]
-    signs = [p.a < 0.0, *(p.c - p.a * (k + 1.0 + 1.0 / k) > 0.0 for k in knots),
-             (p.a > 0.0) == (p.b > 0.0)]
+    a, b, c = p.a, p.b, p.c
+    signs = [a < 0.0, *[c - a * (k + 1.0 + 1.0 / k) > 0.0 for k in knots],
+             (a > 0.0) == (b > 0.0)]
     pieces = [i for i in range(len(knots) + 1) if signs[i] != signs[i + 1]]
-    expected = 1 if p.b > 0.0 else 2
-    params = f"a={p.a!r}, b={p.b!r}, c={p.c!r}"
+    expected = 1 if b > 0.0 else 2
     if len(pieces) > expected:
         raise UnsupportedCaseError(
-            f"seam equation for {params} has {len(pieces)} roots on the "
+            f"seam equation for a={a!r}, b={b!r}, c={c!r} has {len(pieces)} roots on the "
             f"admissible half-line; only {expected} is catalogued"
         )
     if len(pieces) < expected:
         raise NoSolutionError(
-            f"seam equation for {params} has {len(pieces)} root(s) on the "
+            f"seam equation for a={a!r}, b={b!r}, c={c!r} has {len(pieces)} root(s) on the "
             f"admissible half-line, expected {expected}"
         )
 
+    # |y| at the ends of the monotone pieces, outward from 0, clipped to the search range.
+    ends = [_Y_MIN, *[min(max(abs(k), _Y_MIN), _Y_MAX) for k in knots], _Y_MAX]
+    # The first point zeroes the terms of s that dominate as y -> 0
+    # (a*ln(b*y) + a + c + 1), else as |y| -> inf (y*(a*ln(b*y) + 1)),
+    # whichever lies inside (lo, hi) first.
+    near = math.exp(min(-(a + c + 1.0) / a, _Y_MAX)) / b
+    far = math.exp(min(-1.0 / a, _Y_MAX)) / b
     seam_equation = functools.partial(_seam_and_slope, p)
     roots = []
     for i in pieces:
-        lo, hi = sorted(math.copysign(min(max(abs(e), _Y_MIN), _Y_MAX), p.b)
-                        for e in ends[i:i + 2])
+        lo, hi = (ends[i], ends[i + 1]) if b > 0.0 else (-ends[i + 1], -ends[i])
         s_lo, s_hi = seam_equation(lo)[0], seam_equation(hi)[0]
         if (s_lo > 0.0) == (s_hi > 0.0):
             raise RangeError(
-                f"seam equation for {params} has a root outside the searched "
+                f"seam equation for a={a!r}, b={b!r}, c={c!r} has a root outside the searched "
                 f"range e^-708 <= |y| <= {_Y_MAX:.6g}"
             )
-        # The first point zeroes the terms of s that dominate as y -> 0
-        # (a*ln(b*y) + a + c + 1), else as |y| -> inf (y*(a*ln(b*y) + 1)),
-        # whichever lies inside (lo, hi) first.
-        start = next((y for y in (math.exp(min(v, _Y_MAX)) / p.b
-                                  for v in (-(p.a + p.c + 1.0) / p.a, -1.0 / p.a))
-                      if lo < y < hi), None)
+        start = near if lo < near < hi else far if lo < far < hi else None
         roots.append(_newton_bisect(seam_equation, 0.0, lo, hi, s_lo < s_hi, 0.0, start)[0])
     return sorted(roots)
 
@@ -481,27 +482,23 @@ class _Plan:
     # (open ends one ulp inward; NaN fails) and f, (f, f') bound to Params.
     __slots__ = ("info", "lo", "hi", "increasing", "seams", "x_end", "x_min", "x_max", "f")
 
-    def __init__(self, index: int, ends, increasing: bool, f):
-        (self.lo, _, _), (self.hi, _, _) = ends
-        self.increasing = increasing
-        self.seams = tuple(end for end in ends if end[2] is not None)
-        self.x_end = next((x for _, x, f2 in ends if f2 is None), math.inf)
-        self.f = f
+    def __init__(self, index: int, low: tuple, high: tuple, increasing: bool, f):
+        (lo, x_lo, f2_lo), (hi, x_hi, f2_hi) = low, high
+        self.lo, self.hi, self.increasing, self.f = lo, hi, increasing, f
+        lo_in, hi_in = f2_lo is not None, f2_hi is not None
+        self.seams = (low, high) if lo_in and hi_in else (low,) if lo_in else (high,)
+        self.x_end = x_lo if not lo_in else x_hi if not hi_in else math.inf
         # The record holds an open end unclipped: y -> 0 or |y| -> inf.
-        (ylo, xlo, lo_in), (yhi, xhi, hi_in) = (
-            (y, x, True) if f2 is not None else (0.0 if abs(y) < 1.0 else y * math.inf, x, False)
-            for y, x, f2 in ends)
-        self.info = BranchInfo(
-            index=index,
-            y_range=Interval(ylo, yhi, lo_in, hi_in),
-            x_domain=(Interval(xlo, xhi, lo_in, hi_in) if xlo <= xhi
-                      else Interval(xhi, xlo, hi_in, lo_in)),
-            monotone=Monotone.INCREASING if increasing else Monotone.DECREASING,
-            seams=tuple((d, f_d) for d, f_d, _ in self.seams),
-        )
-        dom = self.info.x_domain
-        self.x_min = dom.lo if dom.lo_closed else math.nextafter(dom.lo, math.inf)
-        self.x_max = dom.hi if dom.hi_closed else math.nextafter(dom.hi, -math.inf)
+        y_lo = lo if lo_in else 0.0 if abs(lo) < 1.0 else lo * math.inf
+        y_hi = hi if hi_in else 0.0 if abs(hi) < 1.0 else hi * math.inf
+        y_range = Interval(y_lo, y_hi, lo_in, hi_in)
+        if not x_lo <= x_hi:  # f falls along the branch
+            x_lo, x_hi, lo_in, hi_in = x_hi, x_lo, hi_in, lo_in
+        self.x_min = x_lo if lo_in else math.nextafter(x_lo, math.inf)
+        self.x_max = x_hi if hi_in else math.nextafter(x_hi, -math.inf)
+        self.info = BranchInfo(index, y_range, Interval(x_lo, x_hi, lo_in, hi_in),
+                               Monotone.INCREASING if increasing else Monotone.DECREASING,
+                               tuple([(d, f_d) for d, f_d, _ in self.seams]))
 
 
 @functools.lru_cache(maxsize=128)
@@ -536,9 +533,10 @@ def _catalog(a: float, b: float, c: float) -> tuple[tuple[BranchInfo, ...], dict
     # f' has the sign of the seam equation, which is -sign(a) next to y = 0
     # and changes sign at every seam.  A plan takes its ends in ascending y.
     f = functools.partial(_forward_and_slope, p)
-    plans = {i: _Plan(i, pair if p.b > 0.0 else pair[::-1], (p.a < 0.0) == (i % 2 == 0), f)
-             for i, pair in enumerate(zip(ends, ends[1:]))}
-    return tuple(plan.info for plan in plans.values()), plans
+    pairs = zip(ends, ends[1:]) if p.b > 0.0 else zip(ends[1:], ends)
+    plans = {i: _Plan(i, low, high, (p.a < 0.0) == (i % 2 == 0), f)
+             for i, (low, high) in enumerate(pairs)}
+    return tuple([plan.info for plan in plans.values()]), plans
 
 
 def branches(p: Params) -> tuple[BranchInfo, ...]:
@@ -601,9 +599,11 @@ def _end_start(p: Params, plan: _Plan, x: float) -> float | None:
     for y, log_form in ((lo if yr.lo == 0.0 else hi, False), (d, True))[not near:]:
         try:
             for _ in range(3):
-                if p.b * y < 0.0:  # past y = 0: outside (lo, hi), and no ln(b*y)
+                by = p.b * y
+                if by < 0.0:  # past y = 0: outside (lo, hi), and no ln(b*y)
                     break
-                brace = p.a * _log_by(p, y, "the open-end start") + 1.0
+                log_by = math.log(by) if by >= _DBL_MIN else _log_by(p, y, "the open-end start")
+                brace = p.a * log_by + 1.0
                 y = (math.log(x / (brace * y + p.c)) if log_form
                      else (x * math.exp(-y) - p.c) / brace)
         except (ValueError, ZeroDivisionError, OverflowError):  # DomainError is a ValueError
@@ -712,13 +712,11 @@ def derivative(p: Params, y: float) -> float:
     tangent of the inverse) and RangeError when the value is not a finite
     double (e^{-y} overflows for y < -709.78).
     """
-    d = singular_residual(p, y)
-    scale = (
-        1.0
-        + abs(p.a * (y + 1.0) * _log_by(p, y, "derivative"))
-        + abs(y)
-        + abs(p.a + p.c + 1.0)
-    )
+    by = p.b * y
+    log_by = math.log(by) if by >= _DBL_MIN else _log_by(p, y, "derivative")
+    log_term = p.a * (y + 1.0) * log_by
+    d = log_term + y + p.a + p.c + 1.0  # the seam equation
+    scale = 1.0 + abs(log_term) + abs(y) + abs(p.a + p.c + 1.0)
     if abs(d) <= 1e-11 * scale:
         raise SingularityError(
             f"vertical tangent: seam equation is {d!r} at y={y!r}"
@@ -741,8 +739,10 @@ def antiderivative(p: Params, y: float) -> float:
     term-by-term integration; it is validated against quadrature in the
     test suite.  Raises RangeError when F(y) is not a finite double.
     """
+    by = p.b * y
+    log_by = math.log(by) if by >= _DBL_MIN else _log_by(p, y, "antiderivative")
     bracket = (
-        p.a * (y * y - y + 1.0) * _log_by(p, y, "antiderivative")
+        p.a * (y * y - y + 1.0) * log_by
         + y * y
         + (p.c - 1.0) * y
         + 1.0
@@ -827,24 +827,27 @@ def _poly_mul(u: list[float], v: list[float], order: int) -> list[float]:
 
 
 def _revert_series(c: list[float], n: int) -> list[float]:
-    # Coefficients d of the inverse series given c (c[0] = 0, c[1] != 0).
+    # Coefficients d of the inverse series given c (c[0] = 0, c[1] != 0).  Row k
+    # of powers is g^k, g = d_1*x + ... (row 1 is d); order m adds column m,
+    # which needs only d_1..d_(m-1): a sum over i ascending, zero factors skipped.
     d = [0.0] * (n + 1)
     d[1] = 1.0 / c[1]
+    powers = [[], d]
     for m in range(2, n + 1):
-        s = [0.0] * (m + 1)
-        for k in range(1, m):
-            s[k] = d[k]
-        total = [0.0] * (m + 1)
-        power = s[:]
+        powers.append([0.0] * m)
+        total = 0.0
         for k in range(1, m + 1):
             if k > 1:
-                power = _poly_mul(power, s, m)
+                prev, v = powers[k - 1], 0.0
+                for i in range(k - 1, m + 1):
+                    u = prev[i]
+                    if u != 0.0:
+                        v += u * d[m - i]
+                powers[k].append(v)
             ck = c[k] if k < len(c) else 0.0
-            if ck == 0.0:
-                continue
-            for idx in range(m + 1):
-                total[idx] += ck * power[idx]
-        d[m] = -total[m] / c[1]
+            if ck != 0.0:
+                total += ck * powers[k][m]
+        d[m] = -total / c[1]
     return d
 
 

@@ -282,19 +282,24 @@ def solve_alpha(
     `distribution` over the levels, and a pass whose weights overflow counts
     as Z = +inf.  Returns the first alpha with |excess| <= tol; its pass is
     memoised, so `distribution` at that alpha repeats no inversion.
-    DomainError, before any pass, when levels is empty or tol is not
-    positive, and when the interval is empty (the levels span more than the
-    branch admits) or when the solve ends against one of its ends, so that
-    no alpha in it normalises the weights; ConvergenceError, naming the
-    final sign bracket, when that bracket shrinks to a few ulps without
-    reaching tol (the rounding floor of the weight sum) or 200 passes do
-    not reach it.
+    DomainError, before any pass, when levels is empty, a level or beta
+    is not finite or tol is not positive, and when the interval is empty
+    (the levels span more than the branch admits) or when the solve ends
+    against one of its ends, so that no alpha in it normalises the
+    weights; ConvergenceError, naming the final sign bracket, when that
+    bracket shrinks to a few ulps without reaching tol (the rounding floor
+    of the weight sum) or 200 passes do not reach it.
     """
     levels = tuple(levels)
     if not levels:
         raise DomainError("levels must hold at least one level")
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol!r}")
+    if not all(map(math.isfinite, levels)):
+        bad = next(v for v in levels if not math.isfinite(v))
+        raise DomainError(f"levels must be finite, got {bad!r}")
+    if not math.isfinite(beta):
+        raise DomainError(f"beta must be finite, got {beta!r}")
     params = ep.induced_params()
     if branch is None:
         branch = suggest_branch(ep, len(levels))

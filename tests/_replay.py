@@ -2,9 +2,11 @@
 
 Record every `evaluate` call of the `eval_hot` and `scan_cold` pools (the
 inputs `perfbench/workloads.py` draws for a seed) with its outcome, the
-`singular_points` of every `scan_cold` pool catalog, and every
-`solve_alpha`, `distribution` and `continuous_pdf` call of the
-`maxent_fit` pool, then compare two such records:
+`singular_points` and `taylor_coefficients(p, 4)` of every `scan_cold`
+pool catalog, `derivative` and `antiderivative` at every `y` a `scan_cold`
+`evaluate` answers, and every `solve_alpha`, `distribution` and
+`continuous_pdf` call of the `maxent_fit` pool, then compare two such
+records:
 
     python tests/_replay.py --src src [--seeds 1 2] > new.tsv
     python tests/_replay.py --src OTHER/src > old.tsv
@@ -17,11 +19,15 @@ and the solver's point count, or the class name of the error raised.
 older checkout.  The pools are those of a benchmark run of the length
 `BENCHMARK.json` sets.  A seam line has workload `singular_points`, seed,
 a, b and c, then either `ok` and the seams (hex, comma-separated) or the
-class name of the error raised.  A fit line has workload `maxent_fit`,
-seed, the op's index in the pool and the call's name, then either `ok` and
-the answer in hex (`solve_alpha`: alpha; `distribution`: the partition and
-the probabilities, comma-separated; `continuous_pdf`: the densities,
-comma-separated) or the class name and message of the error raised.
+class name of the error raised.  A calculus line has workload `calculus`,
+seed, a, b and c, the call's name and its argument (the order 4, or y in
+hex), then either `ok` and the answer in hex (the coefficients
+comma-separated) or the class name of the error raised.  A fit line has
+workload `maxent_fit`, seed, the op's index in the pool and the call's
+name, then either `ok` and the answer in hex (`solve_alpha`: alpha;
+`distribution`: the partition and the probabilities, comma-separated;
+`continuous_pdf`: the densities, comma-separated) or the class name and
+message of the error raised.
 
 `--compare A B` pairs the calls of the two records by input (workload,
 seed, a, b, c, branch and x; repeats of one input pair in order), so the
@@ -33,8 +39,9 @@ its input), the answers equal to the bit, the ulp moves of the answers
 that differ, and every answer whose residual is above `tol*max(1, |x|)`
 (tol = 1e-12, evaluate's default).  For the seams it prints each record's
 outcome counts, the outcome-class changes, the catalogs whose seams are
-equal to the bit and the ulp moves of those that differ.  `--mpmath N` adds
-the relative error against a 50-digit root of every N-th `eval_hot` input
+equal to the bit and the ulp moves of those that differ, and per calculus
+call the same counts, changes, equal answers and ulp moves.  `--mpmath N`
+adds the relative error against a 50-digit root of every N-th `eval_hot` input
 answered in both records (median, p90, max), and the ulp distance of every
 moved seam of either record from its 60-digit root.  For the fits it
 prints, per call, each record's outcome counts, the outcome-class changes,
@@ -43,8 +50,9 @@ bit, listing each op whose record differs.
 
 Like `diff`, `--compare A B` exits 1 when the records differ: an input
 only one record has, an outcome class that changes, or an `evaluate`
-answer (y, residual or point count), a seam or a fit answer or refusal
-that differs in bits.  It exits 0 when the two records agree to the bit.
+answer (y, residual or point count), a seam, a calculus answer or a fit
+answer or refusal that differs in bits.  It exits 0 when the two records
+agree to the bit.
 
 This file is a tool, not a test module: pytest does not collect it.
 """
@@ -65,6 +73,9 @@ ROOT = Path(__file__).resolve().parent.parent
 TOL = 1e-12
 WORKLOADS = ("eval_hot", "scan_cold")
 SEAMS = "singular_points"
+CALCULUS = "calculus"
+CALCULUS_CALLS = ("taylor_coefficients", "derivative", "antiderivative")
+TAYLOR_ORDER = 4  # the order the scan_cold op asks for
 FITS = "maxent_fit"
 FIT_CALLS = ("solve_alpha", "distribution", "continuous_pdf")
 
@@ -79,7 +90,8 @@ def record(src: str, seeds) -> None:
 
     class Recorder(workloads.Gate):
         # The workload's gate, also recording the outcome of each `evaluate`
-        # call and of each fit call.
+        # call (with `derivative` and `antiderivative` at a `scan_cold`
+        # answer) and of each fit call.
         def call(self, fn, *args):
             if fn.__name__ in FIT_CALLS:
                 return super().call(_fit_recorder(rows, [*tag, str(index)], fn), *args)
@@ -95,6 +107,9 @@ def record(src: str, seeds) -> None:
                     rows.append(key + [type(exc).__name__])
                     raise
                 rows.append(key + ["ok", r.y.hex(), r.residual.hex(), str(r.iterations)])
+                if tag[0] == "scan_cold":
+                    for call in (ll.derivative, ll.antiderivative):
+                        rows.append(_calculus(tag[1], p, call, r.y))
                 return r
             return super().call(evaluate, *args)
 
@@ -104,11 +119,14 @@ def record(src: str, seeds) -> None:
         for seed in seeds:
             tag = (name, str(seed))
             ctx = wl.setup()
-            gate = Recorder(ctx["ll"].LogLambertError)
+            ll = ctx["ll"]
+            gate = Recorder(ll.LogLambertError)
             for index, inp in enumerate(wl.pool(random.Random(seed), ctx, seconds)):
                 if name == "scan_cold":
                     rows.append([SEAMS, str(seed), *(v.hex() for v in inp[:3]),
-                                 *_seams(ctx["ll"], *inp[:3])])
+                                 *_seams(ll, *inp[:3])])
+                    rows.append(_calculus(str(seed), ll.Params(*inp[:3]), ll.taylor_coefficients,
+                                          TAYLOR_ORDER))
                 wl.op(ctx, gate, inp)
     for row in rows:
         print("\t".join(row))
@@ -133,6 +151,18 @@ def _fit_recorder(rows, key, fn):
         return r
     recorded.__name__ = fn.__name__
     return recorded
+
+
+def _calculus(seed: str, p, fn, arg) -> list[str]:
+    # A calculus line for fn(p, arg): `ok` and the answer in hex (values
+    # comma-separated), or the class name of the error raised.
+    key = [CALCULUS, seed, p.a.hex(), p.b.hex(), p.c.hex(), fn.__name__,
+           arg.hex() if isinstance(arg, float) else str(arg)]
+    try:
+        r = fn(p, arg)
+    except Exception as exc:
+        return key + [type(exc).__name__]
+    return key + ["ok", ",".join(v.hex() for v in r) if isinstance(r, list) else r.hex()]
 
 
 def _seams(ll, a, b, c) -> list[str]:
@@ -295,9 +325,37 @@ def compare(path_a: str, path_b: str, mp_every: int) -> bool:
             print(f"    B: {_quantiles(errs_b)}")
     differs |= compare_seams([r for r in rows_a if r[0] == SEAMS],
                              [r for r in rows_b if r[0] == SEAMS], mp_every)
+    differs |= compare_calculus([r for r in rows_a if r[0] == CALCULUS],
+                                [r for r in rows_b if r[0] == CALCULUS])
     differs |= compare_fits([r for r in rows_a if r[0] == FITS],
                             [r for r in rows_b if r[0] == FITS])
     return differs
+
+
+def compare_calculus(rows_a, rows_b) -> bool:
+    pairs, only_a, only_b = _pair(rows_a, rows_b)
+    print(f"== {CALCULUS}: {len(rows_a)} and {len(rows_b)} scan_cold calls, "
+          f"{len(pairs)} with the same input")
+    print(f"  inputs only in A: {len(only_a)}, only in B: {len(only_b)}")
+    for call in CALCULUS_CALLS:
+        own = [(ra, rb) for ra, rb in pairs if ra[5] == call]
+        print(f"  {call}: {len(own)} calls")
+        for label, side in (("A", 0), ("B", 1)):
+            counts = Counter(pair[side][7] for pair in own)
+            print(f"    {label}: outcomes {dict(sorted(counts.items()))}")
+        flips = [(ra, rb) for ra, rb in own if ra[7] != rb[7]]
+        print(f"    outcome-class changes: {len(flips)}")
+        for ra, rb in flips:
+            a, b, c = (float.fromhex(ra[i]) for i in (2, 3, 4))
+            print(f"      seed {ra[1]} ({a!r}, {b!r}, {c!r}) at {ra[6]}: {ra[7]} -> {rb[7]}")
+        both = [(ra, rb) for ra, rb in own if ra[7] == rb[7] == "ok"]
+        moves = [abs(_ordered(float.fromhex(va)) - _ordered(float.fromhex(vb)))
+                 for ra, rb in both
+                 for va, vb in zip(ra[8].split(","), rb[8].split(",")) if va != vb]
+        print(f"    answered in both: {len(both)}, equal to the bit: "
+              f"{sum(ra[8] == rb[8] for ra, rb in both)}")
+        print(f"    ulp moves of the {len(moves)} values that differ: {_quantiles(moves)}")
+    return bool(only_a or only_b or any(ra != rb for ra, rb in pairs))
 
 
 def compare_fits(rows_a, rows_b) -> bool:

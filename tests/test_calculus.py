@@ -1,13 +1,16 @@
 """Derivative, antiderivative, series expansion and large-x approximation."""
 
 import math
+import random
 import re
+import sys
 
 import mpmath
 import pytest
 
 from loglambert import (
     DomainError,
+    LogLambertError,
     Params,
     PrecisionError,
     RangeError,
@@ -21,15 +24,35 @@ from loglambert import (
     forward,
     lambert_w,
     singular_points,
+    singular_residual,
     taylor_coefficients,
     taylor_first_order,
 )
+from loglambert import core
 from _oracle import _simpson, fd_derivative
 from _sampling import interior_points
 
 P111 = Params(1.0, 1.0, 1.0)
 P110 = Params(1.0, 1.0, 0.0)
 PM02 = Params(1.0, 1.0, -0.2)
+
+
+def _scan_cold_sample(n, seed=18):
+    # n coefficient triples drawn as the benchmark's scan_cold pool draws
+    # them: the four sign cases of (a, b) in turn, |a| log-uniform on
+    # [1e-3, 1e2], |b| on [1e-3, 1e3], c uniform on its supported span.
+    rng = random.Random(seed)
+    sample = []
+    for k in range(n):
+        sa, sb = ((1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0))[k % 4]
+        a, b = sa * 10.0 ** rng.uniform(-3.0, 2.0), sb * 10.0 ** rng.uniform(-3.0, 3.0)
+        u = 2.0 * rng.random() - 1.0
+        c = 3.0 * u if b > 0.0 else a * u if a > 0.0 else -3.0 + (abs(a) + 3.0) * (u + 1.0) / 2.0
+        sample.append(Params(a, b, c))
+    return sample
+
+
+SAMPLE = _scan_cold_sample(200)
 
 
 # ---------------------------------------------------------------- derivative
@@ -141,6 +164,45 @@ def test_antiderivative_overflow_is_typed():
     assert issubclass(RangeError, OverflowError)
 
 
+def _derivative_reference(p, y):
+    # e^-y / s(y) from the seam equation's own kernel; SingularityError
+    # where |s(y)| <= 1e-11 * (1 + |a*(y+1)*ln(b*y)| + |y| + |a+c+1|).
+    s = singular_residual(p, y)
+    scale = 1.0 + abs(p.a * (y + 1.0) * math.log(p.b * y)) + abs(y) + abs(p.a + p.c + 1.0)
+    if abs(s) <= 1e-11 * scale:
+        return SingularityError
+    return math.exp(-y) / s
+
+
+def test_derivative_matches_the_seam_equation_to_the_bit():
+    # derivative takes ln(b*y) once for the seam equation and the scale of
+    # its vertical-tangent test; the value is still e^-y / s(y), and it
+    # refuses at the same points, at and next to the seams.
+    checked = refused = 0
+    for p in SAMPLE:
+        try:
+            cat = branches(p)
+        except LogLambertError:
+            continue
+        ys = []
+        for bi in cat:
+            for d, _ in bi.seams:
+                ys += [d, math.nextafter(d, 0.0), math.nextafter(d, math.inf * d),
+                       d * (1.0 - 1e-9), d * (1.0 + 1e-9), d * 0.9, d * 1.1, d / 7.0, d * 3.0]
+        for y in ys:
+            if not (abs(p.b * y) >= sys.float_info.min and y > -700.0):
+                continue
+            want = _derivative_reference(p, y)
+            if want is SingularityError:
+                refused += 1
+                with pytest.raises(SingularityError):
+                    derivative(p, y)
+            else:
+                checked += 1
+                assert derivative(p, y).hex() == want.hex(), (p, y)
+    assert checked > 1000 and refused > 100
+
+
 def test_derivative_overflow_is_typed():
     # e^{-y} overflows below y = -709.78; the value is refused with a
     # RangeError naming y, not a bare OverflowError.
@@ -216,6 +278,70 @@ def test_taylor_coefficients_overflow_is_typed():
     # a0 = 3679 is finite, but e^{a0} in the forward series is not.
     with pytest.raises(RangeError, match="series coefficient"):
         taylor_coefficients(Params(1.0, 1e-4, 0.0), 4)
+
+
+def _poly_mul_reference(u, v, order):
+    out = [0.0] * (order + 1)
+    for i, ui in enumerate(u):
+        if ui == 0.0 or i > order:
+            continue
+        for j, vj in enumerate(v):
+            if i + j > order:
+                break
+            out[i + j] += ui * vj
+    return out
+
+
+def _revert_series_reference(c, n):
+    # Series reversion by truncated products, each power of g formed anew
+    # for every order: O(n^4), with the summation order the table keeps.
+    d = [0.0] * (n + 1)
+    d[1] = 1.0 / c[1]
+    for m in range(2, n + 1):
+        s = [0.0] * (m + 1)
+        for k in range(1, m):
+            s[k] = d[k]
+        total = [0.0] * (m + 1)
+        power = s[:]
+        for k in range(1, m + 1):
+            if k > 1:
+                power = _poly_mul_reference(power, s, m)
+            ck = c[k] if k < len(c) else 0.0
+            if ck == 0.0:
+                continue
+            for idx in range(m + 1):
+                total[idx] += ck * power[idx]
+        d[m] = -total[m] / c[1]
+    return d
+
+
+def test_revert_series_matches_truncated_products_to_the_bit():
+    # The power table sums what the truncated products summed, in their
+    # order, so each coefficient keeps its bits (float.hex: signed zeros
+    # apart, NaN as NaN).
+    series = []
+    for p in SAMPLE:
+        try:
+            a0, _ = taylor_first_order(p)
+            c = core._forward_series(p, a0, 8)
+        except (DomainError, RangeError, SingularityError, OverflowError):
+            continue
+        c[0] = 0.0
+        series.append(c)
+    assert len(series) > 50
+    series += [
+        [0.0, 2.0, 0.0, 0.0, 1.5, 0.0, 0.0, -3.0, 0.0],
+        [0.0, -1.0, 0.0, 3.0],
+        [0.0, 0.5, -0.0, 0.0, 0.0, 2.0],
+        [0.0, 1e-300, 0.0, 1.0],        # d_1^2 = inf meets c_2 = 0
+        [0.0, 1.0, 1e300, 1e300, 1.0, 0.0, 1.0, 1.0, 1.0],  # d_3 = inf
+    ]
+    for c in series:
+        for n in range(1, 9):
+            want = [v.hex() for v in _revert_series_reference(c, n)]
+            assert [v.hex() for v in core._revert_series(c, n)] == want, (c, n)
+    # Skipping c_2 = 0 keeps 0 * inf out of d_2.
+    assert core._revert_series([0.0, 1e-300, 0.0, 1.0], 2)[2] == 0.0
 
 
 def test_taylor_order_validation():

@@ -245,6 +245,21 @@ def test_solve_alpha_refuses_a_tol_that_is_not_positive(count_calls, tol):
     assert calls == []
 
 
+@pytest.mark.parametrize("levels, beta, message", [
+    ([math.nan], 0.1, "levels must be finite, got nan"),
+    ([0.1, math.inf], 0.1, "levels must be finite, got inf"),
+    ([0.1, 0.2], math.nan, "beta must be finite, got nan"),
+])
+def test_solve_alpha_refuses_a_level_or_beta_that_is_not_finite(count_calls, levels, beta,
+                                                                message):
+    # Refused before any pass; these blamed the levels' span, as the
+    # admissible interval of alpha came out empty.
+    calls = count_calls(maxent, "_all_weights")
+    with pytest.raises(DomainError, match=rf"^{message}$"):
+        solve_alpha(levels, beta, EP)
+    assert calls == []
+
+
 def test_pseudo_beta(solved_spec):
     expected = solved_spec.beta / (1.0 - solved_spec.alpha * (1.0 - EP.r))
     assert pseudo_beta(solved_spec) == pytest.approx(expected, rel=1e-15)
