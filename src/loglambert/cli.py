@@ -19,11 +19,13 @@ import argparse
 import math
 import sys
 
-from . import core, maxent
+from . import core
 from .errors import ConvergenceError, DomainError, LogLambertError
-from .qcalculus import EntropyParams
 
 __all__ = ["main"]
+
+# Most points --samples or a --quadratic grid may ask for (far more ran out of memory).
+_MAX_SAMPLES = 100_000
 
 
 def _fmt17(v):
@@ -150,8 +152,8 @@ def _cmd_branches(args) -> int:
     catalog = core.branches(p)
     params = {"a": args.A, "b": args.B, "c": args.C}
 
-    if args.samples < 0:
-        raise DomainError(f"--samples must be >= 0, got {args.samples}")
+    if not 0 <= args.samples <= _MAX_SAMPLES:
+        raise DomainError(f"--samples must be in [0, {_MAX_SAMPLES}], got {args.samples}")
     if args.samples > 0:
         n = args.samples
         rows = []
@@ -211,8 +213,8 @@ def _parse_grid(text: str) -> list[float]:
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
     except ValueError:
         raise DomainError(f"bad --quadratic grid {text!r}; expected LO:HI:N") from None
-    if n < 2 or not hi > lo:
-        raise DomainError(f"bad --quadratic grid {text!r}; need HI > LO and N >= 2")
+    if not (2 <= n <= _MAX_SAMPLES and hi > lo):
+        raise DomainError(f"bad --quadratic grid {text!r}; need HI > LO, 2 <= N <= {_MAX_SAMPLES}")
     grid = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
     if not all(map(math.isfinite, grid)):
         raise DomainError(f"bad --quadratic grid {text!r}; every point must be finite")
@@ -242,7 +244,8 @@ def _read_levels(path: str) -> list[float]:
 
 
 def _cmd_maxent(args) -> int:
-    ep = EntropyParams(q=args.q, q_prime=args.qprime, r=args.r, k=args.k)
+    from . import maxent, qcalculus  # here, so the other commands never load them
+    ep = qcalculus.EntropyParams(q=args.q, q_prime=args.qprime, r=args.r, k=args.k)
     params = {"q": args.q, "q_prime": args.qprime, "r": args.r, "k": args.k,
               "beta": args.beta}
 
@@ -311,8 +314,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pb = sub.add_parser("branches", help="branch catalog / curve samples")
     _add_coeff_flags(pb)
     pb.add_argument("--samples", type=int, default=0,
-                    help="emit N curve samples per branch plus the auxiliary "
-                         "curves g, h whose intersections locate the seams")
+                    help=f"emit N (at most {_MAX_SAMPLES}) curve samples per branch "
+                         "plus the auxiliary curves g, h whose intersections locate the seams")
     pb.set_defaults(func=_cmd_branches)
 
     pm = sub.add_parser("maxent", help="maximum-entropy distribution")
@@ -326,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="level multiplier")
     pm.add_argument("--levels", help="file with one level per line")
     pm.add_argument("--quadratic", metavar="LO:HI:N",
-                    help="continuous mode: grid for the quadratic level x**2")
+                    help=f"continuous mode: N (2 to {_MAX_SAMPLES}) points for the level x**2")
     pm.add_argument("--branch", type=int, default=None,
                     help="branch index (default: warm-start suggestion)")
     pm.add_argument("--solve-alpha", action="store_true",

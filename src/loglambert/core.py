@@ -623,9 +623,9 @@ def _solve(p: Params, plan: _Plan, x: float, tol: float,
     # from the branch-point expansion at a seam (_seam_start), else from the
     # branch's open end (_end_start), else from the bracket's bisection
     # point.  f is evaluated only by the solver.
-    if not (tol > 0.0 and plan.x_min <= x <= plan.x_max):
-        if not tol > 0.0:
-            raise DomainError(f"tol must be positive, got {tol!r}")
+    if not (0.0 < tol < math.inf and plan.x_min <= x <= plan.x_max):
+        if not 0.0 < tol < math.inf:
+            raise DomainError(f"tol must be {'finite' if tol > 0.0 else 'positive'}, got {tol!r}")
         if math.isnan(x):
             raise DomainError("x must not be NaN")
         raise DomainError(f"x={x!r} outside branch {plan.info.index} domain {plan.info.x_domain}")
@@ -695,7 +695,8 @@ def evaluate(p: Params, branch: int, x: float, tol: float = 1e-12) -> EvalResult
     the solver that also polishes the seams takes Newton steps while they
     stay inside the bracket and shrink (Press et al.'s rtsafe rule), and
     bisects otherwise, at the geometric mean when the bracket spans more
-    than a factor of 4, until |f(y) - x| <= tol * max(1, |x|);
+    than a factor of 4, until |f(y) - x| <= tol * max(1, |x|), with tol
+    positive and finite (else DomainError);
     ConvergenceError when the bracket shrinks to a few ulps first.  f is
     evaluated only at the solver's points.  The bracket, f''(d) and the
     other per-branch constants come with the catalog.  Deterministic for

@@ -283,7 +283,7 @@ def solve_alpha(
     as Z = +inf.  Returns the first alpha with |excess| <= tol; its pass is
     memoised, so `distribution` at that alpha repeats no inversion.
     DomainError, before any pass, when levels is empty, a level or beta
-    is not finite or tol is not positive, and when the interval is empty
+    is not finite or tol is not positive and finite, and when the interval is empty
     (the levels span more than the branch admits) or when the solve ends
     against one of its ends, so that no alpha in it normalises the
     weights; ConvergenceError, naming the final sign bracket, when that
@@ -293,8 +293,8 @@ def solve_alpha(
     levels = tuple(levels)
     if not levels:
         raise DomainError("levels must hold at least one level")
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be {'finite' if tol > 0.0 else 'positive'}, got {tol!r}")
     if not all(map(math.isfinite, levels)):
         bad = next(v for v in levels if not math.isfinite(v))
         raise DomainError(f"levels must be finite, got {bad!r}")

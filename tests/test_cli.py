@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import resource
 import shlex
 import subprocess
 import sys
@@ -22,8 +23,8 @@ BASE = [sys.executable, "-m", "loglambert"]
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def run_cli(*args, expect=0):
-    cp = subprocess.run(BASE + list(args), capture_output=True, text=True)
+def run_cli(*args, expect=0, **kwargs):
+    cp = subprocess.run(BASE + list(args), capture_output=True, text=True, **kwargs)
     assert cp.returncode == expect, (cp.returncode, cp.stderr)
     return cp
 
@@ -47,6 +48,12 @@ def test_eval_domain_error_exit_code_and_message():
                  "--branch", "0", "-x", "1e9", expect=2)
     assert cp.stdout == ""
     assert "0.94" in cp.stderr  # names the valid x-interval
+
+
+def test_eval_infinite_tol_refused():
+    cp = run_cli("eval", "-A", "1", "-B", "1", "-C", "1",
+                 "--branch", "1", "-x", "2084.7878", "--tol", "inf", expect=2)
+    assert_one_line_error(cp, "tol must be finite")
 
 
 def test_eval_convergence_exit_code():
@@ -250,6 +257,16 @@ def test_maxent_levels_empty_file(tmp_path):
     assert_one_line_error(cp, "--levels", "no levels")
 
 
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+# For a sample count past the CLI's bound: a build that does not refuse it
+# fails fast (MemoryError under a 1 GiB address-space cap, or the timeout)
+# instead of hanging the suite.
+BOUNDED = dict(timeout=30, preexec_fn=_cap_memory)
+
+
 @pytest.mark.parametrize("extra, fragment", [
     (["--quadratic", "1:2", "--branch", "1"], "--quadratic"),
     (["--quadratic", "2:1:5", "--branch", "1"], "--quadratic"),
@@ -258,15 +275,31 @@ def test_maxent_levels_empty_file(tmp_path):
     (["--quadratic=-inf:3:5", "--branch", "1"], "--quadratic"),
     (["--quadratic=0:inf:5", "--branch", "1"], "--quadratic"),
     (["--quadratic=-1e308:1e308:5", "--branch", "1"], "--quadratic"),
+    # more grid points than the CLI allows
+    (["--quadratic=0:1:100000000000000000", "--branch", "0"], "--quadratic"),
 ])
 def test_maxent_grid_errors(extra, fragment):
-    cp = run_cli(*MAXENT, *extra, expect=2)
+    cp = run_cli(*MAXENT, *extra, expect=2, **BOUNDED)
     assert_one_line_error(cp, fragment)
 
 
 def test_branches_negative_samples_refused():
     cp = run_cli("branches", "-A", "2", "-B", "1", "-C", "1", "--samples", "-3", expect=2)
     assert_one_line_error(cp, "--samples")
+
+
+def test_branches_samples_past_the_bound_refused():
+    cp = run_cli("branches", "-A", "2", "-B", "1", "-C", "1",
+                 "--samples", "100000000000000000000", expect=2, **BOUNDED)
+    assert_one_line_error(cp, "--samples", str(cli._MAX_SAMPLES))
+
+
+def test_sample_bound_is_admitted_and_stated_in_help():
+    cp = run_cli("branches", "-A", "2", "-B", "1", "-C", "1", "--samples",
+                 str(cli._MAX_SAMPLES), "--format", "csv", **BOUNDED)
+    assert cp.stdout.count("\nbranch") == 2 * cli._MAX_SAMPLES
+    for sub in ("branches", "maxent"):
+        assert f"{cli._MAX_SAMPLES})" in run_cli(sub, "--help").stdout
 
 
 def _package_env():

@@ -452,6 +452,11 @@ def test_tol_validation_and_unreachable_tol():
         evaluate(p, 1, 10.0, tol=0.0)
     with pytest.raises(ConvergenceError):
         evaluate(p, 1, 10.0, tol=1e-300)
+    # An infinite tol accepted the first iterate (y = 4.96, residual 97.5).
+    with pytest.raises(DomainError, match="^tol must be finite, got inf$"):
+        evaluate(p, 1, 2084.7878, tol=math.inf)
+    with pytest.raises(DomainError, match="^tol must be finite, got inf$"):
+        _inverter(p, 1, math.inf)(2084.7878)
 
 
 def test_deterministic_bits():

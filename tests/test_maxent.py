@@ -245,6 +245,14 @@ def test_solve_alpha_refuses_a_tol_that_is_not_positive(count_calls, tol):
     assert calls == []
 
 
+def test_solve_alpha_refuses_an_infinite_tol(count_calls):
+    # It returned its first alpha, whatever the weights summed to.
+    calls = count_calls(maxent, "_all_weights")
+    with pytest.raises(DomainError, match="^tol must be finite, got inf$"):
+        solve_alpha(LEVELS, 0.1, EP, tol=math.inf)
+    assert calls == []
+
+
 @pytest.mark.parametrize("levels, beta, message", [
     ([math.nan], 0.1, "levels must be finite, got nan"),
     ([0.1, math.inf], 0.1, "levels must be finite, got inf"),
