@@ -7,10 +7,12 @@ the classical Lambert W and exponential-integral kernels they rest on,
 q-deformed logarithms/exponentials with the three-parameter entropy, and
 the maximum-entropy distributions expressed through the inverse map.
 
-`import loglambert` runs `core`, `errors`, `expint` and `lambertw`.  `maxent`
-and `qcalculus` are in sys.modules at once but run on first use, which binds
-their names here (a PEP 562 `__getattr__` takes the first read of one), so
-the `eval`, `table` and `branches` commands never load them.
+`import loglambert` runs `core`, `errors`, `expint` and `lambertw` and takes
+the names in their `__all__`.  `maxent` and `qcalculus` are in sys.modules at
+once but run on first use, which binds their names here (a PEP 562
+`__getattr__` takes the first read of one), so the `eval`, `table` and
+`branches` commands never load them.  `tests/_import_tree.py` lists the
+modules `import loglambert` or a CLI command runs, and the heavy ones it loads.
 """
 
 import sys as _sys
@@ -47,56 +49,22 @@ def _on_first_use(name):
 qcalculus = _on_first_use("qcalculus")
 maxent = _on_first_use("maxent")
 
-from .core import (  # noqa: E402
-    BranchInfo,
-    EvalResult,
-    Interval,
-    Monotone,
-    Params,
-    antiderivative,
-    asymptotic,
-    branches,
-    derivative,
-    evaluate,
-    forward,
-    forward_slope,
-    singular_points,
-    singular_residual,
-    taylor_coefficients,
-    taylor_first_order,
-)
-from .errors import (  # noqa: E402
-    ConvergenceError,
-    DomainError,
-    IntegrationError,
-    LogLambertError,
-    NoSolutionError,
-    PrecisionError,
-    RangeError,
-    SingularityError,
-    UnsupportedCaseError,
-)
-from .expint import EULER_GAMMA, ei  # noqa: E402
-from .lambertw import BRANCH_POINT, WBranch, lambert_w, w0, wm1  # noqa: E402
+from .core import *  # noqa: E402,F403
+from .errors import *  # noqa: E402,F403
+from .expint import *  # noqa: E402,F403
+from .lambertw import *  # noqa: E402,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Params", "Interval", "Monotone", "BranchInfo", "EvalResult",
-    "forward", "forward_slope", "singular_residual", "singular_points",
-    "branches", "evaluate", "derivative", "antiderivative",
-    "taylor_first_order", "taylor_coefficients", "asymptotic",
-    "WBranch", "lambert_w", "w0", "wm1", "BRANCH_POINT",
-    "ei", "EULER_GAMMA",
+# qcalculus.__all__ + maxent.__all__, written out so that listing them runs neither.
+_FIRST_USE_NAMES = [
     "EntropyParams", "ln_q", "exp_q", "ln_qq", "ln_qqr", "entropy_qqr",
     "EnsembleSpec", "DiscreteDistribution", "level_argument", "probability",
     "distribution", "suggest_branch", "solve_alpha", "pseudo_beta",
     "stationarity_residuals", "continuous_weight", "continuous_pdf",
-    "LogLambertError", "DomainError", "SingularityError", "ConvergenceError",
-    "NoSolutionError", "UnsupportedCaseError",
-    "PrecisionError", "IntegrationError", "RangeError",
-    "__version__",
 ]
+__all__ = [*core.__all__, *errors.__all__, *expint.__all__,  # noqa: F405
+           *lambertw.__all__, *_FIRST_USE_NAMES, "__version__"]  # noqa: F405
 
 
 def __getattr__(name):

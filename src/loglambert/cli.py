@@ -19,7 +19,7 @@ import argparse
 import math
 import sys
 
-from . import core
+from . import core, maxent, qcalculus  # the last two run on their first attribute read
 from .errors import ConvergenceError, DomainError, LogLambertError
 
 __all__ = ["main"]
@@ -244,7 +244,6 @@ def _read_levels(path: str) -> list[float]:
 
 
 def _cmd_maxent(args) -> int:
-    from . import maxent, qcalculus  # here, so the other commands never load them
     ep = qcalculus.EntropyParams(q=args.q, q_prime=args.qprime, r=args.r, k=args.k)
     params = {"q": args.q, "q_prime": args.qprime, "r": args.r, "k": args.k,
               "beta": args.beta}

@@ -862,8 +862,8 @@ def taylor_coefficients(p: Params, n: int) -> list[float]:
     quotient.  g_1 agrees with the closed-form linear coefficient.
     Raises RangeError when a coefficient overflows the double range.
     """
-    if not 1 <= n <= 8:
-        raise DomainError(f"series order must be in 1..8, got {n!r}")
+    if not (hasattr(n, "__index__") and 1 <= n <= 8):  # an integer in range
+        raise DomainError(f"series order must be an integer in 1..8, got {n!r}")
     a0, _ = taylor_first_order(p)
     try:
         c = _forward_series(p, a0, n)

@@ -1,5 +1,9 @@
 """Exception taxonomy shared across the package."""
 
+__all__ = ["LogLambertError", "DomainError", "SingularityError", "ConvergenceError",
+           "NoSolutionError", "UnsupportedCaseError", "PrecisionError",
+           "IntegrationError", "RangeError"]
+
 
 class LogLambertError(Exception):
     """Base class for all errors raised by this package."""

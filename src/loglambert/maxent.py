@@ -83,6 +83,11 @@ _EVAL_TOL = 1e-13
 _MAX = 1.7976931348623157e308  # the largest double
 
 
+def _check_multipliers(alpha: float, beta: float) -> None:
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise DomainError("alpha and beta must be finite")
+
+
 class EnsembleSpec(_Record):
     """Levels eps_i with Lagrange multipliers (alpha, beta) and the triple."""
 
@@ -95,8 +100,7 @@ class EnsembleSpec(_Record):
         if not all(map(math.isfinite, levels)):
             bad = next(v for v in levels if not math.isfinite(v))
             raise DomainError(f"levels must be finite, got {bad!r}")
-        if not (math.isfinite(alpha) and math.isfinite(beta)):
-            raise DomainError("alpha and beta must be finite")
+        _check_multipliers(alpha, beta)
         set_levels, set_alpha, set_beta, set_ep = self._setters
         set_levels(self, levels)
         set_alpha(self, alpha)
@@ -120,6 +124,7 @@ class DiscreteDistribution(_Record):
 
 def _arguments(ep: EntropyParams, alpha: float, beta: float) -> Callable[[float], float]:
     # eps -> x_i (module docstring), with -1/(1-r) + alpha, ratio, e^ratio taken once.
+    _check_multipliers(alpha, beta)
     cr = 1.0 - ep.r
     ratio = cr / (1.0 - ep.q_prime)
     shift, e_ratio = -1.0 / cr + alpha, math.exp(ratio)
@@ -192,8 +197,8 @@ def _uniform_y(ep: EntropyParams, n_levels: int) -> float:
 
 def suggest_branch(ep: EntropyParams, n_levels: int) -> int:
     """Branch whose y-range holds a uniform distribution's warm start (n_levels >= 1)."""
-    if not n_levels >= 1:
-        raise DomainError(f"n_levels must be at least 1, got {n_levels!r}")
+    if not (hasattr(n_levels, "__index__") and n_levels >= 1):  # a positive integer
+        raise DomainError(f"n_levels must be an integer of at least 1, got {n_levels!r}")
     params = ep.induced_params()
     y = _uniform_y(ep, n_levels)
     for bi in branches(params):
@@ -368,9 +373,9 @@ def stationarity_residuals(
     term p*ln_qqr(1/p) (a term whose p is not positive counts as 0), and
     the residuals cost O(n).  All residuals vanish at a stationary point of
     the constrained functional; a common offset across levels indicates an
-    alpha not tuned to Z = 1.  DomainError unless there is one probability
-    per level and the step h is positive and finite; RangeError when a term
-    overflows the double range.
+    alpha not tuned to Z = 1.  DomainError unless there is one finite
+    probability per level and the step h is positive and finite; RangeError
+    when a term overflows the double range.
     """
     if not 0.0 < h < math.inf:
         raise DomainError(f"step h must be positive and finite, got {h!r}")
@@ -378,6 +383,9 @@ def stationarity_residuals(
         raise DomainError(
             f"probs has {len(probs)} entries for {len(spec.levels)} levels"
         )
+    if not all(map(math.isfinite, probs)):
+        bad = next(v for v in probs if not math.isfinite(v))
+        raise DomainError(f"probs must be finite, got {bad!r}")
 
     def term(v: float) -> float:
         return v * ln_qqr(spec.ep, 1.0 / v) if v > 0.0 else 0.0
@@ -393,8 +401,8 @@ def continuous_weight(
 ) -> float:
     """Unnormalised density at x for the quadratic level eps(x) = x**2.
 
-    RangeError, naming the inversion argument, when the weight exceeds the
-    double range.
+    DomainError unless alpha and beta are finite; RangeError, naming the
+    inversion argument, when the weight exceeds the double range.
     """
     params = ep.induced_params()
     arg = _arguments(ep, alpha, beta)(x * x)
@@ -463,9 +471,9 @@ def continuous_pdf(
     branch's x-domain, cut where a*ln(b*y) + 1 vanishes), pulled inward by
     twice the inversion tolerance.  IntegrationError if the criterion
     cannot be met within that range (it cannot when the weight decays only
-    poly-logarithmically, or does not vanish at the cut), DomainError if a
-    grid point is not finite or leaves the branch, or unless
-    0 < tail_ratio < 1.
+    poly-logarithmically, or does not vanish at the cut), DomainError if
+    alpha, beta or a grid point is not finite, if a grid point leaves the
+    branch, or unless 0 < tail_ratio < 1.
     """
     if not 0.0 < tail_ratio < 1.0:
         raise DomainError(f"tail_ratio must lie in (0, 1), got {tail_ratio!r}")

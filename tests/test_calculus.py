@@ -345,10 +345,11 @@ def test_revert_series_matches_truncated_products_to_the_bit():
 
 
 def test_taylor_order_validation():
-    with pytest.raises(DomainError):
-        taylor_coefficients(PM02, 0)
-    with pytest.raises(DomainError):
-        taylor_coefficients(PM02, 9)
+    # 3.0 raised a raw TypeError from range, and "3" one from the comparison
+    for n in (0, 9, 3.0, math.inf, math.nan, "3"):
+        with pytest.raises(DomainError, match="^series order "):
+            taylor_coefficients(PM02, n)
+    assert taylor_coefficients(PM02, True) == taylor_coefficients(PM02, 1)
 
 
 # -------------------------------------------------------------- asymptotics

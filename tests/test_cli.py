@@ -277,6 +277,9 @@ BOUNDED = dict(timeout=30, preexec_fn=_cap_memory)
     (["--quadratic=-1e308:1e308:5", "--branch", "1"], "--quadratic"),
     # more grid points than the CLI allows
     (["--quadratic=0:1:100000000000000000", "--branch", "0"], "--quadratic"),
+    # a non-finite multiplier was reported as `x must not be NaN`
+    (["--quadratic=-1:1:5", "--branch", "1", "--alpha", "nan"], "alpha and beta must be finite"),
+    (["--quadratic=-1:1:5", "--branch", "1", "--beta", "inf"], "alpha and beta must be finite"),
 ])
 def test_maxent_grid_errors(extra, fragment):
     cp = run_cli(*MAXENT, *extra, expect=2, **BOUNDED)
@@ -309,26 +312,41 @@ def _package_env():
     return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
 
 
-def test_import_does_not_load_mpmath():
-    code = "import sys, loglambert, loglambert.cli; print('mpmath' in sys.modules)"
-    cp = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                        text=True, env=_package_env())
-    assert cp.returncode == 0, cp.stderr
-    assert cp.stdout.strip() == "False"
-
-
-def test_cli_import_leaves_out_heavy_modules():
-    # -S keeps site from loading any of them first.
-    script = Path(__file__).resolve().parent / "_import_diet.py"
-    cp = subprocess.run([sys.executable, "-S", str(script)], capture_output=True,
-                        text=True, env=_package_env())
-    assert cp.returncode == 0, cp.stderr or cp.stdout
-
-
 def _readme_commands():
     block = README.read_text(encoding="utf-8").split("## CLI", 1)[1].split("```")[1]
     return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
             if line.strip()]
+
+
+def _audited_runs(tmp_path, *flags):
+    # tests/_import_tree.py on `import loglambert` and on each README command:
+    # (argv, heavy modules loaded).  The tool itself fails a run that loads a
+    # heavy module its --format does not name, or runs the maxent half for
+    # another command.
+    (tmp_path / "levels.txt").write_text("0.0\n0.3\n0.6\n0.9\n")
+    tool = Path(__file__).resolve().parent / "_import_tree.py"
+    for argv in [["loglambert"], *_readme_commands()]:
+        if ">" in argv:
+            argv = argv[:argv.index(">")]
+        cp = subprocess.run([sys.executable, *flags, str(tool), *argv[1:]], capture_output=True,
+                            text=True, cwd=tmp_path, env=_package_env())
+        assert cp.returncode == 0, cp.stderr
+        ran, heavy = cp.stderr.splitlines()[-2:]
+        assert ran.startswith("ran: loglambert ") and heavy.startswith("heavy:"), cp.stderr
+        yield argv, heavy.split()[1:]
+
+
+def test_import_does_not_load_mpmath(tmp_path):
+    # Without -S, so that mpmath is importable and even a guarded import of it shows.
+    for argv, heavy in _audited_runs(tmp_path):
+        assert "mpmath" not in heavy, argv
+
+
+def test_cli_import_leaves_out_heavy_modules(tmp_path):
+    # -S keeps site from loading any of them first; only the --format's module may load.
+    for argv, heavy in _audited_runs(tmp_path, "-S"):
+        fmt = argv[argv.index("--format") + 1] if "--format" in argv else "table"
+        assert heavy == ([] if fmt == "table" else [fmt]), argv
 
 
 @pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)

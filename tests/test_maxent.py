@@ -166,6 +166,12 @@ def test_stationarity_residuals_typed_errors():
     for h in (0.0, -1e-6, math.nan, math.inf):
         with pytest.raises(DomainError, match="step h"):
             stationarity_residuals(spec, [0.5, 0.5], h)
+    # nan gave a finite residual, and inf an error about ln_q's x
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match=rf"^probs must be finite, got {bad!r}$"):
+            stationarity_residuals(spec, [bad, 0.5])
+    # a finite p <= 0 still counts as a zero term
+    assert stationarity_residuals(spec, [-0.5, 0.5])[0] == spec.alpha
 
 
 def test_u_substitution_identity(solved_spec):
@@ -227,12 +233,16 @@ def test_suggest_branch():
     (lambda: solve_alpha([], 0.1, EP, branch=0), "levels"),
     (lambda: suggest_branch(EP, 0), "n_levels"),
     (lambda: suggest_branch(EP, -1), "n_levels"),
+    (lambda: suggest_branch(EP, math.inf), "n_levels"),
+    (lambda: suggest_branch(EP, 2.5), "n_levels"),
 ])
 def test_no_levels_is_refused(call, name):
     # These raised ZeroDivisionError, ValueError (min of an empty sequence),
-    # ZeroDivisionError and TypeError (a complex power).
+    # ZeroDivisionError, TypeError (a complex power) and ZeroDivisionError,
+    # and 2.5 levels got an answer.
     with pytest.raises(DomainError, match=rf"^{name} "):
         call()
+    assert suggest_branch(EP, True) == suggest_branch(EP, 1)  # bool is an integer here
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-14, math.nan])
@@ -508,6 +518,13 @@ def test_continuous_tail_ratio_validation():
     for ratio in (math.nan, 0.0, -1e-10, 1.0, math.inf):
         with pytest.raises(DomainError, match="tail_ratio"):
             continuous_pdf(EP_CONT, ALPHA_CONT, BETA_CONT, 1, README_GRID, ratio)
+    # a non-finite multiplier was reported as `x must not be NaN`
+    for bad in (math.nan, math.inf, -math.inf):
+        for alpha, beta in ((bad, BETA_CONT), (ALPHA_CONT, bad)):
+            with pytest.raises(DomainError, match="^alpha and beta must be finite$"):
+                continuous_pdf(EP_CONT, alpha, beta, 1, README_GRID)
+            with pytest.raises(DomainError, match="^alpha and beta must be finite$"):
+                continuous_weight(EP_CONT, alpha, beta, 1, 0.5)
 
 
 def test_continuous_grid_points_must_be_finite():
