@@ -10,8 +10,7 @@ branch inversion at
     x_i = (-1/(1-r) + alpha + beta*eps_i) * ((1-r)/(1-q')) * e^((1-r)/(1-q'))
 
 (the positive exponent is forced by clearing e^(-(1-r)/(1-q')) from the
-stationarity equation; the finite-difference stationarity residual is the
-end-to-end validator and vanishes only with this sign)
+stationarity equation, whose residuals vanish only with this sign)
 
 via the unnormalised weight w_i = {a * ln(b * y_i) + 1}^(1/(q-1)) and
 p_i = w_i / Z, Z = sum w_j.
@@ -49,8 +48,8 @@ computed it and the brace a*ln(b*y_i) + 1 its weight formed, for the slope
 of Z.  A weight beyond the double range raises RangeError naming its level
 (its argument, for `continuous_weight`).  `continuous_pdf` normalises by
 adaptive 7-point Gauss / 15-point Kronrod quadrature over a range that stops
-at the support cut.  The stationarity residuals difference one term of the
-separable entropy sum each, O(n) in the number of levels.
+at the support cut.  The stationarity residuals take each level's term of
+the separable entropy sum in closed form, O(n) in the number of levels.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ from .core import (_DBL_MIN, _Y_MAX, BranchInfo, Monotone, Params, _forward_and_
                    _inverter, _log_by, _newton_bisect, _plan_or_raise, _Record,
                    branches, evaluate, forward)
 from .errors import ConvergenceError, DomainError, IntegrationError, RangeError
-from .qcalculus import EntropyParams, ln_qqr
+from .qcalculus import EntropyParams, _deformed_log
 
 __all__ = [
     "EnsembleSpec",
@@ -83,6 +82,12 @@ _EVAL_TOL = 1e-13
 _MAX = 1.7976931348623157e308  # the largest double
 
 
+def _check_finite(name: str, values: Sequence[float]) -> None:
+    if not all(map(math.isfinite, values)):
+        bad = next(v for v in values if not math.isfinite(v))
+        raise DomainError(f"{name} must be finite, got {bad!r}")
+
+
 def _check_multipliers(alpha: float, beta: float) -> None:
     if not (math.isfinite(alpha) and math.isfinite(beta)):
         raise DomainError("alpha and beta must be finite")
@@ -97,9 +102,7 @@ class EnsembleSpec(_Record):
                  ep: EntropyParams):
         if len(levels) == 0:
             raise DomainError("at least one level is required")
-        if not all(map(math.isfinite, levels)):
-            bad = next(v for v in levels if not math.isfinite(v))
-            raise DomainError(f"levels must be finite, got {bad!r}")
+        _check_finite("levels", levels)
         _check_multipliers(alpha, beta)
         set_levels, set_alpha, set_beta, set_ep = self._setters
         set_levels(self, levels)
@@ -190,8 +193,12 @@ def _weight_domain(params: Params, bi: BranchInfo) -> tuple[float, float]:
 
 def _uniform_y(ep: EntropyParams, n_levels: int) -> float:
     # y at which the stationary weight is the uniform 1/n_levels.
-    p_uni = 1.0 / n_levels
-    u = math.exp((1.0 - ep.q_prime) / (1.0 - ep.q) * (p_uni ** (ep.q - 1.0) - 1.0))
+    try:
+        p_uni = 1.0 / n_levels
+        u = math.exp((1.0 - ep.q_prime) / (1.0 - ep.q) * (p_uni ** (ep.q - 1.0) - 1.0))
+    except OverflowError:
+        raise RangeError("n_levels too large: the uniform warm start overflows "
+                         "the double range") from None
     return (1.0 - ep.r) / (1.0 - ep.q_prime) * u
 
 
@@ -300,11 +307,8 @@ def solve_alpha(
         raise DomainError("levels must hold at least one level")
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be {'finite' if tol > 0.0 else 'positive'}, got {tol!r}")
-    if not all(map(math.isfinite, levels)):
-        bad = next(v for v in levels if not math.isfinite(v))
-        raise DomainError(f"levels must be finite, got {bad!r}")
-    if not math.isfinite(beta):
-        raise DomainError(f"beta must be finite, got {beta!r}")
+    _check_finite("levels", levels)
+    _check_finite("beta", (beta,))
     params = ep.induced_params()
     if branch is None:
         branch = suggest_branch(ep, len(levels))
@@ -363,37 +367,31 @@ def solve_alpha(
                            f"(closest |Z - 1| {res!r}, at alpha={alpha!r})")
 
 
-def stationarity_residuals(
-    spec: EnsembleSpec, probs: Sequence[float], h: float = 1e-6
-) -> list[float]:
-    """Per-level residuals (1/k) dS/dp_i + alpha + beta*eps_i.
+def stationarity_residuals(spec: EnsembleSpec, probs: Sequence[float]) -> list[float]:
+    """Per-level residuals (1/k) dS/dp_i + alpha + beta*eps_i, in O(n).
 
-    dS/dp_i by central finite difference of the entropy sum.  The sum is
-    separable, so its difference in p_i is exactly that of the level's own
-    term p*ln_qqr(1/p) (a term whose p is not positive counts as 0), and
-    the residuals cost O(n).  All residuals vanish at a stationary point of
-    the constrained functional; a common offset across levels indicates an
-    alpha not tuned to Z = 1.  DomainError unless there is one finite
-    probability per level and the step h is positive and finite; RangeError
-    when a term overflows the double range.
+    The entropy sum is separable, so dS/dp_i is k times the derivative of
+    the level's own term p*ln_qqr(1/p): exactly ln_qqr(1/p) - prod_j (1 +
+    c_j*s_j) over ln_qqr's stretches s_j, c_j = 1-q, 1-q', 1-r.  A term whose
+    p is not positive counts as 0, so its residual is alpha + beta*eps_i.
+    All residuals vanish at a stationary point of the constrained functional;
+    a common offset across levels indicates an alpha not tuned to Z = 1.
+    DomainError unless there is one finite probability per level; RangeError
+    naming x = 1/p when a term's derivative overflows the double range.
     """
-    if not 0.0 < h < math.inf:
-        raise DomainError(f"step h must be positive and finite, got {h!r}")
     if len(probs) != len(spec.levels):
-        raise DomainError(
-            f"probs has {len(probs)} entries for {len(spec.levels)} levels"
-        )
-    if not all(map(math.isfinite, probs)):
-        bad = next(v for v in probs if not math.isfinite(v))
-        raise DomainError(f"probs must be finite, got {bad!r}")
-
-    def term(v: float) -> float:
-        return v * ln_qqr(spec.ep, 1.0 / v) if v > 0.0 else 0.0
-
-    return [
-        (term(p + h) - term(p - h)) / (2.0 * h) + spec.alpha + spec.beta * eps
-        for p, eps in zip(probs, spec.levels)
-    ]
+        raise DomainError(f"probs has {len(probs)} entries for {len(spec.levels)} levels")
+    _check_finite("probs", probs)
+    coeffs = (1.0 - spec.ep.q, 1.0 - spec.ep.q_prime, 1.0 - spec.ep.r)
+    residuals = []
+    for p, eps in zip(probs, spec.levels):
+        # ln_qqr(1/p) and its slope in ln(1/p)
+        s, ds = _deformed_log(1.0 / p, coeffs) if p > 0.0 else (0.0, 0.0)
+        if not math.isfinite(s - ds):
+            raise RangeError(f"entropy term's derivative overflows the double range "
+                             f"at x={1.0 / p!r}")
+        residuals.append(s - ds + spec.alpha + spec.beta * eps)
+    return residuals
 
 
 def continuous_weight(
@@ -479,8 +477,7 @@ def continuous_pdf(
         raise DomainError(f"tail_ratio must lie in (0, 1), got {tail_ratio!r}")
     if len(x_grid) == 0:
         raise DomainError("x_grid must be non-empty")
-    if not all(map(math.isfinite, x_grid)):
-        raise DomainError("x_grid points must be finite")
+    _check_finite("x_grid points", x_grid)
 
     # Every argument is inverted by one warm inverter.
     params = ep.induced_params()

@@ -70,24 +70,26 @@ class EntropyParams(_Record):
         return Params(a=cq / cqp, b=cqp / cr, c=-1.0 / cqp)
 
 
-def _deformed_log(x: float, coeffs: tuple[float, ...]) -> float:
-    # ln x stretched to (exp(coeff*s) - 1)/coeff by each coefficient in turn
-    # (1-q, 1-q', 1-r), each stretch the identity within 1e-12 of coeff = 0.
+def _deformed_log(x: float, coeffs: tuple[float, ...]) -> tuple[float, float]:
+    # (s, ds/d(ln x)): ln x stretched to (exp(coeff*s) - 1)/coeff by each
+    # coefficient in turn (1-q, 1-q', 1-r), a stretch of slope 1 + coeff*(new s),
+    # or the identity within 1e-12 of coeff = 0.  ds may overflow to inf.
     if not x > 0.0:
         raise DomainError(f"ln_q needs x > 0, got {x!r}")
-    s = math.log(x)
+    s, slope = math.log(x), 1.0
     try:
         for coeff in coeffs:
             if not -_LIMIT_TOL < coeff < _LIMIT_TOL:
                 s = math.expm1(coeff * s) / coeff
+                slope *= 1.0 + coeff * s
     except OverflowError:
         raise RangeError(f"deformed logarithm overflows the double range at x={x!r}") from None
-    return s
+    return s, slope
 
 
 def ln_q(q: float, x: float) -> float:
     """One-parameter logarithm (x^(1-q) - 1)/(1-q); ln x at q = 1."""
-    return _deformed_log(x, (1.0 - q,))
+    return _deformed_log(x, (1.0 - q,))[0]
 
 
 def exp_q(q: float, x: float) -> float:
@@ -114,7 +116,7 @@ def exp_q(q: float, x: float) -> float:
 
 def ln_qq(q: float, q_prime: float, x: float) -> float:
     """Two-parameter logarithm: ln_q stretched once more by 1 - q'."""
-    return _deformed_log(x, (1.0 - q, 1.0 - q_prime))
+    return _deformed_log(x, (1.0 - q, 1.0 - q_prime))[0]
 
 
 def ln_qqr(ep: EntropyParams, x: float) -> float:
@@ -124,7 +126,7 @@ def ln_qqr(ep: EntropyParams, x: float) -> float:
     plain ln as all three parameters tend to 1.  Overflow in the nested
     exponentials raises RangeError (an OverflowError) naming x.
     """
-    return _deformed_log(x, (1.0 - ep.q, 1.0 - ep.q_prime, 1.0 - ep.r))
+    return _deformed_log(x, (1.0 - ep.q, 1.0 - ep.q_prime, 1.0 - ep.r))[0]
 
 
 def entropy_qqr(ep: EntropyParams, p: Sequence[float]) -> float:

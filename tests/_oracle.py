@@ -4,9 +4,9 @@ Everything here is deliberately slow and simple, and shares no solution
 code with the production paths it validates: inversion by plain bisection
 (never Newton), Ei by principal-value quadrature (never the production
 series/continued fraction), derivatives by central differences,
-stationarity residuals by differencing the whole entropy sum.  The only
-shared ingredients are the forward map and the three-parameter logarithm,
-which are the problem statement rather than solution methods.
+stationarity residuals by differentiating the whole entropy sum in mpmath.
+The only shared ingredient is the forward map, which is the problem
+statement rather than a solution method.
 """
 
 from __future__ import annotations
@@ -14,7 +14,9 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from loglambert import IntegrationError, LogLambertError, Params, evaluate, forward, ln_qqr
+import mpmath
+
+from loglambert import IntegrationError, LogLambertError, Params, evaluate, forward
 
 __all__ = ["BracketError", "bisect_invert", "quad_ei", "fd_derivative",
            "stationarity_residuals_quadratic"]
@@ -111,24 +113,36 @@ def fd_derivative(p: Params, branch: int, x: float, h: float) -> float:
     return (y_plus - y_minus) / (2.0 * h)
 
 
-def stationarity_residuals_quadratic(spec, probs, h: float = 1e-6) -> list[float]:
+def stationarity_residuals_quadratic(spec, probs) -> list[float]:
     """Per-level residuals (1/k) dS/dp_i + alpha + beta*eps_i, O(n^2).
 
-    dS/dp_i by central finite difference of the whole entropy sum, bumping
-    one probability at a time and summing all n terms each time: the
-    reference for the production residuals, which difference one term.
+    dS/dp_i by `mpmath.diff` (a central difference at raised precision) at
+    50 digits of the whole entropy sum, with p_i bumped and the other n - 1
+    terms summed each time: the reference for the production residuals,
+    which take one term's derivative in closed form.  ln_qqr is written out
+    in mpmath with the package's limit rule: a stretch whose coefficient
+    lies within 1e-12 of 0 is the identity.  The held terms are taken once;
+    `fsum` rounds each sum once, so their own rounding cancels in the
+    difference.
     """
-    def entropy_sum(ps):
-        return spec.ep.k * math.fsum(v * ln_qqr(spec.ep, 1.0 / v) for v in ps if v > 0.0)
+    ep = spec.ep
+    with mpmath.workdps(50):
+        coeffs = [c for c in (1 - mpmath.mpf(v) for v in (ep.q, ep.q_prime, ep.r))
+                  if abs(c) >= 1e-12]
 
-    probs = list(probs)
-    res = []
-    for i, eps in enumerate(spec.levels):
-        bumped = probs[:]
-        bumped[i] = probs[i] + h
-        s_plus = entropy_sum(bumped)
-        bumped[i] = probs[i] - h
-        s_minus = entropy_sum(bumped)
-        ds = (s_plus - s_minus) / (2.0 * h)
-        res.append(ds / spec.ep.k + spec.alpha + spec.beta * eps)
-    return res
+        def term(p):
+            if p <= 0:
+                return mpmath.mpf(0)
+            s = mpmath.log(1 / p)
+            for c in coeffs:
+                s = mpmath.expm1(c * s) / c
+            return p * s
+
+        ps = [mpmath.mpf(v) for v in probs]
+        terms = [term(p) for p in ps]
+        res = []
+        for i, eps in enumerate(spec.levels):
+            rest = terms[:i] + terms[i + 1:]
+            ds = mpmath.diff(lambda t: ep.k * mpmath.fsum([term(t), *rest]), ps[i])
+            res.append(float(ds / ep.k + spec.alpha + mpmath.mpf(spec.beta) * eps))
+        return res

@@ -4,9 +4,9 @@ Record every `evaluate` call of the `eval_hot` and `scan_cold` pools (the
 inputs `perfbench/workloads.py` draws for a seed) with its outcome, the
 `singular_points` and `taylor_coefficients(p, 4)` of every `scan_cold`
 pool catalog, `derivative` and `antiderivative` at every `y` a `scan_cold`
-`evaluate` answers, and every `solve_alpha`, `distribution` and
-`continuous_pdf` call of the `maxent_fit` pool, then compare two such
-records:
+`evaluate` answers, and every `solve_alpha`, `distribution`,
+`stationarity_residuals` and `continuous_pdf` call of the `maxent_fit`
+pool, then compare two such records:
 
     python tests/_replay.py --src src [--seeds 1 2] > new.tsv
     python tests/_replay.py --src OTHER/src > old.tsv
@@ -26,8 +26,9 @@ comma-separated) or the class name of the error raised.  A fit line has
 workload `maxent_fit`, seed, the op's index in the pool and the call's
 name, then either `ok` and the answer in hex (`solve_alpha`: alpha;
 `distribution`: the partition and the probabilities, comma-separated;
-`continuous_pdf`: the densities, comma-separated) or the class name and
-message of the error raised.
+`stationarity_residuals`: the residuals, comma-separated; `continuous_pdf`:
+the densities, comma-separated) or the class name and message of the error
+raised.
 
 `--compare A B` pairs the calls of the two records by input (workload,
 seed, a, b, c, branch and x; repeats of one input pair in order), so the
@@ -77,7 +78,7 @@ CALCULUS = "calculus"
 CALCULUS_CALLS = ("taylor_coefficients", "derivative", "antiderivative")
 TAYLOR_ORDER = 4  # the order the scan_cold op asks for
 FITS = "maxent_fit"
-FIT_CALLS = ("solve_alpha", "distribution", "continuous_pdf")
+FIT_CALLS = ("solve_alpha", "distribution", "stationarity_residuals", "continuous_pdf")
 
 
 def record(src: str, seeds) -> None:

@@ -181,6 +181,7 @@ def test_maxent_check_flag(tmp_path):
                  "--solve-alpha", "--check", "--format", "json")
     doc = json.loads(cp.stdout)
     assert doc["max_stationarity_residual"] <= 1e-6
+    assert doc["max_stationarity_residual"] <= 1e-12  # the closed form's rounding
     assert doc["partition"] == pytest.approx(1.0, abs=1e-12)
 
 

@@ -21,6 +21,7 @@ from loglambert import (
     evaluate,
     forward,
     level_argument,
+    ln_qqr,
     probability,
     pseudo_beta,
     solve_alpha,
@@ -141,9 +142,9 @@ def test_stationarity_residuals(solved_spec):
 
 
 def test_stationarity_residuals_match_quadratic_reference(solved_spec):
-    # The entropy sum is separable, so differencing one term gives the
-    # residuals of differencing the whole sum; the reference's own rounding
-    # (~eps * S / h) sets the tolerance.
+    # The reference differentiates the whole entropy sum at 50 digits; the
+    # closed form of one term meets it to the rounding of ln_qqr's stretches
+    # (a central difference with step 1e-6 missed it by 2.8e-6 on 128 levels).
     alpha = solve_alpha(LEVELS_128, beta=0.1, ep=EP)
     spec_128 = EnsembleSpec(levels=LEVELS_128, alpha=alpha, beta=0.1, ep=EP)
     for spec in (solved_spec, spec_128):
@@ -151,21 +152,36 @@ def test_stationarity_residuals_match_quadratic_reference(solved_spec):
         fast = stationarity_residuals(spec, probs)
         reference = stationarity_residuals_quadratic(spec, probs)
         assert len(fast) == len(reference) == len(spec.levels)
-        assert max(abs(u - v) for u, v in zip(fast, reference)) <= 1e-7
+        assert max(abs(u - v) for u, v in zip(fast, reference)) <= 1e-12
+
+
+@pytest.mark.parametrize("ep", [EntropyParams(1.0 - 5e-13, 0.8, 0.7),
+                                EntropyParams(0.9, 1.0 + 5e-13, 0.7),
+                                EntropyParams(0.9, 0.8, 1.0)])
+def test_stationarity_residuals_limit_stretch(ep):
+    # A coefficient within 1e-12 of 0 is the identity stretch, of slope 1.
+    rng = random.Random(21)
+    probs = [rng.uniform(1e-3, 1.0) for _ in range(16)]
+    spec = EnsembleSpec(levels=LEVELS_128[:16], alpha=0.3, beta=0.1, ep=ep)
+    reference = stationarity_residuals_quadratic(spec, probs)
+    for u, v in zip(stationarity_residuals(spec, probs), reference):
+        assert abs(u - v) <= 1e-12 * max(1.0, abs(v))
 
 
 def test_stationarity_residuals_typed_errors():
     ep = EntropyParams(0.5, 0.8, 0.7)
     spec = EnsembleSpec(levels=(0.0, 1.0), alpha=0.0, beta=0.1, ep=ep)
-    # p + h = 1e-6: ln_qqr(1e6) overflows in its nested exponentials
-    with pytest.raises(RangeError, match=r"x=1000000\.0"):
+    # ln_qqr(1/1e-300) overflows in its nested exponentials
+    with pytest.raises(RangeError, match=r"x=9\.999999999999999e\+299"):
         stationarity_residuals(spec, [1e-300, 1.0 - 1e-300])
+    # ln_qqr stays finite, but the product of the stretches' slopes is inf
+    steep = EnsembleSpec(levels=(0.0, 1.0), alpha=0.0, beta=0.1,
+                         ep=EntropyParams(0.0, 0.0, 1.0 - 1e-6))
+    assert math.isfinite(ln_qqr(steep.ep, 1.0 / 0.04684))
+    with pytest.raises(RangeError, match=r"x=21\.34927412467976$"):
+        stationarity_residuals(steep, [0.04684, 0.5])
     with pytest.raises(DomainError, match="1 entries for 2 levels"):
         stationarity_residuals(spec, [1.0])
-    # h = 0 divided by zero, and h = nan gave NaN residuals
-    for h in (0.0, -1e-6, math.nan, math.inf):
-        with pytest.raises(DomainError, match="step h"):
-            stationarity_residuals(spec, [0.5, 0.5], h)
     # nan gave a finite residual, and inf an error about ln_q's x
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError, match=rf"^probs must be finite, got {bad!r}$"):
@@ -226,6 +242,14 @@ def test_permutation_equivariance():
 def test_suggest_branch():
     assert suggest_branch(EP, 4) == 0
     assert suggest_branch(EP_CONT, 4) == 1
+
+
+@pytest.mark.parametrize("n_levels", [10**30, 10**300, 10**400], ids=["1e30", "1e300", "1e400"])
+def test_suggest_branch_refuses_an_overflowing_warm_start(n_levels):
+    # These raised a raw OverflowError: `math range error` from the warm
+    # start's exp, and `int too large to convert to float` from 1/n_levels.
+    with pytest.raises(RangeError, match="^n_levels "):
+        suggest_branch(EP, n_levels)
 
 
 @pytest.mark.parametrize("call, name", [
