@@ -42,8 +42,10 @@ square-root expansion of the inverse at a seam when it stays close to the
 seam, else a few fixed-point steps of f(y) = x rearranged for y -> 0
 (f -> c) or for large |y| (ln|f| ~ y).  f is evaluated only by the solver.
 Many inversions on one branch (all levels of a maximum-entropy fit) each
-start from the last root, reusing the f and f' the solver computed there,
-unless x is closer to the branch's open-end limit than to the last x.
+start from the third-order inverse series at the last root, from f, f' and
+ln(b*y) there (or from that root, reusing the f and f' the solver computed,
+where the series is not trusted), unless x is closer to the branch's
+open-end limit than to the last x.
 
 All functions are pure; `Params` and the catalog records are immutable
 slotted value records (compared, hashed and pickled by value).  The catalog
@@ -649,31 +651,58 @@ def _solve(p: Params, plan: _Plan, x: float, tol: float,
 
 
 def _inverter(p: Params, branch: int, tol: float
-              ) -> Callable[[float], tuple[float, float]]:
-    # x -> (y, f'(y)) on one branch for many x, each y under evaluate's
-    # contract, warm-started; f'(y) is the slope the solver computed at y
-    # (0 at a seam).  The first solve starts as evaluate's does, so it
-    # returns evaluate's bits.  A later one starts from the last root, with
-    # f and f' as the solver computed them there, so its first point is
-    # free; or, when x lies closer to f's limit at the branch's open end
-    # (x_end) than to the last x, it starts as evaluate's does: after a far
-    # jump the open end's start is the nearer one, and Newton from the last
-    # root can crawl down the convex side of e^y.  Results are memoised by
-    # x, so an equal x returns the same bits whatever the call order.
+              ) -> Callable[[float], tuple[float, float, float]]:
+    # x -> (y, f'(y), ln(b*y)) on one branch for many x, each y under
+    # evaluate's contract, warm-started; f'(y) is the slope the solver
+    # computed at y (0 at a seam), and ln(b*y) is taken once per root, by the
+    # module's rule.  The first solve starts as evaluate's does, so it
+    # returns evaluate's bits.  A later one starts from the third-order
+    # inverse series at the last root y0, with dy = (x - f(y0))/f'(y0):
+    #     y0 + dy*(1 + dy*(-F2/2 + dy*(3*F2**2 - F3)/6)),
+    # F2 = f''/f' = 1 + s'/s and F3 = f'''/f' = 1 + (2*s' + s'')/s, where
+    # f' = s*e^y and s = (y+1)*B + a + c, s' = B + a + a/y, s'' = a*(y-1)/y**2
+    # come from the brace B = a*ln(b*y0) + 1 with no further log or exp.
+    # That start is taken when it lies strictly inside the bracket and the
+    # series' higher-order part is at most half its first-order term dy (a
+    # truncated series far from y0 overshoots).  Otherwise, or when f'(y0) =
+    # 0, the solve starts from y0 itself, with f and f' as the solver
+    # computed them there, so its first point is free.  When x lies closer
+    # to f's limit at the branch's open end (x_end) than to the last x, it
+    # starts as evaluate's does: after a far jump the open end's start is
+    # the nearer one, and Newton from the last root can crawl down the
+    # convex side of e^y.  Results are memoised by x, so an equal x returns
+    # the same bits whatever the call order.
     plan = _plan_or_raise(p, branch)
-    memo: dict[float, tuple[float, float]] = {}
-    x_end, last_x, last_y, last_point = plan.x_end, math.inf, None, None
+    memo: dict[float, tuple[float, float, float]] = {}
+    a, b, ac, lo, hi = p.a, p.b, p.a + p.c, plan.lo, plan.hi
+    x_end, last_x, last = plan.x_end, math.nan, None  # NaN: the first solve is cold
 
-    def invert(x: float) -> tuple[float, float]:
-        nonlocal last_x, last_y, last_point
+    def invert(x: float) -> tuple[float, float, float]:
+        nonlocal last_x, last
         answer = memo.get(x)
         if answer is None:
             if abs(x - last_x) <= abs(x - x_end):
-                y, _, _, _, point = _solve(p, plan, x, tol, last_y, last_point)
+                y0, point, log_by = last
+                start, known = y0, point
+                f0, slope = point
+                brace = a * log_by + 1.0
+                s = (y0 + 1.0) * brace + ac
+                if slope and s:
+                    ds = brace + a + a / y0
+                    f2 = 1.0 + ds / s
+                    f3 = 1.0 + (2.0 * ds + a * (y0 - 1.0) / y0 / y0) / s
+                    dy = (x - f0) / slope
+                    corr = dy * (-0.5 * f2 + dy * (3.0 * f2 * f2 - f3) / 6.0)
+                    y = y0 + dy * (1.0 + corr)
+                    if abs(corr) <= 0.5 and lo < y < hi:
+                        start, known = y, None
+                y, _, _, _, point = _solve(p, plan, x, tol, start, known)
             else:  # start as evaluate does
                 y, _, _, _, point = _solve(p, plan, x, tol)
-            last_x, last_y, last_point = x, y, point
-            answer = memo[x] = y, point[1]
+            by = b * y
+            log_by = math.log(by) if by >= _DBL_MIN else _log_by(p, y, "the inverse's root")
+            last_x, last = x, (y, point, log_by)
+            answer = memo[x] = y, point[1], log_by
         return answer
 
     return invert

@@ -26,26 +26,30 @@ alpha and beta are caller inputs.  Because x_i depends on alpha while Z
 normalises again, the stationarity conditions hold exactly only when alpha
 is tuned so that Z = 1.  `solve_alpha` does that tuning on the admissible
 interval of alpha, where Z is monotone, with the safeguarded Newton solver
-that also inverts f and polishes its seams.  It has three outcomes: an
-alpha with |Z - 1| <= tol; DomainError when no alpha in the interval
-normalises the weights; ConvergenceError when the sign bracket shrinks to
-a few ulps first, at the rounding floor of the weight sum.  Which inverse
+that also inverts f and polishes its seams, taking Halley steps from the
+exact slope and curvature of Z.  It has three outcomes: an alpha with
+|Z - 1| <= tol; DomainError when no alpha in the interval normalises the
+weights; ConvergenceError when the sign bracket shrinks to a few ulps
+first, at the rounding floor of the weight sum.  Which inverse
 branch is physical is likewise not determined by the stationarity
 conditions alone, so the branch is an explicit argument; `suggest_branch`
 picks the branch a uniform distribution would land on.
 
 Each call to `distribution`, `probability`, `continuous_pdf` and each
 `solve_alpha` iterate inverts all its arguments with one warm-started
-inverter: every root seeds the next, unless the argument lies closer to
-the limit of f at the branch's open end than to the last argument.  Levels
-go in ascending x, so the result does not depend on their order, and an
-equal argument returns the same bits.  A pass takes -1/(1-r) + alpha,
-ratio and e^ratio once for all its arguments, and q - 1 once for all its
-weights.  It is memoised by value, so one repeated at an equal spec (the
-`distribution` at the alpha `solve_alpha` returned) is served without an
-inversion; it keeps each level's f'(y_i) as the inversion's solver
-computed it and the brace a*ln(b*y_i) + 1 its weight formed, for the slope
-of Z.  A weight beyond the double range raises RangeError naming its level
+inverter: every root seeds the next through the third-order inverse series
+there, unless the argument lies closer to the limit of f at the branch's
+open end than to the last argument.  Levels go in ascending x, so the
+result does not depend on their order, and an equal argument returns the
+same bits.  A pass takes -1/(1-r) + alpha, ratio and e^ratio once for all
+its arguments, q - 1 once for all its weights, and ln(b*y_i) once per
+level: the inverter takes it at the root and hands it out.  A pass is
+memoised by value, so one repeated at an equal spec (the `distribution` at
+the alpha `solve_alpha` returned) is served without an inversion; it keeps
+each level's f'(y_i) as the inversion's solver computed it and the brace
+a*ln(b*y_i) + 1 its weight formed, from which `solve_alpha` takes the
+slope and curvature of Z with no further log or exp, for a Halley step.
+A weight beyond the double range raises RangeError naming its level
 (its argument, for `continuous_weight`).  `continuous_pdf` normalises by
 adaptive 7-point Gauss / 15-point Kronrod quadrature over a range that stops
 at the support cut.  The stationarity residuals take each level's term of
@@ -58,7 +62,7 @@ import functools
 import math
 from collections.abc import Callable, Sequence
 
-from .core import (_DBL_MIN, _Y_MAX, BranchInfo, Monotone, Params, _forward_and_slope,
+from .core import (_Y_MAX, BranchInfo, Monotone, Params, _forward_and_slope,
                    _inverter, _log_by, _newton_bisect, _plan_or_raise, _Record,
                    branches, evaluate, forward)
 from .errors import ConvergenceError, DomainError, IntegrationError, RangeError
@@ -151,11 +155,11 @@ def level_argument(spec: EnsembleSpec, i: int) -> float:
     return _arguments(spec.ep, spec.alpha, spec.beta)(spec.levels[i])
 
 
-def _weight(params: Params, q1: float, branch: int, x: float, y: float) -> tuple[float, float]:
+def _weight(params: Params, q1: float, branch: int, x: float, log_by: float
+            ) -> tuple[float, float]:
     # (w, brace): the unnormalised weight brace^(1/q1), q1 = q - 1, and its brace
-    # a*ln(b*y) + 1 at the root y for x (ln(b*y) by core's rule, first case inline).
-    by = params.b * y
-    brace = params.a * (math.log(by) if by >= _DBL_MIN else _log_by(params, y, "weight")) + 1.0
+    # a*ln(b*y) + 1 at the root y for x, from ln(b*y) as the inverter took it.
+    brace = params.a * log_by + 1.0
     if not brace > 0.0:
         raise DomainError(
             f"weight undefined: brace {brace!r} non-positive at x={x!r} "
@@ -205,7 +209,11 @@ def _uniform_y(ep: EntropyParams, n_levels: int) -> float:
 def suggest_branch(ep: EntropyParams, n_levels: int) -> int:
     """Branch whose y-range holds a uniform distribution's warm start (n_levels >= 1)."""
     if not (hasattr(n_levels, "__index__") and n_levels >= 1):  # a positive integer
-        raise DomainError(f"n_levels must be an integer of at least 1, got {n_levels!r}")
+        try:
+            got = repr(n_levels)
+        except ValueError:  # an integer past the int-to-str digit limit
+            got = f"a negative integer of {n_levels.bit_length()} bits"
+        raise DomainError(f"n_levels must be an integer of at least 1, got {got}")
     params = ep.induced_params()
     y = _uniform_y(ep, n_levels)
     for bi in branches(params):
@@ -231,8 +239,8 @@ def _all_weights(spec: EnsembleSpec, branch: int) -> tuple[tuple[float, ...], ..
     ys, ws, slopes, braces = ([0.0] * len(xs) for _ in range(4))
     for i in sorted(range(len(xs)), key=xs.__getitem__):
         try:
-            ys[i], slopes[i] = invert(xs[i])
-            ws[i], braces[i] = _weight(params, q1, branch, xs[i], ys[i])
+            ys[i], slopes[i], log_by = invert(xs[i])
+            ws[i], braces[i] = _weight(params, q1, branch, xs[i], log_by)
         except (DomainError, RangeError) as exc:
             raise type(exc)(f"level {i} (eps={spec.levels[i]!r}): {exc}") from exc
     return tuple(xs), tuple(ys), tuple(ws), tuple(slopes), tuple(braces)
@@ -269,6 +277,29 @@ def distribution(spec: EnsembleSpec, branch: int | None = None) -> DiscreteDistr
     )
 
 
+def _z_slopes(params: Params, q1: float, k: float, ys: Sequence[float],
+              ws: Sequence[float], slopes: Sequence[float], braces: Sequence[float]
+              ) -> tuple[float, float]:
+    # (Z', Z'') in alpha, as solve_alpha's docstring gives them, from one pass's
+    # roots, weights, slopes f'(y_i) and braces, with q1 = q - 1 and k =
+    # dx_i/dalpha: no log or exp.  A root on a seam (f' = 0) or an f' beyond
+    # the double range gives NaN.
+    a, ac, a_q1 = params.a, params.a + params.c, params.a / q1 - params.a
+    total = curvature = 0.0
+    try:
+        for y, w, slope, brace in zip(ys, ws, slopes, braces):
+            if not math.isfinite(slope):
+                return math.nan, math.nan
+            y_brace = y * brace
+            t = w * a / (y_brace * slope)
+            total += t
+            curvature += t / slope * ((a_q1 - brace) / y_brace - 1.0
+                                      - (brace + a + a / y) / ((y + 1.0) * brace + ac))
+    except ZeroDivisionError:
+        return math.nan, math.nan
+    return k / q1 * total, k * k / q1 * curvature
+
+
 def solve_alpha(
     levels: Sequence[float],
     beta: float,
@@ -284,16 +315,22 @@ def solve_alpha(
     (1-r)/(1-q'), so the alphas at which every weight exists form an open
     interval: the one putting all x_i inside the branch's x-domain, on the
     side of x* = f(e^(-1/a)/b) where the brace a*ln(b*y) + 1 is positive.
-    On it excess(alpha) = Z - 1 is monotone, with the exact slope
+    On it excess(alpha) = Z - 1 is monotone, with the exact slope and
+    curvature, t_i = w_i*a/(y_i*B_i*f'(y_i)) and B_i = a*ln(b*y_i) + 1,
 
-        excess'(alpha) = K * sum_i w_i/(q-1) * (a/y_i)/(a*ln(b*y_i) + 1) / f'(y_i).
+        Z'  = K/(q-1) * sum_i t_i,
+        Z'' = K**2/(q-1) * sum_i t_i/f'(y_i) * [(a/(q-1) - B_i - a)/(y_i*B_i)
+                                                - (1 + s'_i/s_i)],
 
+    s_i = (y_i+1)*B_i + a + c = e^-y_i*f'(y_i), s'_i = B_i + a + a/y_i.
     The solver that inverts f solves excess(alpha) = 0 on that interval,
-    from the alpha of a uniform distribution, by Newton steps inside the
-    sign bracket and bisection otherwise; each excess is a full pass of
-    `distribution` over the levels, and a pass whose weights overflow counts
-    as Z = +inf.  Returns the first alpha with |excess| <= tol; its pass is
-    memoised, so `distribution` at that alpha repeats no inversion.
+    from the alpha of a uniform distribution, by Halley steps inside the
+    sign bracket and bisection otherwise: its Newton step takes the slope
+    Z' - (Z-1)*Z''/(2*Z'), or Z' when that is not finite or changes sign.
+    Each excess is a full pass of `distribution` over the levels, and a pass
+    whose weights overflow counts as Z = +inf.  Returns the first alpha with
+    |excess| <= tol; its pass is memoised, so `distribution` at that alpha
+    repeats no inversion.
     DomainError, before any pass, when levels is empty, a level or beta
     is not finite or tol is not positive and finite, and when the interval is empty
     (the levels span more than the branch admits) or when the solve ends
@@ -329,7 +366,7 @@ def solve_alpha(
                           f"weight: the levels span more than the branch admits")
 
     def z_and_slope(alpha: float) -> tuple[float, float]:
-        # (Z, Z') at alpha, by the pass `distribution` makes.
+        # (Z, Halley's effective slope) at alpha, by the pass `distribution` makes.
         spec = EnsembleSpec(levels=levels, alpha=alpha, beta=beta, ep=ep)
         try:
             _, ys, ws, slopes, braces = _all_weights(spec, branch)
@@ -338,14 +375,10 @@ def solve_alpha(
             return math.inf, math.nan
         if abs(z - 1.0) <= tol:  # the solve ends here, without a step
             return z, math.nan
-        total = 0.0  # dw/dy = w/(q-1) * (a/y)/brace, dy/dx = 1/f'(y)
-        try:
-            for y, w, slope, brace in zip(ys, ws, slopes, braces):
-                # f' = 0 (a root on a seam) raises; f' beyond the double range is NaN
-                total += w * params.a / (y * brace * slope) if math.isfinite(slope) else math.nan
-        except ZeroDivisionError:
-            total = math.nan
-        return z, k / (ep.q - 1.0) * total
+        z1, z2 = _z_slopes(params, ep.q - 1.0, k, ys, ws, slopes, braces)
+        halley = z1 - (z - 1.0) * z2 / (2.0 * z1) if z1 else z1
+        agrees = halley > 0.0 if z1 > 0.0 else halley < 0.0
+        return z, halley if agrees and math.isfinite(halley) else z1
 
     # Uniform warm start: alpha reproducing the uniform weight at the mean level.
     x_ws = forward(params, _uniform_y(ep, len(levels)))
@@ -405,7 +438,7 @@ def continuous_weight(
     params = ep.induced_params()
     arg = _arguments(ep, alpha, beta)(x * x)
     y = evaluate(params, branch, arg, tol=_EVAL_TOL).y
-    return _weight(params, ep.q - 1.0, branch, arg, y)[0]
+    return _weight(params, ep.q - 1.0, branch, arg, _log_by(params, y, "weight"))[0]
 
 
 # 15-point Kronrod nodes on [-1, 1] (positive half and 0) and weights; every
@@ -486,7 +519,7 @@ def continuous_pdf(
 
     def g(x: float) -> float:
         arg = argument(x * x)
-        return _weight(params, q1, branch, arg, invert(arg)[0])[0]
+        return _weight(params, q1, branch, arg, invert(arg)[2])[0]
 
     values = [g(x) for x in x_grid]
 

@@ -73,7 +73,9 @@ class EntropyParams(_Record):
 def _deformed_log(x: float, coeffs: tuple[float, ...]) -> tuple[float, float]:
     # (s, ds/d(ln x)): ln x stretched to (exp(coeff*s) - 1)/coeff by each
     # coefficient in turn (1-q, 1-q', 1-r), a stretch of slope 1 + coeff*(new s),
-    # or the identity within 1e-12 of coeff = 0.  ds may overflow to inf.
+    # or the identity within 1e-12 of coeff = 0.  RangeError naming x unless s
+    # is finite: expm1 raises, and the division by a small coeff (or x = inf)
+    # gives inf without raising.  ds may overflow to inf.
     if not x > 0.0:
         raise DomainError(f"ln_q needs x > 0, got {x!r}")
     s, slope = math.log(x), 1.0
@@ -83,7 +85,9 @@ def _deformed_log(x: float, coeffs: tuple[float, ...]) -> tuple[float, float]:
                 s = math.expm1(coeff * s) / coeff
                 slope *= 1.0 + coeff * s
     except OverflowError:
-        raise RangeError(f"deformed logarithm overflows the double range at x={x!r}") from None
+        s = math.inf
+    if not math.isfinite(s):
+        raise RangeError(f"deformed logarithm overflows the double range at x={x!r}")
     return s, slope
 
 
@@ -123,8 +127,8 @@ def ln_qqr(ep: EntropyParams, x: float) -> float:
     """Three-parameter logarithm: ln_{q,q'} stretched a third time by 1 - r.
 
     Strictly increasing in x; 0 at x = 1; recovers ln_{q,q'} as r -> 1 and
-    plain ln as all three parameters tend to 1.  Overflow in the nested
-    exponentials raises RangeError (an OverflowError) naming x.
+    plain ln as all three parameters tend to 1.  A value beyond the double
+    range raises RangeError (an OverflowError) naming x.
     """
     return _deformed_log(x, (1.0 - ep.q, 1.0 - ep.q_prime, 1.0 - ep.r))[0]
 

@@ -47,7 +47,9 @@ answered in both records (median, p90, max), and the ulp distance of every
 moved seam of either record from its 60-digit root.  For the fits it
 prints, per call, each record's outcome counts, the outcome-class changes,
 and how many answers and refusals (class and message) are equal to the
-bit, listing each op whose record differs.
+bit, listing each op whose record differs; for `distribution` also each
+record's largest |Z - 1|, and the largest relative move of `solve_alpha`'s
+alpha, of the probabilities and of the densities answered in both records.
 
 Like `diff`, `--compare A B` exits 1 when the records differ: an input
 only one record has, an outcome class that changes, or an `evaluate`
@@ -79,6 +81,8 @@ CALCULUS_CALLS = ("taylor_coefficients", "derivative", "antiderivative")
 TAYLOR_ORDER = 4  # the order the scan_cold op asks for
 FITS = "maxent_fit"
 FIT_CALLS = ("solve_alpha", "distribution", "stationarity_residuals", "continuous_pdf")
+MOVED_VALUES = {"solve_alpha": "alpha", "distribution": "probabilities",
+                "continuous_pdf": "densities"}
 
 
 def record(src: str, seeds) -> None:
@@ -376,11 +380,29 @@ def compare_fits(rows_a, rows_b) -> bool:
             both = [(ra, rb) for ra, rb in own if ra[4] == rb[4] and same(ra)]
             print(f"    {kind} in both: {len(both)}, equal to the bit: "
                   f"{sum(ra == rb for ra, rb in both)}")
+        answered = [(ra, rb) for ra, rb in own if ra[4] == rb[4] == "ok"]
+        if call == "distribution":
+            for label, side in (("A", 0), ("B", 1)):
+                worst = max((abs(float.fromhex(pair[side][5]) - 1.0) for pair in own
+                             if pair[side][4] == "ok"), default=math.nan)
+                print(f"    {label}: largest |Z-1| {worst:.3g}")
+        if call in MOVED_VALUES:
+            print(f"    largest relative move of the {MOVED_VALUES[call]}: "
+                  f"{max(_relative_moves(answered), default=0.0):.3g}")
         for ra, rb in own:
             if ra != rb:
                 print(f"    seed {ra[1]} op {ra[2]}: {' '.join(ra[4:])[:120]} -> "
                       f"{' '.join(rb[4:])[:120]}")
     return bool(only_a or only_b or any(ra != rb for ra, rb in pairs))
+
+
+def _relative_moves(pairs):
+    # |b - a|/|a| of each value (the last field: alpha, the probabilities or
+    # the densities) answered in both records; 0 for two equal values.
+    for ra, rb in pairs:
+        for va, vb in zip(ra[-1].split(","), rb[-1].split(",")):
+            a, b = float.fromhex(va), float.fromhex(vb)
+            yield abs(b - a) / abs(a) if a != b else 0.0
 
 
 def compare_seams(rows_a, rows_b, mp_every: int) -> bool:

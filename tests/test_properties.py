@@ -30,7 +30,7 @@ from loglambert import (
     taylor_coefficients,
     taylor_first_order,
 )
-from loglambert.core import _inverter, _knots
+from loglambert.core import _inverter, _knots, _log_by
 
 Y_MIN = math.exp(-708.0)
 Y_MAX = math.log(1.7976931348623157e308)
@@ -237,10 +237,10 @@ def test_evaluate_meets_contract_or_refuses(p, us, toward_open):
        toward_open=st.booleans(), data=st.data())
 def test_inverter_meets_contract_or_refuses(p, us, toward_open, data):
     # One warm inverter per branch, fed x values in a shuffled order with
-    # duplicates: each answer meets evaluate's contract, and an equal x
-    # returns the same bits.  A fresh inverter has no root to start from,
-    # so its first answer, or refusal, is evaluate's; a later x is refused
-    # only where evaluate refuses it.
+    # duplicates: each answer meets evaluate's contract and comes with
+    # ln(b*y) at its root, and an equal x returns the same bits.  A fresh
+    # inverter has no root to start from, so its first answer, or refusal,
+    # is evaluate's; a later x is refused only where evaluate refuses it.
     try:
         cat = branches(p)
     except LogLambertError:
@@ -252,7 +252,7 @@ def test_inverter_meets_contract_or_refuses(p, us, toward_open, data):
         seen = {}
         for k, x in enumerate(xs):
             try:
-                y = invert(x)[0]
+                y, _, log_by = invert(x)
             except LogLambertError:
                 y = None
             try:
@@ -267,6 +267,7 @@ def test_inverter_meets_contract_or_refuses(p, us, toward_open, data):
             assert bi.y_range.contains(y), (p, bi.index, x, y)
             assert abs(forward(p, y) - x) <= 1e-12 * max(1.0, abs(x)), (p, bi.index, x, y)
             assert seen.setdefault(x, y).hex() == y.hex(), (p, bi.index, x)
+            assert log_by == _log_by(p, y, "the root"), (p, bi.index, x, y)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

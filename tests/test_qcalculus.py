@@ -95,6 +95,17 @@ def test_ln_qqr_overflow():
         entropy_qqr(EntropyParams(0.5, 0.8, 0.7), [1e-300, 1.0 - 1e-300])
 
 
+def test_ln_qqr_refuses_an_overflowing_division():
+    # The last stretch's expm1(c*s) is finite (about 1e304) but its division
+    # by c = 1e-6 overflows: this returned inf, also through entropy_qqr.
+    ep = EntropyParams(0.0, 0.0, 1.0 - 1e-6)
+    with pytest.raises(RangeError, match=r"at x=21\.367521367521366$"):
+        ln_qqr(ep, 1.0 / 0.0468)
+    with pytest.raises(RangeError, match=r"at x=21\.367521367521366$"):
+        entropy_qqr(ep, [0.0468, 0.9532])
+    assert ln_qqr(ep, 1.0 / 0.04684) == pytest.approx(6.124e304, rel=1e-3)
+
+
 def _stretched(coeff, s, x):
     # One deformation level as the nested form took it: (e^(coeff*s) - 1)/coeff,
     # s itself within 1e-12 of coeff = 0.
@@ -106,18 +117,33 @@ def _stretched(coeff, s, x):
         raise RangeError(f"deformed logarithm overflows the double range at x={x!r}") from None
 
 
-def _nested_ln_q(q, x):
+def _raw_ln_q(q, x):
     if not x > 0.0:
         raise DomainError(f"ln_q needs x > 0, got {x!r}")
     return _stretched(1.0 - q, math.log(x), x)
 
 
+def _raw_ln_qq(q, q_prime, x):
+    return _stretched(1.0 - q_prime, _raw_ln_q(q, x), x)
+
+
+def _finite(s, x):
+    # A deformed logarithm that is not finite is refused as an overflow.
+    if not math.isfinite(s):
+        raise RangeError(f"deformed logarithm overflows the double range at x={x!r}")
+    return s
+
+
+def _nested_ln_q(q, x):
+    return _finite(_raw_ln_q(q, x), x)
+
+
 def _nested_ln_qq(q, q_prime, x):
-    return _stretched(1.0 - q_prime, _nested_ln_q(q, x), x)
+    return _finite(_raw_ln_qq(q, q_prime, x), x)
 
 
 def _nested_ln_qqr(ep, x):
-    return _stretched(1.0 - ep.r, _nested_ln_qq(ep.q, ep.q_prime, x), x)
+    return _finite(_stretched(1.0 - ep.r, _raw_ln_qq(ep.q, ep.q_prime, x), x), x)
 
 
 def _outcome(fn, *args):
