@@ -40,12 +40,15 @@ on the branch's own y-range, its open ends clipped to finite doubles.  An
 inversion's first point comes from the nearest kind of branch end: the
 square-root expansion of the inverse at a seam when it stays close to the
 seam, else a few fixed-point steps of f(y) = x rearranged for y -> 0
-(f -> c) or for large |y| (ln|f| ~ y).  f is evaluated only by the solver.
-Many inversions on one branch (all levels of a maximum-entropy fit) each
-start from the third-order inverse series at the last root, from f, f' and
-ln(b*y) there (or from that root, reusing the f and f' the solver computed,
-where the series is not trusted), unless x is closer to the branch's
-open-end limit than to the last x.
+(f -> c) or for large |y| (ln|f| ~ y).  f is evaluated only at the solver's
+points.  Many inversions on one branch (all levels of a maximum-entropy
+fit) each start from the third-order inverse series at the last root, from
+f, f' and ln(b*y) there (or from that root, reusing its f and f', where the
+series is not trusted), unless x is closer to the branch's open-end limit
+than to the last x.  The inverter evaluates f at that start, the solver's
+first point, and takes it as the root when it meets the tolerance; each
+evaluation of f hands out ln(b*y) with f and f', so a root comes with its
+log at no further cost.
 
 All functions are pure; `Params` and the catalog records are immutable
 slotted value records (compared, hashed and pickled by value).  The catalog
@@ -293,9 +296,10 @@ def _seam_and_slope(p: Params, y: float) -> tuple[float, float]:
             p.a * (log_by + 1.0 + 1.0 / y) + 1.0)
 
 
-def _forward_and_slope(p: Params, y: float) -> tuple[float, float]:
-    # (f(y), f'(y)) from one log and one exp, overflow mapped to signed
-    # infinities.
+def _forward_and_slope(p: Params, y: float) -> tuple[float, float, float]:
+    # (f(y), f'(y), ln(b*y)) from one log and one exp, overflow mapped to
+    # signed infinities.  The log goes out with them, so that whoever holds
+    # the point (an inversion's root) never takes it again.
     by = p.b * y
     log_by = math.log(by) if by >= _DBL_MIN else _log_by(p, y, "forward map")
     poly = p.a * y * log_by + y + p.c
@@ -303,8 +307,8 @@ def _forward_and_slope(p: Params, y: float) -> tuple[float, float]:
     try:
         e_y = math.exp(y)
     except OverflowError:
-        return math.copysign(math.inf, poly), math.copysign(math.inf, s)
-    return poly * e_y, s * e_y
+        return math.copysign(math.inf, poly), math.copysign(math.inf, s), log_by
+    return poly * e_y, s * e_y, log_by
 
 
 def _range_error(p: Params, what: str) -> RangeError:
@@ -324,15 +328,16 @@ def _split(lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _newton_bisect(fn: Callable[[float], tuple[float, float]], target: float,
+def _newton_bisect(fn: Callable[[float], tuple[float, ...]], target: float,
                    lo: float, hi: float, increasing: bool, tol: float,
-                   start: float | None = None, known: tuple[float, float] | None = None
-                   ) -> tuple[float, float, int, float, float, tuple[float, float] | None]:
+                   start: float | None = None, known: tuple[float, ...] | None = None
+                   ) -> tuple[float, float, int, float, float, tuple[float, ...] | None]:
     # Safeguarded Newton iteration (Press et al.'s rtsafe) for fn(y)[0] =
-    # target on [lo, hi], where fn(y) = (value, slope) is monotone
-    # (`increasing` or not) and brackets the target.  The first point is
-    # `start` (any point of [lo, hi]) or the bisection point (_split);
-    # `known`, when given, is fn(start), so that point costs no call to fn.
+    # target on [lo, hi], where fn(y) = (value, slope, ...) is monotone
+    # (`increasing` or not) and brackets the target; fields past the slope
+    # are carried along unread.  The first point is `start` (any point of
+    # [lo, hi]) or the bisection point (_split); `known`, when given, is
+    # fn(start), so that point costs no call to fn.
     # Each point shrinks the bracket; the Newton step is taken when it lands
     # strictly inside it and is at most half the step before last.  A rejected
     # Newton step of at most a few ulps means the iterates have converged to
@@ -342,17 +347,18 @@ def _newton_bisect(fn: Callable[[float], tuple[float, float]], target: float,
     # or after 200 points (fn is then called once more, at a point not used).
     # Returns the point with the smallest |value - target| seen, that
     # residual, the number of points (a known one included), the final bracket
-    # (an end no point has moved is one given), and fn at the point returned
-    # if it met tol (else None), for a warm start from that point to reuse.
+    # (an end no point has moved is one given), and the tuple fn gave at the
+    # point returned if it met tol (else None), for the caller to reuse.
     y = _split(lo, hi) if start is None else start
     best_y, best_res = y, math.inf
     step = prev = hi - lo
-    value, slope = known or fn(y)
+    point = known or fn(y)
     for it in range(1, 201):
+        value, slope = point[0], point[1]
         r = value - target
         res = abs(r)
         if res <= tol:
-            return y, res, it, lo, hi, (value, slope)
+            return y, res, it, lo, hi, point
         if res < best_res:
             best_y, best_res = y, res
         if (value > target) == increasing:
@@ -370,7 +376,7 @@ def _newton_bisect(fn: Callable[[float], tuple[float, float]], target: float,
             prev, step, y = step, abs(cand - y), cand
         if hi - lo <= _EPS4 * (hi if hi > -lo else -lo):  # max(|lo|, |hi|)
             break
-        value, slope = fn(y)
+        point = fn(y)
     return best_y, best_res, it, lo, hi, None
 
 
@@ -615,16 +621,14 @@ def _end_start(p: Params, plan: _Plan, x: float) -> float | None:
     return y0
 
 
-def _solve(p: Params, plan: _Plan, x: float, tol: float,
-           start: float | None = None, known: tuple[float, float] | None = None
-           ) -> tuple[float, float, int, bool, tuple[float, float]]:
+def _solve(p: Params, plan: _Plan, x: float, tol: float
+           ) -> tuple[float, float, int, bool, tuple[float, float, float]]:
     # evaluate's contract for x on the branch of `plan`, as the fields of
-    # EvalResult, then (f, f') at the root (f' = 0 at a seam): the root on the
-    # branch's bracket (plan.lo, plan.hi), solved from `start` (a point of that
-    # bracket, with (f, f') there as `known` when already evaluated), else
-    # from the branch-point expansion at a seam (_seam_start), else from the
-    # branch's open end (_end_start), else from the bracket's bisection
-    # point.  f is evaluated only by the solver.
+    # EvalResult, then (f, f', ln(b*y)) at the root (f' = 0 at a seam): the
+    # root on the branch's bracket (plan.lo, plan.hi), solved from the
+    # branch-point expansion at a seam (_seam_start), else from the branch's
+    # open end (_end_start), else from the bracket's bisection point.  f is
+    # evaluated only by the solver.
     if not (0.0 < tol < math.inf and plan.x_min <= x <= plan.x_max):
         if not 0.0 < tol < math.inf:
             raise DomainError(f"tol must be {'finite' if tol > 0.0 else 'positive'}, got {tol!r}")
@@ -633,18 +637,21 @@ def _solve(p: Params, plan: _Plan, x: float, tol: float,
         raise DomainError(f"x={x!r} outside branch {plan.info.index} domain {plan.info.x_domain}")
     for d, fx, _ in plan.seams:
         if x == fx:  # the catalog holds f(d) = forward(p, d)
-            return d, 0.0, 0, True, (fx, 0.0)
+            return d, 0.0, 0, True, (fx, 0.0, _log_by(p, d, "the seam"))
 
+    start = _seam_start(plan, x)
     if start is None:
-        start = _seam_start(plan, x)
-        if start is None:
-            start = _end_start(p, plan, x)
+        start = _end_start(p, plan, x)
     limit = tol * (x if x > 1.0 else -x if x < -1.0 else 1.0)  # tol * max(1, |x|)
     y, res, it, _, _, point = _newton_bisect(plan.f, x, plan.lo, plan.hi, plan.increasing,
-                                             limit, start, known)
+                                             limit, start)
     if res <= limit:
         return y, res, it, False, point
-    raise ConvergenceError(
+    raise _stalled(plan, x, tol, res)
+
+
+def _stalled(plan: _Plan, x: float, tol: float, res: float) -> ConvergenceError:
+    return ConvergenceError(
         f"inversion stalled at residual {res!r} for x={x!r} "
         f"(tol {tol!r}, branch {plan.info.index})"
     )
@@ -653,9 +660,9 @@ def _solve(p: Params, plan: _Plan, x: float, tol: float,
 def _inverter(p: Params, branch: int, tol: float
               ) -> Callable[[float], tuple[float, float, float]]:
     # x -> (y, f'(y), ln(b*y)) on one branch for many x, each y under
-    # evaluate's contract, warm-started; f'(y) is the slope the solver
-    # computed at y (0 at a seam), and ln(b*y) is taken once per root, by the
-    # module's rule.  The first solve starts as evaluate's does, so it
+    # evaluate's contract, warm-started; f'(y) and ln(b*y) are those of the
+    # evaluation of f at y that met the contract (f' = 0 at a seam), so the
+    # inverter takes no log of its own.  The first solve is evaluate's, so it
     # returns evaluate's bits.  A later one starts from the third-order
     # inverse series at the last root y0, with dy = (x - f(y0))/f'(y0):
     #     y0 + dy*(1 + dy*(-F2/2 + dy*(3*F2**2 - F3)/6)),
@@ -664,45 +671,52 @@ def _inverter(p: Params, branch: int, tol: float
     # come from the brace B = a*ln(b*y0) + 1 with no further log or exp.
     # That start is taken when it lies strictly inside the bracket and the
     # series' higher-order part is at most half its first-order term dy (a
-    # truncated series far from y0 overshoots).  Otherwise, or when f'(y0) =
-    # 0, the solve starts from y0 itself, with f and f' as the solver
-    # computed them there, so its first point is free.  When x lies closer
-    # to f's limit at the branch's open end (x_end) than to the last x, it
-    # starts as evaluate's does: after a far jump the open end's start is
-    # the nearer one, and Newton from the last root can crawl down the
-    # convex side of e^y.  Results are memoised by x, so an equal x returns
-    # the same bits whatever the call order.
+    # truncated series far from y0 overshoots); otherwise, or when f'(y0) =
+    # 0, the start is y0.  The inverter evaluates f at a series start itself
+    # (y0's f and f' are known) and checks it against tol*max(1, |x|): a
+    # start that meets it is the root, with no call to the solver, and one
+    # that does not is the solver's first point, already evaluated.  So a
+    # warm solve costs its f evaluations and little else.  x outside the
+    # branch's domain, at a seam's f, or closer to f's limit at the branch's
+    # open end (x_end) than to the last x is solved as evaluate solves it:
+    # after a far jump the open end's start is the nearer one, and Newton
+    # from the last root can crawl down the convex side of e^y.  Results are
+    # memoised by x, so an equal x returns the same bits whatever the call
+    # order.
     plan = _plan_or_raise(p, branch)
     memo: dict[float, tuple[float, float, float]] = {}
-    a, b, ac, lo, hi = p.a, p.b, p.a + p.c, plan.lo, plan.hi
+    f, a, ac, lo, hi, increasing = plan.f, p.a, p.a + p.c, plan.lo, plan.hi, plan.increasing
+    x_min, x_max, seam_xs = plan.x_min, plan.x_max, tuple([fx for _, fx, _ in plan.seams])
     x_end, last_x, last = plan.x_end, math.nan, None  # NaN: the first solve is cold
 
     def invert(x: float) -> tuple[float, float, float]:
         nonlocal last_x, last
         answer = memo.get(x)
         if answer is None:
-            if abs(x - last_x) <= abs(x - x_end):
-                y0, point, log_by = last
-                start, known = y0, point
-                f0, slope = point
+            if abs(x - last_x) <= abs(x - x_end) and x_min <= x <= x_max and x not in seam_xs:
+                y, point = last
+                f0, slope, log_by = point
                 brace = a * log_by + 1.0
-                s = (y0 + 1.0) * brace + ac
+                s = (y + 1.0) * brace + ac
                 if slope and s:
-                    ds = brace + a + a / y0
+                    ds = brace + a + a / y
                     f2 = 1.0 + ds / s
-                    f3 = 1.0 + (2.0 * ds + a * (y0 - 1.0) / y0 / y0) / s
+                    f3 = 1.0 + (2.0 * ds + a * (y - 1.0) / y / y) / s
                     dy = (x - f0) / slope
                     corr = dy * (-0.5 * f2 + dy * (3.0 * f2 * f2 - f3) / 6.0)
-                    y = y0 + dy * (1.0 + corr)
-                    if abs(corr) <= 0.5 and lo < y < hi:
-                        start, known = y, None
-                y, _, _, _, point = _solve(p, plan, x, tol, start, known)
-            else:  # start as evaluate does
+                    y1 = y + dy * (1.0 + corr)
+                    if abs(corr) <= 0.5 and lo < y1 < hi:
+                        y, point = y1, f(y1)
+                limit = tol * (x if x > 1.0 else -x if x < -1.0 else 1.0)  # tol * max(1, |x|)
+                if not abs(point[0] - x) <= limit:
+                    y, res, _, _, _, point = _newton_bisect(f, x, lo, hi, increasing,
+                                                            limit, y, point)
+                    if not res <= limit:
+                        raise _stalled(plan, x, tol, res)
+            else:  # solve as evaluate does
                 y, _, _, _, point = _solve(p, plan, x, tol)
-            by = b * y
-            log_by = math.log(by) if by >= _DBL_MIN else _log_by(p, y, "the inverse's root")
-            last_x, last = x, (y, point, log_by)
-            answer = memo[x] = y, point[1], log_by
+            last_x, last = x, (y, point)
+            answer = memo[x] = y, point[1], point[2]
         return answer
 
     return invert
@@ -896,7 +910,7 @@ def taylor_coefficients(p: Params, n: int) -> list[float]:
     a0, _ = taylor_first_order(p)
     try:
         c = _forward_series(p, a0, n)
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):  # a0**k beyond the double range or below it
         raise _range_error(p, "a series coefficient about x = 0") from None
     c[0] = 0.0  # analytically exact: f(a0) = 0
     if abs(c[1]) < 1e-8:

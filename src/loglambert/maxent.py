@@ -42,17 +42,20 @@ there, unless the argument lies closer to the limit of f at the branch's
 open end than to the last argument.  Levels go in ascending x, so the
 result does not depend on their order, and an equal argument returns the
 same bits.  A pass takes -1/(1-r) + alpha, ratio and e^ratio once for all
-its arguments, q - 1 once for all its weights, and ln(b*y_i) once per
-level: the inverter takes it at the root and hands it out.  A pass is
-memoised by value, so one repeated at an equal spec (the `distribution` at
-the alpha `solve_alpha` returned) is served without an inversion; it keeps
-each level's f'(y_i) as the inversion's solver computed it and the brace
-a*ln(b*y_i) + 1 its weight formed, from which `solve_alpha` takes the
-slope and curvature of Z with no further log or exp, for a Halley step.
-A weight beyond the double range raises RangeError naming its level
-(its argument, for `continuous_weight`).  `continuous_pdf` normalises by
-adaptive 7-point Gauss / 15-point Kronrod quadrature over a range that stops
-at the support cut.  The stationarity residuals take each level's term of
+its arguments, q - 1 once for all its weights, and no ln(b*y_i) of its own:
+each evaluation of f takes it with f and f', and the inverter hands out the
+one at the root.  A pass is memoised by value, so one repeated at an equal
+spec (the `distribution` at the alpha `solve_alpha` returned) is served
+without an inversion; it keeps each level's f'(y_i) as the inversion
+computed it and the brace a*ln(b*y_i) + 1 its weight formed, from which
+`solve_alpha` takes the slope and curvature of Z with no further log or
+exp, for a Halley step.  A weight beyond the double range raises RangeError
+naming its level (its argument, for `continuous_weight`), a weight sum Z
+that is 0 or beyond it RangeError naming alpha and beta, and an e^ratio
+beyond it RangeError naming q' and r; at r = 1 or q' = 1 the arguments are
+undefined (DomainError).  `continuous_pdf` normalises by adaptive 7-point
+Gauss / 15-point Kronrod quadrature over a range that stops at the support
+cut.  The stationarity residuals take each level's term of
 the separable entropy sum in closed form, O(n) in the number of levels.
 """
 
@@ -129,19 +132,41 @@ class DiscreteDistribution(_Record):
         set_beta_r(self, beta_r)
 
 
+def _scale(ep: EntropyParams) -> tuple[float, float, float]:
+    # (1/(1-r), ratio, e^ratio), ratio = (1-r)/(1-q'): the constants of every
+    # level's argument.  DomainError at r = 1 or q' = 1, RangeError when
+    # e^ratio overflows.
+    cr = 1.0 - ep.r
+    try:
+        ratio = cr / (1.0 - ep.q_prime)
+        return 1.0 / cr, ratio, math.exp(ratio)
+    except ZeroDivisionError:
+        raise DomainError(f"level arguments need q_prime and r away from 1, got "
+                          f"q_prime={ep.q_prime!r}, r={ep.r!r}") from None
+    except OverflowError:
+        raise RangeError(f"e^((1-r)/(1-q_prime)) = e^{ratio!r} of the level arguments "
+                         f"overflows the double range for q_prime={ep.q_prime!r}, "
+                         f"r={ep.r!r}") from None
+
+
 def _arguments(ep: EntropyParams, alpha: float, beta: float) -> Callable[[float], float]:
     # eps -> x_i (module docstring), with -1/(1-r) + alpha, ratio, e^ratio taken once.
     _check_multipliers(alpha, beta)
-    cr = 1.0 - ep.r
-    ratio = cr / (1.0 - ep.q_prime)
-    shift, e_ratio = -1.0 / cr + alpha, math.exp(ratio)
+    inv_cr, ratio, e_ratio = _scale(ep)
+    shift = -inv_cr + alpha
     return lambda eps: (shift + beta * eps) * ratio * e_ratio
 
 
 def _level_sum(ep: EntropyParams, x: float) -> float:
-    # alpha + beta*eps at which a level's argument is x (_argument inverted).
-    ratio = (1.0 - ep.r) / (1.0 - ep.q_prime)
-    return x / (ratio * math.exp(ratio)) + 1.0 / (1.0 - ep.r)
+    # alpha + beta*eps at which a level's argument is x (_argument inverted);
+    # RangeError when e^ratio underflows, so that every argument is 0.
+    inv_cr, ratio, e_ratio = _scale(ep)
+    try:
+        return x / (ratio * e_ratio) + inv_cr
+    except ZeroDivisionError:
+        raise RangeError(f"e^((1-r)/(1-q_prime)) = e^{ratio!r} of the level arguments "
+                         f"underflows to 0 for q_prime={ep.q_prime!r}, r={ep.r!r}, so "
+                         f"alpha and beta do not move them") from None
 
 
 def _check_level(spec: EnsembleSpec, i: int) -> None:
@@ -150,9 +175,18 @@ def _check_level(spec: EnsembleSpec, i: int) -> None:
 
 
 def level_argument(spec: EnsembleSpec, i: int) -> float:
-    """Inversion argument x_i for level i (see module docstring)."""
+    """Inversion argument x_i for level i (see module docstring).
+
+    DomainError at r = 1 or q' = 1, where it is undefined; RangeError when
+    it, or e^((1-r)/(1-q')), overflows the double range.
+    """
     _check_level(spec, i)
-    return _arguments(spec.ep, spec.alpha, spec.beta)(spec.levels[i])
+    x = _arguments(spec.ep, spec.alpha, spec.beta)(spec.levels[i])
+    if not math.isfinite(x):
+        raise RangeError(f"argument of level {i} (eps={spec.levels[i]!r}) overflows the "
+                         f"double range for alpha={spec.alpha!r}, beta={spec.beta!r}, "
+                         f"q_prime={spec.ep.q_prime!r}, r={spec.ep.r!r}")
+    return x
 
 
 def _weight(params: Params, q1: float, branch: int, x: float, log_by: float
@@ -226,8 +260,8 @@ def suggest_branch(ep: EntropyParams, n_levels: int) -> int:
 
 @functools.lru_cache(maxsize=4)
 def _all_weights(spec: EnsembleSpec, branch: int) -> tuple[tuple[float, ...], ...]:
-    # (x_i, y_i, w_i, f'(y_i), brace_i) per level, f'(y_i) as the inversion's
-    # solver computed it (0 at a seam).  Levels are inverted in ascending x
+    # (x_i, y_i, w_i, f'(y_i), brace_i) per level, f'(y_i) as the inversion
+    # computed it (0 at a seam).  Levels are inverted in ascending x
     # by one warm inverter, so each root warm-starts the next and the result
     # does not depend on the order of the levels.  Memoised by value: a pass
     # repeated at an equal spec (`distribution` at the alpha `solve_alpha`
@@ -246,13 +280,25 @@ def _all_weights(spec: EnsembleSpec, branch: int) -> tuple[tuple[float, ...], ..
     return tuple(xs), tuple(ys), tuple(ws), tuple(slopes), tuple(braces)
 
 
+def _partition(spec: EnsembleSpec, branch: int, ws: Sequence[float]) -> float:
+    # Z = sum of the pass's weights ws; RangeError unless it is positive and finite.
+    try:
+        z = math.fsum(ws)
+    except OverflowError:
+        z = math.inf
+    if not 0.0 < z < math.inf:
+        raise RangeError(f"partition sum Z = {z!r} of the weights is not a positive double "
+                         f"for alpha={spec.alpha!r}, beta={spec.beta!r} on branch {branch}")
+    return z
+
+
 def probability(spec: EnsembleSpec, i: int, branch: int | None = None) -> float:
     """Normalised stationary probability of level i on the given branch."""
     _check_level(spec, i)
     if branch is None:
         branch = suggest_branch(spec.ep, len(spec.levels))
     ws = _all_weights(spec, branch)[2]
-    return ws[i] / math.fsum(ws)
+    return ws[i] / _partition(spec, branch, ws)
 
 
 def pseudo_beta(spec: EnsembleSpec) -> float:
@@ -268,7 +314,7 @@ def distribution(spec: EnsembleSpec, branch: int | None = None) -> DiscreteDistr
     if branch is None:
         branch = suggest_branch(spec.ep, len(spec.levels))
     xs, _, ws, _, _ = _all_weights(spec, branch)
-    z = math.fsum(ws)
+    z = _partition(spec, branch, ws)
     return DiscreteDistribution(
         probs=tuple(w / z for w in ws),
         partition=z,
@@ -350,8 +396,8 @@ def solve_alpha(
     if branch is None:
         branch = suggest_branch(ep, len(levels))
     bi = _plan_or_raise(params, branch).info
-    ratio = (1.0 - ep.r) / (1.0 - ep.q_prime)
-    k = ratio * math.exp(ratio)  # dx_i/dalpha
+    _, ratio, e_ratio = _scale(ep)
+    k = ratio * e_ratio  # dx_i/dalpha
 
     # Every level's argument lies where the weight is defined for alpha in
     # (a_lo, a_hi).  The ends stay where alpha, the argument's product and
@@ -382,7 +428,11 @@ def solve_alpha(
 
     # Uniform warm start: alpha reproducing the uniform weight at the mean level.
     x_ws = forward(params, _uniform_y(ep, len(levels)))
-    start = _level_sum(ep, x_ws) - beta * (math.fsum(levels) / len(levels))
+    try:
+        mean = math.fsum(levels) / len(levels)
+    except OverflowError:  # a sum of levels beyond the double range, not their mean
+        mean = math.fsum([eps / len(levels) for eps in levels])
+    start = _level_sum(ep, x_ws) - beta * mean
     increasing = ((ep.q > 1.0) == (params.a > 0.0)) == (bi.monotone is Monotone.INCREASING)
     alpha, res, _, lo, hi, _ = _newton_bisect(z_and_slope, 1.0, a_lo, a_hi, increasing,
                                               tol, min(max(start, a_lo), a_hi))

@@ -23,8 +23,9 @@ class name of the error raised.  A calculus line has workload `calculus`,
 seed, a, b and c, the call's name and its argument (the order 4, or y in
 hex), then either `ok` and the answer in hex (the coefficients
 comma-separated) or the class name of the error raised.  A fit line has
-workload `maxent_fit`, seed, the op's index in the pool and the call's
-name, then either `ok` and the answer in hex (`solve_alpha`: alpha;
+workload `maxent_fit`, seed, the op's index in the pool, the call's name
+and the number of evaluations of f (with its slope) the call made through
+the core, then either `ok` and the answer in hex (`solve_alpha`: alpha;
 `distribution`: the partition and the probabilities, comma-separated;
 `stationarity_residuals`: the residuals, comma-separated; `continuous_pdf`:
 the densities, comma-separated) or the class name and message of the error
@@ -45,9 +46,10 @@ call the same counts, changes, equal answers and ulp moves.  `--mpmath N`
 adds the relative error against a 50-digit root of every N-th `eval_hot` input
 answered in both records (median, p90, max), and the ulp distance of every
 moved seam of either record from its 60-digit root.  For the fits it
-prints, per call, each record's outcome counts, the outcome-class changes,
-and how many answers and refusals (class and message) are equal to the
-bit, listing each op whose record differs; for `distribution` also each
+prints, per call, each record's outcome counts and total evaluations of f,
+the ops whose count differs, the outcome-class changes, and how many
+answers and refusals (class and message) are equal to the bit, listing each
+op whose answer or refusal differs; for `distribution` also each
 record's largest |Z - 1|, and the largest relative move of `solve_alpha`'s
 alpha, of the probabilities and of the densities answered in both records.
 
@@ -55,7 +57,8 @@ Like `diff`, `--compare A B` exits 1 when the records differ: an input
 only one record has, an outcome class that changes, or an `evaluate`
 answer (y, residual or point count), a seam, a calculus answer or a fit
 answer or refusal that differs in bits.  It exits 0 when the two records
-agree to the bit.
+agree to the bit.  The fits' counts of evaluations of f are costs, not
+answers: they are printed, and a change in them alone exits 0.
 
 This file is a tool, not a test module: pytest does not collect it.
 """
@@ -88,6 +91,18 @@ MOVED_VALUES = {"solve_alpha": "alpha", "distribution": "probabilities",
 def record(src: str, seeds) -> None:
     sys.path[:0] = [str(Path(src).resolve()), str(ROOT / "perfbench")]
     import workloads
+    from loglambert import core
+
+    # Count the evaluations of f through the core.  The wrapper goes in
+    # before any catalog binds f to its plans and before maxent imports it.
+    f_evals = [0]
+    forward_and_slope = core._forward_and_slope
+
+    def counted(p, y):
+        f_evals[0] += 1
+        return forward_and_slope(p, y)
+
+    core._forward_and_slope = counted
 
     rows: list[list[str]] = []
     tag = ("", "")  # the workload and seed being replayed
@@ -99,7 +114,8 @@ def record(src: str, seeds) -> None:
         # answer) and of each fit call.
         def call(self, fn, *args):
             if fn.__name__ in FIT_CALLS:
-                return super().call(_fit_recorder(rows, [*tag, str(index)], fn), *args)
+                return super().call(_fit_recorder(rows, [*tag, str(index)], fn, f_evals),
+                                    *args)
             if fn.__name__ != "evaluate":
                 return super().call(fn, *args)
             p, branch, x = args
@@ -137,14 +153,17 @@ def record(src: str, seeds) -> None:
         print("\t".join(row))
 
 
-def _fit_recorder(rows, key, fn):
-    # fn, also appending its outcome to rows: `ok` and the answer in hex, or
-    # the class name and message of the error raised.
+def _fit_recorder(rows, key, fn, f_evals):
+    # fn, also appending to rows the evaluations of f it made (counted in
+    # f_evals[0]) and its outcome: `ok` and the answer in hex, or the class
+    # name and message of the error raised.
     def recorded(*args):
+        f_evals[0] = 0
         try:
             r = fn(*args)
         except Exception as exc:
-            rows.append(key + [fn.__name__, type(exc).__name__, " ".join(str(exc).split())])
+            rows.append(key + [fn.__name__, str(f_evals[0]), type(exc).__name__,
+                               " ".join(str(exc).split())])
             raise
         if isinstance(r, float):
             answer = [r.hex()]
@@ -152,7 +171,7 @@ def _fit_recorder(rows, key, fn):
             answer = [",".join(v.hex() for v in r)]
         else:
             answer = [r.partition.hex(), ",".join(v.hex() for v in r.probs)]
-        rows.append(key + [fn.__name__, "ok", *answer])
+        rows.append(key + [fn.__name__, str(f_evals[0]), "ok", *answer])
         return r
     recorded.__name__ = fn.__name__
     return recorded
@@ -364,6 +383,7 @@ def compare_calculus(rows_a, rows_b) -> bool:
 
 
 def compare_fits(rows_a, rows_b) -> bool:
+    # Field 4 is the call's count of evaluations of f, field 5 its outcome.
     pairs, only_a, only_b = _pair(rows_a, rows_b, 4)
     print(f"== {FITS}: {len(rows_a)} and {len(rows_b)} calls, {len(pairs)} with the same op")
     print(f"  ops only in A: {len(only_a)}, only in B: {len(only_b)}")
@@ -371,29 +391,32 @@ def compare_fits(rows_a, rows_b) -> bool:
         own = [(ra, rb) for ra, rb in pairs if ra[3] == call]
         print(f"  {call}: {len(own)} calls")
         for label, side in (("A", 0), ("B", 1)):
-            counts = Counter(pair[side][4] for pair in own)
-            print(f"    {label}: outcomes {dict(sorted(counts.items()))}")
-        flips = [(ra, rb) for ra, rb in own if ra[4] != rb[4]]
+            counts = Counter(pair[side][5] for pair in own)
+            print(f"    {label}: outcomes {dict(sorted(counts.items()))}, evaluations of f "
+                  f"{sum(int(pair[side][4]) for pair in own)}")
+        print(f"    ops whose evaluations of f differ: "
+              f"{sum(ra[4] != rb[4] for ra, rb in own)}")
+        flips = [(ra, rb) for ra, rb in own if ra[5] != rb[5]]
         print(f"    outcome-class changes: {len(flips)}")
-        for kind, same in (("answers", lambda r: r[4] == "ok"),
-                           ("refusals", lambda r: r[4] != "ok")):
-            both = [(ra, rb) for ra, rb in own if ra[4] == rb[4] and same(ra)]
+        for kind, same in (("answers", lambda r: r[5] == "ok"),
+                           ("refusals", lambda r: r[5] != "ok")):
+            both = [(ra, rb) for ra, rb in own if ra[5] == rb[5] and same(ra)]
             print(f"    {kind} in both: {len(both)}, equal to the bit: "
-                  f"{sum(ra == rb for ra, rb in both)}")
-        answered = [(ra, rb) for ra, rb in own if ra[4] == rb[4] == "ok"]
+                  f"{sum(ra[5:] == rb[5:] for ra, rb in both)}")
+        answered = [(ra, rb) for ra, rb in own if ra[5] == rb[5] == "ok"]
         if call == "distribution":
             for label, side in (("A", 0), ("B", 1)):
-                worst = max((abs(float.fromhex(pair[side][5]) - 1.0) for pair in own
-                             if pair[side][4] == "ok"), default=math.nan)
+                worst = max((abs(float.fromhex(pair[side][6]) - 1.0) for pair in own
+                             if pair[side][5] == "ok"), default=math.nan)
                 print(f"    {label}: largest |Z-1| {worst:.3g}")
         if call in MOVED_VALUES:
             print(f"    largest relative move of the {MOVED_VALUES[call]}: "
                   f"{max(_relative_moves(answered), default=0.0):.3g}")
         for ra, rb in own:
-            if ra != rb:
-                print(f"    seed {ra[1]} op {ra[2]}: {' '.join(ra[4:])[:120]} -> "
-                      f"{' '.join(rb[4:])[:120]}")
-    return bool(only_a or only_b or any(ra != rb for ra, rb in pairs))
+            if ra[5:] != rb[5:]:
+                print(f"    seed {ra[1]} op {ra[2]}: {' '.join(ra[5:])[:120]} -> "
+                      f"{' '.join(rb[5:])[:120]}")
+    return bool(only_a or only_b or any(ra[5:] != rb[5:] for ra, rb in pairs))
 
 
 def _relative_moves(pairs):

@@ -283,26 +283,37 @@ def test_f_is_evaluated_only_by_the_solver(f_calls):
 
 
 def _warm_solves(monkeypatch, f_calls, sweeps):
-    # Inverts each sorted sweep (p, branch, xs) with one warm inverter,
-    # checking every answer against evaluate's contract; returns (started,
-    # known, points, evaluations of f) per solve, `started` when the solve
-    # was handed a first point, `known` when also (f, f') there.
-    solves = []
-    solve = core._solve
+    # Inverts each sorted sweep (p, branch, xs) of distinct x with one warm
+    # inverter, checking every answer against evaluate's contract; returns
+    # (cold, evaluations of f, calls to _solve and _newton_bisect) per invert
+    # call, `cold` when the call solved x as evaluate does.  A cold call's
+    # evaluations are its solver's points.
+    solves, solver_calls = [], [0]
+    solve, newton_bisect = core._solve, core._newton_bisect
 
-    def recorded(p, bi, x, tol, start=None, known=None):
-        f_calls[0] = 0
-        result = solve(p, bi, x, tol, start, known)
-        solves.append((start is not None, known is not None, result[2], f_calls[0]))
+    def recorded_solve(p, plan, x, tol):
+        result = solve(p, plan, x, tol)
+        cold.append(result[2])
         return result
 
-    monkeypatch.setattr(core, "_solve", recorded)
+    def recorded_newton_bisect(*args):
+        solver_calls[0] += 1
+        return newton_bisect(*args)
+
+    monkeypatch.setattr(core, "_solve", recorded_solve)
+    monkeypatch.setattr(core, "_newton_bisect", recorded_newton_bisect)
     for p, branch, xs in sweeps:
+        assert len(set(xs)) == len(xs)
         invert = _inverter(p, branch, 1e-12)
         for x in xs:
+            f_calls[0] = solver_calls[0] = 0
+            cold = []
             y = invert(x)[0]
+            evals, calls = f_calls[0], solver_calls[0] + len(cold)
+            assert cold in ([], [evals]), (p, branch, x)
             assert branches(p)[branch].y_range.contains(y), (p, branch, x, y)
             assert abs(forward(p, y) - x) <= 1e-12 * max(1.0, abs(x)), (p, branch, x)
+            solves.append((bool(cold), evals, calls))
     return solves
 
 
@@ -312,28 +323,41 @@ def test_warm_inversion_starts_from_the_inverse_series(monkeypatch, f_calls):
     # the (f, f') its predecessor ended on, whose point then costs no
     # evaluation of f.  These sweeps jump far (25 points across each
     # x-domain), so the series is often past where it is trusted: the warm
-    # solves take 4.27 evaluations of f on average, where starting every
-    # one from the last root took 4.59 (max 8 both).
+    # solves take 4.27 evaluations of f per call on average, where starting
+    # every one from the last root took 4.59 (max 8 both).  No warm call
+    # calls the solver more than once.
     sweeps = [(p, bi.index, sorted(interior_points(bi, 25)))
               for p in (Params(*map(float, abc)) for abc in PARAM_SETS)
               for bi in branches(p)]
     solves = _warm_solves(monkeypatch, f_calls, sweeps)
-    warm = [(known, points, evals) for started, known, points, evals in solves if started]
+    warm = [(evals, calls) for cold, evals, calls in solves if not cold]
     assert len(warm) >= len(solves) // 2
-    assert all(evals == points - known for known, points, evals in warm)
-    assert all(evals == points for started, _, points, evals in solves if not started)
-    assert sum(evals for *_, evals in warm) / len(warm) <= 4.59
-    assert max(evals for *_, evals in warm) <= 8
+    assert sum(evals for evals, _ in warm) / len(warm) <= 4.59
+    assert max(evals for evals, _ in warm) <= 8
+    assert all(calls <= 1 for _, calls in warm)
 
 
 def test_warm_inversion_on_a_dense_sweep_takes_two_points(monkeypatch, f_calls):
-    # 1% steps in x: the series start meets tol*max(1, |x|) at its first or
-    # second point, where a start from the last root took three.
+    # 1% steps in x: every warm call evaluates f at the series start, which
+    # meets tol*max(1, |x|) there or at the solver's next point, where a
+    # start from the last root took three evaluations.  A start meeting tol
+    # calls no solver; one that does not is the solver's first point, so it
+    # costs one call.
     p = Params(1.0, 1.0, 1.0)
     solves = _warm_solves(monkeypatch, f_calls, [(p, 1, [10.0 * 1.01 ** k for k in range(100)])])
-    warm = [evals for started, known, _, evals in solves if started and not known]
+    warm = [(evals, calls) for cold, evals, calls in solves if not cold]
     assert len(warm) == 99
-    assert sum(warm) / len(warm) <= 2.0
+    assert sum(evals for evals, _ in warm) / len(warm) <= 2.0
+    assert min(evals for evals, _ in warm) >= 1
+    assert all(calls == (evals > 1) for evals, calls in warm)
+
+
+def test_warm_inversion_on_a_fine_sweep_ends_at_the_series_start(monkeypatch, f_calls):
+    # 0.1% steps in x: the series start meets tol*max(1, |x|), so it is the
+    # root, at one evaluation of f and no call to _solve or _newton_bisect.
+    p = Params(1.0, 1.0, 1.0)
+    solves = _warm_solves(monkeypatch, f_calls, [(p, 1, [10.0 * 1.001 ** k for k in range(100)])])
+    assert [(evals, calls) for cold, evals, calls in solves if not cold] == [(1, 0)] * 99
 
 
 @pytest.mark.parametrize("b", [10 ** -2.2, 0.01])

@@ -89,6 +89,43 @@ def test_level_argument_hand_evaluation():
     assert math.isfinite(level_argument(near, 0))
 
 
+# (1-r)/(1-q') = 746, so e^ratio overflows before any level is inverted.
+EP_HUGE_RATIO = EntropyParams(0.5, 0.0, -745.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: level_argument(EnsembleSpec((0.1, 0.5), 0.0, 0.1, EP_HUGE_RATIO), 0),
+    lambda: distribution(EnsembleSpec((0.1, 0.5), 0.0, 0.1, EP_HUGE_RATIO)),
+    lambda: solve_alpha((0.1, 0.5), 0.1, EP_HUGE_RATIO),
+    lambda: continuous_weight(EP_HUGE_RATIO, 0.0, 0.1, 0, 0.5),
+    lambda: continuous_pdf(EP_HUGE_RATIO, 0.0, 0.1, 0, [0.1, 0.5]),
+], ids=["level_argument", "distribution", "solve_alpha", "continuous_weight",
+        "continuous_pdf"])
+def test_an_overflowing_argument_scale_is_refused(call):
+    with pytest.raises(RangeError, match=r"e\^746\.0 .* q_prime=0\.0, r=-745\.0"):
+        call()
+
+
+def test_level_argument_refuses_an_overflowing_argument():
+    # e^ratio = e^704 is finite; the argument's product is not.
+    spec = EnsembleSpec(levels=(0.0,), alpha=1.0, beta=0.0, ep=EntropyParams(2.0, 2.0, 705.0))
+    with pytest.raises(RangeError, match=r"argument of level 0 .* alpha=1\.0, beta=0\.0"):
+        level_argument(spec, 0)
+
+
+@pytest.mark.parametrize("ep", [EntropyParams(0.9, 0.8, 1.0), EntropyParams(0.9, 1.0, 0.7)])
+def test_level_argument_refuses_r_or_q_prime_at_one(ep):
+    spec = EnsembleSpec(levels=(0.5,), alpha=0.0, beta=0.1, ep=ep)
+    with pytest.raises(DomainError, match=rf"q_prime={ep.q_prime!r}, r={ep.r!r}"):
+        level_argument(spec, 0)
+
+
+def test_solve_alpha_takes_the_mean_of_levels_whose_sum_overflows():
+    # The warm start's mean level: math.fsum of the levels overflows.
+    alpha = solve_alpha([1e308, 1e308], 0.0, EntropyParams(1e-300, 3.0, -1e-300))
+    assert math.isfinite(alpha)
+
+
 @pytest.mark.parametrize("fn", [level_argument, probability])
 @pytest.mark.parametrize("i", [len(LEVELS), -1])
 def test_level_index_out_of_range_raises(fn, i):
@@ -421,17 +458,18 @@ def test_solve_alpha_takes_each_slope_from_its_inversion(count_calls):
 
 
 def test_solve_alpha_takes_each_log_once_per_level_and_pass(count_calls, monkeypatch):
-    # Besides the solver's evaluations of f, a pass takes ln(b*y_i) once per
-    # level: the inverter takes it at the root it returns, and the weight's
-    # brace, the slope and curvature of Z and the next level's series start
-    # all reuse it.  That is 256 logs in a 2-pass solve over 128 levels; the
-    # slope took its own brace once, 384.  A ln(b*y) is either math.log(b*y)
-    # inline or core's rule _log_by, in core or in maxent.
+    # A pass takes ln(b*y_i) once per level, in the evaluation of f at the
+    # level's root, which hands it out with f and f': the inverter returns
+    # it, and the weight's brace, the slope and curvature of Z and the next
+    # level's series start all reuse it.  So a 2-pass solve over 128 levels
+    # takes no ln(b*y_i) outside f's evaluations, where the inverter took
+    # its own at each root, 256.  A ln(b*y) is either math.log(b*y) inline
+    # or core's rule _log_by, in core or in maxent.
     log_by = [count_calls(core, "_log_by"), count_calls(maxent, "_log_by")]
     memo = maxent._all_weights
     passes = count_calls(maxent, "_all_weights")
     solver_f = core._forward_and_slope.__code__
-    logged = []
+    in_f, outside_f = [], []
 
     class CountingMath:
         def __getattr__(self, name):
@@ -439,8 +477,7 @@ def test_solve_alpha_takes_each_log_once_per_level_and_pass(count_calls, monkeyp
 
         @staticmethod
         def log(v):
-            if sys._getframe(1).f_code is not solver_f:
-                logged.append(v)
+            (in_f if sys._getframe(1).f_code is solver_f else outside_f).append(v)
             return math.log(v)
 
     monkeypatch.setattr(core, "math", CountingMath())
@@ -448,11 +485,12 @@ def test_solve_alpha_takes_each_log_once_per_level_and_pass(count_calls, monkeyp
     solve_alpha(LEVELS_128, 0.1, EP)
     assert len(passes) == 2
     b = EP.induced_params().b
-    products = sorted(b * y for spec, branch in passes for y in memo(spec, branch)[1])
+    products = {b * y for spec, branch in passes for y in memo(spec, branch)[1]}
     assert len(products) == 256
-    taken = [v for v in logged + [p.b * y for calls in log_by for p, y, _ in calls]
-             if v in set(products)]  # the catalog's seam search takes other logs
-    assert sorted(taken) == products
+    assert products <= set(in_f)
+    taken = [v for v in outside_f + [p.b * y for calls in log_by for p, y, _ in calls]
+             if v in products]  # the catalog's seam search takes other logs
+    assert taken == []
 
 
 def test_curvature_of_z_is_the_slope_of_its_slope():
@@ -524,12 +562,26 @@ def test_continuous_pointwise_proportional_to_weight():
         assert d / dens[2] == pytest.approx(w / w0, rel=1e-10)
 
 
-def test_continuous_pdf_inversion_count(count_calls):
-    # 51 distinct grid arguments, the search for L and 9 G7-K15 panels;
-    # adaptive Simpson took 835 inversions.
-    calls = count_calls(core, "_solve")
+def test_continuous_pdf_inversion_count(monkeypatch):
+    # 51 distinct grid arguments, the search for L and 9 G7-K15 panels, each
+    # inverted once by one inverter, which memoises by argument; adaptive
+    # Simpson took 835 inversions.
+    arguments, inverters = set(), []
+    make = maxent._inverter
+
+    def counted(*args):
+        invert = make(*args)
+        inverters.append(args)
+
+        def recorded(x):
+            arguments.add(x)
+            return invert(x)
+        return recorded
+
+    monkeypatch.setattr(maxent, "_inverter", counted)
     continuous_pdf(EP_CONT, ALPHA_CONT, BETA_CONT, 1, README_GRID)
-    assert len(calls) <= 250
+    assert len(inverters) == 1
+    assert len(arguments) <= 250
 
 
 def test_gauss_kronrod_panel_is_exact_to_degree_22():

@@ -23,6 +23,7 @@ from loglambert import (
     distribution,
     evaluate,
     forward,
+    level_argument,
     singular_points,
     singular_residual,
     solve_alpha,
@@ -275,6 +276,8 @@ def test_inverter_meets_contract_or_refuses(p, us, toward_open, data):
        n=st.integers(1, 8))
 # a within 1e-10 of -1, so that e^(c/(a+1)) overflows
 @example(p=Params(-0.9999999999, 1.0, 1.0), sign=1.0, log_x=0.7, n=4)
+# a0**k of the forward series about the expansion point underflows to 0
+@example(p=Params(0.5, 1e300, 5e-324), sign=1.0, log_x=0.0, n=4)
 def test_expansions_meet_contract_or_refuse(p, sign, log_x, n):
     # The large-x approximation at x = sign*10**log_x and the series about
     # x = 0 to order n: finite values or a typed refusal.
@@ -314,6 +317,46 @@ def test_maxent_meets_contract_or_refuses(trip, shift, levels):
     assert abs(math.fsum(dist.probs) - 1.0) <= 1e-12, (ep, levels, alpha)
     assert len(residuals) == len(levels)
     assert all(math.isfinite(v) for v in residuals), (ep, levels, alpha)
+
+
+def _away_from_one(sign, log_gap):
+    return 1.0 + sign * 10.0 ** log_gap
+
+
+WIDE = st.floats(-1e6, 1e6)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(signs=st.lists(st.sampled_from([1.0, -1.0]), min_size=3, max_size=3),
+       gaps=st.lists(st.floats(-6.0, 3.0), min_size=3, max_size=3),
+       alpha=WIDE, beta=WIDE, levels=st.lists(WIDE, min_size=1, max_size=8),
+       branch=st.integers(0, 2))
+# e^((1-r)/(1-q')) = e^746 overflows
+@example(signs=[-1.0, -1.0, -1.0], gaps=[math.log10(0.5), 0.0, math.log10(746.0)],
+         alpha=0.0, beta=0.1, levels=[0.1, 0.5], branch=0)
+# e^((1-r)/(1-q')) = e^-1000 underflows to 0
+@example(signs=[1.0, 1.0, -1.0], gaps=[0.0, 0.0, 3.0], alpha=0.0, beta=0.0, levels=[0.0],
+         branch=0)
+# every weight underflows, so Z = 0
+@example(signs=[-1.0, -1.0, -1.0], gaps=[-3.0, -3.0, -3.0], alpha=0.0, beta=6524.0,
+         levels=[-1.0], branch=0)
+def test_maxent_over_the_qqr_plane_meets_contract_or_refuses(signs, gaps, alpha, beta,
+                                                            levels, branch):
+    # level_argument, distribution, solve_alpha and continuous_pdf at any
+    # (q, q', r) with each at least 1e-6 from 1, and wide multipliers and
+    # levels: every call returns finite values or raises a typed error.
+    ep = EntropyParams(*map(_away_from_one, signs, gaps))
+    spec = EnsembleSpec(levels=tuple(levels), alpha=alpha, beta=beta, ep=ep)
+    calls = (lambda: [level_argument(spec, i) for i in range(len(levels))],
+             lambda: [*distribution(spec).probs, distribution(spec).partition],
+             lambda: [solve_alpha(levels, beta, ep)],
+             lambda: continuous_pdf(ep, alpha, beta, branch, [-1.0, -0.25, 0.0, 0.5, 2.0]))
+    for call in calls:
+        try:
+            values = call()
+        except LogLambertError:
+            continue
+        assert all(math.isfinite(v) for v in values), (ep, alpha, beta, levels, values)
 
 
 # The README's continuous example: alpha = 8/(1.5*e^1.5) - 10/3, beta = -0.4*e^-3.
