@@ -69,7 +69,7 @@ import functools
 import math
 import operator
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Sequence
 
 from .errors import (
     ConvergenceError,
@@ -658,17 +658,20 @@ def _stalled(plan: _Plan, x: float, tol: float, res: float) -> ConvergenceError:
 
 
 def _inverter(p: Params, branch: int, tol: float
-              ) -> Callable[[float], tuple[float, float, float]]:
-    # x -> (y, f'(y), ln(b*y)) on one branch for many x, each y under
-    # evaluate's contract, warm-started; f'(y) and ln(b*y) are those of the
-    # evaluation of f at y that met the contract (f' = 0 at a seam), so the
-    # inverter takes no log of its own.  The first solve is evaluate's, so it
-    # returns evaluate's bits.  A later one starts from the third-order
-    # inverse series at the last root y0, with dy = (x - f(y0))/f'(y0):
+              ) -> Callable[..., tuple[list[float], list[float], list[float]]]:
+    # invert(xs, order=None) -> (ys, f'(y), braces) by index of xs on one
+    # branch: each y under evaluate's contract, with f'(y) and the brace
+    # B = a*ln(b*y) + 1 from the evaluation of f at y that met it (f' = 0 at a
+    # seam), so the inverter takes no log of its own.  One loop walks xs in
+    # `order` (indices into xs), else as given, and the walk carries on from
+    # call to call; a refusal leaves it at the last root answered.  The first
+    # solve is evaluate's, so it returns evaluate's bits.  A later one starts
+    # from the third-order inverse series at the last root y0, with
+    # dy = (x - f(y0))/f'(y0):
     #     y0 + dy*(1 + dy*(-F2/2 + dy*(3*F2**2 - F3)/6)),
     # F2 = f''/f' = 1 + s'/s and F3 = f'''/f' = 1 + (2*s' + s'')/s, where
     # f' = s*e^y and s = (y+1)*B + a + c, s' = B + a + a/y, s'' = a*(y-1)/y**2
-    # come from the brace B = a*ln(b*y0) + 1 with no further log or exp.
+    # come from y0's brace with no further log or exp.
     # That start is taken when it lies strictly inside the bracket and the
     # series' higher-order part is at most half its first-order term dy (a
     # truncated series far from y0 overshoots); otherwise, or when f'(y0) =
@@ -680,44 +683,47 @@ def _inverter(p: Params, branch: int, tol: float
     # branch's domain, at a seam's f, or closer to f's limit at the branch's
     # open end (x_end) than to the last x is solved as evaluate solves it:
     # after a far jump the open end's start is the nearer one, and Newton
-    # from the last root can crawl down the convex side of e^y.  Results are
-    # memoised by x, so an equal x returns the same bits whatever the call
-    # order.
+    # from the last root can crawl down the convex side of e^y.  An x equal
+    # to the last one returns its answer; nothing is memoised, so an equal x
+    # met again later may differ in the last bits.
     plan = _plan_or_raise(p, branch)
-    memo: dict[float, tuple[float, float, float]] = {}
     f, a, ac, lo, hi, increasing = plan.f, p.a, p.a + p.c, plan.lo, plan.hi, plan.increasing
     x_min, x_max, seam_xs = plan.x_min, plan.x_max, tuple([fx for _, fx, _ in plan.seams])
-    x_end, last_x, last = plan.x_end, math.nan, None  # NaN: the first solve is cold
+    x_end, last = plan.x_end, (math.nan, 0.0, None, 0.0)  # NaN: the first solve is cold
 
-    def invert(x: float) -> tuple[float, float, float]:
-        nonlocal last_x, last
-        answer = memo.get(x)
-        if answer is None:
-            if abs(x - last_x) <= abs(x - x_end) and x_min <= x <= x_max and x not in seam_xs:
-                y, point = last
-                f0, slope, log_by = point
-                brace = a * log_by + 1.0
-                s = (y + 1.0) * brace + ac
-                if slope and s:
-                    ds = brace + a + a / y
-                    f2 = 1.0 + ds / s
-                    f3 = 1.0 + (2.0 * ds + a * (y - 1.0) / y / y) / s
-                    dy = (x - f0) / slope
-                    corr = dy * (-0.5 * f2 + dy * (3.0 * f2 * f2 - f3) / 6.0)
-                    y1 = y + dy * (1.0 + corr)
-                    if abs(corr) <= 0.5 and lo < y1 < hi:
-                        y, point = y1, f(y1)
-                limit = tol * (x if x > 1.0 else -x if x < -1.0 else 1.0)  # tol * max(1, |x|)
-                if not abs(point[0] - x) <= limit:
-                    y, res, _, _, _, point = _newton_bisect(f, x, lo, hi, increasing,
-                                                            limit, y, point)
-                    if not res <= limit:
-                        raise _stalled(plan, x, tol, res)
-            else:  # solve as evaluate does
-                y, _, _, _, point = _solve(p, plan, x, tol)
-            last_x, last = x, (y, point)
-            answer = memo[x] = y, point[1], point[2]
-        return answer
+    def invert(xs: Sequence[float], order: Iterable[int] | None = None) -> tuple[list, ...]:
+        nonlocal last
+        x0, y0, point0, brace = last  # the last root's x, y, (f, f', ln(b*y)) and B
+        ys, slopes, braces = [0.0] * len(xs), [0.0] * len(xs), [0.0] * len(xs)
+        try:
+            for i in range(len(xs)) if order is None else order:
+                x = xs[i]
+                if x != x0:
+                    if abs(x - x0) <= abs(x - x_end) and x_min <= x <= x_max and x not in seam_xs:
+                        y, point = y0, point0
+                        s = (y0 + 1.0) * brace + ac
+                        if point0[1] and s:
+                            ds = brace + a + a / y0
+                            f2 = 1.0 + ds / s
+                            f3 = 1.0 + (2.0 * ds + a * (y0 - 1.0) / y0 / y0) / s
+                            dy = (x - point0[0]) / point0[1]
+                            corr = dy * (-0.5 * f2 + dy * (3.0 * f2 * f2 - f3) / 6.0)
+                            y1 = y0 + dy * (1.0 + corr)
+                            if abs(corr) <= 0.5 and lo < y1 < hi:
+                                y, point = y1, f(y1)
+                        limit = tol * (x if x > 1.0 else -x if x < -1.0 else 1.0)
+                        if not abs(point[0] - x) <= limit:
+                            y, res, _, _, _, point = _newton_bisect(f, x, lo, hi, increasing,
+                                                                    limit, y, point)
+                            if not res <= limit:
+                                raise _stalled(plan, x, tol, res)
+                    else:  # solve as evaluate does
+                        y, _, _, _, point = _solve(p, plan, x, tol)
+                    x0, y0, point0, brace = x, y, point, a * point[2] + 1.0
+                ys[i], slopes[i], braces[i] = y0, point0[1], brace
+        finally:
+            last = x0, y0, point0, brace
+        return ys, slopes, braces
 
     return invert
 

@@ -35,28 +35,28 @@ branch is physical is likewise not determined by the stationarity
 conditions alone, so the branch is an explicit argument; `suggest_branch`
 picks the branch a uniform distribution would land on.
 
-Each call to `distribution`, `probability`, `continuous_pdf` and each
-`solve_alpha` iterate inverts all its arguments with one warm-started
-inverter: every root seeds the next through the third-order inverse series
-there, unless the argument lies closer to the limit of f at the branch's
-open end than to the last argument.  Levels go in ascending x, so the
-result does not depend on their order, and an equal argument returns the
-same bits.  A pass takes -1/(1-r) + alpha, ratio and e^ratio once for all
-its arguments, q - 1 once for all its weights, and no ln(b*y_i) of its own:
-each evaluation of f takes it with f and f', and the inverter hands out the
-one at the root.  A pass is memoised by value, so one repeated at an equal
-spec (the `distribution` at the alpha `solve_alpha` returned) is served
-without an inversion; it keeps each level's f'(y_i) as the inversion
-computed it and the brace a*ln(b*y_i) + 1 its weight formed, from which
+Each `solve_alpha` iterate and each call to `distribution`, `probability`
+and `continuous_pdf` inverts its arguments with one warm-started inverter,
+whose one loop in `core` walks a batch of them: each root seeds the next
+through the third-order inverse series there, unless the argument lies
+closer to the limit of f at the branch's open end than to the last one.  A
+pass over the levels is one batch in ascending x, so the result does not
+depend on their order and equal levels get equal bits; `continuous_pdf`
+keeps its weights by argument, so that x and -x get equal bits.  A pass
+takes -1/(1-r) + alpha, ratio and e^ratio once, forms its weights in one
+comprehension from the braces a*ln(b*y_i) + 1 the inverter hands out, and
+takes no ln(b*y_i) outside f's evaluations.  A pass is memoised by value,
+so one repeated at an equal spec (the `distribution` at the alpha
+`solve_alpha` returned) makes no inversion; from its f'(y_i) and braces
 `solve_alpha` takes the slope and curvature of Z with no further log or
 exp, for a Halley step.  A weight beyond the double range raises RangeError
 naming its level (its argument, for `continuous_weight`), a weight sum Z
 that is 0 or beyond it RangeError naming alpha and beta, and an e^ratio
-beyond it RangeError naming q' and r; at r = 1 or q' = 1 the arguments are
-undefined (DomainError).  `continuous_pdf` normalises by adaptive 7-point
-Gauss / 15-point Kronrod quadrature over a range that stops at the support
-cut.  The stationarity residuals take each level's term of
-the separable entropy sum in closed form, O(n) in the number of levels.
+beyond it or underflowing to 0 RangeError naming q' and r; at r = 1 or
+q' = 1 the arguments are undefined (DomainError).  `continuous_pdf`
+normalises by adaptive 7-point Gauss / 15-point Kronrod quadrature, a batch
+per panel, over a range that stops at the support cut.  The stationarity
+residuals take each level's term of the entropy sum in closed form, O(n).
 """
 
 from __future__ import annotations
@@ -65,9 +65,9 @@ import functools
 import math
 from collections.abc import Callable, Sequence
 
-from .core import (_Y_MAX, BranchInfo, Monotone, Params, _forward_and_slope,
-                   _inverter, _log_by, _newton_bisect, _plan_or_raise, _Record,
-                   branches, evaluate, forward)
+from .core import (_Y_MAX, BranchInfo, Monotone, Params, _forward_and_slope, _inverter,
+                   _log_by, _newton_bisect, _plan_or_raise, _Record, branches, evaluate,
+                   forward)
 from .errors import ConvergenceError, DomainError, IntegrationError, RangeError
 from .qcalculus import EntropyParams, _deformed_log
 
@@ -135,18 +135,21 @@ class DiscreteDistribution(_Record):
 def _scale(ep: EntropyParams) -> tuple[float, float, float]:
     # (1/(1-r), ratio, e^ratio), ratio = (1-r)/(1-q'): the constants of every
     # level's argument.  DomainError at r = 1 or q' = 1, RangeError when
-    # e^ratio overflows.
+    # e^ratio overflows, or underflows to 0 so that every argument is 0.
     cr = 1.0 - ep.r
     try:
-        ratio = cr / (1.0 - ep.q_prime)
-        return 1.0 / cr, ratio, math.exp(ratio)
+        inv_cr, ratio = 1.0 / cr, cr / (1.0 - ep.q_prime)
+        e_ratio = math.exp(ratio)
     except ZeroDivisionError:
         raise DomainError(f"level arguments need q_prime and r away from 1, got "
                           f"q_prime={ep.q_prime!r}, r={ep.r!r}") from None
     except OverflowError:
+        e_ratio = math.inf
+    if not 0.0 < e_ratio < math.inf:
         raise RangeError(f"e^((1-r)/(1-q_prime)) = e^{ratio!r} of the level arguments "
-                         f"overflows the double range for q_prime={ep.q_prime!r}, "
-                         f"r={ep.r!r}") from None
+                         f"{'underflows to 0' if e_ratio == 0.0 else 'overflows the double range'}"
+                         f" for q_prime={ep.q_prime!r}, r={ep.r!r}")
+    return inv_cr, ratio, e_ratio
 
 
 def _arguments(ep: EntropyParams, alpha: float, beta: float) -> Callable[[float], float]:
@@ -158,15 +161,9 @@ def _arguments(ep: EntropyParams, alpha: float, beta: float) -> Callable[[float]
 
 
 def _level_sum(ep: EntropyParams, x: float) -> float:
-    # alpha + beta*eps at which a level's argument is x (_argument inverted);
-    # RangeError when e^ratio underflows, so that every argument is 0.
+    # alpha + beta*eps at which a level's argument is x (_argument inverted).
     inv_cr, ratio, e_ratio = _scale(ep)
-    try:
-        return x / (ratio * e_ratio) + inv_cr
-    except ZeroDivisionError:
-        raise RangeError(f"e^((1-r)/(1-q_prime)) = e^{ratio!r} of the level arguments "
-                         f"underflows to 0 for q_prime={ep.q_prime!r}, r={ep.r!r}, so "
-                         f"alpha and beta do not move them") from None
+    return x / (ratio * e_ratio) + inv_cr
 
 
 def _check_level(spec: EnsembleSpec, i: int) -> None:
@@ -178,7 +175,8 @@ def level_argument(spec: EnsembleSpec, i: int) -> float:
     """Inversion argument x_i for level i (see module docstring).
 
     DomainError at r = 1 or q' = 1, where it is undefined; RangeError when
-    it, or e^((1-r)/(1-q')), overflows the double range.
+    it, or e^((1-r)/(1-q')), overflows the double range, or when the latter
+    underflows to 0, so that alpha and beta would not move the argument.
     """
     _check_level(spec, i)
     x = _arguments(spec.ep, spec.alpha, spec.beta)(spec.levels[i])
@@ -189,21 +187,36 @@ def level_argument(spec: EnsembleSpec, i: int) -> float:
     return x
 
 
-def _weight(params: Params, q1: float, branch: int, x: float, log_by: float
-            ) -> tuple[float, float]:
-    # (w, brace): the unnormalised weight brace^(1/q1), q1 = q - 1, and its brace
-    # a*ln(b*y) + 1 at the root y for x, from ln(b*y) as the inverter took it.
-    brace = params.a * log_by + 1.0
+def _weight(q1: float, branch: int, x: float, brace: float) -> float:
+    # The unnormalised weight brace^(1/q1), q1 = q - 1, from the root's brace.
     if not brace > 0.0:
-        raise DomainError(
-            f"weight undefined: brace {brace!r} non-positive at x={x!r} "
-            f"(branch {branch} mismatch?)"
-        )
+        raise DomainError(f"weight undefined: brace {brace!r} non-positive at x={x!r} "
+                          f"(branch {branch} mismatch?)")
     try:
-        return math.exp(math.log(brace) / q1), brace
+        return math.exp(math.log(brace) / q1)
     except OverflowError:
         raise RangeError(f"weight brace^(1/(q-1)) = {brace!r}^{1.0 / q1!r} "
                          f"overflows the double range at x={x!r}") from None
+
+
+def _weights(params: Params, q1: float, branch: int, invert: Callable, xs: Sequence[float],
+             order: Sequence[int], name: Callable[[int], str] = lambda i: "") -> tuple[list, ...]:
+    # (ys, ws, slopes, braces) by index of xs from one batch of `invert` in
+    # `order`, the weights as _weight forms them.  A refusal is the first one
+    # met by inverting and weighing x by x (after a refused batch, from a
+    # fresh inverter: the batch's roots if `invert` was fresh), name(i) first.
+    braces = None
+    try:
+        ys, slopes, braces = invert(xs, order)
+        return ys, [math.exp(math.log(brace) / q1) for brace in braces], slopes, braces
+    except (ConvergenceError, ValueError, OverflowError):  # DomainError is a ValueError
+        again = _inverter(params, branch, _EVAL_TOL)
+        for i in order:
+            try:
+                _weight(q1, branch, xs[i], again([xs[i]])[2][0] if braces is None else braces[i])
+            except (DomainError, RangeError) as exc:
+                raise type(exc)(f"{name(i)}{exc}") from exc
+        raise
 
 
 def _weight_domain(params: Params, bi: BranchInfo) -> tuple[float, float]:
@@ -261,22 +274,18 @@ def suggest_branch(ep: EntropyParams, n_levels: int) -> int:
 @functools.lru_cache(maxsize=4)
 def _all_weights(spec: EnsembleSpec, branch: int) -> tuple[tuple[float, ...], ...]:
     # (x_i, y_i, w_i, f'(y_i), brace_i) per level, f'(y_i) as the inversion
-    # computed it (0 at a seam).  Levels are inverted in ascending x
-    # by one warm inverter, so each root warm-starts the next and the result
-    # does not depend on the order of the levels.  Memoised by value: a pass
+    # computed it (0 at a seam).  The levels are one batch of a fresh warm
+    # inverter, in ascending x, so each root warm-starts the next and the
+    # result does not depend on their order.  Memoised by value: a pass
     # repeated at an equal spec (`distribution` at the alpha `solve_alpha`
     # returned) costs no inversion.
     ep = spec.ep
     params, q1 = ep.induced_params(), ep.q - 1.0
     invert = _inverter(params, branch, _EVAL_TOL)
     xs = list(map(_arguments(ep, spec.alpha, spec.beta), spec.levels))
-    ys, ws, slopes, braces = ([0.0] * len(xs) for _ in range(4))
-    for i in sorted(range(len(xs)), key=xs.__getitem__):
-        try:
-            ys[i], slopes[i], log_by = invert(xs[i])
-            ws[i], braces[i] = _weight(params, q1, branch, xs[i], log_by)
-        except (DomainError, RangeError) as exc:
-            raise type(exc)(f"level {i} (eps={spec.levels[i]!r}): {exc}") from exc
+    ys, ws, slopes, braces = _weights(
+        params, q1, branch, invert, xs, sorted(range(len(xs)), key=xs.__getitem__),
+        lambda i: f"level {i} (eps={spec.levels[i]!r}): ")
     return tuple(xs), tuple(ys), tuple(ws), tuple(slopes), tuple(braces)
 
 
@@ -465,15 +474,16 @@ def stationarity_residuals(spec: EnsembleSpec, probs: Sequence[float]) -> list[f
     if len(probs) != len(spec.levels):
         raise DomainError(f"probs has {len(probs)} entries for {len(spec.levels)} levels")
     _check_finite("probs", probs)
-    coeffs = (1.0 - spec.ep.q, 1.0 - spec.ep.q_prime, 1.0 - spec.ep.r)
-    residuals = []
-    for p, eps in zip(probs, spec.levels):
-        # ln_qqr(1/p) and its slope in ln(1/p)
-        s, ds = _deformed_log(1.0 / p, coeffs) if p > 0.0 else (0.0, 0.0)
-        if not math.isfinite(s - ds):
+    # ln_qqr(1/p) and its slope in ln(1/p), x = 1 for a term that counts as 0
+    terms = _deformed_log([1.0 / p if p > 0.0 else 1.0 for p in probs],
+                          (1.0 - spec.ep.q, 1.0 - spec.ep.q_prime, 1.0 - spec.ep.r))
+    alpha, beta, residuals = spec.alpha, spec.beta, []
+    for p, eps, (s, ds) in zip(probs, spec.levels, terms):
+        d = s - ds if p > 0.0 else 0.0
+        if not math.isfinite(d):
             raise RangeError(f"entropy term's derivative overflows the double range "
                              f"at x={1.0 / p!r}")
-        residuals.append(s - ds + spec.alpha + spec.beta * eps)
+        residuals.append(d + alpha + beta * eps)
     return residuals
 
 
@@ -488,7 +498,7 @@ def continuous_weight(
     params = ep.induced_params()
     arg = _arguments(ep, alpha, beta)(x * x)
     y = evaluate(params, branch, arg, tol=_EVAL_TOL).y
-    return _weight(params, ep.q - 1.0, branch, arg, _log_by(params, y, "weight"))[0]
+    return _weight(ep.q - 1.0, branch, arg, params.a * _log_by(params, y, "weight") + 1.0)
 
 
 # 15-point Kronrod nodes on [-1, 1] (positive half and 0) and weights; every
@@ -506,14 +516,14 @@ _WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
        0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
 
 
-def _gauss_kronrod_panel(f: Callable[[float], float], a: float, b: float
+def _gauss_kronrod_panel(f: Callable[[list[float]], list[float]], a: float, b: float
                          ) -> tuple[float, float]:
-    # (K15, G7) estimates of the integral of f over [a, b].
+    # (K15, G7) estimates over [a, b]; f takes the nodes c, then c -+ h*x_j pairs, as one list.
     c, h = 0.5 * (a + b), 0.5 * (b - a)
-    fc = f(c)
-    k15, g7 = _WGK[7] * fc, _WG[3] * fc
+    fx = f([c, *[node for x in _XGK[:7] for node in (c - h * x, c + h * x)]])
+    k15, g7 = _WGK[7] * fx[0], _WG[3] * fx[0]
     for j in range(7):
-        pair = f(c - h * _XGK[j]) + f(c + h * _XGK[j])
+        pair = fx[2 * j + 1] + fx[2 * j + 2]
         k15 += _WGK[j] * pair
         if j % 2:
             g7 += _WG[j // 2] * pair
@@ -521,7 +531,7 @@ def _gauss_kronrod_panel(f: Callable[[float], float], a: float, b: float
 
 
 def _adaptive_gauss_kronrod(
-    f: Callable[[float], float], a: float, b: float, tol: float, depth: int = 60
+    f: Callable[[list[float]], list[float]], a: float, b: float, tol: float, depth: int = 60
 ) -> float:
     # K15 of a panel whose |K15 - G7| is within tol, else the sum over its
     # halves, each held to tol/2.  IntegrationError below `depth` splits.
@@ -562,22 +572,24 @@ def continuous_pdf(
         raise DomainError("x_grid must be non-empty")
     _check_finite("x_grid points", x_grid)
 
-    # Every argument is inverted by one warm inverter.
+    # One warm inverter takes the arguments not yet weighed; x and -x share a weight.
     params = ep.induced_params()
     invert = _inverter(params, branch, _EVAL_TOL)
-    argument, q1 = _arguments(ep, alpha, beta), ep.q - 1.0
+    argument, q1, weights = _arguments(ep, alpha, beta), ep.q - 1.0, {}
 
-    def g(x: float) -> float:
-        arg = argument(x * x)
-        return _weight(params, q1, branch, arg, invert(arg)[2])[0]
+    def g(points: Sequence[float]) -> list[float]:
+        args = [argument(x * x) for x in points]
+        new = [arg for arg in dict.fromkeys(args) if arg not in weights]
+        weights.update(zip(new, _weights(params, q1, branch, invert, new, range(len(new)))[1]))
+        return [weights[arg] for arg in args]
 
-    values = [g(x) for x in x_grid]
+    values = g(x_grid)
 
     edge = max(abs(x) for x in x_grid)
-    peak = max(g(0.0), max(values))
+    peak = max(g([0.0])[0], max(values))
     if peak <= 0.0:
         raise IntegrationError("density is identically zero on the grid")
-    if edge > 0.0 and g(edge) > tail_ratio * peak:
+    if edge > 0.0 and g([edge])[0] > tail_ratio * peak:
         raise IntegrationError(
             f"grid too narrow: density at |x|={edge!r} exceeds "
             f"{tail_ratio!r} of its peak"
@@ -594,13 +606,13 @@ def continuous_pdf(
     stop = max(cut, edge)
     L = min(edge if edge > 0.0 else 1.0, stop)
     for _ in range(200):
-        if L == stop or g(L) <= 1e-2 * tail_ratio * peak:
+        if L == stop or g([L])[0] <= 1e-2 * tail_ratio * peak:
             break
         L = min(1.25 * L, stop)
     else:
         raise IntegrationError("tail criterion not met while growing the range")
 
-    if g(L) > tail_ratio * peak:
+    if g([L])[0] > tail_ratio * peak:
         raise IntegrationError(
             f"tail criterion not met: density at |x|={L!r} exceeds "
             f"{tail_ratio!r} of its peak"

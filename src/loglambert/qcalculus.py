@@ -19,7 +19,7 @@ to avoid 0/0.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .core import Params, _Record
 from .errors import DomainError, RangeError
@@ -70,30 +70,32 @@ class EntropyParams(_Record):
         return Params(a=cq / cqp, b=cqp / cr, c=-1.0 / cqp)
 
 
-def _deformed_log(x: float, coeffs: tuple[float, ...]) -> tuple[float, float]:
-    # (s, ds/d(ln x)): ln x stretched to (exp(coeff*s) - 1)/coeff by each
-    # coefficient in turn (1-q, 1-q', 1-r), a stretch of slope 1 + coeff*(new s),
-    # or the identity within 1e-12 of coeff = 0.  RangeError naming x unless s
-    # is finite: expm1 raises, and the division by a small coeff (or x = inf)
-    # gives inf without raising.  ds may overflow to inf.
-    if not x > 0.0:
-        raise DomainError(f"ln_q needs x > 0, got {x!r}")
-    s, slope = math.log(x), 1.0
-    try:
-        for coeff in coeffs:
-            if not -_LIMIT_TOL < coeff < _LIMIT_TOL:
+def _deformed_log(xs: Iterable[float], coeffs: tuple[float, ...]) -> Iterator[tuple[float, float]]:
+    # (s, ds/d(ln x)) for each x in turn: ln x stretched to (exp(coeff*s) -
+    # 1)/coeff by each coefficient (1-q, 1-q', 1-r), a stretch of slope 1 +
+    # coeff*(new s), or dropped within 1e-12 of coeff = 0.  RangeError naming
+    # x, when its pair is due, unless s is finite: expm1 raises, and the
+    # division by a small coeff (or x = inf) gives inf without raising.  ds
+    # may overflow to inf.
+    stretches = [coeff for coeff in coeffs if not -_LIMIT_TOL < coeff < _LIMIT_TOL]
+    for x in xs:
+        if not x > 0.0:
+            raise DomainError(f"ln_q needs x > 0, got {x!r}")
+        s, slope = math.log(x), 1.0
+        try:
+            for coeff in stretches:
                 s = math.expm1(coeff * s) / coeff
                 slope *= 1.0 + coeff * s
-    except OverflowError:
-        s = math.inf
-    if not math.isfinite(s):
-        raise RangeError(f"deformed logarithm overflows the double range at x={x!r}")
-    return s, slope
+        except OverflowError:
+            s = math.inf
+        if not math.isfinite(s):
+            raise RangeError(f"deformed logarithm overflows the double range at x={x!r}")
+        yield s, slope
 
 
 def ln_q(q: float, x: float) -> float:
     """One-parameter logarithm (x^(1-q) - 1)/(1-q); ln x at q = 1."""
-    return _deformed_log(x, (1.0 - q,))[0]
+    return next(_deformed_log((x,), (1.0 - q,)))[0]
 
 
 def exp_q(q: float, x: float) -> float:
@@ -120,7 +122,7 @@ def exp_q(q: float, x: float) -> float:
 
 def ln_qq(q: float, q_prime: float, x: float) -> float:
     """Two-parameter logarithm: ln_q stretched once more by 1 - q'."""
-    return _deformed_log(x, (1.0 - q, 1.0 - q_prime))[0]
+    return next(_deformed_log((x,), (1.0 - q, 1.0 - q_prime)))[0]
 
 
 def ln_qqr(ep: EntropyParams, x: float) -> float:
@@ -130,7 +132,7 @@ def ln_qqr(ep: EntropyParams, x: float) -> float:
     plain ln as all three parameters tend to 1.  A value beyond the double
     range raises RangeError (an OverflowError) naming x.
     """
-    return _deformed_log(x, (1.0 - ep.q, 1.0 - ep.q_prime, 1.0 - ep.r))[0]
+    return next(_deformed_log((x,), (1.0 - ep.q, 1.0 - ep.q_prime, 1.0 - ep.r)))[0]
 
 
 def entropy_qqr(ep: EntropyParams, p: Sequence[float]) -> float:

@@ -207,7 +207,7 @@ def test_inversions_do_no_branch_setup(monkeypatch):
     for p, bi in infos:
         invert = _inverter(p, bi.index, 1e-12)
         for x in sorted(interior_points(bi, 5)):
-            y = invert(x)[0]
+            y = invert([x])[0][0]
             assert abs(forward(p, y) - x) <= 1e-12 * max(1.0, abs(x)), (p, bi.index, x)
     assert calls == []
     # A catalog built afresh builds one plan per branch.
@@ -308,7 +308,7 @@ def _warm_solves(monkeypatch, f_calls, sweeps):
         for x in xs:
             f_calls[0] = solver_calls[0] = 0
             cold = []
-            y = invert(x)[0]
+            y = invert([x])[0][0]
             evals, calls = f_calls[0], solver_calls[0] + len(cold)
             assert cold in ([], [evals]), (p, branch, x)
             assert branches(p)[branch].y_range.contains(y), (p, branch, x, y)
@@ -382,7 +382,7 @@ def test_inverter_after_a_far_jump_is_cheap(f_calls):
     invert = _inverter(p, 0, 1e-12)
     for x in (2.0e116, 0.0):
         f_calls[0] = 0
-        y = invert(x)[0]
+        y = invert([x])[0][0]
         assert branches(p)[0].y_range.contains(y)
         assert abs(forward(p, y) - x) <= 1e-12 * max(1.0, abs(x))
         assert f_calls[0] <= 8, x
@@ -485,7 +485,8 @@ def test_branch_equal_to_an_index_selects_it(branch):
     # Same bits: repr shows each float exactly.
     p = Params(1.0, 1.0, 1.0)
     assert repr(evaluate(p, branch, 2084.7878)) == repr(evaluate(p, 1, 2084.7878))
-    assert repr(_inverter(p, branch, 1e-12)(2084.7878)) == repr(_inverter(p, 1, 1e-12)(2084.7878))
+    assert (repr(_inverter(p, branch, 1e-12)([2084.7878]))
+            == repr(_inverter(p, 1, 1e-12)([2084.7878])))
 
 
 @pytest.mark.parametrize("branch", [-1, 2, "1", None, [1], math.nan, 1.5])
@@ -508,7 +509,7 @@ def test_tol_validation_and_unreachable_tol():
     with pytest.raises(DomainError, match="^tol must be finite, got inf$"):
         evaluate(p, 1, 2084.7878, tol=math.inf)
     with pytest.raises(DomainError, match="^tol must be finite, got inf$"):
-        _inverter(p, 1, math.inf)(2084.7878)
+        _inverter(p, 1, math.inf)([2084.7878])
 
 
 def test_deterministic_bits():
@@ -539,5 +540,24 @@ def test_inverter_answers_far_jumps():
     p = Params(1.0, 1.0, 1.0)
     invert = _inverter(p, 1, 1e-12)
     for x in (10.0, 1e10, 1e100, 1e300):
-        y = invert(x)[0]
+        y = invert([x])[0][0]
         assert abs(forward(p, y) - x) <= 1e-12 * x
+
+
+def test_a_refusal_mid_batch_leaves_the_walk_at_the_last_root():
+    # A batch stops at its first refusal (0.5 lies below branch 1's domain)
+    # with the warm start at the last root it answered, so the next batch
+    # gives the bits of an inverter that never saw the refused x: 20.0,
+    # equal to the last x answered, returns that answer, and 30.0 starts
+    # from it.
+    p = Params(1.0, 1.0, 1.0)
+    refused, clean = _inverter(p, 1, 1e-12), _inverter(p, 1, 1e-12)
+    with pytest.raises(DomainError, match="outside branch 1 domain"):
+        refused([10.0, 20.0, 0.5, 40.0])
+    first = clean([10.0, 20.0])
+    after = refused([20.0, 30.0])
+    assert repr(after) == repr(clean([20.0, 30.0]))
+    # The same walk as one batch of the x in another order, with the index
+    # order that walks them ascending: each answer lands in its x's place.
+    walked = _inverter(p, 1, 1e-12)([30.0, 10.0, 20.0], [1, 2, 0])
+    assert repr(walked) == repr(tuple([a[1], f[0], f[1]] for a, f in zip(after, first)))

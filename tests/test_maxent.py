@@ -106,6 +106,25 @@ def test_an_overflowing_argument_scale_is_refused(call):
         call()
 
 
+# (1-r)/(1-q') = -1000, so e^ratio underflows to 0 and every argument would be 0.
+EP_TINY_RATIO = EntropyParams(2.0, 2.0, -999.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: level_argument(EnsembleSpec((0.0,), 0.0, 0.0, EP_TINY_RATIO), 0),
+    lambda: distribution(EnsembleSpec((0.0,), 0.0, 0.0, EP_TINY_RATIO)),
+    lambda: probability(EnsembleSpec((0.0,), 0.0, 0.0, EP_TINY_RATIO), 0),
+    lambda: solve_alpha((0.0,), 0.0, EP_TINY_RATIO),
+    lambda: continuous_pdf(EP_TINY_RATIO, 0.0, 0.0, 0, [0.0]),
+], ids=["level_argument", "distribution", "probability", "solve_alpha", "continuous_pdf"])
+def test_an_underflowing_argument_scale_is_refused(call):
+    # level_argument returned 0.0, and distribution and probability answered
+    # whatever the levels, alpha and beta.
+    with pytest.raises(RangeError, match=r"e\^-1000\.0 .* underflows to 0 for q_prime=2\.0, "
+                                         r"r=-999\.0$"):
+        call()
+
+
 def test_level_argument_refuses_an_overflowing_argument():
     # e^ratio = e^704 is finite; the argument's product is not.
     spec = EnsembleSpec(levels=(0.0,), alpha=1.0, beta=0.0, ep=EntropyParams(2.0, 2.0, 705.0))
@@ -217,6 +236,9 @@ def test_stationarity_residuals_typed_errors():
     assert math.isfinite(ln_qqr(steep.ep, 1.0 / 0.04684))
     with pytest.raises(RangeError, match=r"x=21\.34927412467976$"):
         stationarity_residuals(steep, [0.04684, 0.5])
+    # the first level that refuses is named, though a later one's ln_qqr overflows
+    with pytest.raises(RangeError, match=r"derivative overflows .* x=21\.34927412467976$"):
+        stationarity_residuals(steep, [0.04684, 0.0468])
     with pytest.raises(DomainError, match="1 entries for 2 levels"):
         stationarity_residuals(spec, [1.0])
     # nan gave a finite residual, and inf an error about ln_q's x
@@ -493,6 +515,32 @@ def test_solve_alpha_takes_each_log_once_per_level_and_pass(count_calls, monkeyp
     assert taken == []
 
 
+def test_a_pass_inverts_its_levels_in_one_call(monkeypatch):
+    # Each _all_weights miss makes one warm inverter and calls it once, with
+    # every level's argument, walked in ascending order; a memo hit makes
+    # none.
+    inverters, batches = [], []
+    make = maxent._inverter
+
+    def counted(*args):
+        invert = make(*args)
+        inverters.append(args)
+
+        def recorded(xs, order=None):
+            batches.append([xs[i] for i in order])
+            return invert(xs, order)
+        return recorded
+
+    maxent._all_weights.cache_clear()
+    monkeypatch.setattr(maxent, "_inverter", counted)
+    alpha = solve_alpha(LEVELS_128, 0.1, EP)
+    distribution(EnsembleSpec(levels=LEVELS_128, alpha=alpha, beta=0.1, ep=EP))
+    misses = maxent._all_weights.cache_info().misses
+    assert misses >= 2
+    assert len(inverters) == len(batches) == misses
+    assert all(len(batch) == 128 and batch == sorted(batch) for batch in batches)
+
+
 def test_curvature_of_z_is_the_slope_of_its_slope():
     # Z'' from one pass matches the central difference of the exact Z' at
     # alpha +- 1e-4 (within 2.1e-10 relative here), at the normalising alpha
@@ -564,30 +612,38 @@ def test_continuous_pointwise_proportional_to_weight():
 
 def test_continuous_pdf_inversion_count(monkeypatch):
     # 51 distinct grid arguments, the search for L and 9 G7-K15 panels, each
-    # inverted once by one inverter, which memoises by argument; adaptive
-    # Simpson took 835 inversions.
-    arguments, inverters = set(), []
+    # inverted once by one inverter, in batches of the arguments whose
+    # weights the call does not hold yet; adaptive Simpson took 835
+    # inversions.
+    arguments, inverters = [], []
     make = maxent._inverter
 
     def counted(*args):
         invert = make(*args)
         inverters.append(args)
 
-        def recorded(x):
-            arguments.add(x)
-            return invert(x)
+        def recorded(xs, order=None):
+            arguments.extend(xs)
+            return invert(xs, order)
         return recorded
 
     monkeypatch.setattr(maxent, "_inverter", counted)
     continuous_pdf(EP_CONT, ALPHA_CONT, BETA_CONT, 1, README_GRID)
     assert len(inverters) == 1
-    assert len(arguments) <= 250
+    assert len(set(arguments)) == len(arguments) <= 250
 
 
 def test_gauss_kronrod_panel_is_exact_to_degree_22():
     for k in range(23):
-        k15, _ = _gauss_kronrod_panel(lambda x: x ** k, 0.0, 1.0)
+        k15, _ = _gauss_kronrod_panel(lambda xs: [x ** k for x in xs], 0.0, 1.0)
         assert abs(k15 * (k + 1) - 1.0) <= 8.0 * sys.float_info.epsilon, k
+    # The 15 nodes come as one batch: the midpoint, then the symmetric pairs
+    # from the ends inward (continuous_pdf's panel split depends on the order).
+    nodes = []
+    _gauss_kronrod_panel(lambda xs: nodes.extend(xs) or [0.0] * len(xs), 1.0, 3.0)
+    assert len(nodes) == 15 and nodes[0] == 2.0
+    assert all(lo < 2.0 < hi for lo, hi in zip(nodes[1::2], nodes[2::2]))
+    assert nodes[1::2] == sorted(nodes[1::2])
 
 
 def test_adaptive_gauss_kronrod_matches_oracle_simpson():
@@ -597,7 +653,7 @@ def test_adaptive_gauss_kronrod_matches_oracle_simpson():
         return continuous_weight(EP_CONT, ALPHA_CONT, BETA_CONT, 1, t)
 
     L = 3.7415
-    gk = _adaptive_gauss_kronrod(g, 0.0, L, 1e-13 * g(0.0) * L)
+    gk = _adaptive_gauss_kronrod(lambda ts: [g(t) for t in ts], 0.0, L, 1e-13 * g(0.0) * L)
     assert gk == pytest.approx(_simpson(g, 0.0, L, 1e-18), rel=1e-13)
 
 
@@ -606,9 +662,9 @@ def test_adaptive_gauss_kronrod_refuses_an_unresolvable_step():
     # no panel is accepted before the depth limit.
     evaluations = []
 
-    def step(x):
-        evaluations.append(x)
-        return 0.0 if x < 0.0 else 1.0
+    def step(xs):
+        evaluations.extend(xs)
+        return [0.0 if x < 0.0 else 1.0 for x in xs]
 
     with pytest.raises(IntegrationError, match="recursion exhausted"):
         _adaptive_gauss_kronrod(step, -1.0, 2.0, 1e-13)

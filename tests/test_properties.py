@@ -31,7 +31,7 @@ from loglambert import (
     taylor_coefficients,
     taylor_first_order,
 )
-from loglambert.core import _inverter, _knots, _log_by
+from loglambert.core import _forward_and_slope, _inverter, _knots, _log_by
 
 Y_MIN = math.exp(-708.0)
 Y_MAX = math.log(1.7976931348623157e308)
@@ -237,11 +237,15 @@ def test_evaluate_meets_contract_or_refuses(p, us, toward_open):
 @given(p=scan_params(), us=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
        toward_open=st.booleans(), data=st.data())
 def test_inverter_meets_contract_or_refuses(p, us, toward_open, data):
-    # One warm inverter per branch, fed x values in a shuffled order with
-    # duplicates: each answer meets evaluate's contract and comes with
-    # ln(b*y) at its root, and an equal x returns the same bits.  A fresh
-    # inverter has no root to start from, so its first answer, or refusal,
-    # is evaluate's; a later x is refused only where evaluate refuses it.
+    # One warm inverter per branch, fed one-x batches in a shuffled order
+    # with duplicates: each answer meets evaluate's contract and comes with
+    # f'(y) and the brace a*ln(b*y) + 1 of its root.  A fresh inverter has
+    # no root to start from, so its first answer, or refusal, is evaluate's;
+    # a later x is refused only where evaluate refuses it.  Then one
+    # ascending batch on a fresh inverter: its first answer is evaluate's,
+    # and equal x return equal bits.  (An equal x in any order is not
+    # promised the same bits; continuous_pdf, which needs that, keeps its
+    # weights by argument.)
     try:
         cat = branches(p)
     except LogLambertError:
@@ -250,25 +254,43 @@ def test_inverter_meets_contract_or_refuses(p, us, toward_open, data):
         xs = [_x_in_domain(bi, u, toward_open) for u in us]
         xs = data.draw(st.permutations(xs + xs[: len(xs) // 2 + 1]))
         invert = _inverter(p, bi.index, 1e-12)
-        seen = {}
+        colds = {}
         for k, x in enumerate(xs):
             try:
-                y, _, log_by = invert(x)
+                (y,), (slope,), (brace,) = invert([x])
             except LogLambertError:
                 y = None
             try:
-                cold = evaluate(p, bi.index, x, 1e-12).y.hex()
+                colds[x] = evaluate(p, bi.index, x, 1e-12).y.hex()
             except LogLambertError:
-                cold = None
+                colds[x] = None
             if k == 0:
-                assert (y if y is None else y.hex()) == cold, (p, bi.index, x)
+                assert (y if y is None else y.hex()) == colds[x], (p, bi.index, x)
             if y is None:
-                assert cold is None, (p, bi.index, x)
+                assert colds[x] is None, (p, bi.index, x)
                 continue
-            assert bi.y_range.contains(y), (p, bi.index, x, y)
-            assert abs(forward(p, y) - x) <= 1e-12 * max(1.0, abs(x)), (p, bi.index, x, y)
-            assert seen.setdefault(x, y).hex() == y.hex(), (p, bi.index, x)
-            assert log_by == _log_by(p, y, "the root"), (p, bi.index, x, y)
+            _check_answer(p, bi, x, y, slope, brace)
+        batch = sorted(xs)
+        try:
+            ys, slopes, braces = _inverter(p, bi.index, 1e-12)(batch)
+        except LogLambertError:
+            assert None in colds.values(), (p, bi.index, batch)
+            continue
+        assert ys[0].hex() == colds[batch[0]], (p, bi.index, batch)
+        for k, x in enumerate(batch):
+            _check_answer(p, bi, x, ys[k], slopes[k], braces[k])
+            if k and x == batch[k - 1]:
+                assert ys[k].hex() == ys[k - 1].hex(), (p, bi.index, x)
+
+
+def _check_answer(p, bi, x, y, slope, brace):
+    # evaluate's contract at y, with f'(y) as f gives it there (0 at a
+    # seam) and the brace from ln(b*y) at y.
+    assert bi.y_range.contains(y), (p, bi.index, x, y)
+    assert abs(forward(p, y) - x) <= 1e-12 * max(1.0, abs(x)), (p, bi.index, x, y)
+    assert slope == _forward_and_slope(p, y)[1] or (slope == 0.0 and y in dict(bi.seams)), \
+        (p, bi.index, x, y)
+    assert brace == p.a * _log_by(p, y, "the root") + 1.0, (p, bi.index, x, y)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
