@@ -5,11 +5,11 @@ on the half-line where b*y > 0.  Its derivative
 
     f'(y) = [a*(y+1)*ln(b*y) + y + a + c + 1] * e^y
 
-vanishes at the seam points delta solving a*(y+1)*ln(b*y) + y + a + c + 1 = 0:
-one seam for b > 0, two (delta_2 < delta_1 < 0) for b < 0 in the supported
-sign cases.  Between consecutive seams f is strictly monotone, so the inverse
-splits into branches indexed 0, 1 (and 2 for b < 0), counted starting from
-the branch whose y-range touches 0.
+vanishes at the seam points delta solving a*(y+1)*ln(b*y) + y + a + c + 1 = 0.
+The catalogued cases are one seam for b > 0 and two (delta_2 < delta_1 < 0)
+for b < 0, whatever the magnitudes of a and c.  Between consecutive seams f
+is strictly monotone, so the inverse splits into branches indexed 0, 1 (and
+2 for b < 0), counted starting from the branch whose y-range touches 0.
 
 Every ln(b*y), taken once per point, follows one rule: math.log(b*y) while
 b*y is a normal double, else ln|b| + ln|y| when y lies on the side of 0 where
@@ -25,7 +25,7 @@ near y -> 0 with |a| small the equation is about a*ln(b*y) + a + c + 1,
 whose rounding is relative to |ln(b*y)|, so a seam there is located only to
 about |ln(b*y)| ulps (hundreds of ulps for a seam near 1e-260).
 A seam outside that range raises RangeError; three seams for b > 0 (four
-branches) raise UnsupportedCaseError; fewer seams than the case needs raise
+branches) raise UnsupportedCaseError; no seam for b < 0 raises
 NoSolutionError.
 
 This module provides the branch catalog, the inverse on a chosen branch, the
@@ -428,11 +428,11 @@ def singular_points(p: Params) -> list[float]:
     seams, and one bracketed Newton solve on each monotone piece with a
     sign change finds one.
 
-    Seams are sought on e^-708 <= |y| <= ln(DBL_MAX) = 709.78.  Exactly one
-    is expected for b > 0 and exactly two for b < 0.  Raises RangeError
-    when a seam lies outside the searched range, UnsupportedCaseError
-    when there are more seams than expected (three, for b > 0) and
-    NoSolutionError when there are fewer.
+    Seams are sought on e^-708 <= |y| <= ln(DBL_MAX) = 709.78.  The count
+    is the catalog's one refusal rule: it needs one seam for b > 0 and two
+    for b < 0, and raises UnsupportedCaseError for three (b > 0) and
+    NoSolutionError for none (b < 0).  RangeError when a seam lies outside
+    the searched range.
     """
     knots = _knots(p)
     a, b, c = p.a, p.b, p.c
@@ -440,16 +440,10 @@ def singular_points(p: Params) -> list[float]:
              (a > 0.0) == (b > 0.0)]
     pieces = [i for i in range(len(knots) + 1) if signs[i] != signs[i + 1]]
     expected = 1 if b > 0.0 else 2
-    if len(pieces) > expected:
-        raise UnsupportedCaseError(
-            f"seam equation for a={a!r}, b={b!r}, c={c!r} has {len(pieces)} roots on the "
-            f"admissible half-line; only {expected} is catalogued"
-        )
-    if len(pieces) < expected:
-        raise NoSolutionError(
-            f"seam equation for a={a!r}, b={b!r}, c={c!r} has {len(pieces)} root(s) on the "
-            f"admissible half-line, expected {expected}"
-        )
+    if len(pieces) != expected:
+        error = UnsupportedCaseError if len(pieces) > expected else NoSolutionError
+        raise error(f"seam equation for a={a!r}, b={b!r}, c={c!r} has {len(pieces)} roots on "
+                    f"the admissible half-line; the catalog needs {expected}")
 
     # |y| at the ends of the monotone pieces, outward from 0, clipped to the search range.
     ends = [_Y_MIN, *[min(max(abs(k), _Y_MIN), _Y_MAX) for k in knots], _Y_MAX]
@@ -514,16 +508,6 @@ def _catalog(a: float, b: float, c: float) -> tuple[tuple[BranchInfo, ...], dict
     # The branches, and the solve plan of each by index, memoised by the
     # values of (a, b, c): a hit hashes three floats, not a Params record.
     p = Params(a, b, c)
-    if p.b < 0.0:
-        if p.a > 0.0 and abs(p.c) > p.a:
-            raise UnsupportedCaseError(
-                f"b < 0 with a > 0 requires |c| <= a; got a={p.a!r}, c={p.c!r}"
-            )
-        if p.a < 0.0 and p.c > abs(p.a):
-            raise UnsupportedCaseError(
-                f"b < 0 with a < 0 requires c <= |a|; got a={p.a!r}, c={p.c!r}"
-            )
-
     # Branch ends outward from y = 0: the limit f -> c, each seam with
     # f''(d) = s'(d)*e^d (as f'(d) = 0), then |y| -> inf, where
     # f -> sign(a)*inf for b > 0 and f -> 0 for b < 0.
@@ -550,11 +534,12 @@ def _catalog(a: float, b: float, c: float) -> tuple[tuple[BranchInfo, ...], dict
 def branches(p: Params) -> tuple[BranchInfo, ...]:
     """Full branch catalog for the given coefficients.
 
-    Two branches for b > 0 and three for b < 0 (under the supported
-    magnitude conditions); raises UnsupportedCaseError otherwise,
-    including for three seams with b > 0.  Every seam lies on
-    e^-708 <= |y| <= 709.78 and has a finite f; RangeError reports one
-    outside that range or with f overflowing, and NoSolutionError too few.
+    Two branches for b > 0 (one seam) and three for b < 0 (two seams),
+    the seams counted from the knots as singular_points counts them;
+    UnsupportedCaseError for three seams with b > 0 and NoSolutionError
+    for none with b < 0.  Every seam lies on e^-708 <= |y| <= 709.78 and
+    has a finite f; RangeError reports one outside that range or with f
+    overflowing.
     """
     return _catalog(p.a, p.b, p.c)[0]
 

@@ -26,7 +26,7 @@ class NoSolutionError(LogLambertError):
 
 
 class UnsupportedCaseError(LogLambertError):
-    """The parameter signs/magnitudes fall outside the catalogued cases."""
+    """The parameters give a seam count the catalog does not build (three for b > 0)."""
 
 
 class PrecisionError(LogLambertError):

@@ -52,8 +52,9 @@ so one repeated at an equal spec (the `distribution` at the alpha
 exp, for a Halley step.  A weight beyond the double range raises RangeError
 naming its level (its argument, for `continuous_weight`), a weight sum Z
 that is 0 or beyond it RangeError naming alpha and beta, and an e^ratio
-beyond it or underflowing to 0 RangeError naming q' and r; at r = 1 or
-q' = 1 the arguments are undefined (DomainError).  `continuous_pdf`
+beyond it or underflowing to 0 RangeError naming q' and r, and a level's
+argument beyond it `level_argument`'s RangeError; with r or q' within 1e-12
+of 1 the arguments are refused (DomainError).  `continuous_pdf`
 normalises by adaptive 7-point Gauss / 15-point Kronrod quadrature, a batch
 per panel, over a range that stops at the support cut.  The stationarity
 residuals take each level's term of the entropy sum in closed form, O(n).
@@ -68,8 +69,8 @@ from collections.abc import Callable, Sequence
 from .core import (_Y_MAX, BranchInfo, Monotone, Params, _forward_and_slope, _inverter,
                    _log_by, _newton_bisect, _plan_or_raise, _Record, branches, evaluate,
                    forward)
-from .errors import ConvergenceError, DomainError, IntegrationError, RangeError
-from .qcalculus import EntropyParams, _deformed_log
+from .errors import ConvergenceError, DomainError, IntegrationError, LogLambertError, RangeError
+from .qcalculus import _LIMIT_TOL, EntropyParams, _deformed_log
 
 __all__ = [
     "EnsembleSpec",
@@ -134,15 +135,16 @@ class DiscreteDistribution(_Record):
 
 def _scale(ep: EntropyParams) -> tuple[float, float, float]:
     # (1/(1-r), ratio, e^ratio), ratio = (1-r)/(1-q'): the constants of every
-    # level's argument.  DomainError at r = 1 or q' = 1, RangeError when
-    # e^ratio overflows, or underflows to 0 so that every argument is 0.
-    cr = 1.0 - ep.r
-    try:
-        inv_cr, ratio = 1.0 / cr, cr / (1.0 - ep.q_prime)
-        e_ratio = math.exp(ratio)
-    except ZeroDivisionError:
+    # level's argument.  DomainError where induced_params refuses r or q'
+    # (within 1e-12 of 1), RangeError when e^ratio overflows, or underflows
+    # to 0 so that every argument is 0.
+    cr, cqp = 1.0 - ep.r, 1.0 - ep.q_prime
+    if abs(cr) < _LIMIT_TOL or abs(cqp) < _LIMIT_TOL:
         raise DomainError(f"level arguments need q_prime and r away from 1, got "
-                          f"q_prime={ep.q_prime!r}, r={ep.r!r}") from None
+                          f"q_prime={ep.q_prime!r}, r={ep.r!r}")
+    inv_cr, ratio = 1.0 / cr, cr / cqp
+    try:
+        e_ratio = math.exp(ratio)
     except OverflowError:
         e_ratio = math.inf
     if not 0.0 < e_ratio < math.inf:
@@ -174,7 +176,7 @@ def _check_level(spec: EnsembleSpec, i: int) -> None:
 def level_argument(spec: EnsembleSpec, i: int) -> float:
     """Inversion argument x_i for level i (see module docstring).
 
-    DomainError at r = 1 or q' = 1, where it is undefined; RangeError when
+    DomainError with r or q' within 1e-12 of 1; RangeError when
     it, or e^((1-r)/(1-q')), overflows the double range, or when the latter
     underflows to 0, so that alpha and beta would not move the argument.
     """
@@ -278,14 +280,20 @@ def _all_weights(spec: EnsembleSpec, branch: int) -> tuple[tuple[float, ...], ..
     # inverter, in ascending x, so each root warm-starts the next and the
     # result does not depend on their order.  Memoised by value: a pass
     # repeated at an equal spec (`distribution` at the alpha `solve_alpha`
-    # returned) costs no inversion.
+    # returned) costs no inversion.  A refused pass with an argument beyond
+    # the double range raises level_argument's RangeError for it.
     ep = spec.ep
     params, q1 = ep.induced_params(), ep.q - 1.0
     invert = _inverter(params, branch, _EVAL_TOL)
     xs = list(map(_arguments(ep, spec.alpha, spec.beta), spec.levels))
-    ys, ws, slopes, braces = _weights(
-        params, q1, branch, invert, xs, sorted(range(len(xs)), key=xs.__getitem__),
-        lambda i: f"level {i} (eps={spec.levels[i]!r}): ")
+    try:
+        ys, ws, slopes, braces = _weights(
+            params, q1, branch, invert, xs, sorted(range(len(xs)), key=xs.__getitem__),
+            lambda i: f"level {i} (eps={spec.levels[i]!r}): ")
+    except LogLambertError:
+        for i in range(len(xs)):
+            level_argument(spec, i)
+        raise
     return tuple(xs), tuple(ys), tuple(ws), tuple(slopes), tuple(braces)
 
 

@@ -112,8 +112,9 @@ def test_branches_catalog_counts():
 
 
 def test_branches_unsupported_case_exit():
-    cp = run_cli("branches", "-A", "1", "-B", "-1", "-C", "5", expect=2)
-    assert "|c| <= a" in cp.stderr
+    # Three seams for b > 0 (four branches) stay refused.
+    cp = run_cli("branches", "-A", "-0.169", "-B", "2.278", "-C", "-2.794", expect=2)
+    assert "has 3 roots" in cp.stderr
 
 
 def test_branches_seam_out_of_range_exit():

@@ -215,10 +215,15 @@ def test_x_domain_is_image_of_y_range():
 
 
 def test_unsupported_cases():
-    with pytest.raises(UnsupportedCaseError):
-        branches(Params(1.0, -1.0, 5.0))  # b < 0, a > 0 needs |c| <= a
-    with pytest.raises(UnsupportedCaseError):
-        branches(Params(-1.0, -1.0, 5.0))  # b < 0, a < 0 needs c <= |a|
+    # The seam count is the catalog's only refusal rule: b < 0 with |c| > a
+    # still has two seams here, so it has three branches.
+    cat = branches(Params(1.0, -1.0, 5.0))
+    assert len(cat) == 3
+    seams = sorted({d for bi in cat for d, _ in bi.seams})
+    assert seams == pytest.approx([-3.623, -9.07e-4], rel=1e-3)
+    with pytest.raises(NoSolutionError):
+        # the seam equation is positive at its one knot, its minimum: no seam
+        branches(Params(-1.0, -1.0, 5.0))
     with pytest.raises(NoSolutionError):
         # (y+1)*ln(-y) <= 0 on the whole half-line, so with c this negative
         # the seam equation stays below zero everywhere: no crossings

@@ -132,11 +132,30 @@ def test_level_argument_refuses_an_overflowing_argument():
         level_argument(spec, 0)
 
 
-@pytest.mark.parametrize("ep", [EntropyParams(0.9, 0.8, 1.0), EntropyParams(0.9, 1.0, 0.7)])
+# With r one ulp below 1 and q' = -1e308, (1-r)/(1-q') rounds to 0 and
+# every argument would be 0: refused by the rule of the induced coefficients.
+@pytest.mark.parametrize("ep", [EntropyParams(0.9, 0.8, 1.0), EntropyParams(0.9, 1.0, 0.7),
+                                EntropyParams(0.5, -1e308, 1.0 - 2**-53)])
 def test_level_argument_refuses_r_or_q_prime_at_one(ep):
-    spec = EnsembleSpec(levels=(0.5,), alpha=0.0, beta=0.1, ep=ep)
-    with pytest.raises(DomainError, match=rf"q_prime={ep.q_prime!r}, r={ep.r!r}"):
-        level_argument(spec, 0)
+    spec = EnsembleSpec(levels=(0.0, 1.0), alpha=3.0, beta=2.0, ep=ep)
+    for i in (0, 1):
+        with pytest.raises(DomainError, match=re.escape(f"q_prime={ep.q_prime!r}, r={ep.r!r}")):
+            level_argument(spec, i)
+
+
+# beta*eps = 1e309 overflows for level 1 only.
+SPEC_HUGE_LEVEL = EnsembleSpec((0.0, 1e308), 0.0, 10.0, EP)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: level_argument(SPEC_HUGE_LEVEL, 1),
+    lambda: distribution(SPEC_HUGE_LEVEL, 1),
+    lambda: probability(SPEC_HUGE_LEVEL, 0, 1),
+], ids=["level_argument", "distribution", "probability"])
+def test_an_overflowing_level_argument_is_one_range_error(call):
+    # The cause is the argument, not an inversion at x = inf.
+    with pytest.raises(RangeError, match=r"^argument of level 1 \(eps=1e\+308\) overflows "):
+        call()
 
 
 def test_solve_alpha_takes_the_mean_of_levels_whose_sum_overflows():
@@ -301,6 +320,19 @@ def test_permutation_equivariance():
 def test_suggest_branch():
     assert suggest_branch(EP, 4) == 0
     assert suggest_branch(EP_CONT, 4) == 1
+
+
+def test_fit_where_c_exceeds_a_with_b_negative():
+    # Params(0.5, -2, 1) has |c| > a > 0 with b < 0, outside the paper's
+    # sufficient conditions, yet two seams and three branches.
+    ep = EntropyParams(1.5, 2.0, 0.5)
+    assert ep.induced_params() == Params(0.5, -2.0, 1.0)
+    branch = suggest_branch(ep, len(LEVELS))
+    alpha = solve_alpha(LEVELS, 0.1, ep, branch)
+    spec = EnsembleSpec(levels=LEVELS, alpha=alpha, beta=0.1, ep=ep)
+    dist = distribution(spec, branch)
+    assert abs(dist.partition - 1.0) <= 1e-14
+    assert max(map(abs, stationarity_residuals(spec, dist.probs))) <= 1e-12
 
 
 @pytest.mark.parametrize("n_levels", [10**30, 10**300, 10**400], ids=["1e30", "1e300", "1e400"])

@@ -56,22 +56,29 @@ def _probes(bi):
             for u in (0.1, 0.5, 0.9)]
 
 
+def _plane_c(a, b, u, wide):
+    # c as the benchmark's scan_cold workload draws it, from u in [0, 1]: in
+    # (-3, 3) for b > 0, (-a, a) for b < 0 < a, and (-3, |a|) for b < 0,
+    # a < 0.  When wide, c spans all of (-30, 30) for b < 0, where the seam
+    # count alone decides between a catalog and a typed refusal.
+    if b > 0.0:
+        return 3.0 * (2.0 * u - 1.0)
+    if wide:
+        return 30.0 * (2.0 * u - 1.0)
+    if a > 0.0:
+        return a * (2.0 * u - 1.0)
+    return -3.0 + (abs(a) + 3.0) * u
+
+
 # The parameter ranges of the benchmark's scan_cold workload: |a| in
-# 1e-3..1e2, |b| in 1e-3..1e3, all four sign cases; c in (-3, 3) for b > 0,
-# (-a, a) for b < 0 < a, and (-3, |a|) for b < 0, a < 0.
+# 1e-3..1e2, |b| in 1e-3..1e3, all four sign cases, c by _plane_c.
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(sign_a=st.sampled_from([1.0, -1.0]), sign_b=st.sampled_from([1.0, -1.0]),
        log_a=st.floats(-3.0, 2.0), log_b=st.floats(-3.0, 3.0),
-       u=st.floats(0.0, 1.0))
-def test_branches_meet_contract_or_refuse(sign_a, sign_b, log_a, log_b, u):
+       u=st.floats(0.0, 1.0), wide=st.booleans())
+def test_branches_meet_contract_or_refuse(sign_a, sign_b, log_a, log_b, u, wide):
     a, b = sign_a * 10.0 ** log_a, sign_b * 10.0 ** log_b
-    if b > 0.0:
-        c = 3.0 * (2.0 * u - 1.0)
-    elif a > 0.0:
-        c = a * (2.0 * u - 1.0)
-    else:
-        c = -3.0 + (abs(a) + 3.0) * u
-    p = Params(a, b, c)
+    p = Params(a, b, _plane_c(a, b, u, wide))
     try:
         cat = branches(p)
     except LogLambertError:
@@ -103,16 +110,12 @@ def _mp_seam_equation(p, y):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(sign_a=st.sampled_from([1.0, -1.0]), sign_b=st.sampled_from([1.0, -1.0]),
        log_a=st.floats(-6.0, 2.0), log_b=st.floats(-3.0, 3.0),
-       u=st.floats(0.0, 1.0))
-@example(sign_a=-1.0, sign_b=1.0, log_a=0.0, log_b=-1.1 / math.log(10.0), u=0.5)  # L = -1.1
-def test_seam_count_follows_from_the_knots(sign_a, sign_b, log_a, log_b, u):
+       u=st.floats(0.0, 1.0), wide=st.booleans())
+@example(sign_a=-1.0, sign_b=1.0, log_a=0.0, log_b=-1.1 / math.log(10.0), u=0.5,
+         wide=False)  # L = -1.1
+def test_seam_count_follows_from_the_knots(sign_a, sign_b, log_a, log_b, u, wide):
     a, b = sign_a * 10.0 ** log_a, sign_b * 10.0 ** log_b
-    if b > 0.0:
-        c = 3.0 * (2.0 * u - 1.0)
-    elif a > 0.0:
-        c = a * (2.0 * u - 1.0)
-    else:
-        c = -3.0 + (abs(a) + 3.0) * u
+    c = _plane_c(a, b, u, wide)
     p = Params(a, b, c)
     eps = 2.0 ** -52
     with mpmath.workdps(30):
@@ -167,17 +170,10 @@ def test_seam_count_follows_from_the_knots(sign_a, sign_b, log_a, log_b, u):
 
 @st.composite
 def scan_params(draw):
-    # The same scan_cold ranges as test_branches_meet_contract_or_refuse.
+    # The same ranges as test_branches_meet_contract_or_refuse.
     a = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.floats(-3.0, 2.0))
     b = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.floats(-3.0, 3.0))
-    u = draw(st.floats(0.0, 1.0))
-    if b > 0.0:
-        c = 3.0 * (2.0 * u - 1.0)
-    elif a > 0.0:
-        c = a * (2.0 * u - 1.0)
-    else:
-        c = -3.0 + (abs(a) + 3.0) * u
-    return Params(a, b, c)
+    return Params(a, b, _plane_c(a, b, draw(st.floats(0.0, 1.0)), draw(st.booleans())))
 
 
 def _x_in_domain(bi, u, toward_open):
