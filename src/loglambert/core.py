@@ -31,8 +31,9 @@ NoSolutionError.
 This module provides the branch catalog, the inverse on a chosen branch, the
 closed forms for the inverse's derivative and antiderivative, the expansion
 of the inverse about x = 0 (leading coefficients in closed form through the
-classical Lambert W, higher ones by O(n^3) series reversion), and a large-x
-approximation.  Knots, seams and inversions share one solver: Newton steps
+classical Lambert W, higher ones by O(n^3) reversion of f's own series in
+closed form), and a large-x approximation.
+Knots, seams and inversions share one solver: Newton steps
 safeguarded by bisection inside a bracket of a monotone function (Press et
 al.'s rtsafe rule, bisecting in ln|y| across orders of magnitude), applied
 to the knot equation, to the seam equation on each monotone piece and to f
@@ -793,11 +794,6 @@ def antiderivative(p: Params, y: float) -> float:
     return value
 
 
-def _expansion_argument(p: Params) -> float:
-    # Argument handed to the classical W in the expansion-point formulas.
-    return -p.b * p.c * math.exp(1.0 / p.a) / p.a
-
-
 def taylor_first_order(p: Params) -> tuple[float, float]:
     """Constant and linear coefficients of the inverse about x = 0.
 
@@ -808,7 +804,7 @@ def taylor_first_order(p: Params) -> tuple[float, float]:
     or a coefficient overflows the double range.
     """
     try:
-        t = _expansion_argument(p)
+        t = -p.b * p.c * math.exp(1.0 / p.a) / p.a
     except OverflowError:
         raise _range_error(p, "the expansion point about x = 0") from None
     if t < BRANCH_POINT:
@@ -829,36 +825,19 @@ def taylor_first_order(p: Params) -> tuple[float, float]:
 
 
 def _forward_series(p: Params, a0: float, n: int) -> list[float]:
-    # Taylor coefficients of f about a0 through order n, from the exact
-    # expansions of ln(b*(a0+s)) and e^{a0+s}.
-    log_ba0 = _log_by(p, a0, "the expansion point")
-    log_ser = [log_ba0] + [
-        ((-1.0) ** (k + 1)) / (k * a0**k) for k in range(1, n + 1)
-    ]
-    inner = [0.0] * (n + 1)  # a*(a0+s)*ln(b*(a0+s)) + (a0+s) + c
-    for k in range(n + 1):
-        inner[k] += p.a * a0 * log_ser[k]
-        if k >= 1:
-            inner[k] += p.a * log_ser[k - 1]
-    inner[0] += a0 + p.c
-    if n >= 1:
-        inner[1] += 1.0
-    exp_ser = [math.exp(a0)]
+    # c_0..c_n of f about its zero a0 by Leibniz's rule, from P's closed-form
+    # coefficients p_j (see taylor_coefficients) and e^a0/m!.
+    ps = [0.0, p.a * _log_by(p, a0, "the expansion point") + p.a + 1.0]
+    exps, term = [math.exp(a0)], -1.0  # e^a0/m!; (-1)^j / a0^(j-1)
+    for j in range(2, n + 1):
+        term = -term / a0
+        ps.append(p.a * term / (j * (j - 1)))
+        exps.append(exps[-1] / (j - 1))
+    c = [0.0] * (n + 1)
     for k in range(1, n + 1):
-        exp_ser.append(exp_ser[-1] / k)
-    return _poly_mul(inner, exp_ser, n)
-
-
-def _poly_mul(u: list[float], v: list[float], order: int) -> list[float]:
-    out = [0.0] * (order + 1)
-    for i, ui in enumerate(u):
-        if ui == 0.0 or i > order:
-            continue
-        for j, vj in enumerate(v):
-            if i + j > order:
-                break
-            out[i + j] += ui * vj
-    return out
+        for j in range(1, k + 1):
+            c[k] += ps[j] * exps[k - j]
+    return c
 
 
 def _revert_series(c: list[float], n: int) -> list[float]:
@@ -890,10 +869,12 @@ def taylor_coefficients(p: Params, n: int) -> list[float]:
     """Series coefficients g_1..g_n of the inverse about x = 0.
 
     The inverse expands as a0 + sum_k g_k x^k / k!.  Coefficients come
-    from reverting the forward Taylor series about the expansion point
-    (whose own coefficients are exact closed forms), which is far better
-    conditioned than iterated differentiation of the inversion-formula
-    quotient.  g_1 agrees with the closed-form linear coefficient.
+    from reverting the forward Taylor series about the expansion point,
+    far better conditioned than iterated differentiation of the inversion-
+    formula quotient.  Its coefficients are closed forms: f = P*e^y, P =
+    a*y*ln(b*y) + y + c, whose own at a0 are p_0 = 0, p_1 = a*ln(b*a0) + a
+    + 1 and p_j = a*(-1)^j/(j*(j-1)*a0^(j-1)), so c_k = sum_{j=1..k} p_j *
+    e^a0/(k-j)!.  g_1 agrees with the closed-form linear coefficient.
     Raises RangeError when a coefficient overflows the double range.
     """
     if not (hasattr(n, "__index__") and 1 <= n <= 8):  # an integer in range
@@ -901,9 +882,8 @@ def taylor_coefficients(p: Params, n: int) -> list[float]:
     a0, _ = taylor_first_order(p)
     try:
         c = _forward_series(p, a0, n)
-    except (OverflowError, ZeroDivisionError):  # a0**k beyond the double range or below it
+    except OverflowError:  # e^a0 beyond the double range
         raise _range_error(p, "a series coefficient about x = 0") from None
-    c[0] = 0.0  # analytically exact: f(a0) = 0
     if abs(c[1]) < 1e-8:
         raise PrecisionError(
             f"series reversion ill-conditioned: f'(a0) = {c[1]!r}"

@@ -398,7 +398,8 @@ def solve_alpha(
     is not finite or tol is not positive and finite, and when the interval is empty
     (the levels span more than the branch admits) or when the solve ends
     against one of its ends, so that no alpha in it normalises the
-    weights; ConvergenceError, naming the final sign bracket, when that
+    weights; ConvergenceError, naming the final sign bracket and the closest
+    alpha (an end of it or an earlier iterate outside it), when that
     bracket shrinks to a few ulps without reaching tol (the rounding floor
     of the weight sum) or 200 passes do not reach it.
     """
@@ -462,9 +463,11 @@ def solve_alpha(
         excess = -res if (end == a_hi) == increasing else res
         raise DomainError(f"no alpha in ({a_lo!r}, {a_hi!r}) normalises the weights: "
                           f"excess {excess!r} at alpha={alpha!r}, next to the end {end!r}")
+    # Each pass moves a bracket end to its alpha: the closest is an end or outside.
+    where = "an end of that bracket" if alpha in (lo, hi) else "an earlier iterate outside it"
     raise ConvergenceError(f"normalisation solve for alpha stopped in the sign bracket "
                            f"[{lo!r}, {hi!r}] with no alpha meeting tol {tol!r} "
-                           f"(closest |Z - 1| {res!r}, at alpha={alpha!r})")
+                           f"(closest |Z - 1| {res!r}, at alpha={alpha!r}, {where})")
 
 
 def stationarity_residuals(spec: EnsembleSpec, probs: Sequence[float]) -> list[float]:

@@ -4,9 +4,10 @@ Everything here is deliberately slow and simple, and shares no solution
 code with the production paths it validates: inversion by plain bisection
 (never Newton), Ei by principal-value quadrature (never the production
 series/continued fraction), derivatives by central differences,
-stationarity residuals by differentiating the whole entropy sum in mpmath.
-The only shared ingredient is the forward map, which is the problem
-statement rather than a solution method.
+stationarity residuals by differentiating the whole entropy sum in mpmath,
+the inverse's Taylor coefficients by reverting a 50-digit product of the
+series of ln and exp.  The only shared ingredient is the forward map,
+which is the problem statement rather than a solution method.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import mpmath
 from loglambert import IntegrationError, LogLambertError, Params, evaluate, forward
 
 __all__ = ["BracketError", "bisect_invert", "quad_ei", "fd_derivative",
-           "stationarity_residuals_quadratic"]
+           "stationarity_residuals_quadratic", "taylor_reference"]
 
 
 class BracketError(LogLambertError, ValueError):
@@ -146,3 +147,37 @@ def stationarity_residuals_quadratic(spec, probs) -> list[float]:
             ds = mpmath.diff(lambda t: ep.k * mpmath.fsum([term(t), *rest]), ps[i])
             res.append(float(ds / ep.k + spec.alpha + mpmath.mpf(spec.beta) * eps))
         return res
+
+
+def taylor_reference(a: float, b: float, c: float, n: int) -> list:
+    """g_1..g_n of the inverse about x = 0 in 50-digit arithmetic (mpf).
+
+    The expansion point a0 = e^(W0(t) - 1/a)/b, t = -b*c*e^(1/a)/a, from
+    mpmath's principal W; f's series about a0 as the truncated product of
+    the exact series of ln(b*(a0+s)) and e^(a0+s); the inverse by truncated
+    products of the reverted series, d_m = -[x^m] sum_k c_k*g^k / c_1; and
+    g_k = k!*d_k.  Nothing here is shared with `taylor_coefficients`.
+    """
+    with mpmath.workdps(50):
+        a, b, c = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(c)
+        a0 = mpmath.exp(mpmath.lambertw(-b * c * mpmath.exp(1 / a) / a).real - 1 / a) / b
+
+        def mul(u, v):  # truncated at order n
+            return [mpmath.fsum(u[i] * v[k - i] for i in range(k + 1)) for k in range(n + 1)]
+
+        log = [mpmath.log(b * a0)] + [(-1) ** (k + 1) / (k * a0**k) for k in range(1, n + 1)]
+        exp = [mpmath.exp(a0) / mpmath.factorial(k) for k in range(n + 1)]
+        y = [a0, 1] + [0] * (n - 1)
+        inner = [a * t for t in mul(y, log)]
+        inner[0] += a0 + c
+        inner[1] += 1
+        fwd = mul(inner, exp)
+        d = [0, 1 / fwd[1]]
+        for m in range(2, n + 1):
+            g = d + [0] * (n + 1 - m)
+            power, total = g, 0
+            for k in range(2, m + 1):
+                power = mul(power, g)
+                total += fwd[k] * power[m]
+            d.append(-total / fwd[1])
+        return [d[k] * mpmath.factorial(k) for k in range(1, n + 1)]

@@ -44,8 +44,11 @@ outcome counts, the outcome-class changes, the catalogs whose seams are
 equal to the bit and the ulp moves of those that differ, and per calculus
 call the same counts, changes, equal answers and ulp moves.  `--mpmath N`
 adds the relative error against a 50-digit root of every N-th `eval_hot` input
-answered in both records (median, p90, max), and the ulp distance of every
-moved seam of either record from its 60-digit root.  For the fits it
+answered in both records (median, p90, max), the ulp distance of every
+moved seam of either record from its 60-digit root, and the relative error
+of each coefficient of every `taylor_coefficients` answer that moved against
+`_oracle.taylor_reference`, 50-digit coefficients (median, p90, max; those
+below DBL_MIN skipped).  For the fits it
 prints, per call, each record's outcome counts and total evaluations of f,
 the ops whose count differs, the outcome-class changes, and how many
 answers and refusals (class and message) are equal to the bit, listing each
@@ -350,13 +353,13 @@ def compare(path_a: str, path_b: str, mp_every: int) -> bool:
     differs |= compare_seams([r for r in rows_a if r[0] == SEAMS],
                              [r for r in rows_b if r[0] == SEAMS], mp_every)
     differs |= compare_calculus([r for r in rows_a if r[0] == CALCULUS],
-                                [r for r in rows_b if r[0] == CALCULUS])
+                                [r for r in rows_b if r[0] == CALCULUS], mp_every)
     differs |= compare_fits([r for r in rows_a if r[0] == FITS],
                             [r for r in rows_b if r[0] == FITS])
     return differs
 
 
-def compare_calculus(rows_a, rows_b) -> bool:
+def compare_calculus(rows_a, rows_b, mp_every: int) -> bool:
     pairs, only_a, only_b = _pair(rows_a, rows_b)
     print(f"== {CALCULUS}: {len(rows_a)} and {len(rows_b)} scan_cold calls, "
           f"{len(pairs)} with the same input")
@@ -379,7 +382,33 @@ def compare_calculus(rows_a, rows_b) -> bool:
         print(f"    answered in both: {len(both)}, equal to the bit: "
               f"{sum(ra[8] == rb[8] for ra, rb in both)}")
         print(f"    ulp moves of the {len(moves)} values that differ: {_quantiles(moves)}")
+        moved = [(ra, rb) for ra, rb in both if ra[8] != rb[8]]
+        if call == "taylor_coefficients" and mp_every and moved:
+            errs_a, errs_b = _taylor_errors(moved)
+            print(f"    relative error against 50-digit coefficients, {len(moved)} moved "
+                  f"answers ({len(errs_a)} coefficients):")
+            print(f"      A: {_quantiles(errs_a)}")
+            print(f"      B: {_quantiles(errs_b)}")
     return bool(only_a or only_b or any(ra != rb for ra, rb in pairs))
+
+
+def _taylor_errors(pairs):
+    # The relative error of each coefficient of A's and B's answers against
+    # _oracle.taylor_reference (50 digits); references below DBL_MIN skipped.
+    import mpmath as mp
+
+    sys.path.append(str(ROOT / "src"))  # for _oracle's own import of loglambert
+    from _oracle import taylor_reference
+
+    errs_a, errs_b = [], []
+    for ra, rb in pairs:
+        a, b, c = (float.fromhex(ra[i]) for i in (2, 3, 4))
+        for ref, va, vb in zip(taylor_reference(a, b, c, int(ra[6])),
+                               ra[8].split(","), rb[8].split(",")):
+            if abs(ref) >= sys.float_info.min:
+                errs_a.append(float(abs(mp.mpf(float.fromhex(va)) - ref) / abs(ref)))
+                errs_b.append(float(abs(mp.mpf(float.fromhex(vb)) - ref) / abs(ref)))
+    return errs_a, errs_b
 
 
 def compare_fits(rows_a, rows_b) -> bool:
@@ -466,8 +495,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
     ap.add_argument("--compare", nargs=2, metavar=("A", "B"))
     ap.add_argument("--mpmath", type=int, default=0, metavar="N",
-                    help="with --compare: check every N-th eval_hot answer and "
-                         "every moved seam against mpmath")
+                    help="with --compare: check every N-th eval_hot answer, "
+                         "every moved seam and every moved Taylor answer against mpmath")
     args = ap.parse_args(argv)
     if args.compare:
         return int(compare(*args.compare, args.mpmath))

@@ -1,7 +1,6 @@
 """Derivative, antiderivative, series expansion and large-x approximation."""
 
 import math
-import random
 import re
 import sys
 
@@ -29,30 +28,15 @@ from loglambert import (
     taylor_first_order,
 )
 from loglambert import core
-from _oracle import _simpson, fd_derivative
-from _sampling import interior_points
+from _oracle import _simpson, fd_derivative, taylor_reference
+from _sampling import interior_points, scan_cold_sample
 
 P111 = Params(1.0, 1.0, 1.0)
 P110 = Params(1.0, 1.0, 0.0)
 PM02 = Params(1.0, 1.0, -0.2)
 
 
-def _scan_cold_sample(n, seed=18):
-    # n coefficient triples drawn as the benchmark's scan_cold pool draws
-    # them: the four sign cases of (a, b) in turn, |a| log-uniform on
-    # [1e-3, 1e2], |b| on [1e-3, 1e3], c uniform on its supported span.
-    rng = random.Random(seed)
-    sample = []
-    for k in range(n):
-        sa, sb = ((1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0))[k % 4]
-        a, b = sa * 10.0 ** rng.uniform(-3.0, 2.0), sb * 10.0 ** rng.uniform(-3.0, 3.0)
-        u = 2.0 * rng.random() - 1.0
-        c = 3.0 * u if b > 0.0 else a * u if a > 0.0 else -3.0 + (abs(a) + 3.0) * (u + 1.0) / 2.0
-        sample.append(Params(a, b, c))
-    return sample
-
-
-SAMPLE = _scan_cold_sample(200)
+SAMPLE = scan_cold_sample(200)
 
 
 # ---------------------------------------------------------------- derivative
@@ -261,6 +245,24 @@ def test_taylor_partial_sums_track_inverse():
     assert max(ratios_quartic) <= 2.0 * min(ratios_quartic)
 
 
+def test_taylor_coefficients_match_50_digit_reference():
+    # g_1..g_8 on the scan_cold sample against taylor_reference (50-digit
+    # W, series product and reversion), coefficients below DBL_MIN skipped.
+    # The worst case, a = 0.0019 (a0 inherits the rounding of W(t) - 1/a
+    # with 1/a = 530), is 5.9e-13 * k at order k.
+    checked = 0
+    for p in SAMPLE:
+        try:
+            g = taylor_coefficients(p, 8)
+        except LogLambertError:
+            continue
+        for k, (v, ref) in enumerate(zip(g, taylor_reference(p.a, p.b, p.c, 8)), 1):
+            if abs(ref) >= sys.float_info.min:
+                checked += 1
+                assert abs(mpmath.mpf(v) - ref) <= 1e-12 * k * abs(ref), (p, k, v, ref)
+    assert checked > 500
+
+
 @pytest.mark.parametrize("abc", [
     (0.001, 1.0, 1.0),   # e^{1/a} overflows
     (-0.001, 1.0, 1.0),  # e^{W(t) - 1/a} overflows
@@ -326,7 +328,6 @@ def test_revert_series_matches_truncated_products_to_the_bit():
             c = core._forward_series(p, a0, 8)
         except (DomainError, RangeError, SingularityError, OverflowError):
             continue
-        c[0] = 0.0
         series.append(c)
     assert len(series) > 50
     series += [

@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import random
 
 import pytest
 
@@ -21,7 +20,7 @@ from loglambert import (
 )
 from loglambert import core
 from loglambert.core import _inverter
-from _sampling import interior_points
+from _sampling import interior_points, scan_cold_sample
 
 PARAM_SETS = [(1, 1, 1), (2, 1, 1), (1, 1, 0), (-2, -1, 1), (-1, -1, 0.5)]
 
@@ -413,18 +412,6 @@ def test_domain_error_reports_interval():
         evaluate(p, 7, 2.0)  # no such branch
 
 
-def _scan_cold_sample(n, seed):
-    # (a, b, c) drawn as the scan_cold ranges: |a| in 1e-3..1e2, |b| in
-    # 1e-3..1e3, c in the band each sign case of b and a supports.
-    rng = random.Random(seed)
-    for _ in range(n):
-        a = rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-3.0, 2.0)
-        b = rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-3.0, 3.0)
-        u = rng.random()
-        yield a, b, (3.0 * (2.0 * u - 1.0) if b > 0.0 else a * (2.0 * u - 1.0) if a > 0.0
-                     else -3.0 + (abs(a) + 3.0) * u)
-
-
 def _domain_probes(dom):
     # Each end of an x-domain and one ulp either side of it, +-0 and +-inf.
     for end in (dom.lo, dom.hi):
@@ -439,7 +426,8 @@ def test_plan_bounds_admit_what_the_domain_contains():
     # one ulp inward: exactly the points Interval.contains admits, on every
     # plan of PARAM_SETS and of a seeded scan_cold-style sample.  evaluate
     # refuses the others by naming the domain, and NaN as NaN.
-    sets = [tuple(map(float, abc)) for abc in PARAM_SETS] + list(_scan_cold_sample(300, 29))
+    sets = [tuple(map(float, abc)) for abc in PARAM_SETS]
+    sets += [(p.a, p.b, p.c) for p in scan_cold_sample(300, 29)]
     plans = []
     for abc in sets:
         try:

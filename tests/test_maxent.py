@@ -452,15 +452,19 @@ def test_solve_alpha_weight_passes(count_calls, levels, passes):
 def test_solve_alpha_refuses_at_adjacent_doubles(count_calls):
     # No double meets tol here: the excess steps from -3.04e-14 to
     # +2.53e-14 between 0.4833915472854921 and 0.48339154728549216.  The
-    # refusal names a final sign bracket a few ulps wide around that step;
+    # refusal names a final sign bracket a few ulps wide around that step,
+    # and the closest alpha, here an earlier iterate outside that bracket;
     # unguarded Newton hops about for all 101 passes.
     calls = count_calls(maxent, "_all_weights")
     bracket = r"sign bracket \[(\S+), (\S+)\]"
+    closest = r"at alpha=(\S+), an earlier iterate outside it\)$"
     with pytest.raises(ConvergenceError, match=bracket) as exc:
         solve_alpha([0.4, 0.35], 0.1, EntropyParams(0.998, 0.834, 0.783))
     lo, hi = map(float, re.search(bracket, str(exc.value)).groups())
     assert lo <= 0.4833915472854921 < 0.48339154728549216 <= hi
     assert hi - lo <= 8 * math.ulp(lo)
+    alpha = float(re.search(closest, str(exc.value)).group(1))
+    assert not lo <= alpha <= hi
     assert len(calls) <= 20
 
 
