@@ -44,12 +44,11 @@ seam, else a few fixed-point steps of f(y) = x rearranged for y -> 0
 (f -> c) or for large |y| (ln|f| ~ y).  f is evaluated only at the solver's
 points.  Many inversions on one branch (all levels of a maximum-entropy
 fit) each start from the third-order inverse series at the last root, from
-f, f' and ln(b*y) there (or from that root, reusing its f and f', where the
-series is not trusted), unless x is closer to the branch's open-end limit
-than to the last x.  The inverter evaluates f at that start, the solver's
-first point, and takes it as the root when it meets the tolerance; each
-evaluation of f hands out ln(b*y) with f and f', so a root comes with its
-log at no further cost.
+f, f' and ln(b*y) there, where that series is trusted; every other x is
+solved as a single inversion is.  The inverter evaluates f at the series
+start, the solver's first point, and takes it as the root when it meets
+the tolerance; each evaluation of f hands out ln(b*y) with f and f', so a
+root comes with its log at no further cost.
 
 All functions are pure; `Params` and the catalog records are immutable
 slotted value records (compared, hashed and pickled by value).  The catalog
@@ -57,10 +56,10 @@ is memoised by the values (a, b, c) behind a thread-safe cache, so a lookup
 hashes three floats and no record.  It builds each branch in one pass from
 its two ends (y -> 0 where f -> c, a seam d with f(d) and f''(d), or
 |y| -> inf, an open end clipped to a finite double): its BranchInfo and its
-solve constants (bracket, direction of f, seams, limit of f at the open
-end, the x-domain as two floats with open ends one ulp inward, and f bound
-to its Params), held by branch index, so an inversion starts with no
-per-branch arithmetic and no record hashing.
+solve constants (bracket, direction of f, seams, the x-domain as two
+floats with open ends one ulp inward, and f bound to its Params), held by
+branch index, so an inversion starts with no per-branch arithmetic and no
+record hashing.
 """
 
 from __future__ import annotations
@@ -480,17 +479,15 @@ class _Plan:
     # One branch, built with the catalog from its two ends in ascending y:
     # (d, f(d), f''(d)) at a seam, (clipped y, limit of f, None) at an open
     # end.  Holds the BranchInfo and the solve constants: the bracket lo < hi,
-    # the direction of f, the seams, x_end, the limit of f at the open end
-    # (inf between two seams), the x-domain as floats x_min <= x <= x_max
+    # the direction of f, the seams, the x-domain as floats x_min <= x <= x_max
     # (open ends one ulp inward; NaN fails) and f, (f, f') bound to Params.
-    __slots__ = ("info", "lo", "hi", "increasing", "seams", "x_end", "x_min", "x_max", "f")
+    __slots__ = ("info", "lo", "hi", "increasing", "seams", "x_min", "x_max", "f")
 
     def __init__(self, index: int, low: tuple, high: tuple, increasing: bool, f):
         (lo, x_lo, f2_lo), (hi, x_hi, f2_hi) = low, high
         self.lo, self.hi, self.increasing, self.f = lo, hi, increasing, f
         lo_in, hi_in = f2_lo is not None, f2_hi is not None
         self.seams = (low, high) if lo_in and hi_in else (low,) if lo_in else (high,)
-        self.x_end = x_lo if not lo_in else x_hi if not hi_in else math.inf
         # The record holds an open end unclipped: y -> 0 or |y| -> inf.
         y_lo = lo if lo_in else 0.0 if abs(lo) < 1.0 else lo * math.inf
         y_hi = hi if hi_in else 0.0 if abs(hi) < 1.0 else hi * math.inf
@@ -658,24 +655,22 @@ def _inverter(p: Params, branch: int, tol: float
     # F2 = f''/f' = 1 + s'/s and F3 = f'''/f' = 1 + (2*s' + s'')/s, where
     # f' = s*e^y and s = (y+1)*B + a + c, s' = B + a + a/y, s'' = a*(y-1)/y**2
     # come from y0's brace with no further log or exp.
-    # That start is taken when it lies strictly inside the bracket and the
-    # series' higher-order part is at most half its first-order term dy (a
-    # truncated series far from y0 overshoots); otherwise, or when f'(y0) =
-    # 0, the start is y0.  The inverter evaluates f at a series start itself
-    # (y0's f and f' are known) and checks it against tol*max(1, |x|): a
+    # The series is trusted when f'(y0) and s are nonzero, x lies in the
+    # branch's domain and is no seam's f, the series' higher-order part is
+    # at most half its first-order term dy (a truncated series far from y0
+    # overshoots), and the start lies strictly inside the bracket.  The
+    # inverter evaluates f there and checks it against tol*max(1, |x|): a
     # start that meets it is the root, with no call to the solver, and one
     # that does not is the solver's first point, already evaluated.  So a
-    # warm solve costs its f evaluations and little else.  x outside the
-    # branch's domain, at a seam's f, or closer to f's limit at the branch's
-    # open end (x_end) than to the last x is solved as evaluate solves it:
-    # after a far jump the open end's start is the nearer one, and Newton
-    # from the last root can crawl down the convex side of e^y.  An x equal
-    # to the last one returns its answer; nothing is memoised, so an equal x
-    # met again later may differ in the last bits.
+    # warm solve costs its f evaluations and little else.  Every other x is
+    # solved as evaluate solves it; the walk is seeded with f'(y0) = 0, so
+    # its first x is too.  An x equal to the last one returns its answer;
+    # nothing is memoised, so an equal x met again later may differ in the
+    # last bits.
     plan = _plan_or_raise(p, branch)
     f, a, ac, lo, hi, increasing = plan.f, p.a, p.a + p.c, plan.lo, plan.hi, plan.increasing
     x_min, x_max, seam_xs = plan.x_min, plan.x_max, tuple([fx for _, fx, _ in plan.seams])
-    x_end, last = plan.x_end, (math.nan, 0.0, None, 0.0)  # NaN: the first solve is cold
+    last = (math.nan, 0.0, (math.nan, 0.0, 0.0), 0.0)  # f' = 0: the first solve is cold
 
     def invert(xs: Sequence[float], order: Iterable[int] | None = None) -> tuple[list, ...]:
         nonlocal last
@@ -685,25 +680,24 @@ def _inverter(p: Params, branch: int, tol: float
             for i in range(len(xs)) if order is None else order:
                 x = xs[i]
                 if x != x0:
-                    if abs(x - x0) <= abs(x - x_end) and x_min <= x <= x_max and x not in seam_xs:
-                        y, point = y0, point0
-                        s = (y0 + 1.0) * brace + ac
-                        if point0[1] and s:
-                            ds = brace + a + a / y0
-                            f2 = 1.0 + ds / s
-                            f3 = 1.0 + (2.0 * ds + a * (y0 - 1.0) / y0 / y0) / s
-                            dy = (x - point0[0]) / point0[1]
-                            corr = dy * (-0.5 * f2 + dy * (3.0 * f2 * f2 - f3) / 6.0)
-                            y1 = y0 + dy * (1.0 + corr)
-                            if abs(corr) <= 0.5 and lo < y1 < hi:
-                                y, point = y1, f(y1)
+                    y, s = math.nan, (y0 + 1.0) * brace + ac
+                    if point0[1] and s and x_min <= x <= x_max and x not in seam_xs:
+                        ds = brace + a + a / y0
+                        f2 = 1.0 + ds / s
+                        f3 = 1.0 + (2.0 * ds + a * (y0 - 1.0) / y0 / y0) / s
+                        dy = (x - point0[0]) / point0[1]
+                        corr = dy * (-0.5 * f2 + dy * (3.0 * f2 * f2 - f3) / 6.0)
+                        if abs(corr) <= 0.5:
+                            y = y0 + dy * (1.0 + corr)
+                    if lo < y < hi:
+                        point = f(y)
                         limit = tol * (x if x > 1.0 else -x if x < -1.0 else 1.0)
                         if not abs(point[0] - x) <= limit:
                             y, res, _, _, _, point = _newton_bisect(f, x, lo, hi, increasing,
                                                                     limit, y, point)
                             if not res <= limit:
                                 raise _stalled(plan, x, tol, res)
-                    else:  # solve as evaluate does
+                    else:  # no trusted series start: solve as evaluate does
                         y, _, _, _, point = _solve(p, plan, x, tol)
                     x0, y0, point0, brace = x, y, point, a * point[2] + 1.0
                 ys[i], slopes[i], braces[i] = y0, point0[1], brace
@@ -797,11 +791,12 @@ def antiderivative(p: Params, y: float) -> float:
 def taylor_first_order(p: Params) -> tuple[float, float]:
     """Constant and linear coefficients of the inverse about x = 0.
 
-    a0 = (1/b) * exp(W(t) - 1/a) with t = -b*c*e^{1/a}/a is the point with
-    f(a0) = 0; a1 = e^{-a0} / (a * (W(t) + 1)) = 1/f'(a0).  Raises
+    a0 = -c/(a*W(t)), t = -b*c*e^{1/a}/a (e^{-1/a}/b for |t| < DBL_MIN), is
+    the point with f(a0) = 0: e^{W(t) - 1/a}/b without that exponent's
+    cancellation.  a1 = e^{-a0} / (a * (W(t) + 1)) = 1/f'(a0).  Raises
     DomainError when t < -1/e (no real expansion point), SingularityError
-    when W(t) = -1, and RangeError when e^{1/a}, e^{W(t) - 1/a}, e^{-a0}
-    or a coefficient overflows the double range.
+    when W(t) = -1, and RangeError when e^{1/a}, t, a0, e^{-a0} or a
+    coefficient overflows the double range.
     """
     try:
         t = -p.b * p.c * math.exp(1.0 / p.a) / p.a
@@ -815,11 +810,11 @@ def taylor_first_order(p: Params) -> tuple[float, float]:
     if w == -1.0:
         raise SingularityError("expansion point has f' = 0 (W(t) = -1)")
     try:
-        a0 = math.exp(w - 1.0 / p.a) / p.b
+        a0 = -p.c / (p.a * w) if abs(t) >= _DBL_MIN else math.exp(-1.0 / p.a) / p.b
         a1 = math.exp(-a0) / (p.a * (w + 1.0))
     except OverflowError:
         a0 = a1 = math.inf
-    if not (math.isfinite(a0) and math.isfinite(a1)):
+    if not (math.isfinite(a0) and math.isfinite(a1) and t < math.inf):  # t = inf: a0 = 0
         raise _range_error(p, "the expansion point about x = 0")
     return a0, a1
 

@@ -38,26 +38,27 @@ picks the branch a uniform distribution would land on.
 Each `solve_alpha` iterate and each call to `distribution`, `probability`
 and `continuous_pdf` inverts its arguments with one warm-started inverter,
 whose one loop in `core` walks a batch of them: each root seeds the next
-through the third-order inverse series there, unless the argument lies
-closer to the limit of f at the branch's open end than to the last one.  A
-pass over the levels is one batch in ascending x, so the result does not
-depend on their order and equal levels get equal bits; `continuous_pdf`
-keeps its weights by argument, so that x and -x get equal bits.  A pass
-takes -1/(1-r) + alpha, ratio and e^ratio once, forms its weights in one
-comprehension from the braces a*ln(b*y_i) + 1 the inverter hands out, and
-takes no ln(b*y_i) outside f's evaluations.  A pass is memoised by value,
-so one repeated at an equal spec (the `distribution` at the alpha
-`solve_alpha` returned) makes no inversion; from its f'(y_i) and braces
-`solve_alpha` takes the slope and curvature of Z with no further log or
-exp, for a Halley step.  A weight beyond the double range raises RangeError
-naming its level (its argument, for `continuous_weight`), a weight sum Z
-that is 0 or beyond it RangeError naming alpha and beta, and an e^ratio
-beyond it or underflowing to 0 RangeError naming q' and r, and a level's
-argument beyond it `level_argument`'s RangeError; with r or q' within 1e-12
-of 1 the arguments are refused (DomainError).  `continuous_pdf`
-normalises by adaptive 7-point Gauss / 15-point Kronrod quadrature, a batch
-per panel, over a range that stops at the support cut.  The stationarity
-residuals take each level's term of the entropy sum in closed form, O(n).
+through the third-order inverse series there where that series is trusted,
+and any other argument is solved as `evaluate` solves it, as is the one
+argument of `continuous_weight`.  A pass over the levels is one batch in
+ascending x, so the result does not depend on their order and equal levels
+get equal bits; `continuous_pdf` keeps its weights by argument, so that x
+and -x get equal bits.  A pass takes -1/(1-r) + alpha, ratio and e^ratio
+once, forms its weights in one comprehension from the braces a*ln(b*y_i) +
+1 the inverter hands out, and takes no ln(b*y_i) outside f's evaluations.
+A pass is memoised by value, so one repeated at an equal spec (the
+`distribution` at the alpha `solve_alpha` returned) makes no inversion;
+from its f'(y_i) and braces `solve_alpha` takes the slope and curvature of
+Z with no further log or exp, for a Halley step.  A weight beyond the
+double range raises RangeError naming its level (its argument, for
+`continuous_weight`), a weight sum Z that is 0 or beyond it RangeError
+naming alpha and beta, and an e^ratio beyond it or underflowing to 0
+RangeError naming q' and r, and a level's argument beyond it
+`level_argument`'s RangeError; with r or q' within 1e-12 of 1 the arguments
+are refused (DomainError).  `continuous_pdf` normalises by adaptive 7-point
+Gauss / 15-point Kronrod quadrature, a batch per panel, over a range that
+stops at the support cut.  The stationarity residuals take each level's
+term of the entropy sum in closed form, O(n).
 """
 
 from __future__ import annotations
@@ -66,9 +67,9 @@ import functools
 import math
 from collections.abc import Callable, Sequence
 
+# `evaluate` is unused here: perfbench's span test reads it as maxent.evaluate.
 from .core import (_Y_MAX, BranchInfo, Monotone, Params, _forward_and_slope, _inverter,
-                   _log_by, _newton_bisect, _plan_or_raise, _Record, branches, evaluate,
-                   forward)
+                   _newton_bisect, _plan_or_raise, _Record, branches, evaluate, forward)
 from .errors import ConvergenceError, DomainError, IntegrationError, LogLambertError, RangeError
 from .qcalculus import _LIMIT_TOL, EntropyParams, _deformed_log
 
@@ -508,8 +509,8 @@ def continuous_weight(
     """
     params = ep.induced_params()
     arg = _arguments(ep, alpha, beta)(x * x)
-    y = evaluate(params, branch, arg, tol=_EVAL_TOL).y
-    return _weight(ep.q - 1.0, branch, arg, params.a * _log_by(params, y, "weight") + 1.0)
+    brace = _inverter(params, branch, _EVAL_TOL)([arg])[2][0]
+    return _weight(ep.q - 1.0, branch, arg, brace)
 
 
 # 15-point Kronrod nodes on [-1, 1] (positive half and 0) and weights; every

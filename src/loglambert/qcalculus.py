@@ -148,8 +148,9 @@ def entropy_qqr(ep: EntropyParams, p: Sequence[float]) -> float:
         total += v
     if abs(total - 1.0) > 1e-12:
         raise DomainError(f"probabilities sum to {total!r}, not 1")
+    positive = [v for v in p if v > 0.0]
+    terms = _deformed_log([1.0 / v for v in positive], (1.0 - ep.q, 1.0 - ep.q_prime, 1.0 - ep.r))
     acc = 0.0
-    for v in p:
-        if v > 0.0:
-            acc += v * ln_qqr(ep, 1.0 / v)
+    for v, (s, _) in zip(positive, terms):
+        acc += v * s
     return ep.k * acc

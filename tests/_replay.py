@@ -6,7 +6,8 @@ inputs `perfbench/workloads.py` draws for a seed) with its outcome, the
 pool catalog, `derivative` and `antiderivative` at every `y` a `scan_cold`
 `evaluate` answers, and every `solve_alpha`, `distribution`,
 `stationarity_residuals` and `continuous_pdf` call of the `maxent_fit`
-pool, then compare two such records:
+pool, and one unsorted warm walk per `eval_hot` pool branch, then compare
+two such records:
 
     python tests/_replay.py --src src [--seeds 1 2] > new.tsv
     python tests/_replay.py --src OTHER/src > old.tsv
@@ -29,7 +30,13 @@ the core, then either `ok` and the answer in hex (`solve_alpha`: alpha;
 `distribution`: the partition and the probabilities, comma-separated;
 `stationarity_residuals`: the residuals, comma-separated; `continuous_pdf`:
 the densities, comma-separated) or the class name and message of the error
-raised.
+raised.  A walk line has workload `warm_walk`, seed, a, b, c and branch,
+then the number of x and the evaluations of f the walk made, then each
+answer in hex or the class name of the error raised, comma-separated: one
+warm inverter per `eval_hot` pool branch takes that branch's pool x one at
+a time in pool order, which is no order, so its solves start both from the
+inverse series and as `evaluate` solves them.  (On the `maxent_fit` pools
+every warm solve but each walk's first starts from the series.)
 
 `--compare A B` pairs the calls of the two records by input (workload,
 seed, a, b, c, branch and x; repeats of one input pair in order), so the
@@ -55,13 +62,18 @@ answers and refusals (class and message) are equal to the bit, listing each
 op whose answer or refusal differs; for `distribution` also each
 record's largest |Z - 1|, and the largest relative move of `solve_alpha`'s
 alpha, of the probabilities and of the densities answered in both records.
+For the walks it prints each record's evaluations of f per x, the walks
+whose count differs, the outcome-class changes and the answers equal to
+the bit, with the ulp moves of those that differ; `--mpmath N` adds the
+relative error of every N-th moved answer against a 50-digit root.
 
 Like `diff`, `--compare A B` exits 1 when the records differ: an input
 only one record has, an outcome class that changes, or an `evaluate`
-answer (y, residual or point count), a seam, a calculus answer or a fit
-answer or refusal that differs in bits.  It exits 0 when the two records
-agree to the bit.  The fits' counts of evaluations of f are costs, not
-answers: they are printed, and a change in them alone exits 0.
+answer (y, residual or point count), a seam, a calculus answer, a fit
+answer or refusal or a walk answer that differs in bits.  It exits 0 when
+the two records agree to the bit.  The fits' and walks' counts of
+evaluations of f are costs, not answers: they are printed, and a change in
+them alone exits 0.
 
 This file is a tool, not a test module: pytest does not collect it.
 """
@@ -87,6 +99,7 @@ CALCULUS_CALLS = ("taylor_coefficients", "derivative", "antiderivative")
 TAYLOR_ORDER = 4  # the order the scan_cold op asks for
 FITS = "maxent_fit"
 FIT_CALLS = ("solve_alpha", "distribution", "stationarity_residuals", "continuous_pdf")
+WALKS = "warm_walk"
 MOVED_VALUES = {"solve_alpha": "alpha", "distribution": "probabilities",
                 "continuous_pdf": "densities"}
 
@@ -145,13 +158,18 @@ def record(src: str, seeds) -> None:
             ctx = wl.setup()
             ll = ctx["ll"]
             gate = Recorder(ll.LogLambertError)
+            walks: dict[tuple, list[float]] = {}  # eval_hot's pool x by (p, branch)
             for index, inp in enumerate(wl.pool(random.Random(seed), ctx, seconds)):
+                if name == "eval_hot":
+                    walks.setdefault((inp[0], inp[1].index), []).append(inp[2])
                 if name == "scan_cold":
                     rows.append([SEAMS, str(seed), *(v.hex() for v in inp[:3]),
                                  *_seams(ll, *inp[:3])])
                     rows.append(_calculus(str(seed), ll.Params(*inp[:3]), ll.taylor_coefficients,
                                           TAYLOR_ORDER))
                 wl.op(ctx, gate, inp)
+            for (p, branch), xs in walks.items():
+                rows.append(_walk(str(seed), core, p, branch, xs, f_evals))
     for row in rows:
         print("\t".join(row))
 
@@ -178,6 +196,20 @@ def _fit_recorder(rows, key, fn, f_evals):
         return r
     recorded.__name__ = fn.__name__
     return recorded
+
+
+def _walk(seed: str, core, p, branch: int, xs, f_evals) -> list[str]:
+    # A walk line: one warm inverter takes xs one at a time, in order, so a
+    # refusal does not end the walk; f_evals[0] counts the evaluations of f.
+    invert, answers = core._inverter(p, branch, TOL), []
+    f_evals[0] = 0
+    for x in xs:
+        try:
+            answers.append(invert([x])[0][0].hex())
+        except Exception as exc:
+            answers.append(type(exc).__name__)
+    return [WALKS, seed, p.a.hex(), p.b.hex(), p.c.hex(), str(branch), str(len(xs)),
+            str(f_evals[0]), ",".join(answers)]
 
 
 def _calculus(seed: str, p, fn, arg) -> list[str]:
@@ -356,7 +388,50 @@ def compare(path_a: str, path_b: str, mp_every: int) -> bool:
                                 [r for r in rows_b if r[0] == CALCULUS], mp_every)
     differs |= compare_fits([r for r in rows_a if r[0] == FITS],
                             [r for r in rows_b if r[0] == FITS])
+    # A walk's x are its branch's eval_hot inputs, in B's pool order.
+    walk_xs: dict[tuple, list[str]] = {}
+    for r in rows_b:
+        if r[0] == "eval_hot":
+            walk_xs.setdefault(tuple(r[1:6]), []).append(r[6])
+    differs |= compare_walks([r for r in rows_a if r[0] == WALKS],
+                             [r for r in rows_b if r[0] == WALKS], walk_xs, mp_every)
     return differs
+
+
+def compare_walks(rows_a, rows_b, walk_xs, mp_every: int) -> bool:
+    # Fields 6 and 7 are the number of x and the evaluations of f, field 8
+    # the answers.
+    pairs, only_a, only_b = _pair(rows_a, rows_b, 6)
+    print(f"== {WALKS}: {len(rows_a)} and {len(rows_b)} eval_hot branch walks, "
+          f"{len(pairs)} with the same input")
+    print(f"  walks only in A: {len(only_a)}, only in B: {len(only_b)}")
+    for label, rows in (("A", rows_a), ("B", rows_b)):
+        xs, evals = sum(int(r[6]) for r in rows), sum(int(r[7]) for r in rows)
+        print(f"  {label}: {xs} x, evaluations of f {evals} ({evals / max(xs, 1):.3f} per x)")
+    print(f"  walks whose evaluations of f differ: {sum(ra[7] != rb[7] for ra, rb in pairs)}")
+    # (row, x, answer in A, answer in B) per x of the paired walks.
+    answers = [(ra, x, va, vb) for ra, rb in pairs if ra[6] == rb[6]
+               for x, va, vb in zip(walk_xs.get(tuple(ra[1:6]), [""] * int(ra[6])),
+                                    ra[8].split(","), rb[8].split(","))]
+    # A refusal is an error's class name, capitalised; an answer is hex.
+    ok = [item for item in answers if not (item[2][0].isupper() or item[3][0].isupper())]
+    flips = sum(va[0].isupper() != vb[0].isupper() for _, _, va, vb in answers)
+    print(f"  outcome-class changes: {flips}")
+    moved = [item for item in ok if item[2] != item[3]]
+    moves = [abs(_ordered(float.fromhex(va)) - _ordered(float.fromhex(vb)))
+             for _, _, va, vb in moved]
+    print(f"  answered in both: {len(ok)}, equal to the bit: {len(ok) - len(moves)}")
+    print(f"  ulp moves of the {len(moves)} that differ: {_quantiles(moves)}")
+    if mp_every and moved:
+        errs_a, errs_b = [], []
+        for ra, x, va, vb in moved[::mp_every]:
+            root = _mp_root(["", "", *ra[2:6], x, "ok", vb])
+            errs_a.append(float(abs(float.fromhex(va) - root) / abs(root)))
+            errs_b.append(float(abs(float.fromhex(vb) - root) / abs(root)))
+        print(f"  relative error against 50-digit roots, {len(errs_a)} moved answers:")
+        print(f"    A: {_quantiles(errs_a)}")
+        print(f"    B: {_quantiles(errs_b)}")
+    return bool(only_a or only_b or any(ra[6] != rb[6] or ra[8] != rb[8] for ra, rb in pairs))
 
 
 def compare_calculus(rows_a, rows_b, mp_every: int) -> bool:
@@ -495,8 +570,9 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
     ap.add_argument("--compare", nargs=2, metavar=("A", "B"))
     ap.add_argument("--mpmath", type=int, default=0, metavar="N",
-                    help="with --compare: check every N-th eval_hot answer, "
-                         "every moved seam and every moved Taylor answer against mpmath")
+                    help="with --compare: check every N-th eval_hot answer and moved "
+                         "walk answer, every moved seam and every moved Taylor answer "
+                         "against mpmath")
     args = ap.parse_args(argv)
     if args.compare:
         return int(compare(*args.compare, args.mpmath))

@@ -33,6 +33,21 @@ def interior_points(bi, n, lo_exp=-8.0, hi_exp=-0.02,
     return [x for x in xs if bi.x_domain.contains(x)]
 
 
+def x_in_domain(bi, u, toward_open):
+    """A point of a branch's x-domain as scan_cold draws one, u in [0, 1].
+
+    10**(-12u) of the span from its seam end (from its open or other end
+    when toward_open) when the domain is bounded, and max(1, |seam x|) *
+    10**(52u - 12) past the seam, up to ~1e40, when it is half-infinite.
+    """
+    dom = bi.x_domain
+    if math.isfinite(dom.lo) and math.isfinite(dom.hi):
+        anchor, far = (dom.lo, dom.hi) if dom.lo_closed != toward_open else (dom.hi, dom.lo)
+        return anchor + (far - anchor) * 10.0 ** (-12.0 * u)
+    anchor, sign = (dom.lo, 1.0) if math.isfinite(dom.lo) else (dom.hi, -1.0)
+    return anchor + sign * max(1.0, abs(anchor)) * 10.0 ** (52.0 * u - 12.0)
+
+
 def scan_cold_sample(n, seed=18):
     """n coefficient triples drawn over the benchmark's scan_cold ranges.
 

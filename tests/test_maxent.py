@@ -522,8 +522,9 @@ def test_solve_alpha_takes_each_log_once_per_level_and_pass(count_calls, monkeyp
     # level's series start all reuse it.  So a 2-pass solve over 128 levels
     # takes no ln(b*y_i) outside f's evaluations, where the inverter took
     # its own at each root, 256.  A ln(b*y) is either math.log(b*y) inline
-    # or core's rule _log_by, in core or in maxent.
-    log_by = [count_calls(core, "_log_by"), count_calls(maxent, "_log_by")]
+    # or core's rule _log_by, which maxent does not import.
+    assert not hasattr(maxent, "_log_by")
+    log_by = [count_calls(core, "_log_by")]
     memo = maxent._all_weights
     passes = count_calls(maxent, "_all_weights")
     solver_f = core._forward_and_slope.__code__

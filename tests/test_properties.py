@@ -32,6 +32,7 @@ from loglambert import (
     taylor_first_order,
 )
 from loglambert.core import _forward_and_slope, _inverter, _knots, _log_by
+from _sampling import x_in_domain
 
 Y_MIN = math.exp(-708.0)
 Y_MAX = math.log(1.7976931348623157e308)
@@ -176,19 +177,6 @@ def scan_params(draw):
     return Params(a, b, _plane_c(a, b, draw(st.floats(0.0, 1.0)), draw(st.booleans())))
 
 
-def _x_in_domain(bi, u, toward_open):
-    # As in scan_cold: a point of the x-domain 10**(-12u) of the span from
-    # its seam end (from its open or other end when toward_open) when it is
-    # bounded, and max(1, |seam x|) * 10**(52u - 12) past the seam, up to
-    # ~1e40, when it is half-infinite.
-    dom = bi.x_domain
-    if math.isfinite(dom.lo) and math.isfinite(dom.hi):
-        anchor, far = (dom.lo, dom.hi) if dom.lo_closed != toward_open else (dom.hi, dom.lo)
-        return anchor + (far - anchor) * 10.0 ** (-12.0 * u)
-    anchor, sign = (dom.lo, 1.0) if math.isfinite(dom.lo) else (dom.hi, -1.0)
-    return anchor + sign * max(1.0, abs(anchor)) * 10.0 ** (52.0 * u - 12.0)
-
-
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(p=scan_params(), us=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
        toward_open=st.booleans())
@@ -206,7 +194,7 @@ def test_evaluate_meets_contract_or_refuses(p, us, toward_open):
     except LogLambertError:
         return
     for bi, u in zip(cat, us):
-        x = _x_in_domain(bi, u, toward_open)
+        x = x_in_domain(bi, u, toward_open)
         if not bi.x_domain.contains(x):
             continue  # the distance underflowed onto an open end
         try:
@@ -247,7 +235,7 @@ def test_inverter_meets_contract_or_refuses(p, us, toward_open, data):
     except LogLambertError:
         return
     for bi in cat:
-        xs = [_x_in_domain(bi, u, toward_open) for u in us]
+        xs = [x_in_domain(bi, u, toward_open) for u in us]
         xs = data.draw(st.permutations(xs + xs[: len(xs) // 2 + 1]))
         invert = _inverter(p, bi.index, 1e-12)
         colds = {}
