@@ -56,9 +56,12 @@ naming alpha and beta, and an e^ratio beyond it or underflowing to 0
 RangeError naming q' and r, and a level's argument beyond it
 `level_argument`'s RangeError; with r or q' within 1e-12 of 1 the arguments
 are refused (DomainError).  `continuous_pdf` normalises by adaptive 7-point
-Gauss / 15-point Kronrod quadrature, a batch per panel, over a range that
-stops at the support cut.  The stationarity residuals take each level's
-term of the entropy sum in closed form, O(n).
+Gauss / 15-point Kronrod quadrature over a range that stops at the support
+cut, in two pieces: next to x = 0 in x, each panel's nodes one batch of
+warm inversions, and beyond a junction in the branch variable y, between
+the roots at x = 0 and at the range's end, with one evaluation of f per
+node and no inversion.  The stationarity residuals take each level's term
+of the entropy sum in closed form, O(n).
 """
 
 from __future__ import annotations
@@ -528,6 +531,10 @@ _WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
        0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
 
 
+# Where continuous_pdf's two pieces meet, in the outer piece's variable t.
+_T_C = 0.25
+
+
 def _gauss_kronrod_panel(f: Callable[[list[float]], list[float]], a: float, b: float
                          ) -> tuple[float, float]:
     # (K15, G7) estimates over [a, b]; f takes the nodes c, then c -+ h*x_j pairs, as one list.
@@ -572,7 +579,15 @@ def continuous_pdf(
     times its peak, but not past the support cut: the largest |x| whose
     argument stays in the open interval where the weight is defined (the
     branch's x-domain, cut where a*ln(b*y) + 1 vanishes), pulled inward by
-    twice the inversion tolerance.  IntegrationError if the criterion
+    twice the inversion tolerance.  Its half [0, L] is two adaptive
+    Gauss-Kronrod integrals, each held to 5e-14*peak*max(L, 1), that meet at
+    x_c.  On [0, x_c] each node's weight comes from a warm inversion of its
+    argument A + B*x**2 (A = the argument at x = 0, B = beta*ratio*e^ratio).
+    Beyond it the variable is t in [1/4, 1], y = y0 + (yL - y0)*t**2
+    between the roots at x = 0 and x = L, and the integrand is
+    w(y)*f'(y)*(yL - y0)*t/(B*x), x = sqrt((f(y) - A)/B), from one
+    evaluation of f.  x_c is the x of t = 1/4, or L (and the second piece
+    empty) when that is not inside (0, L).  IntegrationError if the criterion
     cannot be met within that range (it cannot when the weight decays only
     poly-logarithmically, or does not vanish at the cut), DomainError if
     alpha, beta or a grid point is not finite, if a grid point leaves the
@@ -584,15 +599,19 @@ def continuous_pdf(
         raise DomainError("x_grid must be non-empty")
     _check_finite("x_grid points", x_grid)
 
-    # One warm inverter takes the arguments not yet weighed; x and -x share a weight.
+    # One warm inverter takes the arguments not yet weighed; x and -x share a
+    # weight.  Each argument's root is kept too: those at x = 0 and x = L
+    # bound the outer piece.
     params = ep.induced_params()
     invert = _inverter(params, branch, _EVAL_TOL)
-    argument, q1, weights = _arguments(ep, alpha, beta), ep.q - 1.0, {}
+    argument, q1, weights, roots = _arguments(ep, alpha, beta), ep.q - 1.0, {}, {}
 
     def g(points: Sequence[float]) -> list[float]:
         args = [argument(x * x) for x in points]
         new = [arg for arg in dict.fromkeys(args) if arg not in weights]
-        weights.update(zip(new, _weights(params, q1, branch, invert, new, range(len(new)))[1]))
+        ys, ws, _, _ = _weights(params, q1, branch, invert, new, range(len(new)))
+        weights.update(zip(new, ws))
+        roots.update(zip(new, ys))
         return [weights[arg] for arg in args]
 
     values = g(x_grid)
@@ -630,7 +649,28 @@ def continuous_pdf(
             f"{tail_ratio!r} of its peak"
         )
 
-    half = _adaptive_gauss_kronrod(g, 0.0, L, tol=1e-13 * peak * max(L, 1.0))
+    # The two pieces of [0, L] (see the docstring).  Near t = 0, f(y) - A is
+    # known only to f's rounding, so [0, x_c] stays in x.
+    _, ratio, e_ratio = _scale(ep)
+    a, A, B = params.a, argument(0.0), beta * ratio * e_ratio
+    y0 = roots[A]
+    dy = roots[argument(L * L)] - y0
+    x_c2 = (_forward_and_slope(params, y0 + dy * _T_C * _T_C)[0] - A) / B if dy and B else 0.0
+    x_c = math.sqrt(x_c2) if 0.0 < x_c2 < L * L else L
+
+    def h(ts: Sequence[float]) -> list[float]:
+        # Past the junction x >= x_c; the max keeps f's rounding from taking it below.
+        out = []
+        for t in ts:
+            fy, slope, log_by = _forward_and_slope(params, y0 + dy * t * t)
+            out.append(math.exp(math.log(a * log_by + 1.0) / q1) * slope * dy * t
+                       / (B * math.sqrt(max((fy - A) / B, x_c2))))
+        return out
+
+    tol = 0.5e-13 * peak * max(L, 1.0)
+    half = _adaptive_gauss_kronrod(g, 0.0, x_c, tol)
+    if x_c < L:
+        half += _adaptive_gauss_kronrod(h, _T_C, 1.0, tol)
     total = 2.0 * half
     if not total > 0.0:
         raise IntegrationError(f"normalisation integral {total!r} not positive")

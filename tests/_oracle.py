@@ -6,8 +6,11 @@ code with the production paths it validates: inversion by plain bisection
 series/continued fraction), derivatives by central differences,
 stationarity residuals by differentiating the whole entropy sum in mpmath,
 the inverse's Taylor coefficients by reverting a 50-digit product of the
-series of ln and exp.  The only shared ingredient is the forward map,
-which is the problem statement rather than a solution method.
+series of ln and exp, the continuous density's normaliser by mpmath.quad
+with mpmath.findroot at each node.  The only shared ingredient is the
+forward map, which is the problem statement rather than a solution method
+(and `evaluate`'s double root as findroot's start, which the answer does
+not depend on).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import mpmath
 from loglambert import IntegrationError, LogLambertError, Params, evaluate, forward
 
 __all__ = ["BracketError", "bisect_invert", "quad_ei", "fd_derivative",
-           "stationarity_residuals_quadratic", "taylor_reference"]
+           "stationarity_residuals_quadratic", "taylor_reference", "continuous_reference"]
 
 
 class BracketError(LogLambertError, ValueError):
@@ -181,3 +184,40 @@ def taylor_reference(a: float, b: float, c: float, n: int) -> list:
                 total += fwd[k] * power[m]
             d.append(-total / fwd[1])
         return [d[k] * mpmath.factorial(k) for k in range(1, n + 1)]
+
+
+def continuous_reference(ep, alpha: float, beta: float, branch: int, grid, dps: int = 25):
+    """(Z, densities on grid) of the quadratic level's density, in `dps` digits (mpf).
+
+    The weight at x is {a*ln(b*y) + 1}^(1/(q-1)) at the root y of f(y) =
+    X(x) = (-1/(1-r) + alpha + beta*x**2) * ratio * e^ratio, ratio =
+    (1-r)/(1-q'), with the inputs' doubles taken as exact: mpmath.findroot
+    (secant) from `evaluate`'s double root on the branch.  Z is twice
+    mpmath.quad of the weight over [0, cut], the whole support: cut is the
+    |x| where the brace vanishes, at y* = e^(-1/a)/b.  ValueError when no
+    positive level reaches y*, so that the support is not compact.  About
+    0.1 s for the README's continuous example.
+    """
+    p = ep.induced_params()
+    with mpmath.workdps(dps):
+        a, b, c = (mpmath.mpf(v) for v in (p.a, p.b, p.c))
+        ratio = (1 - mpmath.mpf(ep.r)) / (1 - mpmath.mpf(ep.q_prime))
+        scale = ratio * mpmath.exp(ratio)
+        shift, beta_mp = mpmath.mpf(alpha) - 1 / (1 - mpmath.mpf(ep.r)), mpmath.mpf(beta)
+        power = 1 / (mpmath.mpf(ep.q) - 1)
+
+        def f(y):
+            return (a * y * mpmath.log(b * y) + y + c) * mpmath.exp(y)
+
+        def weight(x):
+            target = (shift + beta_mp * x * x) * scale
+            y = mpmath.mpf(evaluate(p, branch, float(target), 1e-13).y)
+            y = mpmath.findroot(lambda v: f(v) - target, (y, y * (1 + mpmath.mpf(2) ** -30)))
+            brace = a * mpmath.log(b * y) + 1
+            return brace ** power if brace > 0 else mpmath.mpf(0)
+
+        eps_cut = (f(mpmath.exp(-1 / a) / b) / scale - shift) / beta_mp
+        if not eps_cut > 0:
+            raise ValueError(f"no positive level reaches the brace's zero (eps = {eps_cut})")
+        z = 2 * mpmath.quad(weight, [0, mpmath.sqrt(eps_cut)])
+        return z, [weight(mpmath.mpf(x)) / z for x in grid]

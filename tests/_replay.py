@@ -55,7 +55,10 @@ answered in both records (median, p90, max), the ulp distance of every
 moved seam of either record from its 60-digit root, and the relative error
 of each coefficient of every `taylor_coefficients` answer that moved against
 `_oracle.taylor_reference`, 50-digit coefficients (median, p90, max; those
-below DBL_MIN skipped).  For the fits it
+below DBL_MIN skipped), and each record's largest and median relative error
+of the `continuous_pdf` densities against `_oracle.continuous_reference`,
+25 digits (every pool op shares one triple, multipliers and grid, so the
+reference is computed once).  For the fits it
 prints, per call, each record's outcome counts and total evaluations of f,
 the ops whose count differs, the outcome-class changes, and how many
 answers and refusals (class and message) are equal to the bit, listing each
@@ -387,7 +390,7 @@ def compare(path_a: str, path_b: str, mp_every: int) -> bool:
     differs |= compare_calculus([r for r in rows_a if r[0] == CALCULUS],
                                 [r for r in rows_b if r[0] == CALCULUS], mp_every)
     differs |= compare_fits([r for r in rows_a if r[0] == FITS],
-                            [r for r in rows_b if r[0] == FITS])
+                            [r for r in rows_b if r[0] == FITS], mp_every)
     # A walk's x are its branch's eval_hot inputs, in B's pool order.
     walk_xs: dict[tuple, list[str]] = {}
     for r in rows_b:
@@ -486,7 +489,7 @@ def _taylor_errors(pairs):
     return errs_a, errs_b
 
 
-def compare_fits(rows_a, rows_b) -> bool:
+def compare_fits(rows_a, rows_b, mp_every: int) -> bool:
     # Field 4 is the call's count of evaluations of f, field 5 its outcome.
     pairs, only_a, only_b = _pair(rows_a, rows_b, 4)
     print(f"== {FITS}: {len(rows_a)} and {len(rows_b)} calls, {len(pairs)} with the same op")
@@ -516,11 +519,31 @@ def compare_fits(rows_a, rows_b) -> bool:
         if call in MOVED_VALUES:
             print(f"    largest relative move of the {MOVED_VALUES[call]}: "
                   f"{max(_relative_moves(answered), default=0.0):.3g}")
+        if call == "continuous_pdf" and mp_every and answered:
+            reference = _continuous_reference()
+            print("    relative error of the densities against 25-digit references:")
+            for label, side in (("A", 0), ("B", 1)):
+                errs = [float(abs(float.fromhex(v) - ref) / ref) for pair in answered
+                        for v, ref in zip(pair[side][6].split(","), reference)]
+                print(f"      {label}: largest {max(errs):.3g}, median {statistics.median(errs):.3g}")
         for ra, rb in own:
             if ra[5:] != rb[5:]:
                 print(f"    seed {ra[1]} op {ra[2]}: {' '.join(ra[5:])[:120]} -> "
                       f"{' '.join(rb[5:])[:120]}")
     return bool(only_a or only_b or any(ra[5:] != rb[5:] for ra, rb in pairs))
+
+
+def _continuous_reference():
+    # The densities of the pool's continuous op, whose triple, multipliers,
+    # branch and grid every such op shares, from _oracle.continuous_reference.
+    sys.path.extend([str(ROOT / "src"), str(ROOT / "perfbench")])  # for _oracle and workloads
+    import workloads
+    from _oracle import continuous_reference
+    from loglambert import EntropyParams
+
+    return continuous_reference(EntropyParams(*workloads.CONT_TRIPLE), workloads.CONT_ALPHA,
+                                workloads.CONT_BETA, workloads.CONT_BRANCH,
+                                workloads.CONT_GRID)[1]
 
 
 def _relative_moves(pairs):
@@ -571,8 +594,8 @@ def main(argv=None) -> int:
     ap.add_argument("--compare", nargs=2, metavar=("A", "B"))
     ap.add_argument("--mpmath", type=int, default=0, metavar="N",
                     help="with --compare: check every N-th eval_hot answer and moved "
-                         "walk answer, every moved seam and every moved Taylor answer "
-                         "against mpmath")
+                         "walk answer, every moved seam, every moved Taylor answer and "
+                         "the continuous_pdf densities against mpmath")
     args = ap.parse_args(argv)
     if args.compare:
         return int(compare(*args.compare, args.mpmath))

@@ -28,7 +28,7 @@ from loglambert import (
     stationarity_residuals,
     suggest_branch,
 )
-from _oracle import _simpson, stationarity_residuals_quadratic
+from _oracle import _simpson, continuous_reference, stationarity_residuals_quadratic
 from loglambert import core, maxent
 from loglambert.maxent import _adaptive_gauss_kronrod, _gauss_kronrod_panel
 from loglambert.qcalculus import exp_q
@@ -647,11 +647,31 @@ def test_continuous_pointwise_proportional_to_weight():
         assert d / dens[2] == pytest.approx(w / w0, rel=1e-10)
 
 
+def _top_level_quadratures(monkeypatch, arguments=()):
+    # The (a, b) of each outermost _adaptive_gauss_kronrod call continuous_pdf
+    # makes, with the length of `arguments` before and after it.
+    calls, depth, inner = [], [0], maxent._adaptive_gauss_kronrod
+
+    def recorded(f, a, b, tol, *rest):
+        depth[0] += 1
+        before = len(arguments)
+        try:
+            return inner(f, a, b, tol, *rest)
+        finally:
+            depth[0] -= 1
+            if not depth[0]:
+                calls.append((a, b, before, len(arguments)))
+
+    monkeypatch.setattr(maxent, "_adaptive_gauss_kronrod", recorded)
+    return calls
+
+
 def test_continuous_pdf_inversion_count(monkeypatch):
-    # 51 distinct grid arguments, the search for L and 9 G7-K15 panels, each
-    # inverted once by one inverter, in batches of the arguments whose
-    # weights the call does not hold yet; adaptive Simpson took 835
-    # inversions.
+    # 51 distinct grid arguments, the search for L and the inner piece's one
+    # G7-K15 panel on [0, x_c], each inverted once by one inverter, in
+    # batches of the arguments whose weights the call does not hold yet
+    # (68 here); the outer piece, t in [1/4, 1], inverts nothing.  Inverting
+    # every node of the 9 panels over [0, L] took 187; adaptive Simpson 835.
     arguments, inverters = [], []
     make = maxent._inverter
 
@@ -665,9 +685,66 @@ def test_continuous_pdf_inversion_count(monkeypatch):
         return recorded
 
     monkeypatch.setattr(maxent, "_inverter", counted)
+    quadratures = _top_level_quadratures(monkeypatch, arguments)
     continuous_pdf(EP_CONT, ALPHA_CONT, BETA_CONT, 1, README_GRID)
     assert len(inverters) == 1
-    assert len(set(arguments)) == len(arguments) <= 250
+    assert len(set(arguments)) == len(arguments) <= 80
+    (inner_a, _, _, _), (outer_a, outer_b, before, after) = quadratures
+    assert inner_a == 0.0 and (outer_a, outer_b) == (0.25, 1.0)
+    assert before == after
+
+
+def test_continuous_normaliser_against_mpmath_reference():
+    # Z = w(0)/p(0) of the README call against 25 digits (mpmath.quad over
+    # the whole support, mpmath.findroot at each node).  Inverting every
+    # node of the range in x was off by 1.03e-13.
+    dens = continuous_pdf(EP_CONT, ALPHA_CONT, BETA_CONT, 1, README_GRID)
+    z = continuous_weight(EP_CONT, ALPHA_CONT, BETA_CONT, 1, 0.0) / dens[50]
+    z_ref, _ = continuous_reference(EP_CONT, ALPHA_CONT, BETA_CONT, 1, [])
+    assert abs(z - z_ref) <= 5e-14 * z_ref
+
+
+def test_continuous_pdf_where_the_anchor_residual_has_the_wrong_sign():
+    # The root at x = 0 misses its argument by one ulp with the sign that
+    # makes f(y) - A negative just past y0: integrating t in [0, 1] from y0
+    # took the square root of it.  Three points at 0.99684 of the support cut.
+    ep = EntropyParams(1.1, 1.2, 1.3037614942621056)
+    alpha = ALPHA_CONT + 0.02176155583102235
+    p = ep.induced_params()
+    ratio = (1.0 - ep.r) / (1.0 - ep.q_prime)
+    x_star = forward(p, math.exp(-1.0 / p.a) / p.b)
+    cut = math.sqrt((x_star / (ratio * math.exp(ratio)) + 1.0 / (1.0 - ep.r) - alpha)
+                    / BETA_CONT)
+    edge = 0.99684 * cut
+    dens = continuous_pdf(ep, alpha, BETA_CONT, 1, [-edge, 0.0, edge])
+    assert all(math.isfinite(v) and v >= 0.0 for v in dens)
+    assert dens[0] == dens[2] and dens[1] > 0.0
+
+
+def test_continuous_pdf_junction_fallback_and_equal_roots(monkeypatch):
+    # A grid whose argument at the edge rounds to the one at 0 has one root,
+    # so the weight does not fall: the tail check refuses, with a type.
+    with pytest.raises(IntegrationError, match="grid too narrow"):
+        continuous_pdf(EP_CONT, ALPHA_CONT, BETA_CONT, 1, [-1e-170, 0.0, 1e-170])
+    # With the junction at t = 1.1, past yL, x_c is beyond L: the inner
+    # piece alone covers [0, L] and the outer one is empty.
+    two_pieces = continuous_pdf(EP_CONT, ALPHA_CONT, BETA_CONT, 1, README_GRID)
+    monkeypatch.setattr(maxent, "_T_C", 1.1)
+    quadratures = _top_level_quadratures(monkeypatch)
+    one_piece = continuous_pdf(EP_CONT, ALPHA_CONT, BETA_CONT, 1, README_GRID)
+    assert [(a, b) for a, b, _, _ in quadratures] == [(0.0, 3.7)]
+    assert one_piece == pytest.approx(two_pieces, rel=1e-12)
+
+
+def test_continuous_pdf_with_beta_zero_refuses_before_any_quadrature(monkeypatch):
+    # beta = 0: the density is flat, so the tail checks refuse (at the grid's
+    # edge, or while growing L from a grid at 0) and nothing is integrated.
+    quadratures = _top_level_quadratures(monkeypatch)
+    with pytest.raises(IntegrationError, match="grid too narrow"):
+        continuous_pdf(EP_CONT, ALPHA_CONT, 0.0, 1, README_GRID)
+    with pytest.raises(IntegrationError, match="while growing the range"):
+        continuous_pdf(EP_CONT, ALPHA_CONT, 0.0, 1, [0.0])
+    assert quadratures == []
 
 
 def test_gauss_kronrod_panel_is_exact_to_degree_22():
@@ -675,7 +752,8 @@ def test_gauss_kronrod_panel_is_exact_to_degree_22():
         k15, _ = _gauss_kronrod_panel(lambda xs: [x ** k for x in xs], 0.0, 1.0)
         assert abs(k15 * (k + 1) - 1.0) <= 8.0 * sys.float_info.epsilon, k
     # The 15 nodes come as one batch: the midpoint, then the symmetric pairs
-    # from the ends inward (continuous_pdf's panel split depends on the order).
+    # from the ends inward (the split of continuous_pdf's inner piece, whose
+    # nodes are warm inversions, depends on the order).
     nodes = []
     _gauss_kronrod_panel(lambda xs: nodes.extend(xs) or [0.0] * len(xs), 1.0, 3.0)
     assert len(nodes) == 15 and nodes[0] == 2.0
