@@ -39,12 +39,13 @@ al.'s rtsafe rule, bisecting in ln|y| across orders of magnitude), applied
 to the knot equation, to the seam equation on each monotone piece and to f
 on the branch's own y-range, its open ends clipped to finite doubles.  An
 inversion's first point comes from the nearest kind of branch end: the
-square-root expansion of the inverse at a seam when it stays close to the
-seam, else a few fixed-point steps of f(y) = x rearranged for y -> 0
-(f -> c) or for large |y| (ln|f| ~ y).  f is evaluated only at the solver's
-points.  Many inversions on one branch (all levels of a maximum-entropy
-fit) each start from the third-order inverse series at the last root, from
-f, f' and ln(b*y) there, where that series is trusted; every other x is
+inverse's branch-point series at a seam to third order (as Corless et al.
+start W at -1/e) when it stays close to the seam, else a few fixed-point
+steps of f(y) = x rearranged for y -> 0 (f -> c) or for large |y|
+(ln|f| ~ y).  f is evaluated only at the solver's points.  Many
+inversions on one branch (all levels of a maximum-entropy fit) each start
+from the third-order inverse series at the last root, from f, f' and
+ln(b*y) there, where that series is trusted; every other x is
 solved as a single inversion is.  The inverter evaluates f at the series
 start, the solver's first point, and takes it as the root when it meets
 the tolerance; each evaluation of f hands out ln(b*y) with f and f', so a
@@ -54,12 +55,12 @@ All functions are pure; `Params` and the catalog records are immutable
 slotted value records (compared, hashed and pickled by value).  The catalog
 is memoised by the values (a, b, c) behind a thread-safe cache, so a lookup
 hashes three floats and no record.  It builds each branch in one pass from
-its two ends (y -> 0 where f -> c, a seam d with f(d) and f''(d), or
-|y| -> inf, an open end clipped to a finite double): its BranchInfo and its
-solve constants (bracket, direction of f, seams, the x-domain as two
-floats with open ends one ulp inward, and f bound to its Params), held by
-branch index, so an inversion starts with no per-branch arithmetic and no
-record hashing.
+its two ends (y -> 0 where f -> c, a seam d with f(d), f''(d) and the terms
+k2, k3 of the inverse's series there, or |y| -> inf, an open end clipped to
+a finite double): its BranchInfo and its solve constants (bracket,
+direction of f, seams, the x-domain as two floats with open ends one ulp
+inward, and f bound to its Params), held by branch index, so an inversion
+starts with no per-branch arithmetic and no record hashing.
 """
 
 from __future__ import annotations
@@ -477,10 +478,12 @@ _Y_FAR = 1e300
 
 class _Plan:
     # One branch, built with the catalog from its two ends in ascending y:
-    # (d, f(d), f''(d)) at a seam, (clipped y, limit of f, None) at an open
-    # end.  Holds the BranchInfo and the solve constants: the bracket lo < hi,
-    # the direction of f, the seams, the x-domain as floats x_min <= x <= x_max
-    # (open ends one ulp inward; NaN fails) and f, (f, f') bound to Params.
+    # (d, f(d), (f''(d), k2, k3)) at a seam, k2 and k3 the terms of the
+    # inverse's series there (_seam_terms), and (clipped y, limit of f, None)
+    # at an open end.  Holds the BranchInfo and the solve constants: the
+    # bracket lo < hi, the direction of f, the seams, the x-domain as floats
+    # x_min <= x <= x_max (open ends one ulp inward; NaN fails) and f,
+    # (f, f') bound to Params.
     __slots__ = ("info", "lo", "hi", "increasing", "seams", "x_min", "x_max", "f")
 
     def __init__(self, index: int, low: tuple, high: tuple, increasing: bool, f):
@@ -507,8 +510,8 @@ def _catalog(a: float, b: float, c: float) -> tuple[tuple[BranchInfo, ...], dict
     # values of (a, b, c): a hit hashes three floats, not a Params record.
     p = Params(a, b, c)
     # Branch ends outward from y = 0: the limit f -> c, each seam with
-    # f''(d) = s'(d)*e^d (as f'(d) = 0), then |y| -> inf, where
-    # f -> sign(a)*inf for b > 0 and f -> 0 for b < 0.
+    # f''(d) = s'(d)*e^d (as f'(d) = 0) and its series terms, then
+    # |y| -> inf, where f -> sign(a)*inf for b > 0 and f -> 0 for b < 0.
     seams = sorted(singular_points(p), key=abs)
     ends = [(math.copysign(min(_Y_NEAR, 0.5 * abs(seams[0])), p.b), p.c, None)]
     for d in seams:
@@ -516,7 +519,8 @@ def _catalog(a: float, b: float, c: float) -> tuple[tuple[BranchInfo, ...], dict
             f_d = forward(p, d)
         except RangeError:
             raise _range_error(p, f"f at the seam y={d!r}") from None
-        ends.append((d, f_d, _seam_and_slope(p, d)[1] * math.exp(d)))
+        s1 = _seam_and_slope(p, d)[1]
+        ends.append((d, f_d, (s1 * math.exp(d), *_seam_terms(p.a, d, s1))))
     ends.append((math.copysign(_Y_FAR, p.b),
                  math.copysign(math.inf, p.a) if p.b > 0.0 else 0.0, None))
 
@@ -553,21 +557,53 @@ def _plan_or_raise(p: Params, branch: int) -> _Plan:
         ) from None
 
 
+def _seam_terms(a: float, d: float, s1: float) -> tuple[float, float]:
+    # k2 = -alpha/2 and k3 = 5*alpha^2/8 - beta/2 of the inverse's series at
+    # a seam d (_seam_start), alpha = f'''/(3f'') and beta = f''''/(12f'').
+    # As s(d) = 0, f'' = s'*e^d, f''' = (2s' + s'')*e^d and f'''' =
+    # (3s' + 3s'' + s''')*e^d, so e^d cancels and the terms come from
+    # s'(d) = s1, s'' = a*(y-1)/y^2 and s''' = a*(2-y)/y^3 with no log or
+    # exp.  Both 0 where one is not finite (1/d^2 overflows for seams near
+    # e^-708) or s1 = 0.
+    if s1:
+        s2 = a * (d - 1.0) / d / d
+        s3 = a * (2.0 - d) / d / d / d
+        alpha = (2.0 * s1 + s2) / (3.0 * s1)
+        beta = (3.0 * s1 + 3.0 * s2 + s3) / (12.0 * s1)
+        k2, k3 = -0.5 * alpha, 0.625 * alpha * alpha - 0.5 * beta
+        if math.isfinite(k2) and math.isfinite(k3):
+            return k2, k3
+    return 0.0, 0.0
+
+
 def _seam_start(plan: _Plan, x: float) -> float | None:
-    # A first point for the solver from the branch-point expansion of the
-    # inverse at a seam d, where f'(d) = 0 and f''(d) = s'(d)*e^d:
-    # y = d +- sqrt(2*(x - f(d))/f''(d)), on the side of d the branch lies
-    # on.  Only a candidate with |y - d| <= min(1, |d|) counts (a far start
-    # on the convex side of e^y can leave Newton crawling); with two seams,
-    # the one closest to its seam.  None unless one counts and lo < y < hi.
-    step, seam = math.inf, 0.0
-    for d, f_d, curvature in plan.seams:
+    # A first point for the solver from the branch-point series of the
+    # inverse at a seam d, where f'(d) = 0 (as Corless et al. start W at
+    # -1/e): with p = sqrt(2*(x - f(d))/f''(d)) and sigma = +-1 the side of
+    # d the branch lies on,
+    #     y = d + sigma*p + k2*p^2 + sigma*k3*p^3,
+    # k2 and k3 from the catalog (_seam_terms).  Only a seam with
+    # p <= min(1, |d|) counts (a far start on the convex side of e^y can
+    # leave Newton crawling); with two seams, the one with the smaller p.
+    # The p^2 and p^3 terms are added when they are at most half of sigma*p
+    # (a truncated series far from d overshoots), else y = d + sigma*p.
+    # None unless a seam counts and lo < y < hi.
+    step, chosen = math.inf, None
+    for d, f_d, series in plan.seams:
+        curvature = series[0]
         q = 2.0 * (x - f_d) / curvature if curvature else math.nan
         if q > 0.0:
             r = math.sqrt(q)
             if r <= step and r <= 1.0 and r <= abs(d):
-                step, seam = r, d
-    y = seam + step if seam == plan.lo else seam - step
+                step, seam, chosen = r, d, series
+    if chosen is None:
+        return None
+    _, k2, k3 = chosen
+    h = step if seam == plan.lo else -step  # sigma*p
+    corr = h * (k2 + k3 * h)  # sigma*k2*p + k3*p^2
+    if abs(corr) <= 0.5:
+        h += h * corr
+    y = seam + h
     return y if plan.lo < y < plan.hi else None
 
 
@@ -713,10 +749,12 @@ def evaluate(p: Params, branch: int, x: float, tol: float = 1e-12) -> EvalResult
 
     The bracket is the branch's y-range, with an open end at y -> 0
     clipped to +-1e-307 (to half the seam when that lies below 2e-307)
-    and one at |y| -> inf to +-1e300.  The first point
-    is the inverse's branch-point expansion at a bounding seam d,
-    y = d +- sqrt(2*(x - f(d))/f''(d)), when it lies within min(1, |d|)
-    of d.  Otherwise it is three fixed-point steps of f(y) = x from a
+    and one at |y| -> inf to +-1e300.  The first point is the inverse's
+    branch-point series at a bounding seam d to third order,
+    y = d + s*p + k2*p**2 + s*k3*p**3, p = sqrt(2*(x - f(d))/f''(d)) and
+    s = +-1 the side of d the branch lies on, when p <= min(1, |d|); its
+    p**2 and p**3 terms are dropped where they exceed half of s*p.
+    Otherwise it is three fixed-point steps of f(y) = x from a
     branch end: y = (x*e^-y - c)/(a*ln(b*y) + 1) from y -> 0, or
     y = ln(x/P(y)), P = a*y*ln(b*y) + y + c, from beyond the seam of an
     unbounded branch (from d +- max(1, +-ln|x|)); failing those, that
@@ -727,9 +765,9 @@ def evaluate(p: Params, branch: int, x: float, tol: float = 1e-12) -> EvalResult
     than a factor of 4, until |f(y) - x| <= tol * max(1, |x|), with tol
     positive and finite (else DomainError);
     ConvergenceError when the bracket shrinks to a few ulps first.  f is
-    evaluated only at the solver's points.  The bracket, f''(d) and the
-    other per-branch constants come with the catalog.  Deterministic for
-    fixed inputs.
+    evaluated only at the solver's points.  The bracket, f''(d), k2, k3
+    and the other per-branch constants come with the catalog.
+    Deterministic for fixed inputs.
     """
     y, res, it, at_seam, _ = _solve(p, _plan_or_raise(p, branch), x, tol)
     return EvalResult(y, res, it, at_seam)
@@ -793,20 +831,37 @@ def taylor_first_order(p: Params) -> tuple[float, float]:
 
     a0 = -c/(a*W(t)), t = -b*c*e^{1/a}/a (e^{-1/a}/b for |t| < DBL_MIN), is
     the point with f(a0) = 0: e^{W(t) - 1/a}/b without that exponent's
-    cancellation.  a1 = e^{-a0} / (a * (W(t) + 1)) = 1/f'(a0).  Raises
+    cancellation.  a1 = e^{-a0} / (a * (W(t) + 1)) = 1/f'(a0).  Where
+    e^{1/a} overflows and t > 0, W(t) comes from ln t = 1/a + ln(-b*c/a),
+    past ln(DBL_MAX) as the root of w + ln w = ln t by three Newton steps
+    from ln t - ln(ln t), so a finite expansion point is kept.  Raises
     DomainError when t < -1/e (no real expansion point), SingularityError
-    when W(t) = -1, and RangeError when e^{1/a}, t, a0, e^{-a0} or a
-    coefficient overflows the double range.
+    when W(t) = -1, and RangeError when e^{1/a} overflows with t <= 0, or
+    when t (e^{1/a} finite), ln t, a0, e^{-a0} or a coefficient overflows
+    the double range.
     """
     try:
         t = -p.b * p.c * math.exp(1.0 / p.a) / p.a
-    except OverflowError:
-        raise _range_error(p, "the expansion point about x = 0") from None
-    if t < BRANCH_POINT:
-        raise DomainError(
-            f"no real expansion point: W argument {t!r} below -1/e"
-        )
-    w = lambert_w(t)
+    except OverflowError:  # t = u*e^{1/a}: ln t = 1/a + ln u is finite when u > 0
+        u = -p.b * p.c / p.a
+        log_t = 1.0 / p.a + math.log(u) if u > 0.0 else math.inf
+        if log_t == math.inf:
+            raise _range_error(p, "the expansion point about x = 0") from None
+        if log_t <= _Y_MAX:
+            w = lambert_w(math.exp(log_t))
+        else:  # W(t) = ln t - ln W(t), from a relative error below 2e-5
+            w = log_t - math.log(log_t)
+            for _ in range(3):
+                w -= (w + math.log(w) - log_t) / (1.0 + 1.0 / w)
+        t = math.inf  # t > e^-35, as u >= 5e-324 and 1/a > 709.78: no |t| < DBL_MIN
+    else:
+        if t < BRANCH_POINT:
+            raise DomainError(
+                f"no real expansion point: W argument {t!r} below -1/e"
+            )
+        if t == math.inf:  # then a0 = 0
+            raise _range_error(p, "the expansion point about x = 0")
+        w = lambert_w(t)
     if w == -1.0:
         raise SingularityError("expansion point has f' = 0 (W(t) = -1)")
     try:
@@ -814,7 +869,7 @@ def taylor_first_order(p: Params) -> tuple[float, float]:
         a1 = math.exp(-a0) / (p.a * (w + 1.0))
     except OverflowError:
         a0 = a1 = math.inf
-    if not (math.isfinite(a0) and math.isfinite(a1) and t < math.inf):  # t = inf: a0 = 0
+    if not (math.isfinite(a0) and math.isfinite(a1)):
         raise _range_error(p, "the expansion point about x = 0")
     return a0, a1
 

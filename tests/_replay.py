@@ -50,8 +50,10 @@ that differ, and every answer whose residual is above `tol*max(1, |x|)`
 outcome counts, the outcome-class changes, the catalogs whose seams are
 equal to the bit and the ulp moves of those that differ, and per calculus
 call the same counts, changes, equal answers and ulp moves.  `--mpmath N`
-adds the relative error against a 50-digit root of every N-th `eval_hot` input
-answered in both records (median, p90, max), the ulp distance of every
+adds, per workload, the relative error against a 50-digit root of every N-th
+`eval_hot` and every N-th `scan_cold` input answered in both records (median,
+p90, max, and the three inputs with the largest; an answer of 0 points is a
+seam, which the seam check covers, and is skipped), the ulp distance of every
 moved seam of either record from its 60-digit root, and the relative error
 of each coefficient of every `taylor_coefficients` answer that moved against
 `_oracle.taylor_reference`, 50-digit coefficients (median, p90, max; those
@@ -256,35 +258,47 @@ def _quantiles(values) -> str:
 
 
 def _mp_root(row) -> float:
-    # The root of f(y) = x to 50 digits, bracketed from the double answer
-    # toward the side where f approaches x (f is monotone on the branch),
-    # then bisected.
+    # The root of f(y) = x to 50 digits on the double answer's branch,
+    # bracketed from the answer y toward the side where f approaches x:
+    # points at distances from y that double from 1e-17*|y|, and toward
+    # y = 0, once past y/2, at half the point before, until f - x changes
+    # sign.  A point where f' has turned sign lies past the seam that ends
+    # the branch, so the next point is halfway back to the last one on the
+    # branch.  Then bisected.
     import mpmath as mp
 
     mp.mp.dps = 50
     a, b, c, x = (mp.mpf(float.fromhex(row[i])) for i in (2, 3, 4, 6))
     y = mp.mpf(float.fromhex(row[8]))
 
-    def g(v):
-        return (a * v * mp.log(b * v) + v + c) * mp.exp(v) - x
+    def g_and_slope(v):
+        log_bv, e_v = mp.log(b * v), mp.exp(v)
+        return (a * v * log_bv + v + c) * e_v - x, (a * (v + 1) * log_bv + v + a + c + 1) * e_v
 
-    g_y = g(y)
+    g_y, slope = g_and_slope(y)
     if g_y == 0:
         return y
-    slope = (a * (y + 1) * mp.log(b * y) + y + a + c + 1) * mp.exp(y)
-    step = mp.mpf(1e-17) * max(1, abs(y))
-    step = step if (g_y < 0) == (slope > 0) else -step
-    while True:
-        far = y + step
-        if b * far <= 0:
-            raise ValueError(f"answer {row} is more than |y| from its root")
-        if (g(far) > 0) != (g_y > 0):
+    rising = slope > 0
+    sign = 1 if (g_y < 0) == rising else -1
+    toward_zero = (sign > 0) == (y < 0)
+    near, dist = y, mp.mpf(1e-17) * abs(y)
+    far = y + sign * dist
+    for _ in range(5000):
+        g_far, slope_far = g_and_slope(far)
+        if (slope_far > 0) != rising:
+            far = (near + far) / 2
+            continue
+        if (g_far > 0) != (g_y > 0):
             break
-        step *= 2
+        near, dist = far, 2 * dist
+        far = near / 2 if toward_zero and dist >= abs(y) / 2 else y + sign * dist
+    else:
+        raise ValueError(f"no sign change of f - x found from the answer {row}")
     lo, hi, g_lo = y, far, g_y
     while abs(hi - lo) > mp.mpf(10) ** -45 * abs(hi):
-        mid = (lo + hi) / 2
-        g_mid = g(mid)
+        ratio = hi / lo  # lo and hi lie on one side of 0
+        mid = (lo + hi) / 2 if 0.25 <= ratio <= 4 else lo * mp.sqrt(ratio)
+        g_mid = g_and_slope(mid)[0]
         if (g_mid > 0) == (g_lo > 0):
             lo, g_lo = mid, g_mid
         else:
@@ -376,15 +390,23 @@ def compare(path_a: str, path_b: str, mp_every: int) -> bool:
         print(f"  ulp moves of the {len(moves)} that differ: {_quantiles(moves)}")
         differs |= bool(only_a or only_b or flips
                         or any(ra[8:] != rb[8:] for ra, rb in both))
-        if name == "eval_hot" and mp_every:
+        if mp_every:
+            # An answer of 0 points is a seam of the catalog, whose f(d) is x
+            # in doubles: the seams' own check covers it.
+            checked = [(ra, rb) for ra, rb in both if "0" not in (ra[10], rb[10])][::mp_every]
             errs_a, errs_b = [], []
-            for ra, rb in both[::mp_every]:
+            for ra, rb in checked:
                 root = _mp_root(rb)
                 errs_a.append(float(abs(float.fromhex(ra[8]) - root) / abs(root)))
                 errs_b.append(float(abs(float.fromhex(rb[8]) - root) / abs(root)))
             print(f"  relative error against 50-digit roots, {len(errs_a)} answers:")
             print(f"    A: {_quantiles(errs_a)}")
             print(f"    B: {_quantiles(errs_b)}")
+            worst = sorted(range(len(checked)), key=lambda i: -max(errs_a[i], errs_b[i]))[:3]
+            for i in worst:
+                a, b, c, x = (float.fromhex(checked[i][0][k]) for k in (2, 3, 4, 6))
+                print(f"    ({a!r}, {b!r}, {c!r}) branch {checked[i][0][5]} x={x!r}: "
+                      f"A {errs_a[i]:.3g}, B {errs_b[i]:.3g}")
     differs |= compare_seams([r for r in rows_a if r[0] == SEAMS],
                              [r for r in rows_b if r[0] == SEAMS], mp_every)
     differs |= compare_calculus([r for r in rows_a if r[0] == CALCULUS],
@@ -593,8 +615,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
     ap.add_argument("--compare", nargs=2, metavar=("A", "B"))
     ap.add_argument("--mpmath", type=int, default=0, metavar="N",
-                    help="with --compare: check every N-th eval_hot answer and moved "
-                         "walk answer, every moved seam, every moved Taylor answer and "
+                    help="with --compare: check every N-th eval_hot and scan_cold answer "
+                         "and moved walk answer, every moved seam, every moved Taylor answer and "
                          "the continuous_pdf densities against mpmath")
     args = ap.parse_args(argv)
     if args.compare:

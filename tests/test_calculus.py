@@ -265,8 +265,43 @@ def test_taylor_coefficients_match_50_digit_reference():
     assert checked > 500
 
 
+def test_taylor_first_order_where_e_to_1_over_a_overflows():
+    # 1/a = 1000: e^{1/a} overflows, t = e^1000*1000 does too, but W(t) =
+    # 1000 from ln t = 1000 + ln 1000, so a0 = 1 and a1 = e^-1/1.001
+    # (40 digits).
+    assert taylor_first_order(Params(0.001, 1.0, -1.0)) == (
+        1.0, pytest.approx(0.36751192924220012, rel=4e-16))
+
+
 @pytest.mark.parametrize("abc", [
-    (0.001, 1.0, 1.0),   # e^{1/a} overflows
+    (0.001, 1.0, -1.0),
+    (0.0011948482838878463, 17.126053956052434, -0.3724360277158446),
+    (0.001000712260022731, -0.3283983392373836, 0.000653482329009756),  # b < 0
+    (1e-5, 2.0, -3.0),  # 1/a = 1e5
+    (0.0014, 0.01, -0.001),  # 1/a = 714.3, but ln t = 709.3: t is a double
+    (0.0013, 1e-300, -1.0),  # a0 = 9.5: e^{-a0} amplifies its rounding
+])
+def test_taylor_where_e_to_1_over_a_overflows_matches_50_digits(abc):
+    # t = -b*c*e^{1/a}/a > 0 with e^{1/a} past the double range: a0 =
+    # -c/(a*W(t)) and a1 = e^{-a0}/(a*(W(t) + 1)) against 50-digit W(t), and
+    # g_1..g_8 against taylor_reference, within a few ulps (a1: times
+    # 1 + |a0|, g_k: the 50-digit test's 2e-13*k).
+    p = Params(*abc)
+    with mpmath.workdps(50):
+        a, b, c = (mpmath.mpf(v) for v in abc)
+        w = mpmath.lambertw(-b * c * mpmath.exp(1 / a) / a).real
+        a0_ref = -c / (a * w)
+        a1_ref = mpmath.exp(-a0_ref) / (a * (w + 1))
+    a0, a1 = taylor_first_order(p)
+    assert abs(a0 - a0_ref) <= 4e-16 * abs(a0_ref)
+    assert abs(a1 - a1_ref) <= 4e-16 * (1.0 + abs(a0)) * abs(a1_ref)
+    g = taylor_coefficients(p, 8)
+    for k, (v, ref) in enumerate(zip(g, taylor_reference(*abc, 8)), 1):
+        assert abs(mpmath.mpf(v) - ref) <= 2e-13 * k * abs(ref), (abc, k, v, ref)
+
+
+@pytest.mark.parametrize("abc", [
+    (0.001, 1.0, 1.0),   # e^{1/a} overflows with t < 0
     (-0.001, 1.0, 1.0),  # t = 0, so a0 = e^{-1/a}/b, which overflows
     (1.0, -1e-4, 0.0),   # a0 = -3679, so e^{-a0} overflows
     (0.00141, 0.0276, -1.227),  # e^{1/a} is finite, t = -b*c*e^{1/a}/a is not

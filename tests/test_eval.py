@@ -3,7 +3,9 @@
 import itertools
 import math
 import random
+import sys
 
+import mpmath
 import pytest
 
 from loglambert import (
@@ -83,9 +85,10 @@ def _near_seam_points(p, bi):
 
 
 def test_cold_start_near_seams_is_cheap():
-    # The branch-point expansion at the seam starts the solver next to the
-    # root: on the 12 branches of PARAM_SETS (168 points) the mean point
-    # count is 2.3, against 13.3 from the bracket's midpoint.
+    # The third-order branch-point series at the seam starts the solver next
+    # to the root: on the 12 branches of PARAM_SETS (168 points) the mean
+    # point count is 1.61, against 2.30 from its first term alone and 13.3
+    # from the bracket's midpoint.
     counts = []
     for abc in PARAM_SETS:
         p = Params(*map(float, abc))
@@ -95,7 +98,7 @@ def test_cold_start_near_seams_is_cheap():
                 assert abs(forward(p, r.y) - x) <= 1e-12 * max(1.0, abs(x)), (abc, bi.index, x)
                 counts.append(r.iterations)
     assert len(counts) == 168
-    assert sum(counts) / len(counts) <= 4.0
+    assert sum(counts) / len(counts) <= 1.8
 
 
 def test_far_seam_start_is_not_taken():
@@ -138,7 +141,10 @@ def test_plans_hold_the_branch_constants():
     # Each branch's solve plan, built with the catalog: the bracket, the
     # direction, the seams with f''(d) = s'(d)*e^d, where s'(y) =
     # a*(ln(b*y) + 1 + 1/y) + 1 is the slope of the seam equation
-    # singular_residual.
+    # singular_residual, and the terms k2 = -alpha/2 and k3 = 5*alpha^2/8 -
+    # beta/2 of the inverse's series there, alpha = (2s' + s'')/(3s') and
+    # beta = (3s' + 3s'' + s''')/(12s'), with s'' and s''' taken here by
+    # central differences of s'.
     for abc in PARAM_SETS:
         p = Params(*map(float, abc))
         infos, plans = _catalog(p)
@@ -149,12 +155,70 @@ def test_plans_hold_the_branch_constants():
             assert [plan.lo, plan.hi] == _clipped_range(p, bi)
             assert plan.increasing == (bi.monotone is Monotone.INCREASING)
             assert [(d, f_d) for d, f_d, _ in plan.seams] == list(bi.seams)
-            for d, _, curvature in plan.seams:
+            for d, _, (curvature, k2, k3) in plan.seams:
                 s_prime = core._seam_and_slope(p, d)[1]
                 assert curvature == s_prime * math.exp(d), (abc, bi.index, d)
                 h = 1e-6 * abs(d)
                 slope = (singular_residual(p, d + h) - singular_residual(p, d - h)) / (2.0 * h)
                 assert curvature == pytest.approx(slope * math.exp(d), rel=1e-6)
+                h = 1e-4 * abs(d)
+                s1_hi, s1_lo = (core._seam_and_slope(p, d + dh)[1] for dh in (h, -h))
+                s2 = (s1_hi - s1_lo) / (2.0 * h)
+                s3 = (s1_hi - 2.0 * s_prime + s1_lo) / (h * h)
+                alpha = (2.0 * s_prime + s2) / (3.0 * s_prime)
+                beta = (3.0 * s_prime + 3.0 * s2 + s3) / (12.0 * s_prime)
+                assert k2 == pytest.approx(-0.5 * alpha, rel=1e-6), (abc, bi.index, d)
+                assert k3 == pytest.approx(0.625 * alpha**2 - 0.5 * beta, rel=1e-6), \
+                    (abc, bi.index, d)
+
+
+def _mp_root_from_seam(p, d, width, x):
+    # The root of f(y) = x between d and d + width (moved next to 0 when it
+    # lies past 0) to 50 digits, by bisection.
+    with mpmath.workdps(50):
+        a, b, c, x = map(mpmath.mpf, (p.a, p.b, p.c, x))
+        lo, hi = mpmath.mpf(d), mpmath.mpf(d) + width
+        if b * hi <= 0:
+            hi = lo * mpmath.mpf(10) ** -30
+
+        def g(v):
+            return (a * v * mpmath.log(b * v) + v + c) * mpmath.exp(v) - x
+
+        g_lo = g(lo)
+        assert (g_lo > 0) != (g(hi) > 0)
+        for _ in range(170):
+            mid = (lo + hi) / 2
+            if (g(mid) > 0) == (g_lo > 0):
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+
+def test_seam_start_is_third_order():
+    # At x = f(d) + f''(d)*p^2/2 on either side of each seam d of PARAM_SETS,
+    # for p in {1e-1, 1e-2, 1e-3} inside the trust rule p <= min(1, |d|),
+    # the start's distance from the 50-digit root falls like p^4: within 3x
+    # of the largest p's error scaled by p^4, up to the rounding floor of
+    # f(d) and d.  A start of order two falls like p^3 (its first term alone
+    # like p^2) and misses that bound by 10x (100x) per decade.
+    for abc in PARAM_SETS:
+        p = Params(*map(float, abc))
+        for plan in _catalog(p)[1].values():
+            for d, f_d, (curvature, _, _) in plan.seams:
+                side = 1.0 if d == plan.lo else -1.0
+                steps = [s for s in (1e-1, 1e-2, 1e-3) if s <= min(1.0, abs(d))]
+                assert len(steps) >= 2, (abc, plan.info.index, d)
+                scale = None
+                for step in steps:
+                    x = f_d + 0.5 * curvature * step * step
+                    assert plan.x_min <= x <= plan.x_max
+                    y = core._seam_start(plan, x)
+                    err = float(abs(y - _mp_root_from_seam(p, d, 2.0 * side * step, x)))
+                    if scale is None:
+                        scale = err / step**4
+                    floor = 8.0 * sys.float_info.epsilon * (abs(f_d / (curvature * step)) + abs(d))
+                    assert err <= 3.0 * scale * step**4 + floor, (abc, plan.info.index, d, step)
 
 
 def test_open_end_below_a_low_seam_stays_inside_the_branch():
