@@ -76,7 +76,6 @@ from .errors import (
     ConvergenceError,
     DomainError,
     NoSolutionError,
-    PrecisionError,
     RangeError,
     SingularityError,
     UnsupportedCaseError,
@@ -314,7 +313,7 @@ def _forward_and_slope(p: Params, y: float) -> tuple[float, float, float]:
 
 def _range_error(p: Params, what: str) -> RangeError:
     return RangeError(
-        f"{what} overflows the double range for a={p.a!r}, b={p.b!r}, c={p.c!r}"
+        f"{what} leaves the double range for a={p.a!r}, b={p.b!r}, c={p.c!r}"
     )
 
 
@@ -826,50 +825,52 @@ def antiderivative(p: Params, y: float) -> float:
     return value
 
 
+def _w0_exp(log_z: float) -> float:
+    # W0(e^L) for a real L: lambert_w(e^L) up to L = ln(DBL_MAX), past it the
+    # root of w + ln w = L by three Newton steps from L - ln L (relative error
+    # below 2e-5 there), so no z past the double range is formed.
+    if log_z <= _Y_MAX:
+        return lambert_w(math.exp(log_z))
+    w = log_z - math.log(log_z)
+    for _ in range(3):
+        w -= (w + math.log(w) - log_z) / (1.0 + 1.0 / w)
+    return w
+
+
 def taylor_first_order(p: Params) -> tuple[float, float]:
     """Constant and linear coefficients of the inverse about x = 0.
 
-    a0 = -c/(a*W(t)), t = -b*c*e^{1/a}/a (e^{-1/a}/b for |t| < DBL_MIN), is
-    the point with f(a0) = 0: e^{W(t) - 1/a}/b without that exponent's
-    cancellation.  a1 = e^{-a0} / (a * (W(t) + 1)) = 1/f'(a0).  Where
-    e^{1/a} overflows and t > 0, W(t) comes from ln t = 1/a + ln(-b*c/a),
-    past ln(DBL_MAX) as the root of w + ln w = ln t by three Newton steps
-    from ln t - ln(ln t), so a finite expansion point is kept.  Raises
-    DomainError when t < -1/e (no real expansion point), SingularityError
-    when W(t) = -1, and RangeError when e^{1/a} overflows with t <= 0, or
-    when t (e^{1/a} finite), ln t, a0, e^{-a0} or a coefficient overflows
-    the double range.
+    a0 = -c/(a*W(t)), t = -b*c*e^{1/a}/a (e^{-1/a}/b where |W(t)| < DBL_MIN),
+    is the point with f(a0) = 0: e^{W(t) - 1/a}/b without that exponent's
+    cancellation.  a1 = e^{-a0} / (a * (W(t) + 1)) = 1/f'(a0).  A t or
+    e^{1/a} past the double range is read by its sign and ln|t| = 1/a +
+    ln|-b*c/a| (ln|b| + ln|c| - ln|a| where that quotient is no normal
+    double), and W(t) = W0(e^{ln t}).  Raises DomainError when t < -1/e at
+    any magnitude, SingularityError when W(t) = -1, and RangeError when a0
+    or a1 overflows or a0 underflows to 0.
     """
+    a, b, c = p.a, p.b, p.c
     try:
-        t = -p.b * p.c * math.exp(1.0 / p.a) / p.a
-    except OverflowError:  # t = u*e^{1/a}: ln t = 1/a + ln u is finite when u > 0
-        u = -p.b * p.c / p.a
-        log_t = 1.0 / p.a + math.log(u) if u > 0.0 else math.inf
-        if log_t == math.inf:
-            raise _range_error(p, "the expansion point about x = 0") from None
-        if log_t <= _Y_MAX:
-            w = lambert_w(math.exp(log_t))
-        else:  # W(t) = ln t - ln W(t), from a relative error below 2e-5
-            w = log_t - math.log(log_t)
-            for _ in range(3):
-                w -= (w + math.log(w) - log_t) / (1.0 + 1.0 / w)
-        t = math.inf  # t > e^-35, as u >= 5e-324 and 1/a > 709.78: no |t| < DBL_MIN
-    else:
-        if t < BRANCH_POINT:
-            raise DomainError(
-                f"no real expansion point: W argument {t!r} below -1/e"
-            )
-        if t == math.inf:  # then a0 = 0
-            raise _range_error(p, "the expansion point about x = 0")
-        w = lambert_w(t)
+        t = -b * c * math.exp(1.0 / a) / a
+    except OverflowError:  # 1/a > 709.78: t = 0 for c = 0, else beyond e^(1/a)
+        t = math.inf if c else 0.0
+    if math.isinf(t):  # t = +-e^L, signed as -b*c/a (a zero that underflowed too)
+        u = -b * c / a
+        L = (1.0 / a + math.log(abs(u)) if _DBL_MIN <= abs(u) < math.inf
+             else 1.0 / a + math.log(abs(b)) + math.log(abs(c)) - math.log(abs(a)))
+        if math.copysign(1.0, u) < 0.0:
+            t = -math.exp(L) if L <= _Y_MAX else -math.inf
+    if t < BRANCH_POINT:
+        raise DomainError(f"no real expansion point: W argument {t!r} below -1/e")
+    w = _w0_exp(L) if t == math.inf else lambert_w(t)
     if w == -1.0:
         raise SingularityError("expansion point has f' = 0 (W(t) = -1)")
     try:
-        a0 = -p.c / (p.a * w) if abs(t) >= _DBL_MIN else math.exp(-1.0 / p.a) / p.b
-        a1 = math.exp(-a0) / (p.a * (w + 1.0))
+        a0 = -c / (a * w) if abs(w) >= _DBL_MIN else math.exp(-1.0 / a) / b
+        a1 = math.exp(-a0) / (a * (w + 1.0))
     except OverflowError:
         a0 = a1 = math.inf
-    if not (math.isfinite(a0) and math.isfinite(a1)):
+    if not (a0 and math.isfinite(a0) and math.isfinite(a1)):
         raise _range_error(p, "the expansion point about x = 0")
     return a0, a1
 
@@ -925,7 +926,8 @@ def taylor_coefficients(p: Params, n: int) -> list[float]:
     a*y*ln(b*y) + y + c, whose own at a0 are p_0 = 0, p_1 = a*ln(b*a0) + a
     + 1 and p_j = a*(-1)^j/(j*(j-1)*a0^(j-1)), so c_k = sum_{j=1..k} p_j *
     e^a0/(k-j)!.  g_1 agrees with the closed-form linear coefficient.
-    Raises RangeError when a coefficient overflows the double range.
+    Refuses where taylor_first_order does, and with RangeError when a
+    coefficient is not a finite double.
     """
     if not (hasattr(n, "__index__") and 1 <= n <= 8):  # an integer in range
         raise DomainError(f"series order must be an integer in 1..8, got {n!r}")
@@ -934,10 +936,6 @@ def taylor_coefficients(p: Params, n: int) -> list[float]:
         c = _forward_series(p, a0, n)
     except OverflowError:  # e^a0 beyond the double range
         raise _range_error(p, "a series coefficient about x = 0") from None
-    if abs(c[1]) < 1e-8:
-        raise PrecisionError(
-            f"series reversion ill-conditioned: f'(a0) = {c[1]!r}"
-        )
     d = _revert_series(c, n)
     g = [d[k] * math.factorial(k) for k in range(1, n + 1)]
     if not all(math.isfinite(v) for v in g):
@@ -948,38 +946,34 @@ def taylor_coefficients(p: Params, n: int) -> list[float]:
 def asymptotic(p: Params, x: float) -> float:
     """Large-x approximation of the inverse through the classical W.
 
-    With s = c/(a+1) and xi = x*e^s/(a+1):
+    With s = c/(a+1) and xi = x*e^s/(a+1), the paper's
 
         W(xi) - ln{ (e^s/(a+1)) * [a*ln(b*W(xi)) + 1] + (c/x)*e^{W(xi)} } - s
 
-    Raises DomainError when a = -1, when xi is below -1/e, or when a
-    logarithm argument is non-positive, and RangeError when e^s overflows
-    the double range.
+    is W(xi) - 2s - ln{ [a*ln(b*W(xi)) + 1 + c/W(xi)] / (a+1) }, as W(xi) *
+    e^{W(xi)} = xi; a xi past the double range is read by ln xi = ln|x| -
+    ln|a+1| + s.  Raises DomainError when a = -1, x = 0, xi < -1/e at any
+    magnitude, or a logarithm argument is not positive, and RangeError
+    when the value is not a finite double.
     """
     if p.a == -1.0:
         raise DomainError("approximation needs a != -1")
     if x == 0.0:
         raise DomainError("approximation needs x != 0")
-    shift = p.c / (p.a + 1.0)
-    if not shift <= _Y_MAX:
-        raise _range_error(p, "e^(c/(a+1)) of the large-x approximation")
-    xi = x * math.exp(shift) / (p.a + 1.0)
+    a1 = p.a + 1.0
+    s = p.c / a1
+    try:
+        xi = x * math.exp(s) / a1
+    except OverflowError:  # s > 709.78
+        xi = math.copysign(math.inf, x / a1)
     if xi < BRANCH_POINT:
-        raise DomainError(
-            f"approximation undefined: W argument {xi!r} below -1/e"
-        )
-    w = lambert_w(xi)
+        raise DomainError(f"approximation undefined: W argument {xi!r} below -1/e")
+    w = _w0_exp(math.log(abs(x)) - math.log(abs(a1)) + s) if xi == math.inf else lambert_w(xi)
     log_bw = _log_by(p, w, "the large-x approximation's ln(b*W(xi))")
-    if p.c == 0.0:
-        tail = 0.0
-    else:
-        # (c/x) * e^w assembled in log space so huge w cannot overflow.
-        t = w + math.log(abs(p.c)) - math.log(abs(x))
-        tail = math.copysign(math.exp(t), p.c / x) if t <= 709.0 else \
-            math.copysign(math.inf, p.c / x)
-    brace = (math.exp(shift) / (p.a + 1.0)) * (p.a * log_bw + 1.0) + tail
-    if not brace > 0.0 or math.isinf(brace):
-        raise DomainError(
-            f"approximation undefined: log argument {brace!r} at x={x!r}"
-        )
-    return w - math.log(brace) - shift
+    brace = (p.a * log_bw + 1.0 + p.c / w) / a1
+    if not brace > 0.0:
+        raise DomainError(f"approximation undefined: log argument {brace!r} at x={x!r}")
+    value = w - 2.0 * s - math.log(brace)
+    if not math.isfinite(value):
+        raise _range_error(p, "the large-x approximation")
+    return value

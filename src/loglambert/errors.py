@@ -30,7 +30,7 @@ class UnsupportedCaseError(LogLambertError):
 
 
 class PrecisionError(LogLambertError):
-    """The computation is too ill-conditioned to meet its accuracy contract."""
+    """Too ill-conditioned to meet an accuracy contract (no package function raises it)."""
 
 
 class IntegrationError(LogLambertError):
@@ -38,4 +38,4 @@ class IntegrationError(LogLambertError):
 
 
 class RangeError(LogLambertError, OverflowError):
-    """A result exceeds the double range."""
+    """A result leaves the double range."""

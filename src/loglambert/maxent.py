@@ -531,8 +531,12 @@ _WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
        0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
 
 
-# Where continuous_pdf's two pieces meet, in the outer piece's variable t.
+# Where continuous_pdf's two pieces meet, in the outer piece's variable t;
+# the share of its peak the density must fall below at the range's end; and
+# the splits an adaptive quadrature may make.
 _T_C = 0.25
+_TAIL_RATIO = 1e-10
+_GK_DEPTH = 60
 
 
 def _gauss_kronrod_panel(f: Callable[[list[float]], list[float]], a: float, b: float
@@ -550,10 +554,11 @@ def _gauss_kronrod_panel(f: Callable[[list[float]], list[float]], a: float, b: f
 
 
 def _adaptive_gauss_kronrod(
-    f: Callable[[list[float]], list[float]], a: float, b: float, tol: float, depth: int = 60
+    f: Callable[[list[float]], list[float]], a: float, b: float, tol: float, depth: int = _GK_DEPTH
 ) -> float:
     # K15 of a panel whose |K15 - G7| is within tol, else the sum over its
-    # halves, each held to tol/2.  IntegrationError below `depth` splits.
+    # halves, each held to tol/2.  IntegrationError past _GK_DEPTH splits
+    # (`depth` of them are left below this panel).
     k15, g7 = _gauss_kronrod_panel(f, a, b)
     if abs(k15 - g7) <= tol:
         return k15
@@ -570,16 +575,15 @@ def continuous_pdf(
     beta: float,
     branch: int,
     x_grid: Sequence[float],
-    tail_ratio: float = 1e-10,
 ) -> list[float]:
     """Normalised density values on x_grid for the quadratic level x**2.
 
     The normalising integral runs over [-L, L] with L grown from the grid
-    edge until the unnormalised density there falls below `tail_ratio`
-    times its peak, but not past the support cut: the largest |x| whose
-    argument stays in the open interval where the weight is defined (the
-    branch's x-domain, cut where a*ln(b*y) + 1 vanishes), pulled inward by
-    twice the inversion tolerance.  Its half [0, L] is two adaptive
+    edge until the unnormalised density there falls below 1e-10 times its
+    peak, but not past the support cut: the largest |x| whose argument
+    stays in the open interval where the weight is defined (the branch's
+    x-domain, cut where a*ln(b*y) + 1 vanishes), pulled inward by twice the
+    inversion tolerance.  Its half [0, L] is two adaptive
     Gauss-Kronrod integrals, each held to 5e-14*peak*max(L, 1), that meet at
     x_c.  On [0, x_c] each node's weight comes from a warm inversion of its
     argument A + B*x**2 (A = the argument at x = 0, B = beta*ratio*e^ratio).
@@ -590,11 +594,9 @@ def continuous_pdf(
     empty) when that is not inside (0, L).  IntegrationError if the criterion
     cannot be met within that range (it cannot when the weight decays only
     poly-logarithmically, or does not vanish at the cut), DomainError if
-    alpha, beta or a grid point is not finite, if a grid point leaves the
-    branch, or unless 0 < tail_ratio < 1.
+    alpha, beta or a grid point is not finite, or if a grid point leaves
+    the branch.
     """
-    if not 0.0 < tail_ratio < 1.0:
-        raise DomainError(f"tail_ratio must lie in (0, 1), got {tail_ratio!r}")
     if len(x_grid) == 0:
         raise DomainError("x_grid must be non-empty")
     _check_finite("x_grid points", x_grid)
@@ -620,10 +622,10 @@ def continuous_pdf(
     peak = max(g([0.0])[0], max(values))
     if peak <= 0.0:
         raise IntegrationError("density is identically zero on the grid")
-    if edge > 0.0 and g([edge])[0] > tail_ratio * peak:
+    if edge > 0.0 and g([edge])[0] > _TAIL_RATIO * peak:
         raise IntegrationError(
             f"grid too narrow: density at |x|={edge!r} exceeds "
-            f"{tail_ratio!r} of its peak"
+            f"{_TAIL_RATIO!r} of its peak"
         )
 
     # The support cut: the largest |x| whose level x**2 keeps the argument
@@ -637,16 +639,16 @@ def continuous_pdf(
     stop = max(cut, edge)
     L = min(edge if edge > 0.0 else 1.0, stop)
     for _ in range(200):
-        if L == stop or g([L])[0] <= 1e-2 * tail_ratio * peak:
+        if L == stop or g([L])[0] <= 1e-2 * _TAIL_RATIO * peak:
             break
         L = min(1.25 * L, stop)
     else:
         raise IntegrationError("tail criterion not met while growing the range")
 
-    if g([L])[0] > tail_ratio * peak:
+    if g([L])[0] > _TAIL_RATIO * peak:
         raise IntegrationError(
             f"tail criterion not met: density at |x|={L!r} exceeds "
-            f"{tail_ratio!r} of its peak"
+            f"{_TAIL_RATIO!r} of its peak"
         )
 
     # The two pieces of [0, L] (see the docstring).  Near t = 0, f(y) - A is

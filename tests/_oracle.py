@@ -6,7 +6,8 @@ code with the production paths it validates: inversion by plain bisection
 series/continued fraction), derivatives by central differences,
 stationarity residuals by differentiating the whole entropy sum in mpmath,
 the inverse's Taylor coefficients by reverting a 50-digit product of the
-series of ln and exp, the continuous density's normaliser by mpmath.quad
+series of ln and exp, the large-x approximation in the paper's own form
+with mpmath's W, the continuous density's normaliser by mpmath.quad
 with mpmath.findroot at each node.  The only shared ingredient is the
 forward map, which is the problem statement rather than a solution method
 (and `evaluate`'s double root as findroot's start, which the answer does
@@ -23,7 +24,8 @@ import mpmath
 from loglambert import IntegrationError, LogLambertError, Params, evaluate, forward
 
 __all__ = ["BracketError", "bisect_invert", "quad_ei", "fd_derivative",
-           "stationarity_residuals_quadratic", "taylor_reference", "continuous_reference"]
+           "stationarity_residuals_quadratic", "taylor_reference", "asymptotic_reference",
+           "continuous_reference"]
 
 
 class BracketError(LogLambertError, ValueError):
@@ -184,6 +186,27 @@ def taylor_reference(a: float, b: float, c: float, n: int) -> list:
                 total += fwd[k] * power[m]
             d.append(-total / fwd[1])
         return [d[k] * mpmath.factorial(k) for k in range(1, n + 1)]
+
+
+def asymptotic_reference(a: float, b: float, c: float, x: float):
+    """The paper's large-x approximation at x in 50-digit arithmetic (mpf).
+
+    W(xi) - ln{(e^s/(a+1))*[a*ln(b*W(xi)) + 1] + (c/x)*e^W(xi)} - s, s =
+    c/(a+1), xi = x*e^s/(a+1), W mpmath's principal branch, in the form the
+    paper writes (no use of W*e^W = xi).  ValueError where it is not real:
+    xi < -1/e, b*W(xi) <= 0 or a non-positive log argument.
+    """
+    with mpmath.workdps(50):
+        a, b, c, x = (mpmath.mpf(v) for v in (a, b, c, x))
+        s = c / (a + 1)
+        xi = x * mpmath.exp(s) / (a + 1)
+        if xi < -1 / mpmath.e or b * xi <= 0:  # W(xi) has the sign of xi
+            raise ValueError(f"no real W(xi) with b*W(xi) > 0 at xi={xi}")
+        w = mpmath.lambertw(xi).real
+        brace = mpmath.exp(s) / (a + 1) * (a * mpmath.log(b * w) + 1) + c / x * mpmath.exp(w)
+        if brace <= 0:
+            raise ValueError(f"log argument {brace} is not positive")
+        return w - mpmath.log(brace) - s
 
 
 def continuous_reference(ep, alpha: float, beta: float, branch: int, grid, dps: int = 25):

@@ -2,9 +2,10 @@
 
 Record every `evaluate` call of the `eval_hot` and `scan_cold` pools (the
 inputs `perfbench/workloads.py` draws for a seed) with its outcome, the
-`singular_points` and `taylor_coefficients(p, 4)` of every `scan_cold`
-pool catalog, `derivative` and `antiderivative` at every `y` a `scan_cold`
-`evaluate` answers, and every `solve_alpha`, `distribution`,
+`singular_points`, `taylor_coefficients(p, 4)` and `asymptotic(p, x)` at
+x = +-10, +-1e10, +-1e100 and +-1e300 of every `scan_cold` pool catalog,
+`derivative` and `antiderivative` at every `y` a `scan_cold` `evaluate`
+answers, and every `solve_alpha`, `distribution`,
 `stationarity_residuals` and `continuous_pdf` call of the `maxent_fit`
 pool, and one unsorted warm walk per `eval_hot` pool branch, then compare
 two such records:
@@ -21,8 +22,8 @@ older checkout.  The pools are those of a benchmark run of the length
 `BENCHMARK.json` sets.  A seam line has workload `singular_points`, seed,
 a, b and c, then either `ok` and the seams (hex, comma-separated) or the
 class name of the error raised.  A calculus line has workload `calculus`,
-seed, a, b and c, the call's name and its argument (the order 4, or y in
-hex), then either `ok` and the answer in hex (the coefficients
+seed, a, b and c, the call's name and its argument (the order 4, or x or
+y in hex), then either `ok` and the answer in hex (the coefficients
 comma-separated) or the class name of the error raised.  A fit line has
 workload `maxent_fit`, seed, the op's index in the pool, the call's name
 and the number of evaluations of f (with its slope) the call made through
@@ -54,10 +55,14 @@ adds, per workload, the relative error against a 50-digit root of every N-th
 `eval_hot` and every N-th `scan_cold` input answered in both records (median,
 p90, max, and the three inputs with the largest; an answer of 0 points is a
 seam, which the seam check covers, and is skipped), the ulp distance of every
-moved seam of either record from its 60-digit root, and the relative error
-of each coefficient of every `taylor_coefficients` answer that moved against
-`_oracle.taylor_reference`, 50-digit coefficients (median, p90, max; those
-below DBL_MIN skipped), and each record's largest and median relative error
+moved seam of either record from its 60-digit root, the relative error
+of each coefficient of every `taylor_coefficients` answer that moved or that
+only one record has (the other refused it) against
+`_oracle.taylor_reference`, 50-digit coefficients (median, p90, max and the
+largest error/k at order k; those below DBL_MIN skipped), the same of every
+N-th `asymptotic` answer of both records and of every one only one record
+has against `_oracle.asymptotic_reference`, the paper's formula in 50
+digits, and each record's largest and median relative error
 of the `continuous_pdf` densities against `_oracle.continuous_reference`,
 25 digits (every pool op shares one triple, multipliers and grid, so the
 reference is computed once).  For the fits it
@@ -100,8 +105,9 @@ TOL = 1e-12
 WORKLOADS = ("eval_hot", "scan_cold")
 SEAMS = "singular_points"
 CALCULUS = "calculus"
-CALCULUS_CALLS = ("taylor_coefficients", "derivative", "antiderivative")
+CALCULUS_CALLS = ("taylor_coefficients", "asymptotic", "derivative", "antiderivative")
 TAYLOR_ORDER = 4  # the order the scan_cold op asks for
+ASYMPTOTIC_XS = (10.0, -10.0, 1e10, -1e10, 1e100, -1e100, 1e300, -1e300)
 FITS = "maxent_fit"
 FIT_CALLS = ("solve_alpha", "distribution", "stationarity_residuals", "continuous_pdf")
 WALKS = "warm_walk"
@@ -170,8 +176,9 @@ def record(src: str, seeds) -> None:
                 if name == "scan_cold":
                     rows.append([SEAMS, str(seed), *(v.hex() for v in inp[:3]),
                                  *_seams(ll, *inp[:3])])
-                    rows.append(_calculus(str(seed), ll.Params(*inp[:3]), ll.taylor_coefficients,
-                                          TAYLOR_ORDER))
+                    p = ll.Params(*inp[:3])
+                    rows.append(_calculus(str(seed), p, ll.taylor_coefficients, TAYLOR_ORDER))
+                    rows.extend(_calculus(str(seed), p, ll.asymptotic, x) for x in ASYMPTOTIC_XS)
                 wl.op(ctx, gate, inp)
             for (p, branch), xs in walks.items():
                 rows.append(_walk(str(seed), core, p, branch, xs, f_evals))
@@ -482,33 +489,56 @@ def compare_calculus(rows_a, rows_b, mp_every: int) -> bool:
         print(f"    answered in both: {len(both)}, equal to the bit: "
               f"{sum(ra[8] == rb[8] for ra, rb in both)}")
         print(f"    ulp moves of the {len(moves)} values that differ: {_quantiles(moves)}")
-        moved = [(ra, rb) for ra, rb in both if ra[8] != rb[8]]
-        if call == "taylor_coefficients" and mp_every and moved:
-            errs_a, errs_b = _taylor_errors(moved)
-            print(f"    relative error against 50-digit coefficients, {len(moved)} moved "
-                  f"answers ({len(errs_a)} coefficients):")
-            print(f"      A: {_quantiles(errs_a)}")
-            print(f"      B: {_quantiles(errs_b)}")
+        if mp_every and call in ("taylor_coefficients", "asymptotic"):
+            _report_mp_errors(call, both, own, only_a, only_b, mp_every)
     return bool(only_a or only_b or any(ra != rb for ra, rb in pairs))
 
 
-def _taylor_errors(pairs):
-    # The relative error of each coefficient of A's and B's answers against
-    # _oracle.taylor_reference (50 digits); references below DBL_MIN skipped.
+def _report_mp_errors(call, both, own, only_a, only_b, mp_every: int) -> None:
+    # Relative errors against 50-digit references: of the Taylor answers
+    # that moved and of every N-th asymptotic answer of both records, and of
+    # every answer only one record has (the other refused it, or lacks the
+    # input).  For the Taylor coefficients also the largest error/k at order k.
+    if call == "taylor_coefficients":
+        checked = [(ra, rb) for ra, rb in both if ra[8] != rb[8]]
+        print(f"    relative error against 50-digit coefficients, {len(checked)} moved answers:")
+    else:
+        checked = both[::mp_every]
+        print(f"    relative error against the 50-digit formula, {len(checked)} answers in both:")
+    for label, side in (("A", 0), ("B", 1)):
+        print(f"      {label}: " + _error_summary([pair[side] for pair in checked]))
+    for label, side, unpaired in (("A", 0, only_a), ("B", 1, only_b)):
+        alone = [pair[side] for pair in own if pair[side][7] == "ok" != pair[1 - side][7]]
+        alone += [r for r in unpaired if r[5] == call and r[7] == "ok"]
+        print(f"    answered only in {label}, {len(alone)} answers: {_error_summary(alone)}")
+
+
+def _error_summary(rows) -> str:
+    # Quantiles of the relative errors of the calculus answers in rows against
+    # _oracle's 50-digit references (references below DBL_MIN skipped), and
+    # for Taylor coefficients the largest error/k.
     import mpmath as mp
 
     sys.path.append(str(ROOT / "src"))  # for _oracle's own import of loglambert
-    from _oracle import taylor_reference
+    from _oracle import asymptotic_reference, taylor_reference
 
-    errs_a, errs_b = [], []
-    for ra, rb in pairs:
-        a, b, c = (float.fromhex(ra[i]) for i in (2, 3, 4))
-        for ref, va, vb in zip(taylor_reference(a, b, c, int(ra[6])),
-                               ra[8].split(","), rb[8].split(",")):
+    errs, per_k, unreal = [], [], 0
+    for r in rows:
+        a, b, c = (float.fromhex(r[i]) for i in (2, 3, 4))
+        try:
+            refs = (taylor_reference(a, b, c, int(r[6])) if r[5] == "taylor_coefficients"
+                    else [asymptotic_reference(a, b, c, float.fromhex(r[6]))])
+        except ValueError:  # the formula is not real there, though the double answered
+            unreal += 1
+            continue
+        for k, (ref, v) in enumerate(zip(refs, r[8].split(",")), 1):
             if abs(ref) >= sys.float_info.min:
-                errs_a.append(float(abs(mp.mpf(float.fromhex(va)) - ref) / abs(ref)))
-                errs_b.append(float(abs(mp.mpf(float.fromhex(vb)) - ref) / abs(ref)))
-    return errs_a, errs_b
+                errs.append(float(abs(mp.mpf(float.fromhex(v)) - ref) / abs(ref)))
+                per_k.append(errs[-1] / k)
+    out = _quantiles(errs)
+    if rows and rows[0][5] == "taylor_coefficients":
+        out += f"; largest error/k {max(per_k, default=0.0):.3g}"
+    return out + (f"; {unreal} with no real reference" if unreal else "")
 
 
 def compare_fits(rows_a, rows_b, mp_every: int) -> bool:
@@ -615,9 +645,10 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
     ap.add_argument("--compare", nargs=2, metavar=("A", "B"))
     ap.add_argument("--mpmath", type=int, default=0, metavar="N",
-                    help="with --compare: check every N-th eval_hot and scan_cold answer "
-                         "and moved walk answer, every moved seam, every moved Taylor answer and "
-                         "the continuous_pdf densities against mpmath")
+                    help="with --compare: check every N-th eval_hot, scan_cold and asymptotic "
+                         "answer and moved walk answer, every moved seam, every moved or new "
+                         "Taylor or asymptotic answer and the continuous_pdf densities "
+                         "against mpmath")
     args = ap.parse_args(argv)
     if args.compare:
         return int(compare(*args.compare, args.mpmath))

@@ -11,7 +11,6 @@ from loglambert import (
     DomainError,
     LogLambertError,
     Params,
-    PrecisionError,
     RangeError,
     SingularityError,
     antiderivative,
@@ -28,7 +27,7 @@ from loglambert import (
     taylor_first_order,
 )
 from loglambert import core
-from _oracle import _simpson, fd_derivative, taylor_reference
+from _oracle import _simpson, asymptotic_reference, fd_derivative, taylor_reference
 from _sampling import interior_points, scan_cold_sample
 
 P111 = Params(1.0, 1.0, 1.0)
@@ -280,12 +279,15 @@ def test_taylor_first_order_where_e_to_1_over_a_overflows():
     (1e-5, 2.0, -3.0),  # 1/a = 1e5
     (0.0014, 0.01, -0.001),  # 1/a = 714.3, but ln t = 709.3: t is a double
     (0.0013, 1e-300, -1.0),  # a0 = 9.5: e^{-a0} amplifies its rounding
+    (0.00141, 0.0276, -1.227),  # e^{1/a} is a double, t is not: ln t = 712.4
+    (0.001, 1e-200, -1e-200),  # -b*c/a underflows to 0, ln t = 85.9; g_3 overflows
 ])
 def test_taylor_where_e_to_1_over_a_overflows_matches_50_digits(abc):
-    # t = -b*c*e^{1/a}/a > 0 with e^{1/a} past the double range: a0 =
+    # t = -b*c*e^{1/a}/a > 0 with e^{1/a} or t past the double range: a0 =
     # -c/(a*W(t)) and a1 = e^{-a0}/(a*(W(t) + 1)) against 50-digit W(t), and
     # g_1..g_8 against taylor_reference, within a few ulps (a1: times
-    # 1 + |a0|, g_k: the 50-digit test's 2e-13*k).
+    # 1 + |a0|, g_k: the 50-digit test's 2e-13*k).  An order whose
+    # reference coefficient is past the double range refuses.
     p = Params(*abc)
     with mpmath.workdps(50):
         a, b, c = (mpmath.mpf(v) for v in abc)
@@ -295,22 +297,43 @@ def test_taylor_where_e_to_1_over_a_overflows_matches_50_digits(abc):
     a0, a1 = taylor_first_order(p)
     assert abs(a0 - a0_ref) <= 4e-16 * abs(a0_ref)
     assert abs(a1 - a1_ref) <= 4e-16 * (1.0 + abs(a0)) * abs(a1_ref)
-    g = taylor_coefficients(p, 8)
-    for k, (v, ref) in enumerate(zip(g, taylor_reference(*abc, 8)), 1):
+    refs = taylor_reference(*abc, 8)
+    n = next((k for k, ref in enumerate(refs) if abs(ref) > sys.float_info.max), 8)
+    if n < 8:
+        with pytest.raises(RangeError, match="series coefficient"):
+            taylor_coefficients(p, n + 1)
+    for k, (v, ref) in enumerate(zip(taylor_coefficients(p, n), refs), 1):
         assert abs(mpmath.mpf(v) - ref) <= 2e-13 * k * abs(ref), (abc, k, v, ref)
 
 
 @pytest.mark.parametrize("abc", [
-    (0.001, 1.0, 1.0),   # e^{1/a} overflows with t < 0
-    (-0.001, 1.0, 1.0),  # t = 0, so a0 = e^{-1/a}/b, which overflows
-    (1.0, -1e-4, 0.0),   # a0 = -3679, so e^{-a0} overflows
-    (0.00141, 0.0276, -1.227),  # e^{1/a} is finite, t = -b*c*e^{1/a}/a is not
+    (5.917085825296067, -0.04116385353566818, 2.9590643875046045),
+    (-0.17162393088470534, -7.3939616313350145, 0.15976252030039673),
+    (-99.52015885755857, -0.032307363979191706, 10.91711176910345),
+])
+def test_taylor_coefficients_where_f_prime_at_a0_is_small(abc):
+    # |f'(a0)| = |a*(W + 1)|*e^a0 < 1e-8 because e^a0 is small, not because
+    # a0 is near a seam: the series answers, within the 50-digit test's
+    # 2e-13*k of taylor_reference.
+    p = Params(*abc)
+    a0, a1 = taylor_first_order(p)
+    assert abs(1.0 / a1) < 1e-8
+    for k, (v, ref) in enumerate(zip(taylor_coefficients(p, 8), taylor_reference(*abc, 8)), 1):
+        assert abs(mpmath.mpf(v) - ref) <= 2e-13 * k * abs(ref), (abc, k, v, ref)
+
+
+@pytest.mark.parametrize("abc", [
+    (0.001, 1.0, 1.0, DomainError),    # t = -e^1000*1000 lies below -1/e, whatever its size
+    (-0.001, 1.0, 1.0, RangeError),    # t = 0, so a0 = e^{-1/a}/b, which overflows
+    (1.0, -1e-4, 0.0, RangeError),     # a0 = -3679, so e^{-a0} overflows
+    (0.0015, 1e300, 0.0, RangeError),  # t = 0, so a0 = e^{-1/a}/b underflows to 0
 ])
 def test_taylor_overflow_is_typed(abc):
+    *abc, error = abc
     p = Params(*abc)
-    names = f"a={p.a!r}, b={p.b!r}, c={p.c!r}"
+    names = "below -1/e" if error is DomainError else f"a={p.a!r}, b={p.b!r}, c={p.c!r}"
     for fn in (taylor_first_order, lambda q: taylor_coefficients(q, 4)):
-        with pytest.raises(RangeError, match=re.escape(names)):
+        with pytest.raises(error, match=re.escape(names)):
             fn(p)
 
 
@@ -433,3 +456,14 @@ def test_asymptotic_where_b_times_w_is_subnormal():
         w = mpmath.lambertw(x / (a + 1)).real
         ref = float(w - mpmath.log((a * mpmath.log(b * w) + 1) / (a + 1)))
     assert asymptotic(p, 10.0) == pytest.approx(ref, rel=1e-14)
+
+
+def test_asymptotic_where_xi_is_past_the_double_range():
+    # e^(c/(a+1)) = e^500 and xi = 1e200*e^500/2 overflow, but W(xi) comes
+    # from ln xi = ln(1e200/2) + 500 and the value is a double: the paper's
+    # formula in 50 digits.
+    # W(xi) = 953.5 cancels against 2s = 1000, so a few ulps of those terms
+    # are about 20 of the value's.
+    ref = asymptotic_reference(1.0, 1.0, 1000.0, 1e200)
+    assert float(ref) == -48.529613508724237
+    assert asymptotic(Params(1.0, 1.0, 1000.0), 1e200) == pytest.approx(float(ref), rel=1e-14)

@@ -13,6 +13,7 @@ from loglambert import (
     Monotone,
     NoSolutionError,
     Params,
+    PrecisionError,
     RangeError,
     UnsupportedCaseError,
     antiderivative,
@@ -284,17 +285,33 @@ def _check_answer(p, bi, x, y, slope, brace):
 @example(p=Params(-0.9999999999, 1.0, 1.0), sign=1.0, log_x=0.7, n=4)
 # a0**k of the forward series about the expansion point underflows to 0
 @example(p=Params(0.5, 1e300, 5e-324), sign=1.0, log_x=0.0, n=4)
+# e^(1/a) is finite and t = 0, but a0 = e^(-1/a)/b underflows to 0
+@example(p=Params(0.0015, 1e300, 0.0), sign=1.0, log_x=0.0, n=4)
 def test_expansions_meet_contract_or_refuse(p, sign, log_x, n):
     # The large-x approximation at x = sign*10**log_x and the series about
-    # x = 0 to order n: finite values or a typed refusal.
+    # x = 0 to order n: finite values or a typed refusal, never
+    # PrecisionError.  An answered expansion point a0 has b*a0 > 0, and the
+    # series refuses where taylor_first_order does (with its error), else
+    # only with a RangeError naming a series coefficient.
     x = sign * 10.0 ** log_x
+    outcomes = []
     for expansion in (lambda: [asymptotic(p, x)], lambda: taylor_first_order(p),
                       lambda: taylor_coefficients(p, n)):
         try:
             values = expansion()
-        except LogLambertError:
+        except LogLambertError as exc:
+            assert not isinstance(exc, PrecisionError), (p, x, n, exc)
+            outcomes.append(exc)
             continue
         assert all(math.isfinite(v) for v in values), (p, x, n, values)
+        outcomes.append(values)
+    first, series = outcomes[1:]
+    if isinstance(first, Exception):
+        assert type(series) is type(first) and str(series) == str(first), (p, n, first, series)
+    else:
+        assert first[0] != 0.0 and (first[0] > 0.0) == (p.b > 0.0), (p, first)  # b*a0 > 0
+        assert not isinstance(series, Exception) or (
+            isinstance(series, RangeError) and "series coefficient" in str(series)), (p, n, series)
 
 
 # The triples of the test suite, the README and the benchmark's maxent_fit.
