@@ -18,7 +18,8 @@ while |b| and |y| keep theirs), else DomainError naming what needs b*y > 0.
 
 Seam contract: each seam is the root of the seam equation in doubles, found
 on the monotone pieces of the seam equation between its knots (the zeros of
-its slope, -1/W of one argument through the classical Lambert W), on
+its slope, -1/W of one argument through the classical Lambert W, which
+lambertw takes from that argument's logarithm), on
 e^-708 <= |y| <= ln(DBL_MAX) = 709.78, where y is a normal double and e^y
 does not overflow.  Its accuracy is the rounding floor of that equation:
 near y -> 0 with |a| small the equation is about a*ln(b*y) + a + c + 1,
@@ -32,12 +33,12 @@ This module provides the branch catalog, the inverse on a chosen branch, the
 closed forms for the inverse's derivative and antiderivative, the expansion
 of the inverse about x = 0 (leading coefficients in closed form through the
 classical Lambert W, higher ones by O(n^3) reversion of f's own series in
-closed form), and a large-x approximation.
-Knots, seams and inversions share one solver: Newton steps
+closed form), and a large-x approximation.  Every W is lambertw's.
+Seams and inversions share one solver: Newton steps
 safeguarded by bisection inside a bracket of a monotone function (Press et
 al.'s rtsafe rule, bisecting in ln|y| across orders of magnitude), applied
-to the knot equation, to the seam equation on each monotone piece and to f
-on the branch's own y-range, its open ends clipped to finite doubles.  An
+to the seam equation on each monotone piece and to f on the branch's own
+y-range, its open ends clipped to finite doubles.  An
 inversion's first point comes from the nearest kind of branch end: the
 inverse's branch-point series at a seam to third order (as Corless et al.
 start W at -1/e) when it stays close to the seam, else a few fixed-point
@@ -81,7 +82,7 @@ from .errors import (
     UnsupportedCaseError,
 )
 from .expint import ei
-from .lambertw import BRANCH_POINT, lambert_w
+from .lambertw import BRANCH_POINT, _lambert_w, _w_exp, lambert_w
 
 __all__ = [
     "Monotone",
@@ -387,33 +388,15 @@ _Y_MAX = math.log(_DBL_MAX)
 
 
 def _knots(p: Params) -> list[float]:
-    # The zeros k of s'(y) = a*(ln(b*y) + 1 + 1/y) + 1, ascending in |k|.
-    # w = -1/k solves w*e^w = -b*e^(1+1/a), so the knots are -1/W0 and
-    # -1/W-1 of one argument.  In t = -ln|y| that is t - sign(b)*e^t = L,
-    # L = ln|b| + 1 + 1/a, which stays finite however small |a| is.  For
-    # b < 0 the left side rises and is convex: one knot, from the right of
-    # it.  For b > 0 it is concave with maximum -1 at t = 0: two knots
-    # (t >= 0 from the right, t <= 0 from the left) when L <= -1, none
-    # otherwise.  Newton's method converges monotonically from each start.
-    # A knot past the double range comes back as +-inf.
-    sign_b = math.copysign(1.0, p.b)
+    # The zeros k of s'(y) = a*(ln(b*y) + 1 + 1/y) + 1, ascending in |k|:
+    # w = -1/k solves w*e^w = -sign(b)*e^L, L = ln|b| + 1 + 1/a (finite however
+    # small |a| is): W0(e^L) for b < 0, W-1 and W0 of -e^L for b > 0 when
+    # L <= -1, none otherwise.  A knot past the double range is +-inf.
     L = min(max(math.log(abs(p.b)) + 1.0 + 1.0 / p.a, -_DBL_MAX), _DBL_MAX)  # 1/a may overflow
-    if p.b < 0.0:
-        t0 = L if L <= 1.0 else math.log(L)
-        spans = [(min(L, 1.0) - 1.0, t0, True, t0)]
-    elif L <= -1.0:
-        t0 = min(math.log(-L) + 1.0, _Y_MAX)
-        spans = [(0.0, t0, False, t0), (L, 0.0, True, L)]
-    else:
-        spans = []
-
-    def knot_equation(t: float) -> tuple[float, float]:
-        e_t = sign_b * math.exp(t)
-        return t - e_t, 1.0 - e_t
-
-    tol = _EPS4 * max(1.0, abs(L))
-    ts = [_newton_bisect(knot_equation, L, *span, tol, t0)[0] for *span, t0 in spans]
-    return [sign_b * (math.exp(-t) if -t < _Y_MAX else math.inf) for t in ts]
+    if p.b > 0.0 and L > -1.0:
+        return []
+    ws = [_w_exp(L)] if p.b < 0.0 else [_w_exp(L, True), _lambert_w(-math.exp(L), False)]
+    return [-1.0 / w if w else math.copysign(math.inf, p.b) for w in ws]
 
 
 def singular_points(p: Params) -> list[float]:
@@ -422,11 +405,11 @@ def singular_points(p: Params) -> list[float]:
     The seam equation s(y) = a*(y+1)*ln(b*y) + y + a + c + 1 has
     s''(y) = a*(y-1)/y**2, so s is monotone between the zeros k of s' (the
     knots): one for b < 0, none or two for b > 0.  The knots are -1/W of
-    -b*e^(1+1/a) (classical Lambert W), solved in t = -ln|y|, and
-    s(k) = c - a*(k + 1 + 1/k) there.  The limits of s are -sign(a)*inf as
-    y -> 0 and sign(a)*sign(b)*inf as |y| -> inf, so these signs count the
-    seams, and one bracketed Newton solve on each monotone piece with a
-    sign change finds one.
+    -b*e^(1+1/a) (classical Lambert W, taken from the logarithm of that
+    argument's magnitude), and s(k) = c - a*(k + 1 + 1/k) there.  The
+    limits of s are -sign(a)*inf as y -> 0 and sign(a)*sign(b)*inf as
+    |y| -> inf, so these signs count the seams, and one bracketed Newton
+    solve on each monotone piece with a sign change finds one.
 
     Seams are sought on e^-708 <= |y| <= ln(DBL_MAX) = 709.78.  The count
     is the catalog's one refusal rule: it needs one seam for b > 0 and two
@@ -825,44 +808,36 @@ def antiderivative(p: Params, y: float) -> float:
     return value
 
 
-def _w0_exp(log_z: float) -> float:
-    # W0(e^L) for a real L: lambert_w(e^L) up to L = ln(DBL_MAX), past it the
-    # root of w + ln w = L by three Newton steps from L - ln L (relative error
-    # below 2e-5 there), so no z past the double range is formed.
-    if log_z <= _Y_MAX:
-        return lambert_w(math.exp(log_z))
-    w = log_z - math.log(log_z)
-    for _ in range(3):
-        w -= (w + math.log(w) - log_z) / (1.0 + 1.0 / w)
-    return w
-
-
 def taylor_first_order(p: Params) -> tuple[float, float]:
     """Constant and linear coefficients of the inverse about x = 0.
 
     a0 = -c/(a*W(t)), t = -b*c*e^{1/a}/a (e^{-1/a}/b where |W(t)| < DBL_MIN),
     is the point with f(a0) = 0: e^{W(t) - 1/a}/b without that exponent's
-    cancellation.  a1 = e^{-a0} / (a * (W(t) + 1)) = 1/f'(a0).  A t or
-    e^{1/a} past the double range is read by its sign and ln|t| = 1/a +
-    ln|-b*c/a| (ln|b| + ln|c| - ln|a| where that quotient is no normal
-    double), and W(t) = W0(e^{ln t}).  Raises DomainError when t < -1/e at
+    cancellation.  a1 = e^{-a0} / (a * (W(t) + 1)) = 1/f'(a0).  A t whose
+    product -b*c*e^{1/a}/a overflows or passes a subnormal value (which
+    loses bits) is read by its sign and ln|t| = 1/a + ln|-b*c/a| (ln|b| +
+    ln|c| - ln|a| where -b*c or that quotient is no normal double), and
+    W(t) = W0(e^{ln t}) from lambertw.  Raises DomainError when t < -1/e at
     any magnitude, SingularityError when W(t) = -1, and RangeError when a0
     or a1 overflows or a0 underflows to 0.
     """
     a, b, c = p.a, p.b, p.c
+    bc = -b * c
     try:
-        t = -b * c * math.exp(1.0 / a) / a
+        head = bc * math.exp(1.0 / a)
     except OverflowError:  # 1/a > 709.78: t = 0 for c = 0, else beyond e^(1/a)
-        t = math.inf if c else 0.0
-    if math.isinf(t):  # t = +-e^L, signed as -b*c/a (a zero that underflowed too)
-        u = -b * c / a
-        L = (1.0 / a + math.log(abs(u)) if _DBL_MIN <= abs(u) < math.inf
+        head = math.inf if c else 0.0
+    t = head / a
+    if c and not (_DBL_MIN <= abs(bc) and _DBL_MIN <= abs(head) and abs(t) < math.inf):
+        # The product passed a subnormal value or overflowed: t = +-e^L,
+        # signed as -b*c/a (a zero that underflowed too).
+        u = bc / a
+        L = (1.0 / a + math.log(abs(u)) if _DBL_MIN <= abs(bc) and _DBL_MIN <= abs(u) < math.inf
              else 1.0 / a + math.log(abs(b)) + math.log(abs(c)) - math.log(abs(a)))
-        if math.copysign(1.0, u) < 0.0:
-            t = -math.exp(L) if L <= _Y_MAX else -math.inf
+        t = math.inf if math.copysign(1.0, u) > 0.0 else -math.exp(L) if L <= _Y_MAX else -math.inf
     if t < BRANCH_POINT:
         raise DomainError(f"no real expansion point: W argument {t!r} below -1/e")
-    w = _w0_exp(L) if t == math.inf else lambert_w(t)
+    w = _w_exp(L) if t == math.inf else lambert_w(t)
     if w == -1.0:
         raise SingularityError("expansion point has f' = 0 (W(t) = -1)")
     try:
@@ -968,7 +943,7 @@ def asymptotic(p: Params, x: float) -> float:
         xi = math.copysign(math.inf, x / a1)
     if xi < BRANCH_POINT:
         raise DomainError(f"approximation undefined: W argument {xi!r} below -1/e")
-    w = _w0_exp(math.log(abs(x)) - math.log(abs(a1)) + s) if xi == math.inf else lambert_w(xi)
+    w = _w_exp(math.log(abs(x)) - math.log(abs(a1)) + s) if xi == math.inf else lambert_w(xi)
     log_bw = _log_by(p, w, "the large-x approximation's ln(b*W(xi))")
     brace = (p.a * log_bw + 1.0 + p.c / w) / a1
     if not brace > 0.0:

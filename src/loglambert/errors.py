@@ -1,8 +1,7 @@
 """Exception taxonomy shared across the package."""
 
 __all__ = ["LogLambertError", "DomainError", "SingularityError", "ConvergenceError",
-           "NoSolutionError", "UnsupportedCaseError", "PrecisionError",
-           "IntegrationError", "RangeError"]
+           "NoSolutionError", "UnsupportedCaseError", "IntegrationError", "RangeError"]
 
 
 class LogLambertError(Exception):
@@ -27,10 +26,6 @@ class NoSolutionError(LogLambertError):
 
 class UnsupportedCaseError(LogLambertError):
     """The parameters give a seam count the catalog does not build (three for b > 0)."""
-
-
-class PrecisionError(LogLambertError):
-    """Too ill-conditioned to meet an accuracy contract (no package function raises it)."""
 
 
 class IntegrationError(LogLambertError):

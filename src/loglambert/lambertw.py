@@ -8,12 +8,16 @@ and Halley stalls, the square-root series in p (-p on W-1) is correctly
 rounded (truncation ~p^10) and is the answer.  Elsewhere Halley's method
 starts from a seed: that series for x < 1 on W0 and x <= -0.27 on W-1,
 log1p(x) for 1 <= x < e^1.2 on W0, else L1 - L2 + L2/L1, L1 = ln|x|, L2 = ln|L1|.
+On W-1 at a subnormal x (Halley's e^w is subnormal too and loses bits), and
+for an x past the double range given by ln|x|, Newton steps on the log form
+w + ln|w| = ln|x|, which has no e^w, take Halley's place (Corless et al. 1996).
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 
 from .errors import ConvergenceError, DomainError
 
@@ -23,6 +27,9 @@ __all__ = ["WBranch", "lambert_w", "w0", "wm1", "BRANCH_POINT"]
 BRANCH_POINT = -math.exp(-1.0)
 
 _MAX_ITER = 50
+
+# e^L is a normal double for _LOG_DBL_MIN <= L <= _LOG_DBL_MAX.
+_LOG_DBL_MIN, _LOG_DBL_MAX = math.log(sys.float_info.min), math.log(sys.float_info.max)
 
 # e split into two doubles, so e*x + 1 can be formed without losing the
 # low bits that carry all the information right at the branch point.
@@ -73,10 +80,9 @@ def _ex_plus_one(x: float) -> float:
     return s + (err + _E_LO * x)
 
 
-def _branch_point_series(x: float, lower: bool) -> float:
-    # Expansion in p = sqrt(2*(e*x + 1)); p -> -p selects the lower branch.
-    arg = 2.0 * _ex_plus_one(x)
-    p = math.sqrt(max(arg, 0.0))
+def _branch_point_series(p2: float, lower: bool) -> float:
+    # Expansion in p = sqrt(p2), p2 = 2*(e*x + 1); p -> -p selects the lower branch.
+    p = math.sqrt(max(p2, 0.0))
     if lower:
         p = -p
     acc = _BP_COEFFS[-1]
@@ -102,6 +108,49 @@ def _halley(w: float, x: float) -> float:
     return w
 
 
+def _lambert_w(x: float, lower: bool) -> float:
+    # lambert_w past its argument checks.  The knots call this, so that a
+    # traced run's lambert_w calls do not depend on the catalog cache.
+    if x == 0.0 or x == math.inf:
+        return abs(x)  # W0(+-0) = 0 and W0(inf) = inf, the limit
+
+    if (x <= -0.27) if lower else (x < 1.0):
+        p2 = 2.0 * _ex_plus_one(x)
+        seed = _branch_point_series(p2, lower)
+        if p2 < 2.5e-3:  # p < 0.05: the series is the answer
+            return seed
+    else:
+        l1 = math.log(abs(x))
+        if not lower and l1 < 1.2:
+            seed = math.log1p(x)
+        elif lower and l1 < _LOG_DBL_MIN:  # a subnormal x: e^w would be subnormal too
+            return _w_exp(l1, True)
+        else:
+            l2 = math.log(abs(l1))
+            seed = l1 - l2 + l2 / l1
+    w = _halley(seed, x)
+    if (w > -1.0 + 1e-9) if lower else (w < -1.0 - 1e-9):
+        raise ConvergenceError(
+            f"{'lower' if lower else 'principal'}-branch iteration left its "
+            f"range at x={x!r}"
+        )
+    return w
+
+
+def _w_exp(log_x: float, lower: bool = False) -> float:
+    # W0(e^L), or W-1(-e^L) when lower (L <= -1): the kernel at +-e^L, unless
+    # e^L (W0) or Halley's e^w (W-1) would leave the normal doubles.  There two
+    # Newton steps on w + ln|w| = L from the seed L1 - L2 + L2/L1 (within 1e-7
+    # past |L| = 708) reach the rounding; w - L, exact here, is taken first.
+    if (log_x >= _LOG_DBL_MIN) if lower else (log_x <= _LOG_DBL_MAX):
+        return _lambert_w(-math.exp(log_x) if lower else math.exp(log_x), lower)
+    l2 = math.log(abs(log_x))
+    w = log_x - l2 + l2 / log_x
+    for _ in range(2):
+        w -= (w - log_x + math.log(abs(w))) / (1.0 + 1.0 / w)
+    return w
+
+
 def lambert_w(x: float, branch: WBranch = WBranch.PRINCIPAL) -> float:
     """Evaluate the requested real branch of W at x.
 
@@ -123,27 +172,7 @@ def lambert_w(x: float, branch: WBranch = WBranch.PRINCIPAL) -> float:
         raise DomainError(
             f"lower branch of lambert_w requires x < 0, got {x!r}"
         )
-    if x == 0.0 or x == math.inf:
-        return abs(x)  # W0(+-0) = 0 and W0(inf) = inf, the limit
-
-    if 2.0 * _ex_plus_one(x) < 2.5e-3:  # p^2 = 2*(e*x + 1) < 0.05^2
-        return _branch_point_series(x, lower)
-    if (x <= -0.27) if lower else (x < 1.0):
-        seed = _branch_point_series(x, lower)
-    else:
-        l1 = math.log(abs(x))
-        if not lower and l1 < 1.2:
-            seed = math.log1p(x)
-        else:
-            l2 = math.log(abs(l1))
-            seed = l1 - l2 + l2 / l1
-    w = _halley(seed, x)
-    if (w > -1.0 + 1e-9) if lower else (w < -1.0 - 1e-9):
-        raise ConvergenceError(
-            f"{'lower' if lower else 'principal'}-branch iteration left its "
-            f"range at x={x!r}"
-        )
-    return w
+    return _lambert_w(x, lower)
 
 
 def w0(x: float) -> float:

@@ -7,7 +7,7 @@ Each SRC is a directory holding the `loglambert` package (a checkout's
 `loglambert_a` and `loglambert_b` and imported side by side, so both copies
 run in one interpreter on one core: a host whose speed drifts between
 processes moves both alike.  The inputs are the pool of the `--workload`
-(`maxent_fit` by default, or `eval_hot`) in `perfbench/workloads.py` for
+(`maxent_fit` by default, `eval_hot` or `scan_cold`) in `perfbench/workloads.py` for
 the seed, at the run length `BENCHMARK.json` sets.  Each round times, for
 each copy, in an order that alternates from round to round:
 
@@ -19,8 +19,9 @@ each copy, in an order that alternates from round to round:
   - `op`: the whole pool through the workload's own op, as the benchmark
     runs it, in µs per op;
   - `continuous`: the pool's `continuous_pdf` ops alone, in µs per op;
-- for `eval_hot`, the whole pool through the workload's own op, each op
-  timed alone:
+- for `eval_hot` and `scan_cold`, the whole pool through the workload's
+  own op, each op timed alone (a `scan_cold` op builds a fresh catalog: its
+  pool is longer than the catalog cache, and each round walks it in order):
   - `op_p50`: the median op, in µs;
   - `throughput`: ops per second of op time.
 
@@ -35,6 +36,7 @@ This file is a tool, not a test module: pytest does not collect it.
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import random
 import shutil
@@ -137,7 +139,20 @@ class EvalHotSide:
         return {"op_p50": statistics.median(spent) * 1e6, "throughput": len(spent) / sum(spent)}
 
 
-SIDES = {"maxent_fit": MaxentSide, "eval_hot": EvalHotSide}
+class ScanColdSide(EvalHotSide):
+    # One copy of the library with the scan_cold pool and a gate; ops are
+    # timed as eval_hot's are.
+    def __init__(self, ll, wl, workloads, seed: int, seconds: float):
+        self.wl = wl
+        self.ctx = {"ll": ll, "ops": 0, "ei_band_ops": collections.Counter()}
+        self.pool = wl.pool(random.Random(seed), self.ctx, seconds)
+        self.gate = workloads.Gate(ll.LogLambertError)
+
+    def summary(self) -> str:
+        return f"{len(self.pool)} ops, each on a fresh catalog"
+
+
+SIDES = {"maxent_fit": MaxentSide, "eval_hot": EvalHotSide, "scan_cold": ScanColdSide}
 
 
 def _quartiles(values: list[float]) -> tuple[float, float, float]:

@@ -307,6 +307,21 @@ def test_taylor_where_e_to_1_over_a_overflows_matches_50_digits(abc):
 
 
 @pytest.mark.parametrize("abc", [
+    (0.01857845123162867, 2.951581345482488e-84, -1.827117452184706e-239),
+    (0.004842639371358815, 2.5961012021800985e-239, -1.0703123062893806e-83),
+])
+def test_taylor_first_order_where_t_passes_a_subnormal_value(abc):
+    # t = -b*c*e^{1/a}/a is a normal double, but -b*c is subnormal, so the
+    # product formed left to right loses bits (a0 was 0.77% and 0.43% off).
+    # t is read through ln|t|, good to about |ln t| ulps: a0 within 1e-13.
+    with mpmath.workdps(50):
+        a, b, c = (mpmath.mpf(v) for v in abc)
+        a0_ref = -c / (a * mpmath.lambertw(-b * c * mpmath.exp(1 / a) / a).real)
+    a0, _ = taylor_first_order(Params(*abc))
+    assert abs(a0 - a0_ref) <= 1e-13 * abs(a0_ref), (a0, a0_ref)
+
+
+@pytest.mark.parametrize("abc", [
     (5.917085825296067, -0.04116385353566818, 2.9590643875046045),
     (-0.17162393088470534, -7.3939616313350145, 0.15976252030039673),
     (-99.52015885755857, -0.032307363979191706, 10.91711176910345),

@@ -1,11 +1,13 @@
 """Classical Lambert W kernel: branch values, residuals, monotonicity."""
 
 import math
+import random
 
 import mpmath
 import pytest
 
 from loglambert import BRANCH_POINT, ConvergenceError, DomainError, WBranch, lambert_w, w0, wm1
+from loglambert.lambertw import _w_exp
 
 
 def bisect_w(x, lo, hi):
@@ -61,6 +63,35 @@ def test_matches_mpmath_reference():
     for x in pts1:
         ref = float(mpmath.lambertw(mpmath.mpf(x), -1))
         assert wm1(x) == pytest.approx(ref, rel=4e-15)
+
+
+def test_lower_branch_matches_mpmath_down_to_the_least_double():
+    # x log-uniform in [-1/e, -5e-324]; about 190 of them are subnormal,
+    # where Halley's e^w would be subnormal too and the log form takes over.
+    rng = random.Random(3)
+    with mpmath.workdps(30):
+        for _ in range(4000):
+            x = max(-math.exp(rng.uniform(math.log(5e-324), -1.0)), BRANCH_POINT)
+            ref = mpmath.lambertw(x, -1).real
+            assert abs(wm1(x) - ref) <= 2.0 * math.ulp(float(ref)), x
+
+
+# ln|x| past both ends of the double range, and between ln(DBL_MIN) = -708.4
+# and -745, where e^L is subnormal.
+@pytest.mark.parametrize("log_x, lower", [
+    *[(L, False) for L in (-1e300, -1e6, -800.0, -745.5, -740.0, -720.0, -708.5,
+                           -5.0, -1.0, 0.0, 5.0, 709.7, 709.8, 710.0, 800.0, 1e6, 1e300)],
+    *[(L, True) for L in (-1e300, -1e6, -800.0, -745.5, -740.0, -720.0, -708.5,
+                          -700.0, -5.0, -1.5)],
+])
+def test_w_of_exp_matches_mpmath_past_the_double_range(log_x, lower):
+    # _w_exp(L) is W0(e^L), and _w_exp(L, True) is W-1(-e^L), within 2 ulps
+    # of 30 digits (of the subnormal or zero double for a W0 below DBL_MIN).
+    with mpmath.workdps(30):
+        z = mpmath.exp(log_x)
+        ref = mpmath.lambertw(-z, -1).real if lower else mpmath.lambertw(z).real
+    w = _w_exp(log_x, lower)
+    assert abs(w - ref) <= 2.0 * math.ulp(float(ref)), (w, ref)
 
 
 def test_monotonicity():
