@@ -41,9 +41,9 @@ to the seam equation on each monotone piece and to f on the branch's own
 y-range, its open ends clipped to finite doubles.  An
 inversion's first point comes from the nearest kind of branch end: the
 inverse's branch-point series at a seam to third order (as Corless et al.
-start W at -1/e) when it stays close to the seam, else a few fixed-point
-steps of f(y) = x rearranged for y -> 0 (f -> c) or for large |y|
-(ln|f| ~ y).  f is evaluated only at the solver's points.  Many
+start W at -1/e) when it stays close to the seam, else three steps toward
+the end: fixed-point ones for y -> 0 (f -> c), Newton ones on the log form
+for large |y| (ln|f| ~ y).  f is evaluated only at the solver's points.  Many
 inversions on one branch (all levels of a maximum-entropy fit) each start
 from the third-order inverse series at the last root, from f, f' and
 ln(b*y) there, where that series is trusted; every other x is
@@ -590,16 +590,19 @@ def _seam_start(plan: _Plan, x: float) -> float | None:
 
 
 def _end_start(p: Params, plan: _Plan, x: float) -> float | None:
-    # A first point for the solver from three fixed-point steps of f(y) = x,
-    # rearranged to contract toward one kind of branch end:
-    #   y -> 0, where f -> c:        y = (x*e^-y - c)/(a*ln(b*y) + 1);
-    #   |y| -> inf, where ln|f| ~ y:  y = ln(x/P(y)), P = a*y*ln(b*y) + y + c.
+    # A first point for the solver from three steps on f(y) = x, rearranged
+    # for one kind of branch end:
+    #   y -> 0, where f -> c: fixed-point steps y = (x*e^-y - c)/(a*ln(b*y) + 1);
+    #   |y| -> inf, where ln|f| ~ y: Newton steps on g(y) = y - ln(x/P(y)),
+    #     P = a*y*ln(b*y) + y + c, g' = s/P with s the seam equation (no exp).
     # A branch reaching y = 0 tries the first from its clipped end, then
     # the second from its seam; an unbounded branch the second from
     # y0 = d +- max(1, +-ln|x|) beyond its seam d (the sign of b: |y| grows
     # with |x| for b > 0 and as |x| falls for b < 0); a branch between two
-    # seams the second from the seam nearer 0.  The first result strictly
-    # inside (lo, hi) is taken, else y0 on an unbounded branch, else None.
+    # seams the second from the seam nearer 0.  From a seam (g' = 0) the first
+    # step is y = ln(x/P(y)); a Newton step leaving (lo, hi) goes halfway to
+    # the end it crosses.  The first result strictly inside (lo, hi) is
+    # taken, else y0 on an unbounded branch, else None.
     yr, d, lo, hi, y0 = plan.info.y_range, plan.seams[-1][0], plan.lo, plan.hi, None
     if math.isinf(yr.lo) or math.isinf(yr.hi):
         t = math.log(abs(x) or 5e-324)  # x = 0 as the least double
@@ -607,14 +610,20 @@ def _end_start(p: Params, plan: _Plan, x: float) -> float | None:
     near = yr.lo == 0.0 or yr.hi == 0.0
     for y, log_form in ((lo if yr.lo == 0.0 else hi, False), (d, True))[not near:]:
         try:
-            for _ in range(3):
+            for k in range(3):
                 by = p.b * y
                 if by < 0.0:  # past y = 0: outside (lo, hi), and no ln(b*y)
                     break
                 log_by = math.log(by) if by >= _DBL_MIN else _log_by(p, y, "the open-end start")
                 brace = p.a * log_by + 1.0
-                y = (math.log(x / (brace * y + p.c)) if log_form
-                     else (x * math.exp(-y) - p.c) / brace)
+                if not log_form:
+                    y = (x * math.exp(-y) - p.c) / brace
+                elif k or y0 is not None:  # not at a seam: a Newton step on g
+                    poly = brace * y + p.c
+                    step = y - (y - math.log(x / poly)) * poly / (poly + brace + p.a)
+                    y = step if lo < step < hi else 0.5 * (y + (lo if step <= lo else hi))
+                else:
+                    y = math.log(x / (brace * y + p.c))
         except (ValueError, ZeroDivisionError, OverflowError):  # DomainError is a ValueError
             continue
         if lo < y < hi:
@@ -736,11 +745,12 @@ def evaluate(p: Params, branch: int, x: float, tol: float = 1e-12) -> EvalResult
     y = d + s*p + k2*p**2 + s*k3*p**3, p = sqrt(2*(x - f(d))/f''(d)) and
     s = +-1 the side of d the branch lies on, when p <= min(1, |d|); its
     p**2 and p**3 terms are dropped where they exceed half of s*p.
-    Otherwise it is three fixed-point steps of f(y) = x from a
-    branch end: y = (x*e^-y - c)/(a*ln(b*y) + 1) from y -> 0, or
-    y = ln(x/P(y)), P = a*y*ln(b*y) + y + c, from beyond the seam of an
-    unbounded branch (from d +- max(1, +-ln|x|)); failing those, that
-    point beyond the seam, or the bracket's bisection point.  From there
+    Otherwise it is three steps on f(y) = x from a branch end: fixed-point
+    steps y = (x*e^-y - c)/(a*ln(b*y) + 1) from y -> 0, or Newton steps on
+    y - ln(x/P(y)), P = a*y*ln(b*y) + y + c, from beyond the seam of an
+    unbounded branch (from d +- max(1, +-ln|x|); from a seam, after a step
+    y = ln(x/P(y))); failing those, that point beyond the seam, or the
+    bracket's bisection point.  From there
     the solver that also polishes the seams takes Newton steps while they
     stay inside the bracket and shrink (Press et al.'s rtsafe rule), and
     bisects otherwise, at the geometric mean when the bracket spans more
@@ -817,16 +827,18 @@ def taylor_first_order(p: Params) -> tuple[float, float]:
     product -b*c*e^{1/a}/a overflows or passes a subnormal value (which
     loses bits) is read by its sign and ln|t| = 1/a + ln|-b*c/a| (ln|b| +
     ln|c| - ln|a| where -b*c or that quotient is no normal double), and
-    W(t) = W0(e^{ln t}) from lambertw.  Raises DomainError when t < -1/e at
+    W(t) = W0(e^{ln t}) from lambertw.  Where 1/a overflows (0 < a <
+    1/DBL_MAX), a*W(t) = 1 + a*ln|b*c/(a*W(t))| rounds to 1, so a0 = -c and
+    a1 = e^c.  Raises DomainError when t < -1/e at
     any magnitude, SingularityError when W(t) = -1, and RangeError when a0
     or a1 overflows or a0 underflows to 0.
     """
     a, b, c = p.a, p.b, p.c
     bc = -b * c
     try:
-        head = bc * math.exp(1.0 / a)
-    except OverflowError:  # 1/a > 709.78: t = 0 for c = 0, else beyond e^(1/a)
-        head = math.inf if c else 0.0
+        head = bc * math.exp(1.0 / a) if c else 0.0  # t = 0 for c = 0, however large e^(1/a)
+    except OverflowError:  # 1/a > 709.78: t beyond e^(1/a)
+        head = math.inf
     t = head / a
     if c and not (_DBL_MIN <= abs(bc) and _DBL_MIN <= abs(head) and abs(t) < math.inf):
         # The product passed a subnormal value or overflowed: t = +-e^L,
@@ -841,8 +853,11 @@ def taylor_first_order(p: Params) -> tuple[float, float]:
     if w == -1.0:
         raise SingularityError("expansion point has f' = 0 (W(t) = -1)")
     try:
-        a0 = -c / (a * w) if abs(w) >= _DBL_MIN else math.exp(-1.0 / a) / b
-        a1 = math.exp(-a0) / (a * (w + 1.0))
+        if t == math.inf and L == math.inf:  # 1/a overflowed: a*W(t) = 1
+            a0, a1 = float(-c), math.exp(c)
+        else:
+            a0 = -c / (a * w) if abs(w) >= _DBL_MIN else math.exp(-1.0 / a) / b
+            a1 = math.exp(-a0) / (a * (w + 1.0))
     except OverflowError:
         a0 = a1 = math.inf
     if not (a0 and math.isfinite(a0) and math.isfinite(a1)):

@@ -23,6 +23,9 @@ each copy, in an order that alternates from round to round:
   own op, each op timed alone (a `scan_cold` op builds a fresh catalog: its
   pool is longer than the catalog cache, and each round walks it in order):
   - `op_p50`: the median op, in µs;
+  - `op_tail`: the op at the workload's `tail_pct`, or at the next lower
+    percentile with enough ops beyond it, as `perfbench/run.py`'s `tail`
+    picks it for `op_tail_us` (the summary line names the percentile), in µs;
   - `throughput`: ops per second of op time.
 
 It prints, per measure, each copy's median and quartiles, the median of the
@@ -47,6 +50,10 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402  (perfbench's, as the benchmark draws its pools)
+from run import tail  # noqa: E402  (the benchmark's pick of the op_tail_us percentile)
 
 
 def _load(src: str, name: str, into: Path):
@@ -112,9 +119,10 @@ class MaxentSide:
 class EvalHotSide:
     # One copy of the library with the eval_hot pool, on catalogs built
     # before the pool is drawn (as the workload's setup builds them), and a gate.
-    measures = ("op_p50", "throughput")
+    measures = ("op_p50", "op_tail", "throughput")
     higher_is_better = ("throughput",)
-    units = "op_p50 in µs (the median op), throughput in ops per second of op time"
+    units = ("op_p50 and op_tail in µs (the median op and the benchmark's tail op), "
+             "throughput in ops per second of op time")
 
     def __init__(self, ll, wl, workloads, seed: int, seconds: float):
         self.wl = wl
@@ -127,7 +135,10 @@ class EvalHotSide:
         self.gate = workloads.Gate(ll.LogLambertError)
 
     def summary(self) -> str:
-        return f"{len(self.pool)} ops over {len(self.ctx['branches'])} branches"
+        return f"{len(self.pool)} ops over {len(self.ctx['branches'])} branches{self._tail_note()}"
+
+    def _tail_note(self) -> str:
+        return f", op_tail at p{self.tail_at:g}"
 
     def measure(self) -> dict[str, float]:
         clock, op, ctx, gate = time.perf_counter, self.wl.op, self.ctx, self.gate
@@ -136,7 +147,9 @@ class EvalHotSide:
             start = clock()
             op(ctx, gate, inp)
             spent.append(clock() - start)
-        return {"op_p50": statistics.median(spent) * 1e6, "throughput": len(spent) / sum(spent)}
+        self.tail_at, op_tail, _ = tail(sorted(spent), self.wl.tail_pct)
+        return {"op_p50": statistics.median(spent) * 1e6, "op_tail": op_tail * 1e6,
+                "throughput": len(spent) / sum(spent)}
 
 
 class ScanColdSide(EvalHotSide):
@@ -149,7 +162,7 @@ class ScanColdSide(EvalHotSide):
         self.gate = workloads.Gate(ll.LogLambertError)
 
     def summary(self) -> str:
-        return f"{len(self.pool)} ops, each on a fresh catalog"
+        return f"{len(self.pool)} ops, each on a fresh catalog{self._tail_note()}"
 
 
 SIDES = {"maxent_fit": MaxentSide, "eval_hot": EvalHotSide, "scan_cold": ScanColdSide}
@@ -168,9 +181,6 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=30)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
-
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import workloads
 
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     side_class, wl = SIDES[args.workload], workloads.WORKLOADS[args.workload]

@@ -272,6 +272,16 @@ def test_taylor_first_order_where_e_to_1_over_a_overflows():
         1.0, pytest.approx(0.36751192924220012, rel=4e-16))
 
 
+@pytest.mark.parametrize("abc", [(1e-308, 1.0, -1.0), (5e-309, 1.0, -1.0), (5e-324, -1.0, 1.0)])
+def test_taylor_first_order_where_1_over_a_overflows(abc):
+    # a*W(t) = 1 + a*ln|b*c/(a*W(t))| is 1 to far below an ulp for a tiny
+    # a > 0, so a0 = -c and a1 = e^c, whether 1/a is a double (1e308) or
+    # overflows (a < 1/DBL_MAX).
+    a0, a1 = taylor_first_order(Params(*abc))
+    c = abc[2]
+    assert a0 == pytest.approx(-c, rel=4e-16) and a1 == pytest.approx(math.exp(c), rel=4e-16)
+
+
 @pytest.mark.parametrize("abc", [
     (0.001, 1.0, -1.0),
     (0.0011948482838878463, 17.126053956052434, -0.3724360277158446),
@@ -342,6 +352,7 @@ def test_taylor_coefficients_where_f_prime_at_a0_is_small(abc):
     (-0.001, 1.0, 1.0, RangeError),    # t = 0, so a0 = e^{-1/a}/b, which overflows
     (1.0, -1e-4, 0.0, RangeError),     # a0 = -3679, so e^{-a0} overflows
     (0.0015, 1e300, 0.0, RangeError),  # t = 0, so a0 = e^{-1/a}/b underflows to 0
+    (5e-324, 1.0, 0.0, RangeError),    # the same with 1/a = inf, where -b*c*e^{1/a} is NaN
 ])
 def test_taylor_overflow_is_typed(abc):
     *abc, error = abc
