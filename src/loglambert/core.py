@@ -944,7 +944,7 @@ def asymptotic(p: Params, x: float) -> float:
     e^{W(xi)} = xi; a xi past the double range is read by ln xi = ln|x| -
     ln|a+1| + s.  Raises DomainError when a = -1, x = 0, xi < -1/e at any
     magnitude, or a logarithm argument is not positive, and RangeError
-    when the value is not a finite double.
+    when the value, or s, is not a finite double.
     """
     if p.a == -1.0:
         raise DomainError("approximation needs a != -1")
@@ -952,6 +952,8 @@ def asymptotic(p: Params, x: float) -> float:
         raise DomainError("approximation needs x != 0")
     a1 = p.a + 1.0
     s = p.c / a1
+    if not math.isfinite(s):  # nor are xi, W(xi) or 2s
+        raise _range_error(p, "the large-x approximation")
     try:
         xi = x * math.exp(s) / a1
     except OverflowError:  # s > 709.78

@@ -27,7 +27,8 @@ normalises again, the stationarity conditions hold exactly only when alpha
 is tuned so that Z = 1.  `solve_alpha` does that tuning on the admissible
 interval of alpha, where Z is monotone, with the safeguarded Newton solver
 that also inverts f and polishes its seams, taking Halley steps from the
-exact slope and curvature of Z.  It has three outcomes: an alpha with
+exact slope and curvature of Z from the uniform start corrected for the
+spread of the levels.  It has three outcomes: an alpha with
 |Z - 1| <= tol; DomainError when no alpha in the interval normalises the
 weights; ConvergenceError when the sign bracket shrinks to a few ulps
 first, at the rounding floor of the weight sum.  Which inverse
@@ -72,7 +73,7 @@ from collections.abc import Callable, Sequence
 
 # `evaluate` is unused here: perfbench's span test reads it as maxent.evaluate.
 from .core import (_Y_MAX, BranchInfo, Monotone, Params, _forward_and_slope, _inverter,
-                   _newton_bisect, _plan_or_raise, _Record, branches, evaluate, forward)
+                   _newton_bisect, _plan_or_raise, _Record, branches, evaluate)
 from .errors import ConvergenceError, DomainError, IntegrationError, LogLambertError, RangeError
 from .qcalculus import _LIMIT_TOL, EntropyParams, _deformed_log
 
@@ -367,6 +368,25 @@ def _z_slopes(params: Params, q1: float, k: float, ys: Sequence[float],
     return k / q1 * total, k * k / q1 * curvature
 
 
+def _spread_step(params: Params, q1: float, k: float, y: float, slope: float, brace: float,
+                 deltas: Sequence[float]) -> float:
+    # The Newton step in alpha that corrects the uniform start for the spread
+    # of the levels' arguments x_u + delta_i about x_u = f(y), sum delta_i = 0:
+    # with n*w(x_u) = 1, Z - 1 ~ w''(x_u)/2 * sum delta_i**2 and Z' ~
+    # n*k*w'(x_u), k = dx_i/dalpha, w' and w'' from _z_slopes at y (the
+    # weight cancels from the step).  0 where a term is unusable: a brace that
+    # is not positive, f'(y) that is 0 or not finite, w' = 0, or a step that
+    # is not finite (as when the sum of squares overflows).
+    if not brace > 0.0:
+        return 0.0
+    n = len(deltas)
+    w1, w2 = _z_slopes(params, q1, 1.0, (y,), (1.0 / n,), (slope,), (brace,))
+    if w1 == 0.0:
+        return 0.0
+    step = 0.5 * w2 / w1 * sum(d * d for d in deltas) / (n * k)
+    return step if math.isfinite(step) else 0.0
+
+
 def solve_alpha(
     levels: Sequence[float],
     beta: float,
@@ -390,9 +410,16 @@ def solve_alpha(
                                                 - (1 + s'_i/s_i)],
 
     s_i = (y_i+1)*B_i + a + c = e^-y_i*f'(y_i), s'_i = B_i + a + a/y_i.
-    The solver that inverts f solves excess(alpha) = 0 on that interval,
-    from the alpha of a uniform distribution, by Halley steps inside the
-    sign bracket and bisection otherwise: its Newton step takes the slope
+    The solver that inverts f solves excess(alpha) = 0 on that interval
+    by Halley steps inside the sign bracket and bisection otherwise.  It
+    starts from the alpha alpha_u of a uniform distribution, which puts the
+    mean level at x_u = f(y_u) with n*w(x_u) = 1, moved by one Newton step
+    on the spread of the levels: with delta_i = beta*K*(eps_i - mean),
+    excess(alpha_u) ~ w''(x_u)/2 * sum delta_i**2 and Z' ~ n*K*w'(x_u),
+    w' and w'' from the closed forms above at y_u.  Where the brace at
+    y_u is not positive, f'(y_u) is 0 or not finite, w' is 0 or the step
+    is not finite, it starts from alpha_u; either start is clamped to the
+    interval.  The solver's Newton step takes the slope
     Z' - (Z-1)*Z''/(2*Z'), or Z' when that is not finite or changes sign.
     Each excess is a full pass of `distribution` over the levels, and a pass
     whose weights overflow counts as Z = +inf.  Returns the first alpha with
@@ -448,13 +475,19 @@ def solve_alpha(
         agrees = halley > 0.0 if z1 > 0.0 else halley < 0.0
         return z, halley if agrees and math.isfinite(halley) else z1
 
-    # Uniform warm start: alpha reproducing the uniform weight at the mean level.
-    x_ws = forward(params, _uniform_y(ep, len(levels)))
+    # Uniform warm start: alpha reproducing the uniform weight at the mean
+    # level, moved by the spread of the levels about it.
+    y_u = _uniform_y(ep, len(levels))
+    x_u, slope_u, log_by = _forward_and_slope(params, y_u)
+    if not math.isfinite(x_u):
+        raise RangeError(f"forward map overflows the double range at y={y_u!r}")
     try:
         mean = math.fsum(levels) / len(levels)
     except OverflowError:  # a sum of levels beyond the double range, not their mean
         mean = math.fsum([eps / len(levels) for eps in levels])
-    start = _level_sum(ep, x_ws) - beta * mean
+    start = _level_sum(ep, x_u) - beta * mean
+    start -= _spread_step(params, ep.q - 1.0, k, y_u, slope_u, params.a * log_by + 1.0,
+                          [beta * k * (eps - mean) for eps in levels])
     increasing = ((ep.q > 1.0) == (params.a > 0.0)) == (bi.monotone is Monotone.INCREASING)
     alpha, res, _, lo, hi, _ = _newton_bisect(z_and_slope, 1.0, a_lo, a_hi, increasing,
                                               tol, min(max(start, a_lo), a_hi))

@@ -17,7 +17,9 @@ each copy, in an order that alternates from round to round:
   - `stationarity`: `stationarity_residuals` at those answers, in µs per
     level;
   - `op`: the whole pool through the workload's own op, as the benchmark
-    runs it, in µs per op;
+    runs it, each op timed alone, in µs per op;
+  - `op_p50` and `op_tail`: the median op and the tail op of that walk,
+    as for `eval_hot` below;
   - `continuous`: the pool's `continuous_pdf` ops alone, in µs per op;
 - for `eval_hot` and `scan_cold`, the whole pool through the workload's
   own op, each op timed alone (a `scan_cold` op builds a fresh catalog: its
@@ -63,11 +65,23 @@ def _load(src: str, name: str, into: Path):
     return __import__(name)
 
 
-class MaxentSide:
+class _OpTimes:
+    # The median and tail of one walk's op times, the tail picked as the
+    # benchmark picks it for op_tail_us, at a percentile the summary names.
+    def _tail_note(self) -> str:
+        return f", op_tail at p{self.tail_at:g}"
+
+    def _median_and_tail(self, spent: list[float]) -> dict[str, float]:
+        self.tail_at, op_tail, _ = tail(sorted(spent), self.wl.tail_pct)
+        return {"op_p50": statistics.median(spent) * 1e6, "op_tail": op_tail * 1e6}
+
+
+class MaxentSide(_OpTimes):
     # One copy of the library with its pool, the discrete ops' answers and a gate.
-    measures = ("pass", "stationarity", "op", "continuous")
+    measures = ("pass", "stationarity", "op", "op_p50", "op_tail", "continuous")
     higher_is_better = ()
-    units = "pass and stationarity in µs per level, op and continuous in µs per op"
+    units = ("pass and stationarity in µs per level, op (the mean) and continuous in µs per "
+             "op, op_p50 and op_tail in µs (the median op and the benchmark's tail op)")
 
     def __init__(self, ll, wl, workloads, seed: int, seconds: float):
         self.ll, self.wl = ll, wl
@@ -93,7 +107,7 @@ class MaxentSide:
 
     def summary(self) -> str:
         return (f"{len(self.pool)} ops ({self.continuous} continuous), "
-                f"{len(self.fits)} fits over {self.levels} levels")
+                f"{len(self.fits)} fits over {self.levels} levels{self._tail_note()}")
 
     def measure(self) -> dict[str, float]:
         clock = time.perf_counter
@@ -105,18 +119,20 @@ class MaxentSide:
         for spec, _, probs in self.fits:
             self.ll.stationarity_residuals(spec, probs)
         t2 = clock()
-        spent = {"discrete": 0.0, "continuous": 0.0}
+        spent = []
         for inp in self.pool:
             start = clock()
             self.wl.op(self.ctx, self.gate, inp)
-            spent[inp[0]] += clock() - start
+            spent.append(clock() - start)
+        continuous = sum(dt for dt, (kind, _, _) in zip(spent, self.pool) if kind == "continuous")
         return {"pass": (t1 - t0) / self.levels * 1e6,
                 "stationarity": (t2 - t1) / self.levels * 1e6,
-                "op": (spent["discrete"] + spent["continuous"]) / len(self.pool) * 1e6,
-                "continuous": spent["continuous"] / max(self.continuous, 1) * 1e6}
+                "op": sum(spent) / len(spent) * 1e6,
+                **self._median_and_tail(spent),
+                "continuous": continuous / max(self.continuous, 1) * 1e6}
 
 
-class EvalHotSide:
+class EvalHotSide(_OpTimes):
     # One copy of the library with the eval_hot pool, on catalogs built
     # before the pool is drawn (as the workload's setup builds them), and a gate.
     measures = ("op_p50", "op_tail", "throughput")
@@ -137,9 +153,6 @@ class EvalHotSide:
     def summary(self) -> str:
         return f"{len(self.pool)} ops over {len(self.ctx['branches'])} branches{self._tail_note()}"
 
-    def _tail_note(self) -> str:
-        return f", op_tail at p{self.tail_at:g}"
-
     def measure(self) -> dict[str, float]:
         clock, op, ctx, gate = time.perf_counter, self.wl.op, self.ctx, self.gate
         spent = []
@@ -147,9 +160,7 @@ class EvalHotSide:
             start = clock()
             op(ctx, gate, inp)
             spent.append(clock() - start)
-        self.tail_at, op_tail, _ = tail(sorted(spent), self.wl.tail_pct)
-        return {"op_p50": statistics.median(spent) * 1e6, "op_tail": op_tail * 1e6,
-                "throughput": len(spent) / sum(spent)}
+        return {**self._median_and_tail(spent), "throughput": len(spent) / sum(spent)}
 
 
 class ScanColdSide(EvalHotSide):

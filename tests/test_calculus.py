@@ -493,3 +493,11 @@ def test_asymptotic_where_xi_is_past_the_double_range():
     ref = asymptotic_reference(1.0, 1.0, 1000.0, 1e200)
     assert float(ref) == -48.529613508724237
     assert asymptotic(Params(1.0, 1.0, 1000.0), 1e200) == pytest.approx(float(ref), rel=1e-14)
+
+
+@pytest.mark.parametrize("c", [1e300, -1e300])
+def test_asymptotic_where_s_overflows_is_a_range_error(c):
+    # s = c/(a+1) = +-1e300*2**52 is beyond the double range, and so are xi
+    # and 2s: the refusal names the approximation, not a NaN W(xi) or a W = 0.
+    with pytest.raises(RangeError, match="the large-x approximation leaves the double range"):
+        asymptotic(Params(-1.0 + 2.0**-52, 1.0, c), 10.0)
