@@ -49,7 +49,9 @@ from the third-order inverse series at the last root, from f, f' and
 ln(b*y) there, where that series is trusted; every other x is
 solved as a single inversion is.  The inverter evaluates f at the series
 start, the solver's first point, and takes it as the root when it meets
-the tolerance; each evaluation of f hands out ln(b*y) with f and f', so a
+the tolerance; when it does not, it takes the solver's Newton step from
+there itself, as the root if that point meets the tolerance; each
+evaluation of f hands out ln(b*y) with f and f', so a
 root comes with its log at no further cost.
 
 All functions are pure; `Params` and the catalog records are immutable
@@ -688,8 +690,13 @@ def _inverter(p: Params, branch: int, tol: float
     # overshoots), and the start lies strictly inside the bracket.  The
     # inverter evaluates f there and checks it against tol*max(1, |x|): a
     # start that meets it is the root, with no call to the solver, and one
-    # that does not is the solver's first point, already evaluated.  So a
-    # warm solve costs its f evaluations and little else.  Every other x is
+    # that does not is the solver's first point, already evaluated.  The
+    # solver's second point, where it would take a Newton step from that
+    # start, is taken here too: a Newton point that meets tol is the root,
+    # and one that does not is handed to the solver with the start, which
+    # reads f there from the evaluation made, so every answer and count of
+    # evaluations is the solver's own.  So a warm solve costs its f
+    # evaluations and little else.  Every other x is
     # solved as evaluate solves it; the walk is seeded with f'(y0) = 0, so
     # its first x is too.  An x equal to the last one returns its answer;
     # nothing is memoised, so an equal x met again later may differ in the
@@ -719,11 +726,26 @@ def _inverter(p: Params, branch: int, tol: float
                     if lo < y < hi:
                         point = f(y)
                         limit = tol * (x if x > 1.0 else -x if x < -1.0 else 1.0)
-                        if not abs(point[0] - x) <= limit:
-                            y, res, _, _, _, point = _newton_bisect(f, x, lo, hi, increasing,
-                                                                    limit, y, point)
-                            if not res <= limit:
-                                raise _stalled(plan, x, tol, res)
+                        r = point[0] - x
+                        if not abs(r) <= limit:
+                            # The solver's second point, by its rule: a Newton
+                            # step inside the bracket the start shrank.
+                            y_lo, y_hi = (lo, y) if (r > 0.0) == increasing else (y, hi)
+                            dy = r / point[1] if point[1] else math.nan
+                            newton, fn = y - dy, f
+                            if (y_lo < newton < y_hi and 2.0 * abs(dy) <= hi - lo
+                                    and y_hi - y_lo > _EPS4 * (y_hi if y_hi > -y_lo else -y_lo)):
+                                second = f(newton)
+                                if abs(second[0] - x) <= limit:
+                                    y, point, fn = newton, second, None
+                                else:  # the solver's walk, with that point known
+                                    def fn(v, newton=newton, second=second):
+                                        return second if v == newton else f(v)
+                            if fn is not None:
+                                y, res, _, _, _, point = _newton_bisect(fn, x, lo, hi, increasing,
+                                                                        limit, y, point)
+                                if not res <= limit:
+                                    raise _stalled(plan, x, tol, res)
                     else:  # no trusted series start: solve as evaluate does
                         y, _, _, _, point = _solve(p, plan, x, tol)
                     x0, y0, point0, brace = x, y, point, a * point[2] + 1.0
@@ -942,9 +964,14 @@ def asymptotic(p: Params, x: float) -> float:
 
     is W(xi) - 2s - ln{ [a*ln(b*W(xi)) + 1 + c/W(xi)] / (a+1) }, as W(xi) *
     e^{W(xi)} = xi; a xi past the double range is read by ln xi = ln|x| -
-    ln|a+1| + s.  Raises DomainError when a = -1, x = 0, xi < -1/e at any
-    magnitude, or a logarithm argument is not positive, and RangeError
-    when the value, or s, is not a finite double.
+    ln|a+1| + s, one below DBL_MIN (subnormal or 0) by ln|W(xi)| =
+    ln|xi| - W(xi) and c/W(xi) = (c/x)*(a+1)*e^-s, and a normal xi with
+    e^s below DBL_MIN (which has lost bits) as e^(ln|xi|).  Where c/W(xi)
+    overflows, the log of the brace is ln|c/W(xi)| + ln(1 + t*W(xi)/c) -
+    ln|a+1|, t = a*ln(b*W(xi)) + 1, so the value is still a double.
+    Raises DomainError when a = -1, x = 0, xi < -1/e at any magnitude, or
+    a logarithm argument is not positive, and RangeError when the value,
+    or s, is not a finite double.
     """
     if p.a == -1.0:
         raise DomainError("approximation needs a != -1")
@@ -955,17 +982,48 @@ def asymptotic(p: Params, x: float) -> float:
     if not math.isfinite(s):  # nor are xi, W(xi) or 2s
         raise _range_error(p, "the large-x approximation")
     try:
-        xi = x * math.exp(s) / a1
+        e_s = math.exp(s)
     except OverflowError:  # s > 709.78
-        xi = math.copysign(math.inf, x / a1)
+        e_s = math.inf
+    xi, log_xi = x * e_s / a1, None
+    if not (e_s >= _DBL_MIN and _DBL_MIN <= abs(xi) < math.inf):  # read by ln|xi|
+        log_xi = math.log(abs(x)) - math.log(abs(a1)) + s
+        if abs(xi) < math.inf and math.exp(log_xi) >= _DBL_MIN:  # a normal xi: e^s lost bits
+            xi, log_xi = math.copysign(math.exp(log_xi), xi), None
     if xi < BRANCH_POINT:
         raise DomainError(f"approximation undefined: W argument {xi!r} below -1/e")
-    w = _w_exp(math.log(abs(x)) - math.log(abs(a1)) + s) if xi == math.inf else lambert_w(xi)
-    log_bw = _log_by(p, w, "the large-x approximation's ln(b*W(xi))")
-    brace = (p.a * log_bw + 1.0 + p.c / w) / a1
-    if not brace > 0.0:
-        raise DomainError(f"approximation undefined: log argument {brace!r} at x={x!r}")
-    value = w - 2.0 * s - math.log(brace)
+    w, log_w = xi, None
+    if log_xi is None or xi == math.inf:
+        w = lambert_w(xi) if log_xi is None else _w_exp(log_xi)
+        log_bw = _log_by(p, w, "the large-x approximation's ln(b*W(xi))")
+    else:  # |xi| < DBL_MIN: W(xi) = xi, read by ln|W| = ln|xi| - W
+        if not math.copysign(1.0, xi) * p.b > 0.0:
+            raise DomainError(f"the large-x approximation's ln(b*W(xi)) needs b*y > 0; "
+                              f"got b={p.b!r}, y={xi!r}")
+        log_w = log_xi - xi
+        log_bw = math.log(abs(p.b)) + log_w
+    t = p.a * log_bw + 1.0
+    if not p.c:
+        cw = 0.0
+    elif log_w is None:
+        cw = p.c / w
+    else:  # W has lost bits: c/W = (c/x)*(a+1)*e^-s, as e^W = 1
+        cw = p.c / x * a1 * math.exp(-s) if -s <= _Y_MAX else math.inf
+    if math.isfinite(cw):
+        brace = (t + cw) / a1
+        if not brace > 0.0:
+            raise DomainError(f"approximation undefined: log argument {brace!r} at x={x!r}")
+        log_brace = math.log(brace)
+    else:  # c/W past the double range: brace*(a+1) = (c/W)*(1 + t*W/c)
+        log_cw = math.log(abs(p.c)) - (math.log(abs(w)) if log_w is None else log_w)
+        sign = math.copysign(1.0, p.c) * math.copysign(1.0, w)
+        ratio = sign * t * math.exp(-log_cw)
+        if not (ratio > -1.0 and sign * a1 > 0.0):
+            raise DomainError(f"approximation undefined: log argument not positive at x={x!r} "
+                              f"(c/W(xi) = {'-' if sign < 0.0 else ''}e^{log_cw!r}, "
+                              f"a+1 = {a1!r})")
+        log_brace = log_cw + math.log1p(ratio) - math.log(abs(a1))
+    value = w - 2.0 * s - log_brace
     if not math.isfinite(value):
         raise _range_error(p, "the large-x approximation")
     return value

@@ -59,10 +59,14 @@ RangeError naming q' and r, and a level's argument beyond it
 are refused (DomainError).  `continuous_pdf` normalises by adaptive 7-point
 Gauss / 15-point Kronrod quadrature over a range that stops at the support
 cut, in two pieces: next to x = 0 in x, each panel's nodes one batch of
-warm inversions, and beyond a junction in the branch variable y, between
-the roots at x = 0 and at the range's end, with one evaluation of f per
-node and no inversion.  The stationarity residuals take each level's term
-of the entropy sum in closed form, O(n).
+warm inversions (a batch whose weights are all held calls no inverter),
+and beyond a junction in a variable s in which ln|y|, and so the weight's
+brace, falls quadratically between the roots at x = 0 and at the range's
+end, with f, f' and the weight formed inline from that log at each node
+and no inversion.  That piece's first panel spans all of it; one that
+misses the tolerance gives way to as many equal panels as its error asks
+for under G7's 15th-power law, not to its two halves.  The stationarity
+residuals take each level's term of the entropy sum in closed form, O(n).
 """
 
 from __future__ import annotations
@@ -564,7 +568,7 @@ _WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
        0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
 
 
-# Where continuous_pdf's two pieces meet, in the outer piece's variable t;
+# Where continuous_pdf's two pieces meet, as t in y = y0 + (yL - y0)*t**2;
 # the share of its peak the density must fall below at the range's end; and
 # the splits an adaptive quadrature may make.
 _T_C = 0.25
@@ -602,6 +606,24 @@ def _adaptive_gauss_kronrod(
             + _adaptive_gauss_kronrod(f, m, b, 0.5 * tol, depth - 1))
 
 
+def _rated_gauss_kronrod(f: Callable[[list[float]], list[float]], a: float, b: float,
+                         tol: float) -> float:
+    # _adaptive_gauss_kronrod over [a, b], except that a first panel missing
+    # tol is replaced by n equal panels, each held to tol/n, rather than by
+    # its two halves.  G7's error on a panel falls as the 15th power of its
+    # width, so n panels miss by err/n**14 together: n = ceil((err/tol)**(1/14)),
+    # from that panel's err = |K15 - G7|, capped at _GK_DEPTH (also for an err
+    # that is not a number, or a tol that underflowed to 0).
+    k15, g7 = _gauss_kronrod_panel(f, a, b)
+    err = abs(k15 - g7)
+    if err <= tol:
+        return k15
+    n = math.ceil((err / tol) ** (1.0 / 14.0)) if err < tol * _GK_DEPTH**14 else _GK_DEPTH
+    width = (b - a) / n
+    return sum(_adaptive_gauss_kronrod(f, a + k * width, b if k == n - 1 else a + (k + 1) * width,
+                                       tol / n, _GK_DEPTH - 1) for k in range(n))
+
+
 def continuous_pdf(
     ep: EntropyParams,
     alpha: float,
@@ -620,11 +642,16 @@ def continuous_pdf(
     Gauss-Kronrod integrals, each held to 5e-14*peak*max(L, 1), that meet at
     x_c.  On [0, x_c] each node's weight comes from a warm inversion of its
     argument A + B*x**2 (A = the argument at x = 0, B = beta*ratio*e^ratio).
-    Beyond it the variable is t in [1/4, 1], y = y0 + (yL - y0)*t**2
-    between the roots at x = 0 and x = L, and the integrand is
-    w(y)*f'(y)*(yL - y0)*t/(B*x), x = sqrt((f(y) - A)/B), from one
-    evaluation of f.  x_c is the x of t = 1/4, or L (and the second piece
-    empty) when that is not inside (0, L).  IntegrationError if the criterion
+    Beyond it the variable is s in [s_c, 1], ln|y| = ln|y0| + (ln|yL| -
+    ln|y0|)*s**2 between the roots y0 at x = 0 and yL at x = L, so that the
+    brace a*ln(b*y) + 1 of the weight w = brace^(1/(q-1)) is quadratic in
+    s, and the integrand is w*f'(y)*y*(ln|yL| - ln|y0|)*s/(B*x), x =
+    sqrt((f(y) - A)/B), with f(y) = (brace*y + c)*e^y and f'(y) from the
+    same brace and e^y.  Its first panel is [s_c, 1]; when that misses its
+    tolerance, [s_c, 1] is cut into n = ceil((|K15 - G7|/tol)**(1/14))
+    equal panels, each held to tol/n and halved as needed.  x_c is the x
+    of y0 + (yL - y0)/16, s_c its s, or x_c is L (and the second piece
+    empty) when that x is not inside (0, L).  IntegrationError if the criterion
     cannot be met within that range (it cannot when the weight decays only
     poly-logarithmically, or does not vanish at the cut), DomainError if
     alpha, beta or a grid point is not finite, or if a grid point leaves
@@ -644,9 +671,10 @@ def continuous_pdf(
     def g(points: Sequence[float]) -> list[float]:
         args = [argument(x * x) for x in points]
         new = [arg for arg in dict.fromkeys(args) if arg not in weights]
-        ys, ws, _, _ = _weights(params, q1, branch, invert, new, range(len(new)))
-        weights.update(zip(new, ws))
-        roots.update(zip(new, ys))
+        if new:  # a batch of memo hits calls no inverter
+            ys, ws, _, _ = _weights(params, q1, branch, invert, new, range(len(new)))
+            weights.update(zip(new, ws))
+            roots.update(zip(new, ys))
         return [weights[arg] for arg in args]
 
     values = g(x_grid)
@@ -684,28 +712,36 @@ def continuous_pdf(
             f"{_TAIL_RATIO!r} of its peak"
         )
 
-    # The two pieces of [0, L] (see the docstring).  Near t = 0, f(y) - A is
+    # The two pieces of [0, L] (see the docstring).  Near y0, f(y) - A is
     # known only to f's rounding, so [0, x_c] stays in x.
     _, ratio, e_ratio = _scale(ep)
-    a, A, B = params.a, argument(0.0), beta * ratio * e_ratio
-    y0 = roots[A]
-    dy = roots[argument(L * L)] - y0
-    x_c2 = (_forward_and_slope(params, y0 + dy * _T_C * _T_C)[0] - A) / B if dy and B else 0.0
+    a, c, A, B = params.a, params.c, argument(0.0), beta * ratio * e_ratio
+    y0, yL = roots[A], roots[argument(L * L)]
+    y_c = y0 + (yL - y0) * _T_C * _T_C
+    l0, log_b, sign_y = math.log(abs(y0)), math.log(abs(params.b)), math.copysign(1.0, y0)
+    dl = math.log(abs(yL)) - l0
+    x_c2 = (_forward_and_slope(params, y_c)[0] - A) / B if dl and B else 0.0
     x_c = math.sqrt(x_c2) if 0.0 < x_c2 < L * L else L
+    power = 1.0 / q1
 
-    def h(ts: Sequence[float]) -> list[float]:
-        # Past the junction x >= x_c; the max keeps f's rounding from taking it below.
+    def h(ss: Sequence[float]) -> list[float]:
+        # Past the junction x >= x_c; the floor at x_c**2 keeps f's rounding
+        # from taking it below.
         out = []
-        for t in ts:
-            fy, slope, log_by = _forward_and_slope(params, y0 + dy * t * t)
-            out.append(math.exp(math.log(a * log_by + 1.0) / q1) * slope * dy * t
-                       / (B * math.sqrt(max((fy - A) / B, x_c2))))
+        for s in ss:
+            log_y = l0 + dl * s * s
+            y = sign_y * math.exp(log_y)
+            e_y = math.exp(y) if y <= _Y_MAX else math.inf
+            brace = a * (log_y + log_b) + 1.0
+            x2 = ((brace * y + c) * e_y - A) / B
+            out.append(math.pow(brace, power) * ((y + 1.0) * brace + a + c) * e_y * y * dl * s
+                       / (B * math.sqrt(x2 if x2 > x_c2 else x_c2)))
         return out
 
     tol = 0.5e-13 * peak * max(L, 1.0)
     half = _adaptive_gauss_kronrod(g, 0.0, x_c, tol)
     if x_c < L:
-        half += _adaptive_gauss_kronrod(h, _T_C, 1.0, tol)
+        half += _rated_gauss_kronrod(h, math.sqrt((math.log(abs(y_c)) - l0) / dl), 1.0, tol)
     total = 2.0 * half
     if not total > 0.0:
         raise IntegrationError(f"normalisation integral {total!r} not positive")

@@ -27,8 +27,10 @@ y in hex), then either `ok` and the answer in hex (the coefficients
 comma-separated) or the class name of the error raised.  A fit line has
 workload `maxent_fit`, seed, the op's index in the pool, the call's name,
 the number of evaluations of f (with its slope) the call made through
-the core and the number of passes over the levels it made (misses of the
-pass memo `maxent._all_weights`), then either `ok` and the answer in hex (`solve_alpha`: alpha;
+the core, the number of passes over the levels it made (misses of the
+pass memo `maxent._all_weights`) and the number of Gauss-Kronrod panels it
+evaluated (calls of `maxent._gauss_kronrod_panel`: `continuous_pdf`'s
+quadrature, 0 for the other calls), then either `ok` and the answer in hex (`solve_alpha`: alpha;
 `distribution`: the partition and the probabilities, comma-separated;
 `stationarity_residuals`: the residuals, comma-separated; `continuous_pdf`:
 the densities, comma-separated) or the class name and message of the error
@@ -67,8 +69,9 @@ digits, and each record's largest and median relative error
 of the `continuous_pdf` densities against `_oracle.continuous_reference`,
 25 digits (every pool op shares one triple, multipliers and grid, so the
 reference is computed once).  For the fits it
-prints, per call, each record's outcome counts, total evaluations of f and
-histogram of passes, the ops whose count of evaluations differs, the outcome-class changes, and how many
+prints, per call, each record's outcome counts, total evaluations of f,
+histogram of passes and total and histogram of panels, the ops whose
+count of evaluations or of panels differs, the outcome-class changes, and how many
 answers and refusals (class and message) are equal to the bit, listing each
 op whose answer or refusal differs; for `distribution` also each
 record's largest |Z - 1|, and the largest relative move of `solve_alpha`'s
@@ -83,7 +86,7 @@ only one record has, an outcome class that changes, or an `evaluate`
 answer (y, residual or point count), a seam, a calculus answer, a fit
 answer or refusal or a walk answer that differs in bits.  It exits 0 when
 the two records agree to the bit.  The fits' and walks' counts of
-evaluations of f and the fits' passes are costs, not answers: they are
+evaluations of f and the fits' passes and panels are costs, not answers: they are
 printed, and a change in them alone exits 0.
 
 This file is a tool, not a test module: pytest does not collect it.
@@ -136,6 +139,17 @@ def record(src: str, seeds) -> None:
     def misses() -> int:
         return maxent._all_weights.cache_info().misses
 
+    # Count the quadrature panels; the quadratures look the panel up in
+    # maxent's globals at each call.
+    panels = [0]
+    panel = maxent._gauss_kronrod_panel
+
+    def counted_panel(f, a, b):
+        panels[0] += 1
+        return panel(f, a, b)
+
+    maxent._gauss_kronrod_panel = counted_panel
+
     rows: list[list[str]] = []
     tag = ("", "")  # the workload and seed being replayed
     index = 0  # the op's index in the pool
@@ -147,7 +161,7 @@ def record(src: str, seeds) -> None:
         def call(self, fn, *args):
             if fn.__name__ in FIT_CALLS:
                 return super().call(_fit_recorder(rows, [*tag, str(index)], fn, f_evals,
-                                                  misses), *args)
+                                                  misses, panels), *args)
             if fn.__name__ != "evaluate":
                 return super().call(fn, *args)
             p, branch, x = args
@@ -191,16 +205,17 @@ def record(src: str, seeds) -> None:
         print("\t".join(row))
 
 
-def _fit_recorder(rows, key, fn, f_evals, misses):
+def _fit_recorder(rows, key, fn, f_evals, misses, panels):
     # fn, also appending to rows the evaluations of f it made (counted in
-    # f_evals[0]), its passes over the levels (the growth of misses()) and
-    # its outcome: `ok` and the answer in hex, or the class name and message
-    # of the error raised.
+    # f_evals[0]), its passes over the levels (the growth of misses()), the
+    # quadrature panels it evaluated (counted in panels[0]) and its outcome:
+    # `ok` and the answer in hex, or the class name and message of the
+    # error raised.
     def recorded(*args):
-        f_evals[0], before = 0, misses()
+        f_evals[0], panels[0], before = 0, 0, misses()
 
         def costs():
-            return [fn.__name__, str(f_evals[0]), str(misses() - before)]
+            return [fn.__name__, str(f_evals[0]), str(misses() - before), str(panels[0])]
         try:
             r = fn(*args)
         except Exception as exc:
@@ -551,7 +566,7 @@ def _error_summary(rows) -> str:
 
 def compare_fits(rows_a, rows_b, mp_every: int) -> bool:
     # Field 4 is the call's count of evaluations of f, field 5 its passes,
-    # field 6 its outcome.
+    # field 6 its panels, field 7 its outcome.
     pairs, only_a, only_b = _pair(rows_a, rows_b, 4)
     print(f"== {FITS}: {len(rows_a)} and {len(rows_b)} calls, {len(pairs)} with the same op")
     print(f"  ops only in A: {len(only_a)}, only in B: {len(only_b)}")
@@ -559,25 +574,28 @@ def compare_fits(rows_a, rows_b, mp_every: int) -> bool:
         own = [(ra, rb) for ra, rb in pairs if ra[3] == call]
         print(f"  {call}: {len(own)} calls")
         for label, side in (("A", 0), ("B", 1)):
-            counts = Counter(pair[side][6] for pair in own)
+            counts = Counter(pair[side][7] for pair in own)
             passes = Counter(int(pair[side][5]) for pair in own)
+            panels = Counter(int(pair[side][6]) for pair in own)
             print(f"    {label}: outcomes {dict(sorted(counts.items()))}, evaluations of f "
                   f"{sum(int(pair[side][4]) for pair in own)}, passes "
-                  f"{dict(sorted(passes.items()))}")
+                  f"{dict(sorted(passes.items()))}, panels "
+                  f"{sum(int(pair[side][6]) for pair in own)} {dict(sorted(panels.items()))}")
         print(f"    ops whose evaluations of f differ: "
-              f"{sum(ra[4] != rb[4] for ra, rb in own)}")
-        flips = [(ra, rb) for ra, rb in own if ra[6] != rb[6]]
+              f"{sum(ra[4] != rb[4] for ra, rb in own)}, whose panels differ: "
+              f"{sum(ra[6] != rb[6] for ra, rb in own)}")
+        flips = [(ra, rb) for ra, rb in own if ra[7] != rb[7]]
         print(f"    outcome-class changes: {len(flips)}")
-        for kind, same in (("answers", lambda r: r[6] == "ok"),
-                           ("refusals", lambda r: r[6] != "ok")):
-            both = [(ra, rb) for ra, rb in own if ra[6] == rb[6] and same(ra)]
+        for kind, same in (("answers", lambda r: r[7] == "ok"),
+                           ("refusals", lambda r: r[7] != "ok")):
+            both = [(ra, rb) for ra, rb in own if ra[7] == rb[7] and same(ra)]
             print(f"    {kind} in both: {len(both)}, equal to the bit: "
-                  f"{sum(ra[6:] == rb[6:] for ra, rb in both)}")
-        answered = [(ra, rb) for ra, rb in own if ra[6] == rb[6] == "ok"]
+                  f"{sum(ra[7:] == rb[7:] for ra, rb in both)}")
+        answered = [(ra, rb) for ra, rb in own if ra[7] == rb[7] == "ok"]
         if call == "distribution":
             for label, side in (("A", 0), ("B", 1)):
-                worst = max((abs(float.fromhex(pair[side][7]) - 1.0) for pair in own
-                             if pair[side][6] == "ok"), default=math.nan)
+                worst = max((abs(float.fromhex(pair[side][8]) - 1.0) for pair in own
+                             if pair[side][7] == "ok"), default=math.nan)
                 print(f"    {label}: largest |Z-1| {worst:.3g}")
         if call in MOVED_VALUES:
             print(f"    largest relative move of the {MOVED_VALUES[call]}: "
@@ -587,13 +605,13 @@ def compare_fits(rows_a, rows_b, mp_every: int) -> bool:
             print("    relative error of the densities against 25-digit references:")
             for label, side in (("A", 0), ("B", 1)):
                 errs = [float(abs(float.fromhex(v) - ref) / ref) for pair in answered
-                        for v, ref in zip(pair[side][7].split(","), reference)]
+                        for v, ref in zip(pair[side][8].split(","), reference)]
                 print(f"      {label}: largest {max(errs):.3g}, median {statistics.median(errs):.3g}")
         for ra, rb in own:
-            if ra[6:] != rb[6:]:
-                print(f"    seed {ra[1]} op {ra[2]}: {' '.join(ra[6:])[:120]} -> "
-                      f"{' '.join(rb[6:])[:120]}")
-    return bool(only_a or only_b or any(ra[6:] != rb[6:] for ra, rb in pairs))
+            if ra[7:] != rb[7:]:
+                print(f"    seed {ra[1]} op {ra[2]}: {' '.join(ra[7:])[:120]} -> "
+                      f"{' '.join(rb[7:])[:120]}")
+    return bool(only_a or only_b or any(ra[7:] != rb[7:] for ra, rb in pairs))
 
 
 def _continuous_reference():

@@ -495,6 +495,47 @@ def test_asymptotic_where_xi_is_past_the_double_range():
     assert asymptotic(Params(1.0, 1.0, 1000.0), 1e200) == pytest.approx(float(ref), rel=1e-14)
 
 
+@pytest.mark.parametrize("abc, x", [
+    ((1.0, 1.0, 1.0), 1e-310), ((1.0, 1.0, 1.0), 1e-320), ((1.0, 1.0, 1.0), 5e-324),
+    ((2.0, 0.5, 3.0), 1e-315), ((1e6, 1.0, 1.0), 1e-320), ((1e6, 1.0, 2.0), 5e-324),
+    ((-0.9965800647794545, -0.06896332772299764, -2.61184323122674), -10.0),
+    ((0.001, 1.0, 1e-320), 1e-318), ((-0.5, 1.0, 1e-300), 1e-315),
+])
+def test_asymptotic_where_c_over_w_overflows(abc, x):
+    # xi is subnormal (or rounds to 0: e^s underflows for the seventh, a
+    # scan_cold catalog), so c/W(xi) overflows while the value, about
+    # -ln(c/W(xi)), is a double: the brace's log comes from ln|c/W| with
+    # ln|W| = ln|xi| - W, within a few ulps of the paper's formula in 50
+    # digits (at 5e-324 the rounded xi alone is off by 21%).  These raised
+    # RangeError, or DomainError naming y=0.0.  In the last two c/W(xi) is
+    # a double, taken as (c/x)*(a+1)*e^-s: c/W with W rounded to a
+    # subnormal was off by 2.5e-8 in the first.
+    assert asymptotic(Params(*abc), x) == pytest.approx(float(asymptotic_reference(*abc, x)),
+                                                       rel=4e-16)
+
+
+@pytest.mark.parametrize("x", [1e308, 1e300])
+def test_asymptotic_where_e_to_the_s_is_subnormal(x):
+    # s = -745 and a + 1 = 2**-52: e^s rounds to the least subnormal (off by
+    # 76%) but xi = x*e^s/(a+1) is about 1, so xi comes from ln|xi|.  The
+    # product of the rounded e^s gave 1454.761 for x = 1e308, against
+    # 1454.265 in 50 digits.
+    abc = (-1.0 + 2.0**-52, 1.0, -745.0 * 2.0**-52)
+    assert asymptotic(Params(*abc), x) == pytest.approx(float(asymptotic_reference(*abc, x)),
+                                                       rel=1e-15)
+
+
+def test_asymptotic_where_c_over_w_overflows_keeps_the_sign_rules():
+    # A negative brace is refused as before; with c = 0 and xi rounding to 0
+    # the brace is a*ln(b*W) + 1 < 0, read through ln|xi|.
+    with pytest.raises(DomainError, match="log argument not positive .*-e\\^714.99"):
+        asymptotic(Params(1.0, 1.0, -1.0), 1e-310)
+    with pytest.raises(DomainError, match="log argument -758.25"):
+        asymptotic(Params(1e6, 1.0, 0.0), 5e-324)
+    with pytest.raises(DomainError, match="needs b\\*y > 0"):
+        asymptotic(Params(1e6, -1.0, 2.0), 5e-324)
+
+
 @pytest.mark.parametrize("c", [1e300, -1e300])
 def test_asymptotic_where_s_overflows_is_a_range_error(c):
     # s = c/(a+1) = +-1e300*2**52 is beyond the double range, and so are xi

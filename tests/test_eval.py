@@ -427,16 +427,16 @@ def test_warm_inversion_starts_from_the_inverse_series(monkeypatch, f_calls):
 def test_warm_inversion_on_a_dense_sweep_takes_two_points(monkeypatch, f_calls):
     # 1% steps in x: every warm call evaluates f at the series start, which
     # meets tol*max(1, |x|) there or at the solver's next point, where a
-    # start from the last root took three evaluations.  A start meeting tol
-    # calls no solver; one that does not is the solver's first point, so it
-    # costs one call.
+    # start from the last root took three evaluations.  Neither calls the
+    # solver: the inverter takes that Newton point itself, and only a walk
+    # needing a third point hands it to _newton_bisect.
     p = Params(1.0, 1.0, 1.0)
     solves = _warm_solves(monkeypatch, f_calls, [(p, 1, [10.0 * 1.01 ** k for k in range(100)])])
     warm = [(evals, calls) for cold, evals, calls in solves if not cold]
     assert len(warm) == 99
     assert sum(evals for evals, _ in warm) / len(warm) <= 2.0
     assert min(evals for evals, _ in warm) >= 1
-    assert all(calls == (evals > 1) for evals, calls in warm)
+    assert all(calls == (evals > 2) for evals, calls in warm)
 
 
 def test_warm_inversion_on_a_fine_sweep_ends_at_the_series_start(monkeypatch, f_calls):

@@ -729,11 +729,12 @@ def _top_level_quadratures(monkeypatch, arguments=()):
 
 
 def test_continuous_pdf_inversion_count(monkeypatch):
-    # 51 distinct grid arguments, the search for L and the inner piece's one
+    # 53 distinct grid arguments, the search for L and the inner piece's one
     # G7-K15 panel on [0, x_c], each inverted once by one inverter, in
     # batches of the arguments whose weights the call does not hold yet
-    # (68 here); the outer piece, t in [1/4, 1], inverts nothing.  Inverting
-    # every node of the 9 panels over [0, L] took 187; adaptive Simpson 835.
+    # (68 here); the outer piece, s in [s_c, 1], inverts nothing, in any of
+    # the panels it splits into.  Inverting every node of the 9 panels over
+    # [0, L] took 187; adaptive Simpson 835.
     arguments, inverters = [], []
     make = maxent._inverter
 
@@ -751,9 +752,43 @@ def test_continuous_pdf_inversion_count(monkeypatch):
     continuous_pdf(EP_CONT, ALPHA_CONT, BETA_CONT, 1, README_GRID)
     assert len(inverters) == 1
     assert len(set(arguments)) == len(arguments) <= 80
-    (inner_a, _, _, _), (outer_a, outer_b, before, after) = quadratures
-    assert inner_a == 0.0 and (outer_a, outer_b) == (0.25, 1.0)
-    assert before == after
+    (inner_a, _, _, _), *outer = quadratures
+    assert inner_a == 0.0 and len(outer) >= 2 and outer[-1][1] == 1.0
+    assert all(a == b for (_, a, _, _), (b, _, _, _) in zip(outer, outer[1:]))
+    assert all(before == after for _, _, before, after in outer)
+
+
+def test_continuous_pdf_cost(monkeypatch):
+    # The README call's evaluations of f through the core (the grid's 53
+    # warm inversions take 104, the search for L and the junction 3, the
+    # inner piece's 15 nodes 32) and the panels it evaluates: one on [0, x_c]
+    # and four in the outer piece, its first over all of s in [s_c, 1] and
+    # then the three equal panels that first panel's |K15 - G7| asks for,
+    # 60 nodes evaluating f inline.  Integrating t in [1/4, 1] by halving
+    # from one panel took 274 evaluations through the core and 9 outer
+    # panels, 4 of them discarded.
+    f_evals, panels = [0], []
+    forward_and_slope, panel = core._forward_and_slope, maxent._gauss_kronrod_panel
+
+    def counted(p, y):
+        f_evals[0] += 1
+        return forward_and_slope(p, y)
+
+    def recorded(f, a, b):
+        panels.append(f)
+        return panel(f, a, b)
+
+    monkeypatch.setattr(core, "_forward_and_slope", counted)
+    monkeypatch.setattr(maxent, "_forward_and_slope", counted)
+    monkeypatch.setattr(maxent, "_gauss_kronrod_panel", recorded)
+    core._catalog.cache_clear()
+    try:
+        continuous_pdf(EP_CONT, ALPHA_CONT, BETA_CONT, 1, README_GRID)
+    finally:
+        core._catalog.cache_clear()
+    inner = panels[0]
+    assert f_evals[0] <= 140
+    assert panels.count(inner) == 1 and len(panels) - 1 <= 4
 
 
 def test_continuous_normaliser_against_mpmath_reference():
@@ -766,10 +801,9 @@ def test_continuous_normaliser_against_mpmath_reference():
     assert abs(z - z_ref) <= 5e-14 * z_ref
 
 
-def test_continuous_pdf_where_the_anchor_residual_has_the_wrong_sign():
-    # The root at x = 0 misses its argument by one ulp with the sign that
-    # makes f(y) - A negative just past y0: integrating t in [0, 1] from y0
-    # took the square root of it.  Three points at 0.99684 of the support cut.
+def _anchor_case():
+    # (ep, alpha, beta, grid) of the wrong-sign anchor residual: three points
+    # at 0.99684 of the support cut.
     ep = EntropyParams(1.1, 1.2, 1.3037614942621056)
     alpha = ALPHA_CONT + 0.02176155583102235
     p = ep.induced_params()
@@ -778,7 +812,42 @@ def test_continuous_pdf_where_the_anchor_residual_has_the_wrong_sign():
     cut = math.sqrt((x_star / (ratio * math.exp(ratio)) + 1.0 / (1.0 - ep.r) - alpha)
                     / BETA_CONT)
     edge = 0.99684 * cut
-    dens = continuous_pdf(ep, alpha, BETA_CONT, 1, [-edge, 0.0, edge])
+    return ep, alpha, BETA_CONT, [-edge, 0.0, edge]
+
+
+@pytest.mark.parametrize("case, bounds", [
+    # The grid's weights carry their inversions' floor (1e-13*max(1, |x|)
+    # in f, amplified by 1/(q-1)): the 1.5e-9 at x = 0.53 is that floor.
+    ((EntropyParams(1.1232495477723115, 1.0041005441422142, 1.0018068989733162),
+      -0.0038361655021007406, -28.04171420434191, [0.0, 0.5313968432239646]),
+     (3.7e-12, 1.6e-9)),
+    (_anchor_case(), (1.7e-12, 2.3e-15, 1.7e-12)),
+    ((EntropyParams(1.0894990535292828, 1.1862963984335415, 1.2880842841619373),
+      -2.114759359730773, -0.026974070431778942, [0.0, 1.0406155751111315, 4.077054615182613]),
+     (2.6e-14, 4.5e-14, 6.9e-14)),
+    ((EntropyParams(1.0796874450527203, 1.2076930940559987, 1.3036229672478286),
+      -2.1366518286965803, -0.017833141738777165, [0.0, 2.4871408323353537, 3.9946590461667038]),
+     (2.8e-15, 7.8e-15, 2.5e-14)),
+], ids=["found66", "anchor", "near_readme_1", "near_readme_2"])
+def test_continuous_pdf_against_mpmath_reference_off_the_readme(case, bounds):
+    # Densities against 25 digits (mpmath.quad over the whole support,
+    # mpmath.findroot at each node), each within its error when the outer
+    # piece was integrated in t, y = y0 + (yL - y0)*t**2, halving from one
+    # panel: 3.67e-12, 1.52e-9; 1.69e-12, 2.21e-15, 1.69e-12; 2.43e-14,
+    # 4.37e-14, 6.73e-14; 2.71e-15, 7.73e-15, 2.45e-14.
+    ep, alpha, beta, grid = case
+    dens = continuous_pdf(ep, alpha, beta, 1, grid)
+    _, reference = continuous_reference(ep, alpha, beta, 1, grid)
+    errors = [float(abs(d - r) / r) for d, r in zip(dens, reference)]
+    assert all(e <= bound for e, bound in zip(errors, bounds)), errors
+
+
+def test_continuous_pdf_where_the_anchor_residual_has_the_wrong_sign():
+    # The root at x = 0 misses its argument by one ulp with the sign that
+    # makes f(y) - A negative just past y0: integrating t in [0, 1] from y0
+    # took the square root of it.  Three points at 0.99684 of the support cut.
+    ep, alpha, beta, grid = _anchor_case()
+    dens = continuous_pdf(ep, alpha, beta, 1, grid)
     assert all(math.isfinite(v) and v >= 0.0 for v in dens)
     assert dens[0] == dens[2] and dens[1] > 0.0
 
@@ -846,6 +915,20 @@ def test_adaptive_gauss_kronrod_refuses_an_unresolvable_step():
     with pytest.raises(IntegrationError, match="recursion exhausted"):
         _adaptive_gauss_kronrod(step, -1.0, 2.0, 1e-13)
     assert len(evaluations) <= 61 * 2 * 15
+
+
+def test_rated_gauss_kronrod_caps_its_split():
+    # An integrand of NaNs asks for no finite number of panels: the split
+    # is capped at _GK_DEPTH panels, and the first of them runs out of depth.
+    evaluations = []
+
+    def f(xs):
+        evaluations.extend(xs)
+        return [math.nan] * len(xs)
+
+    with pytest.raises(IntegrationError, match="recursion exhausted"):
+        maxent._rated_gauss_kronrod(f, 0.0, 1.0, 1e-13)
+    assert len(evaluations) == (1 + 60) * 15
 
 
 def test_continuous_grid_too_narrow():
