@@ -48,9 +48,9 @@ inversions on one branch (all levels of a maximum-entropy fit) each start
 from the third-order inverse series at the last root, from f, f' and
 ln(b*y) there, where that series is trusted; every other x is
 solved as a single inversion is.  The inverter evaluates f at the series
-start, the solver's first point, and takes it as the root when it meets
-the tolerance; when it does not, it takes the solver's Newton step from
-there itself, as the root if that point meets the tolerance; each
+start and takes it as the root when it meets the tolerance; else it takes
+one Newton step inside the bracket the start shrank, and a point that
+still misses goes to the solver with its evaluation; each
 evaluation of f hands out ln(b*y) with f and f', so a
 root comes with its log at no further cost.
 
@@ -689,14 +689,12 @@ def _inverter(p: Params, branch: int, tol: float
     # at most half its first-order term dy (a truncated series far from y0
     # overshoots), and the start lies strictly inside the bracket.  The
     # inverter evaluates f there and checks it against tol*max(1, |x|): a
-    # start that meets it is the root, with no call to the solver, and one
-    # that does not is the solver's first point, already evaluated.  The
-    # solver's second point, where it would take a Newton step from that
-    # start, is taken here too: a Newton point that meets tol is the root,
-    # and one that does not is handed to the solver with the start, which
-    # reads f there from the evaluation made, so every answer and count of
-    # evaluations is the solver's own.  So a warm solve costs its f
-    # evaluations and little else.  Every other x is
+    # start that meets it is the root, with no call to the solver.  From one
+    # that does not, one Newton step that lands strictly inside the bracket
+    # the start shrank is evaluated too, and is the root if it meets tol.
+    # Else the last point evaluated and its evaluation start _newton_bisect
+    # on that bracket.  So a warm solve costs its f evaluations and little
+    # else.  Every other x is
     # solved as evaluate solves it; the walk is seeded with f'(y0) = 0, so
     # its first x is too.  An x equal to the last one returns its answer;
     # nothing is memoised, so an equal x met again later may differ in the
@@ -728,22 +726,15 @@ def _inverter(p: Params, branch: int, tol: float
                         limit = tol * (x if x > 1.0 else -x if x < -1.0 else 1.0)
                         r = point[0] - x
                         if not abs(r) <= limit:
-                            # The solver's second point, by its rule: a Newton
-                            # step inside the bracket the start shrank.
+                            # One Newton step inside the bracket the start
+                            # shrank; a miss there goes on in the solver.
                             y_lo, y_hi = (lo, y) if (r > 0.0) == increasing else (y, hi)
-                            dy = r / point[1] if point[1] else math.nan
-                            newton, fn = y - dy, f
-                            if (y_lo < newton < y_hi and 2.0 * abs(dy) <= hi - lo
-                                    and y_hi - y_lo > _EPS4 * (y_hi if y_hi > -y_lo else -y_lo)):
-                                second = f(newton)
-                                if abs(second[0] - x) <= limit:
-                                    y, point, fn = newton, second, None
-                                else:  # the solver's walk, with that point known
-                                    def fn(v, newton=newton, second=second):
-                                        return second if v == newton else f(v)
-                            if fn is not None:
-                                y, res, _, _, _, point = _newton_bisect(fn, x, lo, hi, increasing,
-                                                                        limit, y, point)
+                            newton = y - r / point[1] if point[1] else math.nan
+                            if y_lo < newton < y_hi:
+                                y, point = newton, f(newton)
+                            if not abs(point[0] - x) <= limit:
+                                y, res, _, _, _, point = _newton_bisect(
+                                    f, x, y_lo, y_hi, increasing, limit, y, point)
                                 if not res <= limit:
                                     raise _stalled(plan, x, tol, res)
                     else:  # no trusted series start: solve as evaluate does

@@ -63,10 +63,11 @@ warm inversions (a batch whose weights are all held calls no inverter),
 and beyond a junction in a variable s in which ln|y|, and so the weight's
 brace, falls quadratically between the roots at x = 0 and at the range's
 end, with f, f' and the weight formed inline from that log at each node
-and no inversion.  That piece's first panel spans all of it; one that
-misses the tolerance gives way to as many equal panels as its error asks
-for under G7's 15th-power law, not to its two halves.  The stationarity
-residuals take each level's term of the entropy sum in closed form, O(n).
+and no inversion.  Both pieces share one panel rule: the first panel
+spans the piece, one that misses the tolerance gives way to as many equal
+panels as its error asks for under G7's 15th-power law, and a panel below
+it that misses to its two halves.  The stationarity residuals take each
+level's term of the entropy sum in closed form, O(n).
 """
 
 from __future__ import annotations
@@ -593,35 +594,27 @@ def _gauss_kronrod_panel(f: Callable[[list[float]], list[float]], a: float, b: f
 def _adaptive_gauss_kronrod(
     f: Callable[[list[float]], list[float]], a: float, b: float, tol: float, depth: int = _GK_DEPTH
 ) -> float:
-    # K15 of a panel whose |K15 - G7| is within tol, else the sum over its
-    # halves, each held to tol/2.  IntegrationError past _GK_DEPTH splits
+    # K15 of a panel whose err = |K15 - G7| is within tol, else the sum over
+    # its halves, each held to tol/2, or for the whole range (depth
+    # _GK_DEPTH) over n = ceil((err/tol)**(1/14)) equal panels, each held to
+    # tol/n, as G7's error falls as the 15th power of a panel's width; n is
+    # capped at _GK_DEPTH (also for an err that is not a number, or a tol
+    # that underflowed to 0).  IntegrationError past _GK_DEPTH splits
     # (`depth` of them are left below this panel).
-    k15, g7 = _gauss_kronrod_panel(f, a, b)
-    if abs(k15 - g7) <= tol:
-        return k15
-    if depth <= 0:
-        raise IntegrationError("adaptive Gauss-Kronrod recursion exhausted")
-    m = 0.5 * (a + b)
-    return (_adaptive_gauss_kronrod(f, a, m, 0.5 * tol, depth - 1)
-            + _adaptive_gauss_kronrod(f, m, b, 0.5 * tol, depth - 1))
-
-
-def _rated_gauss_kronrod(f: Callable[[list[float]], list[float]], a: float, b: float,
-                         tol: float) -> float:
-    # _adaptive_gauss_kronrod over [a, b], except that a first panel missing
-    # tol is replaced by n equal panels, each held to tol/n, rather than by
-    # its two halves.  G7's error on a panel falls as the 15th power of its
-    # width, so n panels miss by err/n**14 together: n = ceil((err/tol)**(1/14)),
-    # from that panel's err = |K15 - G7|, capped at _GK_DEPTH (also for an err
-    # that is not a number, or a tol that underflowed to 0).
     k15, g7 = _gauss_kronrod_panel(f, a, b)
     err = abs(k15 - g7)
     if err <= tol:
         return k15
+    if depth <= 0:
+        raise IntegrationError("adaptive Gauss-Kronrod recursion exhausted")
+    if depth < _GK_DEPTH:
+        m = 0.5 * (a + b)
+        return (_adaptive_gauss_kronrod(f, a, m, 0.5 * tol, depth - 1)
+                + _adaptive_gauss_kronrod(f, m, b, 0.5 * tol, depth - 1))
     n = math.ceil((err / tol) ** (1.0 / 14.0)) if err < tol * _GK_DEPTH**14 else _GK_DEPTH
     width = (b - a) / n
     return sum(_adaptive_gauss_kronrod(f, a + k * width, b if k == n - 1 else a + (k + 1) * width,
-                                       tol / n, _GK_DEPTH - 1) for k in range(n))
+                                       tol / n, depth - 1) for k in range(n))
 
 
 def continuous_pdf(
@@ -638,24 +631,24 @@ def continuous_pdf(
     peak, but not past the support cut: the largest |x| whose argument
     stays in the open interval where the weight is defined (the branch's
     x-domain, cut where a*ln(b*y) + 1 vanishes), pulled inward by twice the
-    inversion tolerance.  Its half [0, L] is two adaptive
-    Gauss-Kronrod integrals, each held to 5e-14*peak*max(L, 1), that meet at
-    x_c.  On [0, x_c] each node's weight comes from a warm inversion of its
-    argument A + B*x**2 (A = the argument at x = 0, B = beta*ratio*e^ratio).
-    Beyond it the variable is s in [s_c, 1], ln|y| = ln|y0| + (ln|yL| -
-    ln|y0|)*s**2 between the roots y0 at x = 0 and yL at x = L, so that the
-    brace a*ln(b*y) + 1 of the weight w = brace^(1/(q-1)) is quadratic in
-    s, and the integrand is w*f'(y)*y*(ln|yL| - ln|y0|)*s/(B*x), x =
-    sqrt((f(y) - A)/B), with f(y) = (brace*y + c)*e^y and f'(y) from the
-    same brace and e^y.  Its first panel is [s_c, 1]; when that misses its
-    tolerance, [s_c, 1] is cut into n = ceil((|K15 - G7|/tol)**(1/14))
-    equal panels, each held to tol/n and halved as needed.  x_c is the x
-    of y0 + (yL - y0)/16, s_c its s, or x_c is L (and the second piece
-    empty) when that x is not inside (0, L).  IntegrationError if the criterion
-    cannot be met within that range (it cannot when the weight decays only
-    poly-logarithmically, or does not vanish at the cut), DomainError if
-    alpha, beta or a grid point is not finite, or if a grid point leaves
-    the branch.
+    inversion tolerance.  Its half [0, L] is two adaptive Gauss-Kronrod
+    integrals, each held to 5e-14*peak*max(L, 1), that meet at x_c.  Each
+    piece's first panel spans it; when that misses its tolerance, the piece
+    is cut into n = ceil((|K15 - G7|/tol)**(1/14)) equal panels, each held
+    to tol/n and halved as needed.  On [0, x_c] each node's weight comes
+    from a warm inversion of its argument A + B*x**2 (A = the argument at
+    x = 0, B = beta*ratio*e^ratio).  Beyond it the variable is s in
+    [s_c, 1], ln|y| = ln|y0| + (ln|yL| - ln|y0|)*s**2 between the roots y0
+    at x = 0 and yL at x = L, so that the brace a*ln(b*y) + 1 of the weight
+    w = brace^(1/(q-1)) is quadratic in s, and the integrand is
+    w*f'(y)*y*(ln|yL| - ln|y0|)*s/(B*x), x = sqrt((f(y) - A)/B), with
+    f(y) = (brace*y + c)*e^y and f'(y) from the same brace and e^y.  x_c is
+    the x of y0 + (yL - y0)/16, s_c its s, or x_c is L (and the second piece
+    empty) when that x is not inside (0, L).  IntegrationError if the
+    criterion cannot be met within that range (it cannot when the weight
+    decays only poly-logarithmically, or does not vanish at the cut),
+    DomainError if alpha, beta or a grid point is not finite, or if a grid
+    point leaves the branch.
     """
     if len(x_grid) == 0:
         raise DomainError("x_grid must be non-empty")
@@ -741,7 +734,7 @@ def continuous_pdf(
     tol = 0.5e-13 * peak * max(L, 1.0)
     half = _adaptive_gauss_kronrod(g, 0.0, x_c, tol)
     if x_c < L:
-        half += _rated_gauss_kronrod(h, math.sqrt((math.log(abs(y_c)) - l0) / dl), 1.0, tol)
+        half += _adaptive_gauss_kronrod(h, math.sqrt((math.log(abs(y_c)) - l0) / dl), 1.0, tol)
     total = 2.0 * half
     if not total > 0.0:
         raise IntegrationError(f"normalisation integral {total!r} not positive")

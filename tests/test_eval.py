@@ -497,6 +497,28 @@ def test_warm_solve_after_a_seam_root_matches_evaluate(f_calls, branch):
         assert (y.hex(), evals) == (r.y.hex(), r.iterations), (branch, h)
 
 
+def test_warm_stall_refuses_and_keeps_the_last_root(monkeypatch):
+    # tol = 2**-60 sits below f's rounding at y = 5 (x = 2084.8): the cold
+    # solve of f(5) lands on 5 exactly, but a warm solve of x + 1e-9 misses
+    # at the series start, whose Newton step rounds back onto it, and the
+    # solver it hands the start to stalls.  The refusal names branch 1 and
+    # comes from the warm path; the walk stays at its last root.
+    p = Params(1.0, 1.0, 1.0)
+    invert = _inverter(p, 1, 2.0**-60)
+    x = forward(p, 5.0)
+    assert invert([x])[0] == [5.0]
+    calls = {"_solve": 0, "_newton_bisect": 0}
+    for name in calls:
+        def counted(*args, name=name, inner=getattr(core, name)):
+            calls[name] += 1
+            return inner(*args)
+        monkeypatch.setattr(core, name, counted)
+    with pytest.raises(ConvergenceError, match=r"branch 1\)$"):
+        invert([x + 1e-9])
+    assert calls == {"_solve": 0, "_newton_bisect": 1}
+    assert invert([x])[0] == [5.0]
+
+
 def test_unsorted_warm_walks_are_cheap(f_calls):
     # One warm inverter per branch walks 40 x drawn as scan_cold draws them
     # (seed 5), in no order: each later x starts from the inverse series at

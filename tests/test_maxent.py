@@ -732,9 +732,9 @@ def test_continuous_pdf_inversion_count(monkeypatch):
     # 53 distinct grid arguments, the search for L and the inner piece's one
     # G7-K15 panel on [0, x_c], each inverted once by one inverter, in
     # batches of the arguments whose weights the call does not hold yet
-    # (68 here); the outer piece, s in [s_c, 1], inverts nothing, in any of
-    # the panels it splits into.  Inverting every node of the 9 panels over
-    # [0, L] took 187; adaptive Simpson 835.
+    # (68 here); the outer piece, s in [s_c, 1], is one more top-level call
+    # that inverts nothing, in any of the panels it splits into.  Inverting
+    # every node of the 9 panels over [0, L] took 187; adaptive Simpson 835.
     arguments, inverters = [], []
     make = maxent._inverter
 
@@ -752,10 +752,9 @@ def test_continuous_pdf_inversion_count(monkeypatch):
     continuous_pdf(EP_CONT, ALPHA_CONT, BETA_CONT, 1, README_GRID)
     assert len(inverters) == 1
     assert len(set(arguments)) == len(arguments) <= 80
-    (inner_a, _, _, _), *outer = quadratures
-    assert inner_a == 0.0 and len(outer) >= 2 and outer[-1][1] == 1.0
-    assert all(a == b for (_, a, _, _), (b, _, _, _) in zip(outer, outer[1:]))
-    assert all(before == after for _, _, before, after in outer)
+    (inner_a, _, _, _), (outer_a, outer_b, before, after) = quadratures
+    assert inner_a == 0.0 and 0.0 < outer_a < outer_b == 1.0
+    assert before == after
 
 
 def test_continuous_pdf_cost(monkeypatch):
@@ -917,9 +916,10 @@ def test_adaptive_gauss_kronrod_refuses_an_unresolvable_step():
     assert len(evaluations) <= 61 * 2 * 15
 
 
-def test_rated_gauss_kronrod_caps_its_split():
-    # An integrand of NaNs asks for no finite number of panels: the split
-    # is capped at _GK_DEPTH panels, and the first of them runs out of depth.
+def test_adaptive_gauss_kronrod_caps_its_split():
+    # An integrand of NaNs asks for no finite number of panels: the whole
+    # range is cut into _GK_DEPTH panels, and the first of them runs out of
+    # depth.
     evaluations = []
 
     def f(xs):
@@ -927,8 +927,38 @@ def test_rated_gauss_kronrod_caps_its_split():
         return [math.nan] * len(xs)
 
     with pytest.raises(IntegrationError, match="recursion exhausted"):
-        maxent._rated_gauss_kronrod(f, 0.0, 1.0, 1e-13)
+        _adaptive_gauss_kronrod(f, 0.0, 1.0, 1e-13)
     assert len(evaluations) == (1 + 60) * 15
+
+
+def test_adaptive_gauss_kronrod_cuts_the_whole_range_then_halves(monkeypatch):
+    # x**2.5 on [0, 1]: the whole-range panel's |K15 - G7| asks for n = 3
+    # equal panels, each held to tol/3.  The first, whose integrand is least
+    # smooth at 0, misses and is halved, as is each left half below it
+    # until one passes; every other panel passes.  (Halving the whole range
+    # too takes 15 panels to these 16: the cut pays where the error is
+    # spread over the range, as in continuous_pdf's outer piece.)
+    panels, panel = [], maxent._gauss_kronrod_panel
+
+    def recorded(f, a, b):
+        k15, g7 = panel(f, a, b)
+        panels.append((a, b, abs(k15 - g7)))
+        return k15, g7
+
+    monkeypatch.setattr(maxent, "_gauss_kronrod_panel", recorded)
+    tol = 1e-12
+    total = _adaptive_gauss_kronrod(lambda xs: [x ** 2.5 for x in xs], 0.0, 1.0, tol)
+    assert total == pytest.approx(1.0 / 3.5, abs=tol)
+    (a, b, err), *below = panels
+    n = math.ceil((err / tol) ** (1.0 / 14.0))
+    w = 1.0 / n
+    depth = next(j for j, (_, _, e) in enumerate(below) if e <= tol / n / 2**j)
+    assert (a, b) == (0.0, 1.0) and n == 3 and depth >= 2
+    assert [(a, b) for a, b, _ in below] == [
+        *[(0.0, w / 2**j) for j in range(depth + 1)],
+        *[(w / 2**j, w / 2**(j - 1)) for j in range(depth, 0, -1)],
+        *[(k * w, 1.0 if k == n - 1 else (k + 1) * w) for k in range(1, n)],
+    ]
 
 
 def test_continuous_grid_too_narrow():

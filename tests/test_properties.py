@@ -82,7 +82,7 @@ def test_branches_meet_contract_or_refuse(sign_a, sign_b, log_a, log_b, u, wide)
     p = Params(a, b, _plane_c(a, b, u, wide))
     try:
         cat = branches(p)
-    except LogLambertError:
+    except (RangeError, UnsupportedCaseError, NoSolutionError):  # the refusals branches documents
         return
     assert len(cat) == (2 if b > 0.0 else 3)
     seams = sorted({d for bi in cat for d, _ in bi.seams})
