@@ -39,35 +39,35 @@ picks the branch a uniform distribution would land on.
 Each `solve_alpha` iterate and each call to `distribution`, `probability`
 and `continuous_pdf` inverts its arguments with one warm-started inverter,
 whose one loop in `core` walks a batch of them: each root seeds the next
-through the third-order inverse series there where that series is trusted,
-and any other argument is solved as `evaluate` solves it, as is the one
-argument of `continuous_weight`.  A pass over the levels is one batch in
-ascending x, so the result does not depend on their order and equal levels
-get equal bits; `continuous_pdf` keeps its weights by argument, so that x
-and -x get equal bits.  A pass takes -1/(1-r) + alpha, ratio and e^ratio
-once, forms its weights in one comprehension from the braces a*ln(b*y_i) +
-1 the inverter hands out, and takes no ln(b*y_i) outside f's evaluations.
-A pass is memoised by value, so one repeated at an equal spec (the
-`distribution` at the alpha `solve_alpha` returned) makes no inversion;
-from its f'(y_i) and braces `solve_alpha` takes the slope and curvature of
-Z with no further log or exp, for a Halley step.  A weight beyond the
+through the third-order inverse series where that series is trusted, and
+any other argument (as the one of `continuous_weight`) is solved as
+`evaluate` solves it.  A pass over the levels is one batch in ascending x
+(sorted levels need no key sort: each x_i is affine in eps_i with one
+slope), so equal levels get equal bits whatever their order.  It forms its
+arguments, and its weights from the braces a*ln(b*y_i) + 1 the inverter
+hands out, in one comprehension each, takes no ln(b*y_i) outside f's
+evaluations, and is memoised by value, so the `distribution` at the alpha
+`solve_alpha` returned makes no inversion.  `solve_alpha` takes its set-up
+once per solve, and from a pass's f'(y_i) and braces the slope and
+curvature of Z with no further log or exp.  `continuous_pdf` keeps its
+weights by argument, so x and -x get equal bits.  A weight beyond the
 double range raises RangeError naming its level (its argument, for
-`continuous_weight`), a weight sum Z that is 0 or beyond it RangeError
-naming alpha and beta, and an e^ratio beyond it or underflowing to 0
-RangeError naming q' and r, and a level's argument beyond it
-`level_argument`'s RangeError; with r or q' within 1e-12 of 1 the arguments
-are refused (DomainError).  `continuous_pdf` normalises by adaptive 7-point
-Gauss / 15-point Kronrod quadrature over a range that stops at the support
-cut, in two pieces: next to x = 0 in x, each panel's nodes one batch of
-warm inversions (a batch whose weights are all held calls no inverter),
-and beyond a junction in a variable s in which ln|y|, and so the weight's
-brace, falls quadratically between the roots at x = 0 and at the range's
-end, with f, f' and the weight formed inline from that log at each node
-and no inversion.  Both pieces share one panel rule: the first panel
-spans the piece, one that misses the tolerance gives way to as many equal
-panels as its error asks for under G7's 15th-power law, and a panel below
-it that misses to its two halves.  The stationarity residuals take each
-level's term of the entropy sum in closed form, O(n).
+`continuous_weight`), a weight sum Z that is 0 or beyond it one naming
+alpha and beta, an e^ratio beyond it or underflowing to 0 one naming q'
+and r, and a level's argument beyond it `level_argument`'s; r or q' within
+1e-12 of 1, and an input that is not finite or lies past the double range,
+are DomainErrors that name it.  `continuous_pdf` normalises by adaptive
+7-point Gauss / 15-point Kronrod quadrature over a range that stops at the
+support cut, in two pieces: next to x = 0 in x, each panel's nodes one
+batch of warm inversions (a batch whose weights are all held calls no
+inverter), and beyond a junction in a variable s in which ln|y|, and so
+the weight's brace, falls quadratically between the roots at x = 0 and at
+the range's end, with f, f' and the weight formed inline from that log at
+each node and no inversion.  Both pieces share one panel rule: the first
+panel spans the piece, one that misses the tolerance gives way to as many
+equal panels as its error asks for under G7's 15th-power law, and a panel
+below it that misses to its two halves.  The stationarity residuals take
+each level's term of the entropy sum in closed form, in one loop, O(n).
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ from collections.abc import Callable, Sequence
 from .core import (_Y_MAX, BranchInfo, Monotone, Params, _forward_and_slope, _inverter,
                    _newton_bisect, _plan_or_raise, _Record, branches, evaluate)
 from .errors import ConvergenceError, DomainError, IntegrationError, LogLambertError, RangeError
-from .qcalculus import _LIMIT_TOL, EntropyParams, _deformed_log
+from .qcalculus import _LIMIT_TOL, EntropyParams, _check_finite, _deformed_log, _stretches
 
 __all__ = [
     "EnsembleSpec",
@@ -100,15 +100,14 @@ _EVAL_TOL = 1e-13
 _MAX = 1.7976931348623157e308  # the largest double
 
 
-def _check_finite(name: str, values: Sequence[float]) -> None:
-    if not all(map(math.isfinite, values)):
-        bad = next(v for v in values if not math.isfinite(v))
-        raise DomainError(f"{name} must be finite, got {bad!r}")
-
-
 def _check_multipliers(alpha: float, beta: float) -> None:
-    if not (math.isfinite(alpha) and math.isfinite(beta)):
-        raise DomainError("alpha and beta must be finite")
+    try:
+        if math.isfinite(alpha) and math.isfinite(beta):
+            return
+    except OverflowError:  # one past the double range: name it
+        _check_finite("alpha", (alpha,))
+        _check_finite("beta", (beta,))
+    raise DomainError("alpha and beta must be finite")
 
 
 class EnsembleSpec(_Record):
@@ -164,12 +163,12 @@ def _scale(ep: EntropyParams) -> tuple[float, float, float]:
     return inv_cr, ratio, e_ratio
 
 
-def _arguments(ep: EntropyParams, alpha: float, beta: float) -> Callable[[float], float]:
-    # eps -> x_i (module docstring), with -1/(1-r) + alpha, ratio, e^ratio taken once.
+def _arguments(ep: EntropyParams, alpha: float, beta: float) -> Callable[..., list[float]]:
+    # levels -> their x_i (module docstring), -1/(1-r) + alpha, ratio, e^ratio taken once.
     _check_multipliers(alpha, beta)
     inv_cr, ratio, e_ratio = _scale(ep)
     shift = -inv_cr + alpha
-    return lambda eps: (shift + beta * eps) * ratio * e_ratio
+    return lambda levels: [(shift + beta * eps) * ratio * e_ratio for eps in levels]
 
 
 def _level_sum(ep: EntropyParams, x: float) -> float:
@@ -191,7 +190,7 @@ def level_argument(spec: EnsembleSpec, i: int) -> float:
     underflows to 0, so that alpha and beta would not move the argument.
     """
     _check_level(spec, i)
-    x = _arguments(spec.ep, spec.alpha, spec.beta)(spec.levels[i])
+    x = _arguments(spec.ep, spec.alpha, spec.beta)((spec.levels[i],))[0]
     if not math.isfinite(x):
         raise RangeError(f"argument of level {i} (eps={spec.levels[i]!r}) overflows the "
                          f"double range for alpha={spec.alpha!r}, beta={spec.beta!r}, "
@@ -217,10 +216,10 @@ def _weights(params: Params, q1: float, branch: int, invert: Callable, xs: Seque
     # `order`, the weights as _weight forms them.  A refusal is the first one
     # met by inverting and weighing x by x (after a refused batch, from a
     # fresh inverter: the batch's roots if `invert` was fresh), name(i) first.
-    braces = None
+    braces, exp, log = None, math.exp, math.log
     try:
         ys, slopes, braces = invert(xs, order)
-        return ys, [math.exp(math.log(brace) / q1) for brace in braces], slopes, braces
+        return ys, [exp(log(brace) / q1) for brace in braces], slopes, braces
     except (ConvergenceError, ValueError, OverflowError):  # DomainError is a ValueError
         again = _inverter(params, branch, _EVAL_TOL)
         for i in order:
@@ -287,18 +286,20 @@ def suggest_branch(ep: EntropyParams, n_levels: int) -> int:
 def _all_weights(spec: EnsembleSpec, branch: int) -> tuple[tuple[float, ...], ...]:
     # (x_i, y_i, w_i, f'(y_i), brace_i) per level, f'(y_i) as the inversion
     # computed it (0 at a seam).  The levels are one batch of a fresh warm
-    # inverter, in ascending x, so each root warm-starts the next and the
-    # result does not depend on their order.  Memoised by value: a pass
-    # repeated at an equal spec (`distribution` at the alpha `solve_alpha`
-    # returned) costs no inversion.  A refused pass with an argument beyond
-    # the double range raises level_argument's RangeError for it.
+    # inverter, in ascending x (x_i that already ascend need no key sort),
+    # so each root warm-starts the next and the result does not depend on
+    # their order.  Memoised by value: a pass repeated at an equal spec
+    # (`distribution` at the alpha `solve_alpha` returned) costs no
+    # inversion.  A refused pass with an argument beyond the double range
+    # raises level_argument's RangeError for it.
     ep = spec.ep
     params, q1 = ep.induced_params(), ep.q - 1.0
     invert = _inverter(params, branch, _EVAL_TOL)
-    xs = list(map(_arguments(ep, spec.alpha, spec.beta), spec.levels))
+    xs = _arguments(ep, spec.alpha, spec.beta)(spec.levels)
     try:
         ys, ws, slopes, braces = _weights(
-            params, q1, branch, invert, xs, sorted(range(len(xs)), key=xs.__getitem__),
+            params, q1, branch, invert, xs,
+            range(len(xs)) if xs == sorted(xs) else sorted(range(len(xs)), key=xs.__getitem__),
             lambda i: f"level {i} (eps={spec.levels[i]!r}): ")
     except LogLambertError:
         for i in range(len(xs)):
@@ -446,21 +447,21 @@ def solve_alpha(
         raise DomainError(f"tol must be {'finite' if tol > 0.0 else 'positive'}, got {tol!r}")
     _check_finite("levels", levels)
     _check_finite("beta", (beta,))
-    params = ep.induced_params()
+    params, q1, n = ep.induced_params(), ep.q - 1.0, len(levels)
     if branch is None:
-        branch = suggest_branch(ep, len(levels))
+        branch = suggest_branch(ep, n)
     bi = _plan_or_raise(params, branch).info
     _, ratio, e_ratio = _scale(ep)
     k = ratio * e_ratio  # dx_i/dalpha
 
     # Every level's argument lies where the weight is defined for alpha in
-    # (a_lo, a_hi).  The ends stay where alpha, the argument's product and
-    # the solver's midpoints are finite.
+    # (a_lo, a_hi), the shifts beta*eps extreme at the extreme levels.  The
+    # ends stay where alpha, the argument's product and midpoints are finite.
     e_lo, e_hi = sorted(_level_sum(ep, x) for x in _weight_domain(params, bi))
-    shifts = [beta * eps for eps in levels]
+    lo_shift, hi_shift = sorted([beta * min(levels), beta * max(levels)])
     cap = 0.5 * _MAX / max(1.0, abs(ratio))
-    a_lo = max(e_lo - min(shifts), -cap)
-    a_hi = min(e_hi - max(shifts), cap)
+    a_lo = max(e_lo - lo_shift, -cap)
+    a_hi = min(e_hi - hi_shift, cap)
     if not a_lo < a_hi:
         raise DomainError(f"no alpha puts all levels on branch {branch} with a defined "
                           f"weight: the levels span more than the branch admits")
@@ -475,24 +476,24 @@ def solve_alpha(
             return math.inf, math.nan
         if abs(z - 1.0) <= tol:  # the solve ends here, without a step
             return z, math.nan
-        z1, z2 = _z_slopes(params, ep.q - 1.0, k, ys, ws, slopes, braces)
+        z1, z2 = _z_slopes(params, q1, k, ys, ws, slopes, braces)
         halley = z1 - (z - 1.0) * z2 / (2.0 * z1) if z1 else z1
         agrees = halley > 0.0 if z1 > 0.0 else halley < 0.0
         return z, halley if agrees and math.isfinite(halley) else z1
 
     # Uniform warm start: alpha reproducing the uniform weight at the mean
     # level, moved by the spread of the levels about it.
-    y_u = _uniform_y(ep, len(levels))
+    y_u = _uniform_y(ep, n)
     x_u, slope_u, log_by = _forward_and_slope(params, y_u)
     if not math.isfinite(x_u):
         raise RangeError(f"forward map overflows the double range at y={y_u!r}")
     try:
-        mean = math.fsum(levels) / len(levels)
+        mean = math.fsum(levels) / n
     except OverflowError:  # a sum of levels beyond the double range, not their mean
-        mean = math.fsum([eps / len(levels) for eps in levels])
-    start = _level_sum(ep, x_u) - beta * mean
-    start -= _spread_step(params, ep.q - 1.0, k, y_u, slope_u, params.a * log_by + 1.0,
-                          [beta * k * (eps - mean) for eps in levels])
+        mean = math.fsum([eps / n for eps in levels])
+    start, bk = _level_sum(ep, x_u) - beta * mean, beta * k
+    start -= _spread_step(params, q1, k, y_u, slope_u, params.a * log_by + 1.0,
+                          [bk * (eps - mean) for eps in levels])
     increasing = ((ep.q > 1.0) == (params.a > 0.0)) == (bi.monotone is Monotone.INCREASING)
     alpha, res, _, lo, hi, _ = _newton_bisect(z_and_slope, 1.0, a_lo, a_hi, increasing,
                                               tol, min(max(start, a_lo), a_hi))
@@ -527,16 +528,16 @@ def stationarity_residuals(spec: EnsembleSpec, probs: Sequence[float]) -> list[f
     if len(probs) != len(spec.levels):
         raise DomainError(f"probs has {len(probs)} entries for {len(spec.levels)} levels")
     _check_finite("probs", probs)
-    # ln_qqr(1/p) and its slope in ln(1/p), x = 1 for a term that counts as 0
-    terms = _deformed_log([1.0 / p if p > 0.0 else 1.0 for p in probs],
-                          (1.0 - spec.ep.q, 1.0 - spec.ep.q_prime, 1.0 - spec.ep.r))
-    alpha, beta, residuals = spec.alpha, spec.beta, []
-    for p, eps, (s, ds) in zip(probs, spec.levels, terms):
-        d = s - ds if p > 0.0 else 0.0
-        if not math.isfinite(d):
+    ep, alpha, beta, residuals = spec.ep, spec.alpha, spec.beta, []
+    stretches = _stretches(1.0 - ep.q, 1.0 - ep.q_prime, 1.0 - ep.r)
+    isfinite, append = math.isfinite, residuals.append
+    for p, eps in zip(probs, spec.levels):  # ln_qqr(1/p) less its slope in ln(1/p)
+        s, ds = _deformed_log(1.0 / p, stretches) if p > 0.0 else (0.0, 0.0)
+        d = s - ds
+        if not isfinite(d):
             raise RangeError(f"entropy term's derivative overflows the double range "
                              f"at x={1.0 / p!r}")
-        residuals.append(d + alpha + beta * eps)
+        append(d + alpha + beta * eps)
     return residuals
 
 
@@ -545,11 +546,11 @@ def continuous_weight(
 ) -> float:
     """Unnormalised density at x for the quadratic level eps(x) = x**2.
 
-    DomainError unless alpha and beta are finite; RangeError, naming the
-    inversion argument, when the weight exceeds the double range.
+    DomainError unless alpha, beta and x are finite; RangeError, naming
+    the inversion argument, when the weight exceeds the double range.
     """
-    params = ep.induced_params()
-    arg = _arguments(ep, alpha, beta)(x * x)
+    _check_finite("x", (x,))
+    params, arg = ep.induced_params(), _arguments(ep, alpha, beta)((x * x,))[0]
     brace = _inverter(params, branch, _EVAL_TOL)([arg])[2][0]
     return _weight(ep.q - 1.0, branch, arg, brace)
 
@@ -598,9 +599,9 @@ def _adaptive_gauss_kronrod(
     # its halves, each held to tol/2, or for the whole range (depth
     # _GK_DEPTH) over n = ceil((err/tol)**(1/14)) equal panels, each held to
     # tol/n, as G7's error falls as the 15th power of a panel's width; n is
-    # capped at _GK_DEPTH (also for an err that is not a number, or a tol
-    # that underflowed to 0).  IntegrationError past _GK_DEPTH splits
-    # (`depth` of them are left below this panel).
+    # at least 2 and at most _GK_DEPTH (also for an err that is not a number,
+    # or a tol that underflowed to 0).  IntegrationError past _GK_DEPTH
+    # splits (`depth` of them are left below this panel).
     k15, g7 = _gauss_kronrod_panel(f, a, b)
     err = abs(k15 - g7)
     if err <= tol:
@@ -611,7 +612,7 @@ def _adaptive_gauss_kronrod(
         m = 0.5 * (a + b)
         return (_adaptive_gauss_kronrod(f, a, m, 0.5 * tol, depth - 1)
                 + _adaptive_gauss_kronrod(f, m, b, 0.5 * tol, depth - 1))
-    n = math.ceil((err / tol) ** (1.0 / 14.0)) if err < tol * _GK_DEPTH**14 else _GK_DEPTH
+    n = max(2, math.ceil((err / tol) ** (1.0 / 14.0))) if err < tol * _GK_DEPTH**14 else _GK_DEPTH
     width = (b - a) / n
     return sum(_adaptive_gauss_kronrod(f, a + k * width, b if k == n - 1 else a + (k + 1) * width,
                                        tol / n, depth - 1) for k in range(n))
@@ -662,7 +663,7 @@ def continuous_pdf(
     argument, q1, weights, roots = _arguments(ep, alpha, beta), ep.q - 1.0, {}, {}
 
     def g(points: Sequence[float]) -> list[float]:
-        args = [argument(x * x) for x in points]
+        args = argument([x * x for x in points])
         new = [arg for arg in dict.fromkeys(args) if arg not in weights]
         if new:  # a batch of memo hits calls no inverter
             ys, ws, _, _ = _weights(params, q1, branch, invert, new, range(len(new)))
@@ -708,8 +709,8 @@ def continuous_pdf(
     # The two pieces of [0, L] (see the docstring).  Near y0, f(y) - A is
     # known only to f's rounding, so [0, x_c] stays in x.
     _, ratio, e_ratio = _scale(ep)
-    a, c, A, B = params.a, params.c, argument(0.0), beta * ratio * e_ratio
-    y0, yL = roots[A], roots[argument(L * L)]
+    a, c, A, B = params.a, params.c, argument((0.0,))[0], beta * ratio * e_ratio
+    y0, yL = roots[A], roots[argument((L * L,))[0]]
     y_c = y0 + (yL - y0) * _T_C * _T_C
     l0, log_b, sign_y = math.log(abs(y0)), math.log(abs(params.b)), math.copysign(1.0, y0)
     dl = math.log(abs(yL)) - l0

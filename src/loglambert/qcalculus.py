@@ -18,8 +18,9 @@ to avoid 0/0.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Sequence
 
 from .core import Params, _Record
 from .errors import DomainError, RangeError
@@ -36,6 +37,17 @@ __all__ = [
 _LIMIT_TOL = 1e-12
 
 
+def _check_finite(name: str, values: Sequence[float]) -> None:
+    # DomainError at the first value not finite or (isfinite raising) past the double range.
+    try:
+        if all(map(math.isfinite, values)):
+            return
+        got = repr(next(v for v in values if not math.isfinite(v)))
+    except OverflowError:
+        got = "a value past the double range"
+    raise DomainError(f"{name} must be finite, got {got}")
+
+
 class EntropyParams(_Record):
     """Deformation triple (q, q_prime, r) and entropy scale k > 0.
 
@@ -49,8 +61,7 @@ class EntropyParams(_Record):
         if not k > 0.0:
             raise DomainError(f"entropy scale k must be positive, got {k!r}")
         for name, v in (("q", q), ("q_prime", q_prime), ("r", r), ("k", k)):
-            if not math.isfinite(v):
-                raise DomainError(f"{name} must be finite")
+            _check_finite(name, (v,))
         set_q, set_q_prime, set_r, set_k = self._setters
         set_q(self, q)
         set_q_prime(self, q_prime)
@@ -62,47 +73,55 @@ class EntropyParams(_Record):
 
         a = (1-q)/(1-q'),  b = (1-q')/(1-r),  c = -1/(1-q').
         """
-        cq, cqp, cr = 1.0 - self.q, 1.0 - self.q_prime, 1.0 - self.r
-        if abs(cq) < _LIMIT_TOL or abs(cqp) < _LIMIT_TOL or abs(cr) < _LIMIT_TOL:
-            raise DomainError(
-                "induced coefficients need q, q_prime and r all away from 1"
-            )
-        return Params(a=cq / cqp, b=cqp / cr, c=-1.0 / cqp)
+        return _induced(self.q, self.q_prime, self.r)
 
 
-def _deformed_log(xs: Iterable[float], coeffs: tuple[float, ...]) -> Iterator[tuple[float, float]]:
-    # (s, ds/d(ln x)) for each x in turn: ln x stretched to (exp(coeff*s) -
-    # 1)/coeff by each coefficient (1-q, 1-q', 1-r), a stretch of slope 1 +
-    # coeff*(new s), or dropped within 1e-12 of coeff = 0.  RangeError naming
-    # x, when its pair is due, unless s is finite: expm1 raises, and the
-    # division by a small coeff (or x = inf) gives inf without raising.  ds
-    # may overflow to inf.
-    stretches = [coeff for coeff in coeffs if not -_LIMIT_TOL < coeff < _LIMIT_TOL]
-    for x in xs:
-        if not x > 0.0:
-            raise DomainError(f"ln_q needs x > 0, got {x!r}")
-        s, slope = math.log(x), 1.0
-        try:
-            for coeff in stretches:
-                s = math.expm1(coeff * s) / coeff
-                slope *= 1.0 + coeff * s
-        except OverflowError:
-            s = math.inf
-        if not math.isfinite(s):
-            raise RangeError(f"deformed logarithm overflows the double range at x={x!r}")
-        yield s, slope
+@functools.lru_cache(maxsize=16)
+def _induced(q: float, q_prime: float, r: float) -> Params:
+    # induced_params, memoised by the triple's values as core's catalog is.
+    cq, cqp, cr = 1.0 - q, 1.0 - q_prime, 1.0 - r
+    if abs(cq) < _LIMIT_TOL or abs(cqp) < _LIMIT_TOL or abs(cr) < _LIMIT_TOL:
+        raise DomainError("induced coefficients need q, q_prime and r all away from 1")
+    return Params(a=cq / cqp, b=cqp / cr, c=-1.0 / cqp)
+
+
+def _stretches(*coeffs: float) -> tuple[float, ...]:
+    # The coefficients 1-q, 1-q', 1-r to stretch by, less identities (within 1e-12 of 0).
+    return tuple([coeff for coeff in coeffs if not -_LIMIT_TOL < coeff < _LIMIT_TOL])
+
+
+def _deformed_log(x: float, stretches: tuple[float, ...]) -> tuple[float, float]:
+    # (s, ds/d(ln x)): ln x stretched to (exp(coeff*s) - 1)/coeff by each of the
+    # _stretches in turn, of slope 1 + coeff*(new s).  RangeError naming x unless s
+    # is finite: expm1 raises, and the division by a small coeff (or x = inf)
+    # gives inf without raising.  ds may overflow to inf.
+    if not x > 0.0:
+        raise DomainError(f"ln_q needs x > 0, got {x!r}")
+    s, slope = math.log(x), 1.0
+    try:
+        for coeff in stretches:
+            s = math.expm1(coeff * s) / coeff
+            slope *= 1.0 + coeff * s
+    except OverflowError:
+        s = math.inf
+    if not math.isfinite(s):
+        raise RangeError(f"deformed logarithm overflows the double range at x={x!r}")
+    return s, slope
 
 
 def ln_q(q: float, x: float) -> float:
     """One-parameter logarithm (x^(1-q) - 1)/(1-q); ln x at q = 1."""
-    return next(_deformed_log((x,), (1.0 - q,)))[0]
+    return _deformed_log(x, _stretches(1.0 - q))[0]
 
 
 def exp_q(q: float, x: float) -> float:
     """Inverse of ln_q: [1 + (1-q) x]^(1/(1-q)); exp(x) at q = 1.
 
-    Raises RangeError naming x when the result overflows the double range.
+    Raises RangeError naming x when the result overflows the double range,
+    and DomainError naming q or x when it is not finite.
     """
+    _check_finite("q", (q,))
+    _check_finite("x", (x,))
     cq = 1.0 - q
     if abs(cq) < _LIMIT_TOL:
         t = x
@@ -122,7 +141,7 @@ def exp_q(q: float, x: float) -> float:
 
 def ln_qq(q: float, q_prime: float, x: float) -> float:
     """Two-parameter logarithm: ln_q stretched once more by 1 - q'."""
-    return next(_deformed_log((x,), (1.0 - q, 1.0 - q_prime)))[0]
+    return _deformed_log(x, _stretches(1.0 - q, 1.0 - q_prime))[0]
 
 
 def ln_qqr(ep: EntropyParams, x: float) -> float:
@@ -132,25 +151,25 @@ def ln_qqr(ep: EntropyParams, x: float) -> float:
     plain ln as all three parameters tend to 1.  A value beyond the double
     range raises RangeError (an OverflowError) naming x.
     """
-    return next(_deformed_log((x,), (1.0 - ep.q, 1.0 - ep.q_prime, 1.0 - ep.r)))[0]
+    return _deformed_log(x, _stretches(1.0 - ep.q, 1.0 - ep.q_prime, 1.0 - ep.r))[0]
 
 
 def entropy_qqr(ep: EntropyParams, p: Sequence[float]) -> float:
     """Entropy k * sum_i p_i * ln_qqr(1/p_i) of a probability vector.
 
     Zero entries contribute nothing (p*ln(1/p) -> 0); the vector must be
-    non-negative and sum to 1 within 1e-12.
+    finite, non-negative and sum to 1 within 1e-12.
     """
+    _check_finite("probabilities", p)
     total = 0.0
     for v in p:
-        if v < 0.0 or not math.isfinite(v):
-            raise DomainError(f"probabilities must be finite and >= 0, got {v!r}")
+        if v < 0.0:
+            raise DomainError(f"probabilities must be >= 0, got {v!r}")
         total += v
     if abs(total - 1.0) > 1e-12:
         raise DomainError(f"probabilities sum to {total!r}, not 1")
-    positive = [v for v in p if v > 0.0]
-    terms = _deformed_log([1.0 / v for v in positive], (1.0 - ep.q, 1.0 - ep.q_prime, 1.0 - ep.r))
-    acc = 0.0
-    for v, (s, _) in zip(positive, terms):
-        acc += v * s
+    stretches, acc = _stretches(1.0 - ep.q, 1.0 - ep.q_prime, 1.0 - ep.r), 0.0
+    for v in p:
+        if v > 0.0:
+            acc += v * _deformed_log(1.0 / v, stretches)[0]
     return ep.k * acc

@@ -14,6 +14,8 @@ each copy, in an order that alternates from round to round:
 - for `maxent_fit`:
   - `pass`: every discrete op's `solve_alpha` pass at its answer, run
     afresh through `maxent._all_weights` without its memo, in µs per level;
+  - `solve`: every discrete op's `solve_alpha` alone, its set-up and all
+    its passes, with the pass memo cleared before each, in µs per op;
   - `stationarity`: `stationarity_residuals` at those answers, in µs per
     level;
   - `op`: the whole pool through the workload's own op, as the benchmark
@@ -78,10 +80,10 @@ class _OpTimes:
 
 class MaxentSide(_OpTimes):
     # One copy of the library with its pool, the discrete ops' answers and a gate.
-    measures = ("pass", "stationarity", "op", "op_p50", "op_tail", "continuous")
+    measures = ("pass", "solve", "stationarity", "op", "op_p50", "op_tail", "continuous")
     higher_is_better = ()
-    units = ("pass and stationarity in µs per level, op (the mean) and continuous in µs per "
-             "op, op_p50 and op_tail in µs (the median op and the benchmark's tail op)")
+    units = ("pass and stationarity in µs per level, solve, op (the mean) and continuous in "
+             "µs per op, op_p50 and op_tail in µs (the median op and the benchmark's tail op)")
 
     def __init__(self, ll, wl, workloads, seed: int, seconds: float):
         self.ll, self.wl = ll, wl
@@ -111,14 +113,21 @@ class MaxentSide(_OpTimes):
 
     def measure(self) -> dict[str, float]:
         clock = time.perf_counter
-        fresh_pass = self.maxent._all_weights.__wrapped__
+        memo, solve_alpha = self.maxent._all_weights, self.ll.solve_alpha
         t0 = clock()
         for spec, branch, _ in self.fits:
-            fresh_pass(spec, branch)
+            memo.__wrapped__(spec, branch)
         t1 = clock()
+        solve = 0.0
+        for spec, _, _ in self.fits:
+            memo.cache_clear()
+            start = clock()
+            solve_alpha(spec.levels, spec.beta, spec.ep)
+            solve += clock() - start
+        t2 = clock()
         for spec, _, probs in self.fits:
             self.ll.stationarity_residuals(spec, probs)
-        t2 = clock()
+        t3 = clock()
         spent = []
         for inp in self.pool:
             start = clock()
@@ -126,7 +135,8 @@ class MaxentSide(_OpTimes):
             spent.append(clock() - start)
         continuous = sum(dt for dt, (kind, _, _) in zip(spent, self.pool) if kind == "continuous")
         return {"pass": (t1 - t0) / self.levels * 1e6,
-                "stationarity": (t2 - t1) / self.levels * 1e6,
+                "solve": solve / len(self.fits) * 1e6,
+                "stationarity": (t3 - t2) / self.levels * 1e6,
                 "op": sum(spent) / len(spent) * 1e6,
                 **self._median_and_tail(spent),
                 "continuous": continuous / max(self.continuous, 1) * 1e6}

@@ -26,6 +26,8 @@ seed, a, b and c, the call's name and its argument (the order 4, or x or
 y in hex), then either `ok` and the answer in hex (the coefficients
 comma-separated) or the class name of the error raised.  A fit line has
 workload `maxent_fit`, seed, the op's index in the pool, the call's name,
+the op's triple (q, q' and r, comma-separated) and its number of levels
+(of grid points, for `continuous_pdf`),
 the number of evaluations of f (with its slope) the call made through
 the core, the number of passes over the levels it made (misses of the
 pass memo `maxent._all_weights`) and the number of Gauss-Kronrod panels it
@@ -70,7 +72,9 @@ of the `continuous_pdf` densities against `_oracle.continuous_reference`,
 25 digits (every pool op shares one triple, multipliers and grid, so the
 reference is computed once).  For the fits it
 prints, per call, each record's outcome counts, total evaluations of f,
-histogram of passes and total and histogram of panels, the ops whose
+histogram of passes and total and histogram of panels, for `solve_alpha`
+per triple the passes per solve and the evaluations of f per level and
+pass (the two the set-up makes per solve included), the ops whose
 count of evaluations or of panels differs, the outcome-class changes, and how many
 answers and refusals (class and message) are equal to the bit, listing each
 op whose answer or refusal differs; for `distribution` also each
@@ -161,7 +165,8 @@ def record(src: str, seeds) -> None:
         def call(self, fn, *args):
             if fn.__name__ in FIT_CALLS:
                 return super().call(_fit_recorder(rows, [*tag, str(index)], fn, f_evals,
-                                                  misses, panels), *args)
+                                                  misses, panels, _fit_case(fn.__name__, args)),
+                                    *args)
             if fn.__name__ != "evaluate":
                 return super().call(fn, *args)
             p, branch, x = args
@@ -205,17 +210,28 @@ def record(src: str, seeds) -> None:
         print("\t".join(row))
 
 
-def _fit_recorder(rows, key, fn, f_evals, misses, panels):
-    # fn, also appending to rows the evaluations of f it made (counted in
-    # f_evals[0]), its passes over the levels (the growth of misses()), the
-    # quadrature panels it evaluated (counted in panels[0]) and its outcome:
-    # `ok` and the answer in hex, or the class name and message of the
-    # error raised.
+def _fit_case(name: str, args) -> list[str]:
+    # The triple (comma-separated) and the number of levels or grid points of a fit call.
+    if name == "solve_alpha":
+        ep, data = args[2], args[0]
+    elif name == "continuous_pdf":
+        ep, data = args[0], args[4]
+    else:  # a spec first
+        ep, data = args[0].ep, args[0].levels
+    return [",".join(repr(v) for v in (ep.q, ep.q_prime, ep.r)), str(len(data))]
+
+
+def _fit_recorder(rows, key, fn, f_evals, misses, panels, case):
+    # fn, also appending to rows its case, the evaluations of f it made
+    # (counted in f_evals[0]), its passes over the levels (the growth of
+    # misses()), the quadrature panels it evaluated (counted in panels[0])
+    # and its outcome: `ok` and the answer in hex, or the class name and
+    # message of the error raised.
     def recorded(*args):
         f_evals[0], panels[0], before = 0, 0, misses()
 
         def costs():
-            return [fn.__name__, str(f_evals[0]), str(misses() - before), str(panels[0])]
+            return [fn.__name__, *case, str(f_evals[0]), str(misses() - before), str(panels[0])]
         try:
             r = fn(*args)
         except Exception as exc:
@@ -565,8 +581,9 @@ def _error_summary(rows) -> str:
 
 
 def compare_fits(rows_a, rows_b, mp_every: int) -> bool:
-    # Field 4 is the call's count of evaluations of f, field 5 its passes,
-    # field 6 its panels, field 7 its outcome.
+    # Field 4 is the op's triple, field 5 its number of levels, field 6 the
+    # call's count of evaluations of f, field 7 its passes, field 8 its
+    # panels, field 9 its outcome.
     pairs, only_a, only_b = _pair(rows_a, rows_b, 4)
     print(f"== {FITS}: {len(rows_a)} and {len(rows_b)} calls, {len(pairs)} with the same op")
     print(f"  ops only in A: {len(only_a)}, only in B: {len(only_b)}")
@@ -574,28 +591,30 @@ def compare_fits(rows_a, rows_b, mp_every: int) -> bool:
         own = [(ra, rb) for ra, rb in pairs if ra[3] == call]
         print(f"  {call}: {len(own)} calls")
         for label, side in (("A", 0), ("B", 1)):
-            counts = Counter(pair[side][7] for pair in own)
-            passes = Counter(int(pair[side][5]) for pair in own)
-            panels = Counter(int(pair[side][6]) for pair in own)
+            counts = Counter(pair[side][9] for pair in own)
+            passes = Counter(int(pair[side][7]) for pair in own)
+            panels = Counter(int(pair[side][8]) for pair in own)
             print(f"    {label}: outcomes {dict(sorted(counts.items()))}, evaluations of f "
-                  f"{sum(int(pair[side][4]) for pair in own)}, passes "
+                  f"{sum(int(pair[side][6]) for pair in own)}, passes "
                   f"{dict(sorted(passes.items()))}, panels "
-                  f"{sum(int(pair[side][6]) for pair in own)} {dict(sorted(panels.items()))}")
+                  f"{sum(int(pair[side][8]) for pair in own)} {dict(sorted(panels.items()))}")
+        if call == "solve_alpha":
+            _fit_census(own)
         print(f"    ops whose evaluations of f differ: "
-              f"{sum(ra[4] != rb[4] for ra, rb in own)}, whose panels differ: "
-              f"{sum(ra[6] != rb[6] for ra, rb in own)}")
-        flips = [(ra, rb) for ra, rb in own if ra[7] != rb[7]]
+              f"{sum(ra[6] != rb[6] for ra, rb in own)}, whose panels differ: "
+              f"{sum(ra[8] != rb[8] for ra, rb in own)}")
+        flips = [(ra, rb) for ra, rb in own if ra[9] != rb[9]]
         print(f"    outcome-class changes: {len(flips)}")
-        for kind, same in (("answers", lambda r: r[7] == "ok"),
-                           ("refusals", lambda r: r[7] != "ok")):
-            both = [(ra, rb) for ra, rb in own if ra[7] == rb[7] and same(ra)]
+        for kind, same in (("answers", lambda r: r[9] == "ok"),
+                           ("refusals", lambda r: r[9] != "ok")):
+            both = [(ra, rb) for ra, rb in own if ra[9] == rb[9] and same(ra)]
             print(f"    {kind} in both: {len(both)}, equal to the bit: "
-                  f"{sum(ra[7:] == rb[7:] for ra, rb in both)}")
-        answered = [(ra, rb) for ra, rb in own if ra[7] == rb[7] == "ok"]
+                  f"{sum(ra[9:] == rb[9:] for ra, rb in both)}")
+        answered = [(ra, rb) for ra, rb in own if ra[9] == rb[9] == "ok"]
         if call == "distribution":
             for label, side in (("A", 0), ("B", 1)):
-                worst = max((abs(float.fromhex(pair[side][8]) - 1.0) for pair in own
-                             if pair[side][7] == "ok"), default=math.nan)
+                worst = max((abs(float.fromhex(pair[side][10]) - 1.0) for pair in own
+                             if pair[side][9] == "ok"), default=math.nan)
                 print(f"    {label}: largest |Z-1| {worst:.3g}")
         if call in MOVED_VALUES:
             print(f"    largest relative move of the {MOVED_VALUES[call]}: "
@@ -605,13 +624,28 @@ def compare_fits(rows_a, rows_b, mp_every: int) -> bool:
             print("    relative error of the densities against 25-digit references:")
             for label, side in (("A", 0), ("B", 1)):
                 errs = [float(abs(float.fromhex(v) - ref) / ref) for pair in answered
-                        for v, ref in zip(pair[side][8].split(","), reference)]
+                        for v, ref in zip(pair[side][10].split(","), reference)]
                 print(f"      {label}: largest {max(errs):.3g}, median {statistics.median(errs):.3g}")
         for ra, rb in own:
-            if ra[7:] != rb[7:]:
-                print(f"    seed {ra[1]} op {ra[2]}: {' '.join(ra[7:])[:120]} -> "
-                      f"{' '.join(rb[7:])[:120]}")
-    return bool(only_a or only_b or any(ra[7:] != rb[7:] for ra, rb in pairs))
+            if ra[9:] != rb[9:]:
+                print(f"    seed {ra[1]} op {ra[2]}: {' '.join(ra[9:])[:120]} -> "
+                      f"{' '.join(rb[9:])[:120]}")
+    return bool(only_a or only_b or any(ra[9:] != rb[9:] for ra, rb in pairs))
+
+
+def _fit_census(pairs) -> None:
+    # Per triple and record: the solves, their passes (mean and histogram)
+    # and their evaluations of f per level and pass.
+    for triple in dict.fromkeys(ra[4] for ra, _ in pairs):
+        print(f"    triple ({triple.replace(',', ', ')}):")
+        for label, side in (("A", 0), ("B", 1)):
+            rows = [pair[side] for pair in pairs if pair[side][4] == triple]
+            passes = Counter(int(r[7]) for r in rows)
+            level_passes = sum(int(r[5]) * int(r[7]) for r in rows)
+            print(f"      {label}: {len(rows)} solves, {sum(passes.elements()) / len(rows):.3f} "
+                  f"passes per solve {dict(sorted(passes.items()))}, "
+                  f"{sum(int(r[6]) for r in rows) / max(level_passes, 1):.3f} evaluations "
+                  f"of f per level and pass")
 
 
 def _continuous_reference():

@@ -31,7 +31,7 @@ from loglambert import (
 from _oracle import _simpson, continuous_reference, stationarity_residuals_quadratic
 from loglambert import core, maxent
 from loglambert.maxent import _adaptive_gauss_kronrod, _gauss_kronrod_panel
-from loglambert.qcalculus import exp_q
+from loglambert.qcalculus import entropy_qqr, exp_q
 
 EP = EntropyParams(q=0.9, q_prime=0.8, r=0.7)
 LEVELS = (0.0, 0.3, 0.6, 0.9)
@@ -660,6 +660,38 @@ def test_spread_step_is_close_to_the_newton_step_at_the_uniform_start(levels):
     assert step == pytest.approx(newton, rel=5e-3)
 
 
+def test_a_pass_walks_ascending_arguments_whatever_the_order_of_its_levels(monkeypatch):
+    # Sorted levels with a positive slope of x_i in eps_i skip the key sort;
+    # unsorted ones, or a negative slope, are sorted, and every batch the
+    # inverter walks ascends.  Each order gives the same bits.
+    batches, make = [], maxent._inverter
+
+    def counted(*args):
+        invert = make(*args)
+
+        def recorded(xs, order=None):
+            batches.append([xs[i] for i in order])
+            return invert(xs, order)
+        return recorded
+
+    monkeypatch.setattr(maxent, "_inverter", counted)
+    maxent._all_weights.cache_clear()
+    perm = (LEVELS[2], LEVELS[0], LEVELS[3], LEVELS[1])
+    for beta in (0.1, -0.1):
+        probs = distribution(EnsembleSpec(levels=LEVELS, alpha=0.28, beta=beta, ep=EP), 0).probs
+        permuted = distribution(EnsembleSpec(levels=perm, alpha=0.28, beta=beta, ep=EP), 0).probs
+        assert permuted == (probs[2], probs[0], probs[3], probs[1])
+    assert len(batches) == 4
+    assert all(batch == sorted(batch) for batch in batches)
+
+
+def test_induced_params_are_memoised_by_value():
+    # Every pass and solve asks for them; an equal triple gets the same record.
+    first = EntropyParams(0.9, 0.8, 0.7).induced_params()
+    assert EntropyParams(0.9, 0.8, 0.7, k=2.0).induced_params() is first
+    assert first == Params((1.0 - 0.9) / (1.0 - 0.8), (1.0 - 0.8) / (1.0 - 0.7), -1.0 / (1.0 - 0.8))
+
+
 def test_pass_memo_is_keyed_by_value():
     maxent._all_weights.cache_clear()
     spec = EnsembleSpec(levels=LEVELS, alpha=0.0, beta=0.1, ep=EP)
@@ -961,6 +993,26 @@ def test_adaptive_gauss_kronrod_cuts_the_whole_range_then_halves(monkeypatch):
     ]
 
 
+def test_adaptive_gauss_kronrod_evaluates_no_panel_twice(monkeypatch):
+    # With err/tol just above 1, (err/tol)**(1/14) rounds to 1: one equal
+    # panel would be the whole range again.  The cut is at least in two.
+    panels, panel = [], maxent._gauss_kronrod_panel
+
+    def recorded(f, a, b):
+        panels.append((a, b))
+        return panel(f, a, b)
+
+    def f(xs):
+        return [x ** 2.5 for x in xs]
+
+    k15, g7 = panel(f, 0.0, 1.0)
+    tol = abs(k15 - g7) * (1.0 - 2.0**-52)
+    assert (abs(k15 - g7) / tol) ** (1.0 / 14.0) == 1.0
+    monkeypatch.setattr(maxent, "_gauss_kronrod_panel", recorded)
+    _adaptive_gauss_kronrod(f, 0.0, 1.0, tol)
+    assert panels == [(0.0, 1.0), (0.0, 0.5), (0.5, 1.0)]
+
+
 def test_continuous_grid_too_narrow():
     grid = [-1.0 + 2.0 * i / 20 for i in range(21)]
     with pytest.raises(IntegrationError):
@@ -996,3 +1048,35 @@ def test_ensemble_spec_validation():
         EnsembleSpec(levels=(), alpha=0.0, beta=0.0, ep=EP)
     with pytest.raises(DomainError):
         EnsembleSpec(levels=(math.inf,), alpha=0.0, beta=0.0, ep=EP)
+
+
+HUGE = 10**400  # an int past the double range: isfinite and float() raise OverflowError
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: EntropyParams(HUGE, 0.8, 0.7), "q"),
+    (lambda: EntropyParams(0.9, HUGE, 0.7), "q_prime"),
+    (lambda: EntropyParams(0.9, 0.8, HUGE), "r"),
+    (lambda: EntropyParams(0.9, 0.8, 0.7, k=HUGE), "k"),
+    (lambda: EnsembleSpec(levels=(0.0, HUGE), alpha=0.0, beta=0.1, ep=EP), "levels"),
+    (lambda: EnsembleSpec(levels=LEVELS, alpha=HUGE, beta=0.1, ep=EP), "alpha"),
+    (lambda: EnsembleSpec(levels=LEVELS, alpha=0.0, beta=-HUGE, ep=EP), "beta"),
+    (lambda: solve_alpha((0.0, HUGE), 0.1, EP), "levels"),
+    (lambda: solve_alpha(LEVELS, HUGE, EP), "beta"),
+    (lambda: continuous_pdf(EP_CONT, ALPHA_CONT, BETA_CONT, 1, [0.0, HUGE]), "x_grid points"),
+    (lambda: continuous_pdf(EP_CONT, HUGE, BETA_CONT, 1, README_GRID), "alpha"),
+    (lambda: continuous_pdf(EP_CONT, ALPHA_CONT, HUGE, 1, README_GRID), "beta"),
+    (lambda: continuous_weight(EP_CONT, ALPHA_CONT, BETA_CONT, 1, HUGE), "x"),
+    (lambda: stationarity_residuals(EnsembleSpec(levels=(0.0, 1.0), alpha=0.0, beta=0.1, ep=EP),
+                                    [HUGE, 0.5]), "probs"),
+    (lambda: exp_q(0.9, HUGE), "x"),
+    (lambda: exp_q(HUGE, 1.0), "q"),
+    (lambda: entropy_qqr(EP, [0.5, HUGE]), "probabilities"),
+], ids=["q", "q_prime", "r", "k", "spec_level", "spec_alpha", "spec_beta", "solve_level",
+        "solve_beta", "pdf_grid", "pdf_alpha", "pdf_beta", "weight_x", "residuals_p",
+        "exp_q_x", "exp_q_q", "entropy_p"])
+def test_a_value_past_the_double_range_is_refused_by_name(call, name):
+    # Each raised a raw OverflowError: `int too large to convert to float`.
+    with pytest.raises(DomainError, match=rf"^{name} must be finite, got a value past the "
+                                          rf"double range$"):
+        call()
