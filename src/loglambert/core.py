@@ -78,10 +78,13 @@ from collections.abc import Callable, Iterable, Sequence
 from .errors import (
     ConvergenceError,
     DomainError,
+    LogLambertError,
     NoSolutionError,
     RangeError,
     SingularityError,
     UnsupportedCaseError,
+    _finite,
+    _real,
 )
 from .expint import ei
 from .lambertw import BRANCH_POINT, _lambert_w, _w_exp, lambert_w
@@ -169,9 +172,7 @@ class Params(_Record):
     __slots__ = ("a", "b", "c")
 
     def __init__(self, a: float, b: float, c: float):
-        for name, v in (("a", a), ("b", b), ("c", c)):
-            if not math.isfinite(v):
-                raise DomainError(f"coefficient {name} must be finite, got {v!r}")
+        a, b, c = _finite(("coefficient a", "coefficient b", "coefficient c"), (a, b, c))
         if b == 0.0:
             raise DomainError("coefficient b must be nonzero")
         if a == 0.0:
@@ -250,9 +251,12 @@ def forward(p: Params, y: float) -> float:
 
     Raises RangeError naming y when f(y) overflows the double range.
     """
-    value = _forward_and_slope(p, y)[0]
+    try:
+        value = _forward_and_slope(p, y)[0]
+    except (TypeError, OverflowError):  # y no float that computes as one: refused or converted
+        value = _forward_and_slope(p, y := _real("y", y))[0]
     if not math.isfinite(value):
-        raise RangeError(f"forward map overflows the double range at y={y!r}")
+        raise RangeError(f"forward map overflows the double range at y={float(y)!r}")
     return value
 
 
@@ -261,7 +265,7 @@ def forward_slope(p: Params, y: float) -> float:
 
     Raises RangeError naming y when f'(y) overflows the double range.
     """
-    value = _forward_and_slope(p, y)[1]
+    value = _forward_and_slope(p, y := _real("y", y))[1]
     if not math.isfinite(value):
         raise RangeError(f"forward slope overflows the double range at y={y!r}")
     return value
@@ -273,7 +277,7 @@ def singular_residual(p: Params, y: float) -> float:
     This is also e^{-y} * f'(y), so its zeros are the vertical-tangent
     points of the inverse.
     """
-    return _seam_and_slope(p, y)[0]
+    return _seam_and_slope(p, _real("y", y))[0]
 
 
 _DBL_MIN, _DBL_MAX = sys.float_info.min, sys.float_info.max
@@ -774,7 +778,12 @@ def evaluate(p: Params, branch: int, x: float, tol: float = 1e-12) -> EvalResult
     and the other per-branch constants come with the catalog.
     Deterministic for fixed inputs.
     """
-    y, res, it, at_seam, _ = _solve(p, _plan_or_raise(p, branch), x, tol)
+    try:
+        y, res, it, at_seam, _ = _solve(p, _plan_or_raise(p, branch), x, tol)
+    except (TypeError, ArithmeticError, LogLambertError):  # x or tol no float: redone as floats
+        if _real("x", x) is x and _real("tol", tol) is tol:
+            raise
+        return evaluate(p, branch, _real("x", x), _real("tol", tol))
     return EvalResult(y, res, it, at_seam)
 
 
@@ -785,7 +794,7 @@ def derivative(p: Params, y: float) -> float:
     tangent of the inverse) and RangeError when the value is not a finite
     double (e^{-y} overflows for y < -709.78).
     """
-    by = p.b * y
+    by = p.b * (y := _real("y", y))
     log_by = math.log(by) if by >= _DBL_MIN else _log_by(p, y, "derivative")
     log_term = p.a * (y + 1.0) * log_by
     d = log_term + y + p.a + p.c + 1.0  # the seam equation
@@ -812,7 +821,7 @@ def antiderivative(p: Params, y: float) -> float:
     term-by-term integration; it is validated against quadrature in the
     test suite.  Raises RangeError when F(y) is not a finite double.
     """
-    by = p.b * y
+    by = p.b * (y := _real("y", y))
     log_by = math.log(by) if by >= _DBL_MIN else _log_by(p, y, "antiderivative")
     bracket = (
         p.a * (y * y - y + 1.0) * log_by
@@ -966,7 +975,7 @@ def asymptotic(p: Params, x: float) -> float:
     """
     if p.a == -1.0:
         raise DomainError("approximation needs a != -1")
-    if x == 0.0:
+    if (x := _real("x", x)) == 0.0:
         raise DomainError("approximation needs x != 0")
     a1 = p.a + 1.0
     s = p.c / a1

@@ -1,4 +1,6 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package, and the one rule for its public numbers."""
+
+import math
 
 __all__ = ["LogLambertError", "DomainError", "SingularityError", "ConvergenceError",
            "NoSolutionError", "UnsupportedCaseError", "IntegrationError", "RangeError"]
@@ -34,3 +36,37 @@ class IntegrationError(LogLambertError):
 
 class RangeError(LogLambertError, OverflowError):
     """A result leaves the double range."""
+
+
+def _real(name, v):
+    # v as a float: itself, or float(v) for a numbers.Real or a Decimal; else a DomainError.
+    if type(v) is float:
+        return v
+    from numbers import Complex, Number, Real  # here, so that `import loglambert` skips it
+    try:
+        if isinstance(v, Real) or isinstance(v, Number) and not isinstance(v, Complex):
+            return float(v)
+    except OverflowError:
+        raise DomainError(f"{name} must be finite, got a value past the double range") from None
+    except ValueError:  # a signalling NaN
+        pass
+    raise DomainError(f"{name} must be a real number, got {v!r}")
+
+
+def _finite(name, values):
+    # A tuple of finite floats, named `name` or each by its own; a finite sum vouches for floats.
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise DomainError(f"{name} must be a sequence, got {values!r}") from None
+    for v in values:
+        if type(v) is not float:
+            break
+    else:
+        if math.isfinite(sum(values, 0.0)):
+            return values
+    names = (name,) * len(values) if type(name) is str else name
+    for name, v in zip(names, values := tuple(map(_real, names, values))):
+        if not math.isfinite(v):
+            raise DomainError(f"{name} must be finite, got {v!r}")
+    return values

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ConvergenceError, DomainError, RangeError
+from .errors import ConvergenceError, DomainError, RangeError, _real
 
 __all__ = ["ei", "EULER_GAMMA"]
 
@@ -133,7 +133,7 @@ def ei(x: float) -> float:
     Raises DomainError at the logarithmic singularity x = 0 and RangeError
     (an OverflowError) once the result exceeds the double range (x > ~716).
     """
-    if math.isnan(x):
+    if math.isnan(x := _real("x", x)):
         raise DomainError("Ei is undefined at NaN")
     if x == 0.0:
         raise DomainError("Ei has a logarithmic singularity at 0")

@@ -19,7 +19,7 @@ import enum
 import math
 import sys
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _real
 
 __all__ = ["WBranch", "lambert_w", "w0", "wm1", "BRANCH_POINT"]
 
@@ -158,7 +158,7 @@ def lambert_w(x: float, branch: WBranch = WBranch.PRINCIPAL) -> float:
     ([-1/e, inf] for PRINCIPAL, with W0(inf) = inf; [-1/e, 0) for
     NEGATIVE).
     """
-    if math.isnan(x):
+    if math.isnan(x := _real("x", x)):
         raise DomainError("lambert_w is undefined at NaN")
     if x < BRANCH_POINT:
         raise DomainError(

@@ -55,8 +55,8 @@ double range raises RangeError naming its level (its argument, for
 `continuous_weight`), a weight sum Z that is 0 or beyond it one naming
 alpha and beta, an e^ratio beyond it or underflowing to 0 one naming q'
 and r, and a level's argument beyond it `level_argument`'s; r or q' within
-1e-12 of 1, and an input that is not finite or lies past the double range,
-are DomainErrors that name it.  `continuous_pdf` normalises by adaptive
+1e-12 of 1 is a DomainError that names them.  Each call checks its numbers
+once, by the rule in `errors`.  `continuous_pdf` normalises by adaptive
 7-point Gauss / 15-point Kronrod quadrature over a range that stops at the
 support cut, in two pieces: next to x = 0 in x, each panel's nodes one
 batch of warm inversions (a batch whose weights are all held calls no
@@ -79,8 +79,9 @@ from collections.abc import Callable, Sequence
 # `evaluate` is unused here: perfbench's span test reads it as maxent.evaluate.
 from .core import (_Y_MAX, BranchInfo, Monotone, Params, _forward_and_slope, _inverter,
                    _newton_bisect, _plan_or_raise, _Record, branches, evaluate)
-from .errors import ConvergenceError, DomainError, IntegrationError, LogLambertError, RangeError
-from .qcalculus import _LIMIT_TOL, EntropyParams, _check_finite, _deformed_log, _stretches
+from .errors import (ConvergenceError, DomainError, IntegrationError, LogLambertError, RangeError,
+                     _finite, _real)
+from .qcalculus import _LIMIT_TOL, EntropyParams, _deformed_log, _stretches
 
 __all__ = [
     "EnsembleSpec",
@@ -100,16 +101,6 @@ _EVAL_TOL = 1e-13
 _MAX = 1.7976931348623157e308  # the largest double
 
 
-def _check_multipliers(alpha: float, beta: float) -> None:
-    try:
-        if math.isfinite(alpha) and math.isfinite(beta):
-            return
-    except OverflowError:  # one past the double range: name it
-        _check_finite("alpha", (alpha,))
-        _check_finite("beta", (beta,))
-    raise DomainError("alpha and beta must be finite")
-
-
 class EnsembleSpec(_Record):
     """Levels eps_i with Lagrange multipliers (alpha, beta) and the triple."""
 
@@ -117,10 +108,9 @@ class EnsembleSpec(_Record):
 
     def __init__(self, levels: tuple[float, ...], alpha: float, beta: float,
                  ep: EntropyParams):
-        if len(levels) == 0:
+        if not (levels := _finite("levels", levels)):
             raise DomainError("at least one level is required")
-        _check_finite("levels", levels)
-        _check_multipliers(alpha, beta)
+        alpha, beta = _finite(("alpha", "beta"), (alpha, beta))
         set_levels, set_alpha, set_beta, set_ep = self._setters
         set_levels(self, levels)
         set_alpha(self, alpha)
@@ -165,7 +155,6 @@ def _scale(ep: EntropyParams) -> tuple[float, float, float]:
 
 def _arguments(ep: EntropyParams, alpha: float, beta: float) -> Callable[..., list[float]]:
     # levels -> their x_i (module docstring), -1/(1-r) + alpha, ratio, e^ratio taken once.
-    _check_multipliers(alpha, beta)
     inv_cr, ratio, e_ratio = _scale(ep)
     shift = -inv_cr + alpha
     return lambda levels: [(shift + beta * eps) * ratio * e_ratio for eps in levels]
@@ -440,13 +429,11 @@ def solve_alpha(
     bracket shrinks to a few ulps without reaching tol (the rounding floor
     of the weight sum) or 200 passes do not reach it.
     """
-    levels = tuple(levels)
-    if not levels:
+    if not (levels := _finite("levels", levels)):
         raise DomainError("levels must hold at least one level")
-    if not 0.0 < tol < math.inf:
+    if not 0.0 < (tol := _real("tol", tol)) < math.inf:
         raise DomainError(f"tol must be {'finite' if tol > 0.0 else 'positive'}, got {tol!r}")
-    _check_finite("levels", levels)
-    _check_finite("beta", (beta,))
+    (beta,) = _finite("beta", (beta,))
     params, q1, n = ep.induced_params(), ep.q - 1.0, len(levels)
     if branch is None:
         branch = suggest_branch(ep, n)
@@ -467,8 +454,10 @@ def solve_alpha(
                           f"weight: the levels span more than the branch admits")
 
     def z_and_slope(alpha: float) -> tuple[float, float]:
-        # (Z, Halley's effective slope) at alpha, by the pass `distribution` makes.
-        spec = EnsembleSpec(levels=levels, alpha=alpha, beta=beta, ep=ep)
+        # (Z, Halley's slope) at alpha by `distribution`'s pass; its spec skips __init__.
+        spec = object.__new__(EnsembleSpec)
+        for set_field, value in zip(EnsembleSpec._setters, (levels, alpha, beta, ep)):
+            set_field(spec, value)
         try:
             _, ys, ws, slopes, braces = _all_weights(spec, branch)
             z = math.fsum(ws)
@@ -525,9 +514,8 @@ def stationarity_residuals(spec: EnsembleSpec, probs: Sequence[float]) -> list[f
     DomainError unless there is one finite probability per level; RangeError
     naming x = 1/p when a term's derivative overflows the double range.
     """
-    if len(probs) != len(spec.levels):
+    if len(probs := _finite("probs", probs)) != len(spec.levels):
         raise DomainError(f"probs has {len(probs)} entries for {len(spec.levels)} levels")
-    _check_finite("probs", probs)
     ep, alpha, beta, residuals = spec.ep, spec.alpha, spec.beta, []
     stretches = _stretches(1.0 - ep.q, 1.0 - ep.q_prime, 1.0 - ep.r)
     isfinite, append = math.isfinite, residuals.append
@@ -549,7 +537,7 @@ def continuous_weight(
     DomainError unless alpha, beta and x are finite; RangeError, naming
     the inversion argument, when the weight exceeds the double range.
     """
-    _check_finite("x", (x,))
+    alpha, beta, x = _finite(("alpha", "beta", "x"), (alpha, beta, x))
     params, arg = ep.induced_params(), _arguments(ep, alpha, beta)((x * x,))[0]
     brace = _inverter(params, branch, _EVAL_TOL)([arg])[2][0]
     return _weight(ep.q - 1.0, branch, arg, brace)
@@ -651,9 +639,9 @@ def continuous_pdf(
     DomainError if alpha, beta or a grid point is not finite, or if a grid
     point leaves the branch.
     """
-    if len(x_grid) == 0:
+    if not (x_grid := _finite("x_grid points", x_grid)):
         raise DomainError("x_grid must be non-empty")
-    _check_finite("x_grid points", x_grid)
+    alpha, beta = _finite(("alpha", "beta"), (alpha, beta))
 
     # One warm inverter takes the arguments not yet weighed; x and -x share a
     # weight.  Each argument's root is kept too: those at x = 0 and x = L

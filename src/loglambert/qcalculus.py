@@ -23,7 +23,7 @@ import math
 from collections.abc import Sequence
 
 from .core import Params, _Record
-from .errors import DomainError, RangeError
+from .errors import DomainError, RangeError, _finite, _real
 
 __all__ = [
     "EntropyParams",
@@ -37,17 +37,6 @@ __all__ = [
 _LIMIT_TOL = 1e-12
 
 
-def _check_finite(name: str, values: Sequence[float]) -> None:
-    # DomainError at the first value not finite or (isfinite raising) past the double range.
-    try:
-        if all(map(math.isfinite, values)):
-            return
-        got = repr(next(v for v in values if not math.isfinite(v)))
-    except OverflowError:
-        got = "a value past the double range"
-    raise DomainError(f"{name} must be finite, got {got}")
-
-
 class EntropyParams(_Record):
     """Deformation triple (q, q_prime, r) and entropy scale k > 0.
 
@@ -58,10 +47,9 @@ class EntropyParams(_Record):
     __slots__ = ("q", "q_prime", "r", "k")
 
     def __init__(self, q: float, q_prime: float, r: float, k: float = 1.0):
+        q, q_prime, r, k = _finite(("q", "q_prime", "r", "k"), (q, q_prime, r, k))
         if not k > 0.0:
             raise DomainError(f"entropy scale k must be positive, got {k!r}")
-        for name, v in (("q", q), ("q_prime", q_prime), ("r", r), ("k", k)):
-            _check_finite(name, (v,))
         set_q, set_q_prime, set_r, set_k = self._setters
         set_q(self, q)
         set_q_prime(self, q_prime)
@@ -111,7 +99,7 @@ def _deformed_log(x: float, stretches: tuple[float, ...]) -> tuple[float, float]
 
 def ln_q(q: float, x: float) -> float:
     """One-parameter logarithm (x^(1-q) - 1)/(1-q); ln x at q = 1."""
-    return _deformed_log(x, _stretches(1.0 - q))[0]
+    return _deformed_log(_real("x", x), _stretches(1.0 - _real("q", q)))[0]
 
 
 def exp_q(q: float, x: float) -> float:
@@ -120,8 +108,7 @@ def exp_q(q: float, x: float) -> float:
     Raises RangeError naming x when the result overflows the double range,
     and DomainError naming q or x when it is not finite.
     """
-    _check_finite("q", (q,))
-    _check_finite("x", (x,))
+    q, x = _finite(("q", "x"), (q, x))
     cq = 1.0 - q
     if abs(cq) < _LIMIT_TOL:
         t = x
@@ -141,7 +128,8 @@ def exp_q(q: float, x: float) -> float:
 
 def ln_qq(q: float, q_prime: float, x: float) -> float:
     """Two-parameter logarithm: ln_q stretched once more by 1 - q'."""
-    return _deformed_log(x, _stretches(1.0 - q, 1.0 - q_prime))[0]
+    stretches = _stretches(1.0 - _real("q", q), 1.0 - _real("q_prime", q_prime))
+    return _deformed_log(_real("x", x), stretches)[0]
 
 
 def ln_qqr(ep: EntropyParams, x: float) -> float:
@@ -151,7 +139,7 @@ def ln_qqr(ep: EntropyParams, x: float) -> float:
     plain ln as all three parameters tend to 1.  A value beyond the double
     range raises RangeError (an OverflowError) naming x.
     """
-    return _deformed_log(x, _stretches(1.0 - ep.q, 1.0 - ep.q_prime, 1.0 - ep.r))[0]
+    return _deformed_log(_real("x", x), _stretches(1.0 - ep.q, 1.0 - ep.q_prime, 1.0 - ep.r))[0]
 
 
 def entropy_qqr(ep: EntropyParams, p: Sequence[float]) -> float:
@@ -160,8 +148,7 @@ def entropy_qqr(ep: EntropyParams, p: Sequence[float]) -> float:
     Zero entries contribute nothing (p*ln(1/p) -> 0); the vector must be
     finite, non-negative and sum to 1 within 1e-12.
     """
-    _check_finite("probabilities", p)
-    total = 0.0
+    total, p = 0.0, _finite("probabilities", p)
     for v in p:
         if v < 0.0:
             raise DomainError(f"probabilities must be >= 0, got {v!r}")

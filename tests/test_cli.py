@@ -280,8 +280,8 @@ BOUNDED = dict(timeout=30, preexec_fn=_cap_memory)
     # more grid points than the CLI allows
     (["--quadratic=0:1:100000000000000000", "--branch", "0"], "--quadratic"),
     # a non-finite multiplier was reported as `x must not be NaN`
-    (["--quadratic=-1:1:5", "--branch", "1", "--alpha", "nan"], "alpha and beta must be finite"),
-    (["--quadratic=-1:1:5", "--branch", "1", "--beta", "inf"], "alpha and beta must be finite"),
+    (["--quadratic=-1:1:5", "--branch", "1", "--alpha", "nan"], "alpha must be finite, got nan"),
+    (["--quadratic=-1:1:5", "--branch", "1", "--beta", "inf"], "beta must be finite, got inf"),
 ])
 def test_maxent_grid_errors(extra, fragment):
     cp = run_cli(*MAXENT, *extra, expect=2, **BOUNDED)

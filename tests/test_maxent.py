@@ -15,12 +15,19 @@ from loglambert import (
     IntegrationError,
     Params,
     RangeError,
+    antiderivative,
+    asymptotic,
     continuous_pdf,
     continuous_weight,
+    derivative,
     distribution,
+    ei,
     evaluate,
     forward,
+    lambert_w,
     level_argument,
+    ln_q,
+    ln_qq,
     ln_qqr,
     probability,
     pseudo_beta,
@@ -1022,11 +1029,19 @@ def test_continuous_grid_too_narrow():
 def test_continuous_multipliers_must_be_finite():
     # a non-finite multiplier was reported as `x must not be NaN`
     for bad in (math.nan, math.inf, -math.inf):
-        for alpha, beta in ((bad, BETA_CONT), (ALPHA_CONT, bad)):
-            with pytest.raises(DomainError, match="^alpha and beta must be finite$"):
+        for alpha, beta, name in ((bad, BETA_CONT, "alpha"), (ALPHA_CONT, bad, "beta")):
+            with pytest.raises(DomainError, match=rf"^{name} must be finite, got {bad!r}$"):
                 continuous_pdf(EP_CONT, alpha, beta, 1, README_GRID)
-            with pytest.raises(DomainError, match="^alpha and beta must be finite$"):
+            with pytest.raises(DomainError, match=rf"^{name} must be finite, got {bad!r}$"):
                 continuous_weight(EP_CONT, alpha, beta, 1, 0.5)
+
+
+def test_solve_alpha_checks_its_levels_once(count_calls):
+    # Each pass built a validated EnsembleSpec, which checked every level again.
+    checks, passes = count_calls(maxent, "_finite"), count_calls(maxent, "_all_weights")
+    solve_alpha(LEVELS_128, 0.1, EP)
+    assert len(passes) >= 2
+    assert [args for args in checks if args[0] == "levels"] == [("levels", LEVELS_128)]
 
 
 def test_continuous_grid_points_must_be_finite():
@@ -1051,6 +1066,7 @@ def test_ensemble_spec_validation():
 
 
 HUGE = 10**400  # an int past the double range: isfinite and float() raise OverflowError
+P = Params(1.0, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("call, name", [
@@ -1072,9 +1088,22 @@ HUGE = 10**400  # an int past the double range: isfinite and float() raise Overf
     (lambda: exp_q(0.9, HUGE), "x"),
     (lambda: exp_q(HUGE, 1.0), "q"),
     (lambda: entropy_qqr(EP, [0.5, HUGE]), "probabilities"),
+    (lambda: ln_q(HUGE, 2.0), "q"),
+    (lambda: ln_qq(0.9, HUGE, 2.0), "q_prime"),
+    (lambda: Params(HUGE, 1, 1), "coefficient a"),
+    (lambda: forward(P, HUGE), "y"),
+    (lambda: derivative(P, HUGE), "y"),
+    (lambda: antiderivative(P, HUGE), "y"),
+    (lambda: evaluate(P, 1, HUGE), "x"),
+    (lambda: evaluate(P, 1, 2084.7878, tol=HUGE), "tol"),
+    (lambda: asymptotic(P, HUGE), "x"),
+    (lambda: lambert_w(HUGE), "x"),
+    (lambda: ei(HUGE), "x"),
 ], ids=["q", "q_prime", "r", "k", "spec_level", "spec_alpha", "spec_beta", "solve_level",
         "solve_beta", "pdf_grid", "pdf_alpha", "pdf_beta", "weight_x", "residuals_p",
-        "exp_q_x", "exp_q_q", "entropy_p"])
+        "exp_q_x", "exp_q_q", "entropy_p", "ln_q_q", "ln_qq_q_prime", "params_a", "forward_y",
+        "derivative_y", "antiderivative_y", "evaluate_x", "evaluate_tol", "asymptotic_x",
+        "lambert_w_x", "ei_x"])
 def test_a_value_past_the_double_range_is_refused_by_name(call, name):
     # Each raised a raw OverflowError: `int too large to convert to float`.
     with pytest.raises(DomainError, match=rf"^{name} must be finite, got a value past the "

@@ -1,12 +1,17 @@
 """Property tests: every input gets a contract-meeting answer or a typed error."""
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import mpmath
+import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loglambert import (
+    DomainError,
     EnsembleSpec,
     EntropyParams,
     LogLambertError,
@@ -19,19 +24,30 @@ from loglambert import (
     asymptotic,
     branches,
     continuous_pdf,
+    continuous_weight,
     derivative,
     distribution,
+    ei,
+    entropy_qqr,
     evaluate,
+    exp_q,
     forward,
+    forward_slope,
+    lambert_w,
     level_argument,
+    ln_q,
+    ln_qq,
+    ln_qqr,
     singular_points,
     singular_residual,
     solve_alpha,
     stationarity_residuals,
     taylor_coefficients,
     taylor_first_order,
+    w0,
+    wm1,
 )
-from loglambert.core import _forward_and_slope, _inverter, _knots, _log_by
+from loglambert.core import _forward_and_slope, _inverter, _knots, _log_by, _Record
 from _sampling import x_in_domain
 
 Y_MIN = math.exp(-708.0)
@@ -418,3 +434,117 @@ def test_continuous_pdf_meets_contract_or_refuses(shift, d_alpha, d_beta, gap, s
     assert len(dens) == len(grid)
     assert all(math.isfinite(v) and v >= 0.0 for v in dens), (ep, alpha, beta, edge)
     assert all(dens[i] == dens[-1 - i] for i in range(len(grid))), (ep, alpha, beta, edge)
+
+
+# Every public argument that takes a real: (the name its refusal starts with,
+# the call with that argument drawn and every other one valid, a valid value).
+# A sequence's argument is one of its values; the "whole" entries draw the
+# sequence itself, which no drawn kind is.
+_P = Params(1.0, 1.0, 1.0)
+_EP = EntropyParams(0.9, 0.8, 0.7)
+_EP_CONT = EntropyParams(1.1, 1.2, 1.3)
+_LEVELS = (0.0, 0.3, 0.6, 0.9)
+_SPEC = EnsembleSpec(_LEVELS, 0.0, 0.1, _EP)
+_GRID = [-3.7 + 7.4 * i / 10 for i in range(11)]
+BOUNDARY = [
+    ("coefficient a", lambda v: Params(v, 1.0, 1.0), 1.0),
+    ("coefficient b", lambda v: Params(1.0, v, 1.0), 1.0),
+    ("coefficient c", lambda v: Params(1.0, 1.0, v), 1.0),
+    ("y", lambda v: forward(_P, v), 2.5),
+    ("y", lambda v: forward_slope(_P, v), 2.5),
+    ("y", lambda v: singular_residual(_P, v), 2.5),
+    ("y", lambda v: derivative(_P, v), 2.5),
+    ("y", lambda v: antiderivative(_P, v), 2.5),
+    ("x", lambda v: evaluate(_P, 1, v), 2084.7878),
+    ("tol", lambda v: evaluate(_P, 1, 2084.7878, v), 1e-12),
+    ("x", lambda v: asymptotic(_P, v), 1e4),
+    ("x", lambda v: lambert_w(v), 2.5),
+    ("x", lambda v: w0(v), 2.5),
+    ("x", lambda v: wm1(v), -0.2),
+    ("x", lambda v: ei(v), 2.5),
+    ("q", lambda v: EntropyParams(v, 0.8, 0.7), 0.9),
+    ("q_prime", lambda v: EntropyParams(0.9, v, 0.7), 0.8),
+    ("r", lambda v: EntropyParams(0.9, 0.8, v), 0.7),
+    ("k", lambda v: EntropyParams(0.9, 0.8, 0.7, v), 1.0),
+    ("q", lambda v: ln_q(v, 2.0), 0.9),
+    ("x", lambda v: ln_q(0.9, v), 2.0),
+    ("q_prime", lambda v: ln_qq(0.9, v, 2.0), 0.8),
+    ("x", lambda v: ln_qq(0.9, 0.8, v), 2.0),
+    ("x", lambda v: ln_qqr(_EP, v), 2.0),
+    ("q", lambda v: exp_q(v, 1.0), 0.9),
+    ("x", lambda v: exp_q(0.9, v), 1.0),
+    ("probabilities", lambda v: entropy_qqr(_EP, [v, 0.5]), 0.5),
+    ("probabilities", lambda v: entropy_qqr(_EP, v), None),
+    ("levels", lambda v: EnsembleSpec((0.0, v, 0.6, 0.9), 0.0, 0.1, _EP), 0.3),
+    ("levels", lambda v: EnsembleSpec(v, 0.0, 0.1, _EP), None),
+    ("alpha", lambda v: EnsembleSpec(_LEVELS, v, 0.1, _EP), 0.0),
+    ("beta", lambda v: EnsembleSpec(_LEVELS, 0.0, v, _EP), 0.1),
+    ("levels", lambda v: solve_alpha((0.0, v, 0.6, 0.9), 0.1, _EP), 0.3),
+    ("levels", lambda v: solve_alpha(v, 0.1, _EP), None),
+    ("beta", lambda v: solve_alpha(_LEVELS, v, _EP), 0.1),
+    ("tol", lambda v: solve_alpha(_LEVELS, 0.1, _EP, tol=v), 1e-14),
+    ("probs", lambda v: stationarity_residuals(_SPEC, [v, 0.2, 0.3, 0.3]), 0.2),
+    ("probs", lambda v: stationarity_residuals(_SPEC, v), None),
+    ("alpha", lambda v: continuous_weight(_EP_CONT, v, BETA_CONT, 1, 0.5), ALPHA_CONT),
+    ("beta", lambda v: continuous_weight(_EP_CONT, ALPHA_CONT, v, 1, 0.5), BETA_CONT),
+    ("x", lambda v: continuous_weight(_EP_CONT, ALPHA_CONT, BETA_CONT, 1, v), 0.5),
+    ("x_grid", lambda v: continuous_pdf(_EP_CONT, ALPHA_CONT, BETA_CONT, 1,
+                                        [*_GRID[:4], v, *_GRID[5:]]), -0.74),
+    ("x_grid", lambda v: continuous_pdf(_EP_CONT, ALPHA_CONT, BETA_CONT, 1, v), None),
+    ("alpha", lambda v: continuous_pdf(_EP_CONT, v, BETA_CONT, 1, _GRID), ALPHA_CONT),
+    ("beta", lambda v: continuous_pdf(_EP_CONT, ALPHA_CONT, v, 1, _GRID), BETA_CONT),
+]
+
+# How a drawn value is made from a valid one u; those in _FITS are real
+# numbers that fit a double, so each must answer as float(v) does.
+_KINDS = {
+    "float": lambda u: u,
+    "int": round,
+    "huge int": lambda u: 10**400 if u >= 0.0 else -10**400,
+    "Fraction": lambda u: Fraction(u).limit_denominator(1000),
+    "Decimal": lambda u: Decimal(repr(u)),
+    "Decimal NaN": lambda u: Decimal("NaN"),
+    "Decimal sNaN": lambda u: Decimal("sNaN"),
+    "float64": np.float64,
+    "int64": lambda u: np.int64(round(u)),
+    "bool": lambda u: u > 0.0,
+    "None": lambda u: None,
+    "str": repr,
+    "complex": lambda u: complex(u, 0.0),
+}
+_FITS = {"float", "int", "Fraction", "Decimal", "Decimal NaN", "float64", "int64", "bool"}
+
+
+def _bits(value):
+    # An answer's floats as hex strings, through records, tuples and lists.
+    if isinstance(value, _Record):
+        return _bits(value._values(value))
+    if isinstance(value, (tuple, list)):
+        return [_bits(v) for v in value]
+    return value.hex() if isinstance(value, float) else repr(value)
+
+
+def _outcome(call, v):
+    try:
+        return "answer", _bits(call(v))
+    except LogLambertError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(scale=st.floats(0.25, 4.0))
+@example(scale=1.0)
+def test_every_public_real_answers_as_its_float_or_is_refused_by_name(scale):
+    # Each entry's argument, of each kind, drawn at `scale` times its valid
+    # value.  One rule in `errors` reads them: before it, a huge int, None, a
+    # str, a complex or a Decimal raised a raw TypeError, OverflowError or
+    # AttributeError from inside the arithmetic.
+    for name, call, valid in BOUNDARY:
+        for kind, make in _KINDS.items():
+            v = make(1.0 if valid is None else valid * scale)
+            if valid is not None and kind in _FITS:
+                assert _outcome(call, v) == _outcome(call, float(v)), (name, kind, v)
+            else:
+                with pytest.raises(DomainError) as refusal:
+                    call(v)
+                assert str(refusal.value).startswith(name), (kind, v, str(refusal.value))
