@@ -33,26 +33,26 @@ This module provides the branch catalog, the inverse on a chosen branch, the
 closed forms for the inverse's derivative and antiderivative, the expansion
 of the inverse about x = 0 (leading coefficients in closed form through the
 classical Lambert W, higher ones by O(n^3) reversion of f's own series in
-closed form), and a large-x approximation.  Every W is lambertw's.
-Seams and inversions share one solver: Newton steps
-safeguarded by bisection inside a bracket of a monotone function (Press et
-al.'s rtsafe rule, bisecting in ln|y| across orders of magnitude), applied
-to the seam equation on each monotone piece and to f on the branch's own
-y-range, its open ends clipped to finite doubles.  An
-inversion's first point comes from the nearest kind of branch end: the
-inverse's branch-point series at a seam to third order (as Corless et al.
-start W at -1/e) when it stays close to the seam, else three steps toward
-the end: fixed-point ones for y -> 0 (f -> c), Newton ones on the log form
-for large |y| (ln|f| ~ y).  f is evaluated only at the solver's points.  Many
-inversions on one branch (all levels of a maximum-entropy fit) each start
-from the third-order inverse series at the last root, from f, f' and
-ln(b*y) there, where that series is trusted; every other x is
+closed form), and a large-x approximation.  Every W is lambertw's.  Seams and
+inversions share one solver: Newton steps safeguarded by bisection inside a
+bracket of a monotone function (Press et al.'s rtsafe rule, bisecting in
+ln|y| across orders of magnitude), applied to the seam equation on each
+monotone piece and to f on the branch's own y-range, its open ends clipped
+to finite doubles.  An inversion's first point comes from the nearest kind
+of branch end: the inverse's branch-point series at a seam to third order
+(as Corless et al. start W at -1/e) when it stays close to the seam, else
+three steps toward the end: fixed-point ones for y -> 0 (f -> c), Newton
+ones on the log form for large |y| (ln|f| ~ y).  The inversion evaluates f
+at its first point itself; that point is the root when it meets the
+tolerance, and only a miss enters the solver, with the point and its
+evaluation.  Many inversions on one branch (all levels of a maximum-entropy
+fit) each start from the third-order inverse series at the last root, from
+f, f' and ln(b*y) there, where that series is trusted; every other x is
 solved as a single inversion is.  The inverter evaluates f at the series
 start and takes it as the root when it meets the tolerance; else it takes
-one Newton step inside the bracket the start shrank, and a point that
-still misses goes to the solver with its evaluation; each
-evaluation of f hands out ln(b*y) with f and f', so a
-root comes with its log at no further cost.
+one Newton step inside the bracket the start shrank, and a point that still
+misses goes to the solver with its evaluation; each evaluation of f hands
+out ln(b*y) with f and f', so a root comes with its log at no further cost.
 
 All functions are pure; `Params` and the catalog records are immutable
 slotted value records (compared, hashed and pickled by value).  The catalog
@@ -337,14 +337,14 @@ def _split(lo: float, hi: float) -> float:
 
 def _newton_bisect(fn: Callable[[float], tuple[float, ...]], target: float,
                    lo: float, hi: float, increasing: bool, tol: float,
-                   start: float | None = None, known: tuple[float, ...] | None = None
+                   y: float, point: tuple[float, ...]
                    ) -> tuple[float, float, int, float, float, tuple[float, ...] | None]:
     # Safeguarded Newton iteration (Press et al.'s rtsafe) for fn(y)[0] =
     # target on [lo, hi], where fn(y) = (value, slope, ...) is monotone
     # (`increasing` or not) and brackets the target; fields past the slope
-    # are carried along unread.  The first point is `start` (any point of
-    # [lo, hi]) or the bisection point (_split); `known`, when given, is
-    # fn(start), so that point costs no call to fn.
+    # are carried along unread.  The first point y (any point of [lo, hi])
+    # and its evaluation point = fn(y) come from the caller, so the solver
+    # calls fn only from its second point on.
     # Each point shrinks the bracket; the Newton step is taken when it lands
     # strictly inside it and is at most half the step before last.  A rejected
     # Newton step of at most a few ulps means the iterates have converged to
@@ -353,13 +353,11 @@ def _newton_bisect(fn: Callable[[float], tuple[float, ...]], target: float,
     # Stops when |value - target| <= tol, when the bracket is a few ulps wide,
     # or after 200 points (fn is then called once more, at a point not used).
     # Returns the point with the smallest |value - target| seen, that
-    # residual, the number of points (a known one included), the final bracket
-    # (an end no point has moved is one given), and the tuple fn gave at the
-    # point returned if it met tol (else None), for the caller to reuse.
-    y = _split(lo, hi) if start is None else start
+    # residual, the number of points (the caller's first included), the final
+    # bracket (an end no point has moved is one given), and the tuple fn gave
+    # at the point returned if it met tol (else None), for the caller to reuse.
     best_y, best_res = y, math.inf
     step = prev = hi - lo
-    point = known or fn(y)
     for it in range(1, 201):
         value, slope = point[0], point[1]
         r = value - target
@@ -451,8 +449,9 @@ def singular_points(p: Params) -> list[float]:
                 f"seam equation for a={a!r}, b={b!r}, c={c!r} has a root outside the searched "
                 f"range e^-708 <= |y| <= {_Y_MAX:.6g}"
             )
-        start = near if lo < near < hi else far if lo < far < hi else None
-        roots.append(_newton_bisect(seam_equation, 0.0, lo, hi, s_lo < s_hi, 0.0, start)[0])
+        y = near if lo < near < hi else far if lo < far < hi else _split(lo, hi)
+        roots.append(_newton_bisect(seam_equation, 0.0, lo, hi, s_lo < s_hi, 0.0,
+                                    y, seam_equation(y))[0])
     return sorted(roots)
 
 
@@ -595,7 +594,7 @@ def _seam_start(plan: _Plan, x: float) -> float | None:
     return y if plan.lo < y < plan.hi else None
 
 
-def _end_start(p: Params, plan: _Plan, x: float) -> float | None:
+def _end_start(p: Params, plan: _Plan, x: float) -> float:
     # A first point for the solver from three steps on f(y) = x, rearranged
     # for one kind of branch end:
     #   y -> 0, where f -> c: fixed-point steps y = (x*e^-y - c)/(a*ln(b*y) + 1);
@@ -608,7 +607,7 @@ def _end_start(p: Params, plan: _Plan, x: float) -> float | None:
     # seams the second from the seam nearer 0.  From a seam (g' = 0) the first
     # step is y = ln(x/P(y)); a Newton step leaving (lo, hi) goes halfway to
     # the end it crosses.  The first result strictly inside (lo, hi) is
-    # taken, else y0 on an unbounded branch, else None.
+    # taken, else y0 on an unbounded branch, else the bisection point (_split).
     yr, d, lo, hi, y0 = plan.info.y_range, plan.seams[-1][0], plan.lo, plan.hi, None
     if math.isinf(yr.lo) or math.isinf(yr.hi):
         t = math.log(abs(x) or 5e-324)  # x = 0 as the least double
@@ -634,7 +633,7 @@ def _end_start(p: Params, plan: _Plan, x: float) -> float | None:
             continue
         if lo < y < hi:
             return y
-    return y0
+    return _split(lo, hi) if y0 is None else y0
 
 
 def _solve(p: Params, plan: _Plan, x: float, tol: float
@@ -644,23 +643,29 @@ def _solve(p: Params, plan: _Plan, x: float, tol: float
     # root on the branch's bracket (plan.lo, plan.hi), solved from the
     # branch-point expansion at a seam (_seam_start), else from the branch's
     # open end (_end_start), else from the bracket's bisection point.  f is
-    # evaluated only by the solver.
+    # evaluated there, through plan.f, and that point is the root when it
+    # meets tol; else it and its evaluation start the solver.  The limit
+    # comes first, so an int tol past the doubles overflows at a seam too.
     if not (0.0 < tol < math.inf and plan.x_min <= x <= plan.x_max):
         if not 0.0 < tol < math.inf:
             raise DomainError(f"tol must be {'finite' if tol > 0.0 else 'positive'}, got {tol!r}")
         if math.isnan(x):
             raise DomainError("x must not be NaN")
         raise DomainError(f"x={x!r} outside branch {plan.info.index} domain {plan.info.x_domain}")
+    limit = tol * (x if x > 1.0 else -x if x < -1.0 else 1.0)  # tol * max(1, |x|)
     for d, fx, _ in plan.seams:
         if x == fx:  # the catalog holds f(d) = forward(p, d)
             return d, 0.0, 0, True, (fx, 0.0, _log_by(p, d, "the seam"))
 
-    start = _seam_start(plan, x)
-    if start is None:
-        start = _end_start(p, plan, x)
-    limit = tol * (x if x > 1.0 else -x if x < -1.0 else 1.0)  # tol * max(1, |x|)
+    y = _seam_start(plan, x)
+    if y is None:
+        y = _end_start(p, plan, x)
+    point = plan.f(y)
+    res = abs(point[0] - x)
+    if res <= limit:
+        return y, res, 1, False, point
     y, res, it, _, _, point = _newton_bisect(plan.f, x, plan.lo, plan.hi, plan.increasing,
-                                             limit, start)
+                                             limit, y, point)
     if res <= limit:
         return y, res, it, False, point
     raise _stalled(plan, x, tol, res)
@@ -773,8 +778,9 @@ def evaluate(p: Params, branch: int, x: float, tol: float = 1e-12) -> EvalResult
     bisects otherwise, at the geometric mean when the bracket spans more
     than a factor of 4, until |f(y) - x| <= tol * max(1, |x|), with tol
     positive and finite (else DomainError);
-    ConvergenceError when the bracket shrinks to a few ulps first.  f is
-    evaluated only at the solver's points.  The bracket, f''(d), k2, k3
+    ConvergenceError when the bracket shrinks to a few ulps first.  A first
+    point that meets the tolerance is the root (iterations = 1): only a
+    miss enters the solver.  The bracket, f''(d), k2, k3
     and the other per-branch constants come with the catalog.
     Deterministic for fixed inputs.
     """

@@ -484,8 +484,9 @@ def solve_alpha(
     start -= _spread_step(params, q1, k, y_u, slope_u, params.a * log_by + 1.0,
                           [bk * (eps - mean) for eps in levels])
     increasing = ((ep.q > 1.0) == (params.a > 0.0)) == (bi.monotone is Monotone.INCREASING)
+    start = min(max(start, a_lo), a_hi)
     alpha, res, _, lo, hi, _ = _newton_bisect(z_and_slope, 1.0, a_lo, a_hi, increasing,
-                                              tol, min(max(start, a_lo), a_hi))
+                                              tol, start, z_and_slope(start))
     if res <= tol:
         return alpha
     if lo == a_lo or hi == a_hi:

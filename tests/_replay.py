@@ -48,8 +48,9 @@ every warm solve but each walk's first starts from the series.)
 seed, a, b, c, branch and x; repeats of one input pair in order), so the
 records may replay different inputs: a seam that moved by an ulp moves the
 `scan_cold` inputs drawn from it.  It prints, per workload: each record's
-outcome counts and the mean, p99 and max of its point counts, the number
-of inputs only one record has, the outcome-class changes (each listed with
+outcome counts, the mean, p99 and max of its point counts and how many of
+its answers took one point (the first point met tol, so the solver loop
+was not entered), the number of inputs only one record has, the outcome-class changes (each listed with
 its input), the answers equal to the bit, the ulp moves of the answers
 that differ, and every answer whose residual is above `tol*max(1, |x|)`
 (tol = 1e-12, evaluate's default).  For the seams it prints each record's
@@ -414,7 +415,8 @@ def compare(path_a: str, path_b: str, mp_every: int) -> bool:
             mean = statistics.fmean(its) if its else math.nan
             p99 = its[int(0.99 * (len(its) - 1))] if its else 0
             print(f"  {label}: outcomes {dict(sorted(counts.items()))}, "
-                  f"points mean {mean:.3f}, p99 {p99}, max {max(its, default=0)}")
+                  f"points mean {mean:.3f}, p99 {p99}, max {max(its, default=0)}, "
+                  f"one point {its.count(1)}")
             bad = [r for r in rows if r[7] == "ok" and float.fromhex(r[9])
                    > TOL * max(1.0, abs(float.fromhex(r[6])))]
             print(f"  {label}: answers above tol*max(1,|x|): {len(bad)}")

@@ -356,17 +356,27 @@ def f_calls(monkeypatch):
     core._catalog.cache_clear()
 
 
-def test_f_is_evaluated_only_by_the_solver(f_calls):
-    # No bracket work is left outside the solver: every evaluation of f an
-    # inversion makes is one of its points.
+def test_f_is_evaluated_only_by_the_solver(monkeypatch, f_calls):
+    # No bracket work is left outside the inversion's points: every
+    # evaluation of f it makes is one of them.  The first point is
+    # evaluated before the solver, which is called only when that point
+    # misses tol, and then once.
+    solver_calls, newton_bisect = [0], core._newton_bisect
+
+    def counted(*args):
+        solver_calls[0] += 1
+        return newton_bisect(*args)
+
+    monkeypatch.setattr(core, "_newton_bisect", counted)
     for abc in PARAM_SETS:
         p = Params(*map(float, abc))
         for bi in branches(p):
             xs = [*interior_points(bi, 10), *_near_seam_points(p, bi), *_open_end_points(bi)]
             for x in xs:
-                f_calls[0] = 0
+                f_calls[0] = solver_calls[0] = 0
                 r = evaluate(p, bi.index, x)
                 assert f_calls[0] == r.iterations, (p, bi.index, x)
+                assert solver_calls[0] == (r.iterations > 1), (p, bi.index, x)
 
 
 def _warm_solves(monkeypatch, f_calls, sweeps):
@@ -374,7 +384,7 @@ def _warm_solves(monkeypatch, f_calls, sweeps):
     # inverter, checking every answer against evaluate's contract; returns
     # (cold, evaluations of f, calls to _solve and _newton_bisect) per invert
     # call, `cold` when the call solved x as evaluate does.  A cold call's
-    # evaluations are its solver's points.
+    # evaluations are its inversion's points.
     solves, solver_calls = [], [0]
     solve, newton_bisect = core._solve, core._newton_bisect
 

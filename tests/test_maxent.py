@@ -1096,16 +1096,18 @@ P = Params(1.0, 1.0, 1.0)
     (lambda: antiderivative(P, HUGE), "y"),
     (lambda: evaluate(P, 1, HUGE), "x"),
     (lambda: evaluate(P, 1, 2084.7878, tol=HUGE), "tol"),
+    (lambda: evaluate(P, 1, core.branches(P)[1].seams[0][1], tol=HUGE), "tol"),
     (lambda: asymptotic(P, HUGE), "x"),
     (lambda: lambert_w(HUGE), "x"),
     (lambda: ei(HUGE), "x"),
 ], ids=["q", "q_prime", "r", "k", "spec_level", "spec_alpha", "spec_beta", "solve_level",
         "solve_beta", "pdf_grid", "pdf_alpha", "pdf_beta", "weight_x", "residuals_p",
         "exp_q_x", "exp_q_q", "entropy_p", "ln_q_q", "ln_qq_q_prime", "params_a", "forward_y",
-        "derivative_y", "antiderivative_y", "evaluate_x", "evaluate_tol", "asymptotic_x",
-        "lambert_w_x", "ei_x"])
+        "derivative_y", "antiderivative_y", "evaluate_x", "evaluate_tol",
+        "evaluate_tol_at_seam", "asymptotic_x", "lambert_w_x", "ei_x"])
 def test_a_value_past_the_double_range_is_refused_by_name(call, name):
-    # Each raised a raw OverflowError: `int too large to convert to float`.
+    # Each raised a raw OverflowError: `int too large to convert to float`,
+    # but for x at a seam, where evaluate answered the seam before it read tol.
     with pytest.raises(DomainError, match=rf"^{name} must be finite, got a value past the "
                                           rf"double range$"):
         call()
