@@ -72,13 +72,14 @@ import enum
 import functools
 import math
 import operator
-import sys
 from collections.abc import Callable, Iterable, Sequence
 
 from .errors import (
+    _DBL_MAX,
+    _DBL_MIN,
+    _LOG_DBL_MAX,
     ConvergenceError,
     DomainError,
-    LogLambertError,
     NoSolutionError,
     RangeError,
     SingularityError,
@@ -249,14 +250,14 @@ class EvalResult(_Record):
 def forward(p: Params, y: float) -> float:
     """f(y) = (a*y*ln(b*y) + y + c) * e^y; requires b*y > 0.
 
+    y passes the rule in `errors` (a real number, read as its float).
     Raises RangeError naming y when f(y) overflows the double range.
     """
-    try:
-        value = _forward_and_slope(p, y)[0]
-    except (TypeError, OverflowError):  # y no float that computes as one: refused or converted
-        value = _forward_and_slope(p, y := _real("y", y))[0]
+    if type(y) is not float:
+        y = _real("y", y)
+    value = _forward_and_slope(p, y)[0]
     if not math.isfinite(value):
-        raise RangeError(f"forward map overflows the double range at y={float(y)!r}")
+        raise RangeError(f"forward map overflows the double range at y={y!r}")
     return value
 
 
@@ -278,9 +279,6 @@ def singular_residual(p: Params, y: float) -> float:
     points of the inverse.
     """
     return _seam_and_slope(p, _real("y", y))[0]
-
-
-_DBL_MIN, _DBL_MAX = sys.float_info.min, sys.float_info.max
 
 
 def _log_by(p: Params, y: float, what: str) -> float:
@@ -388,7 +386,6 @@ def _newton_bisect(fn: Callable[[float], tuple[float, ...]], target: float,
 # Seams are sought on e^-708 <= |y| <= ln(DBL_MAX): below, y is not a normal
 # double; above, e^y overflows.
 _Y_MIN = math.exp(-708.0)
-_Y_MAX = math.log(_DBL_MAX)
 
 
 def _knots(p: Params) -> list[float]:
@@ -433,12 +430,12 @@ def singular_points(p: Params) -> list[float]:
                     f"the admissible half-line; the catalog needs {expected}")
 
     # |y| at the ends of the monotone pieces, outward from 0, clipped to the search range.
-    ends = [_Y_MIN, *[min(max(abs(k), _Y_MIN), _Y_MAX) for k in knots], _Y_MAX]
+    ends = [_Y_MIN, *[min(max(abs(k), _Y_MIN), _LOG_DBL_MAX) for k in knots], _LOG_DBL_MAX]
     # The first point zeroes the terms of s that dominate as y -> 0
     # (a*ln(b*y) + a + c + 1), else as |y| -> inf (y*(a*ln(b*y) + 1)),
     # whichever lies inside (lo, hi) first.
-    near = math.exp(min(-(a + c + 1.0) / a, _Y_MAX)) / b
-    far = math.exp(min(-1.0 / a, _Y_MAX)) / b
+    near = math.exp(min(-(a + c + 1.0) / a, _LOG_DBL_MAX)) / b
+    far = math.exp(min(-1.0 / a, _LOG_DBL_MAX)) / b
     seam_equation = functools.partial(_seam_and_slope, p)
     roots = []
     for i in pieces:
@@ -447,7 +444,7 @@ def singular_points(p: Params) -> list[float]:
         if (s_lo > 0.0) == (s_hi > 0.0):
             raise RangeError(
                 f"seam equation for a={a!r}, b={b!r}, c={c!r} has a root outside the searched "
-                f"range e^-708 <= |y| <= {_Y_MAX:.6g}"
+                f"range e^-708 <= |y| <= {_LOG_DBL_MAX:.6g}"
             )
         y = near if lo < near < hi else far if lo < far < hi else _split(lo, hi)
         roots.append(_newton_bisect(seam_equation, 0.0, lo, hi, s_lo < s_hi, 0.0,
@@ -502,10 +499,8 @@ def _catalog(a: float, b: float, c: float) -> tuple[tuple[BranchInfo, ...], dict
     seams = sorted(singular_points(p), key=abs)
     ends = [(math.copysign(min(_Y_NEAR, 0.5 * abs(seams[0])), p.b), p.c, None)]
     for d in seams:
-        try:
-            f_d = forward(p, d)
-        except RangeError:
-            raise _range_error(p, f"f at the seam y={d!r}") from None
+        if not math.isfinite(f_d := _forward_and_slope(p, d)[0]):
+            raise _range_error(p, f"f at the seam y={d!r}")
         s1 = _seam_and_slope(p, d)[1]
         ends.append((d, f_d, (s1 * math.exp(d), *_seam_terms(p.a, d, s1))))
     ends.append((math.copysign(_Y_FAR, p.b),
@@ -644,8 +639,8 @@ def _solve(p: Params, plan: _Plan, x: float, tol: float
     # branch-point expansion at a seam (_seam_start), else from the branch's
     # open end (_end_start), else from the bracket's bisection point.  f is
     # evaluated there, through plan.f, and that point is the root when it
-    # meets tol; else it and its evaluation start the solver.  The limit
-    # comes first, so an int tol past the doubles overflows at a seam too.
+    # meets tol; else it and its evaluation start the solver.  x and tol are
+    # floats, read by the rule in `errors` at the public entries.
     if not (0.0 < tol < math.inf and plan.x_min <= x <= plan.x_max):
         if not 0.0 < tol < math.inf:
             raise DomainError(f"tol must be {'finite' if tol > 0.0 else 'positive'}, got {tol!r}")
@@ -782,14 +777,12 @@ def evaluate(p: Params, branch: int, x: float, tol: float = 1e-12) -> EvalResult
     point that meets the tolerance is the root (iterations = 1): only a
     miss enters the solver.  The bracket, f''(d), k2, k3
     and the other per-branch constants come with the catalog.
+    x and tol pass the rule in `errors` (real numbers, read as their floats).
     Deterministic for fixed inputs.
     """
-    try:
-        y, res, it, at_seam, _ = _solve(p, _plan_or_raise(p, branch), x, tol)
-    except (TypeError, ArithmeticError, LogLambertError):  # x or tol no float: redone as floats
-        if _real("x", x) is x and _real("tol", tol) is tol:
-            raise
-        return evaluate(p, branch, _real("x", x), _real("tol", tol))
+    if type(x) is not float or type(tol) is not float:
+        x, tol = _real("x", x), _real("tol", tol)
+    y, res, it, at_seam, _ = _solve(p, _plan_or_raise(p, branch), x, tol)
     return EvalResult(y, res, it, at_seam)
 
 
@@ -874,7 +867,8 @@ def taylor_first_order(p: Params) -> tuple[float, float]:
         u = bc / a
         L = (1.0 / a + math.log(abs(u)) if _DBL_MIN <= abs(bc) and _DBL_MIN <= abs(u) < math.inf
              else 1.0 / a + math.log(abs(b)) + math.log(abs(c)) - math.log(abs(a)))
-        t = math.inf if math.copysign(1.0, u) > 0.0 else -math.exp(L) if L <= _Y_MAX else -math.inf
+        t = (math.inf if math.copysign(1.0, u) > 0.0
+             else -math.exp(L) if L <= _LOG_DBL_MAX else -math.inf)
     if t < BRANCH_POINT:
         raise DomainError(f"no real expansion point: W argument {t!r} below -1/e")
     w = _w_exp(L) if t == math.inf else lambert_w(t)
@@ -1014,7 +1008,7 @@ def asymptotic(p: Params, x: float) -> float:
     elif log_w is None:
         cw = p.c / w
     else:  # W has lost bits: c/W = (c/x)*(a+1)*e^-s, as e^W = 1
-        cw = p.c / x * a1 * math.exp(-s) if -s <= _Y_MAX else math.inf
+        cw = p.c / x * a1 * math.exp(-s) if -s <= _LOG_DBL_MAX else math.inf
     if math.isfinite(cw):
         brace = (t + cw) / a1
         if not brace > 0.0:

@@ -1,6 +1,7 @@
 """Exception taxonomy shared across the package, and the one rule for its public numbers."""
 
 import math
+import sys
 
 __all__ = ["LogLambertError", "DomainError", "SingularityError", "ConvergenceError",
            "NoSolutionError", "UnsupportedCaseError", "IntegrationError", "RangeError"]
@@ -36,6 +37,12 @@ class IntegrationError(LogLambertError):
 
 class RangeError(LogLambertError, OverflowError):
     """A result leaves the double range."""
+
+
+# The double range: its least normal and largest finite double, and their logs
+# (e^L is a normal double for _LOG_DBL_MIN <= L <= _LOG_DBL_MAX).
+_DBL_MIN, _DBL_MAX = sys.float_info.min, sys.float_info.max
+_LOG_DBL_MIN, _LOG_DBL_MAX = math.log(_DBL_MIN), math.log(_DBL_MAX)
 
 
 def _real(name, v):

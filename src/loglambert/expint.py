@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import math
 
-from .errors import ConvergenceError, DomainError, RangeError, _real
+from .errors import _LOG_DBL_MAX, ConvergenceError, DomainError, RangeError, _real
 
 __all__ = ["ei", "EULER_GAMMA"]
 
 #: Euler-Mascheroni constant to 20 digits.
 EULER_GAMMA = 0.57721566490153286061
 
-_LOG_DBL_MAX = 709.782712893384
 _CF_CUTOFF = -2.5
 _SERIES_POS_CUTOFF = 40.0
 

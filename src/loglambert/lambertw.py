@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import enum
 import math
-import sys
 
-from .errors import ConvergenceError, DomainError, _real
+from .errors import _LOG_DBL_MAX, _LOG_DBL_MIN, ConvergenceError, DomainError, _real
 
 __all__ = ["WBranch", "lambert_w", "w0", "wm1", "BRANCH_POINT"]
 
@@ -27,9 +26,6 @@ __all__ = ["WBranch", "lambert_w", "w0", "wm1", "BRANCH_POINT"]
 BRANCH_POINT = -math.exp(-1.0)
 
 _MAX_ITER = 50
-
-# e^L is a normal double for _LOG_DBL_MIN <= L <= _LOG_DBL_MAX.
-_LOG_DBL_MIN, _LOG_DBL_MAX = math.log(sys.float_info.min), math.log(sys.float_info.max)
 
 # e split into two doubles, so e*x + 1 can be formed without losing the
 # low bits that carry all the information right at the branch point.

@@ -77,10 +77,10 @@ import math
 from collections.abc import Callable, Sequence
 
 # `evaluate` is unused here: perfbench's span test reads it as maxent.evaluate.
-from .core import (_Y_MAX, BranchInfo, Monotone, Params, _forward_and_slope, _inverter,
-                   _newton_bisect, _plan_or_raise, _Record, branches, evaluate)
-from .errors import (ConvergenceError, DomainError, IntegrationError, LogLambertError, RangeError,
-                     _finite, _real)
+from .core import (BranchInfo, Monotone, Params, _forward_and_slope, _inverter, _newton_bisect,
+                   _plan_or_raise, _Record, branches, evaluate)
+from .errors import (_DBL_MAX, _LOG_DBL_MAX, ConvergenceError, DomainError, IntegrationError,
+                     LogLambertError, RangeError, _finite, _real)
 from .qcalculus import _LIMIT_TOL, EntropyParams, _deformed_log, _stretches
 
 __all__ = [
@@ -98,7 +98,6 @@ __all__ = [
 ]
 
 _EVAL_TOL = 1e-13
-_MAX = 1.7976931348623157e308  # the largest double
 
 
 class EnsembleSpec(_Record):
@@ -229,7 +228,7 @@ def _weight_domain(params: Params, bi: BranchInfo) -> tuple[float, float]:
     # tolerance, so that a root found within that tolerance of an end keeps
     # the brace positive.
     lo, hi = bi.x_domain.lo, bi.x_domain.hi
-    y_star = math.exp(min(-1.0 / params.a, _Y_MAX)) / params.b
+    y_star = math.exp(min(-1.0 / params.a, _LOG_DBL_MAX)) / params.b
     up = (params.a > 0.0) == (params.b > 0.0)  # brace > 0 for y above y*
     if bi.y_range.contains(y_star):
         x_star = _forward_and_slope(params, y_star)[0]
@@ -237,7 +236,7 @@ def _weight_domain(params: Params, bi: BranchInfo) -> tuple[float, float]:
     elif (y_star <= bi.y_range.lo) != up:
         raise DomainError(f"weight undefined on all of branch {bi.index}: "
                           f"a*ln(b*y) + 1 <= 0 there")
-    lo, hi = max(lo, -_MAX), min(hi, _MAX)
+    lo, hi = max(lo, -_DBL_MAX), min(hi, _DBL_MAX)
     return (lo + 2.0 * _EVAL_TOL * max(1.0, abs(lo)),
             hi - 2.0 * _EVAL_TOL * max(1.0, abs(hi)))
 
@@ -446,7 +445,7 @@ def solve_alpha(
     # ends stay where alpha, the argument's product and midpoints are finite.
     e_lo, e_hi = sorted(_level_sum(ep, x) for x in _weight_domain(params, bi))
     lo_shift, hi_shift = sorted([beta * min(levels), beta * max(levels)])
-    cap = 0.5 * _MAX / max(1.0, abs(ratio))
+    cap = 0.5 * _DBL_MAX / max(1.0, abs(ratio))
     a_lo = max(e_lo - lo_shift, -cap)
     a_hi = min(e_hi - hi_shift, cap)
     if not a_lo < a_hi:
@@ -714,7 +713,7 @@ def continuous_pdf(
         for s in ss:
             log_y = l0 + dl * s * s
             y = sign_y * math.exp(log_y)
-            e_y = math.exp(y) if y <= _Y_MAX else math.inf
+            e_y = math.exp(y) if y <= _LOG_DBL_MAX else math.inf
             brace = a * (log_y + log_b) + 1.0
             x2 = ((brace * y + c) * e_y - A) / B
             out.append(math.pow(brace, power) * ((y + 1.0) * brace + a + c) * e_y * y * dl * s

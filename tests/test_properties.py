@@ -506,22 +506,25 @@ _KINDS = {
     "Decimal NaN": lambda u: Decimal("NaN"),
     "Decimal sNaN": lambda u: Decimal("sNaN"),
     "float64": np.float64,
+    "float32": np.float32,
     "int64": lambda u: np.int64(round(u)),
     "bool": lambda u: u > 0.0,
     "None": lambda u: None,
     "str": repr,
     "complex": lambda u: complex(u, 0.0),
 }
-_FITS = {"float", "int", "Fraction", "Decimal", "Decimal NaN", "float64", "int64", "bool"}
+_FITS = {"float", "int", "Fraction", "Decimal", "Decimal NaN", "float64", "float32", "int64",
+         "bool"}
 
 
 def _bits(value):
-    # An answer's floats as hex strings, through records, tuples and lists.
+    # An answer's floats as hex strings, through records, tuples and lists;
+    # any other value, a numpy float64 too, as its repr.
     if isinstance(value, _Record):
         return _bits(value._values(value))
     if isinstance(value, (tuple, list)):
         return [_bits(v) for v in value]
-    return value.hex() if isinstance(value, float) else repr(value)
+    return value.hex() if type(value) is float else repr(value)
 
 
 def _outcome(call, v):
