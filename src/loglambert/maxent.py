@@ -78,7 +78,7 @@ from collections.abc import Callable, Sequence
 
 # `evaluate` is unused here: perfbench's span test reads it as maxent.evaluate.
 from .core import (BranchInfo, Monotone, Params, _forward_and_slope, _inverter, _newton_bisect,
-                   _plan_or_raise, _Record, branches, evaluate)
+                   _Plan, _plan_or_raise, _Record, branches, evaluate)
 from .errors import (_DBL_MAX, _LOG_DBL_MAX, ConvergenceError, DomainError, IntegrationError,
                      LogLambertError, RangeError, _finite, _real)
 from .qcalculus import _LIMIT_TOL, EntropyParams, _deformed_log, _stretches
@@ -159,12 +159,6 @@ def _arguments(ep: EntropyParams, alpha: float, beta: float) -> Callable[..., li
     return lambda levels: [(shift + beta * eps) * ratio * e_ratio for eps in levels]
 
 
-def _level_sum(ep: EntropyParams, x: float) -> float:
-    # alpha + beta*eps at which a level's argument is x (_argument inverted).
-    inv_cr, ratio, e_ratio = _scale(ep)
-    return x / (ratio * e_ratio) + inv_cr
-
-
 def _check_level(spec: EnsembleSpec, i: int) -> None:
     if not (hasattr(i, "__index__") and 0 <= i < len(spec.levels)):  # an integer in range
         raise DomainError(f"level index i={i!r} outside 0..{len(spec.levels) - 1}")
@@ -186,35 +180,36 @@ def level_argument(spec: EnsembleSpec, i: int) -> float:
     return x
 
 
-def _weight(q1: float, branch: int, x: float, brace: float) -> float:
-    # The unnormalised weight brace^(1/q1), q1 = q - 1, from the root's brace.
-    if not brace > 0.0:
-        raise DomainError(f"weight undefined: brace {brace!r} non-positive at x={x!r} "
-                          f"(branch {branch} mismatch?)")
-    try:
-        return math.exp(math.log(brace) / q1)
-    except OverflowError:
-        raise RangeError(f"weight brace^(1/(q-1)) = {brace!r}^{1.0 / q1!r} "
-                         f"overflows the double range at x={x!r}") from None
-
-
-def _weights(params: Params, q1: float, branch: int, invert: Callable, xs: Sequence[float],
+def _weights(plan: _Plan, q1: float, invert: Callable, xs: Sequence[float],
              order: Sequence[int], name: Callable[[int], str] = lambda i: "") -> tuple[list, ...]:
     # (ys, ws, slopes, braces) by index of xs from one batch of `invert` in
-    # `order`, the weights as _weight forms them.  A refusal is the first one
-    # met by inverting and weighing x by x (after a refused batch, from a
-    # fresh inverter: the batch's roots if `invert` was fresh), name(i) first.
-    braces, exp, log = None, math.exp, math.log
+    # `order`, each weight brace^(1/q1), q1 = q - 1: the one place a brace
+    # becomes a weight.  A refusal names its x, name(i) first: for a refused
+    # batch, which hands out no braces, the first x in `order` outside the
+    # branch's domain (the only refusal an inversion of these arguments
+    # meets); for weights that fail, the first brace in `order` that is not
+    # positive or whose weight overflows the double range.
     try:
         ys, slopes, braces = invert(xs, order)
-        return ys, [exp(log(brace) / q1) for brace in braces], slopes, braces
-    except (ConvergenceError, ValueError, OverflowError):  # DomainError is a ValueError
-        again = _inverter(params, branch, _EVAL_TOL)
+    except DomainError as exc:
         for i in order:
+            if not plan.x_min <= xs[i] <= plan.x_max:
+                raise DomainError(f"{name(i)}{exc}") from exc
+        raise
+    exp, log = math.exp, math.log
+    try:
+        return ys, [exp(log(brace) / q1) for brace in braces], slopes, braces
+    except (ValueError, OverflowError):
+        for i in order:
+            brace, x = braces[i], xs[i]
+            if not brace > 0.0:
+                raise DomainError(f"{name(i)}weight undefined: brace {brace!r} non-positive at "
+                                  f"x={x!r} (branch {plan.info.index} mismatch?)") from None
             try:
-                _weight(q1, branch, xs[i], again([xs[i]])[2][0] if braces is None else braces[i])
-            except (DomainError, RangeError) as exc:
-                raise type(exc)(f"{name(i)}{exc}") from exc
+                exp(log(brace) / q1)
+            except OverflowError:
+                raise RangeError(f"{name(i)}weight brace^(1/(q-1)) = {brace!r}^{1.0 / q1!r} "
+                                 f"overflows the double range at x={x!r}") from None
         raise
 
 
@@ -281,12 +276,12 @@ def _all_weights(spec: EnsembleSpec, branch: int) -> tuple[tuple[float, ...], ..
     # inversion.  A refused pass with an argument beyond the double range
     # raises level_argument's RangeError for it.
     ep = spec.ep
-    params, q1 = ep.induced_params(), ep.q - 1.0
-    invert = _inverter(params, branch, _EVAL_TOL)
+    params = ep.induced_params()
+    plan, invert = _plan_or_raise(params, branch), _inverter(params, branch, _EVAL_TOL)
     xs = _arguments(ep, spec.alpha, spec.beta)(spec.levels)
     try:
         ys, ws, slopes, braces = _weights(
-            params, q1, branch, invert, xs,
+            plan, ep.q - 1.0, invert, xs,
             range(len(xs)) if xs == sorted(xs) else sorted(range(len(xs)), key=xs.__getitem__),
             lambda i: f"level {i} (eps={spec.levels[i]!r}): ")
     except LogLambertError:
@@ -437,13 +432,13 @@ def solve_alpha(
     if branch is None:
         branch = suggest_branch(ep, n)
     bi = _plan_or_raise(params, branch).info
-    _, ratio, e_ratio = _scale(ep)
-    k = ratio * e_ratio  # dx_i/dalpha
+    inv_cr, ratio, e_ratio = _scale(ep)
+    k = ratio * e_ratio  # dx_i/dalpha; alpha + beta*eps = x/k + inv_cr at the argument x
 
     # Every level's argument lies where the weight is defined for alpha in
     # (a_lo, a_hi), the shifts beta*eps extreme at the extreme levels.  The
     # ends stay where alpha, the argument's product and midpoints are finite.
-    e_lo, e_hi = sorted(_level_sum(ep, x) for x in _weight_domain(params, bi))
+    e_lo, e_hi = sorted(x / k + inv_cr for x in _weight_domain(params, bi))
     lo_shift, hi_shift = sorted([beta * min(levels), beta * max(levels)])
     cap = 0.5 * _DBL_MAX / max(1.0, abs(ratio))
     a_lo = max(e_lo - lo_shift, -cap)
@@ -479,7 +474,7 @@ def solve_alpha(
         mean = math.fsum(levels) / n
     except OverflowError:  # a sum of levels beyond the double range, not their mean
         mean = math.fsum([eps / n for eps in levels])
-    start, bk = _level_sum(ep, x_u) - beta * mean, beta * k
+    start, bk = x_u / k + inv_cr - beta * mean, beta * k
     start -= _spread_step(params, q1, k, y_u, slope_u, params.a * log_by + 1.0,
                           [bk * (eps - mean) for eps in levels])
     increasing = ((ep.q > 1.0) == (params.a > 0.0)) == (bi.monotone is Monotone.INCREASING)
@@ -534,13 +529,14 @@ def continuous_weight(
 ) -> float:
     """Unnormalised density at x for the quadratic level eps(x) = x**2.
 
-    DomainError unless alpha, beta and x are finite; RangeError, naming
-    the inversion argument, when the weight exceeds the double range.
+    DomainError unless alpha, beta and x are finite; else it refuses as a
+    pass does, naming the inversion argument: DomainError outside the branch
+    or where the brace is not positive, and RangeError past the double range.
     """
     alpha, beta, x = _finite(("alpha", "beta", "x"), (alpha, beta, x))
     params, arg = ep.induced_params(), _arguments(ep, alpha, beta)((x * x,))[0]
-    brace = _inverter(params, branch, _EVAL_TOL)([arg])[2][0]
-    return _weight(ep.q - 1.0, branch, arg, brace)
+    inverter = _inverter(params, branch, _EVAL_TOL)
+    return _weights(_plan_or_raise(params, branch), ep.q - 1.0, inverter, (arg,), (0,))[1][0]
 
 
 # 15-point Kronrod nodes on [-1, 1] (positive half and 0) and weights; every
@@ -647,14 +643,14 @@ def continuous_pdf(
     # weight.  Each argument's root is kept too: those at x = 0 and x = L
     # bound the outer piece.
     params = ep.induced_params()
-    invert = _inverter(params, branch, _EVAL_TOL)
+    plan, invert = _plan_or_raise(params, branch), _inverter(params, branch, _EVAL_TOL)
     argument, q1, weights, roots = _arguments(ep, alpha, beta), ep.q - 1.0, {}, {}
 
     def g(points: Sequence[float]) -> list[float]:
         args = argument([x * x for x in points])
         new = [arg for arg in dict.fromkeys(args) if arg not in weights]
         if new:  # a batch of memo hits calls no inverter
-            ys, ws, _, _ = _weights(params, q1, branch, invert, new, range(len(new)))
+            ys, ws, _, _ = _weights(plan, q1, invert, new, range(len(new)))
             weights.update(zip(new, ws))
             roots.update(zip(new, ys))
         return [weights[arg] for arg in args]
@@ -672,9 +668,10 @@ def continuous_pdf(
         )
 
     # The support cut: the largest |x| whose level x**2 keeps the argument
-    # where the weight is defined.
-    ends = _weight_domain(params, _plan_or_raise(params, branch).info)
-    cut = math.sqrt(max(0.0, *((_level_sum(ep, x) - alpha) / beta for x in ends))
+    # where the weight is defined (alpha + beta*x**2 = x_arg/(ratio*e^ratio) + 1/(1-r)).
+    inv_cr, ratio, e_ratio = _scale(ep)
+    ends = _weight_domain(params, plan.info)
+    cut = math.sqrt(max(0.0, *((x / (ratio * e_ratio) + inv_cr - alpha) / beta for x in ends))
                     ) if beta else math.inf
 
     # Grow L beyond the grid until the tail is negligible for quadrature,
@@ -696,7 +693,6 @@ def continuous_pdf(
 
     # The two pieces of [0, L] (see the docstring).  Near y0, f(y) - A is
     # known only to f's rounding, so [0, x_c] stays in x.
-    _, ratio, e_ratio = _scale(ep)
     a, c, A, B = params.a, params.c, argument((0.0,))[0], beta * ratio * e_ratio
     y0, yL = roots[A], roots[argument((L * L,))[0]]
     y_c = y0 + (yL - y0) * _T_C * _T_C

@@ -216,6 +216,9 @@ def test_taylor_no_real_expansion_point():
     # a = b = c = 1 puts the W argument at -e, below the branch point
     with pytest.raises(DomainError):
         taylor_first_order(P111)
+    # c = e^-2 puts it at -1/e, where W(t) = -1 and f'(a0) = 0
+    with pytest.raises(SingularityError, match=r"W\(t\) = -1"):
+        taylor_first_order(Params(1.0, 1.0, math.exp(-2.0)))
 
 
 def test_taylor_coefficients_match_closed_form():

@@ -611,6 +611,7 @@ def test_plan_bounds_admit_what_the_domain_contains():
                     evaluate(p, index, x)
         with pytest.raises(DomainError, match="^x must not be NaN$"):
             evaluate(p, index, math.nan)
+        assert not dom.contains(math.nan)  # NaN fails no comparison of its own
 
 
 def test_empty_domain_admits_nothing():

@@ -47,6 +47,8 @@ def test_overflow():
         ei(720.0)
     # just under the limit still evaluates
     assert math.isfinite(ei(709.0))
+    # at the other end the continued fraction's scale e^x underflows: Ei is -0
+    assert repr(ei(-800.0)) == "-0.0"
 
 
 def test_quadrature_oracle_agreement():
@@ -55,7 +57,9 @@ def test_quadrature_oracle_agreement():
 
 
 def test_overflow_is_typed():
-    for x in (720.0, math.inf):
+    # 716.355491 passes the exponent check x - ln(x) <= ln(DBL_MAX), and the
+    # series' product with e^(x - ln x) overflows.
+    for x in (720.0, 716.355491, math.inf):
         with pytest.raises(RangeError, match="double range"):
             ei(x)
 

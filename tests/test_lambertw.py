@@ -122,6 +122,8 @@ def test_domain_errors():
         wm1(0.5)
     with pytest.raises(DomainError):
         w0(math.nan)
+    with pytest.raises(DomainError, match="^unknown branch 'x'$"):
+        lambert_w(1.0, "x")
 
 
 def test_principal_branch_at_infinity():

@@ -363,6 +363,7 @@ def test_suggest_branch_refuses_a_huge_negative_count_without_printing_it():
     (lambda: suggest_branch(EP, -1), "n_levels"),
     (lambda: suggest_branch(EP, math.inf), "n_levels"),
     (lambda: suggest_branch(EP, 2.5), "n_levels"),
+    (lambda: continuous_pdf(EP, 0.0, 0.1, 0, []), "x_grid"),
 ])
 def test_no_levels_is_refused(call, name):
     # These raised ZeroDivisionError, ValueError (min of an empty sequence),
@@ -409,6 +410,8 @@ def test_solve_alpha_refuses_a_level_or_beta_that_is_not_finite(count_calls, lev
 def test_pseudo_beta(solved_spec):
     expected = solved_spec.beta / (1.0 - solved_spec.alpha * (1.0 - EP.r))
     assert pseudo_beta(solved_spec) == pytest.approx(expected, rel=1e-15)
+    with pytest.raises(DomainError, match=r"1 - alpha\*\(1-r\) = 0"):
+        pseudo_beta(EnsembleSpec((0.0,), 1.0 / (1.0 - EP.r), 0.1, EP))
 
 
 def test_higher_energy_less_probable_on_increasing_branch():
@@ -438,6 +441,39 @@ def test_weight_overflow_is_a_range_error_naming_the_level():
             call()
     with pytest.raises(RangeError, match="overflows the double range at x="):
         continuous_weight(spec.ep, spec.alpha, spec.beta, 0, 0.0)  # eps = 0.0**2
+
+
+@pytest.mark.parametrize("spec, error, message", [
+    (EnsembleSpec((0.0, 50.0), 0.0, 0.5, EP), DomainError,
+     "level 1 (eps=50.0): x=145.65489478598727 outside branch 0 domain "
+     "[-22.712961470429377, -5.0000000000000009)"),
+    (EnsembleSpec((0.0,), 2.589566130524016, 0.1, EntropyParams(0.99, 0.8, 0.7)), RangeError,
+     "level 0 (eps=0.0): weight brace^(1/(q-1)) = 0.0003288873366081857^-99.99999999999991 "
+     "overflows the double range at x=-5.000000015559651"),
+    (EnsembleSpec((0.0, 0.1), 2.515, 0.1, EP), DomainError,
+     "level 0 (eps=0.0): weight undefined: brace -0.41671394303038545 non-positive at "
+     "x=-5.501273333839977 (branch 0 mismatch?)"),
+    # Level 0's brace is not positive too, but the batch stops at level 1.
+    (EnsembleSpec((0.0, 1.0), 2.515, 0.1, EP), DomainError,
+     "level 1 (eps=1.0): x=-4.829019973289268 outside branch 0 domain "
+     "[-22.712961470429377, -5.0000000000000009)"),
+], ids=["outside_the_branch", "weight_overflows", "brace_not_positive", "domain_before_brace"])
+def test_a_refused_pass_names_its_level_from_its_own_inverter(monkeypatch, spec, error, message):
+    # The pass's batch names the level: a refused inversion the first
+    # argument outside the branch, failed weights the first brace that
+    # refuses.  No second inverter walks the levels again.
+    made, make = [], maxent._inverter
+
+    def counted(*args):
+        made.append(args)
+        return make(*args)
+
+    monkeypatch.setattr(maxent, "_inverter", counted)
+    maxent._all_weights.cache_clear()
+    with pytest.raises(error) as exc:
+        distribution(spec, 0)
+    assert str(exc.value) == message
+    assert len(made) == 1
 
 
 def test_solve_alpha_converges_tightly():
@@ -652,12 +688,12 @@ def test_spread_step_is_close_to_the_newton_step_at_the_uniform_start(levels):
     # levels, 8e-6 on 128.
     n, beta = len(levels), 0.1
     params, branch = EP.induced_params(), suggest_branch(EP, n)
-    _, ratio, e_ratio = maxent._scale(EP)
+    inv_cr, ratio, e_ratio = maxent._scale(EP)
     k = ratio * e_ratio
     y = maxent._uniform_y(EP, n)
     x, slope, log_by = core._forward_and_slope(params, y)
     mean = math.fsum(levels) / n
-    alpha_u = maxent._level_sum(EP, x) - beta * mean
+    alpha_u = x / k + inv_cr - beta * mean
     _, ys, ws, slopes, braces = maxent._all_weights(
         EnsembleSpec(levels=levels, alpha=alpha_u, beta=beta, ep=EP), branch)
     z1 = maxent._z_slopes(params, EP.q - 1.0, k, ys, ws, slopes, braces)[0]
