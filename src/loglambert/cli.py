@@ -5,7 +5,9 @@ Subcommands:
 * ``eval``      invert the forward map on one branch at a given x
 * ``table``     accuracy table of the large-x approximation (a = b = c = 1)
 * ``branches``  branch catalog, optionally with curve samples for plotting
-* ``maxent``    maximum-entropy distribution for given multipliers
+* ``maxent``    maximum-entropy distribution for given multipliers, on the
+                levels of ``--levels FILE`` or the quadratic level of
+                ``--quadratic LO:HI:N`` (exactly one of the two)
 
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
 2 domain/parameter errors, 3 convergence failures.  Formats: ``table``
@@ -36,8 +38,6 @@ def _fmt17(v):
 
 def _fmt4(v):
     if isinstance(v, float):
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
         if v != 0.0 and (abs(v) >= 1e6 or abs(v) < 1e-4):
             return f"{v:.4e}"
         return f"{v:.4f}"
@@ -244,11 +244,10 @@ def _read_levels(path: str) -> list[float]:
 
 
 def _cmd_maxent(args) -> int:
-    ep = qcalculus.EntropyParams(q=args.q, q_prime=args.qprime, r=args.r, k=args.k)
-    params = {"q": args.q, "q_prime": args.qprime, "r": args.r, "k": args.k,
-              "beta": args.beta}
+    ep = qcalculus.EntropyParams(q=args.q, q_prime=args.qprime, r=args.r)
+    params = {"q": args.q, "q_prime": args.qprime, "r": args.r, "beta": args.beta}
 
-    if args.quadratic:
+    if args.quadratic is not None:
         if args.branch is None:
             raise DomainError("continuous mode needs an explicit --branch")
         grid = _parse_grid(args.quadratic)
@@ -321,14 +320,14 @@ def _build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--q", type=float, required=True)
     pm.add_argument("--qprime", type=float, required=True)
     pm.add_argument("--r", type=float, required=True)
-    pm.add_argument("--k", type=float, default=1.0, help="entropy scale")
     pm.add_argument("--alpha", type=float, required=True,
                     help="normalisation multiplier")
     pm.add_argument("--beta", type=float, required=True,
                     help="level multiplier")
-    pm.add_argument("--levels", help="file with one level per line")
-    pm.add_argument("--quadratic", metavar="LO:HI:N",
-                    help=f"continuous mode: N (2 to {_MAX_SAMPLES}) points for the level x**2")
+    mode = pm.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--levels", help="file with one level per line")
+    mode.add_argument("--quadratic", metavar="LO:HI:N",
+                      help=f"continuous mode: N (2 to {_MAX_SAMPLES}) points for the level x**2")
     pm.add_argument("--branch", type=int, default=None,
                     help="branch index (default: warm-start suggestion)")
     pm.add_argument("--solve-alpha", action="store_true",
@@ -344,10 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "maxent" and not args.quadratic and not args.levels:
-        parser.error("maxent needs --levels FILE or --quadratic LO:HI:N")
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConvergenceError as exc:

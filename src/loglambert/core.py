@@ -84,6 +84,7 @@ from .errors import (
     RangeError,
     SingularityError,
     UnsupportedCaseError,
+    _exp,
     _finite,
     _real,
 )
@@ -302,9 +303,9 @@ def _seam_and_slope(p: Params, y: float) -> tuple[float, float]:
 
 
 def _forward_and_slope(p: Params, y: float) -> tuple[float, float, float]:
-    # (f(y), f'(y), ln(b*y)) from one log and one exp, overflow mapped to
-    # signed infinities.  The log goes out with them, so that whoever holds
-    # the point (an inversion's root) never takes it again.
+    # (f(y), f'(y), ln(b*y)) from one log and one exp; an overflow gives signed
+    # infinities (0 * _exp's inf would be nan).  The log goes out with them, so
+    # that whoever holds the point (an inversion's root) never takes it again.
     by = p.b * y
     log_by = math.log(by) if by >= _DBL_MIN else _log_by(p, y, "forward map")
     poly = p.a * y * log_by + y + p.c
@@ -802,10 +803,7 @@ def derivative(p: Params, y: float) -> float:
         raise SingularityError(
             f"vertical tangent: seam equation is {d!r} at y={y!r}"
         )
-    try:
-        value = math.exp(-y) / d
-    except OverflowError:
-        value = math.inf
+    value = _exp(-y) / d
     if not math.isfinite(value):
         raise RangeError(f"derivative overflows the double range at y={y!r}")
     return value
@@ -832,7 +830,7 @@ def antiderivative(p: Params, y: float) -> float:
     )
     try:
         value = math.exp(y) * bracket - p.a * ei(y)
-    except OverflowError:
+    except OverflowError:  # e^y, or ei's RangeError, which names Ei and not F
         value = math.inf
     if not math.isfinite(value):
         raise RangeError(f"antiderivative overflows the double range at y={y!r}")
@@ -856,10 +854,7 @@ def taylor_first_order(p: Params) -> tuple[float, float]:
     """
     a, b, c = p.a, p.b, p.c
     bc = -b * c
-    try:
-        head = bc * math.exp(1.0 / a) if c else 0.0  # t = 0 for c = 0, however large e^(1/a)
-    except OverflowError:  # 1/a > 709.78: t beyond e^(1/a)
-        head = math.inf
+    head = bc * _exp(1.0 / a) if c else 0.0  # t = 0 for c = 0, however large e^(1/a)
     t = head / a
     if c and not (_DBL_MIN <= abs(bc) and _DBL_MIN <= abs(head) and abs(t) < math.inf):
         # The product passed a subnormal value or overflowed: t = +-e^L,
@@ -874,14 +869,11 @@ def taylor_first_order(p: Params) -> tuple[float, float]:
     w = _w_exp(L) if t == math.inf else lambert_w(t)
     if w == -1.0:
         raise SingularityError("expansion point has f' = 0 (W(t) = -1)")
-    try:
-        if t == math.inf and L == math.inf:  # 1/a overflowed: a*W(t) = 1
-            a0, a1 = float(-c), math.exp(c)
-        else:
-            a0 = -c / (a * w) if abs(w) >= _DBL_MIN else math.exp(-1.0 / a) / b
-            a1 = math.exp(-a0) / (a * (w + 1.0))
-    except OverflowError:
-        a0 = a1 = math.inf
+    if t == math.inf and L == math.inf:  # 1/a overflowed: a*W(t) = 1
+        a0, a1 = -c, _exp(c)
+    else:
+        a0 = -c / (a * w) if abs(w) >= _DBL_MIN else _exp(-1.0 / a) / b
+        a1 = _exp(-a0) / (a * (w + 1.0))
     if not (a0 and math.isfinite(a0) and math.isfinite(a1)):
         raise _range_error(p, "the expansion point about x = 0")
     return a0, a1
@@ -981,10 +973,7 @@ def asymptotic(p: Params, x: float) -> float:
     s = p.c / a1
     if not math.isfinite(s):  # nor are xi, W(xi) or 2s
         raise _range_error(p, "the large-x approximation")
-    try:
-        e_s = math.exp(s)
-    except OverflowError:  # s > 709.78
-        e_s = math.inf
+    e_s = _exp(s)
     xi, log_xi = x * e_s / a1, None
     if not (e_s >= _DBL_MIN and _DBL_MIN <= abs(xi) < math.inf):  # read by ln|xi|
         log_xi = math.log(abs(x)) - math.log(abs(a1)) + s

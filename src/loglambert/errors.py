@@ -1,4 +1,5 @@
-"""Exception taxonomy shared across the package, and the one rule for its public numbers."""
+"""Exception taxonomy shared across the package, the one rule for its public numbers, and
+the one rule for e^z past the double range: _exp gives inf, and each caller names its RangeError."""
 
 import math
 import sys
@@ -40,9 +41,18 @@ class RangeError(LogLambertError, OverflowError):
 
 
 # The double range: its least normal and largest finite double, and their logs
-# (e^L is a normal double for _LOG_DBL_MIN <= L <= _LOG_DBL_MAX).
+# (e^L is a normal double for _LOG_DBL_MIN <= L <= _LOG_DBL_MAX).  An e^z that may
+# leave it is taken by _exp, whose inf the caller turns into its own RangeError.
 _DBL_MIN, _DBL_MAX = sys.float_info.min, sys.float_info.max
 _LOG_DBL_MIN, _LOG_DBL_MAX = math.log(_DBL_MIN), math.log(_DBL_MAX)
+
+
+def _exp(z):
+    # e^z, or inf where math.exp raises OverflowError.
+    try:
+        return math.exp(z)
+    except OverflowError:
+        return math.inf
 
 
 def _real(name, v):

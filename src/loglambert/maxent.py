@@ -80,7 +80,7 @@ from collections.abc import Callable, Sequence
 from .core import (BranchInfo, Monotone, Params, _forward_and_slope, _inverter, _newton_bisect,
                    _Plan, _plan_or_raise, _Record, branches, evaluate)
 from .errors import (_DBL_MAX, _LOG_DBL_MAX, ConvergenceError, DomainError, IntegrationError,
-                     LogLambertError, RangeError, _finite, _real)
+                     LogLambertError, RangeError, _exp, _finite, _real)
 from .qcalculus import _LIMIT_TOL, EntropyParams, _deformed_log, _stretches
 
 __all__ = [
@@ -141,10 +141,7 @@ def _scale(ep: EntropyParams) -> tuple[float, float, float]:
         raise DomainError(f"level arguments need q_prime and r away from 1, got "
                           f"q_prime={ep.q_prime!r}, r={ep.r!r}")
     inv_cr, ratio = 1.0 / cr, cr / cqp
-    try:
-        e_ratio = math.exp(ratio)
-    except OverflowError:
-        e_ratio = math.inf
+    e_ratio = _exp(ratio)
     if not 0.0 < e_ratio < math.inf:
         raise RangeError(f"e^((1-r)/(1-q_prime)) = e^{ratio!r} of the level arguments "
                          f"{'underflows to 0' if e_ratio == 0.0 else 'overflows the double range'}"
@@ -195,7 +192,7 @@ def _weights(plan: _Plan, q1: float, invert: Callable, xs: Sequence[float],
         for i in order:
             if not plan.x_min <= xs[i] <= plan.x_max:
                 raise DomainError(f"{name(i)}{exc}") from exc
-        raise
+        raise  # not reached: a batch refuses only an x outside the domain
     exp, log = math.exp, math.log
     try:
         return ys, [exp(log(brace) / q1) for brace in braces], slopes, braces
@@ -210,7 +207,7 @@ def _weights(plan: _Plan, q1: float, invert: Callable, xs: Sequence[float],
             except OverflowError:
                 raise RangeError(f"{name(i)}weight brace^(1/(q-1)) = {brace!r}^{1.0 / q1!r} "
                                  f"overflows the double range at x={x!r}") from None
-        raise
+        raise  # not reached: the walk meets the brace that failed in the list
 
 
 def _weight_domain(params: Params, bi: BranchInfo) -> tuple[float, float]:
@@ -241,7 +238,7 @@ def _uniform_y(ep: EntropyParams, n_levels: int) -> float:
     try:
         p_uni = 1.0 / n_levels
         u = math.exp((1.0 - ep.q_prime) / (1.0 - ep.q) * (p_uni ** (ep.q - 1.0) - 1.0))
-    except OverflowError:
+    except OverflowError:  # the ** as well as the exp
         raise RangeError("n_levels too large: the uniform warm start overflows "
                          "the double range") from None
     return (1.0 - ep.r) / (1.0 - ep.q_prime) * u

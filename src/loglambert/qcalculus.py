@@ -23,7 +23,7 @@ import math
 from collections.abc import Sequence
 
 from .core import Params, _Record
-from .errors import DomainError, RangeError, _finite, _real
+from .errors import DomainError, RangeError, _exp, _finite, _real
 
 __all__ = [
     "EntropyParams",
@@ -117,10 +117,7 @@ def exp_q(q: float, x: float) -> float:
         if not base > 0.0:
             raise DomainError(f"exp_q needs 1 + (1-q)*x > 0, got {base!r}")
         t = math.log1p(cq * x) / cq
-    try:
-        value = math.exp(t)
-    except OverflowError:
-        value = math.inf
+    value = _exp(t)
     if value == math.inf:
         raise RangeError(f"exp_q overflows the double range at x={x!r}")
     return value

@@ -539,9 +539,13 @@ def test_asymptotic_where_c_over_w_overflows_keeps_the_sign_rules():
         asymptotic(Params(1e6, -1.0, 2.0), 5e-324)
 
 
-@pytest.mark.parametrize("c", [1e300, -1e300])
-def test_asymptotic_where_s_overflows_is_a_range_error(c):
+@pytest.mark.parametrize("p", [
+    Params(-1.0 + 2.0**-52, 1.0, 1e300), Params(-1.0 + 2.0**-52, 1.0, -1e300), Params(0.5, 1.0, 1.5e308),
+], ids=["1e+300", "-1e+300", "two_s"])
+def test_asymptotic_where_s_overflows_is_a_range_error(p):
     # s = c/(a+1) = +-1e300*2**52 is beyond the double range, and so are xi
     # and 2s: the refusal names the approximation, not a NaN W(xi) or a W = 0.
+    # At c = 1.5e308, a = 0.5, s = 1e308 is finite, e^s and xi are not, and
+    # the value fails only at 2s.
     with pytest.raises(RangeError, match="the large-x approximation leaves the double range"):
-        asymptotic(Params(-1.0 + 2.0**-52, 1.0, c), 10.0)
+        asymptotic(p, 10.0)

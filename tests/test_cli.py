@@ -7,7 +7,6 @@ import math
 import os
 import re
 import resource
-import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -17,10 +16,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import loglambert
+from _readme_cli import readme_commands
 from loglambert import LogLambertError, Params, branches, cli, forward
 
 BASE = [sys.executable, "-m", "loglambert"]
-README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(*args, expect=0, **kwargs):
@@ -222,6 +221,17 @@ def test_maxent_requires_levels_or_grid():
     assert cp.returncode == 2  # argparse usage error
 
 
+@pytest.mark.parametrize("extra, fragment", [
+    (["--levels", "levels.txt", "--quadratic=-1:1:5", "--branch", "1"],
+     "argument --quadratic: not allowed with argument --levels"),
+    (["--levels", "levels.txt", "--k", "2"], "unrecognized arguments: --k 2"),
+])
+def test_maxent_refuses_both_modes_and_k(extra, fragment):
+    cp = run_cli(*MAXENT, *extra, expect=2)
+    assert cp.stdout == "" and "Traceback" not in cp.stderr
+    assert fragment in cp.stderr.splitlines()[-1]
+
+
 MAXENT = ["maxent", "--q", "0.9", "--qprime", "0.8", "--r", "0.7",
           "--alpha", "0", "--beta", "0.1"]
 
@@ -282,6 +292,8 @@ BOUNDED = dict(timeout=30, preexec_fn=_cap_memory)
     # a non-finite multiplier was reported as `x must not be NaN`
     (["--quadratic=-1:1:5", "--branch", "1", "--alpha", "nan"], "alpha must be finite, got nan"),
     (["--quadratic=-1:1:5", "--branch", "1", "--beta", "inf"], "beta must be finite, got inf"),
+    # an empty grid takes the continuous mode, not the levels one
+    (["--quadratic=", "--branch", "1"], "--quadratic"),
 ])
 def test_maxent_grid_errors(extra, fragment):
     cp = run_cli(*MAXENT, *extra, expect=2, **BOUNDED)
@@ -314,12 +326,6 @@ def _package_env():
     return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
 
 
-def _readme_commands():
-    block = README.read_text(encoding="utf-8").split("## CLI", 1)[1].split("```")[1]
-    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
-            if line.strip()]
-
-
 def _audited_runs(tmp_path, *flags):
     # tests/_import_tree.py on `import loglambert` and on each README command:
     # (argv, heavy modules loaded).  The tool itself fails a run that loads a
@@ -327,7 +333,7 @@ def _audited_runs(tmp_path, *flags):
     # another command.
     (tmp_path / "levels.txt").write_text("0.0\n0.3\n0.6\n0.9\n")
     tool = Path(__file__).resolve().parent / "_import_tree.py"
-    for argv in [["loglambert"], *_readme_commands()]:
+    for argv in [["loglambert"], *readme_commands()]:
         if ">" in argv:
             argv = argv[:argv.index(">")]
         cp = subprocess.run([sys.executable, *flags, str(tool), *argv[1:]], capture_output=True,
@@ -351,7 +357,7 @@ def test_cli_import_leaves_out_heavy_modules(tmp_path):
         assert heavy == ([] if fmt == "table" else [fmt]), argv
 
 
-@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
 def test_readme_command(argv, tmp_path):
     (tmp_path / "levels.txt").write_text("0.0\n0.3\n0.6\n0.9\n")
     assert argv[0] == "loglambert"

@@ -441,6 +441,9 @@ def test_weight_overflow_is_a_range_error_naming_the_level():
             call()
     with pytest.raises(RangeError, match="overflows the double range at x="):
         continuous_weight(spec.ep, spec.alpha, spec.beta, 0, 0.0)  # eps = 0.0**2
+    # Two levels whose weights, each about 1.2e308, are finite, but whose sum Z is not.
+    with pytest.raises(RangeError, match=r"^partition sum Z = inf of the weights "):
+        distribution(EnsembleSpec((0.0, 0.0), 2.589566130500925, 0.1, spec.ep), 0)
 
 
 @pytest.mark.parametrize("spec, error, message", [
@@ -557,6 +560,9 @@ def test_solve_alpha_refuses_at_adjacent_doubles(count_calls):
     # The uniform start lies past the brace's zero, where the weights
     # overflow, and Z stays above 1 on the whole interval.
     ([0.0, 0.5, 1.0, 2.0], 3.0, EntropyParams(0.99, 0.8, 0.7), 0),
+    # Z stays above 1 too, and a pass next to the lower end of alpha has a
+    # weight past the double range, which counts as Z = +inf.
+    ([0.0, 0.5, 1.0], 0.5, EntropyParams(0.99, 0.8, 0.4), 0),
 ])
 def test_solve_alpha_refuses_when_no_alpha_normalises(levels, beta, ep, branch):
     with pytest.raises(DomainError, match="no alpha in .* normalises the weights"):
@@ -568,6 +574,9 @@ def test_solve_alpha_refuses_an_empty_interval_without_a_pass(count_calls):
     calls = count_calls(maxent, "_all_weights")
     with pytest.raises(DomainError, match="levels span more than the branch admits"):
         solve_alpha((0.0, 50.0), 0.5, EP, 0)
+    # The brace a*ln(b*y) + 1 is not positive anywhere on branch 1 here.
+    with pytest.raises(DomainError, match="^weight undefined on all of branch 1: "):
+        solve_alpha([0.0, 0.5], 0.1, EntropyParams(0.5, 1.2, 1.3), 1)
     assert calls == []
 
 
@@ -1092,6 +1101,21 @@ def test_continuous_tail_unreachable_for_slow_decay():
     grid = [-2.0 + 4.0 * i / 40 for i in range(41)]
     with pytest.raises(IntegrationError):
         continuous_pdf(EP, 0.0, 0.5, 1, grid)
+    # Branch 0 with beta < 0: L reaches the support cut, where the density
+    # has not fallen below the criterion.
+    with pytest.raises(IntegrationError, match=r"^tail criterion not met: density at \|x\|=0\.2128"):
+        continuous_pdf(EP, 0.0, -1.0, 0, [0.0])
+
+
+@pytest.mark.parametrize("alpha, message", [
+    (-2.58956613053, "density is identically zero on the grid"),
+    (-2.58956613051, "normalisation integral 0.0 not positive"),
+])
+def test_continuous_pdf_refuses_a_density_that_underflows(alpha, message):
+    # Just inside the brace's zero, w = brace^100 underflows: to 0 at x = 0,
+    # or to a subnormal there and to 0 at every quadrature node.
+    with pytest.raises(IntegrationError, match=f"^{message}$"):
+        continuous_pdf(EntropyParams(1.01, 1.2, 1.3), alpha, -1.0, 1, [0.0])
 
 
 def test_ensemble_spec_validation():
