@@ -8,9 +8,12 @@ and Halley stalls, the square-root series in p (-p on W-1) is correctly
 rounded (truncation ~p^10) and is the answer.  Elsewhere Halley's method
 starts from a seed: that series for x < 1 on W0 and x <= -0.27 on W-1,
 log1p(x) for 1 <= x < e^1.2 on W0, else L1 - L2 + L2/L1, L1 = ln|x|, L2 = ln|L1|.
-On W-1 at a subnormal x (Halley's e^w is subnormal too and loses bits), and
-for an x past the double range given by ln|x|, Newton steps on the log form
+On W-1 at a subnormal x (Halley's e^w is subnormal too and loses bits), on W0
+past ln x = 709.78 (Halley's denominator e^w*(w + 1) overflows), and for an x
+past the double range given by ln|x|, Newton steps on the log form
 w + ln|w| = ln|x|, which has no e^w, take Halley's place (Corless et al. 1996).
+Halley stops once a step leaves w unchanged or moves it by at most
+1e-16*(1 + |w|).
 """
 
 from __future__ import annotations
@@ -26,6 +29,9 @@ __all__ = ["WBranch", "lambert_w", "w0", "wm1", "BRANCH_POINT"]
 BRANCH_POINT = -math.exp(-1.0)
 
 _MAX_ITER = 50
+# Past ln x = 709.78 on W0, Halley's denominator e^w*(w + 1) ~ x*(1 + 1/w)
+# overflows (from x ~ 1.7951e308), so W0 takes the log form's Newton steps.
+_LOG_HALLEY_MAX = 709.78
 
 # e split into two doubles, so e*x + 1 can be formed without losing the
 # low bits that carry all the information right at the branch point.
@@ -96,10 +102,11 @@ def _halley(w: float, x: float) -> float:
             return w
         denom = ew * wp1 - (w + 2.0) * residual / (2.0 * wp1)
         if denom == 0.0 or math.isinf(denom):
-            return w
+            return w  # not reached: W0 past ln x = 709.78, where e^w*(w+1) overflows, takes _w_log
         dw = residual / denom
-        w -= dw
-        if abs(dw) <= 1e-16 * (1.0 + abs(w)):
+        w, last = w - dw, w
+        # A step that leaves w where it was would be taken again and again.
+        if w == last or abs(dw) <= 1e-16 * (1.0 + abs(w)):
             return w
     return w
 
@@ -119,8 +126,8 @@ def _lambert_w(x: float, lower: bool) -> float:
         l1 = math.log(abs(x))
         if not lower and l1 < 1.2:
             seed = math.log1p(x)
-        elif lower and l1 < _LOG_DBL_MIN:  # a subnormal x: e^w would be subnormal too
-            return _w_exp(l1, True)
+        elif l1 < _LOG_DBL_MIN if lower else l1 > _LOG_HALLEY_MAX:
+            return _w_log(l1)
         else:
             l2 = math.log(abs(l1))
             seed = l1 - l2 + l2 / l1
@@ -136,11 +143,16 @@ def _lambert_w(x: float, lower: bool) -> float:
 
 def _w_exp(log_x: float, lower: bool = False) -> float:
     # W0(e^L), or W-1(-e^L) when lower (L <= -1): the kernel at +-e^L, unless
-    # e^L (W0) or Halley's e^w (W-1) would leave the normal doubles.  There two
-    # Newton steps on w + ln|w| = L from the seed L1 - L2 + L2/L1 (within 1e-7
-    # past |L| = 708) reach the rounding; w - L, exact here, is taken first.
+    # e^L (W0) or Halley's e^w (W-1) would leave the normal doubles.
     if (log_x >= _LOG_DBL_MIN) if lower else (log_x <= _LOG_DBL_MAX):
         return _lambert_w(-math.exp(log_x) if lower else math.exp(log_x), lower)
+    return _w_log(log_x)
+
+
+def _w_log(log_x: float) -> float:
+    # W at +-e^L from L alone: two Newton steps on w + ln|w| = L from the seed
+    # L1 - L2 + L2/L1 (within 1e-7 past |L| = 708) reach the rounding; w - L,
+    # exact here, is taken first.  No e^w is formed.
     l2 = math.log(abs(log_x))
     w = log_x - l2 + l2 / log_x
     for _ in range(2):

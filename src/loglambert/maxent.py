@@ -553,10 +553,12 @@ _WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
 
 # Where continuous_pdf's two pieces meet, as t in y = y0 + (yL - y0)*t**2;
 # the share of its peak the density must fall below at the range's end; and
-# the splits an adaptive quadrature may make.
+# the splits and the panels one adaptive quadrature may make (the benchmark's
+# maxent_fit pools, seeds 1-2, take 5 per continuous_pdf call).
 _T_C = 0.25
 _TAIL_RATIO = 1e-10
 _GK_DEPTH = 60
+_GK_PANELS = 2000
 
 
 def _gauss_kronrod_panel(f: Callable[[list[float]], list[float]], a: float, b: float
@@ -574,7 +576,8 @@ def _gauss_kronrod_panel(f: Callable[[list[float]], list[float]], a: float, b: f
 
 
 def _adaptive_gauss_kronrod(
-    f: Callable[[list[float]], list[float]], a: float, b: float, tol: float, depth: int = _GK_DEPTH
+    f: Callable[[list[float]], list[float]], a: float, b: float, tol: float, depth: int = _GK_DEPTH,
+    budget: list[int] | None = None,
 ) -> float:
     # K15 of a panel whose err = |K15 - G7| is within tol, else the sum over
     # its halves, each held to tol/2, or for the whole range (depth
@@ -582,7 +585,13 @@ def _adaptive_gauss_kronrod(
     # tol/n, as G7's error falls as the 15th power of a panel's width; n is
     # at least 2 and at most _GK_DEPTH (also for an err that is not a number,
     # or a tol that underflowed to 0).  IntegrationError past _GK_DEPTH
-    # splits (`depth` of them are left below this panel).
+    # splits (`depth` of them are left below this panel) or past _GK_PANELS
+    # panels in the whole call (`budget` holds the count left).
+    if budget is None:
+        budget = [_GK_PANELS]
+    if budget[0] <= 0:
+        raise IntegrationError(f"adaptive Gauss-Kronrod needs more than {_GK_PANELS} panels")
+    budget[0] -= 1
     k15, g7 = _gauss_kronrod_panel(f, a, b)
     err = abs(k15 - g7)
     if err <= tol:
@@ -591,12 +600,12 @@ def _adaptive_gauss_kronrod(
         raise IntegrationError("adaptive Gauss-Kronrod recursion exhausted")
     if depth < _GK_DEPTH:
         m = 0.5 * (a + b)
-        return (_adaptive_gauss_kronrod(f, a, m, 0.5 * tol, depth - 1)
-                + _adaptive_gauss_kronrod(f, m, b, 0.5 * tol, depth - 1))
+        return (_adaptive_gauss_kronrod(f, a, m, 0.5 * tol, depth - 1, budget)
+                + _adaptive_gauss_kronrod(f, m, b, 0.5 * tol, depth - 1, budget))
     n = max(2, math.ceil((err / tol) ** (1.0 / 14.0))) if err < tol * _GK_DEPTH**14 else _GK_DEPTH
     width = (b - a) / n
     return sum(_adaptive_gauss_kronrod(f, a + k * width, b if k == n - 1 else a + (k + 1) * width,
-                                       tol / n, depth - 1) for k in range(n))
+                                       tol / n, depth - 1, budget) for k in range(n))
 
 
 def continuous_pdf(

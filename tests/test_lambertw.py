@@ -8,6 +8,7 @@ import mpmath
 import pytest
 
 from loglambert import BRANCH_POINT, ConvergenceError, DomainError, WBranch, lambert_w, w0, wm1
+from loglambert import lambertw
 from loglambert.lambertw import _w_exp
 
 
@@ -95,12 +96,73 @@ def test_w_of_exp_matches_mpmath_past_the_double_range(log_x, lower):
     assert abs(w - ref) <= 2.0 * math.ulp(float(ref)), (w, ref)
 
 
-@pytest.mark.xfail(strict=True, reason="Halley stops at an infinite denominator near DBL_MAX")
 def test_w0_at_the_largest_double_matches_mpmath():
     # From about x = 1.7951e308 up, Halley's denominator e^w*(w+1) - ... overflows
-    # at the seed, and _halley returns the seed: 4.2e-8 relative from W0.
+    # at the seed; the log form's Newton steps answer there instead.
     x = sys.float_info.max
     assert w0(x) == pytest.approx(float(mpmath.lambertw(mpmath.mpf(x)).real), rel=4e-15)
+
+
+def test_w0_next_to_the_largest_double_matches_mpmath():
+    # Halley (below ln x = 709.78) and the log form (above) both within 4e-15
+    rng = random.Random(308)
+    top = sys.float_info.max
+    for x in [top * (1.0 - 1e-2 * rng.random()) for _ in range(200)]:
+        assert w0(x) == pytest.approx(float(mpmath.lambertw(mpmath.mpf(x)).real), rel=4e-15), x
+
+
+def test_halley_stops_when_w_stops_moving(monkeypatch):
+    # Here the last step rounds away, so w stays put while |dw| is above
+    # 1e-16*(1 + |w|): the loop ran all 50 iterations (50 exps); now it
+    # stops at the step that leaves w unchanged.
+    calls = []
+    real_exp = math.exp
+
+    def counted(z):
+        calls.append(z)
+        return real_exp(z)
+
+    monkeypatch.setattr(math, "exp", counted)
+    w = w0(1.0181080487922342e241)
+    monkeypatch.undo()
+    assert len(calls) <= 8
+    assert w == pytest.approx(float(mpmath.lambertw(mpmath.mpf(1.0181080487922342e241)).real),
+                              rel=4e-16)
+
+
+def _halley_to_the_budget(w, x):
+    # lambertw._halley as it was, without the unchanged-w exit: the reference
+    # for the answers' bits
+    for _ in range(50):
+        ew = math.exp(w)
+        residual = w * ew - x
+        wp1 = w + 1.0
+        if residual == 0.0 or wp1 == 0.0:
+            return w
+        denom = ew * wp1 - (w + 2.0) * residual / (2.0 * wp1)
+        if denom == 0.0 or math.isinf(denom):
+            return w
+        dw = residual / denom
+        w -= dw
+        if abs(dw) <= 1e-16 * (1.0 + abs(w)):
+            return w
+    return w
+
+
+def test_halley_exit_keeps_every_answer_bit_for_bit(monkeypatch):
+    # 10 000 x on both branches: near -1/e, over the W-1 range and over
+    # every decade of W0's, where the parent's loop ran to its budget on ~2.5%.
+    rng = random.Random(41)
+    xs = [(BRANCH_POINT * (1.0 - 10.0 ** rng.uniform(-12, 0)), rng.random() < 0.5)
+          for _ in range(2000)]
+    xs += [(-(10.0 ** rng.uniform(-300, math.log10(-BRANCH_POINT))), True) for _ in range(3000)]
+    xs += [(10.0 ** rng.uniform(-300, 308), False) for _ in range(5000)]
+    xs = [(x, lower) for x, lower in xs if x < 0.0 or not lower]
+    assert len(xs) > 9000
+    ours = [lambert_w(x, WBranch.NEGATIVE if lower else WBranch.PRINCIPAL) for x, lower in xs]
+    monkeypatch.setattr(lambertw, "_halley", _halley_to_the_budget)
+    theirs = [lambert_w(x, WBranch.NEGATIVE if lower else WBranch.PRINCIPAL) for x, lower in xs]
+    assert [w.hex() for w in ours] == [w.hex() for w in theirs]
 
 
 def test_monotonicity():

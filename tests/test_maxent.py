@@ -4,6 +4,7 @@ import math
 import random
 import re
 import sys
+import time
 
 import pytest
 
@@ -998,6 +999,18 @@ def test_adaptive_gauss_kronrod_refuses_an_unresolvable_step():
     with pytest.raises(IntegrationError, match="recursion exhausted"):
         _adaptive_gauss_kronrod(step, -1.0, 2.0, 1e-13)
     assert len(evaluations) <= 61 * 2 * 15
+
+
+def test_continuous_pdf_refuses_within_its_panel_budget(count_calls):
+    # The weight brace**100 falls from a subnormal to 0 inside the range, and
+    # halving chased panels 1e-13 wide: over 540 000 panels in 10 s before the
+    # cap.  Now the quadrature refuses at _GK_PANELS panels.
+    panels = count_calls(maxent, "_gauss_kronrod_panel")
+    start = time.perf_counter()
+    with pytest.raises(IntegrationError, match="more than 2000 panels"):
+        continuous_pdf(EntropyParams(1.01, 1.2, 1.3), -2.58956613049, -1e-12, 1, [0.0])
+    assert time.perf_counter() - start < 1.0
+    assert len(panels) == maxent._GK_PANELS == 2000
 
 
 def test_adaptive_gauss_kronrod_caps_its_split():
